@@ -1,6 +1,6 @@
 // bench_server: loopback load against the scubed serving front-end.
 //
-// Three phases over the demo cube, all through real HTTP on 127.0.0.1:
+// Five phases, all through real HTTP on 127.0.0.1:
 //   1. closed loop   N keep-alive clients, back-to-back requests ->
 //                    sustained qps, p50/p99 latency (the capacity probe)
 //   2. open loop 2x  requests offered at twice the measured capacity ->
@@ -19,20 +19,11 @@
 //                    shard scubeds behind a scatter-gather router, loaded
 //                    with the cache-busting mix -> qps and latency per
 //                    topology, and the answers stay well-formed end to end
-//   6. idle conns    the reactor front-end holds ~10k mostly-idle
-//                    keep-alive connections on a fixed dispatch pool
-//                    while a closed-loop querier runs -> steady p50/p99
-//                    under the idle herd, and the open-connection gauge
-//                    (the threaded path would need a thread per conn)
 //
 // Writes the trajectory record BENCH_server.json next to the binary.
 //
 // Run:  ./bench_server [--quick] [--scale S] [--workers N] [--seconds T]
-//                      [--rows R] [--idle-conns C]
-
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
+//                      [--rows R]
 
 #include <algorithm>
 #include <atomic>
@@ -362,7 +353,7 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
     node->service =
         std::make_unique<query::QueryService>(&node->store, service_options);
     node->server = std::make_unique<server::ScubedServer>(
-        node->service.get(), &node->store, shard_server_options);
+        node->service.get(), shard_server_options);
     Status started = node->server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "shard %zu start: %s\n", i,
@@ -406,234 +397,9 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Phase 6: the reactor front-end under ~10k mostly-idle keep-alive conns.
-// ---------------------------------------------------------------------------
-
-/// Raises RLIMIT_NOFILE toward what `want_conns` connections need and
-/// returns how many fds the calling process may spend on them (soft
-/// limit minus a reserve for the binary's own files, epoll, eventfd and
-/// the querier sockets). The herd's client ends live in separate child
-/// processes precisely so this budget is per-side, not split two ways.
-size_t ConnectionFdBudget(size_t want_conns) {
-  struct rlimit lim;
-  if (getrlimit(RLIMIT_NOFILE, &lim) != 0) return 0;
-  const rlim_t reserve = 128;
-  const rlim_t needed = static_cast<rlim_t>(want_conns) + reserve;
-  if (lim.rlim_cur < needed) {
-    struct rlimit raise = lim;
-    raise.rlim_cur = needed;
-    // Raising the hard cap needs CAP_SYS_RESOURCE; without it fall back
-    // to soft = hard.
-    raise.rlim_max = std::max(lim.rlim_max, needed);
-    if (setrlimit(RLIMIT_NOFILE, &raise) != 0) {
-      raise.rlim_max = lim.rlim_max;
-      raise.rlim_cur = lim.rlim_max;
-      setrlimit(RLIMIT_NOFILE, &raise);  // best effort
-    }
-    getrlimit(RLIMIT_NOFILE, &lim);
-  }
-  if (lim.rlim_cur <= reserve) return 0;
-  return static_cast<size_t>(lim.rlim_cur - reserve);
-}
-
-/// A herd child (fork + exec of this binary with --herd-child): holds its
-/// share of the keep-alive connections, reports "held H errors E" on
-/// stdout once they are all up, and releases them when its stdin hits
-/// EOF. Separate processes because RLIMIT_NOFILE is per-process — with
-/// the client ends held elsewhere, the serving process can dedicate its
-/// whole fd budget to the server side of 10k+ connections.
-struct HerdChild {
-  pid_t pid = -1;
-  int release_fd = -1;          ///< write end of the child's stdin pipe
-  std::FILE* report = nullptr;  ///< read end of the child's stdout
-};
-
-HerdChild SpawnHerdChild(uint16_t port, size_t conns) {
-  HerdChild out;
-  int in_pipe[2];
-  int out_pipe[2];
-  if (pipe(in_pipe) != 0) return out;
-  if (pipe(out_pipe) != 0) {
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    return out;
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    return out;
-  }
-  if (pid == 0) {
-    // The parent's server threads may hold arbitrary locks at the fork
-    // instant, so the child keeps to async-signal-safe territory until
-    // exec gives it a fresh process image.
-    dup2(in_pipe[0], 0);
-    dup2(out_pipe[1], 1);
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    char port_arg[16];
-    char conns_arg[32];
-    std::snprintf(port_arg, sizeof(port_arg), "%u", port);
-    std::snprintf(conns_arg, sizeof(conns_arg), "%zu", conns);
-    execl("/proc/self/exe", "bench_server", "--herd-child", port_arg,
-          conns_arg, static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  close(in_pipe[0]);
-  close(out_pipe[1]);
-  out.pid = pid;
-  out.release_fd = in_pipe[1];
-  out.report = fdopen(out_pipe[0], "r");
-  return out;
-}
-
-/// Child-mode body (`bench_server --herd-child PORT CONNS`).
-int RunHerdChild(uint16_t port, size_t conns) {
-  conns = std::min(conns, ConnectionFdBudget(conns));
-  std::vector<net::Socket> herd;
-  herd.reserve(conns);
-  uint64_t errors = 0;
-  while (herd.size() < conns) {
-    auto connected = net::Connect("127.0.0.1", port);
-    if (!connected.ok()) break;  // EMFILE or backlog: hold what we have
-    herd.push_back(std::move(connected).value());
-  }
-  // A spot-checked HTTP round so the herd has actually been accepted,
-  // parsed and answered (back to idle) — not just SYNs in a backlog.
-  const size_t step = std::max<size_t>(1, herd.size() / 16);
-  for (size_t i = 0; i < herd.size(); i += step) {
-    net::BufferedReader reader(&herd[i]);
-    auto resp = net::RoundTrip(&herd[i], &reader, "GET", "/healthz");
-    if (!resp.ok() || resp->status != 200) ++errors;
-  }
-  std::printf("held %zu errors %llu\n", herd.size(),
-              static_cast<unsigned long long>(errors));
-  std::fflush(stdout);
-  char b;
-  while (read(0, &b, 1) > 0) {
-  }  // parent closes our stdin to release the herd
-  return 0;
-}
-
-struct IdleConnResult {
-  size_t target = 0;
-  size_t held = 0;           ///< connections actually established and held
-  double open_gauge = 0;     ///< scubed_open_connections while held
-  double qps = 0;            ///< closed-loop querier under the idle herd
-  double p50_ms = 0;
-  double p99_ms = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-};
-
-/// Opens `target` keep-alive connections against a reactor scubed (scaled
-/// down to the fd budget), leaves them idle, and drives the cache-busting
-/// closed loop through the same server. The point of the phase: the
-/// dispatch pool stays fixed while the connection count grows 1000x, and
-/// the querier's tail latency does not.
-IdleConnResult RunIdleConnPhase(cube::SegregationCube cube, size_t target,
-                                size_t clients, double seconds,
-                                size_t workers) {
-  IdleConnResult out;
-  out.target = target;
-
-  query::CubeStore store;
-  store.Publish("default", std::move(cube));
-  query::ServiceOptions service_options;
-  service_options.num_workers = workers;
-  service_options.cache_capacity = 0;  // measure execution, not replay
-  query::QueryService service(&store, service_options);
-
-  server::ServerOptions options;
-  options.port = 0;
-  options.loopback_only = true;
-  options.frontend = server::Frontend::kReactor;
-  options.num_connection_threads = workers;  // fixed pool — the claim
-  options.idle_timeout_seconds = 600;        // the herd must outlive the run
-  server::ScubedServer server(&service, &store, options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "idle-conn server start: %s\n",
-                 started.ToString().c_str());
-    out.errors = 1;
-    return out;
-  }
-
-  const size_t budget = ConnectionFdBudget(target);
-  const size_t want = std::min(target, budget);
-  if (want < target) {
-    std::printf("  fd budget allows %zu of %zu server-side connections "
-                "(RLIMIT_NOFILE)\n",
-                want, target);
-  }
-  // The herd's client ends live in child processes (per-process fd
-  // limits); spawned and confirmed one at a time so their connect storms
-  // do not trample each other's accept backlog.
-  const size_t kChildren = 4;
-  std::vector<HerdChild> children;
-  for (size_t c = 0; c < kChildren; ++c) {
-    const size_t share = want / kChildren + (c < want % kChildren ? 1 : 0);
-    if (share == 0) continue;
-    HerdChild child = SpawnHerdChild(server.port(), share);
-    if (child.pid < 0) continue;
-    size_t held = 0;
-    unsigned long long probe_errors = 0;
-    if (child.report != nullptr &&
-        std::fscanf(child.report, "held %zu errors %llu", &held,
-                    &probe_errors) == 2) {
-      out.held += held;
-      out.errors += probe_errors;
-    }
-    children.push_back(child);
-  }
-
-  trace::LatencyHistogram hist;
-  LoadResult load = RunLoad(server.port(), clients, seconds, 0, &hist,
-                            /*cache_bust=*/true);
-
-  // Scrape the gauge while the herd is still connected.
-  {
-    auto connected = net::Connect("127.0.0.1", server.port());
-    if (connected.ok()) {
-      net::Socket socket = std::move(connected).value();
-      net::BufferedReader reader(&socket);
-      auto resp = net::RoundTrip(&socket, &reader, "GET", "/metrics");
-      if (resp.ok()) {
-        out.open_gauge = MetricValue(resp->body, "scubed_open_connections");
-      }
-    }
-  }
-
-  for (HerdChild& child : children) close(child.release_fd);
-  for (HerdChild& child : children) {
-    if (child.report != nullptr) std::fclose(child.report);
-    int wstatus = 0;
-    waitpid(child.pid, &wstatus, 0);
-  }
-  server.Stop();
-  service.Shutdown();
-
-  out.qps = load.Qps();
-  out.p50_ms = hist.Quantile(0.50);
-  out.p99_ms = hist.Quantile(0.99);
-  out.ok = load.ok;
-  out.errors += load.errors;
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 4 && std::strcmp(argv[1], "--herd-child") == 0) {
-    return RunHerdChild(static_cast<uint16_t>(std::atoi(argv[2])),
-                        static_cast<size_t>(std::atol(argv[3])));
-  }
   double scale = 0.002;
   double seconds = 3.0;
   size_t clients = 4;
@@ -643,7 +409,6 @@ int main(int argc, char** argv) {
   // that a 100k-row answer streams in O(1) buffer, and the synthetic cube
   // builds in well under a second.
   size_t rows = 100000;
-  size_t idle_conns = 10000;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -656,8 +421,6 @@ int main(int argc, char** argv) {
       workers = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--idle-conns") == 0 && i + 1 < argc) {
-      idle_conns = static_cast<size_t>(std::atol(argv[++i]));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -668,7 +431,6 @@ int main(int argc, char** argv) {
     seconds = 0.6;
     clients = 2;
     scale = 0.0015;
-    idle_conns = std::min<size_t>(idle_conns, 1500);
   }
 
   std::printf("building demo cubes (scale %g)...\n", scale);
@@ -692,7 +454,7 @@ int main(int argc, char** argv) {
   // query-level admission (not the connection pool) is what saturates.
   server_options.num_connection_threads = clients * 16;
   server_options.max_queued_connections = clients * 16;
-  server::ScubedServer server(&service, &store, server_options);
+  server::ScubedServer server(&service, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -806,8 +568,7 @@ int main(int argc, char** argv) {
   server::ServerOptions wide_server_options;
   wide_server_options.port = 0;
   wide_server_options.loopback_only = true;
-  server::ScubedServer wide_server(&wide_service, &wide_store,
-                                   wide_server_options);
+  server::ScubedServer wide_server(&wide_service, wide_server_options);
   started = wide_server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -896,28 +657,6 @@ int main(int argc, char** argv) {
               "small container the curve can be flat or inverted while the "
               "answers stay byte-identical)\n\n");
 
-  // --- phase 6: reactor front-end under a mostly-idle keep-alive herd -----
-  std::printf("[idle connections] reactor front-end, %zu keep-alive "
-              "connections held idle, %zu dispatch threads\n",
-              idle_conns, workers);
-  IdleConnResult idle = RunIdleConnPhase(BuildDemoCube(scale, 0), idle_conns,
-                                         clients, seconds, workers);
-  std::printf("  held %zu/%zu connections (open gauge %.0f) | querier "
-              "%llu ok, %llu errors | %.0f qps | p50 %.2f ms, "
-              "p99 %.2f ms\n",
-              idle.held, idle.target, idle.open_gauge,
-              static_cast<unsigned long long>(idle.ok),
-              static_cast<unsigned long long>(idle.errors), idle.qps,
-              idle.p50_ms, idle.p99_ms);
-  // The herd must be held by the reactor (the gauge sees it) and must not
-  // break the querier. The fd budget may scale the target down on small
-  // containers; "worked" means everything we could open stayed open.
-  bool idle_ok = idle.held > 0 && idle.ok > 0 && idle.errors == 0 &&
-                 idle.open_gauge >= static_cast<double>(idle.held);
-  std::printf("  idle-herd serving %s: a fixed pool held %zu connections "
-              "while queries kept flowing\n\n",
-              idle_ok ? "worked" : "FAILED", idle.held);
-
   // --- trajectory record ---------------------------------------------------
   {
     std::FILE* json = std::fopen("BENCH_server.json", "w");
@@ -986,15 +725,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(r.errors),
                      i + 1 < sharded.size() ? "," : "");
       }
-      std::fprintf(json, "  ],\n");
-      std::fprintf(json,
-                   "  \"idle_connections\": {\"target\": %zu, \"held\": %zu, "
-                   "\"open_gauge\": %.0f, \"qps\": %.1f, \"p50_ms\": %.3f, "
-                   "\"p99_ms\": %.3f, \"ok\": %llu, \"errors\": %llu}\n",
-                   idle.target, idle.held, idle.open_gauge, idle.qps,
-                   idle.p50_ms, idle.p99_ms,
-                   static_cast<unsigned long long>(idle.ok),
-                   static_cast<unsigned long long>(idle.errors));
+      std::fprintf(json, "  ]\n");
       std::fprintf(json, "}\n");
       std::fclose(json);
       std::printf("wrote BENCH_server.json\n");
@@ -1002,7 +733,7 @@ int main(int argc, char** argv) {
   }
 
   bool ok = closed.ok > 0 && closed.errors == 0 && warmed_ok &&
-            publish_load.ok > 0 && streaming_ok && sharded_ok && idle_ok;
+            publish_load.ok > 0 && streaming_ok && sharded_ok;
   std::printf("bench_server %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

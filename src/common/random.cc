@@ -102,6 +102,16 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
         std::floor(std::pow(static_cast<double>(n) + 1.0, u)));
     if (x < 1) x = 1;
     if (x > n) continue;
+    if (s == 1.0) {
+      // The s -> 1 limit of the test below, where t - 1 and b - 1 both
+      // vanish: (t - 1) / (b - 1) tends to ln((x + 1) / x) / ln 2, t / b
+      // to 1.
+      const double xd = static_cast<double>(x);
+      if (v * xd * std::log((xd + 1.0) / xd) / std::log(2.0) <= 1.0) {
+        return x;
+      }
+      continue;
+    }
     double t = std::pow((static_cast<double>(x) + 1.0) / x, s - 1.0);
     if (v * x * (t - 1.0) / (b - 1.0) <= t / b) return x;
   }

@@ -126,11 +126,10 @@ const char* StatusReason(int status);
 bool SniffsAsHttp(std::string_view first_line);
 
 /// \brief Incremental HTTP/1.1 request parser: feed it bytes as they
-/// arrive off a non-blocking socket (partial lines, split headers, body
-/// fragments) and it consumes exactly one message, stopping at the
-/// boundary so pipelined follow-up bytes stay with the caller. Same
-/// grammar, limits and error messages as the blocking ReadHttpRequest —
-/// which is built on it, so the two paths cannot drift.
+/// arrive (partial lines, split headers, body fragments) and it consumes
+/// exactly one message, stopping at the boundary so pipelined follow-up
+/// bytes stay with the caller. ReadHttpRequest drives it from a
+/// BufferedReader, so the grammar, limits and error messages live here.
 class HttpRequestParser {
  public:
   explicit HttpRequestParser(size_t max_body = 4 * 1024 * 1024);
@@ -144,8 +143,8 @@ class HttpRequestParser {
   bool failed() const { return state_ == State::kError; }
   const Status& status() const { return status_; }
 
-  /// True while reading the body — the "READ_BODY" connection state, and
-  /// the EOF-mid-body diagnostic (body_received / body_expected).
+  /// True while reading the body — for the EOF-mid-body diagnostic
+  /// (body_received / body_expected).
   bool in_body() const { return state_ == State::kBody; }
   size_t body_received() const { return request_.body.size(); }
   size_t body_expected() const { return body_expected_; }

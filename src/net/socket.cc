@@ -66,77 +66,6 @@ Status Socket::WriteAll(std::string_view data) {
   return Status::OK();
 }
 
-IoResult Socket::ReadNonBlocking(char* buf, size_t n) {
-  IoResult result;
-  if (!valid()) {
-    result.status = Status::IoError("read on closed socket");
-    return result;
-  }
-  while (true) {
-    ssize_t got = ::recv(fd_, buf, n, 0);
-    if (got > 0) {
-      result.outcome = IoOutcome::kReady;
-      result.bytes = static_cast<size_t>(got);
-      return result;
-    }
-    if (got == 0) {
-      result.outcome = IoOutcome::kEof;
-      return result;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.outcome = IoOutcome::kWouldBlock;
-      return result;
-    }
-    result.status = Status::IoError(Errno("recv"));
-    return result;
-  }
-}
-
-IoResult Socket::WriteNonBlocking(std::string_view data) {
-  IoResult result;
-  if (!valid()) {
-    result.status = Status::IoError("write on closed socket");
-    return result;
-  }
-  while (true) {
-    ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n >= 0) {
-      result.outcome = IoOutcome::kReady;
-      result.bytes = static_cast<size_t>(n);
-      return result;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.outcome = IoOutcome::kWouldBlock;
-      return result;
-    }
-    result.status = Status::IoError(Errno("send"));
-    return result;
-  }
-}
-
-namespace {
-
-Status SetFdNonBlocking(int fd, bool enabled, const char* what) {
-  if (fd < 0) {
-    return Status::IoError(std::string(what) + " on closed socket");
-  }
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return Status::IoError(Errno("fcntl(F_GETFL)"));
-  int want = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (want != flags && ::fcntl(fd, F_SETFL, want) < 0) {
-    return Status::IoError(Errno("fcntl(F_SETFL)"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status Socket::SetNonBlocking(bool enabled) {
-  return SetFdNonBlocking(fd_, enabled, "nonblocking");
-}
-
 Status Socket::SetRecvTimeout(double seconds) {
   if (!valid()) return Status::IoError("timeout on closed socket");
   struct timeval tv;
@@ -230,33 +159,6 @@ Result<Socket> ListenSocket::Accept() {
     if (errno == EINTR) continue;
     return Status::IoError(Errno("accept"));
   }
-}
-
-IoOutcome ListenSocket::TryAccept(Socket* out, Status* error) {
-  if (!valid()) {
-    *error = Status::IoError("accept on closed listener");
-    return IoOutcome::kError;
-  }
-  while (true) {
-    int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) {
-      *out = Socket(fd);
-      return IoOutcome::kReady;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK ||
-        errno == ECONNABORTED) {
-      // ECONNABORTED: the peer gave up while queued — nothing to hand
-      // out now; a level-triggered poll re-reports any remaining backlog.
-      return IoOutcome::kWouldBlock;
-    }
-    *error = Status::IoError(Errno("accept"));
-    return IoOutcome::kError;
-  }
-}
-
-Status ListenSocket::SetNonBlocking(bool enabled) {
-  return SetFdNonBlocking(fd_, enabled, "nonblocking");
 }
 
 void ListenSocket::ShutdownAccept() {

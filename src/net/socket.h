@@ -2,13 +2,10 @@
 //
 // Thin RAII wrappers over POSIX sockets: a connected Socket (read/write),
 // a ListenSocket (bind/listen/accept, port 0 = kernel-assigned), and a
-// loopback Connect() for clients, benches and tests. The default calls
-// are blocking — the threaded front-end's concurrency lives in its thread
-// pool — with optional receive timeouts so a stuck peer cannot pin a
-// connection thread forever. The reactor front-end instead switches fds
-// into non-blocking mode (SetNonBlocking) and drives them through the
-// single-attempt ReadNonBlocking / WriteNonBlocking / TryAccept calls,
-// whose IoResult distinguishes would-block from EOF and hard errors.
+// loopback Connect() for clients, benches and tests. All calls are
+// blocking — the server's concurrency lives in its handler thread pool —
+// with optional receive timeouts so a stuck peer cannot pin a connection
+// thread forever.
 
 #ifndef SCUBE_NET_SOCKET_H_
 #define SCUBE_NET_SOCKET_H_
@@ -21,22 +18,6 @@
 
 namespace scube {
 namespace net {
-
-/// Outcome of one non-blocking I/O attempt.
-enum class IoOutcome {
-  kReady,       ///< progress made: IoResult::bytes transferred
-  kWouldBlock,  ///< no progress now — wait for readiness and retry
-  kEof,         ///< orderly peer shutdown (reads only)
-  kError,       ///< hard failure: IoResult::status carries the errno
-};
-
-/// \brief Result of one ReadNonBlocking / WriteNonBlocking attempt.
-/// Partial writes are normal (kReady with bytes < requested).
-struct IoResult {
-  IoOutcome outcome = IoOutcome::kError;
-  size_t bytes = 0;
-  Status status;  ///< non-OK only when outcome == kError
-};
 
 /// \brief A connected TCP socket (RAII over the fd). Move-only.
 class Socket {
@@ -60,17 +41,6 @@ class Socket {
 
   /// Writes all of `data`, retrying partial writes and EINTR.
   Status WriteAll(std::string_view data);
-
-  /// One read attempt that never blocks once the fd is in non-blocking
-  /// mode: kReady (bytes > 0), kWouldBlock, kEof, or kError.
-  IoResult ReadNonBlocking(char* buf, size_t n);
-
-  /// One write attempt; kReady reports how many bytes the kernel took
-  /// (possibly fewer than data.size()), kWouldBlock a full send buffer.
-  IoResult WriteNonBlocking(std::string_view data);
-
-  /// Switches the fd between blocking and non-blocking mode.
-  Status SetNonBlocking(bool enabled);
 
   /// Bounds every subsequent Read to `seconds` (0 = no timeout).
   Status SetRecvTimeout(double seconds);
@@ -110,14 +80,6 @@ class ListenSocket {
   /// Blocks until a connection arrives; IoError once ShutdownAccept()
   /// (or Close()) has been called.
   Result<Socket> Accept();
-
-  /// One accept attempt for an event loop (put the listener in
-  /// non-blocking mode first). kReady moves the connection into `*out`;
-  /// kWouldBlock means nothing is pending; kError fills `*error`.
-  IoOutcome TryAccept(Socket* out, Status* error);
-
-  /// Switches the listening fd between blocking and non-blocking mode.
-  Status SetNonBlocking(bool enabled);
 
   /// Wakes any blocked Accept() without closing the fd. Safe to call
   /// from a thread other than the acceptor while Accept() is in flight —

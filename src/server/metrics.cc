@@ -178,9 +178,6 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
           metrics.header_deadline_closes.load(std::memory_order_relaxed),
           "Connections dropped by the header-read deadline "
           "(slow-loris defence)");
-  Counter(&out, "scubed_reactor_loops_total",
-          metrics.reactor_loops.load(std::memory_order_relaxed),
-          "Reactor event-loop iterations (0 under --frontend=threads)");
   Counter(&out, "scubed_http_requests_total",
           metrics.http_requests.load(std::memory_order_relaxed),
           "HTTP requests handled");

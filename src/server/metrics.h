@@ -53,9 +53,8 @@ struct ServerMetrics {
   std::atomic<uint64_t> http_errors{0};       ///< 4xx/5xx responses
   std::atomic<uint64_t> line_requests{0};     ///< line-protocol queries
 
-  /// Currently open connections (accepted minus closed/shed) — THE gauge
-  /// the reactor front-end exists to move: it may sit at 10k+ while the
-  /// worker thread count stays fixed.
+  /// Currently open connections (accepted minus closed/shed): the ones
+  /// held by a handler thread plus the ones queued for one.
   std::atomic<int64_t> open_connections{0};
 
   /// Connections dropped by the keep-alive idle timeout (no request
@@ -64,12 +63,8 @@ struct ServerMetrics {
 
   /// Connections dropped by the header-read deadline: a peer that began
   /// a request but did not complete it within the total read cap
-  /// (slow-loris defence, both front-ends).
+  /// (slow-loris defence).
   std::atomic<uint64_t> header_deadline_closes{0};
-
-  /// Reactor event-loop iterations (epoll_wait returns). Zero under the
-  /// threaded front-end.
-  std::atomic<uint64_t> reactor_loops{0};
 
   // Streaming read path (POST /query?stream=1).
   std::atomic<uint64_t> streamed_requests{0};  ///< chunked responses begun

@@ -378,11 +378,9 @@ bool HandleQueryStream(const RouterContext& ctx,
     qctx.merge_keys = true;
   }
 
-  // "conn.write" wraps the raw connection write: on the threaded
-  // front-end that is the blocking socket write, on the reactor it is the
-  // outbox enqueue including any backpressure wait — either way, the time
-  // this response spent pushing bytes toward the peer (nests under
-  // wire.flush in the span tree).
+  // "conn.write" wraps the raw connection write — the blocking socket
+  // write, i.e. the time this response spent pushing bytes toward the
+  // peer (nests under wire.flush in the span tree).
   net::ChunkedWriter::WriteFn traced_write = write;
   if (qctx.trace != nullptr) {
     trace::TraceContext* trace_ptr = qctx.trace;

@@ -7,7 +7,6 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "server/reactor.h"
 
 namespace scube {
 namespace server {
@@ -23,24 +22,7 @@ ScubedServer::ScubedServer(query::QueryBackend* backend,
                           options_.trace_all};
 }
 
-ScubedServer::ScubedServer(query::QueryService* service,
-                           query::CubeStore* store, ServerOptions options)
-    : ScubedServer(static_cast<query::QueryBackend*>(service),
-                   std::move(options)) {
-  (void)store;  // /cubes answers via QueryBackend::ListCubes now
-}
-
 ScubedServer::~ScubedServer() { Stop(); }
-
-uint16_t ScubedServer::port() const {
-  return reactor_ ? reactor_->port() : listener_.port();
-}
-
-double ScubedServer::EffectiveIdleTimeout() const {
-  if (options_.idle_timeout_seconds > 0) return options_.idle_timeout_seconds;
-  return options_.idle_poll_seconds *
-         static_cast<double>(options_.max_idle_polls);
-}
 
 Status ScubedServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
@@ -48,24 +30,6 @@ Status ScubedServer::Start() {
                                           options_.loopback_only);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).value();
-
-  if (options_.frontend == Frontend::kReactor) {
-    ReactorOptions ropts;
-    ropts.num_dispatch_threads = options_.num_connection_threads;
-    ropts.idle_timeout_seconds = EffectiveIdleTimeout();
-    ropts.header_read_seconds = options_.request_read_seconds;
-    ropts.max_connections = options_.max_connections;
-    ropts.drain_timeout_seconds = options_.drain_timeout_seconds;
-    reactor_ = std::make_unique<Reactor>(router_, &metrics_, ropts);
-    Status s = reactor_->Start(std::move(listener_));
-    if (!s.ok()) {
-      reactor_.reset();
-      return s;
-    }
-    started_ = true;
-    running_.store(true, std::memory_order_release);
-    return Status::OK();
-  }
 
   started_ = true;
   running_.store(true, std::memory_order_release);
@@ -81,10 +45,6 @@ void ScubedServer::Stop() {
   if (!started_) return;
   started_ = false;
   running_.store(false, std::memory_order_release);
-  if (reactor_) {
-    reactor_->Stop();
-    return;
-  }
   // Wake the blocked accept() without closing the fd: the fd number must
   // not be reused by a concurrent connection while accept() still holds
   // it. The actual close happens after the acceptor is joined.
@@ -166,7 +126,7 @@ void ScubedServer::ConnectionLoop() {
 
 std::optional<std::string> ScubedServer::NextLine(
     net::BufferedReader* reader) {
-  const double idle_timeout = EffectiveIdleTimeout();
+  const double idle_timeout = options_.idle_timeout_seconds;
   // Total wall cap on getting one line. The per-read SO_RCVTIMEO alone is
   // defeatable by a peer trickling a byte per tick (each byte resets the
   // timer); this deadline is not.

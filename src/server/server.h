@@ -11,6 +11,10 @@
 //   line protocol  one SCubeQL statement per line in, one JSON object
 //                  per line out — for scripted clients and netcat
 //
+// Two deadlines bound how long a peer can hold a handler thread: the
+// keep-alive idle timeout between requests, and a total read deadline
+// per request (headers and body; 408 when it passes).
+//
 // Stop() is graceful: the listener closes, idle keep-alive connections
 // drop at their next poll tick, in-flight requests finish, and the
 // underlying QueryService drains (it is not owned and stays usable).
@@ -22,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,22 +35,13 @@
 #include "common/sync.h"
 #include "net/http.h"
 #include "net/socket.h"
-#include "query/cube_store.h"
-#include "query/service.h"
+#include "query/backend.h"
 #include "server/metrics.h"
 #include "server/router.h"
 #include "server/slow_query_log.h"
 
 namespace scube {
 namespace server {
-
-class Reactor;
-
-/// Which connection front-end drives the sockets (--frontend flag).
-enum class Frontend {
-  kThreads,  ///< acceptor + bounded queue + thread-per-connection pool
-  kReactor,  ///< one epoll event loop + dispatch pool (reactor.h)
-};
 
 /// \brief Connection-level tuning.
 struct ServerOptions {
@@ -70,9 +64,10 @@ struct ServerOptions {
   /// bound on Stop() latency for idle keep-alive connections.
   double idle_poll_seconds = 0.5;
 
-  /// Idle poll ticks before an inactive connection is dropped
-  /// (idle timeout = idle_poll_seconds * max_idle_polls).
-  size_t max_idle_polls = 120;
+  /// Keep-alive idle timeout in seconds (--idle-timeout-ms): a connection
+  /// with no request bytes for this long is closed. Checked at idle-poll
+  /// granularity.
+  double idle_timeout_seconds = 60.0;
 
   /// Receive-timeout bound while *inside* one request (headers/body after
   /// the request line). Larger than the idle poll so a brief network
@@ -90,24 +85,6 @@ struct ServerOptions {
 
   /// Trace every request even without ?debug=trace (--trace flag).
   bool trace_all = false;
-
-  /// Connection front-end. Both serve every route byte-identically; the
-  /// reactor holds 10k+ mostly-idle keep-alive connections on a fixed
-  /// thread count where the threaded path needs a thread per connection.
-  Frontend frontend = Frontend::kThreads;
-
-  /// Keep-alive idle timeout in seconds (--idle-timeout-ms). 0 derives
-  /// it as idle_poll_seconds * max_idle_polls; both front-ends honour
-  /// the effective value.
-  double idle_timeout_seconds = 0;
-
-  /// Reactor only: open-connection cap beyond which accepts shed with an
-  /// immediate 503 (the threaded path's cap is its thread pool + queue).
-  size_t max_connections = 60000;
-
-  /// Reactor only: seconds Stop() grants in-flight responses to drain
-  /// before force-closing.
-  double drain_timeout_seconds = 5.0;
 };
 
 /// \brief The scubed serving front-end. Start() spawns threads; Stop()
@@ -115,11 +92,6 @@ struct ServerOptions {
 class ScubedServer {
  public:
   ScubedServer(query::QueryBackend* backend, ServerOptions options = {});
-
-  /// Legacy signature; `store` is unused — /cubes and /healthz go through
-  /// QueryBackend::ListCubes now.
-  ScubedServer(query::QueryService* service, query::CubeStore* store,
-               ServerOptions options = {});
   ~ScubedServer();
 
   ScubedServer(const ScubedServer&) = delete;
@@ -133,7 +105,7 @@ class ScubedServer {
   void Stop();
 
   /// The bound port (valid after Start()).
-  uint16_t port() const;
+  uint16_t port() const { return listener_.port(); }
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -153,10 +125,6 @@ class ScubedServer {
   /// or idle timeout).
   std::optional<std::string> NextLine(net::BufferedReader* reader);
 
-  /// The keep-alive idle timeout both front-ends enforce (explicit
-  /// idle_timeout_seconds, or derived from the idle-poll tick budget).
-  double EffectiveIdleTimeout() const;
-
   query::QueryBackend* backend_;
   ServerOptions options_;
   ServerMetrics metrics_;
@@ -166,10 +134,6 @@ class ScubedServer {
   net::ListenSocket listener_;
   std::atomic<bool> running_{false};
   bool started_ = false;
-
-  /// Non-null iff frontend == kReactor (owns the event loop + dispatch
-  /// pool; kept after Stop() so port() stays readable).
-  std::unique_ptr<Reactor> reactor_;
 
   sync::Mutex conn_mu_;
   sync::CondVar conn_cv_;

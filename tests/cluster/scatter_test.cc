@@ -127,7 +127,7 @@ struct ShardProcess {
     store.Publish("default", std::move(cube));
     service = std::make_unique<query::QueryService>(&store,
                                                     query::ServiceOptions{});
-    server = std::make_unique<server::ScubedServer>(service.get(), &store,
+    server = std::make_unique<server::ScubedServer>(service.get(),
                                                     MakeServerOptions());
     Status started = server->Start();
     EXPECT_TRUE(started.ok()) << started;

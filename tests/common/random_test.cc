@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace scube {
@@ -116,6 +117,47 @@ TEST(RngTest, ZipfRangeAndSkew) {
   EXPECT_GT(counts[1], counts[10] * 3);
 }
 
+TEST(RngTest, ZipfWithUnitExponentFollowsOneOverK) {
+  // At s = 1 the general rejection test is 0/0 and never passes, so the
+  // draw must use the test's s -> 1 limit, under which P(k) = (1/k) / H_n.
+  // The head ranks pin the law: the bare log-uniform proposal would put
+  // 22% less mass on rank 1.
+  const uint64_t kMax = 100;
+  const int kN = 100000;
+  Rng rng(41);
+  std::map<uint64_t, int> counts;
+  for (int i = 0; i < kN; ++i) {
+    uint64_t v = rng.NextZipf(kMax, 1.0);
+    ASSERT_GE(v, 1u);
+    ASSERT_LE(v, kMax);
+    counts[v]++;
+  }
+  double harmonic = 0;
+  for (uint64_t k = 1; k <= kMax; ++k) harmonic += 1.0 / k;
+  for (uint64_t k = 1; k <= 3; ++k) {
+    const double want = kN / (harmonic * k);
+    EXPECT_NEAR(counts[k], want, 0.04 * want) << "rank " << k;
+  }
+}
+
+TEST(RngTest, ZipfDrawsForOtherExponentsArePinned) {
+  // The s = 1 branch must not move any draw for s != 1: generated inputs
+  // (datagen's board sizes, benchmark statement ranks) depend on them.
+  const std::vector<uint64_t> want_115 = {16, 11, 4,   206, 4,  17,
+                                          2,  401, 3, 11,  2,  16};
+  const std::vector<uint64_t> want_18 = {16, 4,  4,  17,  2,   401,
+                                         3,  2,  97, 24,  289, 1};
+  for (const auto& [s, want] :
+       {std::pair{1.15, want_115}, std::pair{1.8, want_18}}) {
+    Rng rng(97);
+    std::vector<uint64_t> got;
+    for (size_t i = 0; i < want.size(); ++i) {
+      got.push_back(rng.NextZipf(1000, s));
+    }
+    EXPECT_EQ(got, want) << "s = " << s;
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(31);
   std::vector<int> v(100);
@@ -165,7 +207,7 @@ TEST_P(ZipfSweepTest, MonotoneDecreasingHeadMass) {
   for (int i = 0; i < 30000; ++i) {
     counts[rng.NextZipf(50, s)]++;
   }
-  // Head (1..5) carries more mass than mid (21..25) for all s > 1.
+  // Head (1..5) carries more mass than mid (21..25) for all s >= 1.
   int head = 0, mid = 0;
   for (int i = 1; i <= 5; ++i) head += counts[i];
   for (int i = 21; i <= 25; ++i) mid += counts[i];
@@ -173,7 +215,7 @@ TEST_P(ZipfSweepTest, MonotoneDecreasingHeadMass) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSweepTest,
-                         ::testing::Values(1.05, 1.2, 1.5, 2.0, 3.0));
+                         ::testing::Values(1.0, 1.05, 1.2, 1.5, 2.0, 3.0));
 
 }  // namespace
 }  // namespace scube

@@ -14,6 +14,8 @@
 
 #include "net/http.h"
 #include "net/socket.h"
+#include "query/cube_store.h"
+#include "query/service.h"
 #include "server/router.h"
 
 namespace scube {
@@ -58,7 +60,7 @@ struct Fixture {
   explicit Fixture(query::ServiceOptions service_options = {},
                    ServerOptions server_options = MakeServerOptions())
       : service(&store, service_options),
-        server(&service, &store, server_options) {
+        server(&service, server_options) {
     store.Publish("default", MakeCube(0.2));
     Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started;
