@@ -1,13 +1,14 @@
 // EFF-CUBE: SegregationDataCubeBuilder cost and build parallelism.
 //
 // Cube construction is the dominant cost of segregation discovery
-// (paper §4): frequent-itemset mining plus one EWAH-bucketing pass per
-// candidate cell, then Seal()'s index construction at publish time. The
-// fill and seal phases decompose into independent units (one context per
-// worker, one index structure per task), so this bench sweeps thread
-// counts over the standard synthetic workload and reports per-phase wall
-// times and speedups, verifying along the way that every thread count
-// produces the identical cube.
+// (paper §4): frequent-itemset mining plus, per candidate cell, a walk of
+// its minority cover (dense item bitsets ANDed over the context's words)
+// into per-unit counts and the six indexes, then Seal()'s index
+// construction at publish time. The fill and seal phases decompose into
+// independent units (one context per worker, one index structure per
+// task), so this bench sweeps thread counts over the standard synthetic
+// workload and reports per-phase wall times and speedups, verifying along
+// the way that every thread count produces the identical cube.
 //
 // Run:  ./bench_cube_builder [--quick] [--threads 1,2,4] [--scale S]
 //                            [--min-support N] [--reps R] [--no-json]

@@ -1,6 +1,9 @@
 // INDEXES: throughput of the six segregation indexes (§2) over growing unit
 // counts, the O(n log n) Gini vs its O(n^2) reference, and the permutation
-// significance test.
+// significance test. ComputeAllIndexes runs on two unit mixes: m_i drawn
+// uniformly from [0, t_i], and the sparse-minority mix of real cube cells,
+// where 77% of a cell's units hold no minority member (the share measured
+// over the perfbench `build` cube) and take the exact m_i = 0 terms.
 
 #include <benchmark/benchmark.h>
 
@@ -23,16 +26,41 @@ indexes::GroupDistribution MakeDistribution(size_t num_units, uint64_t seed) {
   return d;
 }
 
-void BM_AllSixIndexes(benchmark::State& state) {
-  auto d = MakeDistribution(static_cast<size_t>(state.range(0)), 3);
+// Units of a cube cell: 77% with m_i = 0, the rest with m_i uniform in
+// [1, t_i].
+indexes::GroupDistribution MakeSparseMinorityDistribution(size_t num_units,
+                                                          uint64_t seed) {
+  Rng rng(seed);
+  indexes::GroupDistribution d;
+  for (size_t i = 0; i < num_units; ++i) {
+    uint64_t t = 1 + rng.NextBounded(500);
+    uint64_t m = rng.NextBool(0.77) ? 0 : 1 + rng.NextBounded(t);
+    d.AddUnit(t, m);
+  }
+  return d;
+}
+
+void RunAllSixIndexes(benchmark::State& state,
+                      const indexes::GroupDistribution& d) {
   for (auto _ : state) {
     auto all = indexes::ComputeAllIndexes(d);
     benchmark::DoNotOptimize(all);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void BM_AllSixIndexes(benchmark::State& state) {
+  RunAllSixIndexes(state,
+                   MakeDistribution(static_cast<size_t>(state.range(0)), 3));
+}
+void BM_AllSixIndexesSparseMinority(benchmark::State& state) {
+  RunAllSixIndexes(state, MakeSparseMinorityDistribution(
+                              static_cast<size_t>(state.range(0)), 3));
+}
 BENCHMARK(BM_AllSixIndexes)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AllSixIndexesSparseMinority)->Arg(100)->Arg(1000)->Arg(10000)
+    ->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 void BM_GiniFast(benchmark::State& state) {
   auto d = MakeDistribution(static_cast<size_t>(state.range(0)), 5);

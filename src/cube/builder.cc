@@ -1,6 +1,7 @@
 #include "cube/builder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -15,104 +16,128 @@ namespace cube {
 
 namespace {
 
-// Sparse per-unit histogram built by bucketing a cover through row_unit.
-// A dense scratch array plus a touched list keeps resets O(#touched).
-class UnitHistogrammer {
+// One dense row bitset per item (⌈rows/64⌉ words each, item-major), plus
+// one of every row for the empty context. Built once per fill from the
+// transactions and shared read-only by the workers; bits past the last
+// row are zero.
+class DenseItemCovers {
  public:
-  explicit UnitHistogrammer(size_t num_units) : counts_(num_units, 0) {}
+  explicit DenseItemCovers(const fpm::TransactionDb& db)
+      : num_words_((db.NumTransactions() + 63) / 64),
+        words_((db.NumItems() + 1) * num_words_, 0) {
+    const size_t num_rows = db.NumTransactions();
+    for (uint32_t row = 0; row < num_rows; ++row) {
+      const uint64_t bit = uint64_t{1} << (row % 64);
+      words_[row / 64] |= bit;
+      for (fpm::ItemId item : db.Transaction(row)) {
+        words_[(item + size_t{1}) * num_words_ + row / 64] |= bit;
+      }
+    }
+  }
 
-  // Returns (unit, count) pairs sorted by unit, and the cover cardinality.
-  std::vector<std::pair<uint32_t, uint64_t>> Histogram(
-      const EwahBitmap& cover, const std::vector<uint32_t>& row_unit) {
-    for (uint32_t unit : touched_) counts_[unit] = 0;
-    touched_.clear();
-    cover.ForEach([this, &row_unit](uint64_t row) {
-      uint32_t unit = row_unit[row];
-      if (counts_[unit] == 0) touched_.push_back(unit);
-      ++counts_[unit];
-    });
-    std::sort(touched_.begin(), touched_.end());
-    std::vector<std::pair<uint32_t, uint64_t>> out;
-    out.reserve(touched_.size());
-    for (uint32_t unit : touched_) out.emplace_back(unit, counts_[unit]);
-    return out;
+  size_t num_words() const { return num_words_; }
+  const uint64_t* AllRows() const { return words_.data(); }
+  const uint64_t* Item(fpm::ItemId item) const {
+    return words_.data() + (item + size_t{1}) * num_words_;
   }
 
  private:
-  std::vector<uint64_t> counts_;
-  std::vector<uint32_t> touched_;
+  size_t num_words_;
+  std::vector<uint64_t> words_;  // AllRows() first, then item 0, 1, ...
 };
 
+// One nonzero word of a dense cover.
+struct CoverWord {
+  size_t index;
+  uint64_t bits;
+};
+
+// Calls fn(row) for every row set in `word`.
+template <typename Fn>
+void ForEachRow(CoverWord word, Fn&& fn) {
+  while (word.bits != 0) {
+    fn(word.index * 64 + static_cast<size_t>(std::countr_zero(word.bits)));
+    word.bits &= word.bits - 1;
+  }
+}
+
 // All candidate cells sharing one context B: the context's cover,
-// histogram and total are computed exactly once, by exactly one worker.
+// unit totals and T are computed exactly once, by exactly one worker.
 struct ContextGroup {
   fpm::Itemset ca;
   std::vector<fpm::Itemset> sas;  // one cell per entry, mined order
 };
 
 // Per-worker mutable state: no worker ever touches another worker's
-// scratch, so the fill needs no locks at all.
+// scratch, so the fill needs no locks at all. The dense per-unit arrays
+// are all zero between calls.
 struct WorkerScratch {
   explicit WorkerScratch(size_t num_units)
-      : histogrammer(num_units), minority_counts(num_units, 0) {}
+      : unit_counts(num_units, 0), minority_counts(num_units, 0) {}
 
-  UnitHistogrammer histogrammer;
-  std::vector<uint64_t> minority_counts;  // dense m_i scratch
-  std::vector<uint32_t> touched;          // units with minority_counts != 0
-  std::vector<fpm::ItemId> sa_by_size;    // SA items, support-ascending
+  std::vector<CoverWord> ctx_cover;       // the context's nonzero words
+  std::vector<uint32_t> units;            // the context's units, ascending
+  std::vector<uint32_t> unit_totals;      // t_i, parallel to `units`
+  std::vector<uint32_t> unit_counts;      // dense t_i scratch
+  std::vector<uint32_t> minority_counts;  // dense m_i scratch
+  indexes::GroupDistribution dist;
 };
 
 // Fills every cell of one context group into `out_cells` (same order as
 // grp.sas). Returns the first index-computation error, if any.
 Status FillContextGroup(const relational::EncodedRelation& encoded,
+                        const DenseItemCovers& covers,
                         const CubeBuilderOptions& options,
                         const ContextGroup& grp, WorkerScratch& ws,
                         std::vector<CubeCell>* out_cells) {
-  const EwahBitmap ctx_cover = encoded.db.Cover(grp.ca);
-  const uint64_t ctx_total = ctx_cover.Cardinality();
-  const std::vector<std::pair<uint32_t, uint64_t>> unit_totals =
-      ws.histogrammer.Histogram(ctx_cover, encoded.row_unit);
+  const std::vector<uint32_t>& row_unit = encoded.row_unit;
+
+  // Context cover: the AND of B's item covers, kept as its nonzero words.
+  ws.ctx_cover.clear();
+  for (size_t w = 0; w < covers.num_words(); ++w) {
+    uint64_t bits = covers.AllRows()[w];
+    for (fpm::ItemId item : grp.ca.items()) bits &= covers.Item(item)[w];
+    if (bits != 0) ws.ctx_cover.push_back({w, bits});
+  }
+
+  // Per-unit totals t_i, in unit order.
+  ws.units.clear();
+  for (const CoverWord& word : ws.ctx_cover) {
+    ForEachRow(word, [&](size_t row) {
+      const uint32_t unit = row_unit[row];
+      if (ws.unit_counts[unit]++ == 0) ws.units.push_back(unit);
+    });
+  }
+  std::sort(ws.units.begin(), ws.units.end());
+  ws.unit_totals.clear();
+  for (uint32_t unit : ws.units) {
+    ws.unit_totals.push_back(ws.unit_counts[unit]);
+    ws.unit_counts[unit] = 0;
+  }
 
   out_cells->reserve(grp.sas.size());
   for (const fpm::Itemset& sa : grp.sas) {
-    // Minority cover: cover(A ∪ B) = cover(B) ∩ item covers of A.
-    // Intersect smallest-cardinality-first so intermediates shrink as
-    // fast as possible, and chain through one scratch bitmap instead of
-    // copying ctx_cover up front and reallocating per And.
-    std::vector<fpm::ItemId>& by_size = ws.sa_by_size;
-    by_size.assign(sa.items().begin(), sa.items().end());
-    std::stable_sort(by_size.begin(), by_size.end(),
-                     [&](fpm::ItemId a, fpm::ItemId b) {
-                       return encoded.db.ItemSupport(a) <
-                              encoded.db.ItemSupport(b);
-                     });
-    const EwahBitmap* minority = &ctx_cover;
-    EwahBitmap scratch;
-    for (fpm::ItemId item : by_size) {
-      scratch = minority->And(encoded.db.ItemCover(item));
-      minority = &scratch;
+    // Minority cover: cover(A ∪ B) = cover(B) ∩ the item covers of A,
+    // narrowed word by word over the context's nonzero words.
+    for (CoverWord word : ws.ctx_cover) {
+      for (fpm::ItemId item : sa.items()) {
+        word.bits &= covers.Item(item)[word.index];
+      }
+      ForEachRow(word,
+                 [&](size_t row) { ++ws.minority_counts[row_unit[row]]; });
+    }
+    ws.dist.Clear();
+    for (size_t j = 0; j < ws.units.size(); ++j) {
+      ws.dist.AddUnit(ws.unit_totals[j], ws.minority_counts[ws.units[j]]);
+      ws.minority_counts[ws.units[j]] = 0;
     }
 
     CubeCell cell;
     cell.coords = CellCoordinates{sa, grp.ca};
-    cell.context_size = ctx_total;
-    cell.minority_size = minority->Cardinality();
-    cell.num_units = static_cast<uint32_t>(unit_totals.size());
-
-    // Per-unit minority counts.
-    ws.touched.clear();
-    minority->ForEach([&](uint64_t row) {
-      uint32_t unit = encoded.row_unit[row];
-      if (ws.minority_counts[unit] == 0) ws.touched.push_back(unit);
-      ++ws.minority_counts[unit];
-    });
-    indexes::GroupDistribution dist;
-    for (const auto& [unit, t] : unit_totals) {
-      dist.AddUnit(t, ws.minority_counts[unit]);
-    }
-    for (uint32_t unit : ws.touched) ws.minority_counts[unit] = 0;
-
-    auto idx = indexes::ComputeAllIndexes(dist, options.index_params);
+    cell.context_size = ws.dist.Total();
+    cell.minority_size = ws.dist.Minority();
+    cell.num_units = static_cast<uint32_t>(ws.dist.NumUnits());
+    auto idx = indexes::ComputeAllIndexes(ws.dist, options.index_params);
     if (!idx.ok()) return idx.status();
     cell.indexes = idx.value();
     out_cells->push_back(std::move(cell));
@@ -164,8 +189,8 @@ Result<SegregationCube> BuildSegregationCube(
   // --- Grouping prepass ---------------------------------------------------
   // Split/filter every mined itemset and group the survivors by context B,
   // in first-seen (mined) order. Workers then own whole groups, so a
-  // context's cover and histogram are computed exactly once with no shared
-  // memo map to contend on.
+  // context's cover and unit totals are computed exactly once with no
+  // shared memo map to contend on.
   timer.Reset();
   trace::Span group_span(options.trace, "build.group");
   std::vector<ContextGroup> groups;
@@ -179,9 +204,6 @@ Result<SegregationCube> BuildSegregationCube(
     if (inserted) groups.push_back(ContextGroup{std::move(ca), {}});
     groups[it->second].sas.push_back(std::move(sa));
   }
-  // TransactionDb builds item covers lazily behind a const facade; force
-  // them (and the support cache) into existence before any worker reads.
-  if (encoded.db.NumItems() > 0) encoded.db.ItemCover(0);
   group_span.End();
   st->seconds_grouping = timer.Seconds();
 
@@ -200,6 +222,7 @@ Result<SegregationCube> BuildSegregationCube(
   }
   st->threads_used = static_cast<uint32_t>(threads);
 
+  const DenseItemCovers covers(encoded.db);
   std::vector<std::vector<CubeCell>> group_cells(groups.size());
   std::vector<Status> group_status(groups.size());
   const size_t num_units = encoded.unit_labels.size();
@@ -209,8 +232,8 @@ Result<SegregationCube> BuildSegregationCube(
   if (threads <= 1) {
     WorkerScratch scratch(num_units);
     for (size_t g = 0; g < groups.size(); ++g) {
-      group_status[g] = FillContextGroup(encoded, options, groups[g], scratch,
-                                         &group_cells[g]);
+      group_status[g] = FillContextGroup(encoded, covers, options, groups[g],
+                                         scratch, &group_cells[g]);
     }
   } else {
     std::vector<std::unique_ptr<WorkerScratch>> scratch(threads);
@@ -219,8 +242,9 @@ Result<SegregationCube> BuildSegregationCube(
           if (scratch[worker] == nullptr) {
             scratch[worker] = std::make_unique<WorkerScratch>(num_units);
           }
-          group_status[g] = FillContextGroup(encoded, options, groups[g],
-                                             *scratch[worker], &group_cells[g]);
+          group_status[g] =
+              FillContextGroup(encoded, covers, options, groups[g],
+                               *scratch[worker], &group_cells[g]);
         });
   }
 

@@ -9,8 +9,10 @@
 //   3. for each mined itemset, derives per-unit counts
 //         T   = |cover(B)|,        t_i = |cover(B) ∩ unit_i|,
 //         M   = |cover(A ∪ B)|,    m_i = |cover(A ∪ B) ∩ unit_i|
-//      bucketing EWAH covers through the row→unit array (O(|cover|)), with
-//      context statistics memoised across the many cells that share B;
+//      from dense row bitsets, one per item, built once per fill: cover(B)
+//      is the AND of B's item words, computed once for all the cells that
+//      share B; cover(A ∪ B) narrows it by A's item words; a countr_zero
+//      walk through the row→unit array turns either into per-unit counts;
 //   4. fills the cell with all six segregation indexes (undefined cells —
 //      M = 0 or M = T — stay in the cube and render as "-", Fig. 1).
 

@@ -10,6 +10,13 @@ void GroupDistribution::AddUnit(uint64_t total, uint64_t minority) {
   minority_ += minority;
 }
 
+void GroupDistribution::Clear() {
+  totals_.clear();
+  minorities_.clear();
+  total_ = 0;
+  minority_ = 0;
+}
+
 GroupDistribution GroupDistribution::FromVectors(
     const std::vector<uint64_t>& totals,
     const std::vector<uint64_t>& minorities) {

@@ -25,6 +25,9 @@ class GroupDistribution {
   /// Units with total == 0 may be added; they are ignored by all indexes.
   void AddUnit(uint64_t total, uint64_t minority);
 
+  /// Removes every unit; keeps the allocated capacity for reuse.
+  void Clear();
+
   /// Convenience: builds from parallel vectors.
   static GroupDistribution FromVectors(const std::vector<uint64_t>& totals,
                                        const std::vector<uint64_t>& minorities);

@@ -64,10 +64,13 @@ double EntropyOf(double p) {
   return e;
 }
 
-}  // namespace
+// Unchecked bodies, shared by the public entry points and
+// ComputeAllIndexes; callers have run CheckComputable. Every sum runs in
+// unit order. A unit with m_i = 0 takes its exact term without log, pow or
+// sort (most units of a cube cell hold no minority member), so each value
+// is bit-identical to evaluating the formula for every unit.
 
-Result<double> Dissimilarity(const GroupDistribution& dist) {
-  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
+double DissimilarityOf(const GroupDistribution& dist) {
   const double m_total = static_cast<double>(dist.Minority());
   const double maj_total = static_cast<double>(dist.Total() - dist.Minority());
   double sum = 0.0;
@@ -79,21 +82,26 @@ Result<double> Dissimilarity(const GroupDistribution& dist) {
   return 0.5 * sum;
 }
 
-Result<double> Gini(const GroupDistribution& dist) {
-  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
+double GiniOf(const GroupDistribution& dist) {
   // O(n log n): sort units by p_i; then
   //   sum_{i,j} t_i t_j |p_i - p_j| = 2 * sum_j t_j * (p_j * S_t - S_tp)
-  // over the prefix before j in sorted order.
-  std::vector<std::pair<double, double>> units;  // (p_i, t_i)
+  // over the prefix before j in sorted order. Units with p_i = 0 sort
+  // first and add nothing but their t_i to S_t, an exact integer sum, so
+  // only units with m_i > 0 are sorted.
+  uint64_t zero_block_t = 0;
+  std::vector<std::pair<double, double>> units;  // (p_i, t_i), m_i > 0
   units.reserve(dist.NumUnits());
   for (size_t i = 0; i < dist.NumUnits(); ++i) {
+    if (dist.UnitMinority(i) == 0) {
+      zero_block_t += dist.UnitTotal(i);
+      continue;
+    }
     double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
-    units.emplace_back(pi, ti);
+    units.emplace_back(static_cast<double>(dist.UnitMinority(i)) / ti, ti);
   }
   std::sort(units.begin(), units.end());
-  double prefix_t = 0.0, prefix_tp = 0.0, pair_sum = 0.0;
+  double prefix_t = static_cast<double>(zero_block_t), prefix_tp = 0.0,
+         pair_sum = 0.0;
   for (const auto& [p, t] : units) {
     pair_sum += t * (p * prefix_t - prefix_tp);
     prefix_t += t;
@@ -103,6 +111,79 @@ Result<double> Gini(const GroupDistribution& dist) {
   double total = static_cast<double>(dist.Total());
   double prop = dist.MinorityProportion();
   return pair_sum / (2.0 * total * total * prop * (1.0 - prop));
+}
+
+double InformationOf(const GroupDistribution& dist) {
+  double entropy = EntropyOf(dist.MinorityProportion());
+  double total = static_cast<double>(dist.Total());
+  double sum = 0.0;
+  for (size_t i = 0; i < dist.NumUnits(); ++i) {
+    double ti = static_cast<double>(dist.UnitTotal(i));
+    if (dist.UnitMinority(i) == 0) {
+      sum += ti * entropy;  // E_i = 0 (and an empty unit adds +0.0)
+      continue;
+    }
+    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
+    sum += ti * (entropy - EntropyOf(pi));
+  }
+  return sum / (total * entropy);
+}
+
+double IsolationOf(const GroupDistribution& dist) {
+  double m_total = static_cast<double>(dist.Minority());
+  double sum = 0.0;
+  for (size_t i = 0; i < dist.NumUnits(); ++i) {
+    if (dist.UnitMinority(i) == 0) continue;  // term 0
+    double ti = static_cast<double>(dist.UnitTotal(i));
+    double mi = static_cast<double>(dist.UnitMinority(i));
+    sum += (mi / m_total) * (mi / ti);
+  }
+  return sum;
+}
+
+double InteractionOf(const GroupDistribution& dist) {
+  double m_total = static_cast<double>(dist.Minority());
+  double sum = 0.0;
+  for (size_t i = 0; i < dist.NumUnits(); ++i) {
+    if (dist.UnitMinority(i) == 0) continue;  // term 0
+    double ti = static_cast<double>(dist.UnitTotal(i));
+    double mi = static_cast<double>(dist.UnitMinority(i));
+    sum += (mi / m_total) * ((ti - mi) / ti);
+  }
+  return sum;
+}
+
+Status CheckAtkinsonParameter(double b) {
+  if (b <= 0.0 || b >= 1.0) {
+    return Status::InvalidArgument("Atkinson parameter b must be in (0,1)");
+  }
+  return Status::OK();
+}
+
+double AtkinsonOf(const GroupDistribution& dist, double b) {
+  double total = static_cast<double>(dist.Total());
+  double prop = dist.MinorityProportion();
+  double sum = 0.0;
+  for (size_t i = 0; i < dist.NumUnits(); ++i) {
+    if (dist.UnitMinority(i) == 0) continue;  // p_i^b = 0
+    double ti = static_cast<double>(dist.UnitTotal(i));
+    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
+    sum += std::pow(1.0 - pi, 1.0 - b) * std::pow(pi, b) * ti;
+  }
+  double inner = sum / (prop * total);
+  return 1.0 - (prop / (1.0 - prop)) * std::pow(inner, 1.0 / (1.0 - b));
+}
+
+}  // namespace
+
+Result<double> Dissimilarity(const GroupDistribution& dist) {
+  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
+  return DissimilarityOf(dist);
+}
+
+Result<double> Gini(const GroupDistribution& dist) {
+  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
+  return GiniOf(dist);
 }
 
 Result<double> GiniQuadraticReference(const GroupDistribution& dist) {
@@ -126,60 +207,23 @@ Result<double> GiniQuadraticReference(const GroupDistribution& dist) {
 
 Result<double> Information(const GroupDistribution& dist) {
   SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
-  double entropy = EntropyOf(dist.MinorityProportion());
-  double total = static_cast<double>(dist.Total());
-  double sum = 0.0;
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
-    sum += ti * (entropy - EntropyOf(pi));
-  }
-  return sum / (total * entropy);
+  return InformationOf(dist);
 }
 
 Result<double> Isolation(const GroupDistribution& dist) {
   SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
-  double m_total = static_cast<double>(dist.Minority());
-  double sum = 0.0;
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double mi = static_cast<double>(dist.UnitMinority(i));
-    sum += (mi / m_total) * (mi / ti);
-  }
-  return sum;
+  return IsolationOf(dist);
 }
 
 Result<double> Interaction(const GroupDistribution& dist) {
   SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
-  double m_total = static_cast<double>(dist.Minority());
-  double sum = 0.0;
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double mi = static_cast<double>(dist.UnitMinority(i));
-    sum += (mi / m_total) * ((ti - mi) / ti);
-  }
-  return sum;
+  return InteractionOf(dist);
 }
 
 Result<double> Atkinson(const GroupDistribution& dist, double b) {
   SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
-  if (b <= 0.0 || b >= 1.0) {
-    return Status::InvalidArgument("Atkinson parameter b must be in (0,1)");
-  }
-  double total = static_cast<double>(dist.Total());
-  double prop = dist.MinorityProportion();
-  double sum = 0.0;
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
-    sum += std::pow(1.0 - pi, 1.0 - b) * std::pow(pi, b) * ti;
-  }
-  double inner = sum / (prop * total);
-  return 1.0 - (prop / (1.0 - prop)) * std::pow(inner, 1.0 / (1.0 - b));
+  SCUBE_RETURN_IF_ERROR(CheckAtkinsonParameter(b));
+  return AtkinsonOf(dist, b);
 }
 
 Result<double> ComputeIndex(IndexKind kind, const GroupDistribution& dist,
@@ -209,11 +253,11 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
     out.defined = false;
     return out;
   }
-  for (IndexKind kind : AllIndexKinds()) {
-    auto v = ComputeIndex(kind, dist, params);
-    if (!v.ok()) return v.status();
-    out.values[static_cast<size_t>(kind)] = v.value();
-  }
+  SCUBE_RETURN_IF_ERROR(CheckAtkinsonParameter(params.atkinson_b));
+  // IndexKind order.
+  out.values = {DissimilarityOf(dist), GiniOf(dist),
+                InformationOf(dist),   IsolationOf(dist),
+                InteractionOf(dist),   AtkinsonOf(dist, params.atkinson_b)};
   out.defined = true;
   return out;
 }

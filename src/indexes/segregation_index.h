@@ -84,7 +84,8 @@ struct IndexVector {
   }
 };
 
-/// Computes all six at once (shares the p_i pass); `defined` is false when
+/// Computes all six: validates the counts once, then runs the same bodies
+/// the entry points above use, one pass per index. `defined` is false when
 /// the distribution is degenerate.
 Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
                                       const IndexParams& params =

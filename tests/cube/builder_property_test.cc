@@ -185,7 +185,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParams{5, 120, 6, 5, true},
                       SweepParams{6, 50, 8, 2, false},  // many units
                       SweepParams{7, 30, 1, 1, false},  // single unit
-                      SweepParams{8, 150, 4, 10, true}));
+                      SweepParams{8, 150, 4, 10, true},
+                      // Row counts that fill the last 64-bit cover word.
+                      SweepParams{9, 64, 3, 2, false},
+                      SweepParams{10, 128, 5, 3, true}));
 
 }  // namespace
 }  // namespace cube

@@ -1,14 +1,20 @@
 // SegregationDataCubeBuilder correctness: hand-computed anchors on a small
-// finalTable, plus an exhaustive cross-check of every materialised cell
-// against a naive recomputation that filters table rows directly.
+// finalTable, an exhaustive cross-check of every materialised cell against
+// a naive recomputation that filters table rows directly, and a bit-level
+// golden over one synthetic scenario.
 
 #include "cube/builder.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
 
+#include "common/hashing.h"
+#include "datagen/scenarios.h"
 #include "indexes/counts.h"
+#include "scube/pipeline.h"
 
 namespace scube {
 namespace cube {
@@ -342,6 +348,61 @@ TEST(CubeBuilderTest, MultiValuedContextCountsInEveryValue) {
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 3u);
   EXPECT_EQ(cell->minority_size, 2u);
+}
+
+// FNV-1a over every cell in coordinate order: labels, T, M, unit count and
+// the six values as hex floats, so a drift in the last bit of any index of
+// any cell changes the hash. (The naive cross-checks compare within 1e-9,
+// and perfbench's cube hash renders values with 6 digits.)
+uint64_t CellBitsFingerprint(const SegregationCube& cube) {
+  std::string text;
+  char buf[40];
+  for (const CubeCell* cell : cube.Cells()) {
+    text += cube.LabelOf(cell->coords);
+    text += "|" + std::to_string(cell->context_size) + "|" +
+            std::to_string(cell->minority_size) + "|" +
+            std::to_string(cell->num_units);
+    if (cell->indexes.defined) {
+      for (double v : cell->indexes.values) {
+        std::snprintf(buf, sizeof(buf), "|%a", v);
+        text += buf;
+      }
+    } else {
+      text += "|-";
+    }
+    text += "\n";
+  }
+  return HashBytes(text);
+}
+
+TEST(CubeBuilderGoldenTest, DatagenScenarioCellBitsArePinned) {
+  auto scenario =
+      datagen::GenerateScenario(datagen::ItalianConfig(0.002, 11));
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  pipeline::PipelineConfig config;
+  config.unit_source = pipeline::UnitSource::kGroupClusters;
+  config.method = pipeline::ClusterMethod::kThreshold;
+  config.threshold.min_weight = 2.0;
+  config.cube.mode = fpm::MineMode::kClosed;
+  config.cube.max_sa_items = 3;
+  config.cube.max_ca_items = 2;
+  config.cube.min_support = 5;
+  auto result = pipeline::RunPipeline(scenario->inputs, config);
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  // Captured from a fill that evaluated the full index formulas for every
+  // unit; the m_i = 0 shortcuts must leave every bit as it was.
+  constexpr uint64_t kCells = 9405;
+  constexpr uint64_t kFingerprint = 0x88bf5359d0e211beULL;
+  EXPECT_EQ(result->final_table.NumRows(), 12518u);
+  EXPECT_EQ(result->cube.NumCells(), kCells);
+  EXPECT_EQ(CellBitsFingerprint(result->cube), kFingerprint);
+
+  CubeBuilderOptions parallel = config.cube;
+  parallel.num_threads = 4;
+  auto rebuilt = BuildSegregationCube(result->final_table, parallel);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(CellBitsFingerprint(rebuilt.value()), kFingerprint);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "common/random.h"
 
@@ -110,7 +112,8 @@ TEST(ComputeAllTest, MatchesIndividualCalls) {
   ASSERT_TRUE(all.ok());
   ASSERT_TRUE(all->defined);
   for (IndexKind kind : AllIndexKinds()) {
-    EXPECT_NEAR((*all)[kind], ComputeIndex(kind, HandAnchor()).value(), kTol);
+    EXPECT_EQ((*all)[kind], ComputeIndex(kind, HandAnchor()).value())
+        << IndexKindToString(kind);
   }
 }
 
@@ -128,6 +131,102 @@ TEST(SingleUnitTest, EverythingInOneUnitIsUnsegregated) {
   EXPECT_NEAR(Information(d).value(), 0.0, kTol);
   EXPECT_NEAR(Atkinson(d).value(), 0.0, kTol);
   EXPECT_NEAR(Isolation(d).value(), 0.3, kTol);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact goldens on cube-shaped distributions: most units hold no
+// minority member (about 77% of a cell's units in the perfbench `build`
+// cube), some are empty (t_i = 0) and some all-minority (m_i = t_i).
+// ---------------------------------------------------------------------------
+
+GroupDistribution SparseMinorityDistribution(uint64_t seed, size_t num_units) {
+  Rng rng(seed);
+  GroupDistribution d;
+  for (size_t i = 0; i < num_units; ++i) {
+    uint64_t t = rng.NextBounded(40);
+    uint64_t roll = rng.NextBounded(100);
+    uint64_t m = 0;
+    if (t > 0 && roll >= 77) m = roll >= 95 ? t : 1 + rng.NextBounded(t);
+    d.AddUnit(t, m);
+  }
+  return d;
+}
+
+std::string HexFloat(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+struct IndexGolden {
+  uint64_t seed;
+  size_t num_units;
+  double atkinson_b;
+  std::array<double, kNumIndexKinds> values;  // IndexKind order
+};
+
+// Captured from the implementation that evaluated log, pow and the full
+// sort for every unit; any reordering of a sum shows up in the last bits.
+const IndexGolden kIndexGoldens[] = {
+    {1, 12, 0.5,
+     {0x1.e5be5be5be5bep-1, 0x1.fd89d89d89d8ap-1, 0x1.e07bba83adae4p-1,
+      0x1.e806d978b8efbp-1, 0x1.7f92687471044p-5, 0x1.fd89d89d89d8ap-1}},
+    {2, 60, 0.5,
+     {0x1.e039f5911ef64p-1, 0x1.f8f3c45f5395cp-1, 0x1.ada54d8942563p-1,
+      0x1.b058b1d2520e5p-1, 0x1.3e9d38b6b7c68p-3, 0x1.f4dece16693a1p-1}},
+    {3, 400, 0.5,
+     {0x1.cf805130d8fbp-1, 0x1.f4a07e0155c5bp-1, 0x1.91ae6463ab26cp-1,
+      0x1.9860702267c18p-1, 0x1.9e7e3f7660fa5p-3, 0x1.ebd6af4b67849p-1}},
+    {4, 2060, 0.5,
+     {0x1.d243abfa330aep-1, 0x1.f49c0bbabc651p-1, 0x1.8f361fcc55051p-1,
+      0x1.9391f3ccc7084p-1, 0x1.b1b830cce3de6p-3, 0x1.eb307d8298ffep-1}},
+    {5, 2060, 0.25,
+     {0x1.d5ed904e2d185p-1, 0x1.f5778c6f9792bp-1, 0x1.95c0eec648c1p-1,
+      0x1.9b3bffae52d51p-1, 0x1.93100146b4aa9p-3, 0x1.dfe2e261626c6p-1}},
+    {6, 9000, 0.8,
+     {0x1.d528aeee7a612p-1, 0x1.f603f58d2dd4cp-1, 0x1.961029deb80efp-1,
+      0x1.9a06e260c62f5p-1, 0x1.97e4767ce739ap-3, 0x1.fd398b1bac27cp-1}},
+};
+
+TEST(IndexGoldenTest, SparseMinorityValuesAreBitExact) {
+  for (const IndexGolden& g : kIndexGoldens) {
+    GroupDistribution d = SparseMinorityDistribution(g.seed, g.num_units);
+    IndexParams params;
+    params.atkinson_b = g.atkinson_b;
+    auto all = ComputeAllIndexes(d, params);
+    ASSERT_TRUE(all.ok());
+    ASSERT_TRUE(all->defined) << "seed " << g.seed;
+    for (IndexKind kind : AllIndexKinds()) {
+      const std::string want = HexFloat(g.values[static_cast<size_t>(kind)]);
+      EXPECT_EQ(HexFloat((*all)[kind]), want)
+          << "seed " << g.seed << " " << IndexKindToString(kind);
+      auto one = ComputeIndex(kind, d, params);
+      ASSERT_TRUE(one.ok());
+      EXPECT_EQ(HexFloat(one.value()), want)
+          << "seed " << g.seed << " " << IndexKindToString(kind);
+    }
+  }
+}
+
+TEST(IndexGoldenTest, DistributionsHaveTheEdgeUnits) {
+  // The goldens only pin the shortcuts if the inputs exercise them.
+  size_t zero_minority = 0, empty = 0, all_minority = 0, units = 0;
+  for (const IndexGolden& g : kIndexGoldens) {
+    GroupDistribution d = SparseMinorityDistribution(g.seed, g.num_units);
+    for (size_t i = 0; i < d.NumUnits(); ++i) {
+      ++units;
+      if (d.UnitTotal(i) == 0) {
+        ++empty;
+      } else if (d.UnitMinority(i) == 0) {
+        ++zero_minority;
+      } else if (d.UnitMinority(i) == d.UnitTotal(i)) {
+        ++all_minority;
+      }
+    }
+  }
+  EXPECT_GT(zero_minority, units * 7 / 10);
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(all_minority, 0u);
 }
 
 // ---------------------------------------------------------------------------
