@@ -1,15 +1,12 @@
-// EFF-MINE: the mining-engine comparison behind §3's efficiency discussion.
-// FP-Growth (production engine, the Borgelt-FPGrowth stand-in) vs Eclat vs
-// Apriori vs brute force, across minimum-support levels, plus the all-vs-
-// closed ablation. Expected shape: FP-Growth and Eclat lead, Apriori trails
-// at low support, brute force is hopeless beyond toy sizes; closed-mode
-// output is a fraction of all-mode output on correlated data.
+// EFF-MINE: the mining cost behind §3's efficiency discussion. FP-Growth
+// (the Borgelt-FPGrowth stand-in) across minimum-support levels, in all and
+// closed mode. Expected shape: time and output grow as support falls;
+// closed-mode output is a fraction of all-mode output on correlated data.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "fpm/brute_force.h"
-#include "fpm/registry.h"
+#include "fpm/miner.h"
 #include "fpm/transaction_db.h"
 
 namespace {
@@ -44,17 +41,15 @@ const fpm::TransactionDb& SharedDb() {
   return db;
 }
 
-void RunMiner(benchmark::State& state, const std::string& engine,
-              fpm::MineMode mode) {
+void RunMiner(benchmark::State& state, fpm::MineMode mode) {
   const fpm::TransactionDb& db = SharedDb();
-  auto miner = fpm::MakeMiner(engine);
   fpm::MinerOptions opts;
   opts.min_support = static_cast<uint64_t>(state.range(0));
   opts.mode = mode;
   opts.max_length = 5;
   size_t found = 0;
   for (auto _ : state) {
-    auto result = miner.value()->Mine(db, opts);
+    auto result = fpm::MineFrequentItemsets(db, opts);
     found = result.value().size();
     benchmark::DoNotOptimize(result);
   }
@@ -62,41 +57,17 @@ void RunMiner(benchmark::State& state, const std::string& engine,
 }
 
 void BM_FpGrowth(benchmark::State& state) {
-  RunMiner(state, "fpgrowth", fpm::MineMode::kAll);
-}
-void BM_Eclat(benchmark::State& state) {
-  RunMiner(state, "eclat", fpm::MineMode::kAll);
-}
-void BM_Apriori(benchmark::State& state) {
-  RunMiner(state, "apriori", fpm::MineMode::kAll);
+  RunMiner(state, fpm::MineMode::kAll);
 }
 void BM_FpGrowthClosed(benchmark::State& state) {
-  RunMiner(state, "fpgrowth", fpm::MineMode::kClosed);
+  RunMiner(state, fpm::MineMode::kClosed);
 }
 
 // Support sweep: 5%, 1%, 0.2% of 20k transactions.
 BENCHMARK(BM_FpGrowth)->Arg(1000)->Arg(200)->Arg(40)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Eclat)->Arg(1000)->Arg(200)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Apriori)->Arg(1000)->Arg(200)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FpGrowthClosed)->Arg(1000)->Arg(200)->Arg(40)
     ->Unit(benchmark::kMillisecond);
-
-// Brute force only at toy scale (exponential).
-void BM_BruteForceToy(benchmark::State& state) {
-  static const fpm::TransactionDb db = MakeDb(300, 7);
-  fpm::BruteForceMiner miner;
-  fpm::MinerOptions opts;
-  opts.min_support = static_cast<uint64_t>(state.range(0));
-  opts.max_length = 4;
-  for (auto _ : state) {
-    auto result = miner.Mine(db, opts);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_BruteForceToy)->Arg(15)->Arg(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

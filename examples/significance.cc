@@ -1,11 +1,15 @@
 // Significance screening: segregation indexes on small contexts can be high
 // by chance. This example ranks contexts by dissimilarity and then runs the
 // permutation test (indexes/significance.h, an extension beyond the paper)
-// to separate statistically solid findings from small-sample noise.
+// to separate statistically solid findings from small-sample noise. Exits 1
+// if a rebuilt per-unit distribution disagrees with its cell's T or M.
 //
 // Run:  ./significance
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <utility>
 
 #include "cube/explorer.h"
 #include "datagen/scenarios.h"
@@ -43,7 +47,7 @@ int main() {
       view, indexes::IndexKind::kDissimilarity, 12, explore);
 
   // Re-derive each cell's per-unit counts for the permutation test by
-  // recomputing through the encoded relation.
+  // scanning the encoded relation's transactions.
   auto encoded = relational::EncodeForAnalysis(result->final_table);
   if (!encoded.ok()) {
     std::fprintf(stderr, "%s\n", encoded.status().ToString().c_str());
@@ -53,20 +57,32 @@ int main() {
   std::printf("%-9s %-9s %-8s %-9s %-9s  %s\n", "D", "nullMean", "p",
               "T", "M", "context");
   for (const auto& rc : top) {
-    // Rebuild the cell's GroupDistribution.
-    EwahBitmap context_cover = encoded->db.Cover(rc.cell->coords.ca);
-    EwahBitmap minority_cover =
-        context_cover.And(encoded->db.Cover(rc.cell->coords.sa));
+    // Rebuild the cell's GroupDistribution: a row is in the context when
+    // its transaction holds every CA item, and in the minority when it
+    // also holds every SA item.
+    const auto& ca = rc.cell->coords.ca.items();
+    const auto& sa = rc.cell->coords.sa.items();
     std::map<uint32_t, std::pair<uint64_t, uint64_t>> per_unit;
-    context_cover.ForEach([&](uint64_t row) {
-      ++per_unit[encoded->row_unit[row]].first;
-    });
-    minority_cover.ForEach([&](uint64_t row) {
-      ++per_unit[encoded->row_unit[row]].second;
-    });
+    for (uint32_t row = 0; row < encoded->db.NumTransactions(); ++row) {
+      const auto& t = encoded->db.Transaction(row);
+      if (!std::includes(t.begin(), t.end(), ca.begin(), ca.end())) continue;
+      auto& [total, minority] = per_unit[encoded->row_unit[row]];
+      ++total;
+      if (std::includes(t.begin(), t.end(), sa.begin(), sa.end())) {
+        ++minority;
+      }
+    }
     indexes::GroupDistribution dist;
     for (const auto& [unit, tm] : per_unit) {
       dist.AddUnit(tm.first, tm.second);
+    }
+    if (dist.Total() != rc.cell->context_size ||
+        dist.Minority() != rc.cell->minority_size) {
+      std::fprintf(stderr, "rebuilt T=%llu M=%llu differ from cell %s\n",
+                   static_cast<unsigned long long>(dist.Total()),
+                   static_cast<unsigned long long>(dist.Minority()),
+                   view.LabelOf(rc.cell->coords).c_str());
+      return 1;
     }
 
     indexes::SignificanceOptions opts;

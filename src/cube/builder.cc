@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "fpm/registry.h"
 #include "indexes/counts.h"
 
 namespace scube {
@@ -173,14 +173,15 @@ Result<SegregationCube> BuildSegregationCube(
   // --- Mining -------------------------------------------------------------
   WallTimer timer;
   trace::Span mine_span(options.trace, "build.mine");
-  auto miner = fpm::MakeMiner(options.miner);
-  if (!miner.ok()) return miner.status();
   fpm::MinerOptions mine_opts;
   mine_opts.min_support = min_support;
-  mine_opts.max_length = options.max_sa_items + options.max_ca_items;
+  // Either cap may be UINT32_MAX (no cap): saturate rather than wrap.
+  mine_opts.max_length = static_cast<uint32_t>(
+      std::min<uint64_t>(uint64_t{options.max_sa_items} + options.max_ca_items,
+                         std::numeric_limits<uint32_t>::max()));
   mine_opts.mode = options.mode;
   mine_opts.include_empty = true;  // the all-⋆ root and pure-SA cells
-  auto mined = miner.value()->Mine(encoded.db, mine_opts);
+  auto mined = fpm::MineFrequentItemsets(encoded.db, mine_opts);
   if (!mined.ok()) return mined.status();
   mine_span.End();
   st->seconds_mining = timer.Seconds();

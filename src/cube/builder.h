@@ -5,7 +5,9 @@
 //   1. encodes the finalTable as a transaction database (one item per
 //      attribute=value pair, SA and CA attributes);
 //   2. mines frequent (closed) itemsets of the form A ∪ B where A are SA
-//      items and B are CA items — one itemset per candidate cube cell;
+//      items and B are CA items with FP-Growth (fpm::MineFrequentItemsets),
+//      at most max_sa_items + max_ca_items items long — one itemset per
+//      candidate cube cell; itemsets over either cap are dropped;
 //   3. for each mined itemset, derives per-unit counts
 //         T   = |cover(B)|,        t_i = |cover(B) ∩ unit_i|,
 //         M   = |cover(A ∪ B)|,    m_i = |cover(A ∪ B) ∩ unit_i|
@@ -20,7 +22,6 @@
 #define SCUBE_CUBE_BUILDER_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/result.h"
 #include "common/trace.h"
@@ -46,9 +47,6 @@ struct CubeBuilderOptions {
   /// use 3 SA and a handful of CA attributes).
   uint32_t max_sa_items = 3;
   uint32_t max_ca_items = 2;
-
-  /// Mining engine ("fpgrowth", "eclat", "apriori", "brute-force").
-  std::string miner = "fpgrowth";
 
   /// kClosed (the paper's choice): one cell per closed itemset.
   /// kAll: every frequent coordinate combination becomes a cell.

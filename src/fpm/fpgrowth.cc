@@ -1,9 +1,14 @@
-#include "fpm/fpgrowth.h"
+// FP-Growth (Han et al.): the frequent-itemset engine behind
+// MineFrequentItemsets.
+//
+// From-scratch replacement for the Borgelt FPGrowth binary the original
+// SCube shells out to. Implements the standard FP-tree with header chains,
+// recursive conditional trees, and the single-prefix-path shortcut.
 
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/logging.h"
+#include "fpm/miner.h"
 
 namespace scube {
 namespace fpm {
@@ -185,8 +190,8 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
 
 }  // namespace
 
-Result<std::vector<FrequentItemset>> FpGrowthMiner::Mine(
-    const TransactionDb& db, const MinerOptions& options) const {
+Result<std::vector<FrequentItemset>> MineFrequentItemsets(
+    const TransactionDb& db, const MinerOptions& options) {
   SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
   std::vector<FrequentItemset> out;
   if (options.include_empty) {

@@ -1,16 +1,15 @@
-// Frequent-itemset miner interface and result types.
+// Frequent-itemset mining: options, result types and the miner entry point.
 //
 // SCube's data-cube construction is driven by frequent (closed) itemset
-// mining (the original system uses Borgelt's FPGrowth). Three miners are
-// provided — FP-Growth (the production engine), Apriori and Eclat (baselines
-// for the efficiency study) — plus a brute-force reference used in tests.
+// mining (the original system uses Borgelt's FPGrowth). The one engine is
+// FP-Growth (fpgrowth.cc). Tests check it against a brute-force oracle that
+// decides closedness and maximality from their definitions.
 
 #ifndef SCUBE_FPM_MINER_H_
 #define SCUBE_FPM_MINER_H_
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -53,21 +52,13 @@ struct FrequentItemset {
   }
 };
 
-/// \brief Abstract miner; implementations must be deterministic.
-class FrequentItemsetMiner {
- public:
-  virtual ~FrequentItemsetMiner() = default;
+/// Mines `db` under `options` with FP-Growth. Deterministic; the result is
+/// in SortItemsets order. InvalidArgument for options that fail
+/// ValidateMinerOptions.
+Result<std::vector<FrequentItemset>> MineFrequentItemsets(
+    const TransactionDb& db, const MinerOptions& options);
 
-  /// Human-readable engine name (e.g. "fpgrowth").
-  virtual std::string Name() const = 0;
-
-  /// Mines `db` under `options`. The result order is unspecified; use
-  /// SortItemsets for deterministic comparisons.
-  virtual Result<std::vector<FrequentItemset>> Mine(
-      const TransactionDb& db, const MinerOptions& options) const = 0;
-};
-
-/// Sorts lexicographically by items (deterministic canonical order).
+/// Sorts by length, then lexicographically by items (canonical order).
 void SortItemsets(std::vector<FrequentItemset>* sets);
 
 /// Validates options (min_support >= 1 etc.).

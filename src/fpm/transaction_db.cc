@@ -2,78 +2,18 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace scube {
 namespace fpm {
 
 uint32_t TransactionDb::AddTransaction(std::vector<ItemId> items) {
   std::sort(items.begin(), items.end());
   items.erase(std::unique(items.begin(), items.end()), items.end());
-  if (!items.empty()) {
-    num_items_ = std::max(num_items_, static_cast<size_t>(items.back()) + 1);
+  if (!items.empty() && items.back() >= supports_.size()) {
+    supports_.resize(static_cast<size_t>(items.back()) + 1, 0);
   }
-  total_occurrences_ += items.size();
-  covers_built_ = false;
+  for (ItemId item : items) ++supports_[item];
   transactions_.push_back(std::move(items));
   return static_cast<uint32_t>(transactions_.size() - 1);
-}
-
-void TransactionDb::BuildCovers() const {
-  std::vector<EwahBitmap::Builder> builders(num_items_);
-  for (uint32_t tid = 0; tid < transactions_.size(); ++tid) {
-    for (ItemId item : transactions_[tid]) {
-      builders[item].Add(tid);
-    }
-  }
-  covers_.assign(num_items_, EwahBitmap());
-  supports_.assign(num_items_, 0);
-  for (size_t i = 0; i < num_items_; ++i) {
-    covers_[i] = builders[i].Build();
-    supports_[i] = covers_[i].Cardinality();
-  }
-  covers_built_ = true;
-}
-
-uint64_t TransactionDb::ItemSupport(ItemId item) const {
-  if (!covers_built_) BuildCovers();
-  if (item >= supports_.size()) return 0;
-  return supports_[item];
-}
-
-const EwahBitmap& TransactionDb::ItemCover(ItemId item) const {
-  if (!covers_built_) BuildCovers();
-  SCUBE_CHECK(item < covers_.size());
-  return covers_[item];
-}
-
-EwahBitmap TransactionDb::Cover(const Itemset& items) const {
-  if (items.empty()) {
-    // Every transaction: a solid run of ones.
-    std::vector<uint64_t> all(NumTransactions());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return EwahBitmap::FromIndices(all);
-  }
-  EwahBitmap cover = ItemCover(items[0]);
-  for (size_t i = 1; i < items.size(); ++i) {
-    cover = cover.And(ItemCover(items[i]));
-    if (cover.Empty()) break;
-  }
-  return cover;
-}
-
-uint64_t TransactionDb::Support(const Itemset& items) const {
-  if (items.empty()) return NumTransactions();
-  if (items.size() == 1) return ItemSupport(items[0]);
-  if (items.size() == 2) {
-    return ItemCover(items[0]).AndCardinality(ItemCover(items[1]));
-  }
-  EwahBitmap cover = ItemCover(items[0]);
-  for (size_t i = 1; i + 1 < items.size(); ++i) {
-    cover = cover.And(ItemCover(items[i]));
-    if (cover.Empty()) return 0;
-  }
-  return cover.AndCardinality(ItemCover(items[items.size() - 1]));
 }
 
 }  // namespace fpm

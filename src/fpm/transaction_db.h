@@ -1,23 +1,23 @@
 // TransactionDb: the in-memory transaction database mined by SCube.
 //
 // Each transaction is a sorted set of items (one transaction per individual
-// in the finalTable). The database also materialises per-item EWAH covers
-// (tidsets) used by Eclat, the cube builder, and support counting.
+// in the finalTable). Item supports are counted as transactions arrive;
+// they seed FP-Growth's item order. The cube fill builds its own dense row
+// bitsets from the transactions (cube/builder.cc).
 
 #ifndef SCUBE_FPM_TRANSACTION_DB_H_
 #define SCUBE_FPM_TRANSACTION_DB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/ewah.h"
 #include "fpm/item.h"
-#include "fpm/itemset.h"
 
 namespace scube {
 namespace fpm {
 
-/// \brief Append-only transaction database with per-item covers.
+/// \brief Append-only transaction database with per-item supports.
 class TransactionDb {
  public:
   TransactionDb() = default;
@@ -30,7 +30,7 @@ class TransactionDb {
   size_t NumTransactions() const { return transactions_.size(); }
 
   /// One past the largest item id seen (dense item universe size).
-  size_t NumItems() const { return num_items_; }
+  size_t NumItems() const { return supports_.size(); }
 
   /// The (sorted) items of transaction `tid`.
   const std::vector<ItemId>& Transaction(uint32_t tid) const {
@@ -38,34 +38,13 @@ class TransactionDb {
   }
 
   /// Number of transactions containing `item` (0 for unseen items).
-  uint64_t ItemSupport(ItemId item) const;
-
-  /// EWAH cover (set of tids) of a single item. Covers are built lazily on
-  /// first call; subsequent calls are O(1).
-  const EwahBitmap& ItemCover(ItemId item) const;
-
-  /// Cover of an itemset: intersection of the item covers. The empty itemset
-  /// covers every transaction.
-  EwahBitmap Cover(const Itemset& items) const;
-
-  /// Support of an itemset (cover cardinality; counted without materialising
-  /// the full intersection when possible).
-  uint64_t Support(const Itemset& items) const;
-
-  /// Total number of item occurrences across all transactions.
-  uint64_t TotalItemOccurrences() const { return total_occurrences_; }
+  uint64_t ItemSupport(ItemId item) const {
+    return item < supports_.size() ? supports_[item] : 0;
+  }
 
  private:
-  void BuildCovers() const;
-
   std::vector<std::vector<ItemId>> transactions_;
-  size_t num_items_ = 0;
-  uint64_t total_occurrences_ = 0;
-
-  // Lazily built; logically const.
-  mutable std::vector<EwahBitmap> covers_;
-  mutable std::vector<uint64_t> supports_;
-  mutable bool covers_built_ = false;
+  std::vector<uint64_t> supports_;  ///< indexed by ItemId
 };
 
 }  // namespace fpm

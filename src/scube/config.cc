@@ -1,5 +1,7 @@
 #include "scube/config.h"
 
+#include <limits>
+
 #include "common/string_util.h"
 
 namespace scube {
@@ -19,6 +21,11 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     auto v = ParseInt64(value);
     if (!v.ok()) return v.status().WithContext(key);
     if (v.value() < 0) return Status::InvalidArgument(key + " must be >= 0");
+    constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+    if (v.value() > kMax) {
+      return Status::InvalidArgument(key + " must be <= " +
+                                     std::to_string(kMax));
+    }
     *out = static_cast<uint32_t>(v.value());
     return Status::OK();
   };
@@ -95,10 +102,6 @@ Status SetKey(PipelineConfig* config, const std::string& key,
   }
   if (key == "cube.max_ca_items") {
     return parse_u32(&config->cube.max_ca_items);
-  }
-  if (key == "cube.miner") {
-    config->cube.miner = value;
-    return Status::OK();
   }
   if (key == "cube.mode") {
     if (value == "all") {
@@ -178,7 +181,6 @@ std::string PipelineConfigToString(const PipelineConfig& config) {
          "\n";
   out += "cube.max_ca_items = " + std::to_string(config.cube.max_ca_items) +
          "\n";
-  out += "cube.miner = " + config.cube.miner + "\n";
   out += "cube.mode = " +
          std::string(config.cube.mode == fpm::MineMode::kAll ? "all"
                      : config.cube.mode == fpm::MineMode::kClosed

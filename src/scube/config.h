@@ -26,14 +26,13 @@ namespace pipeline {
 ///   threshold.giant_only   true | false
 ///   stoc.tau               <double in [0,1]>
 ///   stoc.alpha             <double in [0,1]>
-///   stoc.max_radius        <integer>
-///   projection.hub_cap     <integer, 0 disables>
+///   stoc.max_radius        <integer in [0, 2^32-1]>
+///   projection.hub_cap     <integer in [0, 2^32-1], 0 disables>
 ///   projection.min_weight  <double>
 ///   cube.min_support       <integer>
 ///   cube.min_support_fraction  <double>
-///   cube.max_sa_items      <integer>
-///   cube.max_ca_items      <integer>
-///   cube.miner             fpgrowth | eclat | apriori | brute-force
+///   cube.max_sa_items      <integer in [0, 2^32-1]>
+///   cube.max_ca_items      <integer in [0, 2^32-1]>
 ///   cube.mode              all | closed | maximal
 ///   cube.atkinson_b        <double in (0,1)>
 ///   cube.num_threads       <integer, 1 = sequential, 0 = all hardware>

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -286,33 +287,6 @@ TEST(CubeBuilderTest, StatsPopulated) {
   EXPECT_EQ(stats.threads_used, 1u);
 }
 
-TEST(CubeBuilderTest, AllMinerEnginesAgree) {
-  Table t = SmallFinalTable();
-  auto base = AllCellsOptions();
-  auto reference = BuildSegregationCube(t, base);
-  ASSERT_TRUE(reference.ok());
-  for (const char* engine : {"eclat", "apriori", "brute-force"}) {
-    auto opts = base;
-    opts.miner = engine;
-    auto cube = BuildSegregationCube(t, opts);
-    ASSERT_TRUE(cube.ok()) << engine;
-    EXPECT_EQ(cube->NumCells(), reference->NumCells()) << engine;
-    for (const CubeCell* cell : reference->Cells()) {
-      const CubeCell* other = cube->Find(cell->coords);
-      ASSERT_NE(other, nullptr) << engine;
-      EXPECT_EQ(other->minority_size, cell->minority_size) << engine;
-    }
-  }
-}
-
-TEST(CubeBuilderTest, UnknownMinerRejected) {
-  Table t = SmallFinalTable();
-  auto opts = AllCellsOptions();
-  opts.miner = "quantum";
-  EXPECT_EQ(BuildSegregationCube(t, opts).status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST(CubeBuilderTest, EmptyTableRejected) {
   Schema schema({
       {"gender", ColumnType::kCategorical, AttributeKind::kSegregation},
@@ -373,6 +347,24 @@ uint64_t CellBitsFingerprint(const SegregationCube& cube) {
     text += "\n";
   }
   return HashBytes(text);
+}
+
+TEST(CubeBuilderTest, UncappedCaItemsMatchTheTightCap) {
+  // SmallFinalTable has one single-valued CA attribute, so no cell has more
+  // than one CA item and a UINT32_MAX cap must build the cap-1 cube. The
+  // mining length max_sa_items + max_ca_items must not wrap.
+  Table t = SmallFinalTable();
+  CubeBuilderOptions tight = AllCellsOptions();
+  ASSERT_EQ(tight.max_ca_items, 1u);
+  CubeBuilderOptions uncapped = tight;
+  uncapped.max_ca_items = std::numeric_limits<uint32_t>::max();
+  auto expected = BuildSegregationCube(t, tight);
+  auto actual = BuildSegregationCube(t, uncapped);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  EXPECT_EQ(actual->NumCells(), expected->NumCells());
+  EXPECT_EQ(CellBitsFingerprint(actual.value()),
+            CellBitsFingerprint(expected.value()));
 }
 
 TEST(CubeBuilderGoldenTest, DatagenScenarioCellBitsArePinned) {

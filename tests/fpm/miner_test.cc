@@ -1,22 +1,82 @@
-// Cross-engine miner tests: hand-checked anchors on a tiny database plus
-// randomized equivalence sweeps of all engines against the brute-force
-// reference, in every mode.
+// FP-Growth miner tests: hand-checked anchors on a tiny database, run on
+// both FP-Growth and the brute-force oracle, plus randomized sweeps of
+// FP-Growth against the oracle in every mode.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/random.h"
-#include "fpm/brute_force.h"
 #include "fpm/miner.h"
-#include "fpm/registry.h"
 #include "fpm/transaction_db.h"
 
 namespace scube {
 namespace fpm {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Brute-force oracle: exhaustive DFS with a transaction scan per candidate.
+// Closedness and maximality are decided from their definitions over the
+// length-bounded frequent collection, independently of the filters the
+// engine uses. Exponential; small inputs only.
+// ---------------------------------------------------------------------------
+
+uint64_t ScanSupport(const TransactionDb& db, const std::vector<ItemId>& items) {
+  uint64_t support = 0;
+  for (uint32_t tid = 0; tid < db.NumTransactions(); ++tid) {
+    const auto& t = db.Transaction(tid);
+    if (std::includes(t.begin(), t.end(), items.begin(), items.end())) {
+      ++support;
+    }
+  }
+  return support;
+}
+
+void Dfs(const TransactionDb& db, const MinerOptions& options,
+         std::vector<ItemId>* prefix, ItemId next_item,
+         std::vector<FrequentItemset>* out) {
+  if (prefix->size() >= options.max_length) return;
+  for (ItemId item = next_item; item < db.NumItems(); ++item) {
+    prefix->push_back(item);
+    uint64_t support = ScanSupport(db, *prefix);
+    if (support >= options.min_support) {
+      out->push_back({Itemset(*prefix), support});
+      Dfs(db, options, prefix, item + 1, out);
+    }
+    prefix->pop_back();
+  }
+}
+
+Result<std::vector<FrequentItemset>> BruteForceMine(
+    const TransactionDb& db, const MinerOptions& options) {
+  SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
+  std::vector<FrequentItemset> frequent;
+  if (options.include_empty) {
+    frequent.push_back({Itemset(), db.NumTransactions()});
+  }
+  std::vector<ItemId> prefix;
+  Dfs(db, options, &prefix, 0, &frequent);
+
+  // X is dropped when a proper superset in the collection has equal support
+  // (closed) or exists at all (maximal).
+  std::vector<FrequentItemset> out;
+  for (const FrequentItemset& x : frequent) {
+    bool dropped =
+        options.mode != MineMode::kAll &&
+        std::any_of(frequent.begin(), frequent.end(),
+                    [&](const FrequentItemset& y) {
+                      return y.items.size() > x.items.size() &&
+                             x.items.IsSubsetOf(y.items) &&
+                             (options.mode == MineMode::kMaximal ||
+                              y.support == x.support);
+                    });
+    if (!dropped) out.push_back(x);
+  }
+  SortItemsets(&out);
+  return out;
+}
 
 TransactionDb TextbookDb() {
   // Han's textbook example (items recoded: f=0,c=1,a=2,b=3,m=4,p=5,i=6,...).
@@ -44,26 +104,27 @@ TEST(MinerOptionsTest, Validation) {
   EXPECT_FALSE(ValidateMinerOptions(bad).ok());
 }
 
-TEST(RegistryTest, KnownAndUnknownEngines) {
-  for (const std::string& name : MinerNames()) {
-    auto miner = MakeMiner(name);
-    ASSERT_TRUE(miner.ok()) << name;
-    EXPECT_EQ(miner.value()->Name(), name);
-  }
-  EXPECT_FALSE(MakeMiner("does-not-exist").ok());
-}
-
-class AllEnginesTest : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<FrequentItemsetMiner> miner_ =
-      std::move(MakeMiner(GetParam()).value());
+// The anchors run on FP-Growth and on the oracle, so the oracle the sweeps
+// trust is itself checked against hand-derived answers.
+struct Engine {
+  const char* name;
+  Result<std::vector<FrequentItemset>> (*mine)(const TransactionDb&,
+                                               const MinerOptions&);
 };
 
-TEST_P(AllEnginesTest, TextbookSupports) {
+class AnchorTest : public ::testing::TestWithParam<Engine> {
+ protected:
+  Result<std::vector<FrequentItemset>> Mine(const TransactionDb& db,
+                                            const MinerOptions& opts) const {
+    return GetParam().mine(db, opts);
+  }
+};
+
+TEST_P(AnchorTest, TextbookSupports) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
 
@@ -92,12 +153,12 @@ TEST_P(AllEnginesTest, TextbookSupports) {
   EXPECT_EQ(m.size(), 18u);
 }
 
-TEST_P(AllEnginesTest, ClosedModeTextbook) {
+TEST_P(AnchorTest, ClosedModeTextbook) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.mode = MineMode::kClosed;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   // Closed sets at minsup 3: {f}:4, {c}:4, {b}:3, {cp}:3, {fcam}:3, {fc}...
@@ -111,12 +172,12 @@ TEST_P(AllEnginesTest, ClosedModeTextbook) {
   EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);
 }
 
-TEST_P(AllEnginesTest, MaximalModeTextbook) {
+TEST_P(AnchorTest, MaximalModeTextbook) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.mode = MineMode::kMaximal;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.size(), 3u);
@@ -125,12 +186,12 @@ TEST_P(AllEnginesTest, MaximalModeTextbook) {
   EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);  // fcam
 }
 
-TEST_P(AllEnginesTest, MaxLengthCap) {
+TEST_P(AnchorTest, MaxLengthCap) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.max_length = 2;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   for (const auto& fs : result.value()) {
     EXPECT_LE(fs.items.size(), 2u);
@@ -139,59 +200,64 @@ TEST_P(AllEnginesTest, MaxLengthCap) {
   EXPECT_EQ(result.value().size(), 13u);
 }
 
-TEST_P(AllEnginesTest, MinSupportOneFindsEverything) {
+TEST_P(AnchorTest, MinSupportOneFindsEverything) {
   TransactionDb db;
   db.AddTransaction({0, 1});
   db.AddTransaction({1, 2});
   MinerOptions opts;
   opts.min_support = 1;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.size(), 5u);  // {0},{1},{2},{01},{12}
   EXPECT_EQ(m.at(Itemset({1})), 2u);
 }
 
-TEST_P(AllEnginesTest, NoFrequentItems) {
+TEST_P(AnchorTest, NoFrequentItems) {
   TransactionDb db;
   db.AddTransaction({0});
   db.AddTransaction({1});
   MinerOptions opts;
   opts.min_support = 2;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
 }
 
-TEST_P(AllEnginesTest, IncludeEmptyItemset) {
+TEST_P(AnchorTest, IncludeEmptyItemset) {
   TransactionDb db;
   db.AddTransaction({0});
   db.AddTransaction({0, 1});
   MinerOptions opts;
   opts.min_support = 1;
   opts.include_empty = true;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.at(Itemset()), 2u);
 }
 
-TEST_P(AllEnginesTest, EmptyDatabase) {
+TEST_P(AnchorTest, EmptyDatabase) {
   TransactionDb db;
   MinerOptions opts;
   opts.min_support = 1;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, AllEnginesTest,
-                         ::testing::Values("fpgrowth", "eclat", "apriori",
-                                           "brute-force"));
+INSTANTIATE_TEST_SUITE_P(
+    Engines, AnchorTest,
+    ::testing::Values(Engine{"FpGrowth", &MineFrequentItemsets},
+                      Engine{"BruteForceOracle", &BruteForceMine}),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
-// Randomized equivalence sweep: every engine x every mode must match the
-// brute-force reference exactly on random databases.
+// Randomized equivalence sweep: FP-Growth in every mode, with and without
+// the empty itemset (the cube builder always asks for it), must match the
+// oracle exactly on random databases.
 // ---------------------------------------------------------------------------
 
 struct SweepParams {
@@ -205,7 +271,7 @@ struct SweepParams {
 
 class EquivalenceSweep : public ::testing::TestWithParam<SweepParams> {};
 
-TEST_P(EquivalenceSweep, EnginesMatchBruteForce) {
+TEST_P(EquivalenceSweep, FpGrowthMatchesOracle) {
   const auto& p = GetParam();
   Rng rng(p.seed);
   TransactionDb db;
@@ -218,22 +284,22 @@ TEST_P(EquivalenceSweep, EnginesMatchBruteForce) {
   }
 
   for (MineMode mode : {MineMode::kAll, MineMode::kClosed, MineMode::kMaximal}) {
-    MinerOptions opts;
-    opts.min_support = p.min_support;
-    opts.max_length = p.max_length;
-    opts.mode = mode;
-    BruteForceMiner reference;
-    auto expected = reference.Mine(db, opts);
-    ASSERT_TRUE(expected.ok());
-    for (const char* name : {"fpgrowth", "eclat", "apriori"}) {
-      auto miner = MakeMiner(name);
-      ASSERT_TRUE(miner.ok());
-      auto actual = miner.value()->Mine(db, opts);
-      ASSERT_TRUE(actual.ok()) << name;
+    for (bool include_empty : {false, true}) {
+      MinerOptions opts;
+      opts.min_support = p.min_support;
+      opts.max_length = p.max_length;
+      opts.mode = mode;
+      opts.include_empty = include_empty;
+      auto expected = BruteForceMine(db, opts);
+      ASSERT_TRUE(expected.ok());
+      auto actual = MineFrequentItemsets(db, opts);
+      ASSERT_TRUE(actual.ok());
       EXPECT_EQ(actual.value().size(), expected.value().size())
-          << name << " mode=" << static_cast<int>(mode);
+          << "mode=" << static_cast<int>(mode)
+          << " include_empty=" << include_empty;
       ASSERT_EQ(actual.value(), expected.value())
-          << name << " mode=" << static_cast<int>(mode);
+          << "mode=" << static_cast<int>(mode)
+          << " include_empty=" << include_empty;
     }
   }
 }
@@ -248,7 +314,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParams{105, 40, 12, 0.15, 2, 3},  // sparse, capped
         SweepParams{106, 10, 4, 0.9, 2, 32},   // tiny and very dense
         SweepParams{107, 60, 7, 0.45, 6, 32},
-        SweepParams{108, 25, 9, 0.35, 1, 32}));  // minsup 1
+        SweepParams{108, 25, 9, 0.35, 1, 32},   // minsup 1
+        SweepParams{109, 40, 10, 0.6, 3, 5}));  // dense, capped at 3 + 2
 
 }  // namespace
 }  // namespace fpm

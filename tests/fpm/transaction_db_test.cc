@@ -21,14 +21,13 @@ TEST(TransactionDbTest, BasicCounts) {
   TransactionDb db = SmallDb();
   EXPECT_EQ(db.NumTransactions(), 5u);
   EXPECT_EQ(db.NumItems(), 4u);
-  EXPECT_EQ(db.TotalItemOccurrences(), 11u);
 }
 
 TEST(TransactionDbTest, TransactionsAreSortedAndDeduped) {
   TransactionDb db;
   db.AddTransaction({3, 1, 3, 2, 1});
   EXPECT_EQ(db.Transaction(0), (std::vector<ItemId>{1, 2, 3}));
-  EXPECT_EQ(db.TotalItemOccurrences(), 3u);
+  EXPECT_EQ(db.ItemSupport(1), 1u);  // a repeated item counts once
 }
 
 TEST(TransactionDbTest, ItemSupports) {
@@ -40,29 +39,7 @@ TEST(TransactionDbTest, ItemSupports) {
   EXPECT_EQ(db.ItemSupport(99), 0u);  // unseen item
 }
 
-TEST(TransactionDbTest, ItemCovers) {
-  TransactionDb db = SmallDb();
-  EXPECT_EQ(db.ItemCover(0).ToIndices(), (std::vector<uint64_t>{0, 1, 3}));
-  EXPECT_EQ(db.ItemCover(3).ToIndices(), (std::vector<uint64_t>{3, 4}));
-}
-
-TEST(TransactionDbTest, ItemsetCoverAndSupport) {
-  TransactionDb db = SmallDb();
-  EXPECT_EQ(db.Cover(Itemset({0, 1})).ToIndices(),
-            (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(db.Support(Itemset({0, 1})), 2u);
-  EXPECT_EQ(db.Support(Itemset({0, 1, 2})), 1u);
-  EXPECT_EQ(db.Support(Itemset({1, 3})), 0u);
-  EXPECT_EQ(db.Support(Itemset({2})), 3u);
-}
-
-TEST(TransactionDbTest, EmptyItemsetCoversEverything) {
-  TransactionDb db = SmallDb();
-  EXPECT_EQ(db.Support(Itemset()), 5u);
-  EXPECT_EQ(db.Cover(Itemset()).Cardinality(), 5u);
-}
-
-TEST(TransactionDbTest, CoversRefreshAfterAppend) {
+TEST(TransactionDbTest, SupportsFollowAppends) {
   TransactionDb db;
   db.AddTransaction({0});
   EXPECT_EQ(db.ItemSupport(0), 1u);
@@ -77,7 +54,6 @@ TEST(TransactionDbTest, EmptyTransactionAllowed) {
   db.AddTransaction({0});
   EXPECT_EQ(db.NumTransactions(), 2u);
   EXPECT_EQ(db.ItemSupport(0), 1u);
-  EXPECT_EQ(db.Support(Itemset()), 2u);
 }
 
 }  // namespace

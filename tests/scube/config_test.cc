@@ -32,7 +32,6 @@ cube.min_support = 42
 cube.min_support_fraction = 0.01
 cube.max_sa_items = 3
 cube.max_ca_items = 2
-cube.miner = eclat
 cube.mode = all
 cube.atkinson_b = 0.25
 cube.num_threads = 4
@@ -53,7 +52,6 @@ cube.num_threads = 4
   EXPECT_DOUBLE_EQ(config->cube.min_support_fraction, 0.01);
   EXPECT_EQ(config->cube.max_sa_items, 3u);
   EXPECT_EQ(config->cube.max_ca_items, 2u);
-  EXPECT_EQ(config->cube.miner, "eclat");
   EXPECT_EQ(config->cube.mode, fpm::MineMode::kAll);
   EXPECT_DOUBLE_EQ(config->cube.index_params.atkinson_b, 0.25);
   EXPECT_EQ(config->cube.num_threads, 4u);
@@ -79,6 +77,15 @@ TEST(ConfigTest, RejectsBadValues) {
   EXPECT_FALSE(ParsePipelineConfig("stoc.max_radius = -1\n").ok());
   EXPECT_FALSE(ParsePipelineConfig("cube.num_threads = -2\n").ok());
   EXPECT_FALSE(ParsePipelineConfig("cube.num_threads = many\n").ok());
+  EXPECT_FALSE(ParsePipelineConfig("cube.max_ca_items = 4294967296\n").ok());
+  EXPECT_FALSE(ParsePipelineConfig("stoc.max_radius = 4294967297\n").ok());
+  auto too_big = ParsePipelineConfig("cube.max_ca_items = 4294967296\n");
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_big.status().message().find("cube.max_ca_items"),
+            std::string::npos);
+  auto largest = ParsePipelineConfig("cube.max_ca_items = 4294967295\n");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->cube.max_ca_items, 4294967295u);
 }
 
 TEST(ConfigTest, ErrorsCarryLineNumbers) {
