@@ -1,11 +1,9 @@
 // EFF-QUERY: SCubeQL serving cost. Measures queries/sec through the
-// QueryService under three regimes:
+// QueryService, every statement executing on the caller's thread, under
+// two regimes:
 //   - cold cache: every query misses and executes against the cube,
-//   - hot cache: repeats answered straight from the LRU result cache,
-//   - batched shared scan: a mixed batch fanned out over the worker pool,
-//     analytic queries sharing one pass over the cube's cells.
-// The worker-thread sweep (1..8) shows the concurrent serving layer
-// scaling; hot vs cold shows the cache-hit speedup.
+//   - hot cache: repeats answered straight from the LRU result cache.
+// Hot vs cold shows the cache-hit speedup.
 //
 // The Indexed-vs-scan section pits each CubeView secondary index against
 // the naive full-scan it replaced, side by side on the same sealed cube:
@@ -27,8 +25,6 @@
 #include "cube/explorer.h"
 #include "datagen/scenarios.h"
 #include "query/cube_store.h"
-#include "query/executor.h"
-#include "query/parser.h"
 #include "query/service.h"
 #include "scube/pipeline.h"
 
@@ -88,7 +84,6 @@ std::vector<std::string> Workload(size_t n) {
 // Cold cache: capacity 0, so every query parses, plans and executes.
 void BM_QueryCold(benchmark::State& state) {
   query::ServiceOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
   options.cache_capacity = 0;
   query::QueryService service(&Store(), options);
   auto workload = Workload(64);
@@ -98,15 +93,12 @@ void BM_QueryCold(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.size()));
-  state.counters["workers"] = static_cast<double>(options.num_workers);
 }
-BENCHMARK(BM_QueryCold)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryCold)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Hot cache: one warmup batch, then every query is an LRU hit.
 void BM_QueryHot(benchmark::State& state) {
   query::ServiceOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
   options.cache_capacity = 256;
   query::QueryService service(&Store(), options);
   auto workload = Workload(64);
@@ -126,40 +118,7 @@ void BM_QueryHot(benchmark::State& state) {
                      static_cast<double>(stats.hits + stats.misses);
   }();
 }
-BENCHMARK(BM_QueryHot)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Shared scan vs one-at-a-time: the same 64 scan-shaped queries through
-// Executor::ExecuteBatch (one cell pass) and through 64 Execute calls.
-void BM_ExecutorSharedScan(benchmark::State& state) {
-  auto snapshot = Store().Get("default");
-  query::Executor executor(*snapshot);
-  std::vector<query::Query> queries;
-  for (const std::string& text : Workload(64)) {
-    auto q = query::Parse(text);
-    if (q.ok() && (q->verb == query::Verb::kTopK ||
-                   q->verb == query::Verb::kDice ||
-                   q->verb == query::Verb::kSlice)) {
-      queries.push_back(std::move(*q));
-    }
-  }
-  bool shared = state.range(0) == 1;
-  for (auto _ : state) {
-    if (shared) {
-      auto results = executor.ExecuteBatch(queries);
-      benchmark::DoNotOptimize(results);
-    } else {
-      for (const query::Query& q : queries) {
-        auto result = executor.Execute(q);
-        benchmark::DoNotOptimize(result);
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()));
-  state.SetLabel(shared ? "shared-scan" : "per-query");
-}
-BENCHMARK(BM_ExecutorSharedScan)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryHot)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Indexed vs full-scan: the same questions answered through the CubeView's

@@ -22,8 +22,7 @@
 //
 // Writes the trajectory record BENCH_server.json next to the binary.
 //
-// Run:  ./bench_server [--quick] [--scale S] [--workers N] [--seconds T]
-//                      [--rows R]
+// Run:  ./bench_server [--quick] [--scale S] [--seconds T] [--rows R]
 
 #include <algorithm>
 #include <atomic>
@@ -87,7 +86,7 @@ const std::vector<std::string>& QueryMix() {
 
 /// Cache-busting variant stream: distinct canonical texts, so every
 /// request costs real executor work instead of a cache hit. Every 16th
-/// is a SURPRISES scan to keep the workers honestly busy.
+/// is a SURPRISES scan to keep the executions honestly busy.
 std::string CacheBustQuery(size_t n) {
   if (n % 16 == 0) {
     return "SURPRISES BY dissimilarity MINDELTA 0." +
@@ -329,8 +328,7 @@ struct ShardedResult {
 /// router. The router is single-flight by design, so the headline number
 /// is per-request latency (fan-out + merge), not client-side concurrency.
 ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
-                              size_t clients, double seconds,
-                              size_t shard_workers) {
+                              size_t clients, double seconds) {
   cluster::PartitionOptions partition_options;
   partition_options.num_shards = n;
   std::vector<cube::SegregationCube> parts =
@@ -348,7 +346,6 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
     auto node = std::make_unique<ShardNode>();
     node->store.Publish("default", std::move(parts[i]));
     query::ServiceOptions service_options;
-    service_options.num_workers = shard_workers;
     service_options.cache_capacity = 0;  // measure execution, not replay
     node->service =
         std::make_unique<query::QueryService>(&node->store, service_options);
@@ -403,7 +400,6 @@ int main(int argc, char** argv) {
   double scale = 0.002;
   double seconds = 3.0;
   size_t clients = 4;
-  size_t workers = 4;
   double deadline_ms = 250;
   // The streaming phase keeps its full width under --quick: the point is
   // that a 100k-row answer streams in O(1) buffer, and the synthetic cube
@@ -417,8 +413,6 @@ int main(int argc, char** argv) {
       scale = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
       seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = static_cast<size_t>(std::atol(argv[++i]));
     } else {
@@ -439,9 +433,8 @@ int main(int argc, char** argv) {
 
   query::CubeStore store;
   query::ServiceOptions service_options;
-  service_options.num_workers = workers;
   service_options.cache_capacity = 512;
-  service_options.max_pending = 2 * workers;  // shallow: bounded latency
+  service_options.max_pending = 8;  // shallow: bounded latency
   service_options.default_deadline_ms = deadline_ms;
   service_options.warm_top_n = 8;
   query::QueryService service(&store, service_options);
@@ -450,7 +443,7 @@ int main(int argc, char** argv) {
   server::ServerOptions server_options;
   server_options.port = 0;  // ephemeral
   server_options.loopback_only = true;
-  // Connection capacity must exceed worker + queue capacity, so that
+  // Connection capacity must exceed the admission bound, so that
   // query-level admission (not the connection pool) is what saturates.
   server_options.num_connection_threads = clients * 16;
   server_options.max_queued_connections = clients * 16;
@@ -460,10 +453,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("scubed on 127.0.0.1:%u — %zu workers, queue bound %zu, "
-              "deadline %.0f ms\n\n",
-              server.port(), workers, service_options.max_pending,
-              deadline_ms);
+  std::printf("scubed on 127.0.0.1:%u — queue bound %zu, deadline %.0f ms\n\n",
+              server.port(), service_options.max_pending, deadline_ms);
 
   // --- phase 1: closed loop (hot mix, then cache-busting capacity probe) --
   std::printf("[closed loop, hot mix] %zu clients, %.1f s\n", clients,
@@ -477,7 +468,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hot.errors), hot.Qps(),
               hot_hist.Quantile(0.50), hot_hist.Quantile(0.99));
 
-  // The capacity probe must *saturate* the workers, not measure one
+  // The capacity probe must *saturate* the service, not measure one
   // connection's round-trip latency: enough concurrent closed-loop
   // clients that the service rate, not the RTT, is the limit.
   size_t probe_clients = clients * 8;
@@ -559,7 +550,6 @@ int main(int argc, char** argv) {
               rows, rows / 10);
   query::CubeStore wide_store;
   query::ServiceOptions wide_options;
-  wide_options.num_workers = 2;
   wide_options.cache_capacity = 0;  // measure execution, not cache replay
   query::QueryService wide_service(&wide_store, wide_options);
   wide_store.Publish("default", BuildWideCube(rows));
@@ -637,7 +627,7 @@ int main(int argc, char** argv) {
   std::vector<ShardedResult> sharded;
   for (size_t n : {1u, 2u, 4u}) {
     sharded.push_back(
-        RunShardedPhase(global_view, n, clients, seconds, workers));
+        RunShardedPhase(global_view, n, clients, seconds));
     const ShardedResult& r = sharded.back();
     std::printf("  %zu shard%s: %llu ok, %llu errors | %.0f qps | "
                 "p50 %.2f ms, p99 %.2f ms\n",

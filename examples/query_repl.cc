@@ -4,7 +4,7 @@
 // Builds a synthetic Italian scenario, runs the paper's pipeline twice
 // (company-cluster units -> cube "default"; sector units -> cube
 // "sectors"), publishes both into a CubeStore and serves SCubeQL against
-// them on a worker pool.
+// them through a QueryService (statements execute on the REPL's thread).
 //
 // Run:  ./query_repl [scale]      interactive session (default 0.002)
 //       ./query_repl --demo       scripted tour, then exit
@@ -176,7 +176,8 @@ int RunDemo(query::QueryService* service) {
       // Repeat of the first query: answered from the LRU cache.
       "TOPK 5 BY dissimilarity WHERE T >= 30",
   };
-  // One batch: scan-shaped queries on the same cube share one cell scan.
+  // One batch: the statements execute in order; the repeat of the first
+  // is answered from the cache the first filled.
   auto responses = service->ExecuteBatch(tour);
   int failures = 0;
   for (const auto& resp : responses) {
@@ -238,9 +239,7 @@ int main(int argc, char** argv) {
   query::CubeStore store;
   if (!BuildAndPublish(&store, scale)) return 1;
 
-  query::ServiceOptions options;
-  options.num_workers = 4;
-  query::QueryService service(&store, options);
+  query::QueryService service(&store);
 
   if (demo) return RunDemo(&service);
 

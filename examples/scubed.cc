@@ -4,14 +4,14 @@
 //
 // Run:  ./scubed --demo                      serve the demo cubes on :8080
 //       ./scubed --demo --port 0             kernel-assigned port (printed)
-//       ./scubed --port 9000 --workers 8 --queue 128 --deadline-ms 250
+//       ./scubed --port 9000 --queue 128 --deadline-ms 250
 //
 // Flags:
 //   --port N          TCP port (default 8080; 0 = kernel-assigned)
-//   --workers N       query worker threads (default 4)
-//   --queue N         admission queue bound; beyond it batches shed with
-//                     503 + Retry-After (default 256)
-//   --deadline-ms D   default per-query deadline, 0 = unbounded
+//   --queue N         admission bound: at most N statements execute at
+//                     once; beyond it statements shed with 503 +
+//                     Retry-After (default 256)
+//   --deadline-ms D   default per-statement deadline, 0 = unbounded
 //                     (default 1000)
 //   --cache N         result-cache entries (default 512)
 //   --conns N         connection handler threads, one per open
@@ -201,9 +201,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--port") == 0) {
       port = std::atol(next("--port"));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      service_options.num_workers =
-          static_cast<size_t>(std::atol(next("--workers")));
     } else if (std::strcmp(argv[i], "--queue") == 0) {
       service_options.max_pending =
           static_cast<size_t>(std::atol(next("--queue")));
@@ -317,10 +314,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("scubed listening on port %u (%zu workers, queue bound %zu, "
+  std::printf("scubed listening on port %u (queue bound %zu, "
               "default deadline %.0f ms)\n",
-              server.port(), service.options().num_workers,
-              service.options().max_pending,
+              server.port(), service.options().max_pending,
               service.options().default_deadline_ms);
   if (shard.count > 1) {
     std::printf("  serving shard %zu of %zu (%s partitioning)\n", shard.index,

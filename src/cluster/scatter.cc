@@ -411,33 +411,6 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
   return ScatterLocked(text, sink, ctx, cursor);
 }
 
-std::vector<query::QueryResponse> ScatterExecutor::ExecuteBatch(
-    const std::vector<std::string>& texts, const query::QueryContext& ctx) {
-  sync::MutexLock lock(&request_mu_);
-  std::vector<query::QueryResponse> responses;
-  responses.reserve(texts.size());
-  for (const std::string& text : texts) {
-    query::VectorSink sink;
-    query::StreamOutcome outcome = ScatterLocked(text, sink, ctx, "");
-    query::QueryResponse resp;
-    resp.text = outcome.text;
-    resp.canonical = outcome.canonical;
-    resp.cube = outcome.cube;
-    resp.verb = outcome.verb;
-    resp.cube_version = outcome.cube_version;
-    resp.status = std::move(outcome.status);
-    resp.cache_hit = outcome.cache_hit;
-    resp.exec_ms = outcome.exec_ms;
-    if (resp.status.ok()) {
-      resp.result = sink.TakeResult();
-      auto parsed = query::Parse(text);
-      if (parsed.ok()) resp.query_hash = query::CursorQueryHash(*parsed);
-    }
-    responses.push_back(std::move(resp));
-  }
-  return responses;
-}
-
 query::ServiceStats ScatterExecutor::stats() const {
   query::ServiceStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
@@ -530,10 +503,7 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
   query::QueryContext context = ctx;
   if (!context.deadline && options_.default_deadline_ms > 0) {
     context.deadline =
-        query::QueryContext::Clock::now() +
-        std::chrono::duration_cast<query::QueryContext::Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                options_.default_deadline_ms));
+        query::QueryContext::WithTimeout(options_.default_deadline_ms).deadline;
   }
 
   auto parsed = query::Parse(text);

@@ -36,9 +36,10 @@
 // verbs (TOPK / SURPRISES / REVERSALS) instead answer from the shards
 // that responded — navigation verbs never degrade silently.
 //
-// Concurrency: one request at a time (an internal mutex). The executor
-// owns one connection pool; scaling request concurrency means running
-// more router processes, which are stateless.
+// Concurrency: one statement at a time (an internal mutex, which a
+// buffered batch takes once per statement). The executor owns one
+// connection pool; scaling request concurrency means running more router
+// processes, which are stateless.
 
 #ifndef SCUBE_CLUSTER_SCATTER_H_
 #define SCUBE_CLUSTER_SCATTER_H_
@@ -100,10 +101,6 @@ class ScatterExecutor : public query::QueryBackend {
 
   ScatterExecutor(const ScatterExecutor&) = delete;
   ScatterExecutor& operator=(const ScatterExecutor&) = delete;
-
-  std::vector<query::QueryResponse> ExecuteBatch(
-      const std::vector<std::string>& texts,
-      const query::QueryContext& ctx) override;
 
   query::StreamOutcome ExecuteStreaming(const std::string& text,
                                         query::RowSink& sink,

@@ -9,7 +9,7 @@ namespace scube {
 
 namespace {
 
-// Worker-thread marker: set while a thread runs this pool's WorkerLoop, so
+// Worker-thread marker: set while a thread runs this pool's RunWorker, so
 // Submit() can detect nested submission and run inline.
 thread_local const ThreadPool* current_pool = nullptr;
 
@@ -53,7 +53,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   size_t n = std::max<size_t>(1, num_threads);
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this] { RunWorker(); });
   }
 }
 
@@ -66,7 +66,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::RunWorker() {
   current_pool = this;
   for (;;) {
     std::function<void()> task;

@@ -85,7 +85,7 @@ class ThreadPool {
  private:
   struct ForState;
 
-  void WorkerLoop();
+  void RunWorker();
 
   mutable sync::Mutex mu_;
   sync::CondVar cv_;

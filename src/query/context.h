@@ -1,9 +1,9 @@
 // QueryContext: per-request execution constraints carried alongside a
-// SCubeQL batch. Today that is one thing — a deadline. The service applies
-// its configured default when a request carries none; the executor checks
-// the deadline cooperatively at batch-statement boundaries (and periodically
-// inside the shared analytic scan), so an expired query returns
-// DeadlineExceeded instead of burning a worker to completion.
+// SCubeQL statement. Chiefly a deadline: the service applies its
+// configured default to each statement of a request that carries none; the
+// executor checks the deadline before it walks and periodically inside
+// every walk (including the analytic cell pass), so an expired query
+// returns DeadlineExceeded instead of running to completion.
 
 #ifndef SCUBE_QUERY_CONTEXT_H_
 #define SCUBE_QUERY_CONTEXT_H_
@@ -17,7 +17,7 @@
 namespace scube {
 namespace query {
 
-/// \brief Deadline (and future per-request knobs) for one query batch.
+/// \brief Deadline (and the other per-request knobs) for one request.
 /// Cheap to copy; an empty context imposes no constraints.
 struct QueryContext {
   using Clock = std::chrono::steady_clock;
@@ -44,11 +44,24 @@ struct QueryContext {
   bool allow_partial = false;
 
   /// A context whose deadline is `ms` milliseconds from now. Non-positive
-  /// `ms` yields an already-expired context (useful in tests).
+  /// (or NaN) `ms` yields an already-expired context (useful in tests). A
+  /// timeout past the end of the clock's range saturates at its last tick
+  /// instead of wrapping the integer clock into the past.
   static QueryContext WithTimeout(double ms) {
+    using Millis = std::chrono::duration<double, std::milli>;
     QueryContext ctx;
-    ctx.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double, std::milli>(ms));
+    const Clock::time_point now = Clock::now();
+    // Headroom in doubles, so computing it cannot overflow; the 1 ms margin
+    // absorbs the rounding of doubles near the int64 limit.
+    const double headroom_ms = Millis(Clock::duration::max()).count() -
+                               Millis(now.time_since_epoch()).count() - 1.0;
+    if (!(ms > 0)) {
+      ctx.deadline = now;
+    } else if (ms >= headroom_ms) {
+      ctx.deadline = Clock::time_point::max();
+    } else {
+      ctx.deadline = now + std::chrono::duration_cast<Clock::duration>(Millis(ms));
+    }
     return ctx;
   }
 

@@ -1,7 +1,6 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/trace.h"
 #include "query/merge_key.h"
@@ -141,7 +140,7 @@ enum class Mode {
   kTopK,       ///< ranked-order walk
   kRollup,     ///< parent adjacency / probes
   kDrilldown,  ///< child adjacency / probes
-  kScan,       ///< SURPRISES / REVERSALS: shared pass over the cell array
+  kScan,       ///< SURPRISES / REVERSALS: one pass over the cell array
 };
 
 /// Span name of the index walk a mode performs — the per-verb phase names
@@ -176,8 +175,8 @@ struct Prepared {
   fpm::Itemset ca;    ///< resolved CA constraint items
   Mode mode = Mode::kPoint;
   cube::ExplorerOptions explorer;  ///< analytic-verb filters, precomputed
-  std::vector<cube::SurpriseFinding> surprises;      ///< shared-pass hits
-  std::vector<cube::GranularityReversal> reversals;  ///< shared-pass hits
+  std::vector<cube::SurpriseFinding> surprises;      ///< analytic-pass hits
+  std::vector<cube::GranularityReversal> reversals;  ///< analytic-pass hits
 };
 
 Mode ClassifyQuery(const Query& q) {
@@ -202,15 +201,14 @@ Mode ClassifyQuery(const Query& q) {
   return Mode::kPoint;
 }
 
-/// One shared pass over the cell array for the analytic queries in
-/// `scans`. Each cell is evaluated against each SURPRISES/REVERSALS query
-/// via the view's precomputed parent/child adjacency (the explorer's
-/// per-cell evaluators) — B analytic queries walk the cube once, not B
-/// times. Returns false when the deadline expired mid-scan.
-bool RunSharedScan(const cube::CubeView& view,
-                   const std::vector<Prepared*>& scans,
-                   const QueryContext& ctx) {
+/// One pass over the cell array for a SURPRISES/REVERSALS query: each
+/// cell is evaluated via the view's precomputed parent/child adjacency
+/// (the explorer's per-cell evaluators). Returns false when the deadline
+/// expired mid-scan.
+bool RunAnalyticScan(const cube::CubeView& view, Prepared* p,
+                     const QueryContext& ctx) {
   DeadlineTicker ticker(ctx, kDeadlineStride);
+  const Query& q = *p->query;
   const size_t n = view.NumCells();
   for (cube::CubeView::CellId id = 0; id < n; ++id) {
     if (ticker.Tick()) return false;
@@ -219,19 +217,15 @@ bool RunSharedScan(const cube::CubeView& view,
     // stay in the view's adjacency, serving as comparison baselines for
     // the owned cells evaluated here.
     if (view.cell(id).ghost) continue;
-    for (Prepared* p : scans) {
-      const Query& q = *p->query;
-      if (q.verb == Verb::kSurprises) {
-        if (auto finding = cube::EvaluateSurprise(view, id, q.by, q.threshold,
-                                                  p->explorer)) {
-          p->surprises.push_back(*finding);
-        }
-      } else {
-        if (auto reversal = cube::EvaluateReversal(view, id, q.by,
-                                                   q.threshold, p->explorer)) {
-          p->reversals.push_back(std::move(*reversal));
-        }
+    if (q.verb == Verb::kSurprises) {
+      if (auto finding = cube::EvaluateSurprise(view, id, q.by, q.threshold,
+                                                p->explorer)) {
+        p->surprises.push_back(*finding);
       }
+    } else if (auto reversal = cube::EvaluateReversal(view, id, q.by,
+                                                      q.threshold,
+                                                      p->explorer)) {
+      p->reversals.push_back(std::move(*reversal));
     }
   }
   return true;
@@ -336,8 +330,8 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
     }
 
     case Mode::kSliceAll: {
-      // Hand-constructed SLICE with no coordinates: every cell (the
-      // legacy shared-scan behaviour; unreachable through the parser).
+      // Hand-constructed SLICE with no coordinates: every cell
+      // (unreachable through the parser).
       for (const cube::CubeCell& cell : view.Cells()) {
         ++*scanned;
         if (ticker.Tick()) return expired();
@@ -437,8 +431,8 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
     }
 
     case Mode::kScan: {
-      // Findings come pre-computed from the shared pass; the row stream is
-      // their sorted order.
+      // Findings come pre-computed from the analytic pass; the row stream
+      // is their sorted order.
       *scanned = view.NumCells();
       if (q.verb == Verb::kSurprises) {
         cube::SortSurprises(&p.surprises);
@@ -617,7 +611,15 @@ Prepared PrepareQuery(const Executor& executor, const Query& query) {
 
 Result<QueryResult> Executor::Execute(const Query& query,
                                       const QueryContext& ctx) const {
-  return std::move(ExecuteBatch({query}, ctx)[0]);
+  VectorSink sink;
+  StreamStats stats;
+  Status status = ExecuteToSink(query, ctx, sink, &stats);
+  if (!status.ok()) return status;
+  ResultTrailer trailer;
+  trailer.cells_scanned = stats.cells_scanned;
+  sink.Finish(trailer);
+  sink.SetPagination(stats.exhausted, stats.next_offset);
+  return sink.TakeResult();
 }
 
 Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
@@ -635,70 +637,13 @@ Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
         "query deadline expired before execution completed");
   }
   if (p.mode == Mode::kScan) {
-    // A lone analytic query still pays one cell pass; batches amortise it
-    // through ExecuteBatch instead.
     trace::Span scan_span(ctx.trace, "scan.analytic");
-    if (!RunSharedScan(view_, {&p}, ctx)) {
+    if (!RunAnalyticScan(view_, &p, ctx)) {
       return Status::DeadlineExceeded(
           "query deadline expired before execution completed");
     }
   }
   return EmitPrepared(view_, p, ctx, sink, stats);
-}
-
-std::vector<Result<QueryResult>> Executor::ExecuteBatch(
-    const std::vector<Query>& queries, const QueryContext& ctx) const {
-  // --- prepare: resolve coordinates, classify by index path --------------
-  std::vector<Prepared> prepared(queries.size());
-  std::vector<Prepared*> scans;
-  trace::Span resolve_span(ctx.trace, "resolve");
-  for (size_t i = 0; i < queries.size(); ++i) {
-    prepared[i] = PrepareQuery(*this, queries[i]);
-    if (prepared[i].error.ok() && prepared[i].mode == Mode::kScan) {
-      scans.push_back(&prepared[i]);
-    }
-  }
-  resolve_span.End();
-
-  // --- one shared pass over the cell array for every analytic query ------
-  bool scan_expired = false;
-  if (!scans.empty()) {
-    trace::Span scan_span(ctx.trace, "scan.analytic");
-    scan_expired = !RunSharedScan(view_, scans, ctx);
-  }
-
-  // --- finalise each query, in input order --------------------------------
-  // Every verb now streams: the materialised answer is the stream captured
-  // by a VectorSink, so the batch path and the chunked HTTP path can never
-  // produce different rows.
-  std::vector<Result<QueryResult>> out;
-  out.reserve(queries.size());
-  for (Prepared& p : prepared) {
-    if (!p.error.ok()) {
-      out.push_back(p.error);
-      continue;
-    }
-    // Statement boundary: queries finalised before the deadline keep their
-    // results; the rest of the batch is abandoned cooperatively.
-    if ((p.mode == Mode::kScan && scan_expired) || ctx.Expired()) {
-      out.push_back(Status::DeadlineExceeded(
-          "query deadline expired before execution completed"));
-      continue;
-    }
-    VectorSink sink;
-    StreamStats stats;
-    Status status = EmitPrepared(view_, p, ctx, sink, &stats);
-    if (!status.ok()) {
-      out.push_back(status);
-      continue;
-    }
-    ResultTrailer trailer;
-    trailer.cells_scanned = stats.cells_scanned;
-    sink.Finish(trailer);
-    sink.SetPagination(stats.exhausted, stats.next_offset);
-    out.push_back(sink.TakeResult());
-  }
-  return out;
 }
 
 }  // namespace query

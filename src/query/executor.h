@@ -11,13 +11,11 @@
 //   DRILLDOWN parent/child adjacency lists (coordinate probes when the
 //             addressed cell is absent from the cube),
 //   SURPRISES /
-//   REVERSALS one shared pass over the dense cell array, evaluating every
-//             such query per cell via the adjacency lists (the explorer's
-//             per-cell evaluators) — with B such queries the cube is
-//             walked once, not B times.
+//   REVERSALS one pass over the dense cell array, evaluating the query
+//             per cell via the adjacency lists (the explorer's per-cell
+//             evaluators).
 //
-// No verb scans the full cube per call except the shared analytic pass,
-// and that pass is amortised across the batch.
+// No verb scans the full cube per call except the analytic pass.
 
 #ifndef SCUBE_QUERY_EXECUTOR_H_
 #define SCUBE_QUERY_EXECUTOR_H_
@@ -77,7 +75,8 @@ class Executor {
  public:
   explicit Executor(const cube::CubeView& view);
 
-  /// Executes one query.
+  /// Executes one query: the ExecuteToSink stream captured by a
+  /// VectorSink, pagination included.
   Result<QueryResult> Execute(const Query& query,
                               const QueryContext& ctx = {}) const;
 
@@ -97,16 +96,6 @@ class Executor {
   /// candidates, not just at statement boundaries).
   Status ExecuteToSink(const Query& query, const QueryContext& ctx,
                        RowSink& sink, StreamStats* stats = nullptr) const;
-
-  /// Executes a batch, sharing one cell pass across the analytic
-  /// (SURPRISES/REVERSALS) queries. result[i] answers queries[i].
-  ///
-  /// The context's deadline is checked cooperatively at batch-statement
-  /// boundaries and every few thousand cells inside the shared scan:
-  /// queries not finalised before expiry return DeadlineExceeded (queries
-  /// finalised earlier in the same batch keep their results).
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<Query>& queries, const QueryContext& ctx = {}) const;
 
   /// Resolves attribute=value constraints into an itemset of the given
   /// kind. NotFound for unknown attributes/values, InvalidArgument when a

@@ -72,7 +72,7 @@ struct ResultHeader {
 /// \brief Everything known only *after* the last row: scan accounting and
 /// the pagination resume token. Streamed last (the trailing HTTP chunk).
 struct ResultTrailer {
-  /// Cells scanned to produce the result (shared-scan accounting).
+  /// Cells scanned to produce the result (scan accounting).
   uint64_t cells_scanned = 0;
 
   /// Opaque resume token (see query/row_sink.h EncodeCursor); empty when
@@ -84,7 +84,7 @@ struct ResultTrailer {
 struct QueryResult : ResultHeader {
   std::vector<ResultRow> rows;
 
-  /// Cells scanned to produce the result (shared-scan accounting).
+  /// Cells scanned to produce the result (scan accounting).
   uint64_t cells_scanned = 0;
 
   /// Opaque resume token for the next page; empty when exhausted. Stamped

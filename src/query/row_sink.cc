@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/csv.h"
 #include "common/string_util.h"
 
 namespace scube {
@@ -13,18 +14,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// Escapes a CSV field (quotes when it contains comma/quote/newline).
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 // JSON string escaping is shared with the HTTP front-end (scube::JsonQuote,
@@ -127,7 +116,11 @@ bool CsvWriter::Begin(const ResultHeader& header) {
 }
 
 bool CsvWriter::Row(const ResultRow& row) {
-  std::string out = CsvField(row.sa) + "," + CsvField(row.ca) + "," +
+  // Fields are quoted by the repo's CSV writer (the query CsvWriter
+  // shadows its name here), so every rendering parses back through
+  // CsvReader — which ends a record at an unquoted carriage return.
+  std::string out = scube::CsvWriter::EscapeField(row.sa, ',') + "," +
+                    scube::CsvWriter::EscapeField(row.ca, ',') + "," +
                     std::to_string(row.t) + "," + std::to_string(row.m) + "," +
                     std::to_string(row.units);
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
@@ -139,7 +132,9 @@ bool CsvWriter::Row(const ResultRow& row) {
   if (header_.has_value) out += "," + FormatDouble(row.value);
   if (header_.has_aux) out += "," + FormatDouble(row.aux);
   if (header_.has_aux2) out += "," + FormatDouble(row.aux2);
-  if (header_.has_tag) out += "," + CsvField(row.tag);
+  if (header_.has_tag) {
+    out += "," + scube::CsvWriter::EscapeField(row.tag, ',');
+  }
   out += '\n';
   return Write(out);
 }

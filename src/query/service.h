@@ -1,21 +1,23 @@
 // QueryService: the concurrent SCubeQL serving layer.
 //
-// One service owns a fixed pool of worker threads and an LRU result
-// cache in front of a CubeStore. A batch of textual queries is parsed,
-// answered from the cache where possible, and the misses are grouped by
-// cube snapshot and fanned out to the workers, each worker chunk sharing
-// one cube scan (Executor::ExecuteBatch). Publishing new cubes proceeds
-// concurrently: in-flight queries keep their snapshot.
+// One service owns an LRU result cache in front of a CubeStore and owns
+// no threads: every statement executes on its caller's thread through
+// ExecuteStreaming — parse, resolve the cube snapshot, answer from the
+// cache or walk the snapshot's indexes into the caller's RowSink. Buffered
+// answers (QueryBackend::ExecuteOne / ExecuteBatch) are that stream
+// captured by a VectorSink. Publishing new cubes proceeds concurrently:
+// in-flight queries keep their snapshot.
 //
 // Overload safety (the network front-end's contract):
-//   - admission control: the worker queue is bounded; batches arriving
-//     while the backlog is at the bound are shed immediately with
+//   - admission control: at most max_pending statements execute at once;
+//     a statement arriving at the bound is shed immediately with
 //     Unavailable (scubed turns that into HTTP 503 + Retry-After),
 //   - per-query deadlines: a QueryContext deadline (or the configured
-//     default) is checked cooperatively at batch-statement boundaries, so
-//     expired queries return DeadlineExceeded instead of burning a worker,
-//   - graceful shutdown: Shutdown() stops admitting, drains every
-//     in-flight chunk, and joins the workers,
+//     default, applied per statement) is checked cooperatively inside the
+//     index walks, so expired queries return DeadlineExceeded instead of
+//     running to completion,
+//   - graceful shutdown: Shutdown() stops admitting; statements already
+//     executing finish on their callers' threads,
 //   - publish-time warming: PublishAndWarm() re-executes the hottest
 //     cached query texts against the freshly sealed view, so a publish
 //     does not cliff the cache hit rate.
@@ -25,10 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -45,25 +44,20 @@ namespace query {
 
 /// \brief Service tuning knobs.
 struct ServiceOptions {
-  /// Worker threads answering queries (clamped to >= 1).
-  size_t num_workers = 4;
-
   /// Result-cache entries across all cubes (0 disables caching).
   size_t cache_capacity = 256;
 
   /// Cube name used when a query has no FROM clause.
   std::string default_cube = "default";
 
-  /// Admission bound: work arriving while the backlog — queued worker
-  /// tasks plus in-flight streaming executions — is at this bound is shed
-  /// with Unavailable. Streams run on their caller's thread rather than
-  /// the queue, but each one pins a cube snapshot and burns CPU, so they
-  /// count toward the same bound. 0 sheds everything (useful for drain
-  /// tests); pick ~num_workers * expected batch latency budget.
+  /// Admission bound: a statement arriving while this many statements
+  /// are executing is shed with Unavailable. Each execution pins a cube
+  /// snapshot and burns CPU on its caller's thread. 0 sheds everything
+  /// (useful for drain tests).
   size_t max_pending = 256;
 
-  /// Deadline applied to requests that carry none (milliseconds);
-  /// 0 = unbounded.
+  /// Deadline applied to each statement of a request that carries none
+  /// (milliseconds); 0 = unbounded.
   double default_deadline_ms = 0;
 
   /// Hottest cached query texts re-executed by PublishAndWarm().
@@ -75,10 +69,9 @@ struct ServiceOptions {
   /// the shared pool. The sealed view is identical for every setting.
   size_t seal_threads = 1;
 
-  /// Streamed answers above this many rows are not materialised into the
-  /// result cache — the streaming path's memory stays bounded no matter
-  /// how large the answer is. (Batch answers are materialised by nature
-  /// and cache regardless.)
+  /// Answers above this many rows are not materialised into the result
+  /// cache — the streaming path's memory stays bounded no matter how large
+  /// the answer is. The rule covers every answer, buffered or streamed.
   size_t cache_max_rows = 10000;
 };
 
@@ -90,34 +83,21 @@ struct ServiceOptions {
 class QueryService : public QueryBackend {
  public:
   explicit QueryService(CubeStore* store, ServiceOptions options = {});
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
-
-  /// Parses and executes one query.
-  QueryResponse ExecuteOne(const std::string& text,
-                           const QueryContext& ctx = {}) override;
-
-  /// Parses and executes a batch; responses[i] answers texts[i]. When the
-  /// admission queue is full every response carries Unavailable; when the
-  /// context (or default) deadline expires mid-batch the unfinished
-  /// responses carry DeadlineExceeded.
-  std::vector<QueryResponse> ExecuteBatch(
-      const std::vector<std::string>& texts,
-      const QueryContext& ctx = {}) override;
 
   /// Streamed-execution outcome (kept as a nested alias for existing
   /// callers; the struct itself lives in query/backend.h).
   using StreamOutcome = query::StreamOutcome;
 
   /// Streams one query's answer into `sink` on the caller's thread
-  /// (header -> rows -> trailer; the service calls sink.Finish). Shares
-  /// the batch path's contract: admission control (Unavailable when the
-  /// backlog is at the bound), the default deadline, the result cache —
-  /// hits replay the materialised result through the sink byte-identically
-  /// to a live stream; misses that stay under options().cache_max_rows
-  /// rows are materialised into the cache as they stream past.
+  /// (header -> rows -> trailer; the service calls sink.Finish), under
+  /// admission control (Unavailable when max_pending statements are
+  /// executing), the default deadline, and the result cache — hits replay
+  /// the materialised result through the sink byte-identically to a live
+  /// stream; misses that stay under options().cache_max_rows rows are
+  /// materialised into the cache as they stream past.
   ///
   /// `cursor` resumes a previous page: it pins the exact name@version
   /// snapshot the first page walked (NotFound once evicted) and overrides
@@ -139,13 +119,12 @@ class QueryService : public QueryBackend {
   /// runs on the caller's thread and bypasses admission control — the
   /// publisher pays for it, traffic is not displaced. Version-pinned
   /// texts (`FROM name@v`) are skipped: they do not target the new
-  /// version.
+  /// version. Answers above options().cache_max_rows rows are not cached.
   PublishInfo PublishAndWarm(const std::string& name,
                              cube::SegregationCube cube);
 
-  /// Stops admitting new batches, drains every queued chunk (in-flight
-  /// ExecuteBatch calls complete normally) and joins the workers.
-  /// Idempotent; also called by the destructor.
+  /// Stops admitting new statements; those already executing finish
+  /// normally on their callers' threads. Idempotent.
   void Shutdown();
 
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
@@ -161,18 +140,16 @@ class QueryService : public QueryBackend {
   /// Queue-depth gauge and result-cache counters for /metrics.
   void AppendBackendMetrics(std::string* out) const override;
 
-  /// Worker tasks currently queued (the admission-controlled backlog).
+  /// Statements executing now (the admission-controlled backlog; exported
+  /// as scubed_queue_depth).
   size_t queue_depth() const;
 
  private:
-  void WorkerLoop();
-
-  /// Admission check shared by the batch and streaming paths: OK to
-  /// proceed, or the Unavailable shed status. The backlog is queued
-  /// worker tasks plus in-flight streams; when admitting a stream, the
-  /// in-flight count is bumped under the same lock (released by the
-  /// stream's finish path).
-  Status AdmitOrShed(bool stream);
+  /// OK to proceed, holding one admission slot (released by the
+  /// statement's finish path through ReleaseSlot), or the Unavailable
+  /// shed status.
+  Status AdmitOrShed();
+  void ReleaseSlot();
 
   /// Applies the configured default deadline to contexts carrying none.
   QueryContext WithDefaultDeadline(const QueryContext& ctx) const;
@@ -186,18 +163,10 @@ class QueryService : public QueryBackend {
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> completed_{0};
 
-  /// Admitted ExecuteStreaming calls that have not finished; counts
-  /// toward the admission backlog alongside queue_.size().
-  std::atomic<uint64_t> streams_in_flight_{0};
-
-  mutable sync::Mutex queue_mu_;
-  sync::CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(queue_mu_);
-  bool stopping_ GUARDED_BY(queue_mu_) = false;
-
-  sync::Mutex join_mu_;  ///< serialises the join in Shutdown()
-  bool joined_ GUARDED_BY(join_mu_) = false;
-  std::vector<std::thread> workers_;
+  mutable sync::Mutex admit_mu_;
+  /// Admitted statements that have not finished: the admission backlog.
+  size_t in_flight_ GUARDED_BY(admit_mu_) = 0;
+  bool stopping_ GUARDED_BY(admit_mu_) = false;
 };
 
 }  // namespace query

@@ -1,5 +1,6 @@
 #include "server/router.h"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -88,9 +89,10 @@ std::string ParseQueryParams(const net::HttpRequest& request,
   const std::string deadline = request.Param("deadline_ms");
   if (!deadline.empty()) {
     auto ms = ParseDouble(deadline);
-    if (!ms.ok() || *ms <= 0) {
+    // strtod also accepts "nan" and "inf": neither bounds anything.
+    if (!ms.ok() || !std::isfinite(*ms) || *ms <= 0) {
       return "bad deadline_ms '" + deadline +
-             "' (must be a positive number of milliseconds)";
+             "' (must be a positive, finite number of milliseconds)";
     }
     *qctx = query::QueryContext::WithTimeout(*ms);
   }
@@ -330,8 +332,17 @@ bool HandleQueryStream(const RouterContext& ctx,
                        const net::HttpRequest& request, bool keep_alive,
                        const net::ChunkedWriter::WriteFn& write) {
   WallTimer timer;
+  // Route latency is recorded before the last bytes leave, for the same
+  // reason the stream counters are: a client that has seen the end of
+  // the response must find it in /metrics.
+  auto observe_route = [&] {
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->ObserveRoute(Route::kStream, timer.Millis());
+    }
+  };
   auto buffered_error = [&](net::HttpResponse resp) {
     resp.content_type = "application/json";
+    observe_route();
     return write(net::SerializeResponse(resp, keep_alive)).ok();
   };
 
@@ -489,6 +500,7 @@ bool HandleQueryStream(const RouterContext& ctx,
   // missing for a moment) — caught by the slow-query-log HTTP test going
   // flaky under the thread-safety annotation pass.
   maybe_slow_log(StatusCodeToString(outcome.status.code()));
+  observe_route();
   writer.Finish();
   return writer.ok();
 }

@@ -1,10 +1,14 @@
 // scubed's request router and handlers, separated from connection
 // plumbing so they can be unit-tested without sockets:
 //
-//   POST /query     execute a SCubeQL batch (one statement per body line);
-//                   ?format=json|csv, ?deadline_ms=N overrides the default,
-//                   ?debug=trace attaches the request's span breakdown to
-//                   the JSON envelope (trailer chunk on the streamed path)
+//   POST /query     execute a SCubeQL batch (one statement per body line):
+//                   the statements stream in order on the connection
+//                   thread, each answer captured and buffered into one
+//                   envelope; ?format=json|csv, ?deadline_ms=N (a positive
+//                   finite number) bounds the whole request instead of the
+//                   per-statement default, ?debug=trace attaches the
+//                   request's span breakdown to the JSON envelope (trailer
+//                   chunk on the streamed path)
 //   POST /query?stream=1
 //                   stream ONE statement's answer with chunked transfer
 //                   encoding: rows leave as the index walks produce them,
@@ -66,8 +70,9 @@ bool IsStreamingQuery(const net::HttpRequest& request);
 /// stream as produced, and the trailing chunk carries cells_scanned, the
 /// resume cursor and the final status code. Errors caught before any byte
 /// left (parse, admission, unknown cube) are answered as plain buffered
-/// HTTP errors instead. Returns false when the transport failed and the
-/// connection must close.
+/// HTTP errors instead. The stream route's latency and counters reach
+/// ctx.metrics before the response's last bytes leave. Returns false when
+/// the transport failed and the connection must close.
 bool HandleQueryStream(const RouterContext& ctx,
                        const net::HttpRequest& request, bool keep_alive,
                        const net::ChunkedWriter::WriteFn& write);

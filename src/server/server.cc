@@ -219,12 +219,12 @@ void ScubedServer::ServeHttp(net::Socket* socket,
     if (streamed) {
       // Streamed answers write incrementally — chunked transfer encoding
       // straight onto the socket, no response buffer. The handler owns
-      // error rendering and metrics; a false return means the transport
-      // died mid-stream and the connection must close.
+      // error rendering and metrics, the route latency included; a false
+      // return means the transport died mid-stream and the connection
+      // must close.
       bool alive = HandleQueryStream(
           router_, *parsed, keep_alive,
           [socket](std::string_view data) { return socket->WriteAll(data); });
-      metrics_.ObserveRoute(route, route_timer.Millis());
       if (!alive) return;
     } else {
       if (parsed.ok()) response = HandleHttpRequest(router_, *parsed);

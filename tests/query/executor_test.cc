@@ -203,37 +203,6 @@ TEST(ExecutorTest, ResolutionErrors) {
             std::string::npos);
 }
 
-TEST(ExecutorTest, BatchSharedScanMatchesIndividualExecution) {
-  cube::CubeView view = MakeView();
-  Executor executor(view);
-  const char* texts[] = {
-      "SLICE sa=sex=F",
-      "DICE sa=sex=F WHERE M >= 20",
-      "TOPK 3 BY dissimilarity WHERE T >= 1 AND M >= 1",
-      "DRILLDOWN sa=sex=F",
-      "SLICE sa=sex=X",  // resolution error must stay positional
-      "SURPRISES BY dissimilarity MINDELTA 0.15 WHERE T >= 1 AND M >= 1",
-  };
-  std::vector<Query> queries;
-  std::vector<Result<QueryResult>> individual;
-  for (const char* text : texts) {
-    auto q = Parse(text);
-    ASSERT_TRUE(q.ok()) << text;
-    individual.push_back(executor.Execute(*q));
-    queries.push_back(std::move(*q));
-  }
-  auto batched = executor.ExecuteBatch(queries);
-  ASSERT_EQ(batched.size(), individual.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched[i].ok(), individual[i].ok()) << texts[i];
-    if (batched[i].ok()) {
-      EXPECT_EQ(ToJson(*batched[i]), ToJson(*individual[i])) << texts[i];
-    } else {
-      EXPECT_EQ(batched[i].status(), individual[i].status()) << texts[i];
-    }
-  }
-}
-
 TEST(ExecutorTest, SerialisationShapes) {
   cube::CubeView view = MakeView();
   Executor executor(view);

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "common/csv.h"
 #include "query/parser.h"
 
 namespace scube {
@@ -74,6 +75,22 @@ TEST(RowSinkTest, CsvWriterMatchesToCsvIncludingCursorComment) {
   ReplayResult(result, writer);
   EXPECT_EQ(streamed, ToCsv(result));
   EXPECT_NE(streamed.find("# next_cursor: abc123\n"), std::string::npos);
+}
+
+TEST(RowSinkTest, CsvRenderingParsesBackWithTheRepoReader) {
+  // Labels come from input CSV values, and a quoted input field may carry
+  // a carriage return, a quote, a comma or a newline into a label.
+  QueryResult result = SmallResult();
+  result.rows[0].sa = "sex=F\rX";
+  result.rows[1].ca = "region=\"north, east\"";
+  result.rows[2].sa = "sex=M\nY";
+  auto doc = CsvReader().ParseString(ToCsv(result));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ASSERT_EQ(doc->rows.size(), result.rows.size());
+  for (size_t i = 0; i < result.rows.size(); ++i) {
+    EXPECT_EQ(doc->rows[i][0], result.rows[i].sa) << "row " << i;
+    EXPECT_EQ(doc->rows[i][1], result.rows[i].ca) << "row " << i;
+  }
 }
 
 TEST(RowSinkTest, WriterAbortStopsReplayEarly) {

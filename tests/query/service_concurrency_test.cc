@@ -1,11 +1,12 @@
 // Concurrency edges of the QueryService serving contract: admission
-// rejection under a full queue, deadline expiry (queued and mid-batch),
-// graceful shutdown draining in-flight work without deadlock, and
-// publish-time cache warming.
+// rejection at the in-flight bound, deadline expiry, graceful shutdown
+// under concurrent traffic without deadlock, and publish-time cache
+// warming.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +50,7 @@ TEST(ServiceAdmissionTest, ShedsWhenQueueBoundIsZero) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.max_pending = 0;  // bound 0: every batch sheds
+  options.max_pending = 0;  // bound 0: every statement sheds
   QueryService service(&store, options);
 
   auto responses = service.ExecuteBatch(
@@ -107,11 +108,29 @@ TEST(ServiceDeadlineTest, GenerousDeadlinePasses) {
   EXPECT_EQ(service.stats().deadline_expired, 0u);
 }
 
+TEST(ServiceDeadlineTest, TimeoutsPastTheClockRangeSaturate) {
+  // The clock counts int64 nanoseconds (~292 years); a longer timeout must
+  // pin to the clock's last tick, not wrap into the past.
+  for (double ms : {1e13, 1e300, std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::max()}) {
+    QueryContext ctx = QueryContext::WithTimeout(ms);
+    EXPECT_FALSE(ctx.Expired()) << ms;
+    EXPECT_GT(ctx.RemainingMillis(), 1e12) << ms;
+  }
+  for (double ms : {0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::quiet_NaN()}) {
+    QueryContext ctx = QueryContext::WithTimeout(ms);
+    EXPECT_TRUE(ctx.Expired()) << ms;
+    EXPECT_LE(ctx.RemainingMillis(), 0.0) << ms;
+  }
+  EXPECT_FALSE(QueryContext::WithTimeout(60'000).Expired());
+}
+
 TEST(ServiceDeadlineTest, DefaultDeadlineFromOptionsApplies) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.default_deadline_ms = 0.0001;  // expires before any chunk runs
+  options.default_deadline_ms = 0.0001;  // expires before the walk starts
   QueryService service(&store, options);
 
   auto resp = service.ExecuteOne("SLICE sa=sex=F | ca=region=north");
@@ -122,7 +141,6 @@ TEST(ServiceShutdownTest, DrainsInFlightBatchesWithoutDeadlock) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.num_workers = 2;
   options.cache_capacity = 0;  // every query executes
   QueryService service(&store, options);
 
@@ -167,7 +185,7 @@ TEST(ServiceShutdownTest, ShutdownIsIdempotent) {
   store.Publish("default", MakeCube(0.5));
   QueryService service(&store, ServiceOptions{});
   service.Shutdown();
-  service.Shutdown();  // second call is a no-op; destructor adds a third
+  service.Shutdown();  // the second call is a no-op
 }
 
 TEST(ServiceWarmingTest, PublishAndWarmPrefillsTheNewVersion) {

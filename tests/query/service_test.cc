@@ -142,13 +142,11 @@ TEST(QueryServiceTest, FromVersionPinServesRetainedVersions) {
   EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTest, BatchFansOutAcrossWorkersAndCubes) {
+TEST(QueryServiceTest, BatchAnswersEverySlotInOrderAcrossCubes) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   store.Publish("other", MakeCube(0.8));
-  ServiceOptions options;
-  options.num_workers = 4;
-  QueryService service(&store, options);
+  QueryService service(&store, ServiceOptions{});
 
   // 40 queries, duplicates included, across two cubes.
   std::vector<std::string> texts;
@@ -171,7 +169,10 @@ TEST(QueryServiceTest, BatchFansOutAcrossWorkersAndCubes) {
           indexes::IndexKind::kDissimilarity)],
       0.8);
   EXPECT_EQ(responses[2].cube, "other");
-  // In-batch duplicates execute once but all respond.
+  // An in-batch duplicate is answered from the cache its first copy
+  // filled, with the same bytes.
+  EXPECT_FALSE(responses[1].cache_hit);
+  EXPECT_TRUE(responses[5].cache_hit);
   EXPECT_EQ(ToJson(responses[1].result), ToJson(responses[5].result));
 }
 

@@ -248,7 +248,56 @@ TEST(GoldenTranscriptTest, BufferedJsonAndCsvQueries) {
             "sex=F,*,100,40,2,0.1,0,0,0,0,0\n"
             "sex=F,region=north,60,25,2,0.5,0,0,0,0,0\n"
             "sex=F,region=south,40,15,2,0.2,0,0,0,0,0\n");
+
+  // A three-statement batch: a page that hands out a resume cursor, a
+  // statement that fails with a message, and the first statement again.
+  // Each statement is answered in its own slot, in order.
+  const std::string batch =
+      "DICE sa=sex=F LIMIT 1\nSLICE sa=sex=X\nDICE sa=sex=F LIMIT 1\n";
+  const std::string dice_json =
+      R"({"query":"DICE sa=sex=F LIMIT 1","code":"OK","cube":"default",)"
+      R"("version":1,"cache_hit":X,"exec_ms":X,"result":{"verb":"DICE",)"
+      R"("by":"dissimilarity","rows":[{"sa":"sex=F","ca":"*","T":100,)"
+      R"("M":40,"units":2,"indexes":{"dissimilarity":0.1,"gini":0,)"
+      R"("information":0,"isolation":0,"interaction":0,"atkinson":0}}],)"
+      R"("cells_scanned":X,"next_cursor":"X"}})";
+  EXPECT_EQ(fx.Transcript(Req("POST", "/query", batch)),
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: X\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            R"({"count":3,"results":[)" +
+                dice_json +
+                R"(,{"query":"SLICE sa=sex=X","code":"NotFound",)"
+                R"("message":"unknown value 'X' for attribute 'sex'",)"
+                R"("cube":"default","version":1,"cache_hit":X,)"
+                R"("exec_ms":X,"result":null},)" +
+                dice_json + "]}\n");
+  // CSV leaves the cursor unmasked: the token is deterministic (cube,
+  // version, resume position and statement fingerprint).
+  const std::string dice_csv =
+      "sa,ca,T,M,units,dissimilarity,gini,information,isolation,"
+      "interaction,atkinson\n"
+      "sex=F,*,100,40,2,0.1,0,0,0,0,0\n"
+      "# next_cursor: c2NxMXwxfDF8OGM4ZjVmN2FiNGZjYmJhNnxkZWZhdWx0\n";
+  EXPECT_EQ(fx.Transcript(Req("POST", "/query?format=csv", batch)),
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: text/csv; charset=utf-8\r\n"
+            "Content-Length: X\r\n"
+            "Connection: close\r\n"
+            "Content-Disposition: attachment; "
+            R"(filename="scube_query.csv")" "\r\n"
+            "\r\n"
+            "# query 0: DICE sa=sex=F LIMIT 1 [OK]\n" +
+                dice_csv +
+                "\n"
+                "# query 1: SLICE sa=sex=X [NotFound]\n"
+                "\n"
+                "# query 2: DICE sa=sex=F LIMIT 1 [OK]\n" +
+                dice_csv);
 }
+
 
 TEST(GoldenTranscriptTest, UnknownRouteIs404AndEmptyBodyIs400) {
   Served fx;

@@ -241,8 +241,7 @@ TEST(ScubedTest, DebugTraceAttachesSpanTreeToBufferedEnvelope) {
   EXPECT_EQ(plain->body.find("\"trace\""), std::string::npos);
 
   // A statement the plain call did NOT cache: a cache hit would answer
-  // inside "prepare" and the queue_wait/execute spans would rightly be
-  // absent.
+  // by replay and the execute span would rightly be absent.
   auto traced = fx.Call("POST", "/query?debug=trace",
                         "SLICE sa=sex=F | ca=region=north");
   ASSERT_TRUE(traced.ok()) << traced.status();
@@ -252,8 +251,7 @@ TEST(ScubedTest, DebugTraceAttachesSpanTreeToBufferedEnvelope) {
   // The serving path's named phases are all present and closed (no
   // still-open spans leak into the rendered tree).
   for (const char* name : {"\"name\":\"admit\"", "\"name\":\"prepare\"",
-                           "\"name\":\"queue_wait\"", "\"name\":\"execute\"",
-                           "\"name\":\"serialize\""}) {
+                           "\"name\":\"execute\"", "\"name\":\"serialize\""}) {
     EXPECT_NE(traced->body.find(name), std::string::npos) << name;
   }
   // total_ms is a positive wall time; the exact value is scheduler noise,
@@ -455,8 +453,8 @@ TEST(ScubedTest, AdmissionShedsWith503AndRetryAfter) {
 
 TEST(ScubedTest, DeadlineParamYieldsDeadlineExceededCode) {
   Fixture fx;
-  // A microsecond deadline expires long before any worker chunk runs
-  // (parse + enqueue + wakeup alone dwarf it).
+  // A microsecond deadline expires long before the index walk starts
+  // (request parsing, admission and statement parsing alone dwarf it).
   auto resp = fx.Call("POST", "/query?deadline_ms=0.001",
                       "SLICE sa=sex=F | ca=region=north");
   ASSERT_TRUE(resp.ok()) << resp.status();
@@ -474,6 +472,30 @@ TEST(ScubedTest, NonPositiveDeadlineParamIsRejected) {
   auto negative = fx.Call("POST", "/query?deadline_ms=-5", "TOPK 1 BY gini");
   ASSERT_TRUE(negative.ok());
   EXPECT_EQ(negative->status, 400);
+  // strtod accepts these; neither is a number of milliseconds.
+  for (const char* value : {"nan", "inf", "-inf", "infinity"}) {
+    auto resp = fx.Call("POST", std::string("/query?deadline_ms=") + value,
+                        "TOPK 1 BY gini");
+    ASSERT_TRUE(resp.ok()) << value;
+    EXPECT_EQ(resp->status, 400) << value;
+  }
+}
+
+TEST(ScubedTest, DeadlineParamBeyondTheClockRangeNeverExpires) {
+  Fixture fx;
+  // 1e13 ms and 1e300 ms lie past the steady clock's int64 range: the
+  // deadline saturates instead of wrapping into the past.
+  for (const char* value : {"1e13", "1e300"}) {
+    for (const char* stream : {"", "&stream=1"}) {
+      auto resp = fx.Call("POST",
+                          std::string("/query?deadline_ms=") + value + stream,
+                          "SLICE sa=sex=F | ca=region=north");
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      EXPECT_EQ(resp->status, 200) << value << stream;
+      EXPECT_NE(resp->body.find("\"code\":\"OK\""), std::string::npos)
+          << value << stream << ": " << resp->body;
+    }
+  }
 }
 
 TEST(ScubedTest, CubesAndMetricsEndpoints) {
