@@ -1062,12 +1062,6 @@ void FamilyHeader(std::string* out, const char* name, const char* type,
   *out += '\n';
 }
 
-std::string SecondsText(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", s);
-  return buf;
-}
-
 void ShardHistogramSeries(std::string* out, const char* name,
                           const std::string& label,
                           const trace::LatencyHistogram& hist) {
@@ -1086,7 +1080,7 @@ void ShardHistogramSeries(std::string* out, const char* name,
        ++i) {
     cumulative += hist.bucket(i);
     bucket_line(
-        SecondsText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
+        ExactDoubleText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
         cumulative);
   }
   cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
@@ -1095,7 +1089,7 @@ void ShardHistogramSeries(std::string* out, const char* name,
   *out += "_sum{";
   *out += label;
   *out += "} ";
-  *out += SecondsText(hist.sum_ms() / 1000.0);
+  *out += ExactDoubleText(hist.sum_ms() / 1000.0);
   *out += '\n';
   *out += name;
   *out += "_count{";

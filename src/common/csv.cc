@@ -119,7 +119,8 @@ Result<CsvDocument> CsvReader::ParseFile(const std::string& path) const {
   return ParseString(content.value());
 }
 
-std::string CsvWriter::EscapeField(const std::string& field, char separator) {
+void CsvWriter::AppendEscapedField(std::string_view field, char separator,
+                                   std::string* out) {
   bool needs_quote = false;
   for (char c : field) {
     if (c == separator || c == '"' || c == '\n' || c == '\r') {
@@ -127,20 +128,22 @@ std::string CsvWriter::EscapeField(const std::string& field, char separator) {
       break;
     }
   }
-  if (!needs_quote) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
+  if (!needs_quote) {
+    out->append(field);
+    return;
   }
-  out += "\"";
-  return out;
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) out_.push_back(separator_);
-    out_ += EscapeField(fields[i], separator_);
+    AppendEscapedField(fields[i], separator_, &out_);
   }
   out_.push_back('\n');
 }

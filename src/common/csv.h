@@ -11,6 +11,7 @@
 #define SCUBE_COMMON_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -66,8 +67,10 @@ class CsvWriter {
   /// Writes the assembled document to a file.
   Status SaveToFile(const std::string& path) const;
 
-  /// Quotes a single field per RFC 4180 if it needs quoting.
-  static std::string EscapeField(const std::string& field, char separator);
+  /// Appends one field to `out`, quoted per RFC 4180 if it needs quoting
+  /// (separator, quote, LF or CR inside).
+  static void AppendEscapedField(std::string_view field, char separator,
+                                 std::string* out);
 
  private:
   char separator_;

@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -89,6 +91,34 @@ std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;
+}
+
+void AppendDouble6g(double v, std::string* out) {
+  char buf[32];  // "%.6g" needs at most 13: "-1.79769e+308"
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6)
+          .ptr;
+  out->append(buf, end);
+}
+
+std::string ExactDoubleText(double v) {
+  std::string out;
+  AppendDouble6g(v, &out);
+  double back = 0.0;
+  auto [ptr, ec] = std::from_chars(out.data(), out.data() + out.size(), back);
+  if (ec == std::errc() && ptr == out.data() + out.size() &&
+      std::bit_cast<uint64_t>(back) == std::bit_cast<uint64_t>(v)) {
+    return out;
+  }
+  char buf[32];  // shortest round trip needs at most 24
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  return std::string(buf, end);
+}
+
+void AppendUint(uint64_t v, std::string* out) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, end);
 }
 
 std::string FormatWithCommas(int64_t v) {
@@ -210,51 +240,67 @@ Result<std::string> Base64Decode(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Appends the JsonEscape form of `s`; plain runs are copied whole.
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  constexpr char kHex[] = "0123456789abcdef";
+  size_t plain = 0;  // start of the run not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        out->append("\\u00");
+        out->push_back(kHex[c >> 4]);
+        out->push_back(kHex[c & 0xf]);
+    }
+  }
+  out->append(s.data() + plain, s.size() - plain);
+}
+
+}  // namespace
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(s, &out);
   return out;
 }
 
 std::string JsonQuote(std::string_view s) {
-  std::string out = "\"";
-  out += JsonEscape(s);
-  out += '"';
+  std::string out;
+  AppendJsonQuoted(s, &out);
   return out;
+}
+
+void AppendJsonQuoted(std::string_view s, std::string* out) {
+  out->push_back('"');
+  AppendJsonEscaped(s, out);
+  out->push_back('"');
 }
 
 }  // namespace scube

@@ -41,6 +41,22 @@ Result<uint64_t> ParseHexU64(std::string_view s);
 /// Formats a double with `digits` decimal places ("0.78").
 std::string FormatDouble(double v, int digits);
 
+/// Appends `v` exactly as printf("%.6g") renders it ("0.333333", "1e-05",
+/// "1.23457e+06", "-0", "inf"). It is std::to_chars in general format with
+/// precision 6, which the standard defines as %.6g: no locale, no
+/// allocation beyond `out`'s growth. The result rows' number format.
+void AppendDouble6g(double v, std::string* out);
+
+/// Renders `v` so that it parses back to the same double: its "%.6g" text
+/// when that already reads back exactly ("0.05", "2.5", "1e-05"), else the
+/// shortest round-trip text ("0.08209409627130691", "1234567"). For
+/// doubles that are keys or measurements rather than display values:
+/// canonical query thresholds and /metrics samples.
+std::string ExactDoubleText(double v);
+
+/// Appends the decimal digits of `v`.
+void AppendUint(uint64_t v, std::string* out);
+
 /// Formats with thousands separators: 3600000 -> "3,600,000".
 std::string FormatWithCommas(int64_t v);
 
@@ -60,6 +76,9 @@ std::string JsonEscape(std::string_view s);
 
 /// `JsonEscape` wrapped in double quotes: a complete JSON string token.
 std::string JsonQuote(std::string_view s);
+
+/// Appends `JsonQuote(s)` to `out` without building it separately.
+void AppendJsonQuoted(std::string_view s, std::string* out);
 
 }  // namespace scube
 

@@ -1,18 +1,11 @@
 #include "query/ast.h"
 
-#include <cstdio>
+#include "common/string_util.h"
 
 namespace scube {
 namespace query {
 
 namespace {
-
-/// Shortest round-trip rendering of a threshold, e.g. 0.1 -> "0.1".
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 bool NeedsQuoting(const std::string& value) {
   if (value.empty()) return true;
@@ -89,11 +82,11 @@ std::string Canonical(const Query& query) {
       break;
     case Verb::kSurprises:
       out += std::string(" BY ") + indexes::IndexKindToString(query.by) +
-             " MINDELTA " + FormatDouble(query.threshold);
+             " MINDELTA " + ExactDoubleText(query.threshold);
       break;
     case Verb::kReversals:
       out += std::string(" BY ") + indexes::IndexKindToString(query.by) +
-             " MINGAP " + FormatDouble(query.threshold);
+             " MINGAP " + ExactDoubleText(query.threshold);
       break;
     default:
       break;

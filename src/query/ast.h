@@ -15,7 +15,8 @@
 // Navigation verbs (SLICE/DICE/ROLLUP/DRILLDOWN) address cells by
 // attribute=value coordinates; analytic verbs (TOPK/SURPRISES/REVERSALS)
 // lower onto the cube explorer. `Canonical()` renders a normalised text
-// form used as the result-cache key.
+// form: the result-cache key, the statement a scatter router sends each
+// shard, and the input of the cursor hash.
 
 #ifndef SCUBE_QUERY_AST_H_
 #define SCUBE_QUERY_AST_H_
@@ -118,7 +119,9 @@ struct Query {
 /// Renders the query in normalised text form: uppercase keywords, sorted
 /// coordinate constraints, canonical spacing. Parsing the canonical form
 /// yields an equal Query; equal queries share one canonical form, which is
-/// what the result cache keys on.
+/// what the result cache keys on. Thresholds render exactly
+/// (ExactDoubleText): "0.05" stays "0.05", and two thresholds that agree
+/// to six digits still get two texts.
 std::string Canonical(const Query& query);
 
 }  // namespace query

@@ -1,5 +1,6 @@
 #include "query/row_sink.h"
 
+#include <array>
 #include <cstdio>
 
 #include "common/csv.h"
@@ -10,16 +11,20 @@ namespace query {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+/// `"<index name>":` per index kind, indexed by IndexKind and quoted
+/// once per process.
+const std::array<std::string, indexes::kNumIndexKinds>& QuotedIndexKeys() {
+  static const std::array<std::string, indexes::kNumIndexKinds> keys = [] {
+    std::array<std::string, indexes::kNumIndexKinds> quoted;
+    for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
+      std::string& key = quoted[static_cast<size_t>(kind)];
+      AppendJsonQuoted(indexes::IndexKindToString(kind), &key);
+      key.push_back(':');
+    }
+    return quoted;
+  }();
+  return keys;
 }
-
-// JSON string escaping is shared with the HTTP front-end (scube::JsonQuote,
-// common/string_util.h) so the /query handler and the result serialisers
-// cannot drift.
-std::string JsonString(const std::string& s) { return JsonQuote(s); }
 
 }  // namespace
 
@@ -50,49 +55,74 @@ void VectorSink::Finish(const ResultTrailer& trailer) {
 bool JsonWriter::Begin(const ResultHeader& header) {
   header_ = header;
   std::string out = "{\"verb\":";
-  out += JsonString(VerbToString(header.verb));
+  AppendJsonQuoted(VerbToString(header.verb), &out);
   out += ",\"by\":";
-  out += JsonString(indexes::IndexKindToString(header.by));
+  AppendJsonQuoted(indexes::IndexKindToString(header.by), &out);
   out += ",\"rows\":[";
   return Write(out);
 }
 
 bool JsonWriter::Row(const ResultRow& row) {
-  std::string out;
+  std::string& out = line_;
+  out.clear();
   if (!first_row_) out += ',';
   first_row_ = false;
-  out += "{\"sa\":" + JsonString(row.sa) + ",\"ca\":" + JsonString(row.ca) +
-         ",\"T\":" + std::to_string(row.t) + ",\"M\":" + std::to_string(row.m) +
-         ",\"units\":" + std::to_string(row.units) + ",\"indexes\":{";
+  out += "{\"sa\":";
+  AppendJsonQuoted(row.sa, &out);
+  out += ",\"ca\":";
+  AppendJsonQuoted(row.ca, &out);
+  out += ",\"T\":";
+  AppendUint(row.t, &out);
+  out += ",\"M\":";
+  AppendUint(row.m, &out);
+  out += ",\"units\":";
+  AppendUint(row.units, &out);
+  out += ",\"indexes\":{";
+  const auto& keys = QuotedIndexKeys();
   bool first = true;
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     if (!first) out += ',';
     first = false;
-    out += JsonString(indexes::IndexKindToString(kind));
-    out += ':';
-    out += row.defined ? FormatDouble(row.indexes[static_cast<size_t>(kind)])
-                       : "null";
+    out += keys[static_cast<size_t>(kind)];
+    if (row.defined) {
+      AppendDouble6g(row.indexes[static_cast<size_t>(kind)], &out);
+    } else {
+      out += "null";
+    }
   }
   out += '}';
-  if (header_.has_value) out += ",\"value\":" + FormatDouble(row.value);
+  if (header_.has_value) {
+    out += ",\"value\":";
+    AppendDouble6g(row.value, &out);
+  }
   if (header_.has_aux) {
-    out += "," + JsonString(header_.aux_name) + ":" + FormatDouble(row.aux);
+    out += ',';
+    AppendJsonQuoted(header_.aux_name, &out);
+    out += ':';
+    AppendDouble6g(row.aux, &out);
   }
   if (header_.has_aux2) {
-    out += "," + JsonString(header_.aux2_name) + ":" + FormatDouble(row.aux2);
+    out += ',';
+    AppendJsonQuoted(header_.aux2_name, &out);
+    out += ':';
+    AppendDouble6g(row.aux2, &out);
   }
   if (header_.has_tag) {
-    out += "," + JsonString(header_.tag_name) + ":" + JsonString(row.tag);
+    out += ',';
+    AppendJsonQuoted(header_.tag_name, &out);
+    out += ':';
+    AppendJsonQuoted(row.tag, &out);
   }
   out += '}';
   return Write(out);
 }
 
 void JsonWriter::Finish(const ResultTrailer& trailer) {
-  std::string out = "],\"cells_scanned\":" +
-                    std::to_string(trailer.cells_scanned);
+  std::string out = "],\"cells_scanned\":";
+  AppendUint(trailer.cells_scanned, &out);
   if (!trailer.next_cursor.empty()) {
-    out += ",\"next_cursor\":" + JsonString(trailer.next_cursor);
+    out += ",\"next_cursor\":";
+    AppendJsonQuoted(trailer.next_cursor, &out);
   }
   out += '}';
   Write(out);
@@ -119,21 +149,38 @@ bool CsvWriter::Row(const ResultRow& row) {
   // Fields are quoted by the repo's CSV writer (the query CsvWriter
   // shadows its name here), so every rendering parses back through
   // CsvReader — which ends a record at an unquoted carriage return.
-  std::string out = scube::CsvWriter::EscapeField(row.sa, ',') + "," +
-                    scube::CsvWriter::EscapeField(row.ca, ',') + "," +
-                    std::to_string(row.t) + "," + std::to_string(row.m) + "," +
-                    std::to_string(row.units);
+  std::string& out = line_;
+  out.clear();
+  scube::CsvWriter::AppendEscapedField(row.sa, ',', &out);
+  out += ',';
+  scube::CsvWriter::AppendEscapedField(row.ca, ',', &out);
+  out += ',';
+  AppendUint(row.t, &out);
+  out += ',';
+  AppendUint(row.m, &out);
+  out += ',';
+  AppendUint(row.units, &out);
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     out += ",";
     if (row.defined) {
-      out += FormatDouble(row.indexes[static_cast<size_t>(kind)]);
+      AppendDouble6g(row.indexes[static_cast<size_t>(kind)], &out);
     }
   }
-  if (header_.has_value) out += "," + FormatDouble(row.value);
-  if (header_.has_aux) out += "," + FormatDouble(row.aux);
-  if (header_.has_aux2) out += "," + FormatDouble(row.aux2);
+  if (header_.has_value) {
+    out += ',';
+    AppendDouble6g(row.value, &out);
+  }
+  if (header_.has_aux) {
+    out += ',';
+    AppendDouble6g(row.aux, &out);
+  }
+  if (header_.has_aux2) {
+    out += ',';
+    AppendDouble6g(row.aux2, &out);
+  }
   if (header_.has_tag) {
-    out += "," + scube::CsvWriter::EscapeField(row.tag, ',');
+    out += ',';
+    scube::CsvWriter::AppendEscapedField(row.tag, ',', &out);
   }
   out += '\n';
   return Write(out);

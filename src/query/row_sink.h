@@ -94,6 +94,12 @@ class VectorSink : public RowSink {
 /// \brief Base for incremental text renderers. Bytes go to `write`; a
 /// false return (client disconnected, buffer refused) aborts the stream:
 /// Row starts returning false and further output is suppressed.
+///
+/// Rows render into `line_`, one buffer per writer: Row clears it, appends
+/// the whole row (numbers through std::to_chars, labels escaped in place)
+/// and calls Write once. After the first rows the buffer has grown to the
+/// longest row and rendering allocates nothing. A writer renders one
+/// answer; the buffer carries no state from one row to the next.
 class ResultWriter : public RowSink {
  public:
   /// Sinks bytes; false = stop producing.
@@ -110,6 +116,9 @@ class ResultWriter : public RowSink {
     return ok_;
   }
 
+  /// The reused row buffer (see the class comment).
+  std::string line_;
+
  private:
   WriteFn write_;
   bool ok_ = true;
@@ -117,6 +126,7 @@ class ResultWriter : public RowSink {
 
 /// \brief Streams the ToJson rendering:
 /// {"verb":...,"by":...,"rows":[R,...],"cells_scanned":N[,"next_cursor":C]}.
+/// Doubles carry 6 significant digits (printf "%.6g").
 class JsonWriter : public ResultWriter {
  public:
   using ResultWriter::ResultWriter;
@@ -132,6 +142,7 @@ class JsonWriter : public ResultWriter {
 
 /// \brief Streams the ToCsv rendering: header line, one line per row, and
 /// a trailing "# next_cursor: ..." comment when a resume token is set.
+/// Doubles carry 6 significant digits, as in JsonWriter.
 class CsvWriter : public ResultWriter {
  public:
   using ResultWriter::ResultWriter;

@@ -1,9 +1,9 @@
 #include "query/service.h"
 
-#include <cstdio>
 #include <memory>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "query/executor.h"
@@ -42,8 +42,6 @@ void MetricCounter(std::string* out, const char* name, uint64_t value,
 
 void MetricGauge(std::string* out, const char* name, double value,
                  const char* help) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
   *out += "# HELP ";
   *out += name;
   *out += ' ';
@@ -53,7 +51,7 @@ void MetricGauge(std::string* out, const char* name, double value,
   *out += " gauge\n";
   *out += name;
   *out += ' ';
-  *out += buf;
+  *out += ExactDoubleText(value);
   *out += '\n';
 }
 

@@ -1,7 +1,6 @@
 #include "query/wire_format.h"
 
 #include <bit>
-#include <cstdio>
 #include <vector>
 
 #include "common/string_util.h"
@@ -18,6 +17,14 @@ void AppendHex(std::string_view bytes, std::string* out) {
     out->push_back(kHexDigits[c >> 4]);
     out->push_back(kHexDigits[c & 0xf]);
   }
+}
+
+/// Appends the 16 hex digits of a double's IEEE-754 bit pattern.
+void AppendWireDouble(double v, std::string* out) {
+  uint64_t bits = std::bit_cast<uint64_t>(v);
+  char hex[16];
+  for (int i = 15; i >= 0; --i, bits >>= 4) hex[i] = kHexDigits[bits & 0xf];
+  out->append(hex, sizeof(hex));
 }
 
 int HexNibble(char c) {
@@ -102,22 +109,27 @@ Status BadLine(const char* what) {
 }  // namespace
 
 void AppendWireEscaped(std::string_view text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '\\': *out += "\\\\"; break;
-      case '\t': *out += "\\t"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      default: out->push_back(c);
+  size_t plain = 0;  // start of the run not yet copied
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char* escaped = nullptr;
+    switch (text[i]) {
+      case '\\': escaped = "\\\\"; break;
+      case '\t': escaped = "\\t"; break;
+      case '\n': escaped = "\\n"; break;
+      case '\r': escaped = "\\r"; break;
+      default: continue;
     }
+    out->append(text.data() + plain, i - plain);
+    out->append(escaped);
+    plain = i + 1;
   }
+  out->append(text.data() + plain, text.size() - plain);
 }
 
 std::string WireDouble(double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
-  return buf;
+  std::string out;
+  AppendWireDouble(v, &out);
+  return out;
 }
 
 bool WireWriter::Begin(const ResultHeader& header) {
@@ -144,30 +156,31 @@ bool WireWriter::Begin(const ResultHeader& header) {
 }
 
 bool WireWriter::Row(const ResultRow& row) {
-  std::string line = "R\t";
+  std::string& line = line_;
+  line = "R\t";
   AppendHex(row.skey, &line);
   line += '\t';
   AppendWireEscaped(row.sa, &line);
   line += '\t';
   AppendWireEscaped(row.ca, &line);
   line += '\t';
-  line += std::to_string(row.t);
+  AppendUint(row.t, &line);
   line += '\t';
-  line += std::to_string(row.m);
+  AppendUint(row.m, &line);
   line += '\t';
-  line += std::to_string(row.units);
+  AppendUint(row.units, &line);
   line += '\t';
   line += row.defined ? '1' : '0';
   for (double v : row.indexes) {
     line += '\t';
-    line += WireDouble(v);
+    AppendWireDouble(v, &line);
   }
   line += '\t';
-  line += WireDouble(row.value);
+  AppendWireDouble(row.value, &line);
   line += '\t';
-  line += WireDouble(row.aux);
+  AppendWireDouble(row.aux, &line);
   line += '\t';
-  line += WireDouble(row.aux2);
+  AppendWireDouble(row.aux2, &line);
   line += '\t';
   AppendWireEscaped(row.tag, &line);
   line += '\n';

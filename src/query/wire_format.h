@@ -18,9 +18,12 @@
 // k-way merge compares. Free-text fields escape \, tab, CR and LF.
 //
 // H/R/T are written by WireWriter (a ResultWriter like Json/CsvWriter);
-// the final S line is appended by the HTTP handler once the execution
-// outcome (status, version, cache_hit) is known. Errors caught before
-// Begin never enter the stream: they are plain buffered HTTP errors.
+// each R line is appended into the writer's reused row buffer (integers
+// through std::to_chars, doubles as 16 table-driven hex digits, labels
+// escaped in place) and written once. The final S line is appended by the
+// HTTP handler once the execution outcome (status, version, cache_hit) is
+// known. Errors caught before Begin never enter the stream: they are plain
+// buffered HTTP errors.
 
 #ifndef SCUBE_QUERY_WIRE_FORMAT_H_
 #define SCUBE_QUERY_WIRE_FORMAT_H_

@@ -22,6 +22,7 @@ fpm::ItemId ItemCatalog::GetOrAdd(size_t attr_index,
   if (it != index_.end()) return it->second;
   fpm::ItemId item = static_cast<fpm::ItemId>(infos_.size());
   infos_.push_back(ItemInfo{attr_index, attr_name, value, kind});
+  labels_.push_back(attr_name + "=" + value);
   index_.emplace(std::move(key), item);
   return item;
 }
@@ -32,16 +33,16 @@ fpm::ItemId ItemCatalog::Find(size_t attr_index,
   return it == index_.end() ? fpm::kInvalidItem : it->second;
 }
 
-std::string ItemCatalog::Label(fpm::ItemId item) const {
-  SCUBE_CHECK(item < infos_.size());
-  const ItemInfo& info = infos_[item];
-  return info.attr_name + "=" + info.value;
+const std::string& ItemCatalog::Label(fpm::ItemId item) const {
+  SCUBE_CHECK(item < labels_.size());
+  return labels_[item];
 }
 
 std::string ItemCatalog::LabelSet(const fpm::Itemset& items) const {
   if (items.empty()) return "*";
   // Render in (attribute, value) order rather than raw item-id order so the
-  // output is stable and human-sensible regardless of encoding order.
+  // output is stable and human-sensible regardless of encoding order. Only
+  // ids are ordered; the labels rendered on add are appended.
   std::vector<fpm::ItemId> ordered(items.items());
   std::sort(ordered.begin(), ordered.end(),
             [this](fpm::ItemId a, fpm::ItemId b) {
@@ -52,7 +53,10 @@ std::string ItemCatalog::LabelSet(const fpm::Itemset& items) const {
               }
               return ia.value < ib.value;
             });
+  size_t size = 3 * (ordered.size() - 1);
+  for (fpm::ItemId item : ordered) size += Label(item).size();
   std::string out;
+  out.reserve(size);
   for (size_t i = 0; i < ordered.size(); ++i) {
     if (i > 0) out += " & ";
     out += Label(ordered[i]);

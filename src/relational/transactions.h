@@ -3,7 +3,9 @@
 // Cube coordinates are encoded as itemsets: one item per (attribute, value)
 // pair, partitioned into segregation items (SA) and context items (CA). The
 // catalog records the meaning of every item so mined itemsets can be decoded
-// back into cube coordinates.
+// back into cube coordinates, and renders each item's "attr=value" label
+// once, when the item is added: every row, CSV line and sheet cell that
+// names a cell reuses those strings.
 
 #ifndef SCUBE_RELATIONAL_TRANSACTIONS_H_
 #define SCUBE_RELATIONAL_TRANSACTIONS_H_
@@ -42,10 +44,13 @@ class ItemCatalog {
   size_t size() const { return infos_.size(); }
   const ItemInfo& info(fpm::ItemId item) const { return infos_[item]; }
 
-  /// Human-readable item label, e.g. "sex=female".
-  std::string Label(fpm::ItemId item) const;
+  /// Human-readable item label, e.g. "sex=female". Rendered once, when
+  /// the item is added; the reference lives as long as the catalog.
+  const std::string& Label(fpm::ItemId item) const;
 
-  /// Renders an itemset as "sex=female & region=north" ("⋆" when empty).
+  /// Renders an itemset as "sex=female & region=north" ("*" when empty),
+  /// in (attribute, value) order. Orders item ids and appends their
+  /// labels; no per-item string is built.
   std::string LabelSet(const fpm::Itemset& items) const;
 
   /// Partitions an itemset into its SA and CA parts.
@@ -60,6 +65,7 @@ class ItemCatalog {
 
  private:
   std::vector<ItemInfo> infos_;
+  std::vector<std::string> labels_;  ///< "attr=value", parallel to infos_
   std::unordered_map<std::string, fpm::ItemId> index_;  // "attr\x1Fvalue"
 };
 

@@ -1,7 +1,5 @@
 #include "server/metrics.h"
 
-#include <cstdio>
-
 #include "common/string_util.h"
 
 namespace scube {
@@ -30,8 +28,6 @@ void Counter(std::string* out, const char* name, uint64_t value,
 
 void Gauge(std::string* out, const char* name, double value,
            const char* help) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
   *out += "# HELP ";
   *out += name;
   *out += ' ';
@@ -41,15 +37,8 @@ void Gauge(std::string* out, const char* name, double value,
   *out += " gauge\n";
   *out += name;
   *out += ' ';
-  *out += buf;
+  *out += ExactDoubleText(value);
   *out += '\n';
-}
-
-/// Formats a seconds value for exposition ("0.005", "2.5", "1e-05").
-std::string Seconds(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", s);
-  return buf;
 }
 
 /// HELP/TYPE comment lines for one histogram family; emitted once per
@@ -87,8 +76,9 @@ void HistogramSeries(std::string* out, const char* name,
   for (size_t i = 0; i < trace::LatencyHistogram::kBucketBoundsMs.size();
        ++i) {
     cumulative += hist.bucket(i);
-    bucket_line(Seconds(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
-                cumulative);
+    bucket_line(
+        ExactDoubleText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
+        cumulative);
   }
   cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
   bucket_line("+Inf", cumulative);
@@ -105,7 +95,7 @@ void HistogramSeries(std::string* out, const char* name,
     *out += value;
     *out += '\n';
   };
-  sample("_sum", Seconds(hist.sum_ms() / 1000.0));
+  sample("_sum", ExactDoubleText(hist.sum_ms() / 1000.0));
   sample("_count", std::to_string(hist.count()));
 }
 

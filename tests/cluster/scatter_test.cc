@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <memory>
 #include <regex>
 #include <string>
@@ -357,6 +359,38 @@ TEST_F(ScatterTest, AllowPartialDegradesAnalyticVerbsOnly) {
   EXPECT_FALSE(navigation.status.ok());
   EXPECT_NE(navigation.status.message().find("shard 2"), std::string::npos)
       << navigation.status;
+}
+
+TEST_F(ScatterTest, ThresholdsThatRoundAlikeRouteExactly) {
+  // The router re-sends each statement's canonical text to the shards; a
+  // threshold must reach them bit for bit, or a finding whose delta sits
+  // between two thresholds with one 6-digit text lands on the wrong side.
+  auto probe = single_->ExecuteOne("SURPRISES BY dissimilarity MINDELTA 0.001");
+  ASSERT_TRUE(probe.status.ok()) << probe.status;
+  ASSERT_FALSE(probe.result.rows.empty());
+  const double delta = probe.result.rows[0].aux;
+  const double below = std::nextafter(delta, 0.0);
+  const double above = std::nextafter(delta, 1.0);
+  char below_g[32], above_g[32];
+  std::snprintf(below_g, sizeof(below_g), "%g", below);
+  std::snprintf(above_g, sizeof(above_g), "%g", above);
+  ASSERT_STREQ(below_g, above_g);
+
+  Topology topo(2);
+  size_t rows[2] = {0, 0};
+  for (int side = 0; side < 2; ++side) {
+    char text[96];
+    std::snprintf(text, sizeof(text),
+                  "SURPRISES BY dissimilarity MINDELTA %.17g",
+                  side == 0 ? below : above);
+    // A cache-less single node per statement: the reference answer.
+    query::QueryService fresh(&single_store_, query::ServiceOptions{});
+    std::string expected = StreamJson(&fresh, text);
+    rows[side] = fresh.ExecuteOne(text).result.rows.size();
+    EXPECT_EQ(Mask(StreamJson(topo.scatter.get(), text)), Mask(expected))
+        << text;
+  }
+  EXPECT_GT(rows[0], rows[1]);
 }
 
 TEST_F(ScatterTest, ListCubesIntersectsAgreeingShards) {

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <vector>
+
+#include "common/random.h"
+
 namespace scube {
 namespace {
 
@@ -138,6 +148,115 @@ TEST(FormatTest, DoubleAndCommas) {
   EXPECT_EQ(FormatWithCommas(1000), "1,000");
   EXPECT_EQ(FormatWithCommas(3600000), "3,600,000");
   EXPECT_EQ(FormatWithCommas(-2150000), "-2,150,000");
+}
+
+TEST(JsonEscapeTest, AppendJsonQuotedMatchesJsonQuote) {
+  const std::string text("a\"b\\c\n\x01\x1f d\xc3\xa9", 12);
+  std::string out = "x";
+  AppendJsonQuoted(text, &out);
+  EXPECT_EQ(out, "x" + JsonQuote(text));
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\n\\u0001\\u001f d\xc3\xa9\"");
+}
+
+TEST(FormatTest, AppendUintWritesEveryDigit) {
+  std::string out;
+  AppendUint(0, &out);
+  out += ' ';
+  AppendUint(1234567, &out);
+  out += ' ';
+  AppendUint(UINT64_MAX, &out);
+  EXPECT_EQ(out, "0 1234567 18446744073709551615");
+}
+
+/// The oracle: what the result rows printed before std::to_chars.
+std::string Printf6g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+std::string Append6g(double v) {
+  std::string out;
+  AppendDouble6g(v, &out);
+  return out;
+}
+
+/// A seeded sweep over the doubles %.6g rendering is hard on: signed zero,
+/// infinities, NaN, subnormals, every decade with sampled mantissas, the
+/// decimal midpoints where six-digit rounding ties (and their neighbours
+/// one ulp away), random values in [0, 1) at every scale, and random bit
+/// patterns.
+std::vector<double> SweepValues() {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,  -0.0, Limits::infinity(),
+                                -Limits::infinity(), Limits::quiet_NaN(),
+                                -Limits::quiet_NaN(), Limits::denorm_min(),
+                                Limits::min(), Limits::max(), 1e-05, 0.0001,
+                                999999.5, 123456.5, 1234567, 0.1, 1.0 / 3};
+  Rng rng(6);
+  char text[48];
+  for (int e = -330; e <= 310; ++e) {
+    for (int i = 0; i < 12; ++i) {
+      // A sampled 1-3 digit mantissa, and a 7-digit midpoint d.ddddd5.
+      std::snprintf(text, sizeof(text), "%de%d",
+                    static_cast<int>(rng.NextInt(1, 999)), e);
+      values.push_back(std::strtod(text, nullptr));
+      std::snprintf(text, sizeof(text), "%d5e%d",
+                    static_cast<int>(rng.NextInt(100000, 999999)), e - 6);
+      const double mid = std::strtod(text, nullptr);
+      values.push_back(mid);
+      values.push_back(std::nextafter(mid, Limits::infinity()));
+      values.push_back(std::nextafter(mid, -Limits::infinity()));
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(rng.NextDouble() * std::pow(10.0, rng.NextInt(-30, 30)));
+    values.push_back(std::bit_cast<double>(rng.Next()));
+  }
+  const size_t n = values.size();
+  for (size_t i = 0; i < n; ++i) values.push_back(-values[i]);
+  return values;
+}
+
+TEST(DoubleFormatTest, SixDigitsMatchPrintfOverASeededSweep) {
+  size_t mismatches = 0;
+  for (double v : SweepValues()) {
+    if (Append6g(v) != Printf6g(v) && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": to_chars " << Append6g(v)
+                    << " vs printf " << Printf6g(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(DoubleFormatTest, ExactKeepsSixDigitTextThatReadsBack) {
+  EXPECT_EQ(ExactDoubleText(0.05), "0.05");
+  EXPECT_EQ(ExactDoubleText(0.1), "0.1");
+  EXPECT_EQ(ExactDoubleText(2.5), "2.5");
+  EXPECT_EQ(ExactDoubleText(1e-05), "1e-05");
+  EXPECT_EQ(ExactDoubleText(1e+06), "1e+06");
+  EXPECT_EQ(ExactDoubleText(-0.0), "-0");
+  EXPECT_EQ(ExactDoubleText(10), "10");
+  // Past six digits: the shortest text that reads back.
+  EXPECT_EQ(ExactDoubleText(1234567), "1234567");
+  EXPECT_EQ(ExactDoubleText(1.0 / 3), "0.3333333333333333");
+  EXPECT_EQ(ExactDoubleText(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(ExactDoubleText(std::nextafter(0.05, 1.0)),
+            "0.05000000000000001");
+}
+
+TEST(DoubleFormatTest, ExactAlwaysParsesBackBitForBit) {
+  size_t mismatches = 0;
+  for (double v : SweepValues()) {
+    if (std::isnan(v)) continue;
+    const std::string text = ExactDoubleText(v);
+    const double back = std::strtod(text.c_str(), nullptr);
+    if (std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(v) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << " -> " << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

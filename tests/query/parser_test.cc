@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/random.h"
 #include "query/ast.h"
 
 namespace scube {
@@ -144,6 +151,38 @@ TEST(ParserTest, CanonicalRoundTrip) {
     EXPECT_TRUE(first == second) << text << " vs " << canonical;
     EXPECT_EQ(canonical, Canonical(second)) << text;
   }
+}
+
+TEST(ParserTest, CanonicalThresholdsParseBackBitExact) {
+  // The canonical text keys the result cache, is what the router sends
+  // each shard and feeds the cursor hash, so a threshold must survive it
+  // bit for bit: two thresholds that round to one 6-digit text would
+  // otherwise share one cached answer.
+  std::vector<double> thresholds = {0.0, -0.0, 0.05, 0.1, 0.15, 1e-05,
+                                    std::numeric_limits<double>::denorm_min(),
+                                    std::numeric_limits<double>::max()};
+  Rng rng(20260517);
+  for (int i = 0; i < 2000; ++i) {
+    double v = rng.NextDouble() * std::pow(10.0, rng.NextInt(-9, 9));
+    if (rng.NextBool(0.25)) v = -v;
+    thresholds.push_back(v);
+    thresholds.push_back(std::nextafter(v, 1.0));
+  }
+  for (double threshold : thresholds) {
+    for (Verb verb : {Verb::kSurprises, Verb::kReversals}) {
+      Query q;
+      q.verb = verb;
+      q.threshold = threshold;
+      std::string canonical = Canonical(q);
+      Query back = MustParse(canonical);
+      EXPECT_EQ(std::bit_cast<uint64_t>(back.threshold),
+                std::bit_cast<uint64_t>(threshold))
+          << canonical;
+    }
+  }
+  // A threshold whose 6-digit text already reads back keeps that text.
+  EXPECT_EQ(Canonical(MustParse("SURPRISES MINDELTA 0.05")),
+            "SURPRISES BY dissimilarity MINDELTA 0.05");
 }
 
 TEST(ParserTest, CanonicalNormalisesEquivalentSpellings) {

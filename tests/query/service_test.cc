@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -187,6 +189,53 @@ TEST(QueryServiceTest, CsvAndJsonSerialisationsStayStable) {
             "interaction,atkinson\n"
             "sex=F,region=north,60,25,2,0.5,0,0,0,0,0\n");
   EXPECT_NE(ToJson(resp.result).find("\"T\":60"), std::string::npos);
+}
+
+/// `text` with "%.17g" of `v` appended: a threshold spelled exactly.
+std::string WithThreshold(const std::string& text, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return text + buf;
+}
+
+/// "%g" of `v`: the 6-digit text Canonical() once rendered thresholds as.
+std::string SixDigits(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+TEST(QueryServiceTest, ThresholdsThatRoundAlikeAreCachedApart) {
+  // The north cell's delta over its parent has more than six digits.
+  CubeStore store;
+  store.Publish("default", MakeCube(0.1 + 1.0 / 3));
+  QueryService service(&store, ServiceOptions{});
+  const std::string base = "SURPRISES BY dissimilarity MINDELTA ";
+  auto probe = service.ExecuteOne(base + "0.05");
+  ASSERT_TRUE(probe.status.ok()) << probe.status;
+  ASSERT_FALSE(probe.result.rows.empty());
+  const double delta = probe.result.rows[0].aux;  // the largest delta
+
+  // Just below and just above the delta: the finding is in the first
+  // answer and not in the second, yet both print as one 6-digit text.
+  const double below = std::nextafter(delta, 0.0);
+  const double above = std::nextafter(delta, 1.0);
+  ASSERT_EQ(SixDigits(below), SixDigits(above));
+
+  auto first = service.ExecuteOne(WithThreshold(base, below));
+  ASSERT_TRUE(first.status.ok()) << first.status;
+  EXPECT_EQ(first.result.rows.size(), 1u);
+  auto second = service.ExecuteOne(WithThreshold(base, above));
+  ASSERT_TRUE(second.status.ok()) << second.status;
+  EXPECT_FALSE(second.cache_hit);
+
+  CubeStore fresh_store;
+  fresh_store.Publish("default", MakeCube(0.1 + 1.0 / 3));
+  QueryService fresh(&fresh_store, ServiceOptions{});
+  auto expected = fresh.ExecuteOne(WithThreshold(base, above));
+  ASSERT_TRUE(expected.status.ok()) << expected.status;
+  EXPECT_TRUE(expected.result.rows.empty());
+  EXPECT_EQ(ToJson(second.result), ToJson(expected.result));
 }
 
 }  // namespace

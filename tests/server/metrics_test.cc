@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -163,6 +164,54 @@ TEST(MetricsTest, SlowQueriesCounterIsExposed) {
   EXPECT_NE(out.find("scubed_slow_queries_total 1"), std::string::npos);
   EXPECT_NE(out.find("# TYPE scubed_slow_queries_total counter"),
             std::string::npos);
+}
+
+/// The value of the first sample line that starts with `prefix`.
+std::string SampleValue(const std::string& out, const std::string& prefix) {
+  size_t at = out.find("\n" + prefix);
+  if (at == std::string::npos) return "";
+  at += 1 + prefix.size();
+  return out.substr(at, out.find('\n', at) - at);
+}
+
+TEST(MetricsTest, GaugesKeepEveryDigit) {
+  RenderFixture fx;
+  fx.metrics.RaiseMax(fx.metrics.buffered_body_peak, 1234567);
+  std::string out = fx.Render();
+  // Not "1.23457e+06": a byte count past six digits reads exactly.
+  EXPECT_EQ(SampleValue(out, "scubed_buffered_body_peak_bytes "), "1234567");
+}
+
+TEST(MetricsTest, HistogramSumParsesBackExactly) {
+  RenderFixture fx;
+  // 1,234,567.891 ms: the _sum in seconds needs ten significant digits.
+  fx.metrics.ObserveRoute(Route::kQuery, 1234567.891);
+  const trace::LatencyHistogram& hist =
+      fx.metrics.route_latency[static_cast<size_t>(Route::kQuery)];
+  std::string text = SampleValue(
+      fx.Render(), "scubed_request_latency_seconds_sum{route=\"query\"} ");
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(std::strtod(text.c_str(), nullptr), hist.sum_ms() / 1000.0)
+      << text;
+}
+
+TEST(MetricsTest, BucketBoundLabelsAreUnchanged) {
+  RenderFixture fx;
+  std::string out = fx.Render();
+  // The le label text scrapers key on, exactly as the 6-digit renderer
+  // wrote it: every bound already reads back as itself.
+  const std::vector<std::string> expected = {
+      "1e-05", "2.5e-05", "5e-05", "0.0001", "0.00025", "0.0005", "0.001",
+      "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5",
+      "1", "2.5", "5", "10", "+Inf"};
+  std::vector<std::string> labels;
+  const std::string key = "scubed_stream_ttfb_seconds_bucket{le=\"";
+  for (size_t at = out.find(key); at != std::string::npos;
+       at = out.find(key, at + 1)) {
+    size_t begin = at + key.size();
+    labels.push_back(out.substr(begin, out.find('"', begin) - begin));
+  }
+  EXPECT_EQ(labels, expected);
 }
 
 TEST(SlowQueryLogTest, FormatLineIsTheDocumentedJsonShape) {
