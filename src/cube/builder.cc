@@ -81,13 +81,14 @@ struct WorkerScratch {
   std::vector<uint32_t> unit_counts;      // dense t_i scratch
   std::vector<uint32_t> minority_counts;  // dense m_i scratch
   indexes::GroupDistribution dist;
+  indexes::IndexScratch index_scratch;
 };
 
 // Fills every cell of one context group into `out_cells` (same order as
 // grp.sas). Returns the first index-computation error, if any.
 Status FillContextGroup(const relational::EncodedRelation& encoded,
                         const DenseItemCovers& covers,
-                        const CubeBuilderOptions& options,
+                        const indexes::UnitTermTable& terms,
                         const ContextGroup& grp, WorkerScratch& ws,
                         std::vector<CubeCell>* out_cells) {
   const std::vector<uint32_t>& row_unit = encoded.row_unit;
@@ -137,7 +138,7 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
     cell.context_size = ws.dist.Total();
     cell.minority_size = ws.dist.Minority();
     cell.num_units = static_cast<uint32_t>(ws.dist.NumUnits());
-    auto idx = indexes::ComputeAllIndexes(ws.dist, options.index_params);
+    auto idx = indexes::ComputeAllIndexes(ws.dist, terms, &ws.index_scratch);
     if (!idx.ok()) return idx.status();
     cell.indexes = idx.value();
     out_cells->push_back(std::move(cell));
@@ -162,6 +163,11 @@ Result<SegregationCube> BuildSegregationCube(
     return Status::FailedPrecondition("finalTable has no rows");
   }
 
+  // Also rejects NaN; inf would make the cast below undefined.
+  if (!(options.min_support_fraction >= 0.0 &&
+        options.min_support_fraction <= 1.0)) {
+    return Status::InvalidArgument("min_support_fraction must be in [0,1]");
+  }
   uint64_t min_support = options.min_support;
   if (options.min_support_fraction > 0.0) {
     min_support = std::max(
@@ -224,17 +230,27 @@ Result<SegregationCube> BuildSegregationCube(
   st->threads_used = static_cast<uint32_t>(threads);
 
   const DenseItemCovers covers(encoded.db);
+  const size_t num_units = encoded.unit_labels.size();
+  // No cell's t_i exceeds its unit's size, so a table up to the largest
+  // unit (or the table bound) serves every unit the bound allows.
+  std::vector<uint64_t> unit_sizes(num_units, 0);
+  for (uint32_t unit : encoded.row_unit) ++unit_sizes[unit];
+  auto terms = indexes::UnitTermTable::Build(
+      unit_sizes.empty()
+          ? 0
+          : *std::max_element(unit_sizes.begin(), unit_sizes.end()),
+      options.index_params);
+  if (!terms.ok()) return terms.status();
   std::vector<std::vector<CubeCell>> group_cells(groups.size());
   std::vector<Status> group_status(groups.size());
-  const size_t num_units = encoded.unit_labels.size();
   // The explicit sequential branch keeps single-threaded builds from
   // instantiating the process-wide pool (ParallelFor would work, but
   // Shared() spawns hardware_concurrency workers on first touch).
   if (threads <= 1) {
     WorkerScratch scratch(num_units);
     for (size_t g = 0; g < groups.size(); ++g) {
-      group_status[g] = FillContextGroup(encoded, covers, options, groups[g],
-                                         scratch, &group_cells[g]);
+      group_status[g] = FillContextGroup(encoded, covers, terms.value(),
+                                         groups[g], scratch, &group_cells[g]);
     }
   } else {
     std::vector<std::unique_ptr<WorkerScratch>> scratch(threads);
@@ -244,7 +260,7 @@ Result<SegregationCube> BuildSegregationCube(
             scratch[worker] = std::make_unique<WorkerScratch>(num_units);
           }
           group_status[g] =
-              FillContextGroup(encoded, covers, options, groups[g],
+              FillContextGroup(encoded, covers, terms.value(), groups[g],
                                *scratch[worker], &group_cells[g]);
         });
   }

@@ -16,7 +16,12 @@
 //      share B; cover(A ∪ B) narrows it by A's item words; a countr_zero
 //      walk through the row→unit array turns either into per-unit counts;
 //   4. fills the cell with all six segregation indexes (undefined cells —
-//      M = 0 or M = T — stay in the cube and render as "-", Fig. 1).
+//      M = 0 or M = T — stay in the cube and render as "-", Fig. 1) in
+//      one pass over its units (indexes::ComputeAllIndexes); each unit's
+//      (m_i, t_i) terms come from a UnitTermTable built once per fill for
+//      units of up to min(largest unit, UnitTermTable::kMaxTotalBound)
+//      members and shared read-only by the workers, larger units compute
+//      theirs directly, and the cell's bits are the same either way.
 
 #ifndef SCUBE_CUBE_BUILDER_H_
 #define SCUBE_CUBE_BUILDER_H_
@@ -38,7 +43,8 @@ struct CubeBuilderOptions {
   /// Absolute minimum support (individuals) for a cell to materialise.
   uint64_t min_support = 1;
 
-  /// Alternative relative threshold; the effective minimum support is
+  /// Alternative relative threshold in [0,1] (anything else, NaN too, is
+  /// InvalidArgument); the effective minimum support is
   /// max(min_support, ceil(min_support_fraction * |rows|)).
   double min_support_fraction = 0.0;
 
@@ -59,7 +65,7 @@ struct CubeBuilderOptions {
   /// one worker, and group outputs merge in deterministic order.
   size_t num_threads = 1;
 
-  /// Atkinson parameter etc.
+  /// Atkinson parameter etc.; a b outside (0,1) is InvalidArgument.
   indexes::IndexParams index_params;
 
   /// Optional span sink (not owned). Phases record as "build.encode",

@@ -3,20 +3,6 @@
 namespace scube {
 namespace indexes {
 
-void GroupDistribution::AddUnit(uint64_t total, uint64_t minority) {
-  totals_.push_back(total);
-  minorities_.push_back(minority);
-  total_ += total;
-  minority_ += minority;
-}
-
-void GroupDistribution::Clear() {
-  totals_.clear();
-  minorities_.clear();
-  total_ = 0;
-  minority_ = 0;
-}
-
 GroupDistribution GroupDistribution::FromVectors(
     const std::vector<uint64_t>& totals,
     const std::vector<uint64_t>& minorities) {

@@ -4,6 +4,9 @@
 // Notation follows the paper (§2): T = total population, 0 < M < T the
 // minority size, n organisational units, t_i the unit-i population and m_i
 // the unit-i minority count, P = M/T.
+//
+// The cube fill refills one GroupDistribution per worker for every cell
+// (Clear, then AddUnit per unit), so both are inline and keep capacity.
 
 #ifndef SCUBE_INDEXES_COUNTS_H_
 #define SCUBE_INDEXES_COUNTS_H_
@@ -23,10 +26,20 @@ class GroupDistribution {
 
   /// Appends a unit with `total` members of which `minority` are minority.
   /// Units with total == 0 may be added; they are ignored by all indexes.
-  void AddUnit(uint64_t total, uint64_t minority);
+  void AddUnit(uint64_t total, uint64_t minority) {
+    totals_.push_back(total);
+    minorities_.push_back(minority);
+    total_ += total;
+    minority_ += minority;
+  }
 
   /// Removes every unit; keeps the allocated capacity for reuse.
-  void Clear();
+  void Clear() {
+    totals_.clear();
+    minorities_.clear();
+    total_ = 0;
+    minority_ = 0;
+  }
 
   /// Convenience: builds from parallel vectors.
   static GroupDistribution FromVectors(const std::vector<uint64_t>& totals,
@@ -45,7 +58,9 @@ class GroupDistribution {
   /// P = M/T (0 when T == 0).
   double MinorityProportion() const;
 
-  /// Checks structural invariants: m_i <= t_i for every unit.
+  /// Checks structural invariants: m_i <= t_i for every unit; the error
+  /// names the first unit that breaks them. (ComputeAllIndexes makes the
+  /// same check inside its one pass and calls this only to report.)
   Status Validate() const;
 
   /// True iff a segregation index is well defined: T > 0, 0 < M < T, and at

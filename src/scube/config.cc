@@ -1,5 +1,6 @@
 #include "scube/config.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/string_util.h"
@@ -9,12 +10,26 @@ namespace pipeline {
 
 namespace {
 
+// The values a double key accepts; every one excludes NaN and ±inf.
+enum class Range { kFinite, kClosedUnit, kOpenUnit };
+
 Status SetKey(PipelineConfig* config, const std::string& key,
               const std::string& value) {
-  auto parse_double = [&](double* out) -> Status {
+  auto parse_double = [&](double* out, Range range = Range::kFinite)
+      -> Status {
     auto v = ParseDouble(value);
     if (!v.ok()) return v.status().WithContext(key);
-    *out = v.value();
+    const double d = v.value();
+    if (!std::isfinite(d)) {
+      return Status::InvalidArgument(key + " must be finite");
+    }
+    if (range == Range::kClosedUnit && !(d >= 0.0 && d <= 1.0)) {
+      return Status::InvalidArgument(key + " must be in [0,1]");
+    }
+    if (range == Range::kOpenUnit && !(d > 0.0 && d < 1.0)) {
+      return Status::InvalidArgument(key + " must be in (0,1)");
+    }
+    *out = d;
     return Status::OK();
   };
   auto parse_u32 = [&](uint32_t* out) -> Status {
@@ -76,8 +91,12 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     config->threshold.giant_only = value == "true";
     return Status::OK();
   }
-  if (key == "stoc.tau") return parse_double(&config->stoc.tau);
-  if (key == "stoc.alpha") return parse_double(&config->stoc.alpha);
+  if (key == "stoc.tau") {
+    return parse_double(&config->stoc.tau, Range::kClosedUnit);
+  }
+  if (key == "stoc.alpha") {
+    return parse_double(&config->stoc.alpha, Range::kClosedUnit);
+  }
   if (key == "stoc.max_radius") return parse_u32(&config->stoc.max_radius);
   if (key == "projection.hub_cap") {
     return parse_u32(&config->projection.hub_cap);
@@ -95,7 +114,8 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     return Status::OK();
   }
   if (key == "cube.min_support_fraction") {
-    return parse_double(&config->cube.min_support_fraction);
+    return parse_double(&config->cube.min_support_fraction,
+                        Range::kClosedUnit);
   }
   if (key == "cube.max_sa_items") {
     return parse_u32(&config->cube.max_sa_items);
@@ -116,7 +136,8 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     return Status::OK();
   }
   if (key == "cube.atkinson_b") {
-    return parse_double(&config->cube.index_params.atkinson_b);
+    return parse_double(&config->cube.index_params.atkinson_b,
+                        Range::kOpenUnit);
   }
   if (key == "cube.num_threads") {
     auto v = ParseInt64(value);
@@ -163,20 +184,20 @@ std::string PipelineConfigToString(const PipelineConfig& config) {
   out += "method = " + std::string(ClusterMethodToString(config.method)) +
          "\n";
   out += "threshold.min_weight = " +
-         FormatDouble(config.threshold.min_weight, 3) + "\n";
+         ExactDoubleText(config.threshold.min_weight) + "\n";
   out += "threshold.giant_only = " +
          std::string(config.threshold.giant_only ? "true" : "false") + "\n";
-  out += "stoc.tau = " + FormatDouble(config.stoc.tau, 3) + "\n";
-  out += "stoc.alpha = " + FormatDouble(config.stoc.alpha, 3) + "\n";
+  out += "stoc.tau = " + ExactDoubleText(config.stoc.tau) + "\n";
+  out += "stoc.alpha = " + ExactDoubleText(config.stoc.alpha) + "\n";
   out += "stoc.max_radius = " + std::to_string(config.stoc.max_radius) + "\n";
   out += "projection.hub_cap = " +
          std::to_string(config.projection.hub_cap) + "\n";
   out += "projection.min_weight = " +
-         FormatDouble(config.projection.min_weight, 3) + "\n";
+         ExactDoubleText(config.projection.min_weight) + "\n";
   out += "cube.min_support = " + std::to_string(config.cube.min_support) +
          "\n";
   out += "cube.min_support_fraction = " +
-         FormatDouble(config.cube.min_support_fraction, 6) + "\n";
+         ExactDoubleText(config.cube.min_support_fraction) + "\n";
   out += "cube.max_sa_items = " + std::to_string(config.cube.max_sa_items) +
          "\n";
   out += "cube.max_ca_items = " + std::to_string(config.cube.max_ca_items) +
@@ -187,7 +208,7 @@ std::string PipelineConfigToString(const PipelineConfig& config) {
                          ? "closed"
                          : "maximal") + "\n";
   out += "cube.atkinson_b = " +
-         FormatDouble(config.cube.index_params.atkinson_b, 3) + "\n";
+         ExactDoubleText(config.cube.index_params.atkinson_b) + "\n";
   out += "cube.num_threads = " + std::to_string(config.cube.num_threads) +
          "\n";
   return out;

@@ -14,7 +14,8 @@ namespace scube {
 namespace pipeline {
 
 /// Parses a config document. Recognised keys (all optional; unknown keys
-/// are errors, values are validated):
+/// are NotFound, malformed numbers ParseError; a double that is NaN, ±inf
+/// or outside its range below is InvalidArgument naming the key):
 ///
 ///   unit_source            group-clusters | group-attribute |
 ///                          individual-clusters
@@ -22,15 +23,15 @@ namespace pipeline {
 ///   date                   <integer>
 ///   method                 connected-components | threshold-cc | stoc |
 ///                          louvain
-///   threshold.min_weight   <double>
+///   threshold.min_weight   <finite double>
 ///   threshold.giant_only   true | false
 ///   stoc.tau               <double in [0,1]>
 ///   stoc.alpha             <double in [0,1]>
 ///   stoc.max_radius        <integer in [0, 2^32-1]>
 ///   projection.hub_cap     <integer in [0, 2^32-1], 0 disables>
-///   projection.min_weight  <double>
+///   projection.min_weight  <finite double>
 ///   cube.min_support       <integer>
-///   cube.min_support_fraction  <double>
+///   cube.min_support_fraction  <double in [0,1]>
 ///   cube.max_sa_items      <integer in [0, 2^32-1]>
 ///   cube.max_ca_items      <integer in [0, 2^32-1]>
 ///   cube.mode              all | closed | maximal
@@ -40,7 +41,8 @@ namespace pipeline {
 /// Lines starting with '#' and blank lines are ignored.
 Result<PipelineConfig> ParsePipelineConfig(const std::string& text);
 
-/// Serialises a config back to the parsable format.
+/// Serialises a config back to the parsable format. Doubles print as
+/// ExactDoubleText, so parsing the text gives back every value bit for bit.
 std::string PipelineConfigToString(const PipelineConfig& config);
 
 }  // namespace pipeline

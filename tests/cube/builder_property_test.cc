@@ -1,10 +1,14 @@
 // Property sweep: on randomized finalTables, every cell the builder
 // materialises must match a naive recomputation (row filtering), for every
 // mining mode, and closed-mode cells must be a value-preserving subset of
-// all-mode cells.
+// all-mode cells. The naive cell lists its units in the cube's unit order,
+// so its indexes, computed without the fill's unit-term table, must match
+// the cell's bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 #include "common/random.h"
@@ -26,6 +30,9 @@ struct SweepParams {
   size_t num_units;
   uint64_t min_support;
   bool multi_valued_context;
+  // Extra rows in one more unit, "big" (above the unit-term table's bound,
+  // so its cells merge directly computed units into Gini's order).
+  size_t big_unit_rows = 0;
 };
 
 Table RandomTable(const SweepParams& p, Rng* rng) {
@@ -43,7 +50,7 @@ Table RandomTable(const SweepParams& p, Rng* rng) {
   const char* kA[] = {"y", "m", "e"};
   const char* kR[] = {"n", "s"};
   const char* kS[] = {"s0", "s1", "s2", "s3"};
-  for (size_t i = 0; i < p.rows; ++i) {
+  for (size_t i = 0; i < p.rows + p.big_unit_rows; ++i) {
     std::string sector;
     if (p.multi_valued_context) {
       sector = "{";
@@ -59,13 +66,16 @@ Table RandomTable(const SweepParams& p, Rng* rng) {
     EXPECT_TRUE(t.AppendRowFromStrings(
                      {kG[rng->NextBounded(2)], kA[rng->NextBounded(3)],
                       kR[rng->NextBounded(2)], sector,
-                      "u" + std::to_string(rng->NextBounded(p.num_units))})
+                      i < p.rows
+                          ? "u" + std::to_string(rng->NextBounded(p.num_units))
+                          : std::string("big")})
                     .ok());
   }
   return t;
 }
 
-// Naive per-cell recomputation by scanning rows.
+// Naive per-cell recomputation by scanning rows; units in the cube's
+// unit order (`unit_labels`).
 struct NaiveCell {
   uint64_t context_size = 0;
   uint64_t minority_size = 0;
@@ -73,6 +83,7 @@ struct NaiveCell {
 };
 
 NaiveCell NaiveCompute(const Table& t, const relational::ItemCatalog& cat,
+                       const std::vector<std::string>& unit_labels,
                        const CellCoordinates& coords) {
   auto row_matches = [&](size_t row, const fpm::Itemset& items) {
     for (fpm::ItemId item : items.items()) {
@@ -93,11 +104,15 @@ NaiveCell NaiveCompute(const Table& t, const relational::ItemCatalog& cat,
     return true;
   };
   int unit_col = t.schema().IndexOf("unitID");
-  std::map<std::string, std::pair<uint64_t, uint64_t>> per_unit;
+  std::map<size_t, std::pair<uint64_t, uint64_t>> per_unit;
   NaiveCell out;
   for (size_t row = 0; row < t.NumRows(); ++row) {
     if (!row_matches(row, coords.ca)) continue;
-    std::string unit = t.CategoricalValue(row, static_cast<size_t>(unit_col));
+    const std::string label =
+        t.CategoricalValue(row, static_cast<size_t>(unit_col));
+    const size_t unit = static_cast<size_t>(
+        std::find(unit_labels.begin(), unit_labels.end(), label) -
+        unit_labels.begin());
     ++out.context_size;
     ++per_unit[unit].first;
     if (row_matches(row, coords.sa)) {
@@ -117,6 +132,12 @@ TEST_P(BuilderPropertyTest, CellsMatchNaiveInEveryMode) {
   const SweepParams& p = GetParam();
   Rng rng(p.seed);
   Table t = RandomTable(p, &rng);
+  if (p.big_unit_rows > 0) {
+    // Only "big" is above the bound: its cells with an empty context take
+    // the direct path, every other unit the table.
+    ASSERT_GT(p.big_unit_rows, indexes::UnitTermTable::kMaxTotalBound);
+    ASSERT_LE(p.rows, indexes::UnitTermTable::kMaxTotalBound);
+  }
 
   for (fpm::MineMode mode :
        {fpm::MineMode::kAll, fpm::MineMode::kClosed}) {
@@ -130,7 +151,8 @@ TEST_P(BuilderPropertyTest, CellsMatchNaiveInEveryMode) {
     EXPECT_GT(cube->NumCells(), 0u);
 
     for (const CubeCell* cell : cube->Cells()) {
-      NaiveCell naive = NaiveCompute(t, cube->catalog(), cell->coords);
+      NaiveCell naive = NaiveCompute(t, cube->catalog(), cube->unit_labels(),
+                                     cell->coords);
       ASSERT_EQ(cell->context_size, naive.context_size)
           << cube->LabelOf(cell->coords);
       ASSERT_EQ(cell->minority_size, naive.minority_size)
@@ -141,9 +163,11 @@ TEST_P(BuilderPropertyTest, CellsMatchNaiveInEveryMode) {
       ASSERT_EQ(cell->indexes.defined, expected->defined);
       if (cell->indexes.defined) {
         for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-          ASSERT_NEAR(cell->Value(kind), (*expected)[kind], 1e-9)
+          ASSERT_EQ(std::bit_cast<uint64_t>(cell->Value(kind)),
+                    std::bit_cast<uint64_t>((*expected)[kind]))
               << cube->LabelOf(cell->coords) << " "
-              << indexes::IndexKindToString(kind);
+              << indexes::IndexKindToString(kind) << " " << cell->Value(kind)
+              << " vs " << (*expected)[kind];
         }
       }
     }
@@ -188,7 +212,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParams{8, 150, 4, 10, true},
                       // Row counts that fill the last 64-bit cover word.
                       SweepParams{9, 64, 3, 2, false},
-                      SweepParams{10, 128, 5, 3, true}));
+                      SweepParams{10, 128, 5, 3, true},
+                      // One unit above the table bound, the rest below.
+                      SweepParams{11, 240, 6, 8, false, 300},
+                      SweepParams{12, 200, 5, 6, true, 420}));
 
 }  // namespace
 }  // namespace cube

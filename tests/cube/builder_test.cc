@@ -259,6 +259,40 @@ TEST(CubeBuilderTest, MinSupportFractionApplies) {
   }
 }
 
+TEST(CubeBuilderTest, BadMinSupportFractionRejected) {
+  // API callers bypass the config parser: a fraction outside [0,1] (inf
+  // used to reach an undefined double-to-integer cast) or NaN (silently
+  // ignored) is InvalidArgument.
+  Table t = SmallFinalTable();
+  for (double fraction : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), -0.5,
+                          1.5, 1e300}) {
+    auto opts = AllCellsOptions();
+    opts.min_support_fraction = fraction;
+    auto cube = BuildSegregationCube(t, opts);
+    EXPECT_EQ(cube.status().code(), StatusCode::kInvalidArgument) << fraction;
+  }
+  auto opts = AllCellsOptions();
+  opts.min_support_fraction = 1.0;  // every row: only the root survives
+  auto cube = BuildSegregationCube(t, opts);
+  ASSERT_TRUE(cube.ok()) << cube.status();
+  for (const CubeCell* cell : cube->Cells()) {
+    EXPECT_EQ(cell->minority_size, 12u);
+  }
+}
+
+TEST(CubeBuilderTest, BadAtkinsonParameterRejected) {
+  Table t = SmallFinalTable();
+  for (double b : {0.0, 1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    auto opts = AllCellsOptions();
+    opts.index_params.atkinson_b = b;
+    EXPECT_EQ(BuildSegregationCube(t, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << b;
+  }
+}
+
 TEST(CubeBuilderTest, CoordinateCapsRespected) {
   Table t = SmallFinalTable();
   auto opts = AllCellsOptions();

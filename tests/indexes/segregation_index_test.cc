@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 
@@ -87,6 +89,27 @@ TEST(AtkinsonTest, ParameterValidation) {
   EXPECT_TRUE(Atkinson(HandAnchor(), 0.25).ok());
 }
 
+TEST(AtkinsonTest, NonFiniteParameterRejected) {
+  // `b <= 0 || b >= 1` let NaN through, and every Atkinson value was NaN.
+  for (double b : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_EQ(Atkinson(HandAnchor(), b).status().code(),
+              StatusCode::kInvalidArgument)
+        << b;
+    IndexParams params;
+    params.atkinson_b = b;
+    EXPECT_EQ(ComputeIndex(IndexKind::kAtkinson, HandAnchor(), params)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << b;
+    EXPECT_EQ(ComputeAllIndexes(HandAnchor(), params).status().code(),
+              StatusCode::kInvalidArgument)
+        << b;
+    // The other kinds do not read b.
+    EXPECT_TRUE(ComputeIndex(IndexKind::kGini, HandAnchor(), params).ok());
+  }
+}
+
 TEST(DegenerateTest, AllIndexesRejectDegenerateInputs) {
   GroupDistribution no_minority = GroupDistribution::FromVectors({10}, {0});
   GroupDistribution all_minority = GroupDistribution::FromVectors({10}, {10});
@@ -115,6 +138,31 @@ TEST(ComputeAllTest, MatchesIndividualCalls) {
     EXPECT_EQ((*all)[kind], ComputeIndex(kind, HandAnchor()).value())
         << IndexKindToString(kind);
   }
+}
+
+TEST(ComputeAllTest, BrokenCountsNameTheFirstBadUnit) {
+  // The kernel checks m_i <= t_i inside its one pass; the error is the
+  // one Validate() reports, whichever path the unit takes.
+  GroupDistribution broken =
+      GroupDistribution::FromVectors({5, 4, 3, 9}, {1, 0, 4, 12});
+  auto direct = ComputeAllIndexes(broken);
+  ASSERT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(direct.status(), broken.Validate());
+  EXPECT_NE(direct.status().message().find("unit 2"), std::string::npos);
+  auto table = UnitTermTable::Build(16, IndexParams());
+  ASSERT_TRUE(table.ok());
+  IndexScratch scratch;
+  EXPECT_EQ(ComputeAllIndexes(broken, table.value(), &scratch).status(),
+            broken.Validate());
+  // Broken counts outrank a bad b and a degenerate total.
+  IndexParams bad_b;
+  bad_b.atkinson_b = 2.0;
+  EXPECT_EQ(ComputeAllIndexes(broken, bad_b).status(), broken.Validate());
+  GroupDistribution degenerate = GroupDistribution::FromVectors({2, 3}, {3, 2});
+  ASSERT_TRUE(degenerate.IsDegenerate());
+  EXPECT_EQ(ComputeAllIndexes(degenerate).status(), degenerate.Validate());
+  EXPECT_EQ(ComputeAllIndexes(degenerate, table.value(), &scratch).status(),
+            degenerate.Validate());
 }
 
 TEST(ComputeAllTest, DegenerateYieldsUndefined) {
@@ -227,6 +275,110 @@ TEST(IndexGoldenTest, DistributionsHaveTheEdgeUnits) {
   EXPECT_GT(zero_minority, units * 7 / 10);
   EXPECT_GT(empty, 0u);
   EXPECT_GT(all_minority, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The unit-term table: the fill's per-(m, t) memo must give the bits of the
+// direct path for every unit, inside or outside the table.
+// ---------------------------------------------------------------------------
+
+TEST(UnitTermTableTest, RanksSortUnitsByProportionThenSize) {
+  constexpr uint64_t kBound = UnitTermTable::kMaxTotalBound;
+  EXPECT_EQ(UnitTermTable::Build(0, IndexParams())->max_total(), 0u);
+  EXPECT_EQ(UnitTermTable::Build(51, IndexParams())->max_total(), 51u);
+  EXPECT_EQ(UnitTermTable::Build(kBound * 4, IndexParams())->max_total(),
+            kBound);
+  auto table = UnitTermTable::Build(60, IndexParams());
+  ASSERT_TRUE(table.ok());
+  const size_t entries = 60 * 61 / 2;
+  std::vector<bool> seen(entries, false);
+  for (uint64_t t = 1; t <= 60; ++t) {
+    for (uint64_t m = 1; m <= t; ++m) {
+      const UnitTermTable::Terms& terms = table->At(t, m);
+      ASSERT_LT(terms.rank, entries);
+      EXPECT_FALSE(seen[terms.rank]) << m << "/" << t;
+      seen[terms.rank] = true;
+      const double ti = static_cast<double>(t);
+      EXPECT_EQ(table->ByRank(terms.rank),
+                std::make_pair(static_cast<double>(m) / ti, ti));
+    }
+  }
+  for (uint32_t r = 1; r < entries; ++r) {
+    EXPECT_LT(table->ByRank(r - 1), table->ByRank(r)) << r;
+  }
+}
+
+TEST(UnitTermTableTest, RejectsBadAtkinsonParameter) {
+  for (double b : {0.0, 1.0, -0.5, 1.5, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    IndexParams params;
+    params.atkinson_b = b;
+    EXPECT_EQ(UnitTermTable::Build(10, params).status().code(),
+              StatusCode::kInvalidArgument)
+        << b;
+  }
+}
+
+// Units on both sides of the table bound: empty units, units without a
+// minority member (most of a cube cell's), all-minority units, and
+// proportions shared across sizes (1/2 = 2/4 = 128/256 = 200/400).
+GroupDistribution MixedSizeDistribution(Rng* rng, size_t num_units) {
+  constexpr uint64_t kBound = UnitTermTable::kMaxTotalBound;
+  GroupDistribution d;
+  for (size_t i = 0; i < num_units; ++i) {
+    const uint64_t size_roll = rng->NextBounded(100);
+    uint64_t t = 0;
+    if (size_roll >= 8) {
+      t = size_roll >= 85 ? kBound - 8 + rng->NextBounded(24)
+          : size_roll >= 75 ? 1 + rng->NextBounded(3 * kBound)
+                            : 1 + rng->NextBounded(60);
+    }
+    const uint64_t m_roll = rng->NextBounded(100);
+    uint64_t m = 0;
+    if (t > 0 && m_roll >= 55) {
+      m = m_roll >= 92 ? t : m_roll >= 85 ? t / 2 : 1 + rng->NextBounded(t);
+    }
+    d.AddUnit(t, m);
+  }
+  return d;
+}
+
+TEST(UnitTermTableTest, TableAndDirectPathsAreBitEqual) {
+  constexpr uint64_t kBound = UnitTermTable::kMaxTotalBound;
+  Rng rng(20261018);
+  IndexScratch scratch;  // reused across every call, as a fill worker does
+  size_t compared = 0;
+  for (double b : {0.25, 0.5, 0.8}) {
+    IndexParams params;
+    params.atkinson_b = b;
+    auto full = UnitTermTable::Build(kBound, params);
+    auto small = UnitTermTable::Build(40, params);
+    auto none = UnitTermTable::Build(0, params);
+    ASSERT_TRUE(full.ok() && small.ok() && none.ok());
+    for (int trial = 0; trial < 150; ++trial) {
+      GroupDistribution d =
+          MixedSizeDistribution(&rng, 1 + rng.NextBounded(trial < 20 ? 8 : 400));
+      auto want = ComputeAllIndexes(d, none.value(), &scratch);
+      ASSERT_TRUE(want.ok());
+      auto public_path = ComputeAllIndexes(d, params);
+      ASSERT_TRUE(public_path.ok());
+      for (const UnitTermTable* table : {&full.value(), &small.value()}) {
+        auto got = ComputeAllIndexes(d, *table, &scratch);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->defined, want->defined);
+        ASSERT_EQ(public_path->defined, want->defined);
+        if (!want->defined) continue;
+        ++compared;
+        for (IndexKind kind : AllIndexKinds()) {
+          ASSERT_EQ(HexFloat((*got)[kind]), HexFloat((*want)[kind]))
+              << "b " << b << " trial " << trial << " max_total "
+              << table->max_total() << " " << IndexKindToString(kind);
+          ASSERT_EQ(HexFloat((*public_path)[kind]), HexFloat((*want)[kind]))
+              << IndexKindToString(kind);
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 600u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 namespace scube {
 namespace pipeline {
 namespace {
@@ -86,6 +90,46 @@ TEST(ConfigTest, RejectsBadValues) {
   auto largest = ParsePipelineConfig("cube.max_ca_items = 4294967295\n");
   ASSERT_TRUE(largest.ok()) << largest.status();
   EXPECT_EQ(largest->cube.max_ca_items, 4294967295u);
+
+  // Non-finite doubles and values outside the documented ranges are
+  // InvalidArgument naming the key. (min_support_fraction = inf used to
+  // reach an undefined double-to-integer cast in the builder.)
+  const char* kBadDoubles[][2] = {
+      {"cube.atkinson_b", "nan"},
+      {"cube.atkinson_b", "0"},
+      {"cube.atkinson_b", "1"},
+      {"cube.atkinson_b", "2"},
+      {"cube.atkinson_b", "-inf"},
+      {"stoc.tau", "7"},
+      {"stoc.tau", "-0.01"},
+      {"stoc.tau", "nan"},
+      {"stoc.alpha", "-1"},
+      {"stoc.alpha", "1.5"},
+      {"cube.min_support_fraction", "inf"},
+      {"cube.min_support_fraction", "nan"},
+      {"cube.min_support_fraction", "-0.5"},
+      {"cube.min_support_fraction", "1e300"},
+      {"threshold.min_weight", "nan"},
+      {"threshold.min_weight", "inf"},
+      {"projection.min_weight", "-inf"},
+      {"projection.min_weight", "NAN"},
+  };
+  for (const auto& [key, value] : kBadDoubles) {
+    auto bad = ParsePipelineConfig(std::string(key) + " = " + value + "\n");
+    ASSERT_FALSE(bad.ok()) << key << " = " << value;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << key << " = " << value << ": " << bad.status();
+    EXPECT_NE(bad.status().message().find(key), std::string::npos)
+        << bad.status();
+  }
+  // The ends of the closed ranges are valid.
+  auto ends = ParsePipelineConfig(
+      "stoc.tau = 0\nstoc.alpha = 1\ncube.min_support_fraction = 1\n"
+      "cube.atkinson_b = 0.999\nthreshold.min_weight = -3\n");
+  ASSERT_TRUE(ends.ok()) << ends.status();
+  EXPECT_EQ(ends->stoc.tau, 0.0);
+  EXPECT_EQ(ends->stoc.alpha, 1.0);
+  EXPECT_EQ(ends->cube.min_support_fraction, 1.0);
 }
 
 TEST(ConfigTest, ErrorsCarryLineNumbers) {
@@ -103,6 +147,13 @@ TEST(ConfigTest, RoundTripThroughToString) {
   original.cube.mode = fpm::MineMode::kMaximal;
   original.cube.num_threads = 8;
   original.stoc.tau = 0.35;
+  // Values that fixed-point text used to round: 4e-7 printed as 0.000000
+  // and switched the relative threshold off.
+  original.cube.min_support_fraction = 4e-7;
+  original.cube.index_params.atkinson_b = 0.3333;
+  original.threshold.min_weight = 2.0004;
+  original.stoc.alpha = 1.0 / 3.0;
+  original.projection.min_weight = 1e-300;
 
   auto parsed = ParsePipelineConfig(PipelineConfigToString(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -112,7 +163,17 @@ TEST(ConfigTest, RoundTripThroughToString) {
   EXPECT_EQ(parsed->cube.min_support, original.cube.min_support);
   EXPECT_EQ(parsed->cube.mode, original.cube.mode);
   EXPECT_EQ(parsed->cube.num_threads, original.cube.num_threads);
-  EXPECT_DOUBLE_EQ(parsed->stoc.tau, original.stoc.tau);
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(parsed->stoc.tau), bits(original.stoc.tau));
+  EXPECT_EQ(bits(parsed->stoc.alpha), bits(original.stoc.alpha));
+  EXPECT_EQ(bits(parsed->cube.min_support_fraction),
+            bits(original.cube.min_support_fraction));
+  EXPECT_EQ(bits(parsed->cube.index_params.atkinson_b),
+            bits(original.cube.index_params.atkinson_b));
+  EXPECT_EQ(bits(parsed->threshold.min_weight),
+            bits(original.threshold.min_weight));
+  EXPECT_EQ(bits(parsed->projection.min_weight),
+            bits(original.projection.min_weight));
 }
 
 TEST(ConfigTest, CommentsAndBlanksIgnored) {
