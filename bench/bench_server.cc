@@ -265,11 +265,8 @@ TimedResponse TimedRequest(uint16_t port, const std::string& target,
   net::Socket socket = std::move(connected).value();
   socket.SetNoDelay();
   net::BufferedReader reader(&socket);
-  std::string request = "POST " + target + " HTTP/1.1\r\n";
-  request += "Host: localhost\r\nContent-Type: text/plain\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += "Connection: keep-alive\r\n\r\n";
-  request += body;
+  const std::string request =
+      net::SerializeRequest("POST", target, body, "text/plain");
   WallTimer timer;
   if (!socket.WriteAll(request).ok()) return out;
   auto status_line = reader.ReadLine();

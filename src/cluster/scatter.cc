@@ -181,23 +181,6 @@ Result<std::vector<query::CubeInfo>> ParseCubesJson(const std::string& body) {
   return cubes;
 }
 
-/// Reads a non-200 response's body so the connection ends at a message
-/// boundary and the shard's error message is recoverable.
-Status ReadErrorResponseBody(net::BufferedReader* reader,
-                             const net::HttpResponseHead& head,
-                             std::string* body) {
-  if (head.chunked) {
-    net::ChunkedBodyReader chunks(reader);
-    for (;;) {
-      auto more = chunks.ReadSome(body);
-      if (!more.ok()) return more.status();
-      if (!*more) return Status::OK();
-    }
-  }
-  if (head.have_length) return reader->ReadExactAppend(head.length, body);
-  return Status::IoError("error response without body framing");
-}
-
 }  // namespace
 
 std::string EncodeScatterCursor(const ScatterCursor& cursor) {
@@ -805,8 +788,9 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
         // missing version, shed). Recover its error message and leave the
         // connection clean.
         std::string body;
-        Status read = ReadErrorResponseBody(s.client->reader(), *head, &body);
-        s.client->FinishStream(read.ok());
+        Status read = net::ReadHttpBody(s.client->reader(), &*head, &body);
+        // A body read to EOF leaves no connection to keep.
+        s.client->FinishStream(read.ok() && (head->chunked || head->length));
         s.error = Status(CodeForHttpStatus(head->status),
                          read.ok() ? ParseErrorBody(body)
                                    : "HTTP " + std::to_string(head->status));
@@ -1044,63 +1028,6 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
 // ---------------------------------------------------------------------------
 // Metrics
 
-namespace {
-
-// server/metrics.cc keeps its exposition helpers file-local on purpose;
-// these are the scatter router's own minimal equivalents.
-
-void FamilyHeader(std::string* out, const char* name, const char* type,
-                  const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += ' ';
-  *out += type;
-  *out += '\n';
-}
-
-void ShardHistogramSeries(std::string* out, const char* name,
-                          const std::string& label,
-                          const trace::LatencyHistogram& hist) {
-  auto bucket_line = [&](const std::string& le, uint64_t cumulative) {
-    *out += name;
-    *out += "_bucket{";
-    *out += label;
-    *out += ",le=\"";
-    *out += le;
-    *out += "\"} ";
-    *out += std::to_string(cumulative);
-    *out += '\n';
-  };
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < trace::LatencyHistogram::kBucketBoundsMs.size();
-       ++i) {
-    cumulative += hist.bucket(i);
-    bucket_line(
-        ExactDoubleText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
-        cumulative);
-  }
-  cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
-  bucket_line("+Inf", cumulative);
-  *out += name;
-  *out += "_sum{";
-  *out += label;
-  *out += "} ";
-  *out += ExactDoubleText(hist.sum_ms() / 1000.0);
-  *out += '\n';
-  *out += name;
-  *out += "_count{";
-  *out += label;
-  *out += "} ";
-  *out += std::to_string(hist.count());
-  *out += '\n';
-}
-
-}  // namespace
-
 void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
   const size_t n = clients_.size();
   auto shard_label = [this](size_t i) {
@@ -1108,28 +1035,31 @@ void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
            clients_[i]->spec().Label() + "\"";
   };
 
-  FamilyHeader(out, "scubed_shard_requests_total", "counter",
-               "Round trips the scatter router attempted per shard.");
+  trace::AppendFamilyHeader(
+      out, "scubed_shard_requests_total", "counter",
+      "Round trips the scatter router attempted per shard.");
   for (size_t i = 0; i < n; ++i) {
-    *out += "scubed_shard_requests_total{" + shard_label(i) + "} " +
-            std::to_string(clients_[i]->health().requests) + "\n";
+    trace::AppendSample(out, "scubed_shard_requests_total", shard_label(i),
+                        std::to_string(clients_[i]->health().requests));
   }
-  FamilyHeader(out, "scubed_shard_failures_total", "counter",
-               "Round trips that exhausted every replica of a shard.");
+  trace::AppendFamilyHeader(
+      out, "scubed_shard_failures_total", "counter",
+      "Round trips that exhausted every replica of a shard.");
   for (size_t i = 0; i < n; ++i) {
-    *out += "scubed_shard_failures_total{" + shard_label(i) + "} " +
-            std::to_string(clients_[i]->health().failures) + "\n";
+    trace::AppendSample(out, "scubed_shard_failures_total", shard_label(i),
+                        std::to_string(clients_[i]->health().failures));
   }
-  FamilyHeader(out, "scubed_scatter_partial_total", "counter",
-               "Requests answered from a shard subset (allow_partial).");
-  *out += "scubed_scatter_partial_total " +
-          std::to_string(partial_.load(std::memory_order_relaxed)) + "\n";
+  trace::AppendCounter(out, "scubed_scatter_partial_total",
+                       partial_.load(std::memory_order_relaxed),
+                       "Requests answered from a shard subset "
+                       "(allow_partial).");
 
-  FamilyHeader(out, "scubed_shard_rtt_seconds", "histogram",
-               "Shard stream head latency (request out to head in).");
+  trace::AppendFamilyHeader(
+      out, "scubed_shard_rtt_seconds", "histogram",
+      "Shard stream head latency (request out to head in).");
   for (size_t i = 0; i < n; ++i) {
-    ShardHistogramSeries(out, "scubed_shard_rtt_seconds", shard_label(i),
-                         *rtt_[i]);
+    trace::AppendHistogramSeries(out, "scubed_shard_rtt_seconds",
+                                 shard_label(i), *rtt_[i]);
   }
 }
 

@@ -94,14 +94,10 @@ Result<net::HttpClientResponse> ShardClient::RoundTrip(
     auto resp = net::RoundTripWithRetry(conns_[r].get(), ep.host, ep.port,
                                         method, target, body, content_type,
                                         options_);
-    if (resp.ok()) {
-      consecutive_.store(0, std::memory_order_relaxed);
-      return resp;
-    }
+    if (resp.ok()) return resp;
     last = resp.status();
   }
   failures_.fetch_add(1, std::memory_order_relaxed);
-  consecutive_.fetch_add(1, std::memory_order_relaxed);
   return last;
 }
 
@@ -113,12 +109,8 @@ Result<net::HttpResponseHead> ShardClient::StartStream(
   size_t start = NextReplica();
   Status last = Status::IoError("no replicas");
 
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: localhost\r\n";
-  request += "Content-Type: " + content_type + "\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += "Connection: keep-alive\r\n\r\n";
-  request += body;
+  const std::string request =
+      net::SerializeRequest(method, target, body, content_type);
 
   for (size_t i = 0; i < n; ++i) {
     const size_t r = (start + i) % n;
@@ -141,7 +133,6 @@ Result<net::HttpResponseHead> ShardClient::StartStream(
       if (sent.ok()) {
         auto head = net::ReadHttpResponseHead(conn->reader.get());
         if (head.ok()) {
-          consecutive_.store(0, std::memory_order_relaxed);
           stream_replica_ = r;
           return head;
         }
@@ -155,7 +146,6 @@ Result<net::HttpResponseHead> ShardClient::StartStream(
     }
   }
   failures_.fetch_add(1, std::memory_order_relaxed);
-  consecutive_.fetch_add(1, std::memory_order_relaxed);
   return last;
 }
 
@@ -171,7 +161,6 @@ ShardHealth ShardClient::health() const {
   ShardHealth h;
   h.requests = requests_.load(std::memory_order_relaxed);
   h.failures = failures_.load(std::memory_order_relaxed);
-  h.consecutive_failures = consecutive_.load(std::memory_order_relaxed);
   return h;
 }
 

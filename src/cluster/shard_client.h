@@ -56,8 +56,6 @@ Result<std::vector<ShardSpec>> ParseShardList(std::string_view spec);
 struct ShardHealth {
   uint64_t requests = 0;  ///< round trips attempted (streams included)
   uint64_t failures = 0;  ///< round trips that exhausted every replica
-  /// Consecutive exhausted-all-replicas failures; reset by any success.
-  uint64_t consecutive_failures = 0;
 };
 
 /// \brief Client for one shard's replica set.
@@ -112,12 +110,11 @@ class ShardClient {
   /// Health counters are atomics on purpose, not GUARDED_BY a mutex: the
   /// single writer is the request path (serialised by the scatter layer's
   /// request_mu_ per the class contract above), while /metrics reads
-  /// health() from server threads concurrently. fetch_add/store(0) from
-  /// one thread + relaxed loads from others is race-free by construction;
-  /// audited during the thread-safety annotation pass.
+  /// health() from server threads concurrently. fetch_add from one thread
+  /// + relaxed loads from others is race-free by construction; audited
+  /// during the thread-safety annotation pass.
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> failures_{0};
-  std::atomic<uint64_t> consecutive_{0};
 };
 
 }  // namespace cluster

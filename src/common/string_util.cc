@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -80,7 +81,11 @@ Result<double> ParseDouble(std::string_view s) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE) return Status::ParseError("double out of range: " + buf);
+  // ERANGE also flags underflow, where strtod returns the rounded
+  // subnormal or zero; only overflow (±HUGE_VAL) is out of range.
+  if (errno == ERANGE && std::isinf(v)) {
+    return Status::ParseError("double out of range: " + buf);
+  }
   if (end != buf.c_str() + buf.size()) {
     return Status::ParseError("trailing characters in double: " + buf);
   }

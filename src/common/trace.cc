@@ -250,5 +250,68 @@ double LatencyHistogram::Quantile(double q) const {
   return kBucketBoundsMs.back();
 }
 
+void AppendFamilyHeader(std::string* out, const char* name, const char* type,
+                        const char* help) {
+  *out += "# HELP ";
+  *out += name;
+  *out += ' ';
+  *out += help;
+  *out += "\n# TYPE ";
+  *out += name;
+  *out += ' ';
+  *out += type;
+  *out += '\n';
+}
+
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view label, std::string_view value) {
+  *out += name;
+  if (!label.empty()) {
+    *out += '{';
+    *out += label;
+    *out += '}';
+  }
+  *out += ' ';
+  *out += value;
+  *out += '\n';
+}
+
+void AppendCounter(std::string* out, const char* name, uint64_t value,
+                   const char* help) {
+  AppendFamilyHeader(out, name, "counter", help);
+  AppendSample(out, name, "", std::to_string(value));
+}
+
+void AppendGauge(std::string* out, const char* name, double value,
+                 const char* help) {
+  AppendFamilyHeader(out, name, "gauge", help);
+  AppendSample(out, name, "", ExactDoubleText(value));
+}
+
+void AppendHistogramSeries(std::string* out, const char* name,
+                           std::string_view label,
+                           const LatencyHistogram& hist) {
+  const std::string family(name);
+  const std::string bucket_name = family + "_bucket";
+  std::string le_label(label);
+  if (!le_label.empty()) le_label += ',';
+  le_label += "le=\"";
+  const size_t le_at = le_label.size();
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+    cumulative += hist.bucket(i);
+    le_label.resize(le_at);
+    le_label += i < LatencyHistogram::kBucketBoundsMs.size()
+                    ? ExactDoubleText(
+                          LatencyHistogram::kBucketBoundsMs[i] / 1000.0)
+                    : "+Inf";
+    le_label += '"';
+    AppendSample(out, bucket_name, le_label, std::to_string(cumulative));
+  }
+  AppendSample(out, family + "_sum", label,
+               ExactDoubleText(hist.sum_ms() / 1000.0));
+  AppendSample(out, family + "_count", label, std::to_string(hist.count()));
+}
+
 }  // namespace trace
 }  // namespace scube

@@ -17,8 +17,12 @@
 //                  fixed log-spaced buckets, atomic counters: Observe()
 //                  is two relaxed fetch_adds and never allocates, safe
 //                  from any thread. Rendered as a Prometheus histogram by
-//                  server/metrics.cc; Quantile() interpolates p50/p95/p99
-//                  for benches and reports.
+//                  AppendHistogramSeries; Quantile() interpolates
+//                  p50/p95/p99 for benches and reports.
+//   Append*        the Prometheus text exposition every /metrics series
+//                  goes through: the server's own families, the query
+//                  service's cache series and the scatter router's shard
+//                  series.
 //
 // Span names must be string literals (or otherwise outlive the trace):
 // records store the pointer, not a copy — that is what keeps an open/close
@@ -37,6 +41,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace scube {
@@ -205,6 +210,33 @@ class LatencyHistogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_us_{0};
 };
+
+// --- Prometheus text exposition ---------------------------------------
+// Each call appends to `out`. A `label` is complete key="value" pairs
+// ("" for none); `help` is written verbatim.
+
+/// The HELP and TYPE lines that open one metric family.
+void AppendFamilyHeader(std::string* out, const char* name, const char* type,
+                        const char* help);
+
+/// One sample line: `name{label} value`, or `name value` without a label.
+void AppendSample(std::string* out, std::string_view name,
+                  std::string_view label, std::string_view value);
+
+/// A one-sample counter family.
+void AppendCounter(std::string* out, const char* name, uint64_t value,
+                   const char* help);
+
+/// A one-sample gauge family; the value prints exactly (ExactDoubleText).
+void AppendGauge(std::string* out, const char* name, double value,
+                 const char* help);
+
+/// One series of a histogram family (its header written once, before the
+/// first series): the cumulative _bucket samples with `le` in seconds,
+/// "+Inf" last, then _sum and _count.
+void AppendHistogramSeries(std::string* out, const char* name,
+                           std::string_view label,
+                           const LatencyHistogram& hist);
 
 }  // namespace trace
 }  // namespace scube

@@ -55,20 +55,32 @@ Status BufferedReader::Fill() {
 }
 
 Result<std::string> BufferedReader::ReadLine(size_t max_len) {
+  return NextLine(max_len, /*terminated=*/false);
+}
+
+Result<std::string> BufferedReader::ReadTerminatedLine(size_t max_len) {
+  return NextLine(max_len, /*terminated=*/true);
+}
+
+Result<std::string> BufferedReader::NextLine(size_t max_len,
+                                             bool terminated) {
   while (true) {
     size_t nl = buf_.find('\n', pos_);
+    size_t len = (nl == std::string::npos ? buf_.size() : nl) - pos_;
+    // ReadLine bounds only the bytes buffered without a newline; a
+    // terminated read bounds every line exactly.
+    if (len > max_len && (terminated || nl == std::string::npos)) {
+      return Status::IoError("line exceeds " + std::to_string(max_len) +
+                             " bytes");
+    }
     if (nl != std::string::npos) {
-      std::string line = buf_.substr(pos_, nl - pos_);
+      std::string line = buf_.substr(pos_, len);
       pos_ = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    if (buf_.size() - pos_ > max_len) {
-      return Status::IoError("line exceeds " + std::to_string(max_len) +
-                             " bytes");
-    }
     if (eof_) {
-      if (pos_ < buf_.size()) {
+      if (pos_ < buf_.size() && !terminated) {
         // Final unterminated line.
         std::string line = buf_.substr(pos_);
         pos_ = buf_.size();
@@ -81,11 +93,6 @@ Result<std::string> BufferedReader::ReadLine(size_t max_len) {
 }
 
 Status BufferedReader::ReadExact(size_t n, std::string* out) {
-  out->clear();
-  return ReadExactAppend(n, out);
-}
-
-Status BufferedReader::ReadExactAppend(size_t n, std::string* out) {
   while (buf_.size() - pos_ < n) {
     if (eof_) {
       return Status::IoError("connection closed mid-body (" +
@@ -99,23 +106,14 @@ Status BufferedReader::ReadExactAppend(size_t n, std::string* out) {
   return Status::OK();
 }
 
-bool BufferedReader::AtEof() {
-  while (pos_ >= buf_.size() && !eof_) {
-    if (!Fill().ok()) return true;
-  }
-  return pos_ >= buf_.size() && eof_;
-}
-
-Result<std::string_view> BufferedReader::PeekSome() {
-  while (pos_ >= buf_.size()) {
-    if (eof_) return std::string_view();
+Status BufferedReader::ReadToEof(size_t limit, std::string* out) {
+  const size_t start = out->size();
+  while (true) {
+    out->append(buf_, pos_);
+    pos_ = buf_.size();
+    if (eof_ || out->size() - start > limit) return Status::OK();
     SCUBE_RETURN_IF_ERROR(Fill());
   }
-  return std::string_view(buf_).substr(pos_);
-}
-
-void BufferedReader::Advance(size_t n) {
-  pos_ += std::min(n, buf_.size() - pos_);
 }
 
 const std::string& HttpRequest::Header(const std::string& lower_name) const {
@@ -203,179 +201,108 @@ void ParseTarget(std::string_view target, std::string* path,
   }
 }
 
-// --- HttpRequestParser ------------------------------------------------------
+// --- Reading messages --------------------------------------------------
 
 namespace {
 
-/// The ReadLine bound, mirrored so the incremental parser rejects an
-/// endless header line exactly where the blocking reader would.
-constexpr size_t kMaxLineBytes = 64 * 1024;
+/// Reads one header section up to and including its blank line: a request
+/// head, a response head or a chunk trailer, all under the same rules.
+/// Names are lower-cased and values trimmed; a repeated name keeps its
+/// last value.
+Status ReadHeaderSection(BufferedReader* reader,
+                         std::map<std::string, std::string>* headers) {
+  for (size_t count = 0;; ++count) {
+    auto line = reader->ReadTerminatedLine();
+    if (!line.ok()) return line.status();
+    if (line->empty()) return Status::OK();
+    if (count == kMaxHeaderLines) {
+      // Failing (rather than stopping short) keeps the connection from
+      // desyncing: the rest of the section would otherwise read as body.
+      return Status::ParseError("more than " +
+                                std::to_string(kMaxHeaderLines) + " headers");
+    }
+    size_t colon = line->find(':');
+    if (colon == std::string::npos) {
+      return Status::ParseError("malformed header: " + *line);
+    }
+    std::string_view text(*line);
+    (*headers)[ToLower(Trim(text.substr(0, colon)))] =
+        std::string(Trim(text.substr(colon + 1)));
+  }
+}
+
+/// The Content-Length a head declares; nullopt when absent or empty.
+Result<std::optional<size_t>> ContentLength(
+    const std::map<std::string, std::string>& headers) {
+  auto it = headers.find("content-length");
+  if (it == headers.end() || it->second.empty()) {
+    return std::optional<size_t>();
+  }
+  auto n = ParseInt64(it->second);
+  if (!n.ok() || *n < 0) {
+    return Status::ParseError("bad Content-Length: " + it->second);
+  }
+  return std::optional<size_t>(static_cast<size_t>(*n));
+}
 
 }  // namespace
-
-HttpRequestParser::HttpRequestParser(size_t max_body) : max_body_(max_body) {}
-
-void HttpRequestParser::Reset() {
-  state_ = State::kRequestLine;
-  status_ = Status::OK();
-  request_ = HttpRequest{};
-  line_.clear();
-  header_count_ = 0;
-  body_expected_ = 0;
-}
-
-void HttpRequestParser::Fail(Status status) {
-  state_ = State::kError;
-  status_ = std::move(status);
-}
-
-size_t HttpRequestParser::Feed(std::string_view data) {
-  size_t used = 0;
-  while (used < data.size() && state_ != State::kDone &&
-         state_ != State::kError) {
-    if (state_ == State::kBody) {
-      size_t want = body_expected_ - request_.body.size();
-      size_t take = std::min(want, data.size() - used);
-      request_.body.append(data.substr(used, take));
-      used += take;
-      if (request_.body.size() == body_expected_) state_ = State::kDone;
-      continue;
-    }
-    size_t nl = data.find('\n', used);
-    if (nl == std::string_view::npos) {
-      size_t take = data.size() - used;
-      if (line_.size() + take > kMaxLineBytes) {
-        Fail(Status::IoError("line exceeds " +
-                             std::to_string(kMaxLineBytes) + " bytes"));
-        return data.size();
-      }
-      line_.append(data.substr(used));
-      return data.size();
-    }
-    line_.append(data.substr(used, nl - used));
-    used = nl + 1;
-    if (line_.size() > kMaxLineBytes) {
-      Fail(Status::IoError("line exceeds " + std::to_string(kMaxLineBytes) +
-                           " bytes"));
-      return used;
-    }
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    std::string line = std::move(line_);
-    line_.clear();
-    ConsumeLine(line);
-  }
-  return used;
-}
-
-void HttpRequestParser::ConsumeLine(const std::string& line) {
-  if (state_ == State::kRequestLine) {
-    size_t sp1 = line.find(' ');
-    size_t sp2 = line.rfind(' ');
-    if (sp1 == std::string::npos || sp2 == sp1) {
-      Fail(Status::ParseError("malformed request line: " + line));
-      return;
-    }
-    request_.method = line.substr(0, sp1);
-    std::transform(request_.method.begin(), request_.method.end(),
-                   request_.method.begin(),
-                   [](unsigned char c) { return std::toupper(c); });
-    request_.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    std::string version = line.substr(sp2 + 1);
-    if (version.rfind("HTTP/1.", 0) != 0) {
-      Fail(Status::ParseError("unsupported protocol: " + version));
-      return;
-    }
-    // HTTP/1.0 defaults to close, 1.1 to keep-alive.
-    request_.keep_alive = version != "HTTP/1.0";
-    ParseTarget(request_.target, &request_.path, &request_.params);
-    state_ = State::kHeaders;
-    return;
-  }
-
-  // State::kHeaders.
-  if (line.empty()) {
-    FinishHeaders();
-    return;
-  }
-  if (header_count_ >= kMaxHeaderLines) {
-    // Failing (rather than silently truncating) keeps the connection from
-    // desyncing: leftover header bytes would otherwise be read as body.
-    Fail(Status::ParseError("more than " + std::to_string(kMaxHeaderLines) +
-                            " headers"));
-    return;
-  }
-  size_t colon = line.find(':');
-  if (colon == std::string::npos) {
-    Fail(Status::ParseError("malformed header: " + line));
-    return;
-  }
-  std::string name = ToLower(Trim(std::string_view(line).substr(0, colon)));
-  std::string value(Trim(std::string_view(line).substr(colon + 1)));
-  request_.headers[name] = std::move(value);
-  ++header_count_;
-}
-
-void HttpRequestParser::FinishHeaders() {
-  const std::string& connection = request_.Header("connection");
-  if (!connection.empty()) {
-    std::string lower = ToLower(connection);
-    if (lower.find("close") != std::string::npos) {
-      request_.keep_alive = false;
-    }
-    if (lower.find("keep-alive") != std::string::npos) {
-      request_.keep_alive = true;
-    }
-  }
-
-  const std::string& length = request_.Header("content-length");
-  if (!length.empty()) {
-    auto n = ParseInt64(length);
-    if (!n.ok() || *n < 0) {
-      Fail(Status::ParseError("bad Content-Length: " + length));
-      return;
-    }
-    if (static_cast<size_t>(*n) > max_body_) {
-      Fail(Status::InvalidArgument("request body of " + length +
-                                   " bytes exceeds the limit of " +
-                                   std::to_string(max_body_)));
-      return;
-    }
-    body_expected_ = static_cast<size_t>(*n);
-    request_.body.reserve(body_expected_);
-    state_ = body_expected_ == 0 ? State::kDone : State::kBody;
-    return;
-  }
-  if (!request_.Header("transfer-encoding").empty()) {
-    Fail(Status::Unimplemented("chunked transfer encoding not supported"));
-    return;
-  }
-  state_ = State::kDone;
-}
 
 Result<HttpRequest> ReadHttpRequest(BufferedReader* reader,
                                     const std::string& request_line,
                                     size_t max_body) {
-  HttpRequestParser parser(max_body);
-  // The request line arrived pre-stripped (the dialect sniff consumed it);
-  // hand it to the parser with its terminator restored.
-  parser.Feed(request_line);
-  parser.Feed("\n");
-  while (!parser.done() && !parser.failed()) {
-    auto chunk = reader->PeekSome();
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) {
-      if (parser.in_body()) {
-        return Status::IoError(
-            "connection closed mid-body (" +
-            std::to_string(parser.body_received()) + " of " +
-            std::to_string(parser.body_expected()) + " bytes)");
-      }
-      return Status::IoError("connection closed");
-    }
-    reader->Advance(parser.Feed(*chunk));
+  // The caller's ReadLine bound is checked only as bytes arrive; apply
+  // the exact one, as every header line gets. A second CR before the LF
+  // ("\r\r\n"; ReadLine strips one) is dropped too, so the version reads
+  // as sent.
+  if (request_line.size() > BufferedReader::kMaxLineBytes) {
+    return Status::IoError("line exceeds " +
+                           std::to_string(BufferedReader::kMaxLineBytes) +
+                           " bytes");
   }
-  if (parser.failed()) return parser.status();
-  return std::move(parser.request());
+  std::string line = request_line;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  size_t sp1 = line.find(' ');
+  size_t sp2 = line.rfind(' ');
+  if (sp1 == std::string::npos || sp2 == sp1) {
+    return Status::ParseError("malformed request line: " + line);
+  }
+  HttpRequest request;
+  request.method = line.substr(0, sp1);
+  std::transform(request.method.begin(), request.method.end(),
+                 request.method.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  request.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  std::string version = line.substr(sp2 + 1);
+  if (version.rfind("HTTP/1.", 0) != 0) {
+    return Status::ParseError("unsupported protocol: " + version);
+  }
+  // HTTP/1.0 defaults to close, 1.1 to keep-alive.
+  request.keep_alive = version != "HTTP/1.0";
+  ParseTarget(request.target, &request.path, &request.params);
+
+  SCUBE_RETURN_IF_ERROR(ReadHeaderSection(reader, &request.headers));
+  const std::string connection = ToLower(request.Header("connection"));
+  if (connection.find("close") != std::string::npos) {
+    request.keep_alive = false;
+  }
+  if (connection.find("keep-alive") != std::string::npos) {
+    request.keep_alive = true;
+  }
+  auto length = ContentLength(request.headers);
+  if (!length.ok()) return length.status();
+  if (!length->has_value()) {
+    if (!request.Header("transfer-encoding").empty()) {
+      return Status::Unimplemented("chunked transfer encoding not supported");
+    }
+    return request;
+  }
+  if (**length > max_body) {
+    return Status::InvalidArgument(
+        "request body of " + request.Header("content-length") +
+        " bytes exceeds the limit of " + std::to_string(max_body));
+  }
+  SCUBE_RETURN_IF_ERROR(reader->ReadExact(**length, &request.body));
+  return request;
 }
 
 std::string SerializeResponseHead(const HttpResponse& response,
@@ -469,32 +396,39 @@ namespace {
 /// keeps a hostile size line from driving a huge allocation.
 constexpr size_t kMaxChunkBytes = 256 * 1024 * 1024;
 
-/// Total decoded-body bound: an endless stream of small chunks must not
-/// grow the client's memory without limit either.
-constexpr size_t kMaxChunkedBodyBytes = 1024 * 1024 * 1024;
+/// Total body bound, whatever the framing: an endless stream of small
+/// chunks, or an endless body up to EOF, must not grow the client's
+/// memory without limit either.
+constexpr size_t kMaxBodyBytes = 1024 * 1024 * 1024;
 
-/// Decodes a chunked body by looping the incremental reader: size-line /
-/// payload pairs until the 0 chunk, then trailer headers (folded into
-/// `headers`) up to the blank line.
-Status ReadChunkedBody(BufferedReader* reader, std::string* body,
-                       std::map<std::string, std::string>* headers) {
-  ChunkedBodyReader chunks(reader);
-  while (true) {
-    auto more = chunks.ReadSome(body);
-    if (!more.ok()) return more.status();
-    if (body->size() > kMaxChunkedBodyBytes) {
-      return Status::ParseError("chunked body exceeds " +
-                                std::to_string(kMaxChunkedBodyBytes) +
-                                " bytes");
-    }
-    if (!*more) break;
+Status BodyTooLarge() {
+  return Status::ParseError("response body exceeds " +
+                            std::to_string(kMaxBodyBytes) + " bytes");
+}
+
+/// Parses the status line, then the header section and the framing it
+/// declares; the reader ends up at the first body byte.
+Status ParseResponseHead(BufferedReader* reader,
+                         const std::string& status_line,
+                         HttpResponseHead* head) {
+  // "HTTP/1.1 200 OK"
+  size_t sp1 = status_line.find(' ');
+  if (sp1 == std::string::npos || status_line.rfind("HTTP/", 0) != 0) {
+    return Status::ParseError("malformed status line: " + status_line);
   }
-  // Trailers never overwrite headers already parsed from the header
-  // section (RFC 7230 §4.1.2 forbids framing/control fields there — a
-  // trailer saying "Content-Length: 0" must not clobber the real framing).
-  for (const auto& [name, value] : chunks.trailers()) {
-    headers->emplace(name, value);
+  auto code = ParseInt64(std::string_view(status_line).substr(sp1 + 1, 3));
+  if (!code.ok()) {
+    return Status::ParseError("malformed status line: " + status_line);
   }
+  head->status = static_cast<int>(*code);
+  SCUBE_RETURN_IF_ERROR(ReadHeaderSection(reader, &head->headers));
+  auto length = ContentLength(head->headers);
+  if (!length.ok()) return length.status();
+  head->length = *length;
+  auto encoding = head->headers.find("transfer-encoding");
+  head->chunked = encoding != head->headers.end() &&
+                  ToLower(encoding->second).find("chunked") !=
+                      std::string::npos;
   return Status::OK();
 }
 
@@ -502,7 +436,7 @@ Status ReadChunkedBody(BufferedReader* reader, std::string* body,
 
 Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
   if (done_) return Result<bool>(false);
-  auto size_line = reader_->ReadLine();
+  auto size_line = reader_->ReadTerminatedLine();
   if (!size_line.ok()) return size_line.status();
   // Chunk extensions ("1a;name=value") are tolerated and ignored.
   std::string_view digits(*size_line);
@@ -525,27 +459,13 @@ Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
   }
   size_t size = static_cast<size_t>(*parsed);
   if (size == 0) {
-    // Trailer section: header lines until the blank line.
-    for (size_t i = 0; i < kMaxHeaderLines; ++i) {
-      auto line = reader_->ReadLine();
-      if (!line.ok()) return line.status();
-      if (line->empty()) {
-        done_ = true;
-        return Result<bool>(false);
-      }
-      size_t colon = line->find(':');
-      if (colon == std::string::npos) continue;
-      std::string name =
-          ToLower(Trim(std::string_view(*line).substr(0, colon)));
-      trailers_.emplace(
-          name, std::string(Trim(std::string_view(*line).substr(colon + 1))));
-    }
-    return Status::ParseError("more than " + std::to_string(kMaxHeaderLines) +
-                              " trailer lines");
+    SCUBE_RETURN_IF_ERROR(ReadHeaderSection(reader_, &trailers_));
+    done_ = true;
+    return Result<bool>(false);
   }
-  SCUBE_RETURN_IF_ERROR(reader_->ReadExactAppend(size, out));
+  SCUBE_RETURN_IF_ERROR(reader_->ReadExact(size, out));
   // The CRLF that terminates the chunk payload.
-  auto crlf = reader_->ReadLine();
+  auto crlf = reader_->ReadTerminatedLine();
   if (!crlf.ok()) return crlf.status();
   if (!crlf->empty()) {
     return Status::ParseError("chunk payload not followed by CRLF");
@@ -553,55 +473,39 @@ Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
   return Result<bool>(true);
 }
 
-namespace {
-
-/// Parses the status line + header section into a response head; the
-/// reader ends up positioned at the first body byte.
-Status ParseResponseHead(BufferedReader* reader,
-                         const std::string& status_line,
-                         HttpResponseHead* head) {
-  // "HTTP/1.1 200 OK"
-  size_t sp1 = status_line.find(' ');
-  if (sp1 == std::string::npos || status_line.rfind("HTTP/", 0) != 0) {
-    return Status::ParseError("malformed status line: " + status_line);
-  }
-  auto code = ParseInt64(std::string_view(status_line).substr(sp1 + 1, 3));
-  if (!code.ok()) {
-    return Status::ParseError("malformed status line: " + status_line);
-  }
-  head->status = static_cast<int>(*code);
-
-  for (size_t i = 0; i < kMaxHeaderLines; ++i) {
-    auto line = reader->ReadLine();
-    if (!line.ok()) return line.status();
-    if (line->empty()) break;
-    size_t colon = line->find(':');
-    if (colon == std::string::npos) continue;
-    std::string name = ToLower(Trim(std::string_view(*line).substr(0, colon)));
-    std::string value(Trim(std::string_view(*line).substr(colon + 1)));
-    if (name == "content-length") {
-      auto n = ParseInt64(value);
-      if (n.ok() && *n >= 0) {
-        head->have_length = true;
-        head->length = static_cast<size_t>(*n);
-      }
-    } else if (name == "transfer-encoding" &&
-               ToLower(value).find("chunked") != std::string::npos) {
-      head->chunked = true;
-    }
-    head->headers[name] = std::move(value);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<HttpResponseHead> ReadHttpResponseHead(BufferedReader* reader) {
-  auto status_line = reader->ReadLine();
+  auto status_line = reader->ReadTerminatedLine();
   if (!status_line.ok()) return status_line.status();
   HttpResponseHead head;
   SCUBE_RETURN_IF_ERROR(ParseResponseHead(reader, *status_line, &head));
   return head;
+}
+
+Status ReadHttpBody(BufferedReader* reader, HttpResponseHead* head,
+                    std::string* body) {
+  if (head->chunked) {
+    ChunkedBodyReader chunks(reader);
+    while (true) {
+      auto more = chunks.ReadSome(body);
+      if (!more.ok()) return more.status();
+      if (body->size() > kMaxBodyBytes) return BodyTooLarge();
+      if (!*more) break;
+    }
+    // Trailers never overwrite headers already parsed from the header
+    // section (RFC 7230 §4.1.2 forbids framing/control fields there — a
+    // trailer saying "Content-Length: 0" must not clobber the real framing).
+    for (const auto& [name, value] : chunks.trailers()) {
+      head->headers.emplace(name, value);
+    }
+    return Status::OK();
+  }
+  if (head->length) {
+    if (*head->length > kMaxBodyBytes) return BodyTooLarge();
+    return reader->ReadExact(*head->length, body);
+  }
+  // Neither framing: the body ends when the peer closes.
+  SCUBE_RETURN_IF_ERROR(reader->ReadToEof(kMaxBodyBytes, body));
+  return body->size() > kMaxBodyBytes ? BodyTooLarge() : Status::OK();
 }
 
 Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
@@ -609,30 +513,29 @@ Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
   HttpResponseHead head;
   SCUBE_RETURN_IF_ERROR(ParseResponseHead(reader, status_line, &head));
   HttpClientResponse resp;
+  SCUBE_RETURN_IF_ERROR(ReadHttpBody(reader, &head, &resp.body));
   resp.status = head.status;
   resp.headers = std::move(head.headers);
-
-  if (head.chunked) {
-    SCUBE_RETURN_IF_ERROR(
-        ReadChunkedBody(reader, &resp.body, &resp.headers));
-  } else if (head.have_length) {
-    SCUBE_RETURN_IF_ERROR(reader->ReadExact(head.length, &resp.body));
-  } else {
-    // Read to EOF (Connection: close responses).
-    while (!reader->AtEof()) {
-      auto line = reader->ReadLine();
-      if (!line.ok()) break;
-      resp.body += *line;
-      resp.body += '\n';
-    }
-  }
   return resp;
 }
 
 Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader) {
-  auto status_line = reader->ReadLine();
+  auto status_line = reader->ReadTerminatedLine();
   if (!status_line.ok()) return status_line.status();
   return ReadHttpResponseAfterStatusLine(reader, *status_line);
+}
+
+std::string SerializeRequest(const std::string& method,
+                             const std::string& target,
+                             const std::string& body,
+                             const std::string& content_type) {
+  std::string request = method + " " + target + " HTTP/1.1\r\n";
+  request += "Host: localhost\r\n";
+  request += "Content-Type: " + content_type + "\r\n";
+  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  request += "Connection: keep-alive\r\n\r\n";
+  request += body;
+  return request;
 }
 
 Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
@@ -640,13 +543,8 @@ Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
                                      const std::string& target,
                                      const std::string& body,
                                      const std::string& content_type) {
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: localhost\r\n";
-  request += "Content-Type: " + content_type + "\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += "Connection: keep-alive\r\n\r\n";
-  request += body;
-  SCUBE_RETURN_IF_ERROR(socket->WriteAll(request));
+  SCUBE_RETURN_IF_ERROR(
+      socket->WriteAll(SerializeRequest(method, target, body, content_type)));
   return ReadHttpResponse(reader);
 }
 

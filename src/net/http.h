@@ -1,11 +1,14 @@
-// Minimal HTTP/1.1 for the scubed front-end: blocking request/response
-// parsing over a buffered socket reader, keep-alive handling, target
-// (path + query-parameter) decoding, and chunked transfer encoding on the
-// *response* side (ChunkedWriter for streamed answers; the client reader
-// decodes chunked bodies). Deliberately small: no chunked request bodies
-// (411 when a request body has no Content-Length), no TLS, no multipart —
-// scubed speaks plain HTTP to load balancers, curl and the bench/test
-// clients in this repo.
+// Minimal HTTP/1.1 for the scubed front-end and its clients, over a
+// buffered blocking socket reader. Each part of a message is read one way:
+// a request line or status line, then one header-section reader for
+// request heads, response heads and chunk trailers alike, then one body
+// reader (Content-Length, chunked, or bytes to EOF). There is no
+// incremental parser: every read blocks on the BufferedReader. Writing
+// side: SerializeResponse/SerializeResponseHead and ChunkedWriter for
+// streamed answers, SerializeRequest for the clients. Deliberately small:
+// no chunked request bodies (411 when a request body has no
+// Content-Length), no TLS, no multipart — scubed speaks plain HTTP to load
+// balancers, curl and the bench/test clients in this repo.
 //
 // The same BufferedReader drives the newline-delimited line protocol:
 // SniffsAsHttp() looks at the first line to pick the dialect.
@@ -34,29 +37,30 @@ namespace net {
 /// \brief Buffered line/byte reader over a blocking socket.
 class BufferedReader {
  public:
+  /// The default line bound, for request lines and header lines alike.
+  static constexpr size_t kMaxLineBytes = 64 * 1024;
+
   explicit BufferedReader(Socket* socket) : socket_(socket) {}
 
   /// Reads one line up to and including '\n', stripping "\r\n" / "\n".
-  /// IoError on EOF before any byte, on a line longer than `max_len`, or
-  /// on socket error/timeout.
-  Result<std::string> ReadLine(size_t max_len = 64 * 1024);
+  /// Bytes after the last '\n' come back as a final line at EOF (the line
+  /// protocol's last statement). IoError on EOF before any byte, on a line
+  /// longer than `max_len` (checked as bytes arrive, so a somewhat longer
+  /// line that arrives whole may pass), or on socket error/timeout.
+  Result<std::string> ReadLine(size_t max_len = kMaxLineBytes);
 
-  /// Reads exactly `n` bytes into `out` (replacing its contents).
+  /// ReadLine for HTTP message lines: the bound is exact (the bytes before
+  /// the '\n', a CR included, may not exceed `max_len`), and a line that
+  /// EOF cuts off is IoError "connection closed", not a final line.
+  Result<std::string> ReadTerminatedLine(size_t max_len = kMaxLineBytes);
+
+  /// Reads exactly `n` bytes, appending them to `out`. IoError naming the
+  /// bytes received when EOF comes first.
   Status ReadExact(size_t n, std::string* out);
 
-  /// Reads exactly `n` bytes, appending to `out` — lets chunked bodies
-  /// accumulate without an intermediate per-chunk copy.
-  Status ReadExactAppend(size_t n, std::string* out);
-
-  /// True once the peer closed and the buffer is drained (peeks one byte).
-  bool AtEof();
-
-  /// Returns the buffered-but-unconsumed bytes, reading from the socket
-  /// once when none are buffered. An empty view means orderly EOF.
-  Result<std::string_view> PeekSome();
-
-  /// Discards `n` bytes previously returned by PeekSome.
-  void Advance(size_t n);
+  /// Appends every byte up to EOF to `out`, stopping early once more than
+  /// `limit` bytes were appended (the caller checks which happened).
+  Status ReadToEof(size_t limit, std::string* out);
 
   /// Caps the total wall time of all subsequent reads: once `deadline`
   /// passes, reads fail with DeadlineExceeded even if the peer keeps
@@ -69,6 +73,7 @@ class BufferedReader {
 
  private:
   Status Fill();  ///< one recv into the buffer
+  Result<std::string> NextLine(size_t max_len, bool terminated);
 
   Socket* socket_;
   std::string buf_;
@@ -125,54 +130,11 @@ const char* StatusReason(int status);
 /// SP HTTP/1.x) — the dialect sniff between HTTP and the line protocol.
 bool SniffsAsHttp(std::string_view first_line);
 
-/// \brief Incremental HTTP/1.1 request parser: feed it bytes as they
-/// arrive (partial lines, split headers, body fragments) and it consumes
-/// exactly one message, stopping at the boundary so pipelined follow-up
-/// bytes stay with the caller. ReadHttpRequest drives it from a
-/// BufferedReader, so the grammar, limits and error messages live here.
-class HttpRequestParser {
- public:
-  explicit HttpRequestParser(size_t max_body = 4 * 1024 * 1024);
-
-  /// Consumes bytes from `data`, returning how many were used. Everything
-  /// is consumed except bytes past the end of a completed (or failed)
-  /// message.
-  size_t Feed(std::string_view data);
-
-  bool done() const { return state_ == State::kDone; }
-  bool failed() const { return state_ == State::kError; }
-  const Status& status() const { return status_; }
-
-  /// True while reading the body — for the EOF-mid-body diagnostic
-  /// (body_received / body_expected).
-  bool in_body() const { return state_ == State::kBody; }
-  size_t body_received() const { return request_.body.size(); }
-  size_t body_expected() const { return body_expected_; }
-
-  /// The parsed request; valid once done().
-  HttpRequest& request() { return request_; }
-
-  /// Resets for the next message on a keep-alive connection.
-  void Reset();
-
- private:
-  enum class State { kRequestLine, kHeaders, kBody, kDone, kError };
-
-  void ConsumeLine(const std::string& line);
-  void Fail(Status status);
-  void FinishHeaders();
-
-  size_t max_body_;
-  State state_ = State::kRequestLine;
-  Status status_;
-  HttpRequest request_;
-  std::string line_;  ///< partial line accumulated across Feed calls
-  size_t header_count_ = 0;
-  size_t body_expected_ = 0;
-};
-
-/// Parses the request whose request line was already consumed, reading
-/// headers and body from `reader`. Limits: `max_body` bytes (413 beyond).
+/// Reads the request whose request line was already consumed: the header
+/// section, then a Content-Length body of at most `max_body` bytes
+/// (InvalidArgument beyond). Stops at the end of the message, so a
+/// pipelined request stays in `reader`. A malformed head is a ParseError
+/// naming what was wrong; a head or body cut off by EOF is an IoError.
 Result<HttpRequest> ReadHttpRequest(BufferedReader* reader,
                                     const std::string& request_line,
                                     size_t max_body = 4 * 1024 * 1024);
@@ -259,6 +221,26 @@ void ParseTarget(std::string_view target, std::string* path,
 /// Percent-decoding ('+' becomes a space, bad escapes pass through).
 std::string UrlDecode(std::string_view s);
 
+/// \brief Everything before a response body: status, headers, framing.
+struct HttpResponseHead {
+  int status = 0;
+  std::map<std::string, std::string> headers;  ///< keys lower-cased
+  bool chunked = false;          ///< Transfer-Encoding: chunked
+  std::optional<size_t> length;  ///< Content-Length, when given
+};
+
+/// Reads the status line and header section, leaving the reader at the
+/// first body byte. The streaming scatter client reads the head, then
+/// pulls body bytes incrementally through ChunkedBodyReader.
+Result<HttpResponseHead> ReadHttpResponseHead(BufferedReader* reader);
+
+/// Reads the body `head` frames onto `body`: a chunked body decoded, with
+/// its trailers added to head->headers (never replacing a header the head
+/// set); else Content-Length bytes; else every byte to EOF. A chunk over
+/// 256 MiB or a body over 1 GiB is a ParseError.
+Status ReadHttpBody(BufferedReader* reader, HttpResponseHead* head,
+                    std::string* body);
+
 /// \brief Parsed HTTP response (the client side, for benches and tests).
 struct HttpClientResponse {
   int status = 0;
@@ -266,9 +248,8 @@ struct HttpClientResponse {
   std::string body;
 };
 
-/// Reads one full response from `reader` (status line, headers, body by
-/// Content-Length, chunked bodies decoded — trailer headers folded into
-/// `headers`; bodies with neither framing read to EOF).
+/// Reads one full response from `reader`: ReadHttpResponseHead, then
+/// ReadHttpBody.
 Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader);
 
 /// Same, when the status line was already consumed (clients measuring
@@ -276,9 +257,15 @@ Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader);
 Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
     BufferedReader* reader, const std::string& status_line);
 
-/// One-shot client helper: sends `method target` with `body` over an open
-/// connection and reads the response. Sets Content-Length; keeps the
-/// connection reusable (keep-alive).
+/// The bytes of a client request: `method target` with Host, Content-Type,
+/// Content-Length and keep-alive headers, then `body`.
+std::string SerializeRequest(const std::string& method,
+                             const std::string& target,
+                             const std::string& body,
+                             const std::string& content_type);
+
+/// One-shot client helper: sends SerializeRequest's bytes over an open
+/// connection and reads the response, keeping the connection reusable.
 Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
                                      const std::string& method,
                                      const std::string& target,
@@ -346,20 +333,6 @@ Result<HttpClientResponse> RoundTripWithRetry(
     const std::string& body, const std::string& content_type,
     const ClientOptions& options);
 
-/// \brief Everything before a response body: status, headers, framing.
-struct HttpResponseHead {
-  int status = 0;
-  std::map<std::string, std::string> headers;  ///< keys lower-cased
-  bool chunked = false;      ///< Transfer-Encoding: chunked
-  bool have_length = false;  ///< Content-Length present
-  size_t length = 0;
-};
-
-/// Reads status line + headers, leaving the reader positioned at the
-/// first body byte. The streaming scatter client reads the head, then
-/// pulls body bytes incrementally through ChunkedBodyReader.
-Result<HttpResponseHead> ReadHttpResponseHead(BufferedReader* reader);
-
 /// \brief Incremental chunked-body decoder: one chunk per ReadSome call,
 /// so a client can consume an arbitrarily long streamed response in O(1)
 /// memory (the batch ReadHttpResponse materialises the whole body).
@@ -370,10 +343,9 @@ class ChunkedBodyReader {
   /// Appends the next chunk's payload to `out`. Returns false once the
   /// terminal chunk (and trailer section) has been consumed — the
   /// connection then sits exactly at the message boundary, reusable for
-  /// keep-alive. Trailer headers are folded into trailers().
+  /// keep-alive. Trailer headers are read into trailers().
   Result<bool> ReadSome(std::string* out);
 
-  bool done() const { return done_; }
   const std::map<std::string, std::string>& trailers() const {
     return trailers_;
   }

@@ -23,38 +23,6 @@ bool UsableFromCache(const QueryResult& result, const QueryContext& ctx) {
          !result.rows.front().skey.empty();
 }
 
-/// Prometheus exposition helpers for AppendBackendMetrics (same output
-/// shape as server/metrics.cc renders for the shared series).
-void MetricCounter(std::string* out, const char* name, uint64_t value,
-                   const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " counter\n";
-  *out += name;
-  *out += ' ';
-  *out += std::to_string(value);
-  *out += '\n';
-}
-
-void MetricGauge(std::string* out, const char* name, double value,
-                 const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " gauge\n";
-  *out += name;
-  *out += ' ';
-  *out += ExactDoubleText(value);
-  *out += '\n';
-}
-
 /// Forwards a stream to `out` while materialising a copy for the result
 /// cache — up to `max_rows` rows, beyond which the copy is dropped and the
 /// stream stays O(1): giant answers flow through uncached.
@@ -404,22 +372,22 @@ std::vector<CubeInfo> QueryService::ListCubes() const {
 }
 
 void QueryService::AppendBackendMetrics(std::string* out) const {
-  MetricGauge(out, "scubed_queue_depth",
-              static_cast<double>(queue_depth()),
-              "Statements executing now (the admission backlog)");
+  trace::AppendGauge(out, "scubed_queue_depth",
+                     static_cast<double>(queue_depth()),
+                     "Statements executing now (the admission backlog)");
   ResultCache::Stats cache = cache_.stats();
-  MetricCounter(out, "scubed_cache_hits_total", cache.hits,
-                "Result-cache hits");
-  MetricCounter(out, "scubed_cache_misses_total", cache.misses,
-                "Result-cache misses");
-  MetricCounter(out, "scubed_cache_evictions_total", cache.evictions,
-                "Result-cache LRU evictions");
+  trace::AppendCounter(out, "scubed_cache_hits_total", cache.hits,
+                       "Result-cache hits");
+  trace::AppendCounter(out, "scubed_cache_misses_total", cache.misses,
+                       "Result-cache misses");
+  trace::AppendCounter(out, "scubed_cache_evictions_total", cache.evictions,
+                       "Result-cache LRU evictions");
   uint64_t lookups = cache.hits + cache.misses;
-  MetricGauge(out, "scubed_cache_hit_rate",
-              lookups == 0 ? 0.0
-                           : static_cast<double>(cache.hits) /
-                                 static_cast<double>(lookups),
-              "Result-cache hit fraction since start");
+  trace::AppendGauge(out, "scubed_cache_hit_rate",
+                     lookups == 0 ? 0.0
+                                  : static_cast<double>(cache.hits) /
+                                        static_cast<double>(lookups),
+                     "Result-cache hit fraction since start");
 }
 
 }  // namespace query

@@ -15,10 +15,14 @@
 #include <memory>
 #include <regex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/partition.h"
+#include "common/hashing.h"
 #include "cube/cube.h"
+#include "net/http.h"
 #include "net/socket.h"
 #include "query/cube_store.h"
 #include "query/row_sink.h"
@@ -428,6 +432,115 @@ TEST_F(ScatterTest, RouterServerServesScatterOverHttp) {
   EXPECT_NE(metrics->body.find("scubed_shard_rtt_seconds"),
             std::string::npos);
   router.Stop();
+}
+
+/// A stand-in shard that speaks just enough HTTP for the router: GET
+/// /cubes lists cube "default" at version 1, and every other request gets
+/// `answer`'s raw bytes. A connection closes after an answer framed by
+/// close. Declare it before the router, whose open connection it serves.
+class FakeShard {
+ public:
+  explicit FakeShard(std::string answer) : answer_(std::move(answer)) {
+    auto bound = net::ListenSocket::Bind(0, /*loopback_only=*/true);
+    EXPECT_TRUE(bound.ok()) << bound.status();
+    listener_ = std::move(bound).value();
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~FakeShard() {
+    listener_.ShutdownAccept();
+    thread_.join();
+  }
+  FakeShard(const FakeShard&) = delete;
+  FakeShard& operator=(const FakeShard&) = delete;
+
+  uint16_t port() const { return listener_.port(); }
+
+ private:
+  void Serve() {
+    const bool closes = answer_.find("Connection: close") != std::string::npos;
+    for (;;) {
+      auto conn = listener_.Accept();
+      if (!conn.ok()) return;
+      net::BufferedReader reader(&*conn);
+      for (;;) {
+        auto line = reader.ReadLine();
+        if (!line.ok()) break;
+        auto request = net::ReadHttpRequest(&reader, *line);
+        if (!request.ok()) break;
+        if (request->path == "/cubes") {
+          net::HttpResponse cubes(
+              200,
+              "{\"cubes\":[{\"name\":\"default\",\"version\":1,"
+              "\"retained\":[1],\"cells\":1,\"defined_cells\":1}]}\n");
+          if (!conn->WriteAll(net::SerializeResponse(cubes, true)).ok()) break;
+          continue;
+        }
+        if (!conn->WriteAll(answer_).ok() || closes) break;
+      }
+    }
+  }
+
+  std::string answer_;
+  net::ListenSocket listener_;
+  std::thread thread_;
+};
+
+// A shard that refuses a statement answers before streaming; the router
+// reads that error body with the one body reader, whatever its framing,
+// and names the shard's own message. Each answer is asked for twice, so
+// the connection the first one left behind is reused or replaced.
+TEST(ScatterShardErrorTest, ErrorBodiesAreReadInEveryFraming) {
+  struct Case {
+    std::string answer;
+    StatusCode code;
+  };
+  const std::string message = "{\"error\":\"no room at the shard\"}\n";
+  auto chunk = [](const std::string& payload) {
+    char size[16];
+    std::snprintf(size, sizeof(size), "%zx\r\n", payload.size());
+    return size + payload + "\r\n";
+  };
+  const std::vector<Case> cases = {
+      {"HTTP/1.1 503 Service Unavailable\r\nContent-Length: " +
+           std::to_string(message.size()) + "\r\n\r\n" + message,
+       StatusCode::kUnavailable},
+      {"HTTP/1.1 400 Bad Request\r\nTransfer-Encoding: chunked\r\n\r\n" +
+           chunk(message.substr(0, 16)) + chunk(message.substr(16)) +
+           "0\r\n\r\n",
+       StatusCode::kInvalidArgument},
+      {"HTTP/1.1 404 Not Found\r\nConnection: close\r\n\r\n" + message,
+       StatusCode::kNotFound},
+  };
+  for (const Case& c : cases) {
+    FakeShard shard(c.answer);
+    ShardSpec spec;
+    spec.replicas.push_back(ShardEndpoint{"127.0.0.1", shard.port()});
+    ScatterExecutor scatter({spec});
+    for (int round = 0; round < 2; ++round) {
+      query::VectorSink sink;
+      auto outcome = scatter.ExecuteStreaming("SLICE sa=sex=F", sink, {}, "");
+      EXPECT_EQ(outcome.status.code(), c.code) << outcome.status;
+      EXPECT_EQ(outcome.status.message(),
+                "shard 0 (127.0.0.1:" + std::to_string(shard.port()) +
+                    "): no room at the shard")
+          << c.answer;
+    }
+  }
+}
+
+// Pins the router's shard series over two fixed shard specs, one with two
+// replicas (no connection is made). On a mismatch the test prints the
+// whole text.
+TEST(ScatterMetricsTest, BackendExpositionBytesAreUnchanged) {
+  std::vector<ShardSpec> specs(2);
+  specs[0].replicas = {ShardEndpoint{"127.0.0.1", 7101},
+                       ShardEndpoint{"127.0.0.2", 7101}};
+  specs[1].replicas = {ShardEndpoint{"127.0.0.3", 7102}};
+  ScatterExecutor scatter(std::move(specs));
+  std::string out;
+  scatter.AppendBackendMetrics(&out);
+  EXPECT_EQ(out.size(), 4661u) << out;
+  EXPECT_EQ(HashBytes(out), 0x69dea8ad29b45a43ULL) << out;
 }
 
 }  // namespace

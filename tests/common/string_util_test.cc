@@ -73,6 +73,19 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseDouble("0.5bad").ok());
 }
 
+TEST(ParseDoubleTest, UnderflowReadsAsTheRoundedValueOverflowFails) {
+  // strtod flags both with ERANGE; only overflow is out of range.
+  const double min_subnormal = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(ParseDouble("4.94066e-324").value(), min_subnormal);
+  EXPECT_EQ(ParseDouble("5e-324").value(), min_subnormal);
+  EXPECT_EQ(ParseDouble("1e-310").value(), 1e-310);
+  EXPECT_EQ(ParseDouble("1e-400").value(), 0.0);
+  auto overflow = ParseDouble("1e400");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().message(), "double out of range: 1e400");
+  EXPECT_FALSE(ParseDouble("-1e400").ok());
+}
+
 TEST(JsonEscapeTest, PassesPlainTextThrough) {
   EXPECT_EQ(JsonEscape("hello world"), "hello world");
   EXPECT_EQ(JsonQuote("sector=IT"), "\"sector=IT\"");

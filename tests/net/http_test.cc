@@ -4,9 +4,13 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "net/socket.h"
 
 namespace scube {
@@ -37,6 +41,75 @@ HttpRequest MustParse(const std::string& raw) {
   auto request = ReadHttpRequest(&reader, *line);
   EXPECT_TRUE(request.ok()) << request.status();
   return std::move(request).value();
+}
+
+/// Writes `wire` into a fresh socket pair from a thread, `chunk` bytes per
+/// write, then closes the writing end (EOF); `read` runs meanwhile on a
+/// reader over the other end. Closing the reading end afterwards fails any
+/// write the reader left unconsumed, so the writer always finishes.
+template <typename ReadFn>
+void OverSocketPair(const std::string& wire, size_t chunk, ReadFn read) {
+  Pair pair;
+  chunk = std::max<size_t>(chunk, 1);
+  std::thread writer([&pair, &wire, chunk] {
+    for (size_t at = 0; at < wire.size(); at += chunk) {
+      if (!pair.feeder.WriteAll(std::string_view(wire).substr(at, chunk))
+               .ok()) {
+        break;
+      }
+    }
+    pair.feeder.Close();
+  });
+  {
+    BufferedReader reader(&pair.reader_socket);
+    read(&reader);
+  }
+  pair.reader_socket.Close();
+  writer.join();
+}
+
+/// One parsed request as a table cell: "METHOD path keep-alive|close
+/// body=<body>".
+std::string Summary(const HttpRequest& request) {
+  return request.method + " " + request.path +
+         (request.keep_alive ? " keep-alive" : " close") +
+         " body=" + request.body;
+}
+
+struct ReadOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::string text;
+};
+
+/// Reads every request on `wire` the way the server's connection loop
+/// does: the request line by ReadLine, the rest by ReadHttpRequest, until
+/// EOF or the first error. Parsed requests render as Summary() joined by
+/// " | "; an error ends the outcome with its code and message.
+ReadOutcome ReadRequests(const std::string& wire, size_t chunk) {
+  ReadOutcome outcome;
+  OverSocketPair(wire, chunk, [&outcome](BufferedReader* reader) {
+    for (;;) {
+      auto line = reader->ReadLine();
+      if (!line.ok()) return;  // EOF between requests
+      auto request = ReadHttpRequest(reader, *line);
+      if (!request.ok()) {
+        outcome.code = request.status().code();
+        outcome.text = request.status().message();
+        return;
+      }
+      if (!outcome.text.empty()) outcome.text += " | ";
+      outcome.text += Summary(*request);
+    }
+  });
+  return outcome;
+}
+
+std::string HeaderLines(size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    out += "X-Header-" + std::to_string(i) + ": v\r\n";
+  }
+  return out;
 }
 
 TEST(HttpSniffTest, SeparatesHttpFromLineProtocol) {
@@ -125,6 +198,85 @@ TEST(HttpRequestTest, RejectsMalformedAndOversized) {
   auto status = ReadHttpRequest(&big_reader, *big_line);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The server's answer to every request shape, pinned: status code and
+// message decide the 400 body a client sees, so they must not move when
+// the reader changes. Every row is read twice, from one write and one
+// byte per write.
+TEST(ReadHttpRequestTest, StatusAndMessageForEveryRequestShape) {
+  struct Row {
+    const char* name;
+    std::string wire;
+    StatusCode code;
+    std::string text;
+  };
+  const std::vector<Row> rows = {
+      {"malformed request line", "BROKEN\r\n\r\n", StatusCode::kParseError,
+       "malformed request line: BROKEN"},
+      {"unsupported protocol", "GET / HTTP/9.9\r\n\r\n",
+       StatusCode::kParseError, "unsupported protocol: HTTP/9.9"},
+      {"bad Content-Length",
+       "POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+       StatusCode::kParseError, "bad Content-Length: abc"},
+      {"negative Content-Length",
+       "POST /query HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+       StatusCode::kParseError, "bad Content-Length: -1"},
+      {"oversized Content-Length",
+       "POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
+       StatusCode::kInvalidArgument,
+       "request body of 999999999 bytes exceeds the limit of 4194304"},
+      {"header without a colon",
+       "GET / HTTP/1.1\r\nno-colon-here\r\n\r\n", StatusCode::kParseError,
+       "malformed header: no-colon-here"},
+      {"129 header lines",
+       "GET / HTTP/1.1\r\n" + HeaderLines(129) + "\r\n",
+       StatusCode::kParseError, "more than 128 headers"},
+      {"128 header lines",
+       "GET / HTTP/1.1\r\n" + HeaderLines(128) + "\r\n", StatusCode::kOk,
+       "GET / keep-alive body="},
+      {"chunked request body",
+       "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+       StatusCode::kUnimplemented, "chunked transfer encoding not supported"},
+      {"100,000-byte header line",
+       "GET / HTTP/1.1\r\nX-Long: " + std::string(100000, 'a') +
+           "\r\n\r\n",
+       StatusCode::kIoError, "line exceeds 65536 bytes"},
+      {"body cut short",
+       "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n12345",
+       StatusCode::kIoError, "connection closed mid-body (5 of 10 bytes)"},
+      {"whole body",
+       "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n1234567890",
+       StatusCode::kOk, "POST /query keep-alive body=1234567890"},
+      {"HTTP/1.0", "GET / HTTP/1.0\r\n\r\n", StatusCode::kOk,
+       "GET / close body="},
+      {"HTTP/1.0 keep-alive",
+       "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+       StatusCode::kOk, "GET / keep-alive body="},
+      {"HTTP/1.1 close", "GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+       StatusCode::kOk, "GET / close body="},
+      {"two pipelined requests",
+       "POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\nTOPK"
+       "GET /cubes HTTP/1.1\r\n\r\n",
+       StatusCode::kOk,
+       "POST /query keep-alive body=TOPK | GET /cubes keep-alive body="},
+  };
+  for (const Row& row : rows) {
+    for (size_t chunk : {row.wire.size(), size_t{1}}) {
+      ReadOutcome got = ReadRequests(row.wire, chunk);
+      EXPECT_EQ(got.code, row.code) << row.name << ", chunk " << chunk;
+      EXPECT_EQ(got.text, row.text) << row.name << ", chunk " << chunk;
+    }
+  }
+  // A head cut off by EOF: the peer is gone, so only the code is pinned.
+  for (const char* wire : {"GET / HTTP/1.1\r\nHost: x",
+                           "GET / HTTP/1.1\r\nno-colon",
+                           "GET / HTTP/1.1\r\nHost: x\r\n",
+                           "POST /query HTTP/1.1\r\nContent-Length: 3\r\n"}) {
+    EXPECT_EQ(ReadRequests(wire, std::string(wire).size()).code,
+              StatusCode::kIoError)
+        << wire;
+  }
 }
 
 TEST(HttpResponseTest, SerialisesWithLengthAndConnection) {
@@ -308,117 +460,255 @@ TEST(BufferedReaderTest, SplitsLinesAcrossReads) {
   EXPECT_FALSE(reader.ReadLine().ok());                // EOF
 }
 
-TEST(HttpRequestParserTest, ParsesByteAtATime) {
+// The request arrives one byte per write, split at every boundary: the
+// request line, each header line, each CRLF and the body.
+TEST(ReadHttpRequestTest, ParsesOneBytePerWrite) {
   const std::string wire =
       "POST /query?stream=1 HTTP/1.1\r\n"
       "Host: t\r\n"
       "Content-Length: 14\r\n"
       "\r\n"
       "SLICE sa=sex=F";
-  HttpRequestParser parser;
-  for (char c : wire) {
-    ASSERT_FALSE(parser.failed()) << parser.status();
-    EXPECT_EQ(parser.Feed(std::string_view(&c, 1)), 1u);
-  }
-  ASSERT_TRUE(parser.done());
-  EXPECT_EQ(parser.request().method, "POST");
-  EXPECT_EQ(parser.request().path, "/query");
-  EXPECT_EQ(parser.request().Param("stream"), "1");
-  EXPECT_EQ(parser.request().Header("host"), "t");
-  EXPECT_EQ(parser.request().body, "SLICE sa=sex=F");
-  EXPECT_TRUE(parser.request().keep_alive);
+  OverSocketPair(wire, 1, [](BufferedReader* reader) {
+    auto line = reader->ReadLine();
+    ASSERT_TRUE(line.ok()) << line.status();
+    auto request = ReadHttpRequest(reader, *line);
+    ASSERT_TRUE(request.ok()) << request.status();
+    EXPECT_EQ(request->method, "POST");
+    EXPECT_EQ(request->path, "/query");
+    EXPECT_EQ(request->Param("stream"), "1");
+    EXPECT_EQ(request->Header("host"), "t");
+    EXPECT_EQ(request->body, "SLICE sa=sex=F");
+    EXPECT_TRUE(request->keep_alive);
+  });
 }
 
-TEST(HttpRequestParserTest, SurvivesSplitsAtEveryBoundary) {
-  const std::string wire =
-      "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
-  // Every two-fragment split of the message must parse identically.
-  for (size_t cut = 1; cut < wire.size(); ++cut) {
-    HttpRequestParser parser;
-    EXPECT_EQ(parser.Feed(wire.substr(0, cut)), cut);
-    EXPECT_EQ(parser.Feed(wire.substr(cut)), wire.size() - cut);
-    ASSERT_TRUE(parser.done()) << "cut at " << cut;
-    EXPECT_EQ(parser.request().path, "/healthz");
-    EXPECT_FALSE(parser.request().keep_alive);
-  }
+/// Reads one response from `wire`, written whole and followed by EOF.
+Result<HttpClientResponse> ReadResponse(const std::string& wire) {
+  Result<HttpClientResponse> out = Status::Internal("not read");
+  OverSocketPair(wire, wire.size(), [&out](BufferedReader* reader) {
+    out = ReadHttpResponse(reader);
+  });
+  return out;
 }
 
-TEST(HttpRequestParserTest, StopsAtMessageEndForPipelining) {
-  const std::string first =
-      "POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\nTOPK";
-  const std::string second = "GET /cubes HTTP/1.1\r\n\r\n";
-  HttpRequestParser parser;
-  // Both messages offered at once: Feed must stop at the first boundary
-  // so the leftover bytes stay queued for the next request.
-  EXPECT_EQ(parser.Feed(first + second), first.size());
-  ASSERT_TRUE(parser.done());
-  EXPECT_EQ(parser.request().body, "TOPK");
-
-  parser.Reset();
-  EXPECT_FALSE(parser.done());
-  EXPECT_EQ(parser.Feed(second), second.size());
-  ASSERT_TRUE(parser.done());
-  EXPECT_EQ(parser.request().method, "GET");
-  EXPECT_EQ(parser.request().path, "/cubes");
-  EXPECT_TRUE(parser.request().body.empty());
+TEST(HttpClientTest, ResponseHeadOver128LinesIsAParseError) {
+  // Stopping after 128 lines would read the rest of the head as body.
+  auto resp = ReadResponse("HTTP/1.1 200 OK\r\n" + HeaderLines(129) +
+                           "Content-Length: 2\r\n\r\nok");
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(resp.status().message(), "more than 128 headers");
 }
 
-TEST(HttpRequestParserTest, TracksBodyProgress) {
-  HttpRequestParser parser;
-  parser.Feed("POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n");
-  EXPECT_TRUE(parser.in_body());
-  EXPECT_EQ(parser.body_expected(), 10u);
-  parser.Feed("12345");
-  EXPECT_EQ(parser.body_received(), 5u);
-  EXPECT_FALSE(parser.done());
-  parser.Feed("67890");
-  EXPECT_TRUE(parser.done());
-  EXPECT_EQ(parser.request().body, "1234567890");
+TEST(HttpClientTest, BodyFramedByCloseComesBackByteForByte) {
+  const std::string body("a\r\nb\n\0c\r", 8);
+  auto resp = ReadResponse("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" +
+                           body);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->body, body);
 }
 
-TEST(HttpRequestParserTest, ErrorsMatchTheBlockingReaderMessages) {
-  // The incremental parser and ReadHttpRequest share one grammar; their
-  // rejections must carry the same status text so the two front-ends
-  // answer malformed requests with identical 400 bodies.
-  auto blocking_error = [](const std::string& wire) {
-    Pair pair;
-    EXPECT_TRUE(pair.feeder.WriteAll(wire).ok());
-    pair.feeder.Close();
-    BufferedReader reader(&pair.reader_socket);
-    auto line = reader.ReadLine();
-    EXPECT_TRUE(line.ok());
-    auto parsed = ReadHttpRequest(&reader, *line);
-    EXPECT_FALSE(parsed.ok());
-    return parsed.status();
+TEST(HttpClientTest, ResponseBodiesAreCapped) {
+  auto resp = ReadResponse(
+      "HTTP/1.1 200 OK\r\nContent-Length: 1073741825\r\n\r\nshort");
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(resp.status().message(),
+            "response body exceeds 1073741824 bytes");
+}
+
+// Request heads, response heads and chunk trailers are read by one
+// header-section reader, so each rule holds in all three places.
+TEST(HttpHeaderSectionTest, SameRulesForRequestsResponsesAndTrailers) {
+  struct Section {
+    std::string lines;
+    StatusCode code;
+    std::string message;  ///< the status message, or the value of x-a
   };
-  auto incremental_error = [](const std::string& wire) {
-    HttpRequestParser parser;
-    parser.Feed(wire);
-    EXPECT_TRUE(parser.failed());
-    return parser.status();
+  const std::vector<Section> sections = {
+      {"no-colon-here\r\n", StatusCode::kParseError,
+       "malformed header: no-colon-here"},
+      {HeaderLines(129), StatusCode::kParseError, "more than 128 headers"},
+      {HeaderLines(128), StatusCode::kOk, ""},
+      {"X-A: 1\r\nx-a:  2 \r\n", StatusCode::kOk, "2"},
   };
-  for (const char* wire :
-       {"BROKEN\r\n\r\n",
-        "GET / HTTP/9.9\r\n\r\n",
-        "POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
-        "POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
-        "GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"}) {
-    const Status blocking = blocking_error(wire);
-    const Status incremental = incremental_error(wire);
-    EXPECT_EQ(blocking.code(), incremental.code()) << wire;
-    EXPECT_EQ(blocking.message(), incremental.message()) << wire;
+  for (const Section& section : sections) {
+    ReadOutcome request =
+        ReadRequests("GET / HTTP/1.1\r\n" + section.lines + "\r\n", 1 << 20);
+    auto response = ReadResponse("HTTP/1.1 200 OK\r\n" + section.lines +
+                                 "\r\n");
+    auto trailer = ReadResponse(
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        "2\r\nok\r\n0\r\n" + section.lines + "\r\n");
+    EXPECT_EQ(request.code, section.code) << section.lines;
+    EXPECT_EQ(response.status().code(), section.code) << section.lines;
+    EXPECT_EQ(trailer.status().code(), section.code) << section.lines;
+    if (section.code != StatusCode::kOk) {
+      EXPECT_EQ(request.text, section.message);
+      EXPECT_EQ(response.status().message(), section.message);
+      EXPECT_EQ(trailer.status().message(), section.message);
+    } else if (!section.message.empty()) {
+      EXPECT_EQ(response->headers.at("x-a"), section.message);
+      EXPECT_EQ(trailer->headers.at("x-a"), section.message);
+    }
   }
+  // Content-Length frames heads only; a bad one fails both kinds.
+  EXPECT_EQ(ReadRequests("POST / HTTP/1.1\r\nContent-Length: 1x\r\n\r\n",
+                         1 << 20)
+                .text,
+            "bad Content-Length: 1x");
+  EXPECT_EQ(
+      ReadResponse("HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n")
+          .status()
+          .message(),
+      "bad Content-Length: 1x");
 }
 
-TEST(HttpRequestParserTest, ResetClearsFailureState) {
-  HttpRequestParser parser;
-  parser.Feed("BROKEN\r\n");
-  ASSERT_TRUE(parser.failed());
-  parser.Reset();
-  EXPECT_FALSE(parser.failed());
-  EXPECT_EQ(parser.Feed("GET / HTTP/1.1\r\n\r\n"),
-            std::string("GET / HTTP/1.1\r\n\r\n").size());
-  EXPECT_TRUE(parser.done());
+/// Replaces one size token of `wire` (a Content-Length value or a chunk
+/// size line) with a hostile one; false when the wire has none.
+bool ReplaceSize(std::string* wire, Rng* rng) {
+  std::vector<std::pair<size_t, size_t>> tokens;  // (begin, length)
+  for (size_t begin = 0; begin < wire->size();) {
+    size_t end = wire->find('\n', begin);
+    if (end == std::string::npos) end = wire->size();
+    std::string_view line(wire->data() + begin, end - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    constexpr std::string_view kLength = "Content-Length: ";
+    if (line.substr(0, kLength.size()) == kLength) {
+      tokens.emplace_back(begin + kLength.size(),
+                          line.size() - kLength.size());
+    } else if (!line.empty() &&
+               line.find_first_not_of("0123456789abcdefABCDEF") ==
+                   std::string_view::npos) {
+      tokens.emplace_back(begin, line.size());
+    }
+    begin = end + 1;
+  }
+  if (tokens.empty()) return false;
+  static const char* kSizes[] = {"fffffff",  "10000001", "ffffffffffffffffff",
+                                 "zz",       "-1",       "99999999999",
+                                 "40000001", "",         "0"};
+  auto [at, length] = tokens[rng->NextBounded(tokens.size())];
+  wire->replace(at, length, kSizes[rng->NextBounded(std::size(kSizes))]);
+  return true;
+}
+
+/// One to three seeded mutations of `wire`.
+std::string Mutate(std::string wire, Rng* rng) {
+  const uint64_t count = 1 + rng->NextBounded(3);
+  for (uint64_t i = 0; i < count; ++i) {
+    switch (rng->NextBounded(6)) {
+      case 0:  // flip a byte
+        if (!wire.empty()) {
+          wire[rng->NextBounded(wire.size())] ^=
+              static_cast<char>(1 + rng->NextBounded(255));
+        }
+        break;
+      case 1:  // truncate
+        wire.resize(rng->NextBounded(wire.size() + 1));
+        break;
+      case 2:    // drop a CR or LF
+      case 3: {  // double one
+        std::vector<size_t> breaks;
+        for (size_t at = 0; at < wire.size(); ++at) {
+          if (wire[at] == '\r' || wire[at] == '\n') breaks.push_back(at);
+        }
+        if (breaks.empty()) break;
+        size_t at = breaks[rng->NextBounded(breaks.size())];
+        if (rng->NextBool(0.5)) {
+          wire.erase(at, 1);
+        } else {
+          wire.insert(at, 1, wire[at]);
+        }
+        break;
+      }
+      case 4:
+        ReplaceSize(&wire, rng);
+        break;
+      case 5: {  // 129 or more header lines after the first line
+        size_t first = wire.find('\n');
+        size_t at = first == std::string::npos ? wire.size() : first + 1;
+        wire.insert(at, HeaderLines(129 + rng->NextBounded(64)));
+        break;
+      }
+    }
+  }
+  return wire;
+}
+
+// Hostile input: the request, response-head, chunked-body and trailer
+// wires of the tests above, mutated from a seed, must always come back as
+// a status (an error with a reader's code, or messages whose bodies stay
+// within the caps). A failure names its seed; Mutate(Rng(seed)) replays it.
+TEST(HttpFuzzTest, MutatedMessagesAlwaysEndInAStatus) {
+  const std::string post_body = "TOPK 5 BY dissimilarity\nSLICE sa=sex=F";
+  const std::vector<std::string> requests = {
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\nX-Custom: value\r\n\r\n",
+      "POST /query?format=json HTTP/1.1\r\nContent-Length: " +
+          std::to_string(post_body.size()) + "\r\n\r\n" + post_body,
+      "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+      "POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\nTOPK"
+      "GET /cubes HTTP/1.1\r\n\r\n",
+  };
+  HttpResponse busy(503, "{\"error\":\"full\"}\n");
+  busy.SetHeader("Retry-After", "1");
+  const std::vector<std::string> responses = {
+      SerializeResponse(busy, /*keep_alive=*/true),
+      "HTTP/1.1 200 OK\r\n"
+      "Content-Type: application/json\r\n"
+      "Transfer-Encoding: chunked\r\n"
+      "\r\n"
+      "6\r\nhello \r\n"
+      "b;ext=1\r\nchunked wor\r\n"
+      "2\r\nld\r\n"
+      "0\r\n"
+      "X-Trailer: yes\r\n"
+      "\r\n" +
+          SerializeResponse(HttpResponse(200, "second body"), true),
+      "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\na\r\nb",
+  };
+  constexpr size_t kMaxRequestBody = 4 * 1024 * 1024;
+  constexpr size_t kMaxResponseBody = 1024 * 1024 * 1024;
+  auto expected_error = [](StatusCode code) {
+    return code == StatusCode::kParseError || code == StatusCode::kIoError ||
+           code == StatusCode::kInvalidArgument ||
+           code == StatusCode::kUnimplemented;
+  };
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const bool request = rng.NextBool(0.5);
+    const std::vector<std::string>& corpus = request ? requests : responses;
+    const std::string wire =
+        Mutate(corpus[rng.NextBounded(corpus.size())], &rng);
+    // A quarter of the inputs arrive in small pieces.
+    const size_t chunk =
+        rng.NextBool(0.25) ? 1 + rng.NextBounded(16) : wire.size();
+    OverSocketPair(wire, chunk, [&](BufferedReader* reader) {
+      for (;;) {
+        if (request) {
+          auto line = reader->ReadLine();
+          if (!line.ok()) return;
+          auto parsed = ReadHttpRequest(reader, *line);
+          if (!parsed.ok()) {
+            EXPECT_TRUE(expected_error(parsed.status().code()))
+                << parsed.status();
+            return;
+          }
+          EXPECT_LE(parsed->body.size(), kMaxRequestBody);
+        } else {
+          auto parsed = ReadHttpResponse(reader);
+          if (!parsed.ok()) {
+            EXPECT_TRUE(expected_error(parsed.status().code()))
+                << parsed.status();
+            return;
+          }
+          EXPECT_LE(parsed->body.size(), kMaxResponseBody);
+        }
+      }
+    });
+  }
 }
 
 TEST(ListenSocketTest, LoopbackConnectAndEcho) {

@@ -174,6 +174,17 @@ TEST(ConfigTest, RoundTripThroughToString) {
             bits(original.threshold.min_weight));
   EXPECT_EQ(bits(parsed->projection.min_weight),
             bits(original.projection.min_weight));
+
+  // Subnormals print as texts whose strtod underflows (ERANGE); they must
+  // still read back bit for bit.
+  original.projection.min_weight = 5e-324;
+  original.threshold.min_weight = 1e-310;
+  parsed = ParsePipelineConfig(PipelineConfigToString(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(bits(parsed->projection.min_weight),
+            bits(original.projection.min_weight));
+  EXPECT_EQ(bits(parsed->threshold.min_weight),
+            bits(original.threshold.min_weight));
 }
 
 TEST(ConfigTest, CommentsAndBlanksIgnored) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hashing.h"
 #include "query/cube_store.h"
 #include "query/service.h"
 #include "server/slow_query_log.h"
@@ -212,6 +213,26 @@ TEST(MetricsTest, BucketBoundLabelsAreUnchanged) {
     labels.push_back(out.substr(begin, out.find('"', begin) - begin));
   }
   EXPECT_EQ(labels, expected);
+}
+
+// Pins the exposition bytes over a fresh QueryService: every HELP text,
+// series order and number format of the counters, gauges and histograms
+// (labelled and unlabelled) shows here. On a mismatch the test prints the
+// whole exposition.
+TEST(MetricsTest, ExpositionBytesAreUnchanged) {
+  RenderFixture fx;
+  fx.metrics.ConnOpened();
+  fx.metrics.ConnOpened();
+  fx.metrics.ConnClosed();
+  fx.metrics.Add(fx.metrics.streamed_bytes, 98765);
+  fx.metrics.RaiseMax(fx.metrics.buffered_body_peak, 1234567);
+  fx.metrics.ObserveRoute(Route::kQuery, 0.3);
+  fx.metrics.ObserveRoute(Route::kStream, 1234.5678);
+  fx.metrics.ObserveVerb("TOPK", 12.0);
+  fx.metrics.stream_ttfb.Observe(0.02);
+  const std::string out = fx.Render();
+  EXPECT_EQ(out.size(), 25116u) << out;
+  EXPECT_EQ(HashBytes(out), 0x4db7ac91ed26d8ebULL) << out;
 }
 
 TEST(SlowQueryLogTest, FormatLineIsTheDocumentedJsonShape) {
