@@ -16,18 +16,19 @@ uint64_t CubeStore::Publish(const std::string& name,
   auto snapshot = std::make_shared<const cube::CubeView>(
       std::move(cube).Seal(num_threads));
   seal_span.End();
-  // One Executor per sealed version, built here so the serving paths stop
-  // rebuilding the O(catalog) item index per request/chunk/page. The
-  // deleter captures the snapshot: handing the executor out alone keeps
-  // the view it references alive.
-  trace::Span index_span(trace, "build.executor_index");
-  std::shared_ptr<const Executor> executor(
-      new Executor(*snapshot),
-      [snapshot](const Executor* e) { delete e; });
-  index_span.End();
   sync::MutexLock lock(&mu_);
   Entry& entry = entries_[name];
   uint64_t version = ++entry.latest;
+  // One Executor per sealed version, built here so the serving paths stop
+  // rebuilding the O(catalog) item index per request/chunk/page. It stamps
+  // every answer with its version, which is assigned under the lock, so
+  // the index is built under it too. The deleter captures the snapshot:
+  // handing the executor out alone keeps the view it references alive.
+  trace::Span index_span(trace, "build.executor_index");
+  std::shared_ptr<const Executor> executor(
+      new Executor(*snapshot, version),
+      [snapshot](const Executor* e) { delete e; });
+  index_span.End();
   entry.versions.push_back(
       SealedVersion{version, std::move(snapshot), std::move(executor)});
   while (entry.versions.size() > max_versions_) {

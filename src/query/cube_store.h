@@ -75,7 +75,8 @@ class CubeStore {
 
   /// The shared Executor for one retained sealed version — built once at
   /// publish time (the executor's attribute/value item index is O(catalog)
-  /// to construct, and was previously rebuilt per request/chunk/page).
+  /// to construct, and was previously rebuilt per request/chunk/page). It
+  /// stamps `version` into every answer's ResultHeader.
   /// The returned pointer keeps the underlying snapshot alive on its own,
   /// so it stays valid after the version is evicted. Nullptr when the
   /// name/version is unknown or already evicted (callers fall back to

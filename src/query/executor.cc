@@ -99,9 +99,11 @@ void PrefixOrderKeys(const OrderBy& order, std::vector<ResultRow>* rows) {
   }
 }
 
-/// The verb-specific column layout, known before any row is produced.
-ResultHeader HeaderFor(const Query& q) {
+/// The version and the verb-specific column layout, known before any row
+/// is produced.
+ResultHeader HeaderFor(const Query& q, uint64_t version) {
   ResultHeader header;
+  header.version = version;
   header.verb = q.verb;
   header.by = q.by;
   switch (q.verb) {
@@ -480,12 +482,12 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
 
 /// Streams one prepared query into a sink: Begin, the page's rows, and
 /// pagination accounting. Never calls sink.Finish (see ExecuteToSink).
-Status EmitPrepared(const cube::CubeView& view, Prepared& p,
-                    const QueryContext& ctx, RowSink& sink,
+Status EmitPrepared(const cube::CubeView& view, uint64_t version,
+                    Prepared& p, const QueryContext& ctx, RowSink& sink,
                     StreamStats* stats) {
   const Query& q = *p.query;
   stats->begun = true;
-  if (!sink.Begin(HeaderFor(q))) {
+  if (!sink.Begin(HeaderFor(q, version))) {
     stats->aborted = true;
     stats->exhausted = false;
     return Status::OK();
@@ -540,7 +542,8 @@ Status EmitPrepared(const cube::CubeView& view, Prepared& p,
 
 }  // namespace
 
-Executor::Executor(const cube::CubeView& view) : view_(view) {
+Executor::Executor(const cube::CubeView& view, uint64_t version)
+    : view_(view), version_(version) {
   const relational::ItemCatalog& catalog = view.catalog();
   item_by_key_.reserve(catalog.size());
   for (size_t i = 0; i < catalog.size(); ++i) {
@@ -643,7 +646,7 @@ Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
           "query deadline expired before execution completed");
     }
   }
-  return EmitPrepared(view_, p, ctx, sink, stats);
+  return EmitPrepared(view_, version_, p, ctx, sink, stats);
 }
 
 }  // namespace query

@@ -70,10 +70,11 @@ void SortRows(const OrderBy& order, std::vector<ResultRow>* rows);
 /// \brief Executes queries against one sealed cube snapshot.
 ///
 /// Construction indexes the catalog (attribute/value -> item id); the
-/// executor itself is immutable and safe to share across threads.
+/// executor itself is immutable and safe to share across threads. Every
+/// answer's ResultHeader carries `version`, the store version of `view`.
 class Executor {
  public:
-  explicit Executor(const cube::CubeView& view);
+  explicit Executor(const cube::CubeView& view, uint64_t version = 0);
 
   /// Executes one query: the ExecuteToSink stream captured by a
   /// VectorSink, pagination included.
@@ -106,6 +107,7 @@ class Executor {
 
  private:
   const cube::CubeView& view_;
+  const uint64_t version_;
   std::unordered_map<std::string, fpm::ItemId> item_by_key_;  // attr \x1F value
   std::unordered_map<std::string, relational::AttributeKind> kind_by_attr_;
 };

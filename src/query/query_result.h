@@ -6,7 +6,9 @@
 // The streaming read path (query/row_sink.h) decomposes an answer into
 // ResultHeader -> ResultRow* -> ResultTrailer; QueryResult is exactly that
 // protocol materialised, so a cached QueryResult replays through any
-// RowSink byte-identically to a live streamed execution.
+// RowSink byte-identically to a live streamed execution. The header names
+// the sealed cube version the rows were computed from, so a replay names
+// it too.
 
 #ifndef SCUBE_QUERY_QUERY_RESULT_H_
 #define SCUBE_QUERY_QUERY_RESULT_H_
@@ -53,9 +55,16 @@ struct ResultRow {
 };
 
 /// \brief Everything known about an answer *before* its first row: the
-/// verb, the ranked index and the verb-specific column layout. Streamed
-/// first so writers can emit their header bytes before any row exists.
+/// cube version, the verb, the ranked index and the verb-specific column
+/// layout. Streamed first so writers can emit their header bytes before
+/// any row exists.
 struct ResultHeader {
+  /// The sealed cube version the rows come from, stamped by the Executor
+  /// of that version (0 for an executor outside a CubeStore). The wire H
+  /// line carries it, so the scatter router learns each shard's version
+  /// from the stream head; the JSON and CSV writers do not render it.
+  uint64_t version = 0;
+
   Verb verb = Verb::kSlice;
   indexes::IndexKind by = indexes::IndexKind::kDissimilarity;
 

@@ -260,7 +260,7 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
   if (executor == nullptr) {
     // The version was evicted between snapshot resolution and here (or the
     // snapshot came from a cursor pin that outlived retention).
-    executor = std::make_shared<const Executor>(*snapshot);
+    executor = std::make_shared<const Executor>(*snapshot, version);
   }
   StreamStats stats;
   trace::Span execute_span(context.trace, "execute");
@@ -334,7 +334,7 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
   std::shared_ptr<const Executor> executor =
       store_->GetExecutor(name, info.version);
   if (executor == nullptr) {
-    executor = std::make_shared<const Executor>(*snapshot);
+    executor = std::make_shared<const Executor>(*snapshot, info.version);
   }
   for (const std::string& text : hottest) {
     auto parsed = Parse(text);

@@ -134,6 +134,8 @@ std::string WireDouble(double v) {
 
 bool WireWriter::Begin(const ResultHeader& header) {
   std::string line = "H\t";
+  AppendUint(header.version, &line);
+  line += '\t';
   line += std::to_string(static_cast<int>(header.verb));
   line += '\t';
   line += std::to_string(static_cast<int>(header.by));
@@ -221,19 +223,20 @@ Result<WireEvent> ParseWireLine(std::string_view line) {
   WireEvent event;
   switch (fields[0][0]) {
     case 'H': {
-      if (fields.size() != 10) return BadLine("H wants 10 fields");
+      if (fields.size() != 11) return BadLine("H wants 11 fields");
       event.kind = WireEvent::Kind::kHeader;
       uint64_t verb = 0, by = 0;
-      if (!ParseWireU64(fields[1], &verb) || verb >= kNumVerbs ||
-          !ParseWireU64(fields[2], &by) ||
+      if (!ParseWireU64(fields[1], &event.header.version) ||
+          !ParseWireU64(fields[2], &verb) || verb >= kNumVerbs ||
+          !ParseWireU64(fields[3], &by) ||
           by >= indexes::kNumIndexKinds ||
-          !ParseWireBool(fields[3], &event.header.has_value) ||
-          !ParseWireBool(fields[4], &event.header.has_aux) ||
-          !ParseWireBool(fields[5], &event.header.has_aux2) ||
-          !ParseWireBool(fields[6], &event.header.has_tag) ||
-          !UnescapeWire(fields[7], &event.header.aux_name) ||
-          !UnescapeWire(fields[8], &event.header.aux2_name) ||
-          !UnescapeWire(fields[9], &event.header.tag_name)) {
+          !ParseWireBool(fields[4], &event.header.has_value) ||
+          !ParseWireBool(fields[5], &event.header.has_aux) ||
+          !ParseWireBool(fields[6], &event.header.has_aux2) ||
+          !ParseWireBool(fields[7], &event.header.has_tag) ||
+          !UnescapeWire(fields[8], &event.header.aux_name) ||
+          !UnescapeWire(fields[9], &event.header.aux2_name) ||
+          !UnescapeWire(fields[10], &event.header.tag_name)) {
         return BadLine("bad H field");
       }
       event.header.verb = static_cast<Verb>(verb);

@@ -3,8 +3,8 @@
 //
 // Line-oriented, escaped TSV, one event per line:
 //
-//   H \t verb \t by \t has_value \t has_aux \t has_aux2 \t has_tag
-//     \t aux_name \t aux2_name \t tag_name
+//   H \t version \t verb \t by \t has_value \t has_aux \t has_aux2
+//     \t has_tag \t aux_name \t aux2_name \t tag_name
 //   R \t skey-hex \t sa \t ca \t t \t m \t units \t defined
 //     \t idx0..idx5 \t value \t aux \t aux2 \t tag
 //   T \t cells_scanned \t next_cursor
@@ -16,6 +16,11 @@
 // round-trip anywhere. The skey column is the row's order-preserving
 // merge key (query/merge_key.h), hex-encoded; it is what the router's
 // k-way merge compares. Free-text fields escape \, tab, CR and LF.
+//
+// The H line's version is the sealed cube version the shard executes
+// (ResultHeader::version). The router reads every shard's H line before
+// it emits a row, so it checks version agreement, or a pinned version,
+// from the stream heads alone; the S line repeats the version at the end.
 //
 // H/R/T are written by WireWriter (a ResultWriter like Json/CsvWriter);
 // each R line is appended into the writer's reused row buffer (integers

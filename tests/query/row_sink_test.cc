@@ -303,7 +303,7 @@ TEST(RenderGoldenTest, CsvBytesArePinned) {
 
 TEST(RenderGoldenTest, WireBytesArePinned) {
   EXPECT_EQ(Render<WireWriter>(TopKHeader(), GoldenTrailer()),
-            "H\t4\t1\t1\t0\t0\t0\t\t\t\n"
+            "H\t0\t4\t1\t1\t0\t0\t0\t\t\t\n"
             "R\t007f80ff\tsex=\"F\" & note=a\\\\b\tregion=north,"
             " east\\r\\tx\001 \303\251\t123456789012\t0\t4294967295\t1\t"
             "0000000000000000\t8000000000000000\t3ee4f8b588e368f1\t"
@@ -319,7 +319,7 @@ TEST(RenderGoldenTest, WireBytesArePinned) {
             "3fb999999999999a\t3fc0000000000000\t4000000000000000\t\n"
             "T\t18446744073709551615\tc2NxMXwx\n");
   EXPECT_EQ(Render<WireWriter>(ReversalsHeader(), ResultTrailer{}),
-            "H\t6\t5\t1\t1\t1\t1\tboundary_child\tchildren\tkind\n"
+            "H\t0\t6\t5\t1\t1\t1\t1\tboundary_child\tchildren\tkind\n"
             "R\t007f80ff\tsex=\"F\" & note=a\\\\b\tregion=north,"
             " east\\r\\tx\001 \303\251\t123456789012\t0\t4294967295\t1\t"
             "0000000000000000\t8000000000000000\t3ee4f8b588e368f1\t"

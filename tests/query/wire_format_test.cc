@@ -57,6 +57,7 @@ std::vector<std::string> EmitLines(const ResultHeader& header,
 
 TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   ResultHeader header;
+  header.version = 9223372036854775807ULL;  // the largest the parser takes
   header.verb = Verb::kReversals;
   header.by = indexes::IndexKind::kAtkinson;
   header.has_value = true;
@@ -72,6 +73,7 @@ TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   auto event = ParseWireLine(lines[0]);
   ASSERT_TRUE(event.ok()) << event.status();
   ASSERT_EQ(event->kind, WireEvent::Kind::kHeader);
+  EXPECT_EQ(event->header.version, 9223372036854775807ULL);
   EXPECT_EQ(event->header.verb, Verb::kReversals);
   EXPECT_EQ(event->header.by, indexes::IndexKind::kAtkinson);
   EXPECT_TRUE(event->header.has_value);
@@ -188,6 +190,8 @@ TEST(WireFormatTest, MalformedLinesAreParseErrors) {
            "X\tnope",          // unknown event kind
            "R\tonly\ttwo",     // truncated row
            "H\t999",           // truncated header
+           "H\t4\t1\t1\t0\t0\t0\t\t\t",  // header without its version
+           "H\t-1\t4\t1\t1\t0\t0\t0\t\t\t",  // negative version
            "T\tnot-a-number\t",
            "S\t12345\tmsg\t1\t0\t0",  // out-of-range status code
        }) {
