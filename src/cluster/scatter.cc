@@ -101,6 +101,16 @@ bool ParseJsonString(const std::string& body, size_t* pos, std::string* out) {
   return false;
 }
 
+/// Reads the rest of a buffered response. The connection goes back to the
+/// idle list when the body was framed; a body read to EOF leaves no
+/// connection to keep.
+Status ReadBody(ShardClient::Call* call, net::HttpResponseHead* head,
+                std::string* body) {
+  Status read = net::ReadHttpBody(call->reader(), head, body);
+  if (read.ok() && (head->chunked || head->length)) call->Release();
+  return read;
+}
+
 /// "error" field of a shard's buffered JSON error body; falls back to the
 /// raw (trimmed) body for anything unexpected.
 std::string ParseErrorBody(const std::string& body) {
@@ -258,15 +268,15 @@ Result<ScatterCursor> DecodeScatterCursor(std::string_view token) {
 
 struct ScatterExecutor::ShardStream {
   size_t index = 0;
-  ShardClient* client = nullptr;
+  ShardClient::Call call;  ///< this request's connection to the shard
 
   std::unique_ptr<net::ChunkedBodyReader> body;
   std::string buf;        ///< undecoded tail of the body
   size_t pos = 0;         ///< parse position into buf
-  bool body_done = false; ///< terminal chunk consumed
+  bool body_done = false; ///< terminal chunk consumed, connection released
 
-  Status error;           ///< fan-out failure (StartStream / HTTP error)
-  bool started = false;   ///< a stream is open on the shard connection
+  Status error;           ///< fan-out failure (transport / HTTP error)
+  bool started = false;   ///< a chunked 200 stream is open on `call`
   bool ended = false;     ///< parsed to the end of the wire stream
   bool dropped = false;   ///< removed from the request (allow_partial)
 
@@ -286,6 +296,7 @@ struct ScatterExecutor::ShardStream {
 
   /// Next '\n'-terminated line of the stream body. `*have` false at a
   /// clean end of stream; a body ending mid-line is a transport error.
+  /// The connection goes back to the idle list at the terminal chunk.
   Status NextLine(std::string* line, bool* have);
 
   /// Pulls wire events until the next row (`stop_at_row`) or the end of
@@ -293,6 +304,12 @@ struct ScatterExecutor::ShardStream {
   /// line is a transport failure and a non-OK S is the shard's own
   /// execution error.
   Status Advance(bool stop_at_row);
+
+  /// Closes the connection unless it was already released.
+  void Abandon() {
+    body.reset();
+    call = ShardClient::Call();
+  }
 };
 
 Status ScatterExecutor::ShardStream::NextLine(std::string* line, bool* have) {
@@ -318,7 +335,13 @@ Status ScatterExecutor::ShardStream::NextLine(std::string* line, bool* have) {
     }
     auto more = s.body->ReadSome(&s.buf);
     if (!more.ok()) return more.status();
-    if (!*more) s.body_done = true;
+    if (!*more) {
+      // The body ended exactly at its framing: the connection sits at a
+      // message boundary and serves the next request.
+      s.body_done = true;
+      s.body.reset();
+      s.call.Release();
+    }
   }
 }
 
@@ -380,19 +403,9 @@ ScatterExecutor::ScatterExecutor(std::vector<ShardSpec> shards,
         std::make_unique<ShardClient>(std::move(spec), options_.client));
     rtt_.push_back(std::make_unique<trace::LatencyHistogram>());
   }
-  // One worker per shard: the fan-out opens every shard stream
-  // concurrently (ParallelFor adds the calling thread as a participant).
-  pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, clients_.size()));
 }
 
 ScatterExecutor::~ScatterExecutor() = default;
-
-query::StreamOutcome ScatterExecutor::ExecuteStreaming(
-    const std::string& text, query::RowSink& sink,
-    const query::QueryContext& ctx, const std::string& cursor) {
-  sync::MutexLock lock(&request_mu_);
-  return ScatterLocked(text, sink, ctx, cursor);
-}
 
 query::ServiceStats ScatterExecutor::stats() const {
   query::ServiceStats s;
@@ -404,18 +417,24 @@ query::ServiceStats ScatterExecutor::stats() const {
 }
 
 std::vector<query::CubeInfo> ScatterExecutor::ListCubes() const {
-  sync::MutexLock lock(&request_mu_);
   const size_t n = clients_.size();
+  std::vector<ShardClient::Call> calls;
+  calls.reserve(n);
+  for (const auto& client : clients_) {
+    calls.push_back(client->Send("GET", "/cubes"));
+  }
   std::vector<std::vector<query::CubeInfo>> per(n);
   std::vector<char> responded(n, 0);
-  pool_->ParallelFor(n, [&](size_t i) {
-    auto resp = clients_[i]->RoundTrip("GET", "/cubes");
-    if (!resp.ok() || resp->status != 200) return;
-    auto cubes = ParseCubesJson(resp->body);
-    if (!cubes.ok()) return;
+  for (size_t i = 0; i < n; ++i) {
+    auto head = calls[i].ReadHead();
+    if (!head.ok() || head->status != 200) continue;
+    std::string body;
+    if (!ReadBody(&calls[i], &*head, &body).ok()) continue;
+    auto cubes = ParseCubesJson(body);
+    if (!cubes.ok()) continue;
     per[i] = std::move(cubes).value();
     responded[i] = 1;
-  });
+  }
 
   size_t base = n;
   for (size_t i = 0; i < n; ++i) {
@@ -463,7 +482,7 @@ std::vector<query::CubeInfo> ScatterExecutor::ListCubes() const {
   return out;
 }
 
-query::StreamOutcome ScatterExecutor::ScatterLocked(
+query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     const std::string& text, query::RowSink& sink,
     const query::QueryContext& ctx, const std::string& cursor) {
   query::StreamOutcome outcome;
@@ -521,10 +540,7 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
   WallTimer timer;
 
   std::vector<ShardStream> streams(n);
-  for (size_t i = 0; i < n; ++i) {
-    streams[i].index = i;
-    streams[i].client = clients_[i].get();
-  }
+  for (size_t i = 0; i < n; ++i) streams[i].index = i;
 
   bool used_partial = false;
   auto live_count = [&streams]() {
@@ -543,16 +559,13 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
   // (analytic verb, opted in, at least one other shard still live).
   auto try_drop = [&](size_t i) {
     if (!partial_ok || live_count() <= 1) return false;
-    ShardStream& s = streams[i];
-    if (s.started && !s.ended) s.client->FinishStream(false);
-    s.dropped = true;
+    streams[i].Abandon();
+    streams[i].dropped = true;
     used_partial = true;
     return true;
   };
   auto abort_started = [&streams]() {
-    for (ShardStream& s : streams) {
-      if (!s.dropped && s.started && !s.ended) s.client->FinishStream(false);
-    }
+    for (ShardStream& s : streams) s.Abandon();
   };
   auto sum_scanned = [&streams]() {
     uint64_t total = 0;
@@ -562,8 +575,10 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     return total;
   };
 
-  // --- pin one version: from the cursor, or by preflighting every shard.
-  uint64_t version = 0;
+  // --- the pin: a cursor or FROM name@version names the version the
+  // shards must answer at; a fresh statement goes out unpinned, and the
+  // shards' stream heads must agree on one version.
+  std::optional<uint64_t> pin = q.cube_version;
   std::vector<uint64_t> consumed(n, 0);
   uint64_t router_skip = 0;
 
@@ -592,7 +607,7 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
           "cursor pins version " + std::to_string(decoded->version) +
           ", but the query pins @" + std::to_string(*q.cube_version)));
     }
-    version = decoded->version;
+    pin = decoded->version;
     consumed = std::move(decoded->consumed);
     // The original OFFSET was consumed while producing the first page (it
     // is part of the consumed counts); resumption never re-skips.
@@ -602,109 +617,8 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
       return finish(
           Status::DeadlineExceeded("deadline expired before fan-out"));
     }
-    struct Preflight {
-      Status error;
-      std::vector<query::CubeInfo> cubes;
-    };
-    std::vector<Preflight> pre(n);
-    {
-      trace::Span span(context.trace, "scatter.preflight");
-      pool_->ParallelFor(n, [&](size_t i) {
-        auto resp = clients_[i]->RoundTrip("GET", "/cubes");
-        if (!resp.ok()) {
-          pre[i].error = resp.status();
-          return;
-        }
-        if (resp->status != 200) {
-          pre[i].error = Status::Internal("GET /cubes answered HTTP " +
-                                          std::to_string(resp->status));
-          return;
-        }
-        auto cubes = ParseCubesJson(resp->body);
-        if (!cubes.ok()) {
-          pre[i].error = cubes.status();
-          return;
-        }
-        pre[i].cubes = std::move(cubes).value();
-      });
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (pre[i].error.ok()) continue;
-      Status err = shard_error(i, pre[i].error);
-      if (!try_drop(i)) return finish(std::move(err));
-    }
-
-    std::vector<const query::CubeInfo*> info(n, nullptr);
-    for (size_t i = 0; i < n; ++i) {
-      if (streams[i].dropped) continue;
-      for (const query::CubeInfo& c : pre[i].cubes) {
-        if (c.name == outcome.cube) {
-          info[i] = &c;
-          break;
-        }
-      }
-    }
-
-    if (q.cube_version) {
-      version = *q.cube_version;
-      for (size_t i = 0; i < n; ++i) {
-        if (streams[i].dropped) continue;
-        bool has = false;
-        if (info[i] != nullptr) {
-          has = info[i]->version == version ||
-                std::find(info[i]->retained.begin(), info[i]->retained.end(),
-                          version) != info[i]->retained.end();
-        }
-        if (!has) {
-          Status err = shard_error(
-              i, Status::NotFound("no version " + std::to_string(version) +
-                                  " of cube '" + outcome.cube +
-                                  "' (evicted or never published)"));
-          if (!try_drop(i)) return finish(std::move(err));
-        }
-      }
-    } else {
-      bool any = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (!streams[i].dropped && info[i] != nullptr) any = true;
-      }
-      if (!any) {
-        return finish(Status::NotFound("no cube published under '" +
-                                       outcome.cube + "'"));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (streams[i].dropped || info[i] != nullptr) continue;
-        Status err = shard_error(
-            i, Status::Unavailable("cube '" + outcome.cube +
-                                   "' not published on this shard"));
-        if (!try_drop(i)) return finish(std::move(err));
-      }
-      // Version agreement: a rolling publish that has reached only some
-      // shards must not produce a Frankenstein answer.
-      size_t first = n;
-      for (size_t i = 0; i < n; ++i) {
-        if (!streams[i].dropped) {
-          first = i;
-          break;
-        }
-      }
-      version = info[first]->version;
-      for (size_t i = first + 1; i < n; ++i) {
-        if (streams[i].dropped) continue;
-        if (info[i]->version != version) {
-          return finish(Status::Unavailable(
-              "cube '" + outcome.cube + "' is at version " +
-              std::to_string(version) + " on shard " + std::to_string(first) +
-              " (" + clients_[first]->spec().Label() + ") but version " +
-              std::to_string(info[i]->version) + " on shard " +
-              std::to_string(i) + " (" + clients_[i]->spec().Label() +
-              "); retry once the rolling publish settles"));
-        }
-      }
-    }
     router_skip = q.offset.value_or(0);
   }
-  outcome.cube_version = version;
 
   // ranked_reorder pagination is positional in the *sorted* stream: the
   // global selection must be recomputed every page, so per-shard resume
@@ -740,74 +654,71 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     target += buf;
   }
 
-  std::vector<std::string> bodies(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (streams[i].dropped) continue;
-    query::Query shard_q = q;
-    shard_q.cube = outcome.cube;
-    shard_q.cube_version = version;
-    if (consumed[i] > 0) {
-      shard_q.offset = consumed[i];
-    } else {
-      shard_q.offset.reset();
-    }
-    if (q.limit && !ranked_reorder) {
-      shard_q.limit = router_skip + *q.limit + 1;
-    } else {
-      shard_q.limit.reset();
-    }
-    if (ranked_reorder) {
-      // Natural ranked streams: the shard's local top-k in selection
-      // order, bounded by k rows — the router sorts and pages.
-      shard_q.order.reset();
-    }
-    bodies[i] = query::Canonical(shard_q);
-  }
-
-  // --- fan out: open every shard stream concurrently.
+  // --- fan out on this thread: write every shard's request, then read
+  // the heads in shard order. A shard's rtt runs from its request written
+  // to its head read, so it includes the heads read before it.
   {
     trace::Span fanout(context.trace, "scatter.fanout");
-    pool_->ParallelFor(n, [&](size_t i) {
+    std::vector<trace::TraceContext::Clock::time_point> sent(n);
+    for (size_t i = 0; i < n; ++i) {
+      query::Query shard_q = q;
+      shard_q.cube = outcome.cube;
+      shard_q.cube_version = pin;
+      if (consumed[i] > 0) {
+        shard_q.offset = consumed[i];
+      } else {
+        shard_q.offset.reset();
+      }
+      if (q.limit && !ranked_reorder) {
+        shard_q.limit = router_skip + *q.limit + 1;
+      } else {
+        shard_q.limit.reset();
+      }
+      if (ranked_reorder) {
+        // Natural ranked streams: the shard's local top-k in selection
+        // order, bounded by k rows — the router sorts and pages.
+        shard_q.order.reset();
+      }
+      streams[i].call =
+          clients_[i]->Send("POST", target, query::Canonical(shard_q));
+      sent[i] = trace::TraceContext::Clock::now();
+    }
+    for (size_t i = 0; i < n; ++i) {
       ShardStream& s = streams[i];
-      if (s.dropped) return;
-      auto t0 = trace::TraceContext::Clock::now();
-      auto head =
-          s.client->StartStream("POST", target, bodies[i], "text/plain");
-      auto t1 = trace::TraceContext::Clock::now();
+      auto head = s.call.ReadHead();
+      auto read = trace::TraceContext::Clock::now();
       rtt_[i]->Observe(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
+          std::chrono::duration<double, std::milli>(read - sent[i]).count());
       if (context.trace != nullptr) {
-        context.trace->Record(ShardRttName(i), t0, t1);
+        context.trace->Record(ShardRttName(i), sent[i], read);
       }
       if (!head.ok()) {
         s.error = head.status();
-        return;
+        continue;
       }
       if (head->status != 200) {
         // The shard rejected the statement before streaming (parse error,
-        // missing version, shed). Recover its error message and leave the
-        // connection clean.
+        // unknown cube or version, shed): pass its own message on.
         std::string body;
-        Status read = net::ReadHttpBody(s.client->reader(), &*head, &body);
-        // A body read to EOF leaves no connection to keep.
-        s.client->FinishStream(read.ok() && (head->chunked || head->length));
+        Status body_read = ReadBody(&s.call, &*head, &body);
         s.error = Status(CodeForHttpStatus(head->status),
-                         read.ok() ? ParseErrorBody(body)
-                                   : "HTTP " + std::to_string(head->status));
-        return;
+                         body_read.ok()
+                             ? ParseErrorBody(body)
+                             : "HTTP " + std::to_string(head->status));
+        continue;
       }
       if (!head->chunked) {
-        s.client->FinishStream(false);
         s.error = Status::IoError("streamed response is not chunked");
-        return;
+        continue;
       }
       s.started = true;
-      s.body = std::make_unique<net::ChunkedBodyReader>(s.client->reader());
-    });
+      s.body = std::make_unique<net::ChunkedBodyReader>(s.call.reader());
+    }
   }
   for (size_t i = 0; i < n; ++i) {
     ShardStream& s = streams[i];
-    if (s.dropped || s.started) continue;
+    if (s.started) continue;
+    s.Abandon();
     Status err = shard_error(i, s.error);
     if (!try_drop(i)) {
       abort_started();
@@ -815,8 +726,9 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     }
   }
 
-  // --- prime: first row (or end) of every stream, before Begin, so any
-  // early shard failure can still be answered as a plain HTTP error.
+  // --- prime: the head and first row (or end) of every stream, before
+  // Begin, so any early shard failure can still be answered as a plain
+  // HTTP error.
   for (size_t i = 0; i < n; ++i) {
     ShardStream& s = streams[i];
     if (s.dropped) continue;
@@ -830,22 +742,50 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     }
   }
 
-  const query::ResultHeader* header = nullptr;
-  for (const ShardStream& s : streams) {
-    if (!s.dropped && s.have_header) {
-      header = &s.header;
-      break;
+  // --- one version: every live stream head names the pin, or, unpinned,
+  // the same version as the first live shard's. A rolling publish that
+  // has reached only some shards must not produce a mixed answer.
+  size_t first = n;
+  for (size_t i = 0; i < n; ++i) {
+    ShardStream& s = streams[i];
+    if (s.dropped) continue;
+    Status bad;
+    if (!s.have_header) {
+      bad = Status::IoError("shard stream has no result header");
+    } else if (pin && s.header.version != *pin) {
+      bad = Status::Internal(
+          "answered version " + std::to_string(s.header.version) +
+          " of cube '" + outcome.cube + "', but the statement pins version " +
+          std::to_string(*pin));
+    }
+    if (!bad.ok()) {
+      Status err = shard_error(i, bad);
+      if (!try_drop(i)) {
+        abort_started();
+        return finish(std::move(err));
+      }
+      continue;
+    }
+    if (first == n) {
+      first = i;
+    } else if (s.header.version != streams[first].header.version) {
+      abort_started();
+      return finish(Status::Unavailable(
+          "cube '" + outcome.cube + "' is at version " +
+          std::to_string(streams[first].header.version) + " on shard " +
+          std::to_string(first) + " (" + clients_[first]->spec().Label() +
+          ") but version " + std::to_string(s.header.version) +
+          " on shard " + std::to_string(i) + " (" +
+          clients_[i]->spec().Label() +
+          "); retry once the rolling publish settles"));
     }
   }
-  if (header == nullptr) {
-    // A 200-chunked wire stream always opens with H; its absence on every
-    // live shard is a protocol violation, not an empty result.
-    abort_started();
-    return finish(Status::Internal("no shard produced a result header"));
-  }
+  const query::ResultHeader& header = streams[first].header;
+  const uint64_t version = header.version;
+  outcome.cube_version = version;
 
   outcome.begun = true;
-  if (!sink.Begin(*header)) {
+  if (!sink.Begin(header)) {
     // Mirror the single-node path: an aborted stream is still closed with
     // a trailer, reports OK, and never carries a resume cursor.
     abort_started();
@@ -975,8 +915,7 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     for (ShardStream& s : streams) {
       if (s.dropped || !s.started || s.ended) continue;
       s.have_row = false;
-      Status drained = s.Advance(/*stop_at_row=*/false);
-      if (!drained.ok()) s.client->FinishStream(false);
+      if (!s.Advance(/*stop_at_row=*/false).ok()) s.Abandon();
     }
   }
 

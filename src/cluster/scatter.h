@@ -10,8 +10,9 @@
 //   2. Shards answer POST /query?stream=1&format=wire with every row
 //      stamped by an order-preserving merge key (query/merge_key.h) and
 //      every double as its raw IEEE-754 bit pattern (query/wire_format.h).
-//   3. This executor opens all shard streams concurrently (scatter.fanout
-//      span, per-shard shard[i].rtt spans), then pops the smallest key
+//   3. This executor writes every shard's request, then reads the stream
+//      heads in shard order, all on the caller's thread (scatter.fanout
+//      span, per-shard shard[i].rtt spans). It then pops the smallest key
 //      across streams (scatter.merge span) — reproducing the global
 //      stream — and pushes rows into the caller's RowSink, where the very
 //      same JsonWriter/CsvWriter as a single node renders them.
@@ -24,22 +25,29 @@
 // the same reason single-node pages do: every shard stream is
 // deterministic.
 //
-// Versions: each statement is pinned to one sealed version before
-// fan-out. A non-cursor request preflights GET /cubes on every shard and
-// requires them to agree on the latest version (a mismatch — e.g. a
-// rolling publish in progress — is Unavailable and names the shard);
-// cursors carry the pin themselves. Shard requests always say FROM
-// name@version, so a concurrent publish cannot tear one answer.
+// Versions: one round trip per shard. Every shard names the sealed
+// version it answers in its stream head (the wire H line), and the router
+// reads every head before it emits a row. A fresh statement goes out
+// unpinned and its heads must agree: a mismatch (a rolling publish that
+// reached only some shards) is Unavailable, names both shards and both
+// versions, and emits no row. A cursor or FROM name@version statement
+// goes out pinned, and a head naming another version fails that shard.
+// The cursor records the version the heads named, so later pages stay on
+// it however many publishes follow. A shard's own refusal (say, a 404 for
+// a cube or version it does not hold) passes through with the shard
+// prefix below.
 //
 // Failure: a failed shard fails the request with an error envelope that
 // names it ("shard 2 (host:port): ..."). With ?allow_partial=1, analytic
 // verbs (TOPK / SURPRISES / REVERSALS) instead answer from the shards
 // that responded — navigation verbs never degrade silently.
 //
-// Concurrency: one statement at a time (an internal mutex, which a
-// buffered batch takes once per statement). The executor owns one
-// connection pool; scaling request concurrency means running more router
-// processes, which are stateless.
+// Concurrency: requests run at once, each on its caller's thread, with no
+// router lock. Each request checks out its own keep-alive connection per
+// shard from the ShardClient's idle list and returns it only after a
+// clean end of body, so two requests never share a connection. A shard
+// serves one connection per handler thread (scubed --conns), so a router
+// should not run more statements at once than its shards have handlers.
 
 #ifndef SCUBE_CLUSTER_SCATTER_H_
 #define SCUBE_CLUSTER_SCATTER_H_
@@ -52,8 +60,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/sync.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "cluster/shard_client.h"
 #include "net/http.h"
@@ -68,7 +74,7 @@ struct ScatterOptions {
   /// shards' default for unqualified queries to resolve).
   std::string default_cube = "default";
 
-  /// Connect/read timeouts and retry policy for all shard round trips.
+  /// Connect/read timeouts for every shard connection.
   net::ClientOptions client;
 
   /// Deadline applied to requests that carry none (milliseconds, 0 =
@@ -93,7 +99,8 @@ std::string EncodeScatterCursor(const ScatterCursor& cursor);
 /// cursor (single-node tokens are a different format).
 Result<ScatterCursor> DecodeScatterCursor(std::string_view token);
 
-/// \brief Scatter-gather query backend over a shard topology.
+/// \brief Scatter-gather query backend over a shard topology. Thread-safe:
+/// concurrent ExecuteStreaming calls share only the shard clients.
 class ScatterExecutor : public query::QueryBackend {
  public:
   ScatterExecutor(std::vector<ShardSpec> shards, ScatterOptions options = {});
@@ -111,7 +118,8 @@ class ScatterExecutor : public query::QueryBackend {
 
   /// The cubes every reachable shard agrees on (same latest version);
   /// cells/defined_cells are summed across shards and therefore count
-  /// ghost replicas once per holding shard.
+  /// ghost replicas once per holding shard. One GET /cubes per shard,
+  /// over the same request path and retry rule as a statement.
   std::vector<query::CubeInfo> ListCubes() const override;
 
   /// Per-shard fan-out series: scubed_shard_requests_total,
@@ -124,26 +132,10 @@ class ScatterExecutor : public query::QueryBackend {
  private:
   struct ShardStream;  // one in-flight shard wire stream (scatter.cc)
 
-  query::StreamOutcome ScatterLocked(const std::string& text,
-                                     query::RowSink& sink,
-                                     const query::QueryContext& ctx,
-                                     const std::string& cursor)
-      REQUIRES(request_mu_);
+  const ScatterOptions options_;
 
-  ScatterOptions options_;
-
-  /// The vector itself is const after construction (safe to size/iterate
-  /// anywhere); each ShardClient's connection state is single-flight and
-  /// only touched under request_mu_ — not expressible through
-  /// vector<unique_ptr>, so the discipline is documented here. The
-  /// atomic health counters inside ShardClient are the exception: they
-  /// exist precisely so /metrics can read them off-lock.
+  /// Fixed after construction; each ShardClient is thread-safe.
   std::vector<std::unique_ptr<ShardClient>> clients_;
-  std::unique_ptr<ThreadPool> pool_ PT_GUARDED_BY(request_mu_);
-
-  /// Serialises requests: the shard connection pool (and the per-shard
-  /// merge state) is single-flight by design.
-  mutable sync::Mutex request_mu_;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> completed_{0};

@@ -69,92 +69,78 @@ Result<std::vector<ShardSpec>> ParseShardList(std::string_view spec) {
 
 ShardClient::ShardClient(ShardSpec spec, net::ClientOptions options)
     : spec_(std::move(spec)), options_(options) {
-  conns_.reserve(spec_.replicas.size());
-  for (size_t i = 0; i < spec_.replicas.size(); ++i) {
-    conns_.push_back(std::make_unique<net::ClientConnection>());
-  }
+  sync::MutexLock lock(&mu_);
+  idle_.resize(spec_.replicas.size());
 }
 
-size_t ShardClient::NextReplica() {
-  size_t r = rr_;
-  rr_ = (rr_ + 1) % spec_.replicas.size();
-  return r;
-}
-
-Result<net::HttpClientResponse> ShardClient::RoundTrip(
-    const std::string& method, const std::string& target,
-    const std::string& body, const std::string& content_type) {
+ShardClient::Call ShardClient::Send(const std::string& method,
+                                    const std::string& target,
+                                    const std::string& body,
+                                    const std::string& content_type) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = spec_.replicas.size();
-  size_t start = NextReplica();
-  Status last = Status::IoError("no replicas");
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = (start + i) % n;
-    const ShardEndpoint& ep = spec_.replicas[r];
-    auto resp = net::RoundTripWithRetry(conns_[r].get(), ep.host, ep.port,
-                                        method, target, body, content_type,
-                                        options_);
-    if (resp.ok()) return resp;
-    last = resp.status();
-  }
-  failures_.fetch_add(1, std::memory_order_relaxed);
-  return last;
+  Call call;
+  call.client_ = this;
+  call.request_ = net::SerializeRequest(method, target, body, content_type);
+  call.replica_ = next_replica_.fetch_add(1, std::memory_order_relaxed) %
+                  spec_.replicas.size();
+  call.Write(/*fresh=*/false);
+  return call;
 }
 
-Result<net::HttpResponseHead> ShardClient::StartStream(
-    const std::string& method, const std::string& target,
-    const std::string& body, const std::string& content_type) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const size_t n = spec_.replicas.size();
-  size_t start = NextReplica();
-  Status last = Status::IoError("no replicas");
+void ShardClient::Call::Write(bool fresh) {
+  conn_ = fresh ? nullptr : client_->TakeIdle(replica_);
+  reused_ = conn_ != nullptr;
+  if (conn_ == nullptr) {
+    conn_ = std::make_unique<net::ClientConnection>();
+    const ShardEndpoint& ep = client_->spec_.replicas[replica_];
+    sent_ = net::OpenClientConnection(ep.host, ep.port, client_->options_,
+                                      conn_.get());
+    if (!sent_.ok()) return;
+  }
+  sent_ = conn_->socket.WriteAll(request_);
+}
 
-  const std::string request =
-      net::SerializeRequest(method, target, body, content_type);
-
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = (start + i) % n;
-    const ShardEndpoint& ep = spec_.replicas[r];
-    net::ClientConnection* conn = conns_[r].get();
-    // A reused keep-alive connection the peer has since closed fails the
-    // first send/read — reconnect and resend once before moving on; a
-    // fresh connection that fails moves straight to the next replica.
-    bool reused = conn->valid();
-    for (int pass = 0; pass < 2; ++pass) {
-      if (!conn->valid()) {
-        Status opened =
-            net::OpenClientConnection(ep.host, ep.port, options_, conn);
-        if (!opened.ok()) {
-          last = std::move(opened);
-          break;
-        }
-      }
-      Status sent = conn->socket.WriteAll(request);
-      if (sent.ok()) {
-        auto head = net::ReadHttpResponseHead(conn->reader.get());
-        if (head.ok()) {
-          stream_replica_ = r;
-          return head;
-        }
-        last = head.status();
-      } else {
-        last = std::move(sent);
-      }
-      conn->Reset();
-      if (!reused) break;
-      reused = false;
+Result<net::HttpResponseHead> ShardClient::Call::ReadHead() {
+  const size_t n = client_->spec_.replicas.size();
+  for (;;) {
+    if (sent_.ok()) {
+      auto head = net::ReadHttpResponseHead(conn_->reader.get());
+      if (head.ok()) return head;
+      sent_ = head.status();
+    }
+    conn_.reset();
+    if (reused_) {
+      // The shard closed the connection while it sat idle: reconnect and
+      // resend once.
+      Write(/*fresh=*/true);
+    } else if (replicas_tried_ < n) {
+      ++replicas_tried_;
+      replica_ = (replica_ + 1) % n;
+      Write(/*fresh=*/false);
+    } else {
+      client_->failures_.fetch_add(1, std::memory_order_relaxed);
+      return sent_;
     }
   }
-  failures_.fetch_add(1, std::memory_order_relaxed);
-  return last;
 }
 
-net::BufferedReader* ShardClient::reader() {
-  return conns_[stream_replica_]->reader.get();
+void ShardClient::Call::Release() {
+  if (conn_ != nullptr) client_->PutIdle(replica_, std::move(conn_));
 }
 
-void ShardClient::FinishStream(bool clean) {
-  if (!clean) conns_[stream_replica_]->Reset();
+std::unique_ptr<net::ClientConnection> ShardClient::TakeIdle(size_t replica) {
+  sync::MutexLock lock(&mu_);
+  std::vector<std::unique_ptr<net::ClientConnection>>& idle = idle_[replica];
+  if (idle.empty()) return nullptr;
+  std::unique_ptr<net::ClientConnection> conn = std::move(idle.back());
+  idle.pop_back();
+  return conn;
+}
+
+void ShardClient::PutIdle(size_t replica,
+                          std::unique_ptr<net::ClientConnection> conn) {
+  sync::MutexLock lock(&mu_);
+  idle_[replica].push_back(std::move(conn));
 }
 
 ShardHealth ShardClient::health() const {

@@ -8,13 +8,21 @@
 //   --shards host1:7101,host2:7102            three shards, no replicas
 //   --shards a:7101|b:7101,c:7102|d:7102      two shards, two replicas each
 //
-// All shard traffic is read-only (/query, /cubes, /metrics), so any
-// replica of a shard can answer any request and a failed round trip can
-// be retried on a sibling without double-apply risk.
+// All shard traffic is read-only (/query, /cubes), so any replica of a
+// shard can answer any request and a failed request can be resent to a
+// sibling without double-apply risk.
 //
-// Thread-safety: distinct ShardClients may be used concurrently (the
-// scatter fan-out drives one thread per shard); one ShardClient must not
-// be used from two threads at once.
+// Thread safety: one ShardClient serves every request thread. Each
+// request checks out its own connection (Send), so requests to one shard
+// run at once, each on its own connection. Idle keep-alive connections
+// wait in a list under a mutex, and a connection goes back to it only
+// after its response was read exactly to its end (Call::Release). A Call
+// belongs to the thread that sent it.
+//
+// Retries: one rule. A reused connection that fails before the response
+// head (the shard closed it while it sat idle) reconnects and resends
+// once; any other failure before the head moves to the next replica.
+// Nothing is retried after the head, and nothing backs off.
 
 #ifndef SCUBE_CLUSTER_SHARD_CLIENT_H_
 #define SCUBE_CLUSTER_SHARD_CLIENT_H_
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/sync.h"
 #include "net/http.h"
 
 namespace scube {
@@ -54,65 +63,80 @@ Result<std::vector<ShardSpec>> ParseShardList(std::string_view spec);
 
 /// \brief Snapshot of one shard's health counters.
 struct ShardHealth {
-  uint64_t requests = 0;  ///< round trips attempted (streams included)
-  uint64_t failures = 0;  ///< round trips that exhausted every replica
+  uint64_t requests = 0;  ///< requests sent, one per Send
+  uint64_t failures = 0;  ///< requests that exhausted every replica
 };
 
 /// \brief Client for one shard's replica set.
 class ShardClient {
  public:
+  /// \brief One request on a connection checked out of the idle list, or
+  /// opened for it. Send wrote the request; ReadHead reads the response
+  /// head under the retry rule; the body is then read from reader().
+  /// Release hands the connection back for reuse; a Call destroyed
+  /// without Release closes its connection.
+  class Call {
+   public:
+    Call() = default;
+    Call(Call&&) = default;
+    Call& operator=(Call&&) = default;
+
+    /// Reads the response head, resending under the retry rule; the error
+    /// of the last attempt when every replica failed.
+    Result<net::HttpResponseHead> ReadHead();
+
+    /// The connection's reader, at the first body byte after ReadHead.
+    net::BufferedReader* reader() const { return conn_->reader.get(); }
+
+    /// Returns the connection to the idle list. Only for a body read
+    /// exactly to its end: the connection must sit at a message boundary.
+    void Release();
+
+   private:
+    friend class ShardClient;
+
+    /// Writes the request to replica_ over an idle connection, or over a
+    /// new one when `fresh` or when none is idle.
+    void Write(bool fresh);
+
+    ShardClient* client_ = nullptr;
+    std::string request_;
+    size_t replica_ = 0;
+    size_t replicas_tried_ = 1;
+    bool reused_ = false;  ///< conn_ came from the idle list
+    Status sent_;          ///< the last connect and write
+    std::unique_ptr<net::ClientConnection> conn_;
+  };
+
   ShardClient(ShardSpec spec, net::ClientOptions options);
 
   const ShardSpec& spec() const { return spec_; }
 
-  /// Buffered request/response. Replicas are tried round-robin, each with
-  /// the full RoundTripWithRetry policy (stale keep-alive reconnect,
-  /// backoff); the error of the last replica is returned when all fail.
-  Result<net::HttpClientResponse> RoundTrip(
-      const std::string& method, const std::string& target,
-      const std::string& body = "",
-      const std::string& content_type = "text/plain");
-
-  /// Starts a streamed request: sends it and reads the response head,
-  /// leaving the connection positioned at the first body byte. The caller
-  /// pulls the body incrementally (net::ChunkedBodyReader over reader()),
-  /// then MUST call FinishStream. Failover across replicas applies only
-  /// up to the head — once body bytes flow, a failure surfaces to the
-  /// caller (re-requesting mid-merge would desync the k-way order).
-  Result<net::HttpResponseHead> StartStream(
-      const std::string& method, const std::string& target,
-      const std::string& body = "",
-      const std::string& content_type = "text/plain");
-
-  /// The connection carrying the active stream (valid after a successful
-  /// StartStream, until FinishStream).
-  net::BufferedReader* reader();
-
-  /// Ends the active stream. `clean` = the body was consumed exactly to
-  /// its end (the connection sits at a message boundary and is kept for
-  /// reuse); otherwise the connection is torn down.
-  void FinishStream(bool clean);
+  /// Writes a request to the next replica in round-robin order. A failed
+  /// connect or write surfaces from ReadHead, which applies the retry rule.
+  Call Send(const std::string& method, const std::string& target,
+            const std::string& body = "",
+            const std::string& content_type = "text/plain");
 
   ShardHealth health() const;
 
  private:
-  /// The replica to try first for the next request.
-  size_t NextReplica();
+  std::unique_ptr<net::ClientConnection> TakeIdle(size_t replica)
+      EXCLUDES(mu_);
+  void PutIdle(size_t replica, std::unique_ptr<net::ClientConnection> conn)
+      EXCLUDES(mu_);
 
-  ShardSpec spec_;
-  net::ClientOptions options_;
-  /// One persistent connection per replica. unique_ptr: a BufferedReader
-  /// points at its Socket, so the pair must stay at a fixed address.
-  std::vector<std::unique_ptr<net::ClientConnection>> conns_;
-  size_t rr_ = 0;              ///< round-robin cursor
-  size_t stream_replica_ = 0;  ///< replica serving the active stream
+  const ShardSpec spec_;
+  const net::ClientOptions options_;
+  std::atomic<size_t> next_replica_{0};  ///< round-robin cursor
 
-  /// Health counters are atomics on purpose, not GUARDED_BY a mutex: the
-  /// single writer is the request path (serialised by the scatter layer's
-  /// request_mu_ per the class contract above), while /metrics reads
-  /// health() from server threads concurrently. fetch_add from one thread
-  /// + relaxed loads from others is race-free by construction; audited
-  /// during the thread-safety annotation pass.
+  sync::Mutex mu_;
+  /// Idle keep-alive connections, one list per replica. unique_ptr: a
+  /// BufferedReader points at its Socket, so the pair must stay put.
+  std::vector<std::vector<std::unique_ptr<net::ClientConnection>>> idle_
+      GUARDED_BY(mu_);
+
+  /// Atomics, so /metrics reads them while requests run.
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> failures_{0};
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <ctime>
 
 #include "common/string_util.h"
 
@@ -548,18 +546,6 @@ Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
   return ReadHttpResponse(reader);
 }
 
-namespace {
-
-void SleepMillis(int ms) {
-  struct timespec ts;
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = static_cast<long>(ms % 1000) * 1000000L;
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
-
-}  // namespace
-
 Status OpenClientConnection(const std::string& host, uint16_t port,
                             const ClientOptions& options,
                             ClientConnection* conn) {
@@ -573,51 +559,6 @@ Status OpenClientConnection(const std::string& host, uint16_t port,
   (void)conn->socket.SetNoDelay();  // best effort: latency, not correctness
   conn->reader = std::make_unique<BufferedReader>(&conn->socket);
   return Status::OK();
-}
-
-Result<HttpClientResponse> RoundTripWithRetry(
-    ClientConnection* conn, const std::string& host, uint16_t port,
-    const std::string& method, const std::string& target,
-    const std::string& body, const std::string& content_type,
-    const ClientOptions& options) {
-  const int attempts = std::max(1, options.max_attempts);
-  int backoff_ms = std::max(1, options.backoff_initial_ms);
-  Status last = Status::IoError("no attempt made");
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      SleepMillis(backoff_ms);
-      backoff_ms = std::min(backoff_ms * 2, std::max(1, options.backoff_max_ms));
-    }
-    const bool reused = conn->valid();
-    if (!reused) {
-      Status opened = OpenClientConnection(host, port, options, conn);
-      if (!opened.ok()) {
-        last = std::move(opened);
-        continue;
-      }
-    }
-    auto resp = RoundTrip(&conn->socket, conn->reader.get(), method, target,
-                          body, content_type);
-    if (resp.ok()) return resp;
-    last = resp.status();
-    conn->Reset();
-    if (reused) {
-      // A keep-alive connection the peer closed between requests fails on
-      // the first read — that is staleness, not backend trouble, so
-      // reconnect and resend immediately without consuming an attempt.
-      Status opened = OpenClientConnection(host, port, options, conn);
-      if (!opened.ok()) {
-        last = std::move(opened);
-        continue;
-      }
-      auto retry = RoundTrip(&conn->socket, conn->reader.get(), method,
-                             target, body, content_type);
-      if (retry.ok()) return retry;
-      last = retry.status();
-      conn->Reset();
-    }
-  }
-  return last;
 }
 
 }  // namespace net

@@ -5,7 +5,9 @@
 // reader (Content-Length, chunked, or bytes to EOF). There is no
 // incremental parser: every read blocks on the BufferedReader. Writing
 // side: SerializeResponse/SerializeResponseHead and ChunkedWriter for
-// streamed answers, SerializeRequest for the clients. Deliberately small:
+// streamed answers, SerializeRequest for the clients, which connect with
+// ClientOptions: two timeouts, and no retry policy (the shard client in
+// cluster/shard_client.h owns the router's one rule). Deliberately small:
 // no chunked request bodies (411 when a request body has no
 // Content-Length), no TLS, no multipart — scubed speaks plain HTTP to load
 // balancers, curl and the bench/test clients in this repo.
@@ -273,7 +275,8 @@ Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
                                      const std::string& content_type =
                                          "text/plain");
 
-/// \brief Client-side timeouts and retry policy (shard client pool).
+/// \brief Client-side timeouts (shard client pool). Retrying is the
+/// caller's choice; cluster/shard_client.h has the router's one rule.
 struct ClientOptions {
   /// Bound on establishing a TCP connection (ConnectWithTimeout).
   double connect_timeout_s = 5.0;
@@ -281,15 +284,6 @@ struct ClientOptions {
   /// Receive timeout applied to the connection (SetRecvTimeout); bounds
   /// every read of the response. 0 = unbounded.
   double read_timeout_s = 10.0;
-
-  /// Total tries per round trip (1 = no retry). Retries reconnect: a
-  /// request that failed mid-transport leaves the connection desynced.
-  int max_attempts = 3;
-
-  /// Exponential backoff between retries, doubling from `initial` and
-  /// capped at `max`.
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 1000;
 };
 
 /// \brief A pooled keep-alive client connection: the socket plus its
@@ -318,20 +312,6 @@ struct ClientConnection {
 Status OpenClientConnection(const std::string& host, uint16_t port,
                             const ClientOptions& options,
                             ClientConnection* conn);
-
-/// RoundTrip with connection management, timeouts and bounded
-/// retry-with-backoff. Reuses `*conn` when connected (keep-alive),
-/// (re)establishing it as needed; on transport failure the connection is
-/// torn down and the attempt repeated on a fresh one after backoff, up to
-/// options.max_attempts. A stale keep-alive connection (peer closed it
-/// between requests) reconnects immediately without consuming an attempt.
-/// Safe for scubed's read-only /query, /cubes and /metrics round trips —
-/// re-sending them cannot double-apply anything.
-Result<HttpClientResponse> RoundTripWithRetry(
-    ClientConnection* conn, const std::string& host, uint16_t port,
-    const std::string& method, const std::string& target,
-    const std::string& body, const std::string& content_type,
-    const ClientOptions& options);
 
 /// \brief Incremental chunked-body decoder: one chunk per ReadSome call,
 /// so a client can consume an arbitrarily long streamed response in O(1)

@@ -10,9 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <regex>
 #include <string>
 #include <thread>
@@ -25,8 +33,10 @@
 #include "net/http.h"
 #include "net/socket.h"
 #include "query/cube_store.h"
+#include "query/parser.h"
 #include "query/row_sink.h"
 #include "query/service.h"
+#include "query/wire_format.h"
 #include "server/server.h"
 
 namespace scube {
@@ -53,8 +63,9 @@ cube::CubeCell MakeCell(std::vector<fpm::ItemId> sa,
 
 /// Six single-item context coordinates plus the empty one: enough
 /// distinct CAs that hash partitioning to 4 shards spreads cells and
-/// every merge has to interleave.
-cube::SegregationCube MakeGlobalCube() {
+/// every merge has to interleave. A different `first_t` gives the same
+/// cells with other populations: a later version of the cube.
+cube::SegregationCube MakeGlobalCube(uint64_t first_t = 400) {
   relational::ItemCatalog catalog;
   using relational::AttributeKind;
   catalog.GetOrAdd(0, "sex", "F", AttributeKind::kSegregation);
@@ -67,7 +78,7 @@ cube::SegregationCube MakeGlobalCube() {
   cube::SegregationCube cube(std::move(catalog), {"u0", "u1", "u2"});
   const std::vector<std::vector<fpm::ItemId>> sas = {
       {}, {0}, {1}, {2}, {0, 1}, {0, 2}};
-  uint64_t t = 400;
+  uint64_t t = first_t;
   for (const auto& sa : sas) {
     cube.Insert(MakeCell(sa, {}, t, sa.empty() ? 0 : t / 3));
     for (fpm::ItemId c = 3; c <= 8; ++c) {
@@ -114,11 +125,11 @@ std::string Mask(std::string text) {
   return text;
 }
 
-server::ServerOptions MakeServerOptions() {
+server::ServerOptions MakeServerOptions(size_t conns = 4) {
   server::ServerOptions options;
   options.port = 0;  // ephemeral
   options.loopback_only = true;
-  options.num_connection_threads = 4;
+  options.num_connection_threads = conns;
   options.idle_poll_seconds = 0.1;  // fast Stop() in tests
   return options;
 }
@@ -129,31 +140,39 @@ struct ShardProcess {
   std::unique_ptr<query::QueryService> service;
   std::unique_ptr<server::ScubedServer> server;
 
-  explicit ShardProcess(cube::SegregationCube cube) {
+  explicit ShardProcess(cube::SegregationCube cube, size_t conns = 4) {
     store.Publish("default", std::move(cube));
     service = std::make_unique<query::QueryService>(&store,
                                                     query::ServiceOptions{});
     server = std::make_unique<server::ScubedServer>(service.get(),
-                                                    MakeServerOptions());
+                                                    MakeServerOptions(conns));
     Status started = server->Start();
     EXPECT_TRUE(started.ok()) << started;
   }
 };
 
-/// An n-shard topology: partitioned shard servers plus the router-side
-/// scatter executor pointed at them.
+/// MakeGlobalCube(first_t) split into `n` shard cubes.
+std::vector<cube::SegregationCube> Partitioned(size_t n,
+                                              uint64_t first_t = 400) {
+  cube::CubeView view = MakeGlobalCube(first_t).Seal(1);
+  PartitionOptions options;
+  options.num_shards = n;
+  return PartitionCube(view, options);
+}
+
+/// An n-shard topology: partitioned shard servers, each with `conns`
+/// connection handlers, plus the router-side scatter executor pointed at
+/// them.
 struct Topology {
   std::vector<std::unique_ptr<ShardProcess>> shards;
   std::unique_ptr<ScatterExecutor> scatter;
 
-  explicit Topology(size_t n) {
-    cube::CubeView view = MakeGlobalCube().Seal(1);
-    PartitionOptions options;
-    options.num_shards = n;
-    std::vector<cube::SegregationCube> parts = PartitionCube(view, options);
+  explicit Topology(size_t n, size_t conns = 4) {
+    std::vector<cube::SegregationCube> parts = Partitioned(n);
     std::vector<ShardSpec> specs;
     for (size_t i = 0; i < n; ++i) {
-      shards.push_back(std::make_unique<ShardProcess>(std::move(parts[i])));
+      shards.push_back(
+          std::make_unique<ShardProcess>(std::move(parts[i]), conns));
       ShardSpec spec;
       spec.replicas.push_back(
           ShardEndpoint{"127.0.0.1", shards.back()->server->port()});
@@ -434,55 +453,134 @@ TEST_F(ScatterTest, RouterServerServesScatterOverHttp) {
   router.Stop();
 }
 
+/// What a FakeShard writes for one request: `bytes`; then, when `stall_s`
+/// is positive, a pause of that long (cut short by Unstall) and
+/// `after_stall`. With `close` the connection ends after the answer.
+struct FakeAnswer {
+  std::string bytes;
+  double stall_s = 0;
+  std::string after_stall;
+  bool close = false;
+};
+
 /// A stand-in shard that speaks just enough HTTP for the router: GET
 /// /cubes lists cube "default" at version 1, and every other request gets
-/// `answer`'s raw bytes. A connection closes after an answer framed by
-/// close. Declare it before the router, whose open connection it serves.
+/// the answer `answer_for` returns for its body. Each connection is served
+/// on its own thread. Declare it before the router, whose open
+/// connections it serves.
 class FakeShard {
  public:
-  explicit FakeShard(std::string answer) : answer_(std::move(answer)) {
+  using AnswerFn = std::function<FakeAnswer(const std::string& body)>;
+
+  /// Every statement gets `answer`'s raw bytes; a connection closes after
+  /// an answer framed by close.
+  explicit FakeShard(std::string answer)
+      : FakeShard([answer = std::move(answer)](const std::string&) {
+          return FakeAnswer{answer, 0, "",
+                            answer.find("Connection: close") !=
+                                std::string::npos};
+        }) {}
+
+  explicit FakeShard(AnswerFn answer_for)
+      : answer_for_(std::move(answer_for)) {
     auto bound = net::ListenSocket::Bind(0, /*loopback_only=*/true);
     EXPECT_TRUE(bound.ok()) << bound.status();
     listener_ = std::move(bound).value();
-    thread_ = std::thread([this] { Serve(); });
+    acceptor_ = std::thread([this] { Accept(); });
   }
-  ~FakeShard() {
-    listener_.ShutdownAccept();
-    thread_.join();
-  }
+  ~FakeShard() { Stop(); }
   FakeShard(const FakeShard&) = delete;
   FakeShard& operator=(const FakeShard&) = delete;
 
   uint16_t port() const { return listener_.port(); }
 
+  /// Statements read so far (GET /cubes not counted).
+  int requests() const { return requests_.load(); }
+
+  /// Statements that arrived on a connection after it had stalled: a
+  /// router that kept such a connection for reuse sends them.
+  int requests_after_stall() const { return requests_after_stall_.load(); }
+
+  /// Ends every stall now.
+  void Unstall() {
+    std::lock_guard<std::mutex> lock(mu_);
+    unstalled_ = true;
+    cv_.notify_all();
+  }
+
+  /// Unstalls, closes every connection and joins the threads; the counters
+  /// are final afterwards. Idempotent.
+  void Stop() {
+    listener_.ShutdownAccept();
+    if (acceptor_.joinable()) acceptor_.join();
+    Unstall();
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (net::Socket& conn : conns_) ::shutdown(conn.fd(), SHUT_RDWR);
+      threads.swap(threads_);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+
  private:
-  void Serve() {
-    const bool closes = answer_.find("Connection: close") != std::string::npos;
+  void Accept() {
     for (;;) {
       auto conn = listener_.Accept();
       if (!conn.ok()) return;
-      net::BufferedReader reader(&*conn);
-      for (;;) {
-        auto line = reader.ReadLine();
-        if (!line.ok()) break;
-        auto request = net::ReadHttpRequest(&reader, *line);
-        if (!request.ok()) break;
-        if (request->path == "/cubes") {
-          net::HttpResponse cubes(
-              200,
-              "{\"cubes\":[{\"name\":\"default\",\"version\":1,"
-              "\"retained\":[1],\"cells\":1,\"defined_cells\":1}]}\n");
-          if (!conn->WriteAll(net::SerializeResponse(cubes, true)).ok()) break;
-          continue;
-        }
-        if (!conn->WriteAll(answer_).ok() || closes) break;
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      // Sockets close only when the shard is destroyed, so Stop never
+      // shuts down a reused descriptor.
+      conns_.push_back(std::move(conn).value());
+      net::Socket* socket = &conns_.back();
+      threads_.emplace_back([this, socket] { Serve(socket); });
     }
   }
 
-  std::string answer_;
+  void Serve(net::Socket* conn) {
+    net::BufferedReader reader(conn);
+    bool stalled = false;
+    for (;;) {
+      auto line = reader.ReadLine();
+      if (!line.ok()) break;
+      auto request = net::ReadHttpRequest(&reader, *line);
+      if (!request.ok()) break;
+      if (request->path == "/cubes") {
+        net::HttpResponse cubes(
+            200,
+            "{\"cubes\":[{\"name\":\"default\",\"version\":1,"
+            "\"retained\":[1],\"cells\":1,\"defined_cells\":1}]}\n");
+        if (!conn->WriteAll(net::SerializeResponse(cubes, true)).ok()) break;
+        continue;
+      }
+      ++requests_;
+      if (stalled) ++requests_after_stall_;
+      FakeAnswer answer = answer_for_(request->body);
+      if (!conn->WriteAll(answer.bytes).ok()) break;
+      if (answer.stall_s > 0) {
+        stalled = true;
+        {
+          std::unique_lock<std::mutex> lock(mu_);
+          cv_.wait_for(lock, std::chrono::duration<double>(answer.stall_s),
+                       [this] { return unstalled_; });
+        }
+        if (!conn->WriteAll(answer.after_stall).ok()) break;
+      }
+      if (answer.close) break;
+    }
+    ::shutdown(conn->fd(), SHUT_RDWR);
+  }
+
+  AnswerFn answer_for_;
   net::ListenSocket listener_;
-  std::thread thread_;
+  std::thread acceptor_;
+  std::atomic<int> requests_{0};
+  std::atomic<int> requests_after_stall_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool unstalled_ = false;           // guarded by mu_
+  std::list<net::Socket> conns_;     // guarded by mu_
+  std::vector<std::thread> threads_;  // guarded by mu_
 };
 
 // A shard that refuses a statement answers before streaming; the router
@@ -526,6 +624,412 @@ TEST(ScatterShardErrorTest, ErrorBodiesAreReadInEveryFraming) {
           << c.answer;
     }
   }
+}
+
+/// The value of one shard's series in the router's exposition.
+uint64_t ShardSeries(const ScatterExecutor& scatter, const std::string& family,
+                     size_t shard) {
+  std::string out;
+  scatter.AppendBackendMetrics(&out);
+  const std::string prefix =
+      "\n" + family + "{shard=\"" + std::to_string(shard) + "\"";
+  size_t at = out.find(prefix);
+  EXPECT_NE(at, std::string::npos) << prefix << " in\n" << out;
+  if (at == std::string::npos) return 0;
+  size_t value = out.find("} ", at) + 2;
+  return std::stoull(out.substr(value, out.find('\n', value) - value));
+}
+
+// A statement costs each shard one request: the stream head names the
+// version, so there is no GET /cubes before it.
+TEST_F(ScatterTest, EachStatementIsOneRequestPerShard) {
+  Topology topo(2);
+  for (const std::string& text : AllVerbTexts()) {
+    query::VectorSink sink;
+    auto outcome = topo.scatter->ExecuteStreaming(text, sink, {}, "");
+    ASSERT_TRUE(outcome.status.ok()) << text << " -> " << outcome.status;
+  }
+  for (size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(ShardSeries(*topo.scatter, "scubed_shard_requests_total", shard),
+              AllVerbTexts().size())
+        << "shard " << shard;
+  }
+}
+
+// Eight threads share one router: every answer still equals the single
+// node's. Each shard gets enough handlers for a connection per thread.
+TEST_F(ScatterTest, ConcurrentRequestsMatchTheSingleNode) {
+  Topology topo(2, /*conns=*/8);
+  std::vector<std::string> expected;
+  for (const std::string& text : AllVerbTexts()) {
+    expected.push_back(Mask(StreamJson(single_.get(), text)));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(8, 0);
+  for (size_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < AllVerbTexts().size(); ++k) {
+        // Each thread starts at another statement, so different verbs
+        // overlap.
+        size_t i = (k + t) % AllVerbTexts().size();
+        if (Mask(StreamJson(topo.scatter.get(), AllVerbTexts()[i])) !=
+            expected[i]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+// A publish that has reached one shard only: a fresh statement is refused
+// before any row, a pinned one still answers from v1, and once every shard
+// has v2 the answers come from v2. No answer mixes the two.
+TEST_F(ScatterTest, RollingPublishNeverMixesVersions) {
+  Topology topo(2);
+  query::CubeStore v2_store;  // the single-node reference at version 2
+  v2_store.Publish("default", MakeGlobalCube());
+  v2_store.Publish("default", MakeGlobalCube(500));
+  query::QueryService v2(&v2_store, query::ServiceOptions{});
+
+  const std::string text = "DICE sa=sex=F";
+  const std::string v1_answer = Mask(StreamJson(single_.get(), text));
+  const std::string v2_answer = Mask(StreamJson(&v2, text));
+  ASSERT_NE(v1_answer, v2_answer);
+
+  // Page 1 of a paged scan, before the publish.
+  query::VectorSink page1;
+  auto first_page =
+      topo.scatter->ExecuteStreaming(text + " LIMIT 3", page1, {}, "");
+  ASSERT_TRUE(first_page.status.ok()) << first_page.status;
+  ASSERT_FALSE(first_page.next_cursor.empty());
+
+  std::vector<cube::SegregationCube> v2_parts = Partitioned(2, 500);
+  ASSERT_EQ(topo.shards[0]->store.Publish("default", std::move(v2_parts[0])),
+            2u);
+
+  query::VectorSink refused_sink;
+  auto refused = topo.scatter->ExecuteStreaming(text, refused_sink, {}, "");
+  EXPECT_EQ(refused.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(refused.status.message(),
+            "cube 'default' is at version 2 on shard 0 (127.0.0.1:" +
+                std::to_string(topo.shards[0]->server->port()) +
+                ") but version 1 on shard 1 (127.0.0.1:" +
+                std::to_string(topo.shards[1]->server->port()) +
+                "); retry once the rolling publish settles");
+  EXPECT_FALSE(refused.begun);
+  EXPECT_TRUE(refused_sink.result().rows.empty());
+
+  query::StreamOutcome pinned;
+  EXPECT_EQ(Mask(StreamJson(topo.scatter.get(), text + " FROM default@1",
+                            &pinned)),
+            v1_answer);
+  EXPECT_EQ(pinned.cube_version, 1u);
+
+  // The rest of the paged scan stays on v1.
+  std::vector<query::ResultRow> stitched = page1.result().rows;
+  std::string cursor = first_page.next_cursor;
+  while (!cursor.empty()) {
+    query::VectorSink sink;
+    auto page =
+        topo.scatter->ExecuteStreaming(text + " LIMIT 3", sink, {}, cursor);
+    ASSERT_TRUE(page.status.ok()) << page.status;
+    EXPECT_EQ(page.cube_version, 1u);
+    for (const query::ResultRow& row : sink.result().rows) {
+      stitched.push_back(row);
+    }
+    cursor = page.next_cursor;
+  }
+  auto v1_rows = single_->ExecuteOne(text);
+  ASSERT_TRUE(v1_rows.status.ok());
+  ASSERT_EQ(stitched.size(), v1_rows.result.rows.size());
+  for (size_t i = 0; i < stitched.size(); ++i) {
+    EXPECT_EQ(stitched[i].t, v1_rows.result.rows[i].t) << i;
+    EXPECT_EQ(stitched[i].m, v1_rows.result.rows[i].m) << i;
+  }
+
+  ASSERT_EQ(topo.shards[1]->store.Publish("default", std::move(v2_parts[1])),
+            2u);
+  query::StreamOutcome settled;
+  EXPECT_EQ(Mask(StreamJson(topo.scatter.get(), text, &settled)), v2_answer);
+  EXPECT_EQ(settled.cube_version, 2u);
+}
+
+constexpr char kWireHead[] =
+    "HTTP/1.1 200 OK\r\nContent-Type: application/x-scube-wire\r\n"
+    "Transfer-Encoding: chunked\r\n\r\n";
+
+std::string Chunk(const std::string& payload) {
+  char size[16];
+  std::snprintf(size, sizeof(size), "%zx\r\n", payload.size());
+  return size + payload + "\r\n";
+}
+
+/// A shard's whole wire answer to `statement` at `version`: the H line,
+/// three rows whose merge keys are a digit then `tag` (so two shards'
+/// rows interleave), T and S.
+std::string WirePayload(uint64_t version, const std::string& statement,
+                        char tag) {
+  auto parsed = query::Parse(statement);
+  EXPECT_TRUE(parsed.ok()) << statement;
+  std::string out;
+  query::WireWriter writer([&out](std::string_view bytes) {
+    out.append(bytes);
+    return true;
+  });
+  query::ResultHeader header;
+  header.version = version;
+  if (parsed.ok()) header.verb = parsed->verb;
+  writer.Begin(header);
+  for (int i = 0; i < 3; ++i) {
+    query::ResultRow row;
+    row.sa = "sex=F";
+    row.ca = std::string("shard=") + tag;
+    row.t = 10 + i;
+    row.m = 1 + i;
+    row.units = 2;
+    row.skey = std::string(1, static_cast<char>('0' + i)) + tag;
+    writer.Row(row);
+  }
+  writer.Finish(query::ResultTrailer{});
+  return out + query::WireStatusLine(StatusCode::kOk, "", version, false, 3);
+}
+
+/// `payload` as one complete chunked 200 response.
+std::string StreamResponse(const std::string& payload) {
+  return kWireHead + Chunk(payload) + "0\r\n\r\n";
+}
+
+/// The end of the wire payload's first R line.
+size_t AfterFirstRow(const std::string& payload) {
+  return payload.find('\n', payload.find("\nR\t") + 1) + 1;
+}
+
+/// A fake shard answering every statement well at version 1, with rows
+/// tagged `tag`.
+FakeShard::AnswerFn HealthyShard(char tag) {
+  return [tag](const std::string& body) {
+    return FakeAnswer{StreamResponse(WirePayload(1, body, tag))};
+  };
+}
+
+/// Two fake shards behind one router: shard 0 healthy, shard 1 answering
+/// DICE well and every other statement with `inject(body)`.
+struct FakeTopology {
+  FakeShard good;
+  FakeShard bad;
+  std::unique_ptr<ScatterExecutor> scatter;
+
+  FakeTopology(std::function<FakeAnswer(const std::string&)> inject,
+               ScatterOptions options = {})
+      : good(HealthyShard('a')),
+        bad([inject](const std::string& body) {
+          if (body.rfind("DICE", 0) == 0) {
+            return FakeAnswer{StreamResponse(WirePayload(1, body, 'b'))};
+          }
+          return inject(body);
+        }) {
+    std::vector<ShardSpec> specs(2);
+    specs[0].replicas.push_back(ShardEndpoint{"127.0.0.1", good.port()});
+    specs[1].replicas.push_back(ShardEndpoint{"127.0.0.1", bad.port()});
+    scatter = std::make_unique<ScatterExecutor>(std::move(specs), options);
+  }
+
+  std::string BadLabel() const {
+    return "shard 1 (127.0.0.1:" + std::to_string(bad.port()) + "): ";
+  }
+
+  /// Runs `text`; `rows` gets the rows the sink saw.
+  query::StreamOutcome Run(const std::string& text, size_t* rows,
+                           bool allow_partial = false,
+                           const std::string& cursor = "") {
+    query::QueryContext ctx;
+    ctx.allow_partial = allow_partial;
+    query::VectorSink sink;
+    query::StreamOutcome outcome =
+        scatter->ExecuteStreaming(text, sink, ctx, cursor);
+    *rows = sink.result().rows.size();
+    return outcome;
+  }
+
+  /// The clean statement after a failure: both shards answer in full.
+  void ExpectHealthy() {
+    size_t rows = 0;
+    auto outcome = Run("DICE sa=sex=F", &rows);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status;
+    EXPECT_EQ(rows, 6u);
+  }
+};
+
+// A request whose shard stream stalls keeps its own connection; a second
+// request through the same router does not wait for it.
+TEST(ScatterConcurrencyTest, StalledStreamDoesNotHoldUpAnotherRequest) {
+  FakeShard shard([](const std::string& body) {
+    std::string payload = WirePayload(1, body, 'a');
+    if (body.rfind("DICE", 0) != 0) return FakeAnswer{StreamResponse(payload)};
+    const size_t cut = AfterFirstRow(payload);
+    return FakeAnswer{kWireHead + Chunk(payload.substr(0, cut)), 3.0,
+                      Chunk(payload.substr(cut)) + "0\r\n\r\n"};
+  });
+  ShardSpec spec;
+  spec.replicas.push_back(ShardEndpoint{"127.0.0.1", shard.port()});
+  ScatterExecutor scatter({spec});
+
+  std::atomic<bool> stalled_done{false};
+  query::StreamOutcome stalled;
+  size_t stalled_rows = 0;
+  std::thread first([&] {
+    query::VectorSink sink;
+    stalled = scatter.ExecuteStreaming("DICE sa=sex=F", sink, {}, "");
+    stalled_rows = sink.result().rows.size();
+    stalled_done = true;
+  });
+  for (int i = 0; i < 500 && shard.requests() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(shard.requests(), 1);
+
+  query::VectorSink sink;
+  auto second = scatter.ExecuteStreaming("SLICE sa=sex=F", sink, {}, "");
+  EXPECT_TRUE(second.status.ok()) << second.status;
+  EXPECT_EQ(sink.result().rows.size(), 3u);
+  EXPECT_FALSE(stalled_done.load())
+      << "the second request waited for the stalled one";
+
+  shard.Unstall();
+  first.join();
+  EXPECT_TRUE(stalled.status.ok()) << stalled.status;
+  EXPECT_EQ(stalled_rows, 3u);
+}
+
+// Four ways a shard stream breaks. A navigation verb fails with an error
+// that names the shard and the cause; TOPK under allow_partial degrades to
+// the healthy shard and hands out no cursor. Afterwards a clean statement
+// through the same router succeeds, and no statement ever reaches a
+// connection that had stalled: a broken connection never went back to the
+// idle list.
+TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
+  struct Injection {
+    const char* name;
+    std::function<FakeAnswer(const std::string&)> answer;
+    StatusCode code;
+    std::string cause;
+  };
+  const std::vector<Injection> injections = {
+      {"closes mid-row",
+       [](const std::string& body) {
+         std::string payload = WirePayload(1, body, 'b');
+         const size_t cut = AfterFirstRow(payload) + 10;
+         return FakeAnswer{kWireHead + Chunk(payload.substr(0, cut)), 0, "",
+                           /*close=*/true};
+       },
+       StatusCode::kIoError, "connection closed"},
+      {"truncated chunk",
+       [](const std::string& body) {
+         std::string payload = WirePayload(1, body, 'b');
+         char size[16];
+         std::snprintf(size, sizeof(size), "%zx\r\n", payload.size());
+         return FakeAnswer{std::string(kWireHead) + size +
+                               payload.substr(0, 20),
+                           0, "", /*close=*/true};
+       },
+       StatusCode::kIoError, "connection closed mid-body (20 of "},
+      {"stalls past the read timeout",
+       [](const std::string& body) {
+         std::string payload = WirePayload(1, body, 'b');
+         const size_t cut = AfterFirstRow(payload);
+         return FakeAnswer{kWireHead + Chunk(payload.substr(0, cut)), 1.0,
+                           Chunk(payload.substr(cut)) + "0\r\n\r\n"};
+       },
+       StatusCode::kDeadlineExceeded, "receive timed out"},
+      {"answers at another version",
+       [](const std::string& body) {
+         return FakeAnswer{StreamResponse(WirePayload(2, body, 'b'))};
+       },
+       StatusCode::kInternal,
+       "answered version 2 of cube 'default', but the statement pins "
+       "version 1"},
+  };
+  for (const Injection& injection : injections) {
+    SCOPED_TRACE(injection.name);
+    ScatterOptions options;
+    options.client.read_timeout_s = 0.2;
+    FakeTopology topo(injection.answer, options);
+    // The version case needs a pin to break; the others fail unpinned.
+    const std::string from = injection.code == StatusCode::kInternal
+                                 ? " FROM default@1"
+                                 : "";
+
+    size_t rows = 0;
+    auto slice = topo.Run("SLICE sa=sex=F" + from, &rows);
+    EXPECT_EQ(slice.status.code(), injection.code) << slice.status;
+    EXPECT_EQ(slice.status.message().rfind(topo.BadLabel(), 0), 0u)
+        << slice.status;
+    EXPECT_NE(slice.status.message().find(injection.cause), std::string::npos)
+        << slice.status;
+
+    auto topk = topo.Run("TOPK 3 BY gini" + from + " LIMIT 2", &rows,
+                         /*allow_partial=*/true);
+    EXPECT_TRUE(topk.status.ok()) << topk.status;
+    EXPECT_GT(rows, 0u);
+    EXPECT_TRUE(topk.next_cursor.empty());
+
+    topo.ExpectHealthy();
+    topo.bad.Stop();
+    EXPECT_EQ(topo.bad.requests_after_stall(), 0);
+  }
+}
+
+// A shard whose stream head names another version than the cursor's or
+// the statement's pin fails that shard; shards that disagree on a fresh
+// statement are Unavailable, named both.
+TEST(ScatterFailureTest, HeadsAtAnotherVersionAreRefused) {
+  FakeTopology topo([](const std::string& body) {
+    return FakeAnswer{StreamResponse(WirePayload(2, body, 'b'))};
+  });
+  const std::string pin_error =
+      topo.BadLabel() +
+      "answered version 2 of cube 'default', but the statement pins "
+      "version 1";
+  size_t rows = 0;
+
+  const std::string paged = "SLICE sa=sex=F LIMIT 2";
+  auto parsed = query::Parse(paged);
+  ASSERT_TRUE(parsed.ok());
+  const std::string cursor = EncodeScatterCursor(
+      ScatterCursor{"default", 1, query::CursorQueryHash(*parsed), {1, 1}});
+  auto resumed = topo.Run(paged, &rows, false, cursor);
+  EXPECT_EQ(resumed.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(resumed.status.message(), pin_error);
+  EXPECT_FALSE(resumed.begun);
+
+  auto at_v1 = topo.Run("SLICE sa=sex=F FROM default@1", &rows);
+  EXPECT_EQ(at_v1.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(at_v1.status.message(), pin_error);
+  EXPECT_FALSE(at_v1.begun);
+
+  for (bool allow_partial : {false, true}) {
+    auto fresh = topo.Run("TOPK 3 BY gini", &rows, allow_partial);
+    EXPECT_EQ(fresh.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(fresh.status.message(),
+              "cube 'default' is at version 1 on shard 0 (127.0.0.1:" +
+                  std::to_string(topo.good.port()) +
+                  ") but version 2 on shard 1 (127.0.0.1:" +
+                  std::to_string(topo.bad.port()) +
+                  "); retry once the rolling publish settles");
+    EXPECT_FALSE(fresh.begun);
+    EXPECT_EQ(rows, 0u);
+  }
+
+  auto degraded = topo.Run("TOPK 3 BY gini FROM default@1", &rows,
+                           /*allow_partial=*/true);
+  EXPECT_TRUE(degraded.status.ok()) << degraded.status;
+  EXPECT_EQ(rows, 3u);
+  EXPECT_EQ(degraded.cube_version, 1u);
+  EXPECT_TRUE(degraded.next_cursor.empty());
+
+  topo.ExpectHealthy();
 }
 
 // Pins the router's shard series over two fixed shard specs, one with two
