@@ -62,12 +62,16 @@ Result<std::string> BufferedReader::ReadTerminatedLine(size_t max_len) {
 
 Result<std::string> BufferedReader::NextLine(size_t max_len,
                                              bool terminated) {
+  // Bytes of the line already searched for '\n'; relative to pos_, which
+  // Fill may move, so a line arriving a byte at a time is scanned once.
+  size_t scanned = 0;
   while (true) {
-    size_t nl = buf_.find('\n', pos_);
+    size_t nl = buf_.find('\n', pos_ + scanned);
     size_t len = (nl == std::string::npos ? buf_.size() : nl) - pos_;
-    // ReadLine bounds only the bytes buffered without a newline; a
-    // terminated read bounds every line exactly.
-    if (len > max_len && (terminated || nl == std::string::npos)) {
+    scanned = len;
+    // Exact whatever the arrival pattern: a line over the bound fails
+    // whether its '\n' came in the same read or never came.
+    if (len > max_len) {
       return Status::IoError("line exceeds " + std::to_string(max_len) +
                              " bytes");
     }
@@ -248,15 +252,8 @@ Result<std::optional<size_t>> ContentLength(
 Result<HttpRequest> ReadHttpRequest(BufferedReader* reader,
                                     const std::string& request_line,
                                     size_t max_body) {
-  // The caller's ReadLine bound is checked only as bytes arrive; apply
-  // the exact one, as every header line gets. A second CR before the LF
-  // ("\r\r\n"; ReadLine strips one) is dropped too, so the version reads
-  // as sent.
-  if (request_line.size() > BufferedReader::kMaxLineBytes) {
-    return Status::IoError("line exceeds " +
-                           std::to_string(BufferedReader::kMaxLineBytes) +
-                           " bytes");
-  }
+  // A second CR before the LF ("\r\r\n"; ReadLine strips one) is dropped
+  // too, so the version reads as sent.
   std::string line = request_line;
   if (!line.empty() && line.back() == '\r') line.pop_back();
   size_t sp1 = line.find(' ');

@@ -45,15 +45,15 @@ class BufferedReader {
   explicit BufferedReader(Socket* socket) : socket_(socket) {}
 
   /// Reads one line up to and including '\n', stripping "\r\n" / "\n".
-  /// Bytes after the last '\n' come back as a final line at EOF (the line
-  /// protocol's last statement). IoError on EOF before any byte, on a line
-  /// longer than `max_len` (checked as bytes arrive, so a somewhat longer
-  /// line that arrives whole may pass), or on socket error/timeout.
+  /// The bound is exact however the bytes arrive: the bytes before the
+  /// '\n', a CR included, may not exceed `max_len` (IoError "line exceeds
+  /// N bytes"). Bytes after the last '\n' come back as a final line at EOF
+  /// (the line protocol's last statement). IoError on EOF before any byte
+  /// and on socket error/timeout.
   Result<std::string> ReadLine(size_t max_len = kMaxLineBytes);
 
-  /// ReadLine for HTTP message lines: the bound is exact (the bytes before
-  /// the '\n', a CR included, may not exceed `max_len`), and a line that
-  /// EOF cuts off is IoError "connection closed", not a final line.
+  /// ReadLine for HTTP message lines, the same but at EOF: a line that EOF
+  /// cuts off is IoError "connection closed", not a final line.
   Result<std::string> ReadTerminatedLine(size_t max_len = kMaxLineBytes);
 
   /// Reads exactly `n` bytes, appending them to `out`. IoError naming the

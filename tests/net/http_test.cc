@@ -460,6 +460,31 @@ TEST(BufferedReaderTest, SplitsLinesAcrossReads) {
   EXPECT_FALSE(reader.ReadLine().ok());                // EOF
 }
 
+// The line bound is exact however the bytes arrive: a 65,536-byte line is
+// read and a 65,537-byte line is refused, fed in one write and one byte
+// per write.
+TEST(BufferedReaderTest, LineBoundIsExactWhateverTheArrival) {
+  for (size_t len : {BufferedReader::kMaxLineBytes,
+                     BufferedReader::kMaxLineBytes + 1}) {
+    const std::string text(len, 'x');
+    const std::string wire = text + "\nnext\n";
+    for (size_t chunk : {wire.size(), size_t{1}}) {
+      OverSocketPair(wire, chunk, [&](BufferedReader* reader) {
+        auto line = reader->ReadLine();
+        if (len == BufferedReader::kMaxLineBytes) {
+          ASSERT_TRUE(line.ok()) << line.status() << ", chunk " << chunk;
+          EXPECT_EQ(*line, text);
+          EXPECT_EQ(reader->ReadLine().value(), "next");
+        } else {
+          ASSERT_FALSE(line.ok()) << "chunk " << chunk;
+          EXPECT_EQ(line.status().code(), StatusCode::kIoError);
+          EXPECT_EQ(line.status().message(), "line exceeds 65536 bytes");
+        }
+      });
+    }
+  }
+}
+
 // The request arrives one byte per write, split at every boundary: the
 // request line, each header line, each CRLF and the body.
 TEST(ReadHttpRequestTest, ParsesOneBytePerWrite) {

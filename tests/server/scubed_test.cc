@@ -9,7 +9,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/http.h"
@@ -554,6 +557,67 @@ TEST(ScubedTest, LineProtocolAnswersOneJsonPerLine) {
   EXPECT_NE(second->find("\"code\":\"ParseError\""), std::string::npos)
       << *second;
   ASSERT_TRUE(socket.WriteAll("QUIT\n").ok());
+}
+
+/// Writes `wire` to a new connection in `chunk`-byte writes, then returns
+/// the first line of the answer, or nullopt when the server closed the
+/// connection without one.
+std::optional<std::string> FirstAnswerLine(uint16_t port,
+                                           const std::string& wire,
+                                           size_t chunk) {
+  auto connected = net::Connect("127.0.0.1", port);
+  EXPECT_TRUE(connected.ok()) << connected.status();
+  if (!connected.ok()) return std::nullopt;
+  net::Socket socket = std::move(connected).value();
+  for (size_t at = 0; at < wire.size(); at += chunk) {
+    // A refused line closes the connection; the rest cannot be written.
+    if (!socket.WriteAll(std::string_view(wire).substr(at, chunk)).ok()) {
+      break;
+    }
+  }
+  net::BufferedReader reader(&socket);
+  auto line = reader.ReadLine();
+  if (!line.ok()) return std::nullopt;
+  return std::move(line).value();
+}
+
+// A first line of 65,536 bytes before its '\n' is served, one of 65,537
+// bytes is refused by closing the connection, and it makes no difference
+// whether the bytes arrive in one write or one byte per write: for an
+// HTTP request line (CR included) and for a line-protocol statement.
+TEST(ScubedTest, FirstLineBoundIsExactWhateverTheArrival) {
+  Fixture fx;
+  const size_t bound = net::BufferedReader::kMaxLineBytes;
+  for (size_t len : {bound, bound + 1}) {
+    const std::string request_line = "GET /healthz?pad=";
+    const std::string http =
+        request_line +
+        std::string(len - request_line.size() - std::strlen(" HTTP/1.1\r"),
+                    'a') +
+        " HTTP/1.1\r\n\r\n";
+    const std::string statement = "SLICE sa=sex=F | ca=region=north";
+    const std::string line =
+        statement + std::string(len - statement.size(), ' ') + "\n";
+    for (size_t chunk : {http.size(), size_t{1}}) {
+      auto answer = FirstAnswerLine(fx.server.port(), http, chunk);
+      if (len == bound) {
+        EXPECT_EQ(answer.value_or("(closed)"), "HTTP/1.1 200 OK")
+            << "chunk " << chunk;
+      } else {
+        EXPECT_FALSE(answer.has_value()) << "chunk " << chunk << ": "
+                                         << *answer;
+      }
+      answer = FirstAnswerLine(fx.server.port(), line, chunk);
+      if (len == bound) {
+        ASSERT_TRUE(answer.has_value()) << "chunk " << chunk;
+        EXPECT_NE(answer->find("\"code\":\"OK\""), std::string::npos)
+            << *answer;
+      } else {
+        EXPECT_FALSE(answer.has_value()) << "chunk " << chunk << ": "
+                                         << *answer;
+      }
+    }
+  }
 }
 
 TEST(ScubedTest, StopIsGracefulAndIdempotent) {
