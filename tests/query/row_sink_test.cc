@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/scatter.h"
 #include "common/csv.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "query/parser.h"
 #include "query/wire_format.h"
 
@@ -347,6 +352,149 @@ TEST(RenderGoldenTest, EachRowIsOneWrite) {
   EXPECT_EQ(json, once);
   EXPECT_EQ(csv, once);
   EXPECT_EQ(wire, once);
+}
+
+// --- hostile peer input -------------------------------------------------------
+//
+// The scatter router decodes two things a peer controls: every line of a
+// shard's wire stream (ParseWireLine) and a client's composite cursor
+// (cluster::DecodeScatterCursor). Seeds 1-2000 each mutate one input from
+// a corpus of the golden rows' wire lines and real scatter cursors, and
+// every input goes through both decoders. Each must come back OK,
+// ParseError or InvalidArgument, and a decoded cursor must re-encode to a
+// token that decodes to the same value. A failure names its seed.
+
+/// A cursor plaintext as the URL-safe token EncodeScatterCursor makes.
+std::string ScatterToken(const std::string& plain) {
+  std::string token = Base64Encode(plain);
+  for (char& c : token) {
+    if (c == '+') c = '-';
+    if (c == '/') c = '_';
+  }
+  return token;
+}
+
+/// The plaintext of a scatter cursor token.
+std::string ScatterPlain(const std::string& token) {
+  std::string standard = token;
+  for (char& c : standard) {
+    if (c == '-') c = '+';
+    if (c == '_') c = '/';
+  }
+  return Base64Decode(standard).value();
+}
+
+/// One to three mutations of `text`, whose fields are split by `sep`.
+std::string MutateFields(std::string text, char sep, Rng* rng) {
+  static const char* const kHostile[] = {
+      "18446744073709551616", "99999999999999999999", "-1",
+      "-9223372036854775808", "9223372036854775808",  "zz",
+      "0x10",                 "ffffffffffffffffff",   "",
+      "a|b||c|",              "|||",                  "\\",
+  };
+  const int mutations = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int m = 0; m < mutations; ++m) {
+    std::vector<std::string> fields = Split(text, sep);
+    switch (rng->NextBounded(7)) {
+      case 0:  // byte flip
+        if (!text.empty()) {
+          text[rng->NextBounded(text.size())] ^=
+              static_cast<char>(1 + rng->NextBounded(255));
+        }
+        break;
+      case 1:  // truncation
+        text.resize(rng->NextBounded(text.size() + 1));
+        break;
+      case 2:    // a separator or backslash dropped
+      case 3: {  // ... or doubled
+        std::vector<size_t> at;
+        for (size_t i = 0; i < text.size(); ++i) {
+          if (text[i] == sep || text[i] == '\\') at.push_back(i);
+        }
+        if (at.empty()) break;
+        const size_t i = at[rng->NextBounded(at.size())];
+        if (rng->NextBool(0.5)) {
+          text.erase(i, 1);
+        } else {
+          text.insert(i, 1, text[i]);
+        }
+        break;
+      }
+      case 4: {  // two fields swapped
+        std::swap(fields[rng->NextBounded(fields.size())],
+                  fields[rng->NextBounded(fields.size())]);
+        text = Join(fields, std::string(1, sep));
+        break;
+      }
+      case 5: {  // a field replaced by a hostile number, hex or name
+        fields[rng->NextBounded(fields.size())] =
+            kHostile[rng->NextBounded(std::size(kHostile))];
+        text = Join(fields, std::string(1, sep));
+        break;
+      }
+      case 6:  // a cube name full of '|'
+        text += std::string(1 + rng->NextBounded(4), '|') + "x|";
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(PeerDecoderFuzzTest, MutatedWireLinesAndCursorsAlwaysEndInAStatus) {
+  std::vector<std::string> lines;
+  for (const ResultHeader& header : {TopKHeader(), ReversalsHeader()}) {
+    ResultHeader versioned = header;
+    versioned.version = 3;
+    std::string wire = Render<WireWriter>(versioned, GoldenTrailer());
+    wire += WireStatusLine(StatusCode::kNotFound, "no\tsuch\\cube", 3, true,
+                           3);
+    for (const std::string& line : Split(wire, '\n')) {
+      if (!line.empty()) lines.push_back(line);
+    }
+  }
+  std::vector<std::string> cursors;
+  for (const cluster::ScatterCursor& cursor :
+       {cluster::ScatterCursor{"default", 1, 0, {0}},
+        cluster::ScatterCursor{"cube|with|pipes", 12, 0xdeadbeefcafef00dULL,
+                               {0, 17, 3}},
+        cluster::ScatterCursor{"italy_2012", 9223372036854775807ULL,
+                               0xffffffffffffffffULL, {5, 0, 0, 1}}}) {
+    cursors.push_back(ScatterPlain(cluster::EncodeScatterCursor(cursor)));
+  }
+  auto expected = [](const Status& status) {
+    return status.ok() || status.code() == StatusCode::kParseError ||
+           status.code() == StatusCode::kInvalidArgument;
+  };
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    std::string input;
+    std::string token;
+    if (rng.NextBool(0.5)) {
+      input = MutateFields(lines[rng.NextBounded(lines.size())], '\t', &rng);
+      token = input;
+    } else {
+      input = MutateFields(cursors[rng.NextBounded(cursors.size())], '|',
+                           &rng);
+      token = ScatterToken(input);
+      // Some tokens are mangled after encoding: base64 itself is hostile.
+      if (rng.NextBool(0.25)) token = MutateFields(token, '_', &rng);
+    }
+    for (const std::string& bytes : {input, token}) {
+      auto event = ParseWireLine(bytes);
+      EXPECT_TRUE(expected(event.status())) << event.status();
+      auto cursor = cluster::DecodeScatterCursor(bytes);
+      EXPECT_TRUE(expected(cursor.status())) << cursor.status();
+      if (!cursor.ok()) continue;
+      auto again =
+          cluster::DecodeScatterCursor(cluster::EncodeScatterCursor(*cursor));
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_EQ(again->cube, cursor->cube);
+      EXPECT_EQ(again->version, cursor->version);
+      EXPECT_EQ(again->query_hash, cursor->query_hash);
+      EXPECT_EQ(again->consumed, cursor->consumed);
+    }
+  }
 }
 
 TEST(CursorTest, RoundTripsAndRejectsGarbage) {
