@@ -1,6 +1,8 @@
 #include "query/wire_format.h"
 
 #include <bit>
+#include <charconv>
+#include <system_error>
 #include <vector>
 
 #include "common/string_util.h"
@@ -89,11 +91,11 @@ bool ParseWireDouble(std::string_view field, double* out) {
   return true;
 }
 
+/// The whole uint64 range the writer emits: plain decimal digits only.
 bool ParseWireU64(std::string_view field, uint64_t* out) {
-  auto v = ParseInt64(field);
-  if (!v.ok() || *v < 0) return false;
-  *out = static_cast<uint64_t>(*v);
-  return true;
+  const char* end = field.data() + field.size();
+  auto [ptr, error] = std::from_chars(field.data(), end, *out);
+  return error == std::errc() && ptr == end;
 }
 
 bool ParseWireBool(std::string_view field, bool* out) {

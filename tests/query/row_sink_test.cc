@@ -461,6 +461,11 @@ TEST(PeerDecoderFuzzTest, MutatedWireLinesAndCursorsAlwaysEndInAStatus) {
                                0xffffffffffffffffULL, {5, 0, 0, 1}}}) {
     cursors.push_back(ScatterPlain(cluster::EncodeScatterCursor(cursor)));
   }
+  // Unmutated, every line parses: the reader takes all the writer writes,
+  // the golden trailer's UINT64_MAX scan count included.
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(ParseWireLine(line).ok()) << line;
+  }
   auto expected = [](const Status& status) {
     return status.ok() || status.code() == StatusCode::kParseError ||
            status.code() == StatusCode::kInvalidArgument;

@@ -57,7 +57,7 @@ std::vector<std::string> EmitLines(const ResultHeader& header,
 
 TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   ResultHeader header;
-  header.version = 9223372036854775807ULL;  // the largest the parser takes
+  header.version = UINT64_MAX;
   header.verb = Verb::kReversals;
   header.by = indexes::IndexKind::kAtkinson;
   header.has_value = true;
@@ -73,7 +73,7 @@ TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   auto event = ParseWireLine(lines[0]);
   ASSERT_TRUE(event.ok()) << event.status();
   ASSERT_EQ(event->kind, WireEvent::Kind::kHeader);
-  EXPECT_EQ(event->header.version, 9223372036854775807ULL);
+  EXPECT_EQ(event->header.version, UINT64_MAX);
   EXPECT_EQ(event->header.verb, Verb::kReversals);
   EXPECT_EQ(event->header.by, indexes::IndexKind::kAtkinson);
   EXPECT_TRUE(event->header.has_value);
