@@ -564,7 +564,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     used_partial = true;
     return true;
   };
-  auto abort_started = [&streams]() {
+  auto abandon_all = [&streams]() {
     for (ShardStream& s : streams) s.Abandon();
   };
   auto sum_scanned = [&streams]() {
@@ -721,7 +721,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     s.Abandon();
     Status err = shard_error(i, s.error);
     if (!try_drop(i)) {
-      abort_started();
+      abandon_all();
       return finish(std::move(err));
     }
   }
@@ -736,7 +736,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     if (!st.ok()) {
       Status err = shard_error(i, st);
       if (!try_drop(i)) {
-        abort_started();
+        abandon_all();
         return finish(std::move(err));
       }
     }
@@ -761,7 +761,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     if (!bad.ok()) {
       Status err = shard_error(i, bad);
       if (!try_drop(i)) {
-        abort_started();
+        abandon_all();
         return finish(std::move(err));
       }
       continue;
@@ -769,7 +769,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     if (first == n) {
       first = i;
     } else if (s.header.version != streams[first].header.version) {
-      abort_started();
+      abandon_all();
       return finish(Status::Unavailable(
           "cube '" + outcome.cube + "' is at version " +
           std::to_string(streams[first].header.version) + " on shard " +
@@ -788,7 +788,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
   if (!sink.Begin(header)) {
     // Mirror the single-node path: an aborted stream is still closed with
     // a trailer, reports OK, and never carries a resume cursor.
-    abort_started();
+    abandon_all();
     query::ResultTrailer trailer;
     trailer.cells_scanned = sum_scanned();
     sink.Finish(trailer);
@@ -895,7 +895,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     // Post-Begin failure: rows are already on the wire, so close the
     // stream properly (no cursor — a broken merge has no resume point)
     // and surface the error status for the envelope/trailing diagnostics.
-    abort_started();
+    abandon_all();
     query::ResultTrailer trailer;
     trailer.cells_scanned = sum_scanned();
     sink.Finish(trailer);
@@ -907,7 +907,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
 
   if (aborted) {
     // Client gone: leftover shard bodies may be unbounded, tear down.
-    abort_started();
+    abandon_all();
   } else {
     // Page filled / budget spent: the leftovers are bounded by the LIMIT
     // pushdown, so drain them — the connections stay reusable and the

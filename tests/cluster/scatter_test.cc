@@ -10,12 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <functional>
 #include <list>
@@ -454,8 +454,9 @@ TEST_F(ScatterTest, RouterServerServesScatterOverHttp) {
 }
 
 /// What a FakeShard writes for one request: `bytes`; then, when `stall_s`
-/// is positive, a pause of that long (cut short by Unstall) and
-/// `after_stall`. With `close` the connection ends after the answer.
+/// is positive, a pause of that long (cut short by Unstall, or when the
+/// router closes the connection) and `after_stall`. With `close` the
+/// connection ends after the answer.
 struct FakeAnswer {
   std::string bytes;
   double stall_s = 0;
@@ -497,16 +498,13 @@ class FakeShard {
   /// Statements read so far (GET /cubes not counted).
   int requests() const { return requests_.load(); }
 
-  /// Statements that arrived on a connection after it had stalled: a
-  /// router that kept such a connection for reuse sends them.
+  /// Requests that arrived on a connection while it stalled: a router
+  /// that gave up on the stream but kept the connection for reuse sends
+  /// them.
   int requests_after_stall() const { return requests_after_stall_.load(); }
 
   /// Ends every stall now.
-  void Unstall() {
-    std::lock_guard<std::mutex> lock(mu_);
-    unstalled_ = true;
-    cv_.notify_all();
-  }
+  void Unstall() { unstalled_ = true; }
 
   /// Unstalls, closes every connection and joins the threads; the counters
   /// are final afterwards. Idempotent.
@@ -539,7 +537,6 @@ class FakeShard {
 
   void Serve(net::Socket* conn) {
     net::BufferedReader reader(conn);
-    bool stalled = false;
     for (;;) {
       auto line = reader.ReadLine();
       if (!line.ok()) break;
@@ -554,16 +551,10 @@ class FakeShard {
         continue;
       }
       ++requests_;
-      if (stalled) ++requests_after_stall_;
       FakeAnswer answer = answer_for_(request->body);
       if (!conn->WriteAll(answer.bytes).ok()) break;
       if (answer.stall_s > 0) {
-        stalled = true;
-        {
-          std::unique_lock<std::mutex> lock(mu_);
-          cv_.wait_for(lock, std::chrono::duration<double>(answer.stall_s),
-                       [this] { return unstalled_; });
-        }
+        Stall(conn->fd(), answer.stall_s);
         if (!conn->WriteAll(answer.after_stall).ok()) break;
       }
       if (answer.close) break;
@@ -571,15 +562,30 @@ class FakeShard {
     ::shutdown(conn->fd(), SHUT_RDWR);
   }
 
+  /// Pauses up to `seconds`, until Unstall, or until the router closes
+  /// the connection, watching for request bytes meanwhile.
+  void Stall(int fd, double seconds) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration_cast<
+                           std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double>(seconds));
+    while (!unstalled_ && std::chrono::steady_clock::now() < until) {
+      pollfd readable{fd, POLLIN, 0};
+      if (::poll(&readable, 1, /*timeout_ms=*/10) <= 0) continue;
+      char byte;
+      if (::recv(fd, &byte, 1, MSG_PEEK) > 0) ++requests_after_stall_;
+      return;  // a request arrived, or the router closed the connection
+    }
+  }
+
   AnswerFn answer_for_;
   net::ListenSocket listener_;
   std::thread acceptor_;
   std::atomic<int> requests_{0};
   std::atomic<int> requests_after_stall_{0};
+  std::atomic<bool> unstalled_{false};
   std::mutex mu_;
-  std::condition_variable cv_;
-  bool unstalled_ = false;           // guarded by mu_
-  std::list<net::Socket> conns_;     // guarded by mu_
+  std::list<net::Socket> conns_;      // guarded by mu_
   std::vector<std::thread> threads_;  // guarded by mu_
 };
 
@@ -797,8 +803,10 @@ std::string WirePayload(uint64_t version, const std::string& statement,
 }
 
 /// `payload` as one complete chunked 200 response.
-std::string StreamResponse(const std::string& payload) {
-  return kWireHead + Chunk(payload) + "0\r\n\r\n";
+FakeAnswer StreamResponse(const std::string& payload) {
+  FakeAnswer answer;
+  answer.bytes = kWireHead + Chunk(payload) + "0\r\n\r\n";
+  return answer;
 }
 
 /// The end of the wire payload's first R line.
@@ -810,7 +818,7 @@ size_t AfterFirstRow(const std::string& payload) {
 /// tagged `tag`.
 FakeShard::AnswerFn HealthyShard(char tag) {
   return [tag](const std::string& body) {
-    return FakeAnswer{StreamResponse(WirePayload(1, body, tag))};
+    return StreamResponse(WirePayload(1, body, tag));
   };
 }
 
@@ -826,7 +834,7 @@ struct FakeTopology {
       : good(HealthyShard('a')),
         bad([inject](const std::string& body) {
           if (body.rfind("DICE", 0) == 0) {
-            return FakeAnswer{StreamResponse(WirePayload(1, body, 'b'))};
+            return StreamResponse(WirePayload(1, body, 'b'));
           }
           return inject(body);
         }) {
@@ -867,10 +875,10 @@ struct FakeTopology {
 TEST(ScatterConcurrencyTest, StalledStreamDoesNotHoldUpAnotherRequest) {
   FakeShard shard([](const std::string& body) {
     std::string payload = WirePayload(1, body, 'a');
-    if (body.rfind("DICE", 0) != 0) return FakeAnswer{StreamResponse(payload)};
+    if (body.rfind("DICE", 0) != 0) return StreamResponse(payload);
     const size_t cut = AfterFirstRow(payload);
     return FakeAnswer{kWireHead + Chunk(payload.substr(0, cut)), 3.0,
-                      Chunk(payload.substr(cut)) + "0\r\n\r\n"};
+                      Chunk(payload.substr(cut)) + "0\r\n\r\n", false};
   });
   ShardSpec spec;
   spec.replicas.push_back(ShardEndpoint{"127.0.0.1", shard.port()});
@@ -940,12 +948,13 @@ TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
          std::string payload = WirePayload(1, body, 'b');
          const size_t cut = AfterFirstRow(payload);
          return FakeAnswer{kWireHead + Chunk(payload.substr(0, cut)), 1.0,
-                           Chunk(payload.substr(cut)) + "0\r\n\r\n"};
+                           Chunk(payload.substr(cut)) + "0\r\n\r\n",
+                           false};
        },
        StatusCode::kDeadlineExceeded, "receive timed out"},
       {"answers at another version",
        [](const std::string& body) {
-         return FakeAnswer{StreamResponse(WirePayload(2, body, 'b'))};
+         return StreamResponse(WirePayload(2, body, 'b'));
        },
        StatusCode::kInternal,
        "answered version 2 of cube 'default', but the statement pins "
@@ -986,7 +995,7 @@ TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
 // statement are Unavailable, named both.
 TEST(ScatterFailureTest, HeadsAtAnotherVersionAreRefused) {
   FakeTopology topo([](const std::string& body) {
-    return FakeAnswer{StreamResponse(WirePayload(2, body, 'b'))};
+    return StreamResponse(WirePayload(2, body, 'b'));
   });
   const std::string pin_error =
       topo.BadLabel() +
