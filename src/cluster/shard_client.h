@@ -74,13 +74,10 @@ class ShardClient {
   /// opened for it. Send wrote the request; ReadHead reads the response
   /// head under the retry rule; the body is then read from reader().
   /// Release hands the connection back for reuse; a Call destroyed
-  /// without Release closes its connection.
+  /// without Release closes its connection. A Call must not outlive its
+  /// ShardClient.
   class Call {
    public:
-    Call() = default;
-    Call(Call&&) = default;
-    Call& operator=(Call&&) = default;
-
     /// Reads the response head, resending under the retry rule; the error
     /// of the last attempt when every replica failed.
     Result<net::HttpResponseHead> ReadHead();
@@ -109,6 +106,8 @@ class ShardClient {
   };
 
   ShardClient(ShardSpec spec, net::ClientOptions options);
+  ShardClient(const ShardClient&) = delete;  // Calls point at it
+  ShardClient& operator=(const ShardClient&) = delete;
 
   const ShardSpec& spec() const { return spec_; }
 

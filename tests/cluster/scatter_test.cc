@@ -580,13 +580,13 @@ class FakeShard {
 
   AnswerFn answer_for_;
   net::ListenSocket listener_;
-  std::thread acceptor_;
   std::atomic<int> requests_{0};
   std::atomic<int> requests_after_stall_{0};
   std::atomic<bool> unstalled_{false};
   std::mutex mu_;
   std::list<net::Socket> conns_;      // guarded by mu_
   std::vector<std::thread> threads_;  // guarded by mu_
+  std::thread acceptor_;
 };
 
 // A shard that refuses a statement answers before streaming; the router
