@@ -322,8 +322,9 @@ struct ShardedResult {
 /// Partitions the sealed demo cube into `n` shards, serves each from its
 /// own in-process scubed, fronts them with a ScatterExecutor behind a
 /// router scubed, and drives the cache-busting closed loop through the
-/// router. The router is single-flight by design, so the headline number
-/// is per-request latency (fan-out + merge), not client-side concurrency.
+/// router. The router runs the clients' statements concurrently, each on
+/// its own shard connections; per-request latency (fan-out + merge) is
+/// the headline number.
 ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
                               size_t clients, double seconds) {
   cluster::PartitionOptions partition_options;

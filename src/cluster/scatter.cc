@@ -276,7 +276,6 @@ struct ScatterExecutor::ShardStream {
   bool body_done = false; ///< terminal chunk consumed, connection released
 
   Status error;           ///< fan-out failure (transport / HTTP error)
-  bool started = false;   ///< a chunked 200 stream is open on `call`
   bool ended = false;     ///< parsed to the end of the wire stream
   bool dropped = false;   ///< removed from the request (allow_partial)
 
@@ -711,14 +710,12 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
         s.error = Status::IoError("streamed response is not chunked");
         continue;
       }
-      s.started = true;
       s.body = std::make_unique<net::ChunkedBodyReader>(s.call.reader());
     }
   }
   for (size_t i = 0; i < n; ++i) {
     ShardStream& s = streams[i];
-    if (s.started) continue;
-    s.Abandon();
+    if (s.error.ok()) continue;
     Status err = shard_error(i, s.error);
     if (!try_drop(i)) {
       abandon_all();
@@ -913,7 +910,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     // pushdown, so drain them — the connections stay reusable and the
     // shard trailers (scan accounting, cache bits) become available.
     for (ShardStream& s : streams) {
-      if (s.dropped || !s.started || s.ended) continue;
+      if (s.dropped || s.ended) continue;
       s.have_row = false;
       if (!s.Advance(/*stop_at_row=*/false).ok()) s.Abandon();
     }

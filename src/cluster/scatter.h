@@ -33,7 +33,7 @@
 // versions, and emits no row. A cursor or FROM name@version statement
 // goes out pinned, and a head naming another version fails that shard.
 // The cursor records the version the heads named, so later pages stay on
-// it however many publishes follow. A shard's own refusal (say, a 404 for
+// it while the shards retain it. A shard's own refusal (say, a 404 for
 // a cube or version it does not hold) passes through with the shard
 // prefix below.
 //
@@ -100,7 +100,8 @@ std::string EncodeScatterCursor(const ScatterCursor& cursor);
 Result<ScatterCursor> DecodeScatterCursor(std::string_view token);
 
 /// \brief Scatter-gather query backend over a shard topology. Thread-safe:
-/// concurrent ExecuteStreaming calls share only the shard clients.
+/// concurrent ExecuteStreaming calls share only the shard clients and
+/// the atomic counters and histograms behind /metrics.
 class ScatterExecutor : public query::QueryBackend {
  public:
   ScatterExecutor(std::vector<ShardSpec> shards, ScatterOptions options = {});

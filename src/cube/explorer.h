@@ -5,8 +5,8 @@
 // All queries run against an immutable CubeView: top-k walks the view's
 // precomputed ranked order, surprises and reversals walk its parent/child
 // adjacency lists. The per-cell evaluators are exported so the SCubeQL
-// executor can fold these analyses into its shared batch pass without
-// drifting from the explorer's semantics.
+// executor's analytic scan evaluates SURPRISES and REVERSALS exactly as
+// the explorer does.
 
 #ifndef SCUBE_CUBE_EXPLORER_H_
 #define SCUBE_CUBE_EXPLORER_H_

@@ -829,8 +829,8 @@ struct FakeTopology {
   FakeShard bad;
   std::unique_ptr<ScatterExecutor> scatter;
 
-  FakeTopology(std::function<FakeAnswer(const std::string&)> inject,
-               ScatterOptions options = {})
+  explicit FakeTopology(FakeShard::AnswerFn inject,
+                        ScatterOptions options = {})
       : good(HealthyShard('a')),
         bad([inject](const std::string& body) {
           if (body.rfind("DICE", 0) == 0) {
@@ -920,7 +920,7 @@ TEST(ScatterConcurrencyTest, StalledStreamDoesNotHoldUpAnotherRequest) {
 TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
   struct Injection {
     const char* name;
-    std::function<FakeAnswer(const std::string&)> answer;
+    FakeShard::AnswerFn answer;
     StatusCode code;
     std::string cause;
   };
