@@ -1041,6 +1041,81 @@ TEST(ScatterFailureTest, HeadsAtAnotherVersionAreRefused) {
   topo.ExpectHealthy();
 }
 
+// A shard's own refusal reaches the client under the shard prefix: the
+// router builds no error of its own for an unknown cube or version.
+TEST_F(ScatterTest, ShardRefusalsPassThroughWithTheShardPrefix) {
+  Topology topo(2);
+  const std::string shard0 =
+      "shard 0 (127.0.0.1:" + std::to_string(topo.shards[0]->server->port()) +
+      "): ";
+  query::VectorSink sink;
+  auto unknown =
+      topo.scatter->ExecuteStreaming("SLICE sa=sex=F FROM nosuch", sink, {}, "");
+  EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status.message(),
+            shard0 + "no cube published under 'nosuch'");
+  auto evicted = topo.scatter->ExecuteStreaming("SLICE sa=sex=F FROM default@9",
+                                                sink, {}, "");
+  EXPECT_EQ(evicted.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(evicted.status.message(),
+            shard0 + "no version 9 of cube 'default' (evicted or never "
+                     "published)");
+  EXPECT_FALSE(evicted.begun);
+}
+
+// The one retry rule, first half: a keep-alive connection the shard closed
+// while it sat idle fails before the head, and the request is resent once
+// on a new connection, with no failure counted.
+TEST(ScatterRetryTest, StaleKeepAliveConnectionIsResentOnce) {
+  FakeShard shard([](const std::string& body) {
+    FakeAnswer answer = StreamResponse(WirePayload(1, body, 'a'));
+    answer.close = true;  // framed, so the router keeps the connection
+    return answer;
+  });
+  ShardSpec spec;
+  spec.replicas.push_back(ShardEndpoint{"127.0.0.1", shard.port()});
+  ScatterExecutor scatter({spec});
+  for (int i = 0; i < 3; ++i) {
+    query::VectorSink sink;
+    auto outcome = scatter.ExecuteStreaming("SLICE sa=sex=F", sink, {}, "");
+    EXPECT_TRUE(outcome.status.ok()) << i << ": " << outcome.status;
+    EXPECT_EQ(sink.result().rows.size(), 3u) << i;
+  }
+  EXPECT_EQ(shard.requests(), 3);
+  EXPECT_EQ(ShardSeries(scatter, "scubed_shard_requests_total", 0), 3u);
+  EXPECT_EQ(ShardSeries(scatter, "scubed_shard_failures_total", 0), 0u);
+}
+
+// Second half: any other failure before the head moves to the next
+// replica; a shard fails only when every replica did.
+TEST(ScatterRetryTest, FailedReplicaMovesToTheNext) {
+  uint16_t dead_port = 0;
+  {
+    auto bound = net::ListenSocket::Bind(0, /*loopback_only=*/true);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    dead_port = bound->port();
+  }  // closed: connecting is refused
+  FakeShard live(HealthyShard('a'));
+  ShardSpec spec;
+  spec.replicas = {ShardEndpoint{"127.0.0.1", dead_port},
+                   ShardEndpoint{"127.0.0.1", live.port()}};
+  ScatterExecutor scatter({spec});
+  for (int i = 0; i < 2; ++i) {  // round robin starts once on each replica
+    query::VectorSink sink;
+    auto outcome = scatter.ExecuteStreaming("SLICE sa=sex=F", sink, {}, "");
+    EXPECT_TRUE(outcome.status.ok()) << i << ": " << outcome.status;
+  }
+  EXPECT_EQ(ShardSeries(scatter, "scubed_shard_failures_total", 0), 0u);
+
+  ShardSpec dead;
+  dead.replicas = {ShardEndpoint{"127.0.0.1", dead_port}};
+  ScatterExecutor unreachable({dead});
+  query::VectorSink sink;
+  auto outcome = unreachable.ExecuteStreaming("SLICE sa=sex=F", sink, {}, "");
+  EXPECT_FALSE(outcome.status.ok());
+  EXPECT_EQ(ShardSeries(unreachable, "scubed_shard_failures_total", 0), 1u);
+}
+
 // Pins the router's shard series over two fixed shard specs, one with two
 // replicas (no connection is made). On a mismatch the test prints the
 // whole text.
