@@ -1,12 +1,12 @@
 // INDEXES: throughput of the six segregation indexes (§2) over growing unit
-// counts, the O(n log n) Gini vs its O(n^2) reference, and the permutation
-// significance test. ComputeAllIndexes runs on three unit mixes: m_i drawn
-// uniformly from [0, t_i]; the sparse-minority mix, where 77% of a cell's
-// units hold no minority member (the share measured over the perfbench
-// `build` cube) and take the exact m_i = 0 terms; and the cube-shaped mix,
-// sparse too but with units no larger than the largest perfbench unit (51),
-// which the fill serves from its unit-term table. The first two draw t_i up
-// to 500, above the table bound, so they measure the direct path.
+// counts, the O(n log n) Gini alone, and the permutation significance test.
+// ComputeAllIndexes runs on three unit mixes: m_i drawn uniformly from
+// [0, t_i]; the sparse-minority mix, where 77% of a cell's units hold no
+// minority member (the share measured over the perfbench `build` cube) and
+// take the exact m_i = 0 terms; and the cube-shaped mix, sparse too but
+// with units no larger than the largest perfbench unit (51), which the
+// fill serves from its unit-term table. The first two draw t_i up to 500,
+// above the table bound, so they measure the direct path.
 
 #include <benchmark/benchmark.h>
 
@@ -122,16 +122,7 @@ void BM_GiniFast(benchmark::State& state) {
     benchmark::DoNotOptimize(g);
   }
 }
-void BM_GiniQuadratic(benchmark::State& state) {
-  auto d = MakeDistribution(static_cast<size_t>(state.range(0)), 5);
-  for (auto _ : state) {
-    auto g = indexes::GiniQuadraticReference(d);
-    benchmark::DoNotOptimize(g);
-  }
-}
 BENCHMARK(BM_GiniFast)->Arg(100)->Arg(1000)->Arg(4000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GiniQuadratic)->Arg(100)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PermutationTest(benchmark::State& state) {

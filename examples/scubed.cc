@@ -44,8 +44,8 @@
 //                       --shards localhost:7101,localhost:7102
 //                       --shards a:7101|b:7101,a:7102|b:7102
 //                     Statements run concurrently, each on its own shard
-//                     connections: keep the router's --conns at or below
-//                     the shards' --conns.
+//                     connections; beyond a shard's --conns they queue
+//                     for its handlers.
 //
 //   # 3-shard demo topology on one machine:
 //   ./scubed --demo --port 7101 --shard-index 0 --shard-count 3 &

@@ -46,8 +46,10 @@
 // router lock. Each request checks out its own keep-alive connection per
 // shard from the ShardClient's idle list and returns it only after a
 // clean end of body, so two requests never share a connection. A shard
-// serves one connection per handler thread (scubed --conns), so a router
-// should not run more statements at once than its shards have handlers.
+// serves one connection per handler thread (scubed --conns) and gives an
+// idle keep-alive connection's handler to a waiting connection, so
+// statements beyond a shard's handlers queue there; a statement holds one
+// handler per shard while its answer streams.
 
 #ifndef SCUBE_CLUSTER_SCATTER_H_
 #define SCUBE_CLUSTER_SCATTER_H_

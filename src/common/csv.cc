@@ -148,10 +148,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   out_.push_back('\n');
 }
 
-Status CsvWriter::SaveToFile(const std::string& path) const {
-  return WriteStringToFile(path, out_);
-}
-
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open file for reading: " + path);

@@ -64,9 +64,6 @@ class CsvWriter {
   /// The document assembled so far.
   const std::string& str() const { return out_; }
 
-  /// Writes the assembled document to a file.
-  Status SaveToFile(const std::string& path) const;
-
   /// Appends one field to `out`, quoted per RFC 4180 if it needs quoting
   /// (separator, quote, LF or CR inside).
   static void AppendEscapedField(std::string_view field, char separator,

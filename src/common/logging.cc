@@ -12,8 +12,6 @@
 namespace scube {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
-std::atomic<bool> g_quiet{false};
 sync::Mutex g_sink_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -30,10 +28,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-void SetLogQuiet(bool quiet) { g_quiet.store(quiet); }
 
 std::string FormatWallTimestampMillis() {
   const auto now = std::chrono::system_clock::now();
@@ -59,8 +53,7 @@ int CurrentThreadLogId() {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
@@ -76,8 +69,6 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (g_quiet.load()) return;
-  if (static_cast<int>(level_) < g_level.load()) return;
   sync::MutexLock lock(&g_sink_mutex);
   std::fprintf(stderr, "%s\n", stream_.str().c_str());
 }

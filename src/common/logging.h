@@ -1,4 +1,5 @@
-// Minimal leveled logger. Single global sink (stderr by default); thread-safe.
+// Minimal logger: every message goes to stderr, one line each, prefixed
+// with its level; thread-safe.
 
 #ifndef SCUBE_COMMON_LOGGING_H_
 #define SCUBE_COMMON_LOGGING_H_
@@ -9,13 +10,6 @@
 namespace scube {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-/// Silences all output (used by tests and benchmarks).
-void SetLogQuiet(bool quiet);
 
 /// Wall-clock timestamp with millisecond precision, UTC:
 /// "2026-08-08T14:03:21.042Z". Shared by log lines and the slow-query
@@ -44,7 +38,6 @@ class LogMessage {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

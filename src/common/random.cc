@@ -117,8 +117,6 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
   }
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
   size_t n = weights.size();
   SCUBE_CHECK(n > 0);

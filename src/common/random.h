@@ -51,9 +51,6 @@ class Rng {
     }
   }
 
-  /// Splits off an independently seeded child stream (for parallel use).
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool have_gaussian_ = false;

@@ -24,10 +24,6 @@ std::string_view Trim(std::string_view s);
 /// ASCII-only lower-casing (sufficient for attribute names and enum values).
 std::string ToLower(std::string_view s);
 
-/// True iff `s` starts with / ends with the given prefix or suffix.
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// Strict integer / double parsing of the *entire* string.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);

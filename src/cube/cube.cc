@@ -1,9 +1,5 @@
 #include "cube/cube.h"
 
-#include <algorithm>
-
-#include "common/csv.h"
-#include "common/string_util.h"
 #include "cube/cube_view.h"
 
 namespace scube {
@@ -46,99 +42,6 @@ CubeView SegregationCube::Seal(size_t num_threads) && {
   cells_.clear();
   return CubeView(std::move(catalog_), std::move(unit_labels_),
                   std::move(cells), num_threads);
-}
-
-std::vector<const CubeCell*> SegregationCube::Cells() const {
-  std::vector<const CubeCell*> out;
-  out.reserve(cells_.size());
-  for (const auto& [coords, cell] : cells_) out.push_back(&cell);
-  std::sort(out.begin(), out.end(), [](const CubeCell* a, const CubeCell* b) {
-    return a->coords < b->coords;
-  });
-  return out;
-}
-
-std::vector<const CubeCell*> SegregationCube::SliceBySa(
-    const fpm::Itemset& sa) const {
-  std::vector<const CubeCell*> out;
-  for (const auto& [coords, cell] : cells_) {
-    if (coords.sa == sa) out.push_back(&cell);
-  }
-  std::sort(out.begin(), out.end(), [](const CubeCell* a, const CubeCell* b) {
-    return a->coords < b->coords;
-  });
-  return out;
-}
-
-std::vector<const CubeCell*> SegregationCube::SliceByCa(
-    const fpm::Itemset& ca) const {
-  std::vector<const CubeCell*> out;
-  for (const auto& [coords, cell] : cells_) {
-    if (coords.ca == ca) out.push_back(&cell);
-  }
-  std::sort(out.begin(), out.end(), [](const CubeCell* a, const CubeCell* b) {
-    return a->coords < b->coords;
-  });
-  return out;
-}
-
-std::vector<const CubeCell*> SegregationCube::Parents(
-    const CellCoordinates& coords) const {
-  std::vector<const CubeCell*> out;
-  for (fpm::ItemId item : coords.sa.items()) {
-    fpm::Itemset reduced = coords.sa.Minus(fpm::Itemset({item}));
-    if (const CubeCell* cell = Find(reduced, coords.ca)) out.push_back(cell);
-  }
-  for (fpm::ItemId item : coords.ca.items()) {
-    fpm::Itemset reduced = coords.ca.Minus(fpm::Itemset({item}));
-    if (const CubeCell* cell = Find(coords.sa, reduced)) out.push_back(cell);
-  }
-  return out;
-}
-
-std::vector<const CubeCell*> SegregationCube::Children(
-    const CellCoordinates& coords) const {
-  std::vector<const CubeCell*> out;
-  for (const auto& [key, cell] : cells_) {
-    bool sa_child = coords.sa.size() + 1 == key.sa.size() &&
-                    coords.ca == key.ca && coords.sa.IsSubsetOf(key.sa);
-    bool ca_child = coords.ca.size() + 1 == key.ca.size() &&
-                    coords.sa == key.sa && coords.ca.IsSubsetOf(key.ca);
-    if (sa_child || ca_child) out.push_back(&cell);
-  }
-  std::sort(out.begin(), out.end(), [](const CubeCell* a, const CubeCell* b) {
-    return a->coords < b->coords;
-  });
-  return out;
-}
-
-std::string SegregationCube::LabelOf(const CellCoordinates& coords) const {
-  return catalog_.LabelSet(coords.sa) + " | " + catalog_.LabelSet(coords.ca);
-}
-
-std::string SegregationCube::ToCsv() const {
-  CsvWriter writer;
-  std::vector<std::string> header{"sa", "ca", "T", "M", "units"};
-  for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-    header.emplace_back(indexes::IndexKindToString(kind));
-  }
-  writer.WriteRow(header);
-  for (const CubeCell* cell : Cells()) {
-    std::vector<std::string> row{
-        catalog_.LabelSet(cell->coords.sa),
-        catalog_.LabelSet(cell->coords.ca),
-        std::to_string(cell->context_size),
-        std::to_string(cell->minority_size),
-        std::to_string(cell->num_units),
-    };
-    for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-      row.push_back(cell->indexes.defined
-                        ? FormatDouble(cell->indexes[kind], 6)
-                        : "");
-    }
-    writer.WriteRow(row);
-  }
-  return writer.str();
 }
 
 }  // namespace cube

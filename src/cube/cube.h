@@ -1,16 +1,14 @@
 // SegregationCube: the multi-dimensional segregation data cube (paper §2).
 //
-// Cells are addressed by (SA itemset, CA itemset) coordinates; metrics are
-// the six segregation indexes. The cube owns the item catalog so cells can
-// be labelled, navigated by attribute, and exported.
+// A cell is addressed by (SA itemset, CA itemset) coordinates; its metrics
+// are the six segregation indexes. The cube owns the item catalog, which the
+// sealed view takes over to label cells.
 //
 // This is the *mutable build-side* container: builders Insert() cells into
 // it, then Seal() freezes the result into an immutable, indexed CubeView
 // (cube/cube_view.h) — the structure every read path (explorer, SCubeQL
-// executor, serving layer, viz) consumes. The scan accessors kept here
-// (Cells / SliceBySa / SliceByCa / Parents / Children) are the O(all
-// cells) naive reference implementations; tests use them to validate the
-// sealed view's indexes, production code should query the view.
+// executor, serving layer, viz, the cube.csv export) consumes. Here a cell
+// can only be inserted or found by its coordinates.
 
 #ifndef SCUBE_CUBE_CUBE_H_
 #define SCUBE_CUBE_CUBE_H_
@@ -61,32 +59,6 @@ class SegregationCube {
   /// The sealed view is identical for every setting.
   CubeView Seal(size_t num_threads = 1) const&;
   CubeView Seal(size_t num_threads = 1) &&;
-
-  /// All cells in deterministic order (by coordinate). Allocates and sorts
-  /// per call — the naive reference path; sealed views expose a stable,
-  /// pre-sorted span instead (CubeView::Cells()).
-  std::vector<const CubeCell*> Cells() const;
-
-  /// Cells with the exact SA coordinates (any context).
-  std::vector<const CubeCell*> SliceBySa(const fpm::Itemset& sa) const;
-
-  /// Cells with the exact CA coordinates (any subgroup).
-  std::vector<const CubeCell*> SliceByCa(const fpm::Itemset& ca) const;
-
-  /// Roll-up parents of a cell: every coordinate obtained by removing one
-  /// item from SA or from CA (present-in-cube ones only).
-  std::vector<const CubeCell*> Parents(const CellCoordinates& coords) const;
-
-  /// Drill-down children: cells whose coordinates extend `coords` by exactly
-  /// one item (on either axis).
-  std::vector<const CubeCell*> Children(const CellCoordinates& coords) const;
-
-  /// Human-readable cell label: "sex=F & age=young | region=north".
-  std::string LabelOf(const CellCoordinates& coords) const;
-
-  /// CSV export: one row per cell with labels, T, M, n and all six indexes
-  /// ("" for undefined). The format of the paper's cube.csv artifact.
-  std::string ToCsv() const;
 
  private:
   relational::ItemCatalog catalog_;

@@ -115,8 +115,8 @@ void CubeView::BuildAdjacency(size_t num_threads) {
   }
 
   // Children are the parent relation transposed. `c` ascends, so every
-  // children list comes out in ascending id order = coordinate order (the
-  // order the mutable cube's Children() produced); no per-row sort needed.
+  // children list comes out in ascending id order, which is coordinate
+  // order; no per-row sort needed.
   std::vector<std::vector<CellId>> children(cells_.size());
   for (size_t c = 0; c < cells_.size(); ++c) {
     for (CellId p : parents[c]) children[p].push_back(static_cast<CellId>(c));

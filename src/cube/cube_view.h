@@ -68,7 +68,7 @@ class CubeView {
   size_t NumDefinedCells() const { return num_defined_; }
 
   /// All cells, sorted by coordinate. A stable span into the view — no
-  /// allocation, no per-call sort (unlike SegregationCube::Cells()).
+  /// allocation, no per-call sort.
   std::span<const CubeCell> Cells() const { return cells_; }
 
   /// Cell payload by id. Ids are ordinals into Cells(), so ascending id
@@ -90,9 +90,9 @@ class CubeView {
   std::span<const CellId> SliceBySa(const fpm::Itemset& sa) const;
   std::span<const CellId> SliceByCa(const fpm::Itemset& ca) const;
 
-  /// Roll-up parents of an existing cell, in item-removal order: SA items
-  /// ascending, then CA items ascending (absent parents skipped) — the
-  /// order the mutable cube's Parents() produced.
+  /// Roll-up parents of an existing cell, in item-removal order: the parent
+  /// without the first SA item, then without the second, and so on, then
+  /// the same over the CA items (absent parents skipped).
   std::span<const CellId> Parents(CellId id) const;
 
   /// Drill-down children of an existing cell, in coordinate order.
@@ -141,7 +141,9 @@ class CubeView {
   /// Human-readable cell label: "sex=F & age=young | region=north".
   std::string LabelOf(const CellCoordinates& coords) const;
 
-  /// CSV export, one row per cell — the paper's cube.csv artifact.
+  /// CSV export, one row per cell in coordinate order — the paper's
+  /// cube.csv artifact: labels, T, M, units and the six indexes (empty
+  /// for an undefined cell).
   std::string ToCsv() const;
 
  private:

@@ -12,11 +12,6 @@ Itemset::Itemset(std::vector<ItemId> items) : items_(std::move(items)) {
   items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
 }
 
-const Itemset& Itemset::Empty() {
-  static const Itemset kEmpty;
-  return kEmpty;
-}
-
 bool Itemset::Contains(ItemId item) const {
   return std::binary_search(items_.begin(), items_.end(), item);
 }
@@ -26,29 +21,10 @@ bool Itemset::IsSubsetOf(const Itemset& other) const {
                        items_.begin(), items_.end());
 }
 
-Itemset Itemset::Union(const Itemset& other) const {
-  std::vector<ItemId> out;
-  out.reserve(items_.size() + other.items_.size());
-  std::set_union(items_.begin(), items_.end(), other.items_.begin(),
-                 other.items_.end(), std::back_inserter(out));
-  Itemset result;
-  result.items_ = std::move(out);
-  return result;
-}
-
 Itemset Itemset::Minus(const Itemset& other) const {
   std::vector<ItemId> out;
   std::set_difference(items_.begin(), items_.end(), other.items_.begin(),
                       other.items_.end(), std::back_inserter(out));
-  Itemset result;
-  result.items_ = std::move(out);
-  return result;
-}
-
-Itemset Itemset::Intersect(const Itemset& other) const {
-  std::vector<ItemId> out;
-  std::set_intersection(items_.begin(), items_.end(), other.items_.begin(),
-                        other.items_.end(), std::back_inserter(out));
   Itemset result;
   result.items_ = std::move(out);
   return result;

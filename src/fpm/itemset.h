@@ -20,9 +20,6 @@ class Itemset {
   /// Takes arbitrary items; sorts and deduplicates.
   explicit Itemset(std::vector<ItemId> items);
 
-  /// The empty itemset (cube coordinate "⋆" on both axes).
-  static const Itemset& Empty();
-
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
   const std::vector<ItemId>& items() const { return items_; }
@@ -34,10 +31,8 @@ class Itemset {
   /// True iff every item of this set is in `other`.
   bool IsSubsetOf(const Itemset& other) const;
 
-  /// Set union / difference / intersection (result is sorted).
-  Itemset Union(const Itemset& other) const;
+  /// Set difference (result is sorted).
   Itemset Minus(const Itemset& other) const;
-  Itemset Intersect(const Itemset& other) const;
 
   /// New set with `item` added (no-op if present).
   Itemset With(ItemId item) const;

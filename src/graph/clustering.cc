@@ -18,12 +18,6 @@ uint32_t Clustering::GiantSize() const {
   return giant;
 }
 
-std::vector<std::vector<NodeId>> Clustering::Members() const {
-  std::vector<std::vector<NodeId>> out(num_clusters);
-  for (NodeId u = 0; u < labels.size(); ++u) out[labels[u]].push_back(u);
-  return out;
-}
-
 Clustering NormalizeLabels(std::vector<uint32_t> raw_labels) {
   Clustering out;
   out.labels.resize(raw_labels.size());
@@ -58,47 +52,6 @@ double Modularity(const Graph& graph, const Clustering& clustering) {
     q += 2.0 * intra[c] / w2 - (degree[c] / w2) * (degree[c] / w2);
   }
   return q;
-}
-
-double IntraClusterWeightFraction(const Graph& graph,
-                                  const Clustering& clustering) {
-  double total = graph.TotalWeight();
-  if (total <= 0.0) return 0.0;
-  double intra = 0.0;
-  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
-    for (const Graph::Neighbor& n : graph.Neighbors(u)) {
-      if (u < n.node && clustering.labels[u] == clustering.labels[n.node]) {
-        intra += n.weight;
-      }
-    }
-  }
-  return intra / total;
-}
-
-double AttributeHomogeneity(const NodeAttributes& attributes,
-                            const Clustering& clustering, Rng* rng,
-                            uint32_t num_samples) {
-  auto members = clustering.Members();
-  // Keep only clusters that can form pairs.
-  std::vector<const std::vector<NodeId>*> eligible;
-  std::vector<double> weights;
-  for (const auto& m : members) {
-    if (m.size() >= 2) {
-      eligible.push_back(&m);
-      weights.push_back(static_cast<double>(m.size()));
-    }
-  }
-  if (eligible.empty() || num_samples == 0) return 0.0;
-  double sum = 0.0;
-  for (uint32_t s = 0; s < num_samples; ++s) {
-    size_t c = rng->NextCategorical(weights);
-    const auto& m = *eligible[c];
-    NodeId a = m[rng->NextBounded(m.size())];
-    NodeId b = m[rng->NextBounded(m.size())];
-    while (b == a) b = m[rng->NextBounded(m.size())];
-    sum += attributes.Jaccard(a, b);
-  }
-  return sum / num_samples;
 }
 
 }  // namespace graph

@@ -1,5 +1,5 @@
-// Clustering: shared result type and quality metrics for the GraphClustering
-// module (paper §3).
+// Clustering: shared result type and the modularity quality metric for the
+// GraphClustering module (paper §3).
 
 #ifndef SCUBE_GRAPH_CLUSTERING_H_
 #define SCUBE_GRAPH_CLUSTERING_H_
@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/random.h"
 #include "common/result.h"
 #include "graph/graph.h"
 
@@ -27,9 +26,6 @@ struct Clustering {
 
   /// Size of the largest cluster.
   uint32_t GiantSize() const;
-
-  /// Members of each cluster (index = cluster id).
-  std::vector<std::vector<NodeId>> Members() const;
 };
 
 /// Renumbers arbitrary labels into dense 0..k-1 (first-seen order).
@@ -37,16 +33,6 @@ Clustering NormalizeLabels(std::vector<uint32_t> raw_labels);
 
 /// Newman-Girvan weighted modularity of the partition.
 double Modularity(const Graph& graph, const Clustering& clustering);
-
-/// Fraction of total edge weight that is intra-cluster.
-double IntraClusterWeightFraction(const Graph& graph,
-                                  const Clustering& clustering);
-
-/// Mean attribute Jaccard similarity of random intra-cluster node pairs
-/// (sampled; clusters of size 1 are skipped). Returns 0 when no pair exists.
-double AttributeHomogeneity(const NodeAttributes& attributes,
-                            const Clustering& clustering, Rng* rng,
-                            uint32_t num_samples = 2000);
 
 }  // namespace graph
 }  // namespace scube

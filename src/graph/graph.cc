@@ -71,12 +71,6 @@ Result<Graph> Graph::FromEdges(uint32_t num_nodes,
   return g;
 }
 
-double Graph::WeightedDegree(NodeId u) const {
-  double sum = 0.0;
-  for (const Neighbor& n : Neighbors(u)) sum += n.weight;
-  return sum;
-}
-
 double Graph::EdgeWeight(NodeId u, NodeId v) const {
   auto span = Neighbors(u);
   auto it = std::lower_bound(
@@ -97,17 +91,6 @@ Graph Graph::FilterEdges(double min_weight) const {
   }
   auto g = FromEdges(num_nodes_, kept);
   return std::move(g).value();  // inputs come from a valid graph
-}
-
-std::vector<WeightedEdge> Graph::Edges() const {
-  std::vector<WeightedEdge> out;
-  out.reserve(NumEdges());
-  for (uint32_t u = 0; u < num_nodes_; ++u) {
-    for (const Neighbor& n : Neighbors(u)) {
-      if (u < n.node) out.push_back(WeightedEdge{u, n.node, n.weight});
-    }
-  }
-  return out;
 }
 
 void NodeAttributes::SetTokens(NodeId node, std::vector<uint32_t> tokens) {

@@ -24,10 +24,6 @@ struct WeightedEdge {
   NodeId u = 0;
   NodeId v = 0;
   double weight = 1.0;
-
-  bool operator==(const WeightedEdge& other) const {
-    return u == other.u && v == other.v && weight == other.weight;
-  }
 };
 
 /// \brief Immutable undirected weighted graph in CSR form.
@@ -61,9 +57,6 @@ class Graph {
     return static_cast<uint32_t>(offsets_[u + 1] - offsets_[u]);
   }
 
-  /// Sum of incident edge weights.
-  double WeightedDegree(NodeId u) const;
-
   /// Sum of all edge weights (each undirected edge counted once).
   double TotalWeight() const { return total_weight_; }
 
@@ -75,9 +68,6 @@ class Graph {
 
   /// Copy with all edges of weight < min_weight removed.
   Graph FilterEdges(double min_weight) const;
-
-  /// All edges, each reported once with u < v, sorted.
-  std::vector<WeightedEdge> Edges() const;
 
  private:
   uint32_t num_nodes_ = 0;

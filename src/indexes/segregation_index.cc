@@ -227,26 +227,6 @@ Result<double> Gini(const GroupDistribution& dist) {
   return ComputeIndex(IndexKind::kGini, dist);
 }
 
-Result<double> GiniQuadraticReference(const GroupDistribution& dist) {
-  SCUBE_RETURN_IF_ERROR(dist.Validate());
-  if (dist.IsDegenerate()) return DegenerateStatus(dist);
-  double sum = 0.0;
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    double ti = static_cast<double>(dist.UnitTotal(i));
-    if (ti == 0.0) continue;
-    double pi = static_cast<double>(dist.UnitMinority(i)) / ti;
-    for (size_t j = 0; j < dist.NumUnits(); ++j) {
-      double tj = static_cast<double>(dist.UnitTotal(j));
-      if (tj == 0.0) continue;
-      double pj = static_cast<double>(dist.UnitMinority(j)) / tj;
-      sum += ti * tj * std::fabs(pi - pj);
-    }
-  }
-  double total = static_cast<double>(dist.Total());
-  double prop = dist.MinorityProportion();
-  return sum / (2.0 * total * total * prop * (1.0 - prop));
-}
-
 Result<double> Information(const GroupDistribution& dist) {
   return ComputeIndex(IndexKind::kInformation, dist);
 }

@@ -83,9 +83,6 @@ Result<double> Isolation(const GroupDistribution& dist);
 Result<double> Interaction(const GroupDistribution& dist);
 Result<double> Atkinson(const GroupDistribution& dist, double b = 0.5);
 
-/// O(n^2) reference Gini used by tests to validate the O(n log n) version.
-Result<double> GiniQuadraticReference(const GroupDistribution& dist);
-
 /// \brief All six index values for one distribution (one cube-cell payload).
 struct IndexVector {
   std::array<double, kNumIndexKinds> values{};

@@ -19,39 +19,6 @@ Result<Binner> Binner::FromEdges(std::vector<int64_t> edges) {
   return Binner(std::move(edges));
 }
 
-Result<Binner> Binner::EqualWidth(int64_t lo, int64_t hi, size_t count) {
-  if (count == 0) return Status::InvalidArgument("bin count must be >= 1");
-  if (hi <= lo) return Status::InvalidArgument("hi must exceed lo");
-  std::vector<int64_t> edges;
-  edges.reserve(count + 1);
-  double width = static_cast<double>(hi - lo + 1) / static_cast<double>(count);
-  for (size_t i = 0; i <= count; ++i) {
-    int64_t e = lo + static_cast<int64_t>(static_cast<double>(i) * width);
-    if (edges.empty() || e > edges.back()) edges.push_back(e);
-  }
-  if (edges.back() <= hi) edges.back() = hi + 1;
-  return FromEdges(std::move(edges));
-}
-
-Result<Binner> Binner::EqualFrequency(std::vector<int64_t> values,
-                                      size_t count) {
-  if (count == 0) return Status::InvalidArgument("bin count must be >= 1");
-  if (values.empty()) return Status::InvalidArgument("no values to bin");
-  std::sort(values.begin(), values.end());
-  std::vector<int64_t> edges;
-  edges.push_back(values.front());
-  for (size_t i = 1; i < count; ++i) {
-    size_t idx = i * values.size() / count;
-    int64_t cut = values[idx];
-    if (cut > edges.back()) edges.push_back(cut);
-  }
-  if (values.back() + 1 > edges.back()) {
-    edges.push_back(values.back() + 1);
-  }
-  if (edges.size() < 2) edges.push_back(edges.back() + 1);
-  return FromEdges(std::move(edges));
-}
-
 std::string Binner::LabelOf(int64_t value) const {
   if (value < edges_.front()) {
     std::string out = "<";
@@ -68,15 +35,6 @@ std::string Binner::LabelOf(int64_t value) const {
   std::string out = std::to_string(edges_[bin]);
   out += "-";
   out += std::to_string(edges_[bin + 1] - 1);
-  return out;
-}
-
-std::vector<std::string> Binner::Labels() const {
-  std::vector<std::string> out;
-  for (size_t i = 0; i + 1 < edges_.size(); ++i) {
-    out.push_back(std::to_string(edges_[i]) + "-" +
-                  std::to_string(edges_[i + 1] - 1));
-  }
   return out;
 }
 

@@ -25,18 +25,8 @@ class Binner {
   /// edge / at-or-above the last go to "<lo" / ">=hi" overflow bins.
   static Result<Binner> FromEdges(std::vector<int64_t> edges);
 
-  /// `count` equal-width bins spanning [lo, hi].
-  static Result<Binner> EqualWidth(int64_t lo, int64_t hi, size_t count);
-
-  /// `count` equal-frequency bins from a sample of values (quantile cuts).
-  static Result<Binner> EqualFrequency(std::vector<int64_t> values,
-                                       size_t count);
-
   /// Bin label of a single value.
   std::string LabelOf(int64_t value) const;
-
-  /// All interior labels in order (excluding overflow bins).
-  std::vector<std::string> Labels() const;
 
   size_t NumBins() const { return edges_.size() - 1; }
 

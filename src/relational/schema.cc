@@ -3,22 +3,6 @@
 namespace scube {
 namespace relational {
 
-const char* AttributeKindToString(AttributeKind kind) {
-  switch (kind) {
-    case AttributeKind::kId:
-      return "id";
-    case AttributeKind::kSegregation:
-      return "segregation";
-    case AttributeKind::kContext:
-      return "context";
-    case AttributeKind::kUnit:
-      return "unit";
-    case AttributeKind::kIgnore:
-      return "ignore";
-  }
-  return "?";
-}
-
 const char* ColumnTypeToString(ColumnType type) {
   switch (type) {
     case ColumnType::kCategorical:

@@ -33,7 +33,6 @@ enum class ColumnType {
   kCategoricalSet,  ///< multi-valued categorical, e.g. owns={house,car}
 };
 
-const char* AttributeKindToString(AttributeKind kind);
 const char* ColumnTypeToString(ColumnType type);
 
 /// \brief One attribute declaration.

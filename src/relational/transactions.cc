@@ -79,24 +79,6 @@ void ItemCatalog::Split(const fpm::Itemset& items, fpm::Itemset* sa_part,
   *ca_part = fpm::Itemset(std::move(ca));
 }
 
-bool ItemCatalog::AllOfKind(const fpm::Itemset& items,
-                            AttributeKind kind) const {
-  for (fpm::ItemId item : items.items()) {
-    if (infos_[item].kind != kind) return false;
-  }
-  return true;
-}
-
-size_t ItemCatalog::NumAttributesOfKind(AttributeKind kind) const {
-  std::vector<size_t> seen;
-  for (const ItemInfo& info : infos_) {
-    if (info.kind == kind) seen.push_back(info.attr_index);
-  }
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  return seen.size();
-}
-
 Result<EncodedRelation> EncodeForAnalysis(const Table& final_table) {
   const Schema& schema = final_table.schema();
   SCUBE_RETURN_IF_ERROR(schema.ValidateForAnalysis());

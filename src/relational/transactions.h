@@ -57,12 +57,6 @@ class ItemCatalog {
   void Split(const fpm::Itemset& items, fpm::Itemset* sa_part,
              fpm::Itemset* ca_part) const;
 
-  /// True iff every item in `items` is a segregation (resp. context) item.
-  bool AllOfKind(const fpm::Itemset& items, AttributeKind kind) const;
-
-  /// Number of distinct attributes among items of the given kind.
-  size_t NumAttributesOfKind(AttributeKind kind) const;
-
  private:
   std::vector<ItemInfo> infos_;
   std::vector<std::string> labels_;  ///< "attr=value", parallel to infos_

@@ -28,7 +28,7 @@ bool ResolveItems(
 Result<TemporalResult> RunTemporalAnalysis(
     const etl::ScubeInputs& inputs, const PipelineConfig& config,
     const std::vector<graph::Date>& dates,
-    const std::vector<TrackedCell>& tracked, const SnapshotSink& sink) {
+    const std::vector<TrackedCell>& tracked) {
   if (dates.empty()) {
     return Status::InvalidArgument("temporal analysis needs at least one "
                                    "snapshot date");
@@ -49,9 +49,7 @@ Result<TemporalResult> RunTemporalAnalysis(
       return result.status().WithContext("snapshot " + std::to_string(date));
     }
     // Tracked-cell extraction is a handful of point lookups per date, so
-    // it reads the build-side cube directly; sealing (index construction)
-    // happens downstream when the sink publishes a snapshot into a
-    // CubeStore.
+    // it reads the build-side cube directly; no snapshot is sealed.
     const auto& cube = result->cube;
     const auto& schema = result->final_table.schema();
 
@@ -71,8 +69,6 @@ Result<TemporalResult> RunTemporalAnalysis(
       }
       out.series[i].push_back(point);
     }
-
-    if (sink) sink(date, std::move(*result));
   }
   return out;
 }

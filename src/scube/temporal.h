@@ -4,7 +4,6 @@
 #ifndef SCUBE_SCUBE_TEMPORAL_H_
 #define SCUBE_SCUBE_TEMPORAL_H_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,23 +45,13 @@ struct TemporalResult {
   std::vector<std::vector<TemporalPoint>> series;
 };
 
-/// Receives each date's finished pipeline run after tracked-cell
-/// extraction — the publishing hook: the query layer's
-/// `RunTemporalAnalysisPublished` seals each run's cube into a
-/// `CubeStore` so SCubeQL (and HTTP clients) can address the snapshots
-/// as `FROM name@version`. The result is moved in; the sink owns it.
-using SnapshotSink = std::function<void(graph::Date, PipelineResult&&)>;
-
 /// Runs the pipeline once per date and extracts the tracked cells. Dates
 /// must be non-empty; tracked cells whose items are absent at a date yield
-/// an undefined point (defined = false). When `sink` is non-null it is
-/// called once per date, in date order, with that snapshot's pipeline
-/// result.
+/// an undefined point (defined = false).
 Result<TemporalResult> RunTemporalAnalysis(
     const etl::ScubeInputs& inputs, const PipelineConfig& config,
     const std::vector<graph::Date>& dates,
-    const std::vector<TrackedCell>& tracked,
-    const SnapshotSink& sink = nullptr);
+    const std::vector<TrackedCell>& tracked);
 
 }  // namespace pipeline
 }  // namespace scube

@@ -124,8 +124,13 @@ void ScubedServer::ConnectionLoop() {
   }
 }
 
+bool ScubedServer::ConnectionsWaiting() {
+  sync::MutexLock lock(&conn_mu_);
+  return !pending_.empty();
+}
+
 std::optional<std::string> ScubedServer::NextLine(
-    net::BufferedReader* reader) {
+    net::BufferedReader* reader, bool yield) {
   const double idle_timeout = options_.idle_timeout_seconds;
   // Total wall cap on getting one line. The per-read SO_RCVTIMEO alone is
   // defeatable by a peer trickling a byte per tick (each byte resets the
@@ -144,9 +149,10 @@ std::optional<std::string> ScubedServer::NextLine(
       return std::move(line).value();
     }
     // A receive timeout is the idle poll tick: keep waiting while the
-    // server runs, close once it stops (this bounds Stop() latency).
+    // server runs, close once it stops (this bounds Stop() latency) or,
+    // when yielding, once another connection waits for a handler.
     if (line.status().code() != StatusCode::kDeadlineExceeded ||
-        !running()) {
+        !running() || (yield && ConnectionsWaiting())) {
       reader->clear_deadline();
       return std::nullopt;
     }
@@ -242,7 +248,7 @@ void ScubedServer::ServeHttp(net::Socket* socket,
     }
     if (!keep_alive) return;
 
-    auto next = NextLine(reader);
+    auto next = NextLine(reader, /*yield=*/true);
     if (!next) return;
     request_line = std::move(*next);
     if (request_line.empty()) return;

@@ -13,7 +13,11 @@
 //
 // Two deadlines bound how long a peer can hold a handler thread: the
 // keep-alive idle timeout between requests, and a total read deadline
-// per request (headers and body; 408 when it passes).
+// per request (headers and body; 408 when it passes). Between HTTP
+// requests a handler also gives an idle keep-alive connection up at its
+// next idle-poll tick when accepted connections are waiting for a
+// handler: HTTP lets a server close an idle keep-alive connection at any
+// time, and the waiting connection may already have a request written.
 //
 // Stop() is graceful: the listener closes, idle keep-alive connections
 // drop at their next poll tick, in-flight requests finish, and the
@@ -61,7 +65,9 @@ struct ServerOptions {
 
   /// Seconds a connection may sit idle between requests before the
   /// handler polls for shutdown (and, when stopping, closes it). Also the
-  /// bound on Stop() latency for idle keep-alive connections.
+  /// bound on Stop() latency for idle keep-alive connections, and on how
+  /// long an idle keep-alive connection holds a handler that a waiting
+  /// connection needs.
   double idle_poll_seconds = 0.5;
 
   /// Keep-alive idle timeout in seconds (--idle-timeout-ms): a connection
@@ -122,8 +128,13 @@ class ScubedServer {
 
   /// ReadLine that tolerates idle-poll timeouts while running; returns
   /// nullopt when the connection should close (EOF, error, shutdown,
-  /// or idle timeout).
-  std::optional<std::string> NextLine(net::BufferedReader* reader);
+  /// or idle timeout). With `yield`, an idle-poll tick that finds
+  /// connections waiting in pending_ closes the connection too.
+  std::optional<std::string> NextLine(net::BufferedReader* reader,
+                                      bool yield = false);
+
+  /// True when accepted connections are waiting for a handler.
+  bool ConnectionsWaiting() EXCLUDES(conn_mu_);
 
   query::QueryBackend* backend_;
   ServerOptions options_;

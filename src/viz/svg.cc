@@ -143,27 +143,6 @@ Result<std::string> RenderRadialChart(const RadialChartSpec& spec) {
   return canvas.Finish();
 }
 
-Result<std::string> RenderBarChart(const BarChartSpec& spec) {
-  if (spec.bars.empty()) {
-    return Status::InvalidArgument("bar chart needs at least one bar");
-  }
-  const double row_height = 22.0;
-  const double label_width = 160.0;
-  const double chart_width = spec.width - label_width - 80.0;
-  const double height = 40.0 + row_height * spec.bars.size();
-  SvgCanvas canvas(spec.width, height);
-  canvas.Text(spec.width / 2.0, 18, spec.title, 15, "middle");
-  for (size_t i = 0; i < spec.bars.size(); ++i) {
-    const auto& [name, value] = spec.bars[i];
-    double y = 34.0 + row_height * i;
-    double w = chart_width * std::clamp(value, 0.0, 1.0);
-    canvas.Text(label_width - 8, y + 13, name, 11, "end");
-    canvas.Rect(label_width, y + 3, w, row_height - 8, spec.color);
-    canvas.Text(label_width + w + 6, y + 13, FormatDouble(value, 3), 10);
-  }
-  return canvas.Finish();
-}
-
 Result<std::string> RenderLineChart(const LineChartSpec& spec) {
   if (spec.x_labels.size() < 2) {
     return Status::InvalidArgument("line chart needs at least two x points");

@@ -1,5 +1,6 @@
-// SVG chart rendering: the radial plot of Fig. 5 (bottom), bar charts, and
-// the province tile map standing in for the map overlay of Fig. 3 (right).
+// SVG chart rendering: the radial plot of Fig. 5 (bottom), line charts,
+// and the province tile map standing in for the map overlay of Fig. 3
+// (right).
 
 #ifndef SCUBE_VIZ_SVG_H_
 #define SCUBE_VIZ_SVG_H_
@@ -56,16 +57,6 @@ struct RadialChartSpec {
 
 /// Renders a radial plot; fails if a series length mismatches the axes.
 Result<std::string> RenderRadialChart(const RadialChartSpec& spec);
-
-/// \brief Horizontal bar chart of labelled values in [0,1].
-struct BarChartSpec {
-  std::string title;
-  std::vector<std::pair<std::string, double>> bars;
-  std::string color = "#2980b9";
-  double width = 720.0;
-};
-
-Result<std::string> RenderBarChart(const BarChartSpec& spec);
 
 /// \brief Tile map: one coloured square per named area (provinces of
 /// Fig. 3); colour encodes the value via a white-to-red ramp.

@@ -29,6 +29,7 @@
 
 #include "cluster/partition.h"
 #include "common/hashing.h"
+#include "common/timer.h"
 #include "cube/cube.h"
 #include "net/http.h"
 #include "net/socket.h"
@@ -687,6 +688,40 @@ TEST_F(ScatterTest, ConcurrentRequestsMatchTheSingleNode) {
   }
   for (std::thread& thread : threads) thread.join();
   for (size_t t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+// The same eight threads against shards with two handlers each: an idle
+// keep-alive shard connection gives its handler up to a waiting one, so
+// every answer still equals the single node's, no shard request fails, and
+// the run takes seconds rather than the shards' 60 s idle timeout.
+TEST_F(ScatterTest, MoreConcurrentStatementsThanShardHandlers) {
+  Topology topo(2, /*conns=*/2);
+  std::vector<std::string> expected;
+  for (const std::string& text : AllVerbTexts()) {
+    expected.push_back(Mask(StreamJson(single_.get(), text)));
+  }
+  WallTimer timer;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(8, 0);
+  for (size_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < AllVerbTexts().size(); ++k) {
+        size_t i = (k + t) % AllVerbTexts().size();
+        if (Mask(StreamJson(topo.scatter.get(), AllVerbTexts()[i])) !=
+            expected[i]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_LT(timer.Seconds(), 20.0);
+  for (size_t t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(
+        ShardSeries(*topo.scatter, "scubed_shard_failures_total", shard), 0u)
+        << "shard " << shard;
+  }
 }
 
 // A publish that has reached one shard only: a fresh statement is refused

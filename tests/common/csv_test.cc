@@ -122,7 +122,7 @@ TEST(CsvFileTest, WriteAndReadBackFile) {
   CsvWriter w;
   w.WriteRow({"a", "b"});
   w.WriteRow({"1", "2"});
-  ASSERT_TRUE(w.SaveToFile(path).ok());
+  ASSERT_TRUE(WriteStringToFile(path, w.str()).ok());
   CsvReader reader;
   auto doc = reader.ParseFile(path);
   ASSERT_TRUE(doc.ok());

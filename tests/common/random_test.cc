@@ -169,16 +169,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(37);
-  Rng child = parent.Fork();
-  bool differs = false;
-  for (int i = 0; i < 10; ++i) {
-    if (parent.Next() != child.Next()) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
 TEST(AliasSamplerTest, MatchesWeights) {
   Rng rng(41);
   std::vector<double> w{5.0, 0.0, 15.0, 80.0};

@@ -43,15 +43,6 @@ TEST(CaseTest, ToLowerAsciiOnly) {
   EXPECT_EQ(ToLower("ABC-123"), "abc-123");
 }
 
-TEST(AffixTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("sex=female", "sex="));
-  EXPECT_FALSE(StartsWith("sex", "sex="));
-  EXPECT_TRUE(EndsWith("cube.xlsx", ".xlsx"));
-  EXPECT_FALSE(EndsWith("cube.xls", ".xlsx"));
-  EXPECT_TRUE(StartsWith("abc", ""));
-  EXPECT_TRUE(EndsWith("abc", ""));
-}
-
 TEST(ParseInt64Test, ValidInputs) {
   EXPECT_EQ(ParseInt64("42").value(), 42);
   EXPECT_EQ(ParseInt64("-7").value(), -7);

@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "cube/builder.h"
+#include "cube/cube_view.h"
 #include "indexes/counts.h"
 
 namespace scube {
@@ -150,23 +151,24 @@ TEST_P(BuilderPropertyTest, CellsMatchNaiveInEveryMode) {
     ASSERT_TRUE(cube.ok()) << cube.status();
     EXPECT_GT(cube->NumCells(), 0u);
 
-    for (const CubeCell* cell : cube->Cells()) {
+    CubeView view = cube->Seal();
+    for (const CubeCell& cell : view.Cells()) {
       NaiveCell naive = NaiveCompute(t, cube->catalog(), cube->unit_labels(),
-                                     cell->coords);
-      ASSERT_EQ(cell->context_size, naive.context_size)
-          << cube->LabelOf(cell->coords);
-      ASSERT_EQ(cell->minority_size, naive.minority_size)
-          << cube->LabelOf(cell->coords);
-      ASSERT_EQ(cell->num_units, naive.dist.NumUnits());
+                                     cell.coords);
+      ASSERT_EQ(cell.context_size, naive.context_size)
+          << view.LabelOf(cell.coords);
+      ASSERT_EQ(cell.minority_size, naive.minority_size)
+          << view.LabelOf(cell.coords);
+      ASSERT_EQ(cell.num_units, naive.dist.NumUnits());
       auto expected = indexes::ComputeAllIndexes(naive.dist);
       ASSERT_TRUE(expected.ok());
-      ASSERT_EQ(cell->indexes.defined, expected->defined);
-      if (cell->indexes.defined) {
+      ASSERT_EQ(cell.indexes.defined, expected->defined);
+      if (cell.indexes.defined) {
         for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-          ASSERT_EQ(std::bit_cast<uint64_t>(cell->Value(kind)),
+          ASSERT_EQ(std::bit_cast<uint64_t>(cell.Value(kind)),
                     std::bit_cast<uint64_t>((*expected)[kind]))
-              << cube->LabelOf(cell->coords) << " "
-              << indexes::IndexKindToString(kind) << " " << cell->Value(kind)
+              << view.LabelOf(cell.coords) << " "
+              << indexes::IndexKindToString(kind) << " " << cell.Value(kind)
               << " vs " << (*expected)[kind];
         }
       }
@@ -192,11 +194,12 @@ TEST_P(BuilderPropertyTest, ClosedCellsSubsetOfAllCells) {
   ASSERT_TRUE(all_cube.ok());
   ASSERT_TRUE(closed_cube.ok());
   EXPECT_LE(closed_cube->NumCells(), all_cube->NumCells());
-  for (const CubeCell* cell : closed_cube->Cells()) {
-    const CubeCell* twin = all_cube->Find(cell->coords);
+  CubeView view = closed_cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    const CubeCell* twin = all_cube->Find(cell.coords);
     ASSERT_NE(twin, nullptr);
-    EXPECT_EQ(cell->context_size, twin->context_size);
-    EXPECT_EQ(cell->minority_size, twin->minority_size);
+    EXPECT_EQ(cell.context_size, twin->context_size);
+    EXPECT_EQ(cell.minority_size, twin->minority_size);
   }
 }
 

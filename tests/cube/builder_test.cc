@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/hashing.h"
+#include "cube/cube_view.h"
 #include "datagen/scenarios.h"
 #include "indexes/counts.h"
 #include "scube/pipeline.h"
@@ -164,22 +165,23 @@ TEST(CubeBuilderTest, EveryCellMatchesNaiveRecomputation) {
   ASSERT_TRUE(cube.ok());
   EXPECT_GT(cube->NumCells(), 20u);
 
-  for (const CubeCell* cell : cube->Cells()) {
-    NaiveCell naive = NaiveCompute(t, cube.value(), cell->coords);
-    EXPECT_EQ(cell->context_size, naive.context_size)
-        << cube->LabelOf(cell->coords);
-    EXPECT_EQ(cell->minority_size, naive.minority_size)
-        << cube->LabelOf(cell->coords);
-    EXPECT_EQ(cell->num_units, naive.dist.NumUnits())
-        << cube->LabelOf(cell->coords);
+  CubeView view = cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    NaiveCell naive = NaiveCompute(t, cube.value(), cell.coords);
+    EXPECT_EQ(cell.context_size, naive.context_size)
+        << view.LabelOf(cell.coords);
+    EXPECT_EQ(cell.minority_size, naive.minority_size)
+        << view.LabelOf(cell.coords);
+    EXPECT_EQ(cell.num_units, naive.dist.NumUnits())
+        << view.LabelOf(cell.coords);
     auto expected = indexes::ComputeAllIndexes(naive.dist);
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(cell->indexes.defined, expected->defined)
-        << cube->LabelOf(cell->coords);
-    if (cell->indexes.defined) {
+    EXPECT_EQ(cell.indexes.defined, expected->defined)
+        << view.LabelOf(cell.coords);
+    if (cell.indexes.defined) {
       for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-        EXPECT_NEAR(cell->Value(kind), (*expected)[kind], 1e-9)
-            << cube->LabelOf(cell->coords) << " "
+        EXPECT_NEAR(cell.Value(kind), (*expected)[kind], 1e-9)
+            << view.LabelOf(cell.coords) << " "
             << indexes::IndexKindToString(kind);
       }
     }
@@ -224,13 +226,14 @@ TEST(CubeBuilderTest, ClosedModeCellsAgreeWithAllMode) {
   EXPECT_EQ(closed_cube->Find(fpm::Itemset({female}), fpm::Itemset()),
             nullptr);
 
-  for (const CubeCell* cell : closed_cube->Cells()) {
-    const CubeCell* same = all_cube->Find(cell->coords);
+  CubeView view = closed_cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    const CubeCell* same = all_cube->Find(cell.coords);
     ASSERT_NE(same, nullptr);
-    EXPECT_EQ(cell->context_size, same->context_size);
-    EXPECT_EQ(cell->minority_size, same->minority_size);
-    if (cell->indexes.defined) {
-      EXPECT_NEAR(cell->Value(indexes::IndexKind::kGini),
+    EXPECT_EQ(cell.context_size, same->context_size);
+    EXPECT_EQ(cell.minority_size, same->minority_size);
+    if (cell.indexes.defined) {
+      EXPECT_NEAR(cell.Value(indexes::IndexKind::kGini),
                   same->Value(indexes::IndexKind::kGini), 1e-12);
     }
   }
@@ -242,8 +245,9 @@ TEST(CubeBuilderTest, MinSupportPrunesRareCells) {
   opts.min_support = 4;
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  for (const CubeCell* cell : cube->Cells()) {
-    EXPECT_GE(cell->minority_size, 4u) << cube->LabelOf(cell->coords);
+  CubeView view = cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    EXPECT_GE(cell.minority_size, 4u) << view.LabelOf(cell.coords);
   }
 }
 
@@ -254,8 +258,9 @@ TEST(CubeBuilderTest, MinSupportFractionApplies) {
   opts.min_support_fraction = 0.5;  // 6 of 12 rows
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  for (const CubeCell* cell : cube->Cells()) {
-    EXPECT_GE(cell->minority_size, 6u);
+  CubeView view = cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    EXPECT_GE(cell.minority_size, 6u);
   }
 }
 
@@ -276,8 +281,9 @@ TEST(CubeBuilderTest, BadMinSupportFractionRejected) {
   opts.min_support_fraction = 1.0;  // every row: only the root survives
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok()) << cube.status();
-  for (const CubeCell* cell : cube->Cells()) {
-    EXPECT_EQ(cell->minority_size, 12u);
+  CubeView view = cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    EXPECT_EQ(cell.minority_size, 12u);
   }
 }
 
@@ -300,9 +306,10 @@ TEST(CubeBuilderTest, CoordinateCapsRespected) {
   opts.max_ca_items = 1;
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  for (const CubeCell* cell : cube->Cells()) {
-    EXPECT_LE(cell->coords.sa.size(), 1u);
-    EXPECT_LE(cell->coords.ca.size(), 1u);
+  CubeView view = cube->Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    EXPECT_LE(cell.coords.sa.size(), 1u);
+    EXPECT_LE(cell.coords.ca.size(), 1u);
   }
 }
 
@@ -358,20 +365,22 @@ TEST(CubeBuilderTest, MultiValuedContextCountsInEveryValue) {
   EXPECT_EQ(cell->minority_size, 2u);
 }
 
-// FNV-1a over every cell in coordinate order: labels, T, M, unit count and
-// the six values as hex floats, so a drift in the last bit of any index of
-// any cell changes the hash. (The naive cross-checks compare within 1e-9,
-// and perfbench's cube hash renders values with 6 digits.)
+// FNV-1a over every cell of the sealed view, in coordinate order: labels,
+// T, M, unit count and the six values as hex floats, so a drift in the
+// last bit of any index of any cell changes the hash. (The naive
+// cross-checks compare within 1e-9, and perfbench's cube hash renders
+// values with 6 digits.)
 uint64_t CellBitsFingerprint(const SegregationCube& cube) {
   std::string text;
   char buf[40];
-  for (const CubeCell* cell : cube.Cells()) {
-    text += cube.LabelOf(cell->coords);
-    text += "|" + std::to_string(cell->context_size) + "|" +
-            std::to_string(cell->minority_size) + "|" +
-            std::to_string(cell->num_units);
-    if (cell->indexes.defined) {
-      for (double v : cell->indexes.values) {
+  CubeView view = cube.Seal();
+  for (const CubeCell& cell : view.Cells()) {
+    text += view.LabelOf(cell.coords);
+    text += "|" + std::to_string(cell.context_size) + "|" +
+            std::to_string(cell.minority_size) + "|" +
+            std::to_string(cell.num_units);
+    if (cell.indexes.defined) {
+      for (double v : cell.indexes.values) {
         std::snprintf(buf, sizeof(buf), "|%a", v);
         text += buf;
       }

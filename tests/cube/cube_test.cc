@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cube/cube_view.h"
+
 namespace scube {
 namespace cube {
 namespace {
@@ -52,12 +54,13 @@ TEST(SegregationCubeTest, CellsDeterministicOrder) {
   cube.Insert(MakeCell({1}, {2}, 10, 3, 0.1));
   cube.Insert(MakeCell({}, {}, 50, 20, 0.0));
   cube.Insert(MakeCell({1}, {}, 20, 5, 0.2));
-  auto cells = cube.Cells();
+  CubeView view = std::move(cube).Seal();
+  auto cells = view.Cells();
   ASSERT_EQ(cells.size(), 3u);
-  EXPECT_TRUE(cells[0]->coords.sa.empty());  // root first (length 0)
-  EXPECT_EQ(cells[1]->coords.sa, fpm::Itemset({1}));
-  EXPECT_TRUE(cells[1]->coords.ca.empty());
-  EXPECT_EQ(cells[2]->coords.ca, fpm::Itemset({2}));
+  EXPECT_TRUE(cells[0].coords.sa.empty());  // root first (length 0)
+  EXPECT_EQ(cells[1].coords.sa, fpm::Itemset({1}));
+  EXPECT_TRUE(cells[1].coords.ca.empty());
+  EXPECT_EQ(cells[2].coords.ca, fpm::Itemset({2}));
 }
 
 TEST(SegregationCubeTest, Slices) {
@@ -65,10 +68,11 @@ TEST(SegregationCubeTest, Slices) {
   cube.Insert(MakeCell({1}, {}, 10, 3, 0.1));
   cube.Insert(MakeCell({1}, {7}, 10, 3, 0.2));
   cube.Insert(MakeCell({2}, {7}, 10, 3, 0.3));
-  EXPECT_EQ(cube.SliceBySa(fpm::Itemset({1})).size(), 2u);
-  EXPECT_EQ(cube.SliceByCa(fpm::Itemset({7})).size(), 2u);
-  EXPECT_EQ(cube.SliceByCa(fpm::Itemset()).size(), 1u);
-  EXPECT_TRUE(cube.SliceBySa(fpm::Itemset({9})).empty());
+  CubeView view = std::move(cube).Seal();
+  EXPECT_EQ(view.SliceBySa(fpm::Itemset({1})).size(), 2u);
+  EXPECT_EQ(view.SliceByCa(fpm::Itemset({7})).size(), 2u);
+  EXPECT_EQ(view.SliceByCa(fpm::Itemset()).size(), 1u);
+  EXPECT_TRUE(view.SliceBySa(fpm::Itemset({9})).empty());
 }
 
 TEST(SegregationCubeTest, ParentsAndChildren) {
@@ -80,16 +84,18 @@ TEST(SegregationCubeTest, ParentsAndChildren) {
   cube.Insert(MakeCell({1, 2}, {}, 40, 4, 0.3));
   cube.Insert(MakeCell({1, 2}, {7}, 20, 2, 0.4));
 
-  const CubeCell* mid = cube.Find(fpm::Itemset({1}), fpm::Itemset({7}));
-  ASSERT_NE(mid, nullptr);
-  auto parents = cube.Parents(mid->coords);
+  CubeView view = std::move(cube).Seal();
+  CubeView::CellId mid =
+      view.FindId(CellCoordinates{fpm::Itemset({1}), fpm::Itemset({7})});
+  ASSERT_NE(mid, CubeView::kNoCell);
+  auto parents = view.Parents(mid);
   ASSERT_EQ(parents.size(), 2u);  // remove SA item 1; remove CA item 7
 
-  auto children = cube.Children(mid->coords);
+  auto children = view.Children(mid);
   ASSERT_EQ(children.size(), 1u);
-  EXPECT_EQ(children[0]->coords.sa, fpm::Itemset({1, 2}));
+  EXPECT_EQ(view.cell(children[0]).coords.sa, fpm::Itemset({1, 2}));
 
-  auto root_children = cube.Children(CellCoordinates{});
+  auto root_children = view.Children(view.FindId(CellCoordinates{}));
   EXPECT_EQ(root_children.size(), 2u);  // {1}|* and *|{7}
 }
 
@@ -101,19 +107,6 @@ TEST(SegregationCubeTest, NumDefinedCells) {
   cube.Insert(std::move(undefined_cell));
   EXPECT_EQ(cube.NumCells(), 2u);
   EXPECT_EQ(cube.NumDefinedCells(), 1u);
-}
-
-TEST(SegregationCubeTest, CsvExportShape) {
-  relational::ItemCatalog catalog;
-  catalog.GetOrAdd(0, "gender", "F", relational::AttributeKind::kSegregation);
-  SegregationCube cube(std::move(catalog), {"u0", "u1"});
-  cube.Insert(MakeCell({}, {}, 40, 0, 0.0));
-  cube.Insert(MakeCell({0}, {}, 40, 10, 0.25));
-  std::string csv = cube.ToCsv();
-  // Header + 2 rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(csv.find("dissimilarity"), std::string::npos);
-  EXPECT_NE(csv.find("atkinson"), std::string::npos);
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // undefined cells — the sealed CubeView's indexes (point lookups, slices,
 // posting-list dice, parent/child adjacency, ranked top-k) and the
 // explorer's analyses over the view must agree exactly with naive
-// recomputation on the mutable SegregationCube (the O(all cells) reference
-// accessors).
+// recomputation over the generated cells (the O(all cells) reference
+// functions below).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "common/random.h"
 #include "cube/cube.h"
@@ -38,7 +39,7 @@ fpm::Itemset RandomSubset(Rng* rng, fpm::ItemId first, size_t universe,
   return fpm::Itemset(std::move(items));  // dedupes
 }
 
-SegregationCube RandomCube(const SweepParams& p, Rng* rng) {
+relational::ItemCatalog SweepCatalog() {
   relational::ItemCatalog catalog;
   using relational::AttributeKind;
   for (size_t i = 0; i < kNumSaItems; ++i) {
@@ -49,7 +50,15 @@ SegregationCube RandomCube(const SweepParams& p, Rng* rng) {
     catalog.GetOrAdd(kNumSaItems + i, "ca" + std::to_string(i), "v",
                      AttributeKind::kContext);
   }
-  SegregationCube cube(std::move(catalog), {"u0", "u1", "u2"});
+  return catalog;
+}
+
+/// The generated cells by coordinate.
+using CellMap =
+    std::unordered_map<CellCoordinates, CubeCell, CellCoordinatesHash>;
+
+CellMap RandomCells(const SweepParams& p, Rng* rng) {
+  CellMap cells;
   for (size_t i = 0; i < p.target_cells; ++i) {
     CubeCell cell;
     // Pure-context (empty SA) and root coordinates arise naturally.
@@ -64,9 +73,81 @@ SegregationCube RandomCube(const SweepParams& p, Rng* rng) {
     for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
       cell.indexes.values[static_cast<size_t>(kind)] = rng->NextDouble();
     }
-    cube.Insert(std::move(cell));  // duplicate coordinates overwrite
+    CellCoordinates key = cell.coords;
+    cells[key] = std::move(cell);  // duplicate coordinates overwrite
   }
-  return cube;
+  return cells;
+}
+
+// The naive reference implementations: each read scans or probes every
+// generated cell and sorts per call, with no index.
+
+const CubeCell* Find(const CellMap& cells, const CellCoordinates& coords) {
+  auto it = cells.find(coords);
+  return it == cells.end() ? nullptr : &it->second;
+}
+
+/// The cells whose coordinates pass `keep`, in coordinate order.
+template <typename Keep>
+std::vector<const CubeCell*> SortedCells(const CellMap& cells, Keep keep) {
+  std::vector<const CubeCell*> out;
+  for (const auto& [coords, cell] : cells) {
+    if (keep(coords)) out.push_back(&cell);
+  }
+  std::sort(out.begin(), out.end(), [](const CubeCell* a, const CubeCell* b) {
+    return a->coords < b->coords;
+  });
+  return out;
+}
+
+std::vector<const CubeCell*> Cells(const CellMap& cells) {
+  return SortedCells(cells, [](const CellCoordinates&) { return true; });
+}
+
+/// Cells with the exact SA (resp. CA) coordinates.
+std::vector<const CubeCell*> SliceBySa(const CellMap& cells,
+                                       const fpm::Itemset& sa) {
+  return SortedCells(
+      cells, [&sa](const CellCoordinates& key) { return key.sa == sa; });
+}
+
+std::vector<const CubeCell*> SliceByCa(const CellMap& cells,
+                                       const fpm::Itemset& ca) {
+  return SortedCells(
+      cells, [&ca](const CellCoordinates& key) { return key.ca == ca; });
+}
+
+/// Roll-up parents: remove one SA item, items ascending, then one CA item;
+/// present cells only.
+std::vector<const CubeCell*> Parents(const CellMap& cells,
+                                     const CellCoordinates& coords) {
+  std::vector<const CubeCell*> out;
+  for (fpm::ItemId item : coords.sa.items()) {
+    fpm::Itemset reduced = coords.sa.Minus(fpm::Itemset({item}));
+    if (const CubeCell* cell = Find(cells, {reduced, coords.ca})) {
+      out.push_back(cell);
+    }
+  }
+  for (fpm::ItemId item : coords.ca.items()) {
+    fpm::Itemset reduced = coords.ca.Minus(fpm::Itemset({item}));
+    if (const CubeCell* cell = Find(cells, {coords.sa, reduced})) {
+      out.push_back(cell);
+    }
+  }
+  return out;
+}
+
+/// Drill-down children: cells whose coordinates extend `coords` by exactly
+/// one item on either axis.
+std::vector<const CubeCell*> Children(const CellMap& cells,
+                                      const CellCoordinates& coords) {
+  return SortedCells(cells, [&coords](const CellCoordinates& key) {
+    bool sa_child = coords.sa.size() + 1 == key.sa.size() &&
+                    coords.ca == key.ca && coords.sa.IsSubsetOf(key.sa);
+    bool ca_child = coords.ca.size() + 1 == key.ca.size() &&
+                    coords.sa == key.sa && coords.ca.IsSubsetOf(key.ca);
+    return sa_child || ca_child;
+  });
 }
 
 std::vector<const CubeCell*> IdsToCells(const CubeView& view,
@@ -90,11 +171,13 @@ class CubeViewPropertyTest : public ::testing::TestWithParam<SweepParams> {};
 
 TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
   Rng rng(GetParam().seed);
-  SegregationCube cube = RandomCube(GetParam(), &rng);
+  const CellMap cells = RandomCells(GetParam(), &rng);
+  SegregationCube cube(SweepCatalog(), {"u0", "u1", "u2"});
+  for (const auto& [coords, cell] : cells) cube.Insert(cell);
   CubeView view = cube.Seal();
 
   // --- dense array vs naive sorted pointer dump ---------------------------
-  auto naive_cells = cube.Cells();
+  auto naive_cells = Cells(cells);
   ASSERT_EQ(view.NumCells(), naive_cells.size());
   EXPECT_EQ(view.NumDefinedCells(), cube.NumDefinedCells());
   for (size_t i = 0; i < naive_cells.size(); ++i) {
@@ -108,9 +191,9 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
     EXPECT_EQ(found->coords, cell->coords);
     EXPECT_EQ(found->minority_size, cell->minority_size);
   }
-  EXPECT_EQ(view.Find(fpm::Itemset({0, 1, 2, 3}),
-                      fpm::Itemset({4, 5, 6})),
-            cube.Find(fpm::Itemset({0, 1, 2, 3}), fpm::Itemset({4, 5, 6})));
+  const CellCoordinates absent{fpm::Itemset({0, 1, 2, 3}),
+                               fpm::Itemset({4, 5, 6})};
+  EXPECT_EQ(view.Find(absent), Find(cells, absent));
 
   // --- exact slices vs naive scans ---------------------------------------
   std::set<fpm::Itemset> sa_keys, ca_keys;
@@ -119,11 +202,13 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
     ca_keys.insert(cell->coords.ca);
   }
   for (const fpm::Itemset& sa : sa_keys) {
-    ExpectSameCells(cube.SliceBySa(sa), IdsToCells(view, view.SliceBySa(sa)),
+    ExpectSameCells(SliceBySa(cells, sa),
+                    IdsToCells(view, view.SliceBySa(sa)),
                     "SliceBySa " + sa.DebugString());
   }
   for (const fpm::Itemset& ca : ca_keys) {
-    ExpectSameCells(cube.SliceByCa(ca), IdsToCells(view, view.SliceByCa(ca)),
+    ExpectSameCells(SliceByCa(cells, ca),
+                    IdsToCells(view, view.SliceByCa(ca)),
                     "SliceByCa " + ca.DebugString());
   }
 
@@ -131,9 +216,9 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
   for (const CubeCell* cell : naive_cells) {
     CubeView::CellId id = view.FindId(cell->coords);
     ASSERT_NE(id, CubeView::kNoCell);
-    ExpectSameCells(cube.Parents(cell->coords),
+    ExpectSameCells(Parents(cells, cell->coords),
                     IdsToCells(view, view.Parents(id)), "Parents");
-    ExpectSameCells(cube.Children(cell->coords),
+    ExpectSameCells(Children(cells, cell->coords),
                     IdsToCells(view, view.Children(id)), "Children");
   }
   // Absent coordinates fall back to probes and must agree too.
@@ -141,11 +226,11 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
     CellCoordinates coords{RandomSubset(&rng, 0, kNumSaItems, 3),
                            RandomSubset(&rng, kNumSaItems, kNumCaItems, 2)};
     std::vector<CubeView::CellId> p = view.ParentsOf(coords);
-    ExpectSameCells(cube.Parents(coords),
+    ExpectSameCells(Parents(cells, coords),
                     IdsToCells(view, std::span<const CubeView::CellId>(p)),
                     "ParentsOf");
     std::vector<CubeView::CellId> c = view.ChildrenOf(coords);
-    ExpectSameCells(cube.Children(coords),
+    ExpectSameCells(Children(cells, coords),
                     IdsToCells(view, std::span<const CubeView::CellId>(c)),
                     "ChildrenOf");
   }
@@ -172,7 +257,7 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
   options.min_minority_size = 2;
   for (indexes::IndexKind kind :
        {indexes::IndexKind::kDissimilarity, indexes::IndexKind::kGini}) {
-    // Top-k: naive = filter + full sort + truncate on the mutable cube.
+    // Top-k: naive = filter + full sort + truncate over the cells.
     std::vector<RankedCell> naive_top;
     for (const CubeCell* cell : naive_cells) {
       if (!PassesExplorerFilters(*cell, options)) continue;
@@ -191,14 +276,14 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
       EXPECT_DOUBLE_EQ(top[i].value, naive_top[i].value) << i;
     }
 
-    // Surprises: naive = per-cell hash probes on the mutable cube.
+    // Surprises: naive = per-cell hash probes into the cells.
     std::vector<SurpriseFinding> naive_surprises;
     for (const CubeCell* cell : naive_cells) {
       if (!PassesExplorerFilters(*cell, options)) continue;
       if (cell->coords.sa.empty() && cell->coords.ca.empty()) continue;
       double best = 0.0;
       bool any = false;
-      for (const CubeCell* parent : cube.Parents(cell->coords)) {
+      for (const CubeCell* parent : Parents(cells, cell->coords)) {
         if (!parent->indexes.defined) continue;
         if (options.require_nonempty_sa && parent->coords.sa.empty()) continue;
         any = true;
@@ -226,7 +311,7 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
     for (const CubeCell* parent : naive_cells) {
       if (!PassesExplorerFilters(*parent, options)) continue;
       std::vector<const CubeCell*> children;
-      for (const CubeCell* child : cube.Children(parent->coords)) {
+      for (const CubeCell* child : Children(cells, parent->coords)) {
         if (child->coords.sa == parent->coords.sa &&
             child->indexes.defined &&
             !(options.require_nonempty_sa && child->coords.sa.empty()) &&

@@ -129,9 +129,10 @@ TEST(ParallelBuildTest, ParallelFillMatchesSequential) {
     EXPECT_EQ(seq_stats.threads_used, 1u);
     EXPECT_GE(par_stats.threads_used, 1u);
 
-    // The mutable cubes agree cell-for-cell (ToCsv walks coordinate order
-    // and renders every count and index value).
-    EXPECT_EQ(seq->ToCsv(), par->ToCsv()) << threads << " threads";
+    // The cubes agree cell-for-cell (the sealed view's ToCsv walks
+    // coordinate order and renders every count and index value).
+    EXPECT_EQ(seq->Seal().ToCsv(), par->Seal().ToCsv())
+        << threads << " threads";
   }
 }
 
@@ -170,7 +171,7 @@ TEST(ParallelBuildTest, ThreadCountBeyondContextsIsSafe) {
   auto par = BuildSegregationCube(table, Options(64));
   ASSERT_TRUE(seq.ok()) << seq.status();
   ASSERT_TRUE(par.ok()) << par.status();
-  EXPECT_EQ(seq->ToCsv(), par->ToCsv());
+  EXPECT_EQ(seq->Seal().ToCsv(), par->Seal().ToCsv());
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ TEST(ItemsetTest, EmptySet) {
   Itemset s;
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.size(), 0u);
-  EXPECT_EQ(s, Itemset::Empty());
   EXPECT_EQ(s.DebugString(), "[]");
 }
 
@@ -41,12 +40,8 @@ TEST(ItemsetTest, SubsetRelation) {
 TEST(ItemsetTest, SetOperations) {
   Itemset a({1, 2, 3});
   Itemset b({2, 3, 4});
-  EXPECT_EQ(a.Union(b), Itemset({1, 2, 3, 4}));
   EXPECT_EQ(a.Minus(b), Itemset({1}));
   EXPECT_EQ(b.Minus(a), Itemset({4}));
-  EXPECT_EQ(a.Intersect(b), Itemset({2, 3}));
-  EXPECT_EQ(a.Union(Itemset()), a);
-  EXPECT_EQ(a.Intersect(Itemset()), Itemset());
 }
 
 TEST(ItemsetTest, WithInsertsInOrder) {

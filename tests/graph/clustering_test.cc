@@ -23,14 +23,6 @@ TEST(NormalizeLabelsTest, DenseFirstSeenOrder) {
   EXPECT_EQ(c.GiantSize(), 3u);
 }
 
-TEST(ClusteringTest, MembersInverse) {
-  Clustering c = NormalizeLabels({0, 1, 0, 1});
-  auto members = c.Members();
-  ASSERT_EQ(members.size(), 2u);
-  EXPECT_EQ(members[0], (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(members[1], (std::vector<NodeId>{1, 3}));
-}
-
 TEST(ConnectedComponentsTest, TwoComponentsAndIsolated) {
   // 0-1-2 path, 3-4 edge, 5 isolated.
   Graph g = MustBuild(6, {{0, 1, 1}, {1, 2, 1}, {3, 4, 1}});
@@ -101,7 +93,6 @@ TEST(ModularityTest, TwoTrianglesPartition) {
                           {3, 4, 1}, {4, 5, 1}, {3, 5, 1}});
   Clustering c = NormalizeLabels({0, 0, 0, 1, 1, 1});
   EXPECT_NEAR(Modularity(g, c), 0.5, 1e-12);
-  EXPECT_NEAR(IntraClusterWeightFraction(g, c), 1.0, 1e-12);
 
   // All nodes in one cluster: Q = 0.
   Clustering one = NormalizeLabels({0, 0, 0, 0, 0, 0});
@@ -114,29 +105,6 @@ TEST(ModularityTest, BadPartitionScoresLower) {
   Clustering good = NormalizeLabels({0, 0, 0, 1, 1, 1});
   Clustering bad = NormalizeLabels({0, 1, 0, 1, 0, 1});
   EXPECT_GT(Modularity(g, good), Modularity(g, bad));
-  EXPECT_LT(IntraClusterWeightFraction(g, bad), 0.5);
-}
-
-TEST(AttributeHomogeneityTest, HomogeneousClustersScoreHigh) {
-  NodeAttributes attrs(4);
-  attrs.SetTokens(0, {1, 2});
-  attrs.SetTokens(1, {1, 2});
-  attrs.SetTokens(2, {3, 4});
-  attrs.SetTokens(3, {3, 4});
-  Rng rng(5);
-  Clustering aligned = NormalizeLabels({0, 0, 1, 1});
-  Clustering crossed = NormalizeLabels({0, 1, 0, 1});
-  EXPECT_NEAR(AttributeHomogeneity(attrs, aligned, &rng, 500), 1.0, 1e-12);
-  EXPECT_NEAR(AttributeHomogeneity(attrs, crossed, &rng, 500), 0.0, 1e-12);
-}
-
-TEST(AttributeHomogeneityTest, SingletonsOnlyYieldZero) {
-  NodeAttributes attrs(2);
-  attrs.SetTokens(0, {1});
-  attrs.SetTokens(1, {1});
-  Rng rng(5);
-  Clustering singletons = NormalizeLabels({0, 1});
-  EXPECT_DOUBLE_EQ(AttributeHomogeneity(attrs, singletons, &rng, 100), 0.0);
 }
 
 }  // namespace

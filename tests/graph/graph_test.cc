@@ -27,7 +27,6 @@ TEST(GraphTest, BasicAdjacency) {
   EXPECT_EQ(g.Degree(1), 2u);
   EXPECT_EQ(g.Degree(2), 1u);
   EXPECT_DOUBLE_EQ(g.TotalWeight(), 8.0);
-  EXPECT_DOUBLE_EQ(g.WeightedDegree(0), 7.0);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(2, 3), 0.0);
@@ -73,16 +72,6 @@ TEST(GraphTest, FilterEdgesKeepsHeavyOnes) {
   EXPECT_TRUE(f.HasEdge(1, 2));
   EXPECT_TRUE(f.HasEdge(2, 3));
   EXPECT_EQ(f.NumNodes(), 4u);
-}
-
-TEST(GraphTest, EdgesRoundTrip) {
-  std::vector<WeightedEdge> in{{0, 1, 2.0}, {1, 3, 1.0}, {2, 3, 4.0}};
-  Graph g = MustBuild(4, in);
-  auto out = g.Edges();
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], (WeightedEdge{0, 1, 2.0}));
-  EXPECT_EQ(out[1], (WeightedEdge{1, 3, 1.0}));
-  EXPECT_EQ(out[2], (WeightedEdge{2, 3, 4.0}));
 }
 
 TEST(NodeAttributesTest, JaccardSimilarity) {

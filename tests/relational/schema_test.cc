@@ -65,9 +65,6 @@ TEST(SchemaTest, ValidationRequiresSaAndOneUnit) {
 }
 
 TEST(SchemaTest, EnumNames) {
-  EXPECT_STREQ(AttributeKindToString(AttributeKind::kSegregation),
-               "segregation");
-  EXPECT_STREQ(AttributeKindToString(AttributeKind::kUnit), "unit");
   EXPECT_STREQ(ColumnTypeToString(ColumnType::kCategoricalSet),
                "categorical-set");
 }

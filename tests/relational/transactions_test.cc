@@ -69,9 +69,6 @@ TEST(EncodeTest, SplitSeparatesSaFromCa) {
   cat.Split(mixed, &sa, &ca);
   EXPECT_EQ(sa, fpm::Itemset({female}));
   EXPECT_EQ(ca, fpm::Itemset({north, edu}));
-  EXPECT_TRUE(cat.AllOfKind(sa, AttributeKind::kSegregation));
-  EXPECT_TRUE(cat.AllOfKind(ca, AttributeKind::kContext));
-  EXPECT_FALSE(cat.AllOfKind(mixed, AttributeKind::kContext));
 }
 
 TEST(EncodeTest, LabelSetRendering) {
@@ -125,13 +122,6 @@ TEST(EncodeTest, InvalidSchemaRejected) {
   Table t(schema);
   auto enc = EncodeForAnalysis(t);
   EXPECT_EQ(enc.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(EncodeTest, NumAttributesOfKind) {
-  auto enc = EncodeForAnalysis(FinalTableFixture());
-  ASSERT_TRUE(enc.ok());
-  EXPECT_EQ(enc->catalog.NumAttributesOfKind(AttributeKind::kSegregation), 3u);
-  EXPECT_EQ(enc->catalog.NumAttributesOfKind(AttributeKind::kContext), 2u);
 }
 
 TEST(EncodeTest, SharedValuesAcrossAttributesGetDistinctItems) {

@@ -2,7 +2,8 @@
 // golden wire transcripts for every route shape — buffered JSON and CSV,
 // 404/400 errors, HEAD, streamed and cursor-paged answers, pipelined
 // keep-alive and the line protocol — then a slow reader on a large
-// streamed answer, graceful Stop() with idle keep-alive connections, and
+// streamed answer, graceful Stop() with idle keep-alive connections, an
+// idle keep-alive connection yielding its handler to a waiting one, and
 // the connection guards: the header-read deadline (slow-loris defence)
 // and the keep-alive idle timeout.
 //
@@ -508,6 +509,43 @@ TEST(ConnectionTest, StopClosesIdleKeepAliveConnections) {
     EXPECT_TRUE(n.ok() && *n == 0);  // orderly close
   }
   EXPECT_EQ(open.load(), 0);
+}
+
+// Between keep-alive requests an idle connection gives its handler up to a
+// connection waiting for one. With a single handler, B is answered while
+// A, its request answered, sits idle; without the yield, B would wait out
+// A's 60 s idle timeout. A is closed, and the close is counted.
+TEST(KeepAliveYieldTest, IdleConnectionYieldsItsHandlerToAWaitingOne) {
+  ServerOptions options = MakeServerOptions();
+  options.num_connection_threads = 1;
+  options.idle_poll_seconds = 0.05;
+  Served fx(MakeCube(0.2), options);
+  net::ClientOptions client;
+  client.read_timeout_s = 5.0;
+
+  net::ClientConnection a;
+  ASSERT_TRUE(
+      net::OpenClientConnection("127.0.0.1", fx.server.port(), client, &a)
+          .ok());
+  auto first = net::RoundTrip(&a.socket, a.reader.get(), "GET", "/healthz");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->body, kHealthzBody);
+
+  net::ClientConnection b;
+  ASSERT_TRUE(
+      net::OpenClientConnection("127.0.0.1", fx.server.port(), client, &b)
+          .ok());
+  WallTimer timer;
+  auto second = net::RoundTrip(&b.socket, b.reader.get(), "GET", "/healthz");
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->body, kHealthzBody);
+  EXPECT_LT(timer.Millis(), 2000);
+
+  char buf[16];
+  auto n = a.socket.Read(buf, sizeof(buf));
+  EXPECT_TRUE(n.ok() && *n == 0);  // orderly close
+  EXPECT_GE(fx.server.metrics().connections_closed.load(), 1u);
+  fx.server.Stop();
 }
 
 TEST(ThreadedGuardTest, SlowLorisTrickleCannotPinAHandlerThread) {

@@ -70,17 +70,6 @@ TEST(RadialChartTest, Validation) {
   EXPECT_FALSE(RenderRadialChart(spec).ok());
 }
 
-TEST(BarChartTest, RendersBars) {
-  BarChartSpec spec;
-  spec.title = "female dissimilarity";
-  spec.bars = {{"Milano", 0.21}, {"Napoli", 0.34}, {"Palermo", 0.41}};
-  auto svg = RenderBarChart(spec);
-  ASSERT_TRUE(svg.ok());
-  EXPECT_NE(svg->find("Milano"), std::string::npos);
-  EXPECT_NE(svg->find("0.410"), std::string::npos);
-  EXPECT_FALSE(RenderBarChart(BarChartSpec{}).ok());  // empty
-}
-
 TEST(LineChartTest, RendersSeriesAndLegend) {
   LineChartSpec spec;
   spec.title = "female share by year";

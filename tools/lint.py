@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Project-invariant linter: the sync-discipline rules the compiler can't see.
+"""Project-invariant linter: the rules the compiler can't see.
 
 Clang's thread-safety analysis proves lock discipline, but only for code
-built with clang and only for annotated types. These checks keep the
-codebase in the shape that makes the analysis (and TSan) trustworthy:
+built with clang and only for annotated types. The sync-discipline checks
+keep the codebase in the shape that makes the analysis (and TSan)
+trustworthy:
 
   raw-mutex        no std::mutex / std::lock_guard / std::unique_lock /
                    std::scoped_lock / std::condition_variable in src/
@@ -18,10 +19,17 @@ codebase in the shape that makes the analysis (and TSan) trustworthy:
   sleep-in-src     no sleep_for / sleep_until / usleep in src/ — blocking
                    delays belong behind CondVar waits or poll timeouts
 
+One more keeps src/ to what a program runs:
+
+  test-only-header a src/ header that no file under src/, examples/,
+                   bench/ or perfbench/ includes, its own .cc aside, is
+                   reached only from tests: delete it with its tests, or
+                   move a test oracle into tests/
+
 Scope is src/ only: tests and benches legitimately use raw primitives as
-test plumbing. Suppressions live in tools/lint_allowlist.txt as
-"<rule> <path>" lines (one per entry, '#' comments); every entry should
-say why.
+test plumbing, and a test's includes do not make a header live.
+Suppressions live in tools/lint_allowlist.txt as "<rule> <path>" lines
+(one per entry, '#' comments); every entry should say why.
 
 Usage: tools/lint.py [--fix] [files...]   (default: every file in src/)
   --fix prints a remediation hint under each finding. Exit 0 = clean,
@@ -59,7 +67,15 @@ HINTS = {
     "sleep-in-src": "replace with a CondVar wait on a real predicate or a "
                     "poll/epoll timeout; if the backoff is deliberate, add "
                     "an allowlist entry explaining why",
+    "test-only-header": "no program includes this header: delete it and "
+                        "its .cc with the tests that exercise only them, or "
+                        "move the code the tests need into tests/",
 }
+
+# The trees whose includes make a src/ header live: the libraries
+# themselves, the examples, the benches and the benchmark harness.
+PROGRAM_DIRS = ("src", "examples", "bench", "perfbench")
+QUOTED_INCLUDE = re.compile(r'^\s*#include\s*"([^"]+)"', re.M)
 
 
 def load_allowlist():
@@ -130,6 +146,38 @@ def lint_file(path, rel, allow, fix):
     return [f for f in findings if (f[2], f[0]) not in allow]
 
 
+def program_includers():
+    """Maps each quoted include path to the program files that include it."""
+    includers = {}
+    for top in PROGRAM_DIRS:
+        for path in (REPO / top).rglob("*"):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (UnicodeDecodeError, OSError):
+                continue
+            rel = path.relative_to(REPO).as_posix()
+            for include in QUOTED_INCLUDE.findall(text):
+                includers.setdefault(include, set()).add(rel)
+    return includers
+
+
+def lint_test_only_header(rel, includers, allow):
+    """A src/ header that no program file includes, its own .cc aside."""
+    if not rel.endswith(".h"):
+        return []
+    include = rel[len("src/"):]
+    own_cc = rel[:-len(".h")] + ".cc"
+    if includers.get(include, set()) - {own_cc}:
+        return []
+    if ("test-only-header", rel) in allow:
+        return []
+    return [(rel, 1, "test-only-header",
+             "no file under " + ", ".join(d + "/" for d in PROGRAM_DIRS) +
+             " includes this header")]
+
+
 def main(argv):
     fix = "--fix" in argv
     args = [a for a in argv if a != "--fix"]
@@ -139,6 +187,7 @@ def main(argv):
         files = sorted(p for p in (REPO / "src").rglob("*")
                        if p.suffix in (".h", ".cc"))
     allow = load_allowlist()
+    includers = program_includers()
     findings = []
     for path in files:
         try:
@@ -148,6 +197,7 @@ def main(argv):
         if not rel.startswith("src/"):
             continue  # rules are scoped to src/
         findings.extend(lint_file(path, rel, allow, fix))
+        findings.extend(lint_test_only_header(rel, includers, allow))
     for rel, lineno, rule, context in findings:
         print(f"{rel}:{lineno}: [{rule}] {context}")
         if fix:
