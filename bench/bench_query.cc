@@ -8,8 +8,9 @@
 // The Indexed-vs-scan section pits each CubeView secondary index against
 // the naive full-scan it replaced, side by side on the same sealed cube:
 // slice groups vs coordinate scans, posting-list dice vs subset scans,
-// ranked-order top-k vs filter+sort, adjacency surprises vs per-cell hash
-// probes, adjacency reversals vs the O(cells^2) children scan.
+// ranked-order top-k vs filter+sort, and for SURPRISES and REVERSALS the
+// seal-time findings walk vs the per-cell scan that is still their
+// fallback.
 
 #include <benchmark/benchmark.h>
 
@@ -227,116 +228,123 @@ void BM_TopK(benchmark::State& state) {
 }
 BENCHMARK(BM_TopK)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-// SURPRISES: adjacency-list parent walks vs per-cell hash probes.
+// The cube SURPRISES and REVERSALS are timed on: perfbench's shape
+// (ItalianConfig(0.02, seed 1), threshold-clustered units, closed
+// itemsets, up to 3 SA and 2 CA items). The demo cube above caps contexts
+// at one item and has no reversal candidates.
+const cube::CubeView& FindingsView() {
+  static const cube::CubeView* view = [] {
+    auto s = datagen::GenerateScenario(datagen::ItalianConfig(0.02, 1));
+    if (!s.ok()) {
+      std::fprintf(stderr, "scenario: %s\n", s.status().ToString().c_str());
+      std::abort();
+    }
+    pipeline::PipelineConfig config;
+    config.unit_source = pipeline::UnitSource::kGroupClusters;
+    config.method = pipeline::ClusterMethod::kThreshold;
+    config.threshold.min_weight = 2.0;
+    config.cube.mode = fpm::MineMode::kClosed;
+    config.cube.max_sa_items = 3;
+    config.cube.max_ca_items = 2;
+    config.cube.min_support = 20;
+    config.cube.num_threads = 0;
+    auto result = pipeline::RunPipeline(s->inputs, config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "pipeline: %s\n",
+                   result.status().ToString().c_str());
+      std::abort();
+    }
+    return new cube::CubeView(std::move(result->cube).Seal(0));
+  }();
+  return *view;
+}
+
+// SURPRISES BY dissimilarity MINDELTA 0.05 [LIMIT n]: the view's findings
+// list walked until the page is full (what serves every query) vs every
+// cell evaluated, sorted and cut to the page (the scan it replaced, and
+// still the fallback; same filters, so both arms find the same rows).
+// Args: {walk, limit}; limit 0 = every finding.
 void BM_Surprises(benchmark::State& state) {
-  const cube::CubeView& view = View();
+  const cube::CubeView& view = FindingsView();
+  const indexes::IndexKind kind = indexes::IndexKind::kDissimilarity;
   cube::ExplorerOptions options;
-  bool indexed = state.range(0) == 1;
-  size_t findings = 0;
+  const bool walk = state.range(0) == 1;
+  const size_t limit = static_cast<size_t>(state.range(1));
+  size_t rows = 0;
+  uint64_t inspected = 0;
   for (auto _ : state) {
-    if (indexed) {
-      auto out = cube::DrillDownSurprises(
-          view, indexes::IndexKind::kDissimilarity, 0.05, options);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
+    std::vector<cube::SurpriseFinding> out;
+    if (walk) {
+      cube::VisitSurprises(
+          view, kind, 0.05, options, &inspected,
+          [&out, limit](const cube::SurpriseFinding& f) {
+            out.push_back(f);
+            return out.size() != limit;
+          },
+          [] { return true; });
     } else {
-      std::vector<cube::SurpriseFinding> out;
-      for (const cube::CubeCell& cell : view.Cells()) {
-        if (!cube::PassesExplorerFilters(cell, options)) continue;
-        if (cell.coords.sa.empty() && cell.coords.ca.empty()) continue;
-        double best = 0.0;
-        bool any = false;
-        auto consider = [&](const cube::CubeCell* parent) {
-          if (parent == nullptr || !parent->indexes.defined ||
-              parent->coords.sa.empty()) {
-            return;
-          }
-          any = true;
-          best = std::max(
-              best, parent->Value(indexes::IndexKind::kDissimilarity));
-        };
-        for (fpm::ItemId item : cell.coords.sa.items()) {
-          consider(view.Find(cell.coords.sa.Minus(fpm::Itemset({item})),
-                             cell.coords.ca));
-        }
-        for (fpm::ItemId item : cell.coords.ca.items()) {
-          consider(view.Find(cell.coords.sa,
-                             cell.coords.ca.Minus(fpm::Itemset({item}))));
-        }
-        if (!any) continue;
-        double delta =
-            cell.Value(indexes::IndexKind::kDissimilarity) - best;
-        if (delta >= 0.05) {
-          out.push_back(cube::SurpriseFinding{
-              &cell, cell.Value(indexes::IndexKind::kDissimilarity), best,
-              delta});
-        }
+      for (cube::CubeView::CellId id = 0; id < view.NumCells(); ++id) {
+        if (!cube::PassesExplorerFilters(view.cell(id), options)) continue;
+        auto f = cube::SurpriseOf(view, id, kind, options);
+        if (f && !(f->delta < 0.05)) out.push_back(*f);
       }
       cube::SortSurprises(&out);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
+      if (limit != 0 && out.size() > limit) out.resize(limit);
+      inspected = view.NumCells();
     }
+    rows = out.size();
+    benchmark::DoNotOptimize(out);
   }
-  state.SetLabel(indexed ? "adjacency" : "hash-probe");
-  state.counters["findings"] = static_cast<double>(findings);
+  state.SetLabel(walk ? "materialised walk" : "per-cell scan");
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["inspected"] = static_cast<double>(inspected);
 }
-BENCHMARK(BM_Surprises)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Surprises)
+    ->Args({1, 50})->Args({0, 50})->Args({1, 0})->Args({0, 0})
+    ->Unit(benchmark::kMicrosecond);
 
-// REVERSALS: adjacency children vs a full scan per parent (O(cells^2)).
+// REVERSALS BY dissimilarity MINGAP 0.01 [LIMIT n]: the findings list
+// walked, each entry re-tested exactly, vs every cell evaluated and
+// sorted (the fallback that serves WHERE floors other than the defaults
+// and negative gaps). Args as above.
 void BM_Reversals(benchmark::State& state) {
-  const cube::CubeView& view = View();
+  const cube::CubeView& view = FindingsView();
+  const indexes::IndexKind kind = indexes::IndexKind::kDissimilarity;
   cube::ExplorerOptions options;
-  bool indexed = state.range(0) == 1;
-  size_t findings = 0;
+  const bool walk = state.range(0) == 1;
+  const size_t limit = static_cast<size_t>(state.range(1));
+  size_t rows = 0;
+  uint64_t inspected = 0;
   for (auto _ : state) {
-    if (indexed) {
-      auto out = cube::FindGranularityReversals(
-          view, indexes::IndexKind::kDissimilarity, 0.05, options);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
+    std::vector<cube::GranularityReversal> out;
+    if (walk) {
+      cube::VisitReversals(
+          view, kind, 0.01, options, &inspected,
+          [&out, limit](cube::GranularityReversal&& r) {
+            out.push_back(std::move(r));
+            return out.size() != limit;
+          },
+          [] { return true; });
     } else {
-      std::vector<cube::GranularityReversal> out;
-      for (const cube::CubeCell& parent : view.Cells()) {
-        if (!cube::PassesExplorerFilters(parent, options)) continue;
-        std::vector<const cube::CubeCell*> children;
-        for (const cube::CubeCell& child : view.Cells()) {  // the old scan
-          if (child.coords.sa == parent.coords.sa &&
-              child.coords.ca.size() == parent.coords.ca.size() + 1 &&
-              parent.coords.ca.IsSubsetOf(child.coords.ca) &&
-              child.indexes.defined &&
-              child.context_size >= options.min_context_size &&
-              child.minority_size >= options.min_minority_size) {
-            children.push_back(&child);
-          }
-        }
-        if (children.size() < 2) continue;
-        double pv = parent.Value(indexes::IndexKind::kDissimilarity);
-        bool all_above = true, all_below = true;
-        double min_child = 1e300, max_child = -1e300;
-        for (const cube::CubeCell* child : children) {
-          double v = child->Value(indexes::IndexKind::kDissimilarity);
-          min_child = std::min(min_child, v);
-          max_child = std::max(max_child, v);
-          if (v < pv + 0.05) all_above = false;
-          if (v > pv - 0.05) all_below = false;
-        }
-        if (all_above) {
-          out.push_back(cube::GranularityReversal{&parent, children, pv,
-                                                  min_child, true});
-        } else if (all_below) {
-          out.push_back(cube::GranularityReversal{&parent, children, pv,
-                                                  max_child, false});
+      for (cube::CubeView::CellId id = 0; id < view.NumCells(); ++id) {
+        if (auto r = cube::EvaluateReversal(view, id, kind, 0.01, options)) {
+          out.push_back(std::move(*r));
         }
       }
       cube::SortReversals(&out);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
+      if (limit != 0 && out.size() > limit) out.resize(limit);
+      inspected = view.NumCells();
     }
+    rows = out.size();
+    benchmark::DoNotOptimize(out);
   }
-  state.SetLabel(indexed ? "adjacency" : "full-scan");
-  state.counters["findings"] = static_cast<double>(findings);
+  state.SetLabel(walk ? "materialised walk" : "per-cell scan");
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["inspected"] = static_cast<double>(inspected);
 }
-BENCHMARK(BM_Reversals)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Reversals)
+    ->Args({1, 50})->Args({0, 50})->Args({1, 0})->Args({0, 0})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -57,9 +57,10 @@ struct CubeCell {
   /// Shard-replica marker (cluster/partition.h): a ghost is a copy of a
   /// cell owned by another shard, replicated so adjacency-based analytics
   /// (SURPRISES/REVERSALS) see their cross-shard comparison neighbours.
-  /// Ghosts participate in every index and adjacency walk but are never
-  /// emitted as query results — each global cell is emitted by exactly
-  /// one shard. Always false outside sharded deployments.
+  /// Ghosts participate in every index and adjacency walk, except that
+  /// the view's findings lists leave them out, and are never emitted as
+  /// query results — each global cell is emitted by exactly one shard.
+  /// Always false outside sharded deployments.
   bool ghost = false;
 };
 

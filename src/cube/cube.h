@@ -54,7 +54,8 @@ class SegregationCube {
   /// overload copies the cells (the cube stays usable for further builds);
   /// the rvalue overload moves cells, catalog and labels into the view.
   /// `num_threads` parallelises the view's index construction (posting
-  /// lists, slice groups, adjacency, ranked orders) on the shared pool:
+  /// lists, slice groups, adjacency, ranked orders, findings) on the
+  /// shared pool:
   /// 1 = sequential, 0 = all hardware threads, N = at most N threads.
   /// The sealed view is identical for every setting.
   CubeView Seal(size_t num_threads = 1) const&;

@@ -5,6 +5,7 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "cube/explorer.h"
 
 namespace scube {
 namespace cube {
@@ -67,6 +68,8 @@ CubeView::CubeView(relational::ItemCatalog catalog,
         tasks.size(), threads,
         [&tasks](size_t /*worker*/, size_t t) { tasks[t](); });
   }
+  // The findings walk the adjacency, so they come last.
+  findings_ = BuildFindings(*this, threads);
 }
 
 void CubeView::BuildPostings(bool sa_axis, Csr* csr) {
@@ -264,6 +267,16 @@ std::vector<CubeView::CellId> CubeView::Dice(const fpm::Itemset& sa,
 std::span<const CubeView::CellId> CubeView::RankedByIndex(
     indexes::IndexKind kind) const {
   return ranked_[static_cast<size_t>(kind)];
+}
+
+std::span<const CubeView::CellId> CubeView::SurpriseOrder(
+    indexes::IndexKind kind) const {
+  return findings_.surprises[static_cast<size_t>(kind)];
+}
+
+std::span<const CubeView::ReversalEntry> CubeView::ReversalOrder(
+    indexes::IndexKind kind) const {
+  return findings_.reversals[static_cast<size_t>(kind)];
 }
 
 std::string CubeView::LabelOf(const CellCoordinates& coords) const {

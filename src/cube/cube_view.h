@@ -11,10 +11,14 @@
 //   - exact-coordinate slice groups (all cells sharing one SA or CA
 //     itemset), so SLICE is a hash lookup returning a span,
 //   - roll-up / drill-down adjacency lists in CSR form, so parent/child
-//     navigation and the explorer's SURPRISES/REVERSALS walk arrays with
-//     no per-call hashing,
+//     navigation walks arrays with no per-call hashing,
 //   - per-index ranked orders (defined cells by value descending), so
-//     top-k queries walk a precomputed order instead of sorting per call.
+//     top-k queries walk a precomputed order instead of sorting per call,
+//   - per-index analytic findings (cube/explorer.h, BuildFindings): every
+//     SURPRISES candidate by delta descending and every REVERSALS
+//     candidate under the default floors by gap descending, so SURPRISES
+//     reads a prefix of a list and REVERSALS filters a short one instead
+//     of evaluating every cell and sorting per call.
 //
 // A CubeView is immutable after construction and therefore safe to share
 // across threads without locks; the serving layer publishes
@@ -55,8 +59,9 @@ class CubeView {
   /// `num_threads` parallelises index construction on the shared pool
   /// (1 = sequential, 0 = hardware concurrency); the finished view is
   /// identical for every value — the SA/CA posting builds, slice-group
-  /// builds, per-cell parent probes and the six ranked sorts run as
-  /// independent tasks whose outputs depend only on the sorted cells.
+  /// builds, per-cell parent probes, the six ranked sorts and the findings
+  /// sorts run as independent tasks whose outputs depend only on the
+  /// sorted cells.
   CubeView(relational::ItemCatalog catalog,
            std::vector<std::string> unit_labels,
            std::vector<CubeCell> cells, size_t num_threads = 1);
@@ -138,6 +143,27 @@ class CubeView {
   /// coordinate-ascending on ties — the precomputed top-k order.
   std::span<const CellId> RankedByIndex(indexes::IndexKind kind) const;
 
+  /// A REVERSALS candidate: the parent and the lowest and highest index
+  /// among its usable children, which settle the test at any gap.
+  struct ReversalEntry {
+    CellId id = kNoCell;
+    double lowest_child = 0.0;
+    double highest_child = 0.0;
+  };
+
+  /// The explorer's findings of one index, built at construction
+  /// (BuildFindings in cube/explorer.h defines them): SURPRISES candidates
+  /// by (delta desc, id asc), and REVERSALS candidates under the default
+  /// floors by (gap desc, id asc). Ghost cells are in neither list.
+  std::span<const CellId> SurpriseOrder(indexes::IndexKind kind) const;
+  std::span<const ReversalEntry> ReversalOrder(indexes::IndexKind kind) const;
+
+  /// Per-index lists behind SurpriseOrder / ReversalOrder.
+  struct Findings {
+    std::array<std::vector<CellId>, indexes::kNumIndexKinds> surprises;
+    std::array<std::vector<ReversalEntry>, indexes::kNumIndexKinds> reversals;
+  };
+
   /// Human-readable cell label: "sex=F & age=young | region=north".
   std::string LabelOf(const CellCoordinates& coords) const;
 
@@ -187,6 +213,7 @@ class CubeView {
   Csr parents_;
   Csr children_;
   std::array<std::vector<CellId>, indexes::kNumIndexKinds> ranked_;
+  Findings findings_;
 };
 
 template <typename Visit, typename Tick>

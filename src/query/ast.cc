@@ -18,7 +18,11 @@ bool NeedsQuoting(const std::string& value) {
 }
 
 std::string RenderValue(const std::string& value) {
-  return NeedsQuoting(value) ? "'" + value + "'" : value;
+  if (!NeedsQuoting(value)) return value;
+  // A quoted value ends at the next copy of its opening quote, so a value
+  // holding a ' (lexed from "...") is quoted with ", which it cannot hold.
+  const char quote = value.find('\'') == std::string::npos ? '\'' : '"';
+  return quote + value + quote;
 }
 
 std::string RenderConjunction(const std::vector<AttrValue>& items) {

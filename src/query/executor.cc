@@ -142,7 +142,7 @@ enum class Mode {
   kTopK,       ///< ranked-order walk
   kRollup,     ///< parent adjacency / probes
   kDrilldown,  ///< child adjacency / probes
-  kScan,       ///< SURPRISES / REVERSALS: one pass over the cell array
+  kFindings,   ///< SURPRISES / REVERSALS: the view's findings lists
 };
 
 /// Span name of the index walk a mode performs — the per-verb phase names
@@ -164,7 +164,7 @@ const char* SpanNameFor(Mode mode) {
       return "walk.rollup";
     case Mode::kDrilldown:
       return "walk.drilldown";
-    case Mode::kScan:
+    case Mode::kFindings:
       return "walk.analytic";
   }
   return "walk";
@@ -177,8 +177,6 @@ struct Prepared {
   fpm::Itemset ca;    ///< resolved CA constraint items
   Mode mode = Mode::kPoint;
   cube::ExplorerOptions explorer;  ///< analytic-verb filters, precomputed
-  std::vector<cube::SurpriseFinding> surprises;      ///< analytic-pass hits
-  std::vector<cube::GranularityReversal> reversals;  ///< analytic-pass hits
 };
 
 Mode ClassifyQuery(const Query& q) {
@@ -198,39 +196,9 @@ Mode ClassifyQuery(const Query& q) {
       return Mode::kDrilldown;
     case Verb::kSurprises:
     case Verb::kReversals:
-      return Mode::kScan;
+      return Mode::kFindings;
   }
   return Mode::kPoint;
-}
-
-/// One pass over the cell array for a SURPRISES/REVERSALS query: each
-/// cell is evaluated via the view's precomputed parent/child adjacency
-/// (the explorer's per-cell evaluators). Returns false when the deadline
-/// expired mid-scan.
-bool RunAnalyticScan(const cube::CubeView& view, Prepared* p,
-                     const QueryContext& ctx) {
-  DeadlineTicker ticker(ctx, kDeadlineStride);
-  const Query& q = *p->query;
-  const size_t n = view.NumCells();
-  for (cube::CubeView::CellId id = 0; id < n; ++id) {
-    if (ticker.Tick()) return false;
-    // Ghost cells (shard replicas of cells owned elsewhere) are never
-    // analytic candidates — their owning shard reports them — but they
-    // stay in the view's adjacency, serving as comparison baselines for
-    // the owned cells evaluated here.
-    if (view.cell(id).ghost) continue;
-    if (q.verb == Verb::kSurprises) {
-      if (auto finding = cube::EvaluateSurprise(view, id, q.by, q.threshold,
-                                                p->explorer)) {
-        p->surprises.push_back(*finding);
-      }
-    } else if (auto reversal = cube::EvaluateReversal(view, id, q.by,
-                                                      q.threshold,
-                                                      p->explorer)) {
-      p->reversals.push_back(std::move(*reversal));
-    }
-  }
-  return true;
 }
 
 /// Pages the unpaginated row stream into a sink: skips `offset` rows,
@@ -289,8 +257,9 @@ class Pager {
 /// merge-key stitching sound. `keys` (QueryContext::merge_keys) stamps
 /// each row with its order-preserving merge key (query/merge_key.h).
 template <typename Feed>
-Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
-                bool keys, uint64_t* scanned, Feed&& feed) {
+Status WalkRows(const cube::CubeView& view, const Prepared& p,
+                DeadlineTicker& ticker, bool keys, uint64_t* scanned,
+                Feed&& feed) {
   const Query& q = *p.query;
   auto expired = [] {
     return Status::DeadlineExceeded(
@@ -432,48 +401,49 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
       return Status::OK();
     }
 
-    case Mode::kScan: {
-      // Findings come pre-computed from the analytic pass; the row stream
-      // is their sorted order.
-      *scanned = view.NumCells();
+    case Mode::kFindings: {
+      // The explorer's findings walks: a prefix of the view's per-index
+      // list, or every cell evaluated and sorted when the list cannot
+      // answer (cube/explorer.h). Ghosts are never findings.
+      auto tick = [&ticker] { return !ticker.Tick(); };
       if (q.verb == Verb::kSurprises) {
-        cube::SortSurprises(&p.surprises);
-        for (const cube::SurpriseFinding& f : p.surprises) {
-          bool keep = feed([&] {
-            ResultRow row = MakeRow(view, *f.cell);
-            row.value = f.value;
-            row.aux = f.delta;
-            row.aux2 = f.best_parent_value;
-            if (keys) {
-              AppendDoubleKey(f.delta, /*descending=*/true, &row.skey);
-              AppendCoordKey(f.cell->coords, &row.skey);
-            }
-            return row;
-          });
-          if (!keep) break;
-        }
+        cube::VisitSurprises(
+            view, q.by, q.threshold, p.explorer, scanned,
+            [&](const cube::SurpriseFinding& f) {
+              return feed([&] {
+                ResultRow row = MakeRow(view, *f.cell);
+                row.value = f.value;
+                row.aux = f.delta;
+                row.aux2 = f.best_parent_value;
+                if (keys) {
+                  AppendDoubleKey(f.delta, /*descending=*/true, &row.skey);
+                  AppendCoordKey(f.cell->coords, &row.skey);
+                }
+                return row;
+              });
+            },
+            tick);
       } else {
-        cube::SortReversals(&p.reversals);
-        for (const cube::GranularityReversal& r : p.reversals) {
-          bool keep = feed([&] {
-            ResultRow row = MakeRow(view, *r.parent);
-            row.value = r.parent_value;
-            row.aux = r.min_child_value;
-            row.aux2 = static_cast<double>(r.children.size());
-            row.tag = r.children_higher ? "masked" : "inflated";
-            if (keys) {
-              // SortReversals ranks by the parent/boundary-child gap.
-              const double gap = r.children_higher
-                                     ? r.min_child_value - r.parent_value
-                                     : r.parent_value - r.min_child_value;
-              AppendDoubleKey(gap, /*descending=*/true, &row.skey);
-              AppendCoordKey(r.parent->coords, &row.skey);
-            }
-            return row;
-          });
-          if (!keep) break;
-        }
+        cube::VisitReversals(
+            view, q.by, q.threshold, p.explorer, scanned,
+            [&](const cube::GranularityReversal& r) {
+              return feed([&] {
+                ResultRow row = MakeRow(view, *r.parent);
+                row.value = r.parent_value;
+                row.aux = r.min_child_value;
+                row.aux2 = static_cast<double>(r.children.size());
+                row.tag = r.children_higher ? "masked" : "inflated";
+                if (keys) {
+                  AppendDoubleKey(cube::ReversalGap(r), /*descending=*/true,
+                                  &row.skey);
+                  AppendCoordKey(r.parent->coords, &row.skey);
+                }
+                return row;
+              });
+            },
+            tick);
       }
+      if (ticker.expired()) return expired();
       return Status::OK();
     }
   }
@@ -483,7 +453,7 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
 /// Streams one prepared query into a sink: Begin, the page's rows, and
 /// pagination accounting. Never calls sink.Finish (see ExecuteToSink).
 Status EmitPrepared(const cube::CubeView& view, uint64_t version,
-                    Prepared& p, const QueryContext& ctx, RowSink& sink,
+                    const Prepared& p, const QueryContext& ctx, RowSink& sink,
                     StreamStats* stats) {
   const Query& q = *p.query;
   stats->begun = true;
@@ -638,13 +608,6 @@ Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
   if (ctx.Expired()) {
     return Status::DeadlineExceeded(
         "query deadline expired before execution completed");
-  }
-  if (p.mode == Mode::kScan) {
-    trace::Span scan_span(ctx.trace, "scan.analytic");
-    if (!RunAnalyticScan(view_, &p, ctx)) {
-      return Status::DeadlineExceeded(
-          "query deadline expired before execution completed");
-    }
   }
   return EmitPrepared(view_, version_, p, ctx, sink, stats);
 }

@@ -11,11 +11,12 @@
 //   DRILLDOWN parent/child adjacency lists (coordinate probes when the
 //             addressed cell is absent from the cube),
 //   SURPRISES /
-//   REVERSALS one pass over the dense cell array, evaluating the query
-//             per cell via the adjacency lists (the explorer's per-cell
-//             evaluators).
+//   REVERSALS the view's per-index findings lists, walked lazily through
+//             the page (cube::VisitSurprises / VisitReversals); REVERSALS
+//             with T/M floors other than the defaults, or MINGAP < 0,
+//             evaluates every cell and sorts instead.
 //
-// No verb scans the full cube per call except the analytic pass.
+// No verb scans the full cube per call except that REVERSALS fallback.
 
 #ifndef SCUBE_QUERY_EXECUTOR_H_
 #define SCUBE_QUERY_EXECUTOR_H_

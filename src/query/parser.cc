@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 namespace scube {
@@ -114,6 +116,9 @@ class Parser {
       q.verb = Verb::kTopK;
       SCUBE_ASSIGN_OR_RETURN(uint64_t k, ParseInt("TOPK count"));
       if (k == 0) return Error(Peek(), "TOPK count must be positive");
+      if (k > std::numeric_limits<uint32_t>::max()) {
+        return Error(Peek(), "TOPK count must be at most 4294967295");
+      }
       q.k = static_cast<uint32_t>(k);
       if (!ConsumeKeyword("by")) {
         return Error(Peek(), "expected BY <index> after TOPK count");
@@ -124,9 +129,10 @@ class Parser {
       if (ConsumeKeyword("by")) {
         SCUBE_ASSIGN_OR_RETURN(q.by, ParseIndexName());
       }
-      const char* thr = q.verb == Verb::kSurprises ? "mindelta" : "mingap";
-      if (ConsumeKeyword(thr)) {
-        SCUBE_ASSIGN_OR_RETURN(q.threshold, ParseDouble(thr));
+      const bool surprises = q.verb == Verb::kSurprises;
+      if (ConsumeKeyword(surprises ? "mindelta" : "mingap")) {
+        SCUBE_ASSIGN_OR_RETURN(q.threshold,
+                               ParseDouble(surprises ? "MINDELTA" : "MINGAP"));
       }
     } else {
       return Error(verb, "unknown verb '" + verb.text + "'");
@@ -358,6 +364,12 @@ class Parser {
     if (end != tok.text.c_str() + tok.text.size() || tok.text.empty()) {
       return Error(tok, std::string("expected a number for ") + what +
                             ", got '" + tok.text + "'");
+    }
+    // strtod also reads nan, inf and overflow (as inf); no threshold is
+    // either, and a NaN one would pass every comparison it meets.
+    if (!std::isfinite(v)) {
+      return Error(tok, std::string(what) + " must be a finite number, got '" +
+                            tok.text + "'");
     }
     return v;
   }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -75,6 +79,15 @@ TEST(ParserTest, ExplorerVerbsWithThresholds) {
   EXPECT_DOUBLE_EQ(r.threshold, 0.4);
   // BY defaults to dissimilarity.
   EXPECT_EQ(r.by, indexes::IndexKind::kDissimilarity);
+}
+
+TEST(ParserTest, FiniteThresholdsOfAnySignParse) {
+  EXPECT_EQ(MustParse("REVERSALS MINGAP -0.5").threshold, -0.5);
+  EXPECT_EQ(MustParse("SURPRISES MINDELTA -1e300").threshold, -1e300);
+  EXPECT_EQ(MustParse("SURPRISES MINDELTA 0x1p-3").threshold, 0.125);
+  // Underflow reads as zero, a finite threshold.
+  EXPECT_EQ(MustParse("SURPRISES MINDELTA 1e-999").threshold, 0.0);
+  EXPECT_EQ(MustParse("TOPK 4294967295 BY gini").k, 4294967295u);
 }
 
 TEST(ParserTest, RollupAndDrilldownCoordsOptional) {
@@ -185,6 +198,22 @@ TEST(ParserTest, CanonicalThresholdsParseBackBitExact) {
             "SURPRISES BY dissimilarity MINDELTA 0.05");
 }
 
+TEST(ParserTest, CanonicalQuotesAValueHoldingAQuote) {
+  // A value lexed from "..." may hold a ' and one from '...' a ", so the
+  // canonical text quotes each value with the other character.
+  for (const char* text : {"DICE ca=sector=\"it's\"",
+                           "DICE ca=sector='say \"hi\"'"}) {
+    Query q = MustParse(text);
+    Query back = MustParse(Canonical(q));
+    EXPECT_TRUE(back == q) << text << " -> " << Canonical(q);
+    EXPECT_EQ(Canonical(back), Canonical(q)) << text;
+  }
+  EXPECT_EQ(Canonical(MustParse("DICE ca=sector=\"it's\"")),
+            "DICE ca=sector=\"it's\"");
+  EXPECT_EQ(Canonical(MustParse("DICE ca=sector=\"real estate\"")),
+            "DICE ca=sector='real estate'");
+}
+
 TEST(ParserTest, CanonicalNormalisesEquivalentSpellings) {
   Query a = MustParse("topk 5 by gini where t >= 30");
   Query b = MustParse("TOPK 5 BY gini WHERE T >= 30");
@@ -227,6 +256,18 @@ TEST(ParserTest, ErrorsCarryColumnAndContext) {
       {"TOPK 5 BY gini FROM italy@", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@v2", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@0", "versions start at 1"},
+      {"TOPK 4294967296 BY gini", "TOPK count must be at most 4294967295"},
+      {"SURPRISES MINDELTA", "expected a number for MINDELTA"},
+      {"REVERSALS MINGAP 0.1.2", "expected a number for MINGAP"},
+      // strtod reads these; none is a threshold.
+      {"REVERSALS MINGAP nan", "MINGAP must be a finite number, got 'nan'"},
+      {"SURPRISES MINDELTA nan", "MINDELTA must be a finite number"},
+      {"SURPRISES MINDELTA NAN", "MINDELTA must be a finite number"},
+      {"REVERSALS MINGAP inf", "MINGAP must be a finite number"},
+      {"REVERSALS MINGAP -inf", "MINGAP must be a finite number"},
+      {"SURPRISES MINDELTA infinity", "MINDELTA must be a finite number"},
+      {"SURPRISES MINDELTA 1e999", "MINDELTA must be a finite number"},
+      {"REVERSALS MINGAP -1e999", "MINGAP must be a finite number"},
   };
   for (const ErrorCase& c : cases) {
     auto q = Parse(c.text);
@@ -237,6 +278,235 @@ TEST(ParserTest, ErrorsCarryColumnAndContext) {
     EXPECT_NE(q.status().message().find(c.expect_substring),
               std::string::npos)
         << c.text << " -> " << q.status().message();
+  }
+}
+
+// --- fuzzing ---------------------------------------------------------------
+
+/// Statements the parser, executor and streaming tests already use.
+const std::vector<std::string>& FuzzCorpus() {
+  static const std::vector<std::string> corpus = {
+      "TOPK 5 BY dissimilarity WHERE T >= 30 AND M >= 5",
+      "topk 10 by atkinson where m >= 5 and t >= 100 order by gini asc",
+      "SLICE sa=sex=F & age=young | ca=region=north",
+      "slice ca=region=south",
+      "DICE sa=age=young LIMIT 3 OFFSET 6",
+      "SLICE sa=sex=F OFFSET 2",
+      "ROLLUP sa=sex=F | ca=region=north FROM cube_b",
+      "DRILLDOWN",
+      "SURPRISES BY isolation MINDELTA 0.2 ORDER BY M DESC",
+      "SURPRISES BY dissimilarity MINDELTA 0.05 WHERE T >= 1 AND M >= 1",
+      "REVERSALS MINGAP 0.15 FROM sectors LIMIT 4",
+      "REVERSALS BY gini MINGAP 0.05 LIMIT 10",
+      "DICE ca=sector='real estate' FROM italy_2012 ORDER BY T ASC LIMIT 7",
+      "TOPK 3 BY gini FROM italy_2012@2",
+      "DICE sa=sex=F WHERE T >= 50 AND M >= 20",
+      "DICE sa=sex=F ORDER BY dissimilarity ASC",
+      "TOPK 5 BY gini WHERE T >= 1 AND M >= 1 ORDER BY T DESC",
+  };
+  return corpus;
+}
+
+/// Words and symbols a mutation may splice in: keywords, index names,
+/// numbers at and past every bound the parser checks, thresholds strtod
+/// reads as non-finite, and quoting edge cases.
+const std::vector<std::string>& FuzzDictionary() {
+  static const std::vector<std::string> words = {
+      "SLICE", "DICE", "ROLLUP", "DRILLDOWN", "TOPK", "SURPRISES",
+      "REVERSALS", "FROBNICATE", "FROM", "WHERE", "ORDER", "BY", "LIMIT",
+      "OFFSET", "AND", "ASC", "DESC", "MINDELTA", "MINGAP", "T", "M",
+      "units", "gini", "dissimilarity", "fairness", ">=", ">", "=", "&",
+      "|", "@", "sa=", "ca=", "sa=sex=F", "ca=region=north", "0", "1", "-1",
+      "+5", "4294967295", "4294967296", "18446744073709551615",
+      "18446744073709551616", "0.5", "-0.5", "-0", "1e-999", "1e999",
+      "-1e999", "nan", "inf", "-inf", "infinity", "0x1p-3", "1e+20", "x@0",
+      "'real estate'", "''", "\"it's\"", "'say \"hi\"'", "'open",
+      "ca=sector=\"it's\"", "sa=sex='say \"hi\"'",
+  };
+  return words;
+}
+
+std::vector<std::string> SplitWords(const std::string& text) {
+  std::vector<std::string> words;
+  size_t start = 0;
+  while (start <= text.size()) {
+    size_t end = text.find(' ', start);
+    if (end == std::string::npos) end = text.size();
+    words.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return words;
+}
+
+std::string JoinWords(const std::vector<std::string>& words) {
+  std::string out;
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += words[i];
+  }
+  return out;
+}
+
+/// One to three mutations of a statement: by byte, by word, by number or
+/// by coordinate value.
+std::string MutateStatement(std::string text, Rng* rng) {
+  static const char kBytes[] = "'\"=&|@><^\t\n\x80(),;*";
+  static const char* const kNumbers[] = {
+      "0", "1", "-1", "-0", "4294967295", "4294967296",
+      "18446744073709551616", "1e999", "1e-999", "nan", "inf", "0x1p-3"};
+  static const char* const kValues[] = {"\"it's\"", "'say \"hi\"'",
+                                        "'a b'", "''", "F"};
+  const std::vector<std::string>& dict = FuzzDictionary();
+  const int mutations = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int m = 0; m < mutations; ++m) {
+    std::vector<std::string> words = SplitWords(text);
+    const size_t w = rng->NextBounded(words.size());
+    switch (rng->NextBounded(10)) {
+      case 0:  // byte flip
+        if (!text.empty()) {
+          text[rng->NextBounded(text.size())] ^=
+              static_cast<char>(1 + rng->NextBounded(255));
+        }
+        break;
+      case 1:  // truncation
+        text.resize(rng->NextBounded(text.size() + 1));
+        break;
+      case 2:  // a few bytes deleted
+        if (!text.empty()) {
+          text.erase(rng->NextBounded(text.size()), 1 + rng->NextBounded(3));
+        }
+        break;
+      case 3:  // a special byte inserted
+        text.insert(rng->NextBounded(text.size() + 1), 1,
+                    kBytes[rng->NextBounded(sizeof(kBytes) - 1)]);
+        break;
+      case 4:  // a word dropped
+        words.erase(words.begin() + static_cast<std::ptrdiff_t>(w));
+        text = JoinWords(words);
+        break;
+      case 5:  // two words swapped
+        std::swap(words[w], words[rng->NextBounded(words.size())]);
+        text = JoinWords(words);
+        break;
+      case 6:  // a word replaced from the dictionary
+        words[w] = dict[rng->NextBounded(dict.size())];
+        text = JoinWords(words);
+        break;
+      case 7:  // a dictionary word inserted
+        words.insert(words.begin() + static_cast<std::ptrdiff_t>(w),
+                     dict[rng->NextBounded(dict.size())]);
+        text = JoinWords(words);
+        break;
+      case 8: {  // a run of digits replaced by an edge-case number
+        std::vector<std::pair<size_t, size_t>> runs;
+        for (size_t i = 0; i < text.size();) {
+          size_t j = i;
+          while (j < text.size() && (std::isdigit(static_cast<unsigned char>(
+                                         text[j])) || text[j] == '.')) {
+            ++j;
+          }
+          if (j > i) runs.emplace_back(i, j - i);
+          i = j + 1;
+        }
+        if (runs.empty()) break;
+        const auto [at, length] = runs[rng->NextBounded(runs.size())];
+        text.replace(at, length,
+                     kNumbers[rng->NextBounded(std::size(kNumbers))]);
+        break;
+      }
+      case 9: {  // a coordinate value replaced: the text after its last '='
+        const size_t eq = words[w].rfind('=');
+        if (eq == std::string::npos || eq + 1 == words[w].size()) break;
+        words[w] = words[w].substr(0, eq + 1) +
+                   kValues[rng->NextBounded(std::size(kValues))];
+        text = JoinWords(words);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// Every ParseError the lexer and parser can raise, by a fragment only its
+/// message carries. Order matters where one fragment contains another.
+const std::vector<std::pair<const char*, const char*>>& ParseErrorPaths() {
+  static const std::vector<std::pair<const char*, const char*>> paths = {
+      {"unterminated quoted value", "lex: unterminated quote"},
+      {"unexpected character", "lex: unexpected character"},
+      {"expected a query verb", "verb: missing"},
+      {"unknown verb", "verb: unknown"},
+      {"TOPK count must be positive", "TOPK: zero count"},
+      {"TOPK count must be at most", "TOPK: count past 32 bits"},
+      {"expected BY <index> after TOPK count", "TOPK: no BY"},
+      {"expected an index name", "index: missing"},
+      {"unknown index", "index: unknown"},
+      {"expected a non-negative integer", "integer: signed"},
+      {"expected an integer for", "integer: missing or malformed"},
+      {"must be a finite number", "threshold: not finite"},
+      {"expected a number for", "threshold: missing or malformed"},
+      {"expected a cube name after FROM", "FROM: no name"},
+      {"cube versions start at 1", "FROM: version 0"},
+      {"expected BY after ORDER", "ORDER: no BY"},
+      {"expected an ORDER BY key", "ORDER: no key"},
+      {"unknown ORDER BY key", "ORDER: unknown key"},
+      {"LIMIT must be positive", "LIMIT: zero"},
+      {"unexpected trailing input", "trailing input"},
+      {"expected coordinates", "coords: missing"},
+      {"expected 'sa=' or 'ca='", "coords: no axis"},
+      {"expected '=' after attribute", "coords: no '=' after attribute"},
+      {"expected '=' after '", "coords: no '=' after axis"},
+      {"expected an attribute name", "coords: no attribute"},
+      {"expected a value for attribute", "coords: no value"},
+      {"WHERE supports T >=", "WHERE: unknown field"},
+      {"only '>=' comparisons", "WHERE: operator"},
+  };
+  return paths;
+}
+
+// Hostile SCubeQL text: the router parses what clients send and ships
+// Canonical() text to the shards, so an accepted statement's canonical
+// form must parse back to itself. A failure prints `seed N`; the run ends
+// with a tally of the error paths taken, each of which must fire.
+TEST(ParserFuzzTest, MutatedStatementsFailCleanlyOrRoundTripCanonically) {
+  std::map<std::string, size_t> tally;
+  for (const auto& [fragment, path] : ParseErrorPaths()) tally[path] = 0;
+  size_t accepted = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    for (int round = 0; round < 8; ++round) {
+      const std::vector<std::string>& corpus = FuzzCorpus();
+      const std::string text =
+          MutateStatement(corpus[rng.NextBounded(corpus.size())], &rng);
+      auto parsed = Parse(text);
+      if (!parsed.ok()) {
+        ASSERT_EQ(parsed.status().code(), StatusCode::kParseError) << text;
+        const std::string& message = parsed.status().message();
+        bool known = false;
+        for (const auto& [fragment, path] : ParseErrorPaths()) {
+          if (message.find(fragment) != std::string::npos) {
+            ++tally[path];
+            known = true;
+            break;
+          }
+        }
+        EXPECT_TRUE(known) << text << " -> " << message;
+        continue;
+      }
+      ++accepted;
+      const std::string canonical = Canonical(*parsed);
+      auto again = Parse(canonical);
+      EXPECT_TRUE(again.ok()) << text << " -> " << canonical << " -> "
+                              << again.status();
+      if (!again.ok()) continue;
+      EXPECT_EQ(Canonical(*again), canonical) << text;
+      EXPECT_TRUE(*again == *parsed) << text << " -> " << canonical;
+    }
+  }
+  std::cout << "accepted " << accepted << " of 16000 mutated statements\n";
+  for (const auto& [path, count] : tally) {
+    std::cout << "  " << path << ": " << count << "\n";
+    EXPECT_GT(count, 0u) << "error path never fired: " << path;
   }
 }
 

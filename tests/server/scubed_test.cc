@@ -195,6 +195,14 @@ TEST(ScubedTest, StreamedErrorsBeforeFirstByteAreBuffered) {
   EXPECT_EQ(bad->status, 400);
   EXPECT_EQ(bad->headers.count("transfer-encoding"), 0u);
 
+  // So is a non-finite threshold, which strtod would read.
+  auto nan_gap = fx.Call("POST", "/query?stream=1", "REVERSALS MINGAP nan");
+  ASSERT_TRUE(nan_gap.ok()) << nan_gap.status();
+  EXPECT_EQ(nan_gap->status, 400);
+  EXPECT_NE(nan_gap->body.find("MINGAP must be a finite number"),
+            std::string::npos)
+      << nan_gap->body;
+
   // Unknown cube: 404.
   auto missing = fx.Call("POST", "/query?stream=1",
                          "TOPK 1 BY gini FROM nowhere");
