@@ -285,7 +285,7 @@ void BM_Surprises(benchmark::State& state) {
     } else {
       for (cube::CubeView::CellId id = 0; id < view.NumCells(); ++id) {
         if (!cube::PassesExplorerFilters(view.cell(id), options)) continue;
-        auto f = cube::SurpriseOf(view, id, kind, options);
+        auto f = cube::SurpriseOf(view, id, kind);
         if (f && !(f->delta < 0.05)) out.push_back(*f);
       }
       cube::SortSurprises(&out);

@@ -61,21 +61,112 @@ void ForEachRow(CoverWord word, Fn&& fn) {
   }
 }
 
-// All candidate cells sharing one context B: the context's cover,
-// unit totals and T are computed exactly once, by exactly one worker.
+// One candidate cell A ∪ B of a context group, with the miner's support.
+struct SaCandidate {
+  fpm::Itemset sa;
+  uint64_t support;
+};
+
+// All candidate cells sharing one context B: the context's cover is
+// computed exactly once, by exactly one worker, and so are its unit totals
+// and T when at least one candidate becomes a cell.
 struct ContextGroup {
   fpm::Itemset ca;
-  std::vector<fpm::Itemset> sas;  // one cell per entry, mined order
+  std::vector<SaCandidate> sas;  // mined order
+};
+
+// Decides which candidates become cells (CubeBuilderOptions::mode) from
+// each candidate's cover, relative to the frequent itemsets of length at
+// most `max_length`. A one-item extension X ∪ {i} decides it: any superset
+// within the bound yields one, with support between the two.
+//   kClosed:  X is closed iff |X| = max_length or no item i ∉ X has
+//             cover(X) ⊆ cover(i).
+//   kMaximal: X is maximal iff |X| = max_length or no item i ∉ X has
+//             |cover(X) ∩ cover(i)| >= min_support.
+// Every item is a witness, not only those the SA/CA caps admit: the
+// reference collection is bounded by length only.
+class CellTest {
+ public:
+  CellTest(const fpm::TransactionDb& db, const DenseItemCovers& covers,
+           fpm::MineMode mode, uint64_t min_support, uint32_t max_length)
+      : covers_(covers),
+        mode_(mode),
+        min_support_(min_support),
+        max_length_(max_length) {
+    for (fpm::ItemId item = 0; item < db.NumItems(); ++item) {
+      if (db.ItemSupport(item) >= min_support) {
+        by_support_.emplace_back(item, db.ItemSupport(item));
+      }
+    }
+    std::sort(by_support_.begin(), by_support_.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+  }
+
+  // True iff the candidate sa ∪ ca, of `support` rows whose nonzero cover
+  // words are `cover`, becomes a cell.
+  bool Keep(const fpm::Itemset& sa, const fpm::Itemset& ca, uint64_t support,
+            const std::vector<CoverWord>& cover) const {
+    if (mode_ == fpm::MineMode::kAll) return true;
+    if (sa.size() + ca.size() >= max_length_) return true;
+    for (const auto& [item, item_support] : by_support_) {
+      // Only an item at least as frequent as X can cover it.
+      if (mode_ == fpm::MineMode::kClosed && item_support < support) break;
+      if (sa.Contains(item) || ca.Contains(item)) continue;
+      const uint64_t* words = covers_.Item(item);
+      if (mode_ == fpm::MineMode::kClosed ? Covers(words, cover)
+                                          : MeetsMinSupport(words, cover)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  // cover ⊆ the item's rows; rejects at the first word it misses.
+  static bool Covers(const uint64_t* words,
+                     const std::vector<CoverWord>& cover) {
+    for (const CoverWord& word : cover) {
+      if ((word.bits & ~words[word.index]) != 0) return false;
+    }
+    return true;
+  }
+
+  // |cover ∩ the item's rows| >= min_support; stops counting there.
+  bool MeetsMinSupport(const uint64_t* words,
+                       const std::vector<CoverWord>& cover) const {
+    uint64_t count = 0;
+    for (const CoverWord& word : cover) {
+      count += static_cast<uint64_t>(
+          std::popcount(word.bits & words[word.index]));
+      if (count >= min_support_) return true;
+    }
+    return false;
+  }
+
+  const DenseItemCovers& covers_;
+  fpm::MineMode mode_;
+  uint64_t min_support_;
+  uint32_t max_length_;
+  // Frequent items, most frequent first: an infrequent item extends no
+  // candidate within the collection.
+  std::vector<std::pair<fpm::ItemId, uint64_t>> by_support_;
 };
 
 // Per-worker mutable state: no worker ever touches another worker's
 // scratch, so the fill needs no locks at all. The dense per-unit arrays
 // are all zero between calls.
 struct WorkerScratch {
-  explicit WorkerScratch(size_t num_units)
-      : unit_counts(num_units, 0), minority_counts(num_units, 0) {}
+  WorkerScratch(size_t num_units, size_t num_items)
+      : sa_item_cover(num_items),
+        unit_counts(num_units, 0),
+        minority_counts(num_units, 0) {}
 
   std::vector<CoverWord> ctx_cover;       // the context's nonzero words
+  std::vector<CoverWord> cell_cover;      // the candidate's nonzero words
+  // cover(B ∪ {a}) of the group's one-SA-item candidates, by item a; empty
+  // when not computed (no candidate's cover is empty).
+  std::vector<std::vector<CoverWord>> sa_item_cover;
+  std::vector<fpm::ItemId> cached_items;  // the items cached above
   std::vector<uint32_t> units;            // the context's units, ascending
   std::vector<uint32_t> unit_totals;      // t_i, parallel to `units`
   std::vector<uint32_t> unit_counts;      // dense t_i scratch
@@ -84,24 +175,9 @@ struct WorkerScratch {
   indexes::IndexScratch index_scratch;
 };
 
-// Fills every cell of one context group into `out_cells` (same order as
-// grp.sas). Returns the first index-computation error, if any.
-Status FillContextGroup(const relational::EncodedRelation& encoded,
-                        const DenseItemCovers& covers,
-                        const indexes::UnitTermTable& terms,
-                        const ContextGroup& grp, WorkerScratch& ws,
-                        std::vector<CubeCell>* out_cells) {
-  const std::vector<uint32_t>& row_unit = encoded.row_unit;
-
-  // Context cover: the AND of B's item covers, kept as its nonzero words.
-  ws.ctx_cover.clear();
-  for (size_t w = 0; w < covers.num_words(); ++w) {
-    uint64_t bits = covers.AllRows()[w];
-    for (fpm::ItemId item : grp.ca.items()) bits &= covers.Item(item)[w];
-    if (bits != 0) ws.ctx_cover.push_back({w, bits});
-  }
-
-  // Per-unit totals t_i, in unit order.
+// Per-unit totals t_i of the context cover, in unit order.
+void ComputeUnitTotals(const std::vector<uint32_t>& row_unit,
+                       WorkerScratch& ws) {
   ws.units.clear();
   for (const CoverWord& word : ws.ctx_cover) {
     ForEachRow(word, [&](size_t row) {
@@ -115,15 +191,65 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
     ws.unit_totals.push_back(ws.unit_counts[unit]);
     ws.unit_counts[unit] = 0;
   }
+}
 
-  out_cells->reserve(grp.sas.size());
-  for (const fpm::Itemset& sa : grp.sas) {
-    // Minority cover: cover(A ∪ B) = cover(B) ∩ the item covers of A,
-    // narrowed word by word over the context's nonzero words.
-    for (CoverWord word : ws.ctx_cover) {
-      for (fpm::ItemId item : sa.items()) {
-        word.bits &= covers.Item(item)[word.index];
+// Fills every candidate of one context group that `test` keeps into
+// `out_cells` (in grp.sas order). Returns the first index-computation
+// error, if any.
+Status FillContextGroup(const relational::EncodedRelation& encoded,
+                        const DenseItemCovers& covers,
+                        const indexes::UnitTermTable& terms,
+                        const CellTest& test, const ContextGroup& grp,
+                        WorkerScratch& ws, std::vector<CubeCell>* out_cells) {
+  const std::vector<uint32_t>& row_unit = encoded.row_unit;
+
+  // Context cover: the AND of B's item covers, kept as its nonzero words.
+  ws.ctx_cover.clear();
+  for (size_t w = 0; w < covers.num_words(); ++w) {
+    uint64_t bits = covers.AllRows()[w];
+    for (fpm::ItemId item : grp.ca.items()) bits &= covers.Item(item)[w];
+    if (bits != 0) ws.ctx_cover.push_back({w, bits});
+  }
+
+  for (fpm::ItemId item : ws.cached_items) ws.sa_item_cover[item].clear();
+  ws.cached_items.clear();
+
+  bool have_totals = false;
+  for (const SaCandidate& cand : grp.sas) {
+    // Candidate cover: cover(A ∪ B) = cover(B) ∩ the item covers of A,
+    // narrowed word by word. Candidates come shortest first, so every
+    // cover(B ∪ {a}) with a ∈ A is cached by now; narrowing starts from the
+    // sparsest of them instead of from cover(B).
+    const std::vector<CoverWord>* base = &ws.ctx_cover;
+    fpm::ItemId base_item = fpm::kInvalidItem;
+    if (cand.sa.size() > 1) {
+      for (fpm::ItemId item : cand.sa.items()) {
+        const std::vector<CoverWord>& cached = ws.sa_item_cover[item];
+        if (!cached.empty() && cached.size() < base->size()) {
+          base = &cached;
+          base_item = item;
+        }
       }
+    }
+    ws.cell_cover.clear();
+    for (CoverWord word : *base) {
+      for (fpm::ItemId item : cand.sa.items()) {
+        if (item != base_item) word.bits &= covers.Item(item)[word.index];
+      }
+      if (word.bits != 0) ws.cell_cover.push_back(word);
+    }
+    if (cand.sa.size() == 1) {
+      ws.sa_item_cover[cand.sa[0]] = ws.cell_cover;
+      ws.cached_items.push_back(cand.sa[0]);
+    }
+    if (!test.Keep(cand.sa, grp.ca, cand.support, ws.cell_cover)) continue;
+
+    // Most candidate contexts hold no cell: their totals are never needed.
+    if (!have_totals) {
+      ComputeUnitTotals(row_unit, ws);
+      have_totals = true;
+    }
+    for (const CoverWord& word : ws.cell_cover) {
       ForEachRow(word,
                  [&](size_t row) { ++ws.minority_counts[row_unit[row]]; });
     }
@@ -134,7 +260,7 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
     }
 
     CubeCell cell;
-    cell.coords = CellCoordinates{sa, grp.ca};
+    cell.coords = CellCoordinates{cand.sa, grp.ca};
     cell.context_size = ws.dist.Total();
     cell.minority_size = ws.dist.Minority();
     cell.num_units = static_cast<uint32_t>(ws.dist.NumUnits());
@@ -177,6 +303,8 @@ Result<SegregationCube> BuildSegregationCube(
   if (min_support < 1) min_support = 1;
 
   // --- Mining -------------------------------------------------------------
+  // FP-Growth enumerates the candidates: frequent itemsets within both
+  // caps. Which become cells is decided in the fill (CellTest).
   WallTimer timer;
   trace::Span mine_span(options.trace, "build.mine");
   fpm::MinerOptions mine_opts;
@@ -185,7 +313,15 @@ Result<SegregationCube> BuildSegregationCube(
   mine_opts.max_length = static_cast<uint32_t>(
       std::min<uint64_t>(uint64_t{options.max_sa_items} + options.max_ca_items,
                          std::numeric_limits<uint32_t>::max()));
-  mine_opts.mode = options.mode;
+  if (encoded.db.NumItems() > encoded.catalog.size()) {
+    return Status::FailedPrecondition("transactions name uncatalogued items");
+  }
+  for (fpm::ItemId item = 0; item < encoded.db.NumItems(); ++item) {
+    const bool sa = encoded.catalog.info(item).kind ==
+                    relational::AttributeKind::kSegregation;
+    mine_opts.item_class.push_back(sa ? 0 : 1);
+  }
+  mine_opts.max_class_items = {options.max_sa_items, options.max_ca_items};
   mine_opts.include_empty = true;  // the all-⋆ root and pure-SA cells
   auto mined = fpm::MineFrequentItemsets(encoded.db, mine_opts);
   if (!mined.ok()) return mined.status();
@@ -194,10 +330,10 @@ Result<SegregationCube> BuildSegregationCube(
   st->mined_itemsets = mined.value().size();
 
   // --- Grouping prepass ---------------------------------------------------
-  // Split/filter every mined itemset and group the survivors by context B,
-  // in first-seen (mined) order. Workers then own whole groups, so a
-  // context's cover and unit totals are computed exactly once with no
-  // shared memo map to contend on.
+  // Split every candidate and group them by context B, in first-seen
+  // (mined) order. Workers then own whole groups, so a context's cover and
+  // unit totals are computed at most once with no shared memo map to
+  // contend on.
   timer.Reset();
   trace::Span group_span(options.trace, "build.group");
   std::vector<ContextGroup> groups;
@@ -205,12 +341,11 @@ Result<SegregationCube> BuildSegregationCube(
   for (const fpm::FrequentItemset& fs : mined.value()) {
     fpm::Itemset sa, ca;
     encoded.catalog.Split(fs.items, &sa, &ca);
-    if (sa.size() > options.max_sa_items) continue;
-    if (ca.size() > options.max_ca_items) continue;
     auto [it, inserted] = group_of.try_emplace(ca, groups.size());
     if (inserted) groups.push_back(ContextGroup{std::move(ca), {}});
-    groups[it->second].sas.push_back(std::move(sa));
+    groups[it->second].sas.push_back(SaCandidate{std::move(sa), fs.support});
   }
+  mined.value().clear();  // the groups hold every candidate now
   group_span.End();
   st->seconds_grouping = timer.Seconds();
 
@@ -230,6 +365,8 @@ Result<SegregationCube> BuildSegregationCube(
   st->threads_used = static_cast<uint32_t>(threads);
 
   const DenseItemCovers covers(encoded.db);
+  const CellTest test(encoded.db, covers, options.mode, min_support,
+                      mine_opts.max_length);
   const size_t num_units = encoded.unit_labels.size();
   // No cell's t_i exceeds its unit's size, so a table up to the largest
   // unit (or the table bound) serves every unit the bound allows.
@@ -247,21 +384,23 @@ Result<SegregationCube> BuildSegregationCube(
   // instantiating the process-wide pool (ParallelFor would work, but
   // Shared() spawns hardware_concurrency workers on first touch).
   if (threads <= 1) {
-    WorkerScratch scratch(num_units);
+    WorkerScratch scratch(num_units, encoded.db.NumItems());
     for (size_t g = 0; g < groups.size(); ++g) {
-      group_status[g] = FillContextGroup(encoded, covers, terms.value(),
-                                         groups[g], scratch, &group_cells[g]);
+      group_status[g] =
+          FillContextGroup(encoded, covers, terms.value(), test, groups[g],
+                           scratch, &group_cells[g]);
     }
   } else {
     std::vector<std::unique_ptr<WorkerScratch>> scratch(threads);
     ThreadPool::Shared().ParallelFor(
         groups.size(), threads, [&](size_t worker, size_t g) {
           if (scratch[worker] == nullptr) {
-            scratch[worker] = std::make_unique<WorkerScratch>(num_units);
+            scratch[worker] = std::make_unique<WorkerScratch>(
+                num_units, encoded.db.NumItems());
           }
           group_status[g] =
-              FillContextGroup(encoded, covers, terms.value(), groups[g],
-                               *scratch[worker], &group_cells[g]);
+              FillContextGroup(encoded, covers, terms.value(), test,
+                               groups[g], *scratch[worker], &group_cells[g]);
         });
   }
 
@@ -269,6 +408,7 @@ Result<SegregationCube> BuildSegregationCube(
   // the same cells, values and stats as the sequential fill, bit for bit.
   for (size_t g = 0; g < groups.size(); ++g) {
     if (!group_status[g].ok()) return group_status[g];
+    if (!group_cells[g].empty()) ++st->contexts_memoized;
     for (CubeCell& cell : group_cells[g]) {
       if (cell.indexes.defined) ++st->cells_defined;
       ++st->cells_created;
@@ -277,7 +417,6 @@ Result<SegregationCube> BuildSegregationCube(
   }
   fill_span.End();
   st->seconds_filling = timer.Seconds();
-  st->contexts_memoized = groups.size();
   return cube;
 }
 

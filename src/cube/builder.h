@@ -4,17 +4,24 @@
 // ordinary group-by aggregation. The builder instead:
 //   1. encodes the finalTable as a transaction database (one item per
 //      attribute=value pair, SA and CA attributes);
-//   2. mines frequent (closed) itemsets of the form A ∪ B where A are SA
-//      items and B are CA items with FP-Growth (fpm::MineFrequentItemsets),
-//      at most max_sa_items + max_ca_items items long — one itemset per
-//      candidate cube cell; itemsets over either cap are dropped;
-//   3. for each mined itemset, derives per-unit counts
+//   2. mines the candidate cells with FP-Growth (fpm::MineFrequentItemsets):
+//      the frequent itemsets A ∪ B, where A are SA items and B are CA
+//      items, with at most max_sa_items SA and max_ca_items CA items. The
+//      caps prune the recursion itself, so no itemset over a cap is ever
+//      enumerated;
+//   3. for each candidate, narrows the context cover by A into
+//      cover(A ∪ B) and decides from those words whether it is a cell
+//      (kClosed: no item outside it covers all of its rows; kMaximal: no
+//      item outside it meets min support inside it; both relative to the
+//      itemsets of length at most max_sa_items + max_ca_items, see
+//      CellTest in builder.cc). For every cell it derives per-unit counts
 //         T   = |cover(B)|,        t_i = |cover(B) ∩ unit_i|,
 //         M   = |cover(A ∪ B)|,    m_i = |cover(A ∪ B) ∩ unit_i|
 //      from dense row bitsets, one per item, built once per fill: cover(B)
-//      is the AND of B's item words, computed once for all the cells that
-//      share B; cover(A ∪ B) narrows it by A's item words; a countr_zero
-//      walk through the row→unit array turns either into per-unit counts;
+//      is the AND of B's item words, computed once for all the candidates
+//      that share B, and its unit totals once, at B's first cell; a
+//      countr_zero walk through the row→unit array turns either cover into
+//      per-unit counts;
 //   4. fills the cell with all six segregation indexes (undefined cells —
 //      M = 0 or M = T — stay in the cube and render as "-", Fig. 1) in
 //      one pass over its units (indexes::ComputeAllIndexes); each unit's
@@ -56,9 +63,11 @@ struct CubeBuilderOptions {
 
   /// kClosed (the paper's choice): one cell per closed itemset.
   /// kAll: every frequent coordinate combination becomes a cell.
+  /// kMaximal: one cell per frequent itemset with no frequent superset.
   fpm::MineMode mode = fpm::MineMode::kClosed;
 
-  /// Worker threads for the cell-filling phase (mining stays sequential).
+  /// Worker threads for the cell-filling phase, which also decides
+  /// closedness (mining stays sequential).
   /// 1 = sequential, 0 = all hardware threads, N = at most N threads from
   /// the shared pool. Output is identical for every setting: itemsets are
   /// grouped by context, each context is computed exactly once by exactly
@@ -80,15 +89,16 @@ struct CubeBuilderOptions {
 /// time — with num_threads > 1, seconds_filling is the elapsed time of the
 /// whole parallel fill, so fill speedup = sequential / parallel directly.
 struct CubeBuildStats {
-  uint64_t mined_itemsets = 0;
+  uint64_t mined_itemsets = 0;  ///< candidates FP-Growth enumerated
   uint64_t cells_created = 0;
   uint64_t cells_defined = 0;
-  uint64_t contexts_memoized = 0;
+  uint64_t contexts_memoized = 0;  ///< contexts holding at least one cell
   uint32_t threads_used = 1;      ///< effective fill-phase parallelism
   double seconds_encoding = 0.0;
   double seconds_mining = 0.0;
-  double seconds_grouping = 0.0;  ///< split/filter/group-by-context prepass
-  double seconds_filling = 0.0;   ///< wall time of the (parallel) fill
+  double seconds_grouping = 0.0;  ///< split/group-by-context prepass
+  double seconds_filling = 0.0;   ///< wall time of the (parallel) fill,
+                                  ///< cell tests included
 };
 
 /// Builds the cube from an already-encoded relation.

@@ -14,8 +14,7 @@ bool PassesExplorerFilters(const CubeCell& cell,
   if (!cell.indexes.defined) return false;
   if (cell.context_size < options.min_context_size) return false;
   if (cell.minority_size < options.min_minority_size) return false;
-  if (options.require_nonempty_sa && cell.coords.sa.empty()) return false;
-  return true;
+  return !cell.coords.sa.empty();
 }
 
 namespace {
@@ -24,22 +23,19 @@ namespace {
 // children): their index values are read, so they must carry a segregation
 // reading themselves. Cube-builder cubes leave pure-context cells undefined
 // (M = T), but hand-built cubes can Insert() a pure-context cell flagged
-// defined — without the require_nonempty_sa guard such a cell would leak in
-// as a baseline that TopSegregatedContexts correctly filters out.
-bool UsableAsComparison(const CubeCell& cell, const ExplorerOptions& options) {
-  if (!cell.indexes.defined) return false;
-  if (options.require_nonempty_sa && cell.coords.sa.empty()) return false;
-  return true;
+// defined — without the subgroup check such a cell would leak in as a
+// baseline that TopSegregatedContexts correctly filters out.
+bool UsableAsComparison(const CubeCell& cell) {
+  return cell.indexes.defined && !cell.coords.sa.empty();
 }
 
 /// Calls fn(parent) for each usable roll-up parent of `id`, in adjacency
 /// order.
 template <typename Fn>
-void ForUsableParents(const CubeView& view, CubeView::CellId id,
-                      const ExplorerOptions& options, Fn&& fn) {
+void ForUsableParents(const CubeView& view, CubeView::CellId id, Fn&& fn) {
   for (CubeView::CellId parent_id : view.Parents(id)) {
     const CubeCell& parent = view.cell(parent_id);
-    if (UsableAsComparison(parent, options)) fn(parent);
+    if (UsableAsComparison(parent)) fn(parent);
   }
 }
 
@@ -54,7 +50,7 @@ std::vector<const CubeCell*> UsableChildren(const CubeView& view,
   for (CubeView::CellId child_id : view.Children(id)) {
     const CubeCell& child = view.cell(child_id);
     if (child.coords.sa == parent.coords.sa &&
-        UsableAsComparison(child, options) &&
+        UsableAsComparison(child) &&
         child.context_size >= options.min_context_size &&
         child.minority_size >= options.min_minority_size) {
       children.push_back(&child);
@@ -130,14 +126,12 @@ std::vector<RankedCell> TopSegregatedContexts(const CubeView& view,
 
 std::optional<SurpriseFinding> SurpriseOf(const CubeView& view,
                                           CubeView::CellId id,
-                                          indexes::IndexKind kind,
-                                          const ExplorerOptions& options) {
+                                          indexes::IndexKind kind) {
   const CubeCell& cell = view.cell(id);
-  if (!UsableAsComparison(cell, options)) return std::nullopt;
-  if (cell.coords.sa.empty() && cell.coords.ca.empty()) return std::nullopt;
+  if (!UsableAsComparison(cell)) return std::nullopt;
   double best_parent = 0.0;
   bool any_usable_parent = false;
-  ForUsableParents(view, id, options, [&](const CubeCell& parent) {
+  ForUsableParents(view, id, [&](const CubeCell& parent) {
     any_usable_parent = true;
     best_parent = std::max(best_parent, parent.Value(kind));
   });
@@ -199,8 +193,7 @@ bool ReversalListServes(double min_gap, const ExplorerOptions& options) {
   const ExplorerOptions defaults;
   return min_gap >= 0 &&
          options.min_context_size == defaults.min_context_size &&
-         options.min_minority_size == defaults.min_minority_size &&
-         options.require_nonempty_sa == defaults.require_nonempty_sa;
+         options.min_minority_size == defaults.min_minority_size;
 }
 
 // Why the REVERSALS list answers every MINGAP g >= 0: the list is the
@@ -221,12 +214,12 @@ CubeView::Findings BuildFindings(const CubeView& view, size_t num_threads) {
   for (CubeView::CellId id = 0; id < view.NumCells(); ++id) {
     const CubeCell& cell = view.cell(id);
     // A usable cell has a subgroup, so it is not the root.
-    if (cell.ghost || !UsableAsComparison(cell, defaults)) continue;
+    if (cell.ghost || !UsableAsComparison(cell)) continue;
 
     // SURPRISES: SurpriseOf's reading, for every index from one parent walk.
     std::array<double, kKinds> best_parent{};
     bool any_usable_parent = false;
-    ForUsableParents(view, id, defaults, [&](const CubeCell& parent) {
+    ForUsableParents(view, id, [&](const CubeCell& parent) {
       any_usable_parent = true;
       for (size_t k = 0; k < kKinds; ++k) {
         best_parent[k] = std::max(best_parent[k], parent.indexes.values[k]);

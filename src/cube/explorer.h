@@ -32,17 +32,14 @@ struct ExplorerOptions {
 
   /// Only cells whose minority population M is at least this.
   uint64_t min_minority_size = 5;
-
-  /// Only cells with a non-⋆ minority subgroup (pure-context cells carry no
-  /// segregation reading). Also screens the comparison cells — roll-up
-  /// parents in DrillDownSurprises, drill-down children in
-  /// FindGranularityReversals — so a hand-built cube with a defined
-  /// pure-context cell cannot leak one in as a baseline.
-  bool require_nonempty_sa = true;
 };
 
 /// True iff the cell carries a segregation reading under the filters:
-/// defined indexes, the T/M floors, and (when required) a non-⋆ subgroup.
+/// defined indexes, the T/M floors and a non-⋆ subgroup. Pure-context
+/// cells carry no segregation reading, so they are never findings, and
+/// never comparison baselines either (roll-up parents in
+/// DrillDownSurprises, drill-down children in FindGranularityReversals),
+/// even in a hand-built cube that flags one defined.
 /// The per-cell screen every exploration query applies; exported so other
 /// layers (e.g. the SCubeQL executor) cannot drift from it.
 bool PassesExplorerFilters(const CubeCell& cell,
@@ -71,14 +68,13 @@ struct SurpriseFinding {
 };
 
 /// The surprise reading of one cell before any threshold or T/M floor:
-/// nullopt when the cell is undefined, lacks a required subgroup, is the
-/// root, or has no usable roll-up parent. `best_parent_value` is the
-/// largest index among the usable parents, floored at 0.0. The parent walk
-/// uses the view's precomputed adjacency — no hashing.
+/// nullopt when the cell is undefined, has no subgroup, or has no usable
+/// roll-up parent. `best_parent_value` is the largest index among the
+/// usable parents, floored at 0.0. The parent walk uses the view's
+/// precomputed adjacency — no hashing.
 std::optional<SurpriseFinding> SurpriseOf(const CubeView& view,
                                           CubeView::CellId id,
-                                          indexes::IndexKind kind,
-                                          const ExplorerOptions& options);
+                                          indexes::IndexKind kind);
 
 /// Sorts findings by delta descending (coordinate order on ties) — the
 /// order DrillDownSurprises returns.
@@ -141,9 +137,7 @@ CubeView::Findings BuildFindings(const CubeView& view, size_t num_threads);
 /// least `min_delta`, in (delta desc, coordinate asc) order, calling
 /// `visit(finding)` until it returns false. Walks the view's SURPRISES
 /// list: the T/M floors filter it and the first delta below `min_delta`
-/// ends it. With require_nonempty_sa = false the list does not apply, and
-/// every cell is evaluated and sorted instead. Ghost cells are never
-/// findings. `tick()` is probed once per candidate inspected; returning
+/// ends it. Ghost cells are never findings. `tick()` is probed once per candidate inspected; returning
 /// false aborts. Returns false iff a callback stopped the walk;
 /// `inspected` (if non-null) receives the candidates inspected.
 template <typename Visit, typename Tick>
@@ -184,32 +178,14 @@ bool VisitSurprises(const CubeView& view, indexes::IndexKind kind,
     if (inspected != nullptr) *inspected = seen;
     return completed;
   };
-  if (options.require_nonempty_sa) {
-    for (CubeView::CellId id : view.SurpriseOrder(kind)) {
-      ++seen;
-      if (!tick()) return done(false);
-      std::optional<SurpriseFinding> finding =
-          SurpriseOf(view, id, kind, options);
-      if (!finding) continue;
-      if (finding->delta < min_delta) break;  // every later delta is lower
-      if (!PassesExplorerFilters(*finding->cell, options)) continue;
-      if (!visit(*finding)) return done(false);
-    }
-    return done(true);
-  }
-  std::vector<SurpriseFinding> findings;
-  for (CubeView::CellId id = 0; id < view.NumCells(); ++id) {
+  for (CubeView::CellId id : view.SurpriseOrder(kind)) {
     ++seen;
     if (!tick()) return done(false);
-    const CubeCell& cell = view.cell(id);
-    if (cell.ghost || !PassesExplorerFilters(cell, options)) continue;
-    std::optional<SurpriseFinding> finding =
-        SurpriseOf(view, id, kind, options);
-    if (finding && !(finding->delta < min_delta)) findings.push_back(*finding);
-  }
-  SortSurprises(&findings);
-  for (const SurpriseFinding& finding : findings) {
-    if (!visit(finding)) return done(false);
+    std::optional<SurpriseFinding> finding = SurpriseOf(view, id, kind);
+    if (!finding) continue;
+    if (finding->delta < min_delta) break;  // every later delta is lower
+    if (!PassesExplorerFilters(*finding->cell, options)) continue;
+    if (!visit(*finding)) return done(false);
   }
   return done(true);
 }

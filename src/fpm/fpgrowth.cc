@@ -3,10 +3,14 @@
 //
 // From-scratch replacement for the Borgelt FPGrowth binary the original
 // SCube shells out to. Implements the standard FP-tree with header chains,
-// recursive conditional trees, and the single-prefix-path shortcut.
+// recursive conditional trees, and the single-prefix-path shortcut. The
+// per-class item caps prune the recursion: an item whose class is at its
+// cap is left out of conditional pattern bases, so it never heads a
+// conditional tree, and skipped in the single-path enumeration; a class
+// capped at zero keeps its items out of the global tree.
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
 
 #include "fpm/miner.h"
 
@@ -33,21 +37,24 @@ class FpTree {
     int32_t head = -1;
   };
 
-  // `item_order` lists this tree's frequent items, most frequent first;
-  // transactions inserted must already be filtered+sorted to that order.
-  explicit FpTree(std::vector<std::pair<ItemId, uint64_t>> item_totals) {
+  // `item_totals` lists this tree's frequent items, most frequent first;
+  // every item is below `num_items`. Transactions inserted must already be
+  // filtered+sorted to that order.
+  FpTree(const std::vector<std::pair<ItemId, uint64_t>>& item_totals,
+         size_t num_items)
+      : rank_(num_items, kNoRank) {
     nodes_.push_back(Node{kInvalidItem, 0, -1});
     header_.reserve(item_totals.size());
     for (const auto& [item, total] : item_totals) {
-      rank_[item] = header_.size();
+      rank_[item] = static_cast<uint32_t>(header_.size());
       header_.push_back(HeaderEntry{item, total, -1});
     }
   }
 
-  bool HasItem(ItemId item) const { return rank_.count(item) > 0; }
+  bool HasItem(ItemId item) const { return rank_[item] != kNoRank; }
 
   // Rank of an item in this tree's order (0 = most frequent).
-  size_t Rank(ItemId item) const { return rank_.at(item); }
+  uint32_t Rank(ItemId item) const { return rank_[item]; }
 
   size_t NumHeaderItems() const { return header_.size(); }
   const HeaderEntry& Header(size_t idx) const { return header_[idx]; }
@@ -66,13 +73,19 @@ class FpTree {
         nodes_.push_back(Node{item, 0, current});
         nodes_[child].next_sibling = nodes_[current].first_child;
         nodes_[current].first_child = child;
-        size_t h = rank_.at(item);
+        const uint32_t h = rank_[item];
         nodes_[child].next_homonym = header_[h].head;
         header_[h].head = child;
       }
       nodes_[child].count += count;
       current = child;
     }
+  }
+
+  // Sorts `path` (items of this tree) into insertion order.
+  void SortByRank(std::vector<ItemId>* path) const {
+    std::sort(path->begin(), path->end(),
+              [this](ItemId a, ItemId b) { return rank_[a] < rank_[b]; });
   }
 
   // True iff the tree is one downward chain (enables subset enumeration).
@@ -99,92 +112,128 @@ class FpTree {
   }
 
  private:
+  static constexpr uint32_t kNoRank = 0xFFFFFFFFu;
+
   std::vector<Node> nodes_;
   std::vector<HeaderEntry> header_;
-  std::unordered_map<ItemId, size_t> rank_;
+  std::vector<uint32_t> rank_;  // indexed by item; kNoRank = not in tree
 };
+
+// Most frequent first, ties by item id: the order every tree uses.
+void SortByTotal(std::vector<std::pair<ItemId, uint64_t>>* items) {
+  std::sort(items->begin(), items->end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+}
 
 struct MineContext {
   const MinerOptions* options;
+  size_t num_items;
   std::vector<FrequentItemset>* out;
   std::vector<ItemId> suffix;
+  std::array<uint32_t, 2> class_count = {0, 0};  // suffix items per class
+
+  // True iff `item` may extend the suffix: its class is below its cap.
+  bool Admits(ItemId item) const {
+    if (options->item_class.empty()) return true;
+    const uint8_t c = options->item_class[item];
+    return class_count[c] < options->max_class_items[c];
+  }
+
+  void Push(ItemId item) {
+    suffix.push_back(item);
+    if (!options->item_class.empty()) ++class_count[options->item_class[item]];
+  }
+
+  void Pop() {
+    if (!options->item_class.empty()) {
+      --class_count[options->item_class[suffix.back()]];
+    }
+    suffix.pop_back();
+  }
+
+  void Emit(uint64_t support) { out->push_back({Itemset(suffix), support}); }
 };
 
 // Emits suffix+subset combinations for a single prefix path. The support of
 // a subset is the count of its deepest (largest-index) selected node.
 void EnumerateSinglePath(const std::vector<std::pair<ItemId, uint64_t>>& path,
-                         size_t pos, uint64_t deepest_count,
-                         MineContext* ctx) {
+                         size_t pos, MineContext* ctx) {
   if (ctx->suffix.size() >= ctx->options->max_length) return;
   for (size_t i = pos; i < path.size(); ++i) {
-    ctx->suffix.push_back(path[i].first);
-    ctx->out->push_back({Itemset(ctx->suffix), path[i].second});
-    EnumerateSinglePath(path, i + 1, path[i].second, ctx);
-    ctx->suffix.pop_back();
+    if (!ctx->Admits(path[i].first)) continue;
+    ctx->Push(path[i].first);
+    ctx->Emit(path[i].second);
+    EnumerateSinglePath(path, i + 1, ctx);
+    ctx->Pop();
   }
-  (void)deepest_count;
 }
 
 void MineTree(const FpTree& tree, MineContext* ctx) {
   if (ctx->suffix.size() >= ctx->options->max_length) return;
 
   if (tree.IsSinglePath()) {
-    EnumerateSinglePath(tree.SinglePath(), 0, 0, ctx);
+    EnumerateSinglePath(tree.SinglePath(), 0, ctx);
     return;
   }
 
   // Process header items from least frequent (deepest in tree) upward.
   for (size_t h = tree.NumHeaderItems(); h-- > 0;) {
     const auto& entry = tree.Header(h);
-    ctx->suffix.push_back(entry.item);
-    ctx->out->push_back({Itemset(ctx->suffix), entry.total});
+    ctx->Push(entry.item);  // the tree holds only items the suffix admits
+    ctx->Emit(entry.total);
 
     if (ctx->suffix.size() < ctx->options->max_length) {
-      // Conditional pattern base: prefix paths of every node of this item.
-      std::vector<std::pair<std::vector<ItemId>, uint64_t>> base;
-      std::unordered_map<ItemId, uint64_t> cond_counts;
+      // Conditional pattern base: the prefix paths of every node of this
+      // item, flattened into `base_items` and cut at `base_paths` ends.
+      // Prefix items all rank above h, so `cond_counts` is indexed by rank.
+      // Items the grown suffix no longer admits are left out.
+      std::vector<ItemId> base_items;
+      std::vector<std::pair<size_t, uint64_t>> base_paths;  // (end, count)
+      std::vector<uint64_t> cond_counts(h, 0);
       for (int32_t n = entry.head; n != -1; n = tree.node(n).next_homonym) {
-        uint64_t count = tree.node(n).count;
-        std::vector<ItemId> prefix_path;
+        const uint64_t count = tree.node(n).count;
+        const size_t begin = base_items.size();
         for (int32_t p = tree.node(n).parent; p > 0; p = tree.node(p).parent) {
-          prefix_path.push_back(tree.node(p).item);
+          const ItemId item = tree.node(p).item;
+          if (!ctx->Admits(item)) continue;
+          base_items.push_back(item);
+          cond_counts[tree.Rank(item)] += count;
         }
-        if (prefix_path.empty()) continue;
-        std::reverse(prefix_path.begin(), prefix_path.end());
-        for (ItemId item : prefix_path) cond_counts[item] += count;
-        base.emplace_back(std::move(prefix_path), count);
+        if (base_items.size() > begin) {
+          base_paths.emplace_back(base_items.size(), count);
+        }
       }
 
       // Conditionally frequent items, most frequent first.
       std::vector<std::pair<ItemId, uint64_t>> cond_items;
-      for (const auto& [item, count] : cond_counts) {
-        if (count >= ctx->options->min_support) {
-          cond_items.emplace_back(item, count);
+      for (size_t r = 0; r < h; ++r) {
+        if (cond_counts[r] >= ctx->options->min_support) {
+          cond_items.emplace_back(tree.Header(r).item, cond_counts[r]);
         }
       }
       if (!cond_items.empty()) {
-        std::sort(cond_items.begin(), cond_items.end(),
-                  [](const auto& a, const auto& b) {
-                    if (a.second != b.second) return a.second > b.second;
-                    return a.first < b.first;
-                  });
-        FpTree cond_tree(cond_items);
-        for (auto& [path, count] : base) {
-          std::vector<ItemId> filtered;
-          for (ItemId item : path) {
-            if (cond_tree.HasItem(item)) filtered.push_back(item);
+        SortByTotal(&cond_items);
+        FpTree cond_tree(cond_items, ctx->num_items);
+        std::vector<ItemId> filtered;
+        size_t begin = 0;
+        for (const auto& [end, count] : base_paths) {
+          filtered.clear();
+          for (size_t k = begin; k < end; ++k) {
+            if (cond_tree.HasItem(base_items[k])) {
+              filtered.push_back(base_items[k]);
+            }
           }
+          begin = end;
           if (filtered.empty()) continue;
-          std::sort(filtered.begin(), filtered.end(),
-                    [&cond_tree](ItemId a, ItemId b) {
-                      return cond_tree.Rank(a) < cond_tree.Rank(b);
-                    });
+          cond_tree.SortByRank(&filtered);
           cond_tree.Insert(filtered, count);
         }
         MineTree(cond_tree, ctx);
       }
     }
-    ctx->suffix.pop_back();
+    ctx->Pop();
   }
 }
 
@@ -193,51 +242,44 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
 Result<std::vector<FrequentItemset>> MineFrequentItemsets(
     const TransactionDb& db, const MinerOptions& options) {
   SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
+  if (!options.item_class.empty() &&
+      options.item_class.size() < db.NumItems()) {
+    return Status::InvalidArgument(
+        "item_class must hold a class for every item of the database");
+  }
   std::vector<FrequentItemset> out;
   if (options.include_empty) {
     out.push_back({Itemset(), db.NumTransactions()});
   }
 
-  // Global frequent items, most frequent first.
+  MineContext ctx;
+  ctx.options = &options;
+  ctx.num_items = db.NumItems();
+  ctx.out = &out;
+
+  // Global frequent items the empty prefix admits, most frequent first.
   std::vector<std::pair<ItemId, uint64_t>> item_totals;
   for (ItemId item = 0; item < db.NumItems(); ++item) {
     uint64_t support = db.ItemSupport(item);
-    if (support >= options.min_support) item_totals.emplace_back(item, support);
+    if (support >= options.min_support && ctx.Admits(item)) {
+      item_totals.emplace_back(item, support);
+    }
   }
-  std::sort(item_totals.begin(), item_totals.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+  SortByTotal(&item_totals);
 
-  FpTree tree(item_totals);
+  FpTree tree(item_totals, db.NumItems());
+  std::vector<ItemId> filtered;
   for (uint32_t tid = 0; tid < db.NumTransactions(); ++tid) {
-    std::vector<ItemId> filtered;
+    filtered.clear();
     for (ItemId item : db.Transaction(tid)) {
       if (tree.HasItem(item)) filtered.push_back(item);
     }
     if (filtered.empty()) continue;
-    std::sort(filtered.begin(), filtered.end(), [&tree](ItemId a, ItemId b) {
-      return tree.Rank(a) < tree.Rank(b);
-    });
+    tree.SortByRank(&filtered);
     tree.Insert(filtered, 1);
   }
 
-  MineContext ctx;
-  ctx.options = &options;
-  ctx.out = &out;
   MineTree(tree, &ctx);
-
-  switch (options.mode) {
-    case MineMode::kAll:
-      break;
-    case MineMode::kClosed:
-      out = FilterClosed(std::move(out));
-      break;
-    case MineMode::kMaximal:
-      out = FilterMaximal(std::move(out));
-      break;
-  }
   SortItemsets(&out);
   return out;
 }

@@ -1,7 +1,6 @@
 #include "fpm/miner.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace scube {
 namespace fpm {
@@ -23,85 +22,10 @@ Status ValidateMinerOptions(const MinerOptions& options) {
   if (options.max_length < 1) {
     return Status::InvalidArgument("max_length must be >= 1");
   }
-  return Status::OK();
-}
-
-namespace {
-
-// Shared subsumption machinery for the closed/maximal filters. Processes
-// candidates in descending length order; a candidate is dropped when a kept
-// proper superset "covers" it (same support for closed; any for maximal).
-std::vector<FrequentItemset> FilterSubsumed(std::vector<FrequentItemset> sets,
-                                            bool require_equal_support) {
-  std::sort(sets.begin(), sets.end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              return a.items.size() > b.items.size();
-            });
-  std::vector<FrequentItemset> kept;
-  kept.reserve(sets.size());
-  // Inverted index: item -> indices (into kept) of kept sets containing it.
-  std::unordered_map<ItemId, std::vector<size_t>> index;
-
-  for (auto& candidate : sets) {
-    bool subsumed = false;
-    if (!candidate.items.empty()) {
-      // Probe the index through the candidate's rarest item: pick the item
-      // with the shortest posting list to minimise superset checks.
-      const std::vector<size_t>* best_list = nullptr;
-      for (ItemId item : candidate.items.items()) {
-        auto it = index.find(item);
-        if (it == index.end()) {
-          best_list = nullptr;
-          subsumed = false;
-          goto check_done;  // an item never kept: no superset exists
-        }
-        if (best_list == nullptr || it->second.size() < best_list->size()) {
-          best_list = &it->second;
-        }
-      }
-      if (best_list != nullptr) {
-        for (size_t kept_idx : *best_list) {
-          const FrequentItemset& s = kept[kept_idx];
-          if (s.items.size() <= candidate.items.size()) continue;
-          if (require_equal_support && s.support != candidate.support) {
-            continue;
-          }
-          if (candidate.items.IsSubsetOf(s.items)) {
-            subsumed = true;
-            break;
-          }
-        }
-      }
-    } else {
-      // The empty itemset: subsumed iff any kept set has equal support
-      // (closed) or any kept set exists (maximal).
-      for (const auto& s : kept) {
-        if (!require_equal_support || s.support == candidate.support) {
-          subsumed = true;
-          break;
-        }
-      }
-    }
-  check_done:
-    if (!subsumed) {
-      size_t idx = kept.size();
-      for (ItemId item : candidate.items.items()) {
-        index[item].push_back(idx);
-      }
-      kept.push_back(std::move(candidate));
-    }
+  for (uint8_t c : options.item_class) {
+    if (c > 1) return Status::InvalidArgument("item classes must be 0 or 1");
   }
-  return kept;
-}
-
-}  // namespace
-
-std::vector<FrequentItemset> FilterClosed(std::vector<FrequentItemset> sets) {
-  return FilterSubsumed(std::move(sets), /*require_equal_support=*/true);
-}
-
-std::vector<FrequentItemset> FilterMaximal(std::vector<FrequentItemset> sets) {
-  return FilterSubsumed(std::move(sets), /*require_equal_support=*/false);
+  return Status::OK();
 }
 
 }  // namespace fpm

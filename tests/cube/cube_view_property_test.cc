@@ -285,7 +285,7 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
       bool any = false;
       for (const CubeCell* parent : Parents(cells, cell->coords)) {
         if (!parent->indexes.defined) continue;
-        if (options.require_nonempty_sa && parent->coords.sa.empty()) continue;
+        if (parent->coords.sa.empty()) continue;
         any = true;
         best = std::max(best, parent->Value(kind));
       }
@@ -314,7 +314,7 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
       for (const CubeCell* child : Children(cells, parent->coords)) {
         if (child->coords.sa == parent->coords.sa &&
             child->indexes.defined &&
-            !(options.require_nonempty_sa && child->coords.sa.empty()) &&
+            !child->coords.sa.empty() &&
             child->context_size >= options.min_context_size &&
             child->minority_size >= options.min_minority_size) {
           children.push_back(child);

@@ -97,7 +97,7 @@ TEST(ExplorerTest, FiltersExcludeSmallAndPureContextCells) {
                                     strict);
   EXPECT_TRUE(none.empty());
 
-  // require_nonempty_sa keeps ⋆-subgroup cells out.
+  // ⋆-subgroup cells never pass the filters.
   auto loose = TopSegregatedContexts(cube, indexes::IndexKind::kGini, 100,
                                      LooseFilters());
   for (const RankedCell& rc : loose) {
@@ -144,9 +144,9 @@ TEST(ExplorerTest, NoReversalWhenGapTooLarge) {
 
 TEST(ExplorerTest, PureContextCellsNeverServeAsSurpriseBaselines) {
   // Hand-built cube: the pure-context root is (unrealistically) flagged
-  // defined. With require_nonempty_sa it must not serve as the roll-up
-  // baseline for (sa={1} | ⋆) — pure-context cells carry no segregation
-  // reading, so the cell has no usable parent and is not a surprise.
+  // defined. It must not serve as the roll-up baseline for (sa={1} | ⋆) —
+  // pure-context cells carry no segregation reading, so the cell has no
+  // usable parent and is not a surprise.
   auto make_cell = [](std::vector<fpm::ItemId> sa, std::vector<fpm::ItemId> ca,
                       uint64_t t, uint64_t m, double d) {
     CubeCell cell;
@@ -168,14 +168,6 @@ TEST(ExplorerTest, PureContextCellsNeverServeAsSurpriseBaselines) {
   auto surprises = DrillDownSurprises(
       view, indexes::IndexKind::kDissimilarity, 0.1, LooseFilters());
   EXPECT_TRUE(surprises.empty());
-
-  // Without the subgroup requirement the root is a legitimate baseline.
-  ExplorerOptions allow_pure = LooseFilters();
-  allow_pure.require_nonempty_sa = false;
-  surprises = DrillDownSurprises(view, indexes::IndexKind::kDissimilarity,
-                                 0.1, allow_pure);
-  ASSERT_EQ(surprises.size(), 1u);
-  EXPECT_NEAR(surprises[0].delta, 0.4, 1e-9);
 }
 
 TEST(ExplorerTest, TopKTruncates) {

@@ -1,81 +1,29 @@
-// FP-Growth miner tests: hand-checked anchors on a tiny database, run on
-// both FP-Growth and the brute-force oracle, plus randomized sweeps of
-// FP-Growth against the oracle in every mode.
+// FP-Growth miner tests: hand-checked anchors on a tiny database (the
+// all-itemsets anchors run on both FP-Growth and the brute-force oracle,
+// the closed and maximal anchors check the oracle, which the cube-builder
+// tests trust for those modes), plus randomized sweeps of FP-Growth's
+// capped enumeration against the oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "common/random.h"
 #include "fpm/miner.h"
 #include "fpm/transaction_db.h"
+#include "oracles/mining_oracle.h"
 
 namespace scube {
 namespace fpm {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Brute-force oracle: exhaustive DFS with a transaction scan per candidate.
-// Closedness and maximality are decided from their definitions over the
-// length-bounded frequent collection, independently of the filters the
-// engine uses. Exponential; small inputs only.
-// ---------------------------------------------------------------------------
-
-uint64_t ScanSupport(const TransactionDb& db, const std::vector<ItemId>& items) {
-  uint64_t support = 0;
-  for (uint32_t tid = 0; tid < db.NumTransactions(); ++tid) {
-    const auto& t = db.Transaction(tid);
-    if (std::includes(t.begin(), t.end(), items.begin(), items.end())) {
-      ++support;
-    }
-  }
-  return support;
-}
-
-void Dfs(const TransactionDb& db, const MinerOptions& options,
-         std::vector<ItemId>* prefix, ItemId next_item,
-         std::vector<FrequentItemset>* out) {
-  if (prefix->size() >= options.max_length) return;
-  for (ItemId item = next_item; item < db.NumItems(); ++item) {
-    prefix->push_back(item);
-    uint64_t support = ScanSupport(db, *prefix);
-    if (support >= options.min_support) {
-      out->push_back({Itemset(*prefix), support});
-      Dfs(db, options, prefix, item + 1, out);
-    }
-    prefix->pop_back();
-  }
-}
-
 Result<std::vector<FrequentItemset>> BruteForceMine(
     const TransactionDb& db, const MinerOptions& options) {
-  SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
-  std::vector<FrequentItemset> frequent;
-  if (options.include_empty) {
-    frequent.push_back({Itemset(), db.NumTransactions()});
-  }
-  std::vector<ItemId> prefix;
-  Dfs(db, options, &prefix, 0, &frequent);
-
-  // X is dropped when a proper superset in the collection has equal support
-  // (closed) or exists at all (maximal).
-  std::vector<FrequentItemset> out;
-  for (const FrequentItemset& x : frequent) {
-    bool dropped =
-        options.mode != MineMode::kAll &&
-        std::any_of(frequent.begin(), frequent.end(),
-                    [&](const FrequentItemset& y) {
-                      return y.items.size() > x.items.size() &&
-                             x.items.IsSubsetOf(y.items) &&
-                             (options.mode == MineMode::kMaximal ||
-                              y.support == x.support);
-                    });
-    if (!dropped) out.push_back(x);
-  }
-  SortItemsets(&out);
-  return out;
+  return oracle::Mine(db, options);
 }
 
 TransactionDb TextbookDb() {
@@ -102,6 +50,20 @@ TEST(MinerOptionsTest, Validation) {
   bad.min_support = 1;
   bad.max_length = 0;
   EXPECT_FALSE(ValidateMinerOptions(bad).ok());
+  bad.max_length = 3;
+  bad.item_class = {0, 1, 2};
+  EXPECT_FALSE(ValidateMinerOptions(bad).ok());
+}
+
+TEST(MinerOptionsTest, ItemClassesMustCoverTheDatabase) {
+  TransactionDb db;
+  db.AddTransaction({0, 1, 2});
+  MinerOptions opts;
+  opts.item_class = {0, 1};  // item 2 has no class
+  EXPECT_EQ(MineFrequentItemsets(db, opts).status().code(),
+            StatusCode::kInvalidArgument);
+  opts.item_class = {0, 1, 1};
+  EXPECT_TRUE(MineFrequentItemsets(db, opts).ok());
 }
 
 // The anchors run on FP-Growth and on the oracle, so the oracle the sweeps
@@ -153,37 +115,32 @@ TEST_P(AnchorTest, TextbookSupports) {
   EXPECT_EQ(m.size(), 18u);
 }
 
-TEST_P(AnchorTest, ClosedModeTextbook) {
+TEST_P(AnchorTest, ClassCapsPruneTextbook) {
+  // f, c, a, b are class 0 and m, p class 1, at most one of each: the six
+  // singletons and the four frequent cross-class pairs fm, cm, am, cp.
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
-  opts.mode = MineMode::kClosed;
+  opts.item_class = {0, 0, 0, 0, 1, 1};
+  opts.max_class_items = {1, 1};
   auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
-  // Closed sets at minsup 3: {f}:4, {c}:4, {b}:3, {cp}:3, {fcam}:3, {fc}...
-  // {fc} support 3 == {fcam} support -> not closed. {f}:4 closed, {c}:4
-  // closed, {fcam}:3 closed, {cp}:3 closed, {b}:3 closed.
-  EXPECT_EQ(m.size(), 5u);
-  EXPECT_EQ(m.at(Itemset({0})), 4u);
-  EXPECT_EQ(m.at(Itemset({1})), 4u);
-  EXPECT_EQ(m.at(Itemset({3})), 3u);
-  EXPECT_EQ(m.at(Itemset({1, 5})), 3u);
-  EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);
-}
+  EXPECT_EQ(m.size(), 10u);
+  EXPECT_EQ(m.at(Itemset({0, 4})), 3u);  // fm
+  EXPECT_EQ(m.at(Itemset({1, 4})), 3u);  // cm
+  EXPECT_EQ(m.at(Itemset({2, 4})), 3u);  // am
+  EXPECT_EQ(m.at(Itemset({1, 5})), 3u);  // cp
+  EXPECT_EQ(m.count(Itemset({0, 1})), 0u);  // fc: two class-0 items
 
-TEST_P(AnchorTest, MaximalModeTextbook) {
-  TransactionDb db = TextbookDb();
-  MinerOptions opts;
-  opts.min_support = 3;
-  opts.mode = MineMode::kMaximal;
-  auto result = Mine(db, opts);
+  // A zero cap removes the class outright.
+  opts.max_class_items = {0, 2};
+  result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
-  auto m = AsMap(result.value());
-  EXPECT_EQ(m.size(), 3u);
-  EXPECT_EQ(m.at(Itemset({3})), 3u);           // b
-  EXPECT_EQ(m.at(Itemset({1, 5})), 3u);        // cp
-  EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);  // fcam
+  m = AsMap(result.value());
+  EXPECT_EQ(m.size(), 2u);  // m, p; mp has support 2
+  EXPECT_EQ(m.at(Itemset({4})), 3u);
+  EXPECT_EQ(m.at(Itemset({5})), 3u);
 }
 
 TEST_P(AnchorTest, MaxLengthCap) {
@@ -254,10 +211,44 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// The closed and maximal anchors check the oracle's filters, which decide
+// the cube builder's cells in its tests (tests/cube/builder_oracle_test.cc).
+TEST(OracleAnchorTest, ClosedModeTextbook) {
+  TransactionDb db = TextbookDb();
+  MinerOptions opts;
+  opts.min_support = 3;
+  auto result = oracle::Mine(db, opts, MineMode::kClosed);
+  ASSERT_TRUE(result.ok());
+  auto m = AsMap(result.value());
+  // Closed sets at minsup 3: {f}:4, {c}:4, {b}:3, {cp}:3, {fcam}:3, {fc}...
+  // {fc} support 3 == {fcam} support -> not closed. {f}:4 closed, {c}:4
+  // closed, {fcam}:3 closed, {cp}:3 closed, {b}:3 closed.
+  EXPECT_EQ(m.size(), 5u);
+  EXPECT_EQ(m.at(Itemset({0})), 4u);
+  EXPECT_EQ(m.at(Itemset({1})), 4u);
+  EXPECT_EQ(m.at(Itemset({3})), 3u);
+  EXPECT_EQ(m.at(Itemset({1, 5})), 3u);
+  EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);
+}
+
+TEST(OracleAnchorTest, MaximalModeTextbook) {
+  TransactionDb db = TextbookDb();
+  MinerOptions opts;
+  opts.min_support = 3;
+  auto result = oracle::Mine(db, opts, MineMode::kMaximal);
+  ASSERT_TRUE(result.ok());
+  auto m = AsMap(result.value());
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.at(Itemset({3})), 3u);           // b
+  EXPECT_EQ(m.at(Itemset({1, 5})), 3u);        // cp
+  EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);  // fcam
+}
+
 // ---------------------------------------------------------------------------
-// Randomized equivalence sweep: FP-Growth in every mode, with and without
-// the empty itemset (the cube builder always asks for it), must match the
-// oracle exactly on random databases.
+// Randomized equivalence sweep: FP-Growth's capped enumeration, with and
+// without the empty itemset (the cube builder always asks for it), must
+// match the oracle exactly on random databases, for random item classes
+// under every cap pair the cube tests use (and none).
 // ---------------------------------------------------------------------------
 
 struct SweepParams {
@@ -282,24 +273,32 @@ TEST_P(EquivalenceSweep, FpGrowthMatchesOracle) {
     }
     db.AddTransaction(std::move(items));
   }
+  std::vector<uint8_t> classes;
+  for (size_t i = 0; i < db.NumItems(); ++i) {
+    classes.push_back(rng.NextBool(0.5) ? 1 : 0);
+  }
 
-  for (MineMode mode : {MineMode::kAll, MineMode::kClosed, MineMode::kMaximal}) {
-    for (bool include_empty : {false, true}) {
-      MinerOptions opts;
-      opts.min_support = p.min_support;
-      opts.max_length = p.max_length;
-      opts.mode = mode;
-      opts.include_empty = include_empty;
-      auto expected = BruteForceMine(db, opts);
-      ASSERT_TRUE(expected.ok());
-      auto actual = MineFrequentItemsets(db, opts);
-      ASSERT_TRUE(actual.ok());
-      EXPECT_EQ(actual.value().size(), expected.value().size())
-          << "mode=" << static_cast<int>(mode)
-          << " include_empty=" << include_empty;
-      ASSERT_EQ(actual.value(), expected.value())
-          << "mode=" << static_cast<int>(mode)
-          << " include_empty=" << include_empty;
+  constexpr uint32_t kNoCap = std::numeric_limits<uint32_t>::max();
+  const std::array<uint32_t, 2> kCaps[] = {
+      {kNoCap, kNoCap}, {1, 1}, {2, 1}, {3, 2}, {2, 0}, {0, 3}};
+  for (bool capped : {false, true}) {
+    for (const auto& caps : kCaps) {
+      if (!capped && caps[0] != kNoCap) continue;
+      for (bool include_empty : {false, true}) {
+        MinerOptions opts;
+        opts.min_support = p.min_support;
+        opts.max_length = p.max_length;
+        if (capped) opts.item_class = classes;
+        opts.max_class_items = caps;
+        opts.include_empty = include_empty;
+        auto expected = BruteForceMine(db, opts);
+        ASSERT_TRUE(expected.ok());
+        auto actual = MineFrequentItemsets(db, opts);
+        ASSERT_TRUE(actual.ok());
+        ASSERT_EQ(actual.value(), expected.value())
+            << "capped=" << capped << " caps=" << caps[0] << "," << caps[1]
+            << " include_empty=" << include_empty;
+      }
     }
   }
 }

@@ -40,10 +40,8 @@ constexpr size_t kNumCaItems = 5;  // ids 5..9 on the CA axis
 
 // --- the oracle: the scan-and-sort the findings lists replaced -------------
 
-bool OracleUsable(const CubeCell& cell, const ExplorerOptions& options) {
-  if (!cell.indexes.defined) return false;
-  if (options.require_nonempty_sa && cell.coords.sa.empty()) return false;
-  return true;
+bool OracleUsable(const CubeCell& cell) {
+  return cell.indexes.defined && !cell.coords.sa.empty();
 }
 
 std::optional<SurpriseFinding> OracleSurprise(const CubeView& view,
@@ -57,7 +55,7 @@ std::optional<SurpriseFinding> OracleSurprise(const CubeView& view,
   bool any_defined_parent = false;
   for (CubeView::CellId parent_id : view.Parents(id)) {
     const CubeCell& parent = view.cell(parent_id);
-    if (!OracleUsable(parent, options)) continue;
+    if (!OracleUsable(parent)) continue;
     any_defined_parent = true;
     best_parent = std::max(best_parent, parent.Value(kind));
   }
@@ -75,7 +73,7 @@ std::optional<GranularityReversal> OracleReversal(
   std::vector<const CubeCell*> children;
   for (CubeView::CellId child_id : view.Children(id)) {
     const CubeCell& child = view.cell(child_id);
-    if (child.coords.sa == parent.coords.sa && OracleUsable(child, options) &&
+    if (child.coords.sa == parent.coords.sa && OracleUsable(child) &&
         child.context_size >= options.min_context_size &&
         child.minority_size >= options.min_minority_size) {
       children.push_back(&child);
@@ -412,31 +410,27 @@ TEST_P(FindingsPropertyTest, ExplorerWalksMatchTheScanAndSort) {
         ExplorerOptions options;
         if (min_t) options.min_context_size = *min_t;
         if (min_m) options.min_minority_size = *min_m;
-        for (bool require_sa : {true, false}) {
-          options.require_nonempty_sa = require_sa;
-          const std::string what =
-              "view " + std::to_string(v) + " " +
-              indexes::IndexKindToString(kind) + " T>=" +
-              std::to_string(options.min_context_size) + " M>=" +
-              std::to_string(options.min_minority_size) +
-              (require_sa ? "" : " any-sa");
-          for (double t : Thresholds(view, kind, true, &rng)) {
-            auto expected = OracleSurprises(view, kind, t, options);
-            surprises += expected.size();
-            ExpectSameSurprises(expected,
-                                cube::DrillDownSurprises(view, kind, t, options),
-                                what + " MINDELTA " + std::to_string(t));
+        const std::string what =
+            "view " + std::to_string(v) + " " +
+            indexes::IndexKindToString(kind) + " T>=" +
+            std::to_string(options.min_context_size) + " M>=" +
+            std::to_string(options.min_minority_size);
+        for (double t : Thresholds(view, kind, true, &rng)) {
+          auto expected = OracleSurprises(view, kind, t, options);
+          surprises += expected.size();
+          ExpectSameSurprises(expected,
+                              cube::DrillDownSurprises(view, kind, t, options),
+                              what + " MINDELTA " + std::to_string(t));
+        }
+        for (double t : Thresholds(view, kind, false, &rng)) {
+          auto expected = OracleReversals(view, kind, t, options);
+          reversals += expected.size();
+          for (const GranularityReversal& r : expected) {
+            if (t > 0 && OracleGap(r) < t) ++rounded_gaps;
           }
-          for (double t : Thresholds(view, kind, false, &rng)) {
-            auto expected = OracleReversals(view, kind, t, options);
-            reversals += expected.size();
-            for (const GranularityReversal& r : expected) {
-              if (t > 0 && OracleGap(r) < t) ++rounded_gaps;
-            }
-            ExpectSameReversals(
-                expected, cube::FindGranularityReversals(view, kind, t, options),
-                what + " MINGAP " + std::to_string(t));
-          }
+          ExpectSameReversals(
+              expected, cube::FindGranularityReversals(view, kind, t, options),
+              what + " MINGAP " + std::to_string(t));
         }
       }
     }
