@@ -72,7 +72,9 @@ struct SaCandidate {
 // and T when at least one candidate becomes a cell.
 struct ContextGroup {
   fpm::Itemset ca;
-  std::vector<SaCandidate> sas;  // mined order
+  // Ordered by A, so a candidate's SA prefixes precede it: the fill
+  // narrows each cover from its prefix's.
+  std::vector<SaCandidate> sas;
 };
 
 // Decides which candidates become cells (CubeBuilderOptions::mode) from
@@ -156,17 +158,14 @@ class CellTest {
 // scratch, so the fill needs no locks at all. The dense per-unit arrays
 // are all zero between calls.
 struct WorkerScratch {
-  WorkerScratch(size_t num_units, size_t num_items)
-      : sa_item_cover(num_items),
-        unit_counts(num_units, 0),
-        minority_counts(num_units, 0) {}
+  explicit WorkerScratch(size_t num_units)
+      : unit_counts(num_units, 0), minority_counts(num_units, 0) {}
 
   std::vector<CoverWord> ctx_cover;       // the context's nonzero words
-  std::vector<CoverWord> cell_cover;      // the candidate's nonzero words
-  // cover(B ∪ {a}) of the group's one-SA-item candidates, by item a; empty
-  // when not computed (no candidate's cover is empty).
-  std::vector<std::vector<CoverWord>> sa_item_cover;
-  std::vector<fpm::ItemId> cached_items;  // the items cached above
+  // prefix_cover[d]: the nonzero words of cover(B ∪ {a_0..a_d}) for the
+  // SA items prefix_items[0..d] of the last candidate narrowed.
+  std::vector<std::vector<CoverWord>> prefix_cover;
+  std::vector<fpm::ItemId> prefix_items;
   std::vector<uint32_t> units;            // the context's units, ascending
   std::vector<uint32_t> unit_totals;      // t_i, parallel to `units`
   std::vector<uint32_t> unit_counts;      // dense t_i scratch
@@ -211,45 +210,42 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
     if (bits != 0) ws.ctx_cover.push_back({w, bits});
   }
 
-  for (fpm::ItemId item : ws.cached_items) ws.sa_item_cover[item].clear();
-  ws.cached_items.clear();
-
+  ws.prefix_items.clear();
   bool have_totals = false;
   for (const SaCandidate& cand : grp.sas) {
     // Candidate cover: cover(A ∪ B) = cover(B) ∩ the item covers of A,
-    // narrowed word by word. Candidates come shortest first, so every
-    // cover(B ∪ {a}) with a ∈ A is cached by now; narrowing starts from the
-    // sparsest of them instead of from cover(B).
-    const std::vector<CoverWord>* base = &ws.ctx_cover;
-    fpm::ItemId base_item = fpm::kInvalidItem;
-    if (cand.sa.size() > 1) {
-      for (fpm::ItemId item : cand.sa.items()) {
-        const std::vector<CoverWord>& cached = ws.sa_item_cover[item];
-        if (!cached.empty() && cached.size() < base->size()) {
-          base = &cached;
-          base_item = item;
-        }
+    // kept as its nonzero words. A's prefixes are candidates too and come
+    // first, so normally only A's last item narrows its prefix's cover.
+    const std::vector<fpm::ItemId>& a = cand.sa.items();
+    size_t depth = 0;  // leading items of A whose cover is at hand
+    while (depth + 1 < a.size() && depth < ws.prefix_items.size() &&
+           ws.prefix_items[depth] == a[depth]) {
+      ++depth;
+    }
+    ws.prefix_items.resize(depth);
+    if (ws.prefix_cover.size() < a.size()) ws.prefix_cover.resize(a.size());
+    for (; depth < a.size(); ++depth) {
+      const std::vector<CoverWord>& from =
+          depth == 0 ? ws.ctx_cover : ws.prefix_cover[depth - 1];
+      const uint64_t* item_words = covers.Item(a[depth]);
+      std::vector<CoverWord>& to = ws.prefix_cover[depth];
+      to.clear();
+      for (CoverWord word : from) {
+        word.bits &= item_words[word.index];
+        if (word.bits != 0) to.push_back(word);
       }
+      ws.prefix_items.push_back(a[depth]);
     }
-    ws.cell_cover.clear();
-    for (CoverWord word : *base) {
-      for (fpm::ItemId item : cand.sa.items()) {
-        if (item != base_item) word.bits &= covers.Item(item)[word.index];
-      }
-      if (word.bits != 0) ws.cell_cover.push_back(word);
-    }
-    if (cand.sa.size() == 1) {
-      ws.sa_item_cover[cand.sa[0]] = ws.cell_cover;
-      ws.cached_items.push_back(cand.sa[0]);
-    }
-    if (!test.Keep(cand.sa, grp.ca, cand.support, ws.cell_cover)) continue;
+    const std::vector<CoverWord>& cell_cover =
+        a.empty() ? ws.ctx_cover : ws.prefix_cover[a.size() - 1];
+    if (!test.Keep(cand.sa, grp.ca, cand.support, cell_cover)) continue;
 
     // Most candidate contexts hold no cell: their totals are never needed.
     if (!have_totals) {
       ComputeUnitTotals(row_unit, ws);
       have_totals = true;
     }
-    for (const CoverWord& word : ws.cell_cover) {
+    for (const CoverWord& word : cell_cover) {
       ForEachRow(word,
                  [&](size_t row) { ++ws.minority_counts[row_unit[row]]; });
     }
@@ -346,6 +342,12 @@ Result<SegregationCube> BuildSegregationCube(
     groups[it->second].sas.push_back(SaCandidate{std::move(sa), fs.support});
   }
   mined.value().clear();  // the groups hold every candidate now
+  for (ContextGroup& grp : groups) {
+    std::sort(grp.sas.begin(), grp.sas.end(),
+              [](const SaCandidate& x, const SaCandidate& y) {
+                return x.sa < y.sa;
+              });
+  }
   group_span.End();
   st->seconds_grouping = timer.Seconds();
 
@@ -384,7 +386,7 @@ Result<SegregationCube> BuildSegregationCube(
   // instantiating the process-wide pool (ParallelFor would work, but
   // Shared() spawns hardware_concurrency workers on first touch).
   if (threads <= 1) {
-    WorkerScratch scratch(num_units, encoded.db.NumItems());
+    WorkerScratch scratch(num_units);
     for (size_t g = 0; g < groups.size(); ++g) {
       group_status[g] =
           FillContextGroup(encoded, covers, terms.value(), test, groups[g],
@@ -395,8 +397,7 @@ Result<SegregationCube> BuildSegregationCube(
     ThreadPool::Shared().ParallelFor(
         groups.size(), threads, [&](size_t worker, size_t g) {
           if (scratch[worker] == nullptr) {
-            scratch[worker] = std::make_unique<WorkerScratch>(
-                num_units, encoded.db.NumItems());
+            scratch[worker] = std::make_unique<WorkerScratch>(num_units);
           }
           group_status[g] =
               FillContextGroup(encoded, covers, terms.value(), test,
@@ -404,7 +405,7 @@ Result<SegregationCube> BuildSegregationCube(
         });
   }
 
-  // Deterministic merge: group order, then mined order within the group —
+  // Deterministic merge: group order, then A's order within the group —
   // the same cells, values and stats as the sequential fill, bit for bit.
   for (size_t g = 0; g < groups.size(); ++g) {
     if (!group_status[g].ok()) return group_status[g];

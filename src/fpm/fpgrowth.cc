@@ -178,6 +178,13 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
     return;
   }
 
+  // Per-header scratch, reused across this tree's header items.
+  std::vector<ItemId> base_items;
+  std::vector<std::pair<size_t, uint64_t>> base_paths;  // (end, count)
+  std::vector<uint64_t> cond_counts;
+  std::vector<std::pair<ItemId, uint64_t>> cond_items;
+  std::vector<ItemId> filtered;
+
   // Process header items from least frequent (deepest in tree) upward.
   for (size_t h = tree.NumHeaderItems(); h-- > 0;) {
     const auto& entry = tree.Header(h);
@@ -189,9 +196,9 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
       // item, flattened into `base_items` and cut at `base_paths` ends.
       // Prefix items all rank above h, so `cond_counts` is indexed by rank.
       // Items the grown suffix no longer admits are left out.
-      std::vector<ItemId> base_items;
-      std::vector<std::pair<size_t, uint64_t>> base_paths;  // (end, count)
-      std::vector<uint64_t> cond_counts(h, 0);
+      base_items.clear();
+      base_paths.clear();
+      cond_counts.assign(h, 0);
       for (int32_t n = entry.head; n != -1; n = tree.node(n).next_homonym) {
         const uint64_t count = tree.node(n).count;
         const size_t begin = base_items.size();
@@ -207,7 +214,7 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
       }
 
       // Conditionally frequent items, most frequent first.
-      std::vector<std::pair<ItemId, uint64_t>> cond_items;
+      cond_items.clear();
       for (size_t r = 0; r < h; ++r) {
         if (cond_counts[r] >= ctx->options->min_support) {
           cond_items.emplace_back(tree.Header(r).item, cond_counts[r]);
@@ -216,7 +223,6 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
       if (!cond_items.empty()) {
         SortByTotal(&cond_items);
         FpTree cond_tree(cond_items, ctx->num_items);
-        std::vector<ItemId> filtered;
         size_t begin = 0;
         for (const auto& [end, count] : base_paths) {
           filtered.clear();
