@@ -7,6 +7,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "indexes/counts.h"
@@ -72,21 +73,17 @@ struct SaCandidate {
 // and T when at least one candidate becomes a cell.
 struct ContextGroup {
   fpm::Itemset ca;
-  // Ordered by A, so a candidate's SA prefixes precede it: the fill
-  // narrows each cover from its prefix's.
-  std::vector<SaCandidate> sas;
+  std::vector<SaCandidate> sas;  // ordered by A (FillContextGroup relies on it)
 };
 
 // Decides which candidates become cells (CubeBuilderOptions::mode) from
-// each candidate's cover, relative to the frequent itemsets of length at
-// most `max_length`. A one-item extension X ∪ {i} decides it: any superset
-// within the bound yields one, with support between the two.
-//   kClosed:  X is closed iff |X| = max_length or no item i ∉ X has
-//             cover(X) ⊆ cover(i).
-//   kMaximal: X is maximal iff |X| = max_length or no item i ∉ X has
-//             |cover(X) ∩ cover(i)| >= min_support.
-// Every item is a witness, not only those the SA/CA caps admit: the
-// reference collection is bounded by length only.
+// their cover words, relative to the frequent itemsets of at most
+// `max_length` items. A one-item extension X ∪ {i} decides it, since any
+// superset within the bound yields one with support in between: X is
+// closed iff |X| = max_length or no item i ∉ X has cover(X) ⊆ cover(i),
+// and maximal iff |X| = max_length or no item i ∉ X has
+// |cover(X) ∩ cover(i)| >= min_support. Every frequent item is a witness,
+// not only those the SA/CA caps admit: the collection is bounded by length.
 class CellTest {
  public:
   CellTest(const fpm::TransactionDb& db, const DenseItemCovers& covers,
@@ -110,41 +107,31 @@ class CellTest {
             const std::vector<CoverWord>& cover) const {
     if (mode_ == fpm::MineMode::kAll) return true;
     if (sa.size() + ca.size() >= max_length_) return true;
+    const bool closed = mode_ == fpm::MineMode::kClosed;
     for (const auto& [item, item_support] : by_support_) {
-      // Only an item at least as frequent as X can cover it.
-      if (mode_ == fpm::MineMode::kClosed && item_support < support) break;
+      if (closed && item_support < support) break;  // too rare to cover X
       if (sa.Contains(item) || ca.Contains(item)) continue;
       const uint64_t* words = covers_.Item(item);
-      if (mode_ == fpm::MineMode::kClosed ? Covers(words, cover)
-                                          : MeetsMinSupport(words, cover)) {
-        return false;
+      if (closed) {
+        // cover(X) ⊆ cover(i)? Rejects i at the first word it misses.
+        if (std::none_of(cover.begin(), cover.end(), [&](CoverWord w) {
+              return (w.bits & ~words[w.index]) != 0;
+            })) {
+          return false;
+        }
+      } else {
+        // Counts the rows i shares with X, up to min_support.
+        uint64_t shared = 0;
+        for (const CoverWord& w : cover) {
+          shared += std::popcount(w.bits & words[w.index]);
+          if (shared >= min_support_) return false;
+        }
       }
     }
     return true;
   }
 
  private:
-  // cover ⊆ the item's rows; rejects at the first word it misses.
-  static bool Covers(const uint64_t* words,
-                     const std::vector<CoverWord>& cover) {
-    for (const CoverWord& word : cover) {
-      if ((word.bits & ~words[word.index]) != 0) return false;
-    }
-    return true;
-  }
-
-  // |cover ∩ the item's rows| >= min_support; stops counting there.
-  bool MeetsMinSupport(const uint64_t* words,
-                       const std::vector<CoverWord>& cover) const {
-    uint64_t count = 0;
-    for (const CoverWord& word : cover) {
-      count += static_cast<uint64_t>(
-          std::popcount(word.bits & words[word.index]));
-      if (count >= min_support_) return true;
-    }
-    return false;
-  }
-
   const DenseItemCovers& covers_;
   fpm::MineMode mode_;
   uint64_t min_support_;
@@ -162,10 +149,9 @@ struct WorkerScratch {
       : unit_counts(num_units, 0), minority_counts(num_units, 0) {}
 
   std::vector<CoverWord> ctx_cover;       // the context's nonzero words
-  // prefix_cover[d]: the nonzero words of cover(B ∪ {a_0..a_d}) for the
-  // SA items prefix_items[0..d] of the last candidate narrowed.
-  std::vector<std::vector<CoverWord>> prefix_cover;
-  std::vector<fpm::ItemId> prefix_items;
+  // cover_by_length[k - 1]: the nonzero words of the cover of the latest
+  // candidate with k SA items.
+  std::vector<std::vector<CoverWord>> cover_by_length;
   std::vector<uint32_t> units;            // the context's units, ascending
   std::vector<uint32_t> unit_totals;      // t_i, parallel to `units`
   std::vector<uint32_t> unit_counts;      // dense t_i scratch
@@ -173,24 +159,6 @@ struct WorkerScratch {
   indexes::GroupDistribution dist;
   indexes::IndexScratch index_scratch;
 };
-
-// Per-unit totals t_i of the context cover, in unit order.
-void ComputeUnitTotals(const std::vector<uint32_t>& row_unit,
-                       WorkerScratch& ws) {
-  ws.units.clear();
-  for (const CoverWord& word : ws.ctx_cover) {
-    ForEachRow(word, [&](size_t row) {
-      const uint32_t unit = row_unit[row];
-      if (ws.unit_counts[unit]++ == 0) ws.units.push_back(unit);
-    });
-  }
-  std::sort(ws.units.begin(), ws.units.end());
-  ws.unit_totals.clear();
-  for (uint32_t unit : ws.units) {
-    ws.unit_totals.push_back(ws.unit_counts[unit]);
-    ws.unit_counts[unit] = 0;
-  }
-}
 
 // Fills every candidate of one context group that `test` keeps into
 // `out_cells` (in grp.sas order). Returns the first index-computation
@@ -210,40 +178,46 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
     if (bits != 0) ws.ctx_cover.push_back({w, bits});
   }
 
-  ws.prefix_items.clear();
   bool have_totals = false;
   for (const SaCandidate& cand : grp.sas) {
-    // Candidate cover: cover(A ∪ B) = cover(B) ∩ the item covers of A,
-    // kept as its nonzero words. A's prefixes are candidates too and come
-    // first, so normally only A's last item narrows its prefix's cover.
-    const std::vector<fpm::ItemId>& a = cand.sa.items();
-    size_t depth = 0;  // leading items of A whose cover is at hand
-    while (depth + 1 < a.size() && depth < ws.prefix_items.size() &&
-           ws.prefix_items[depth] == a[depth]) {
-      ++depth;
-    }
-    ws.prefix_items.resize(depth);
-    if (ws.prefix_cover.size() < a.size()) ws.prefix_cover.resize(a.size());
-    for (; depth < a.size(); ++depth) {
-      const std::vector<CoverWord>& from =
-          depth == 0 ? ws.ctx_cover : ws.prefix_cover[depth - 1];
-      const uint64_t* item_words = covers.Item(a[depth]);
-      std::vector<CoverWord>& to = ws.prefix_cover[depth];
-      to.clear();
-      for (CoverWord word : from) {
+    // Candidate cover: cover(A ∪ B) = cover(B) ∩ the item covers of A, kept
+    // as its nonzero words. A less its last item is a candidate too, and in
+    // A order it is the latest candidate of its length before A, so A's
+    // last item narrows the cover kept for that length.
+    const size_t k = cand.sa.size();
+    if (k > 0) {
+      if (ws.cover_by_length.size() < k) ws.cover_by_length.resize(k);
+      const std::vector<CoverWord>& prefix =
+          k == 1 ? ws.ctx_cover : ws.cover_by_length[k - 2];
+      const uint64_t* item_words = covers.Item(cand.sa[k - 1]);
+      std::vector<CoverWord>& cover = ws.cover_by_length[k - 1];
+      cover.clear();
+      for (CoverWord word : prefix) {
         word.bits &= item_words[word.index];
-        if (word.bits != 0) to.push_back(word);
+        if (word.bits != 0) cover.push_back(word);
       }
-      ws.prefix_items.push_back(a[depth]);
     }
     const std::vector<CoverWord>& cell_cover =
-        a.empty() ? ws.ctx_cover : ws.prefix_cover[a.size() - 1];
+        k == 0 ? ws.ctx_cover : ws.cover_by_length[k - 1];
     if (!test.Keep(cand.sa, grp.ca, cand.support, cell_cover)) continue;
 
-    // Most candidate contexts hold no cell: their totals are never needed.
+    // Per-unit totals t_i, in unit order, at the context's first cell:
+    // most candidate contexts hold no cell.
     if (!have_totals) {
-      ComputeUnitTotals(row_unit, ws);
       have_totals = true;
+      ws.units.clear();
+      for (const CoverWord& word : ws.ctx_cover) {
+        ForEachRow(word, [&](size_t row) {
+          const uint32_t unit = row_unit[row];
+          if (ws.unit_counts[unit]++ == 0) ws.units.push_back(unit);
+        });
+      }
+      std::sort(ws.units.begin(), ws.units.end());
+      ws.unit_totals.clear();
+      for (uint32_t unit : ws.units) {
+        ws.unit_totals.push_back(ws.unit_counts[unit]);
+        ws.unit_counts[unit] = 0;
+      }
     }
     for (const CoverWord& word : cell_cover) {
       ForEachRow(word,
@@ -309,9 +283,7 @@ Result<SegregationCube> BuildSegregationCube(
   mine_opts.max_length = static_cast<uint32_t>(
       std::min<uint64_t>(uint64_t{options.max_sa_items} + options.max_ca_items,
                          std::numeric_limits<uint32_t>::max()));
-  if (encoded.db.NumItems() > encoded.catalog.size()) {
-    return Status::FailedPrecondition("transactions name uncatalogued items");
-  }
+  SCUBE_CHECK(encoded.db.NumItems() <= encoded.catalog.size());
   for (fpm::ItemId item = 0; item < encoded.db.NumItems(); ++item) {
     const bool sa = encoded.catalog.info(item).kind ==
                     relational::AttributeKind::kSegregation;

@@ -286,7 +286,6 @@ Result<std::vector<FrequentItemset>> MineFrequentItemsets(
   }
 
   MineTree(tree, &ctx);
-  SortItemsets(&out);
   return out;
 }
 

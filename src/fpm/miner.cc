@@ -1,19 +1,7 @@
 #include "fpm/miner.h"
 
-#include <algorithm>
-
 namespace scube {
 namespace fpm {
-
-void SortItemsets(std::vector<FrequentItemset>* sets) {
-  std::sort(sets->begin(), sets->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              if (a.items.size() != b.items.size()) {
-                return a.items.size() < b.items.size();
-              }
-              return a.items < b.items;
-            });
-}
 
 Status ValidateMinerOptions(const MinerOptions& options) {
   if (options.min_support < 1) {

@@ -65,13 +65,11 @@ struct FrequentItemset {
 };
 
 /// Mines every frequent itemset of `db` within `options`' length bound and
-/// class caps with FP-Growth. Deterministic; the result is in SortItemsets
-/// order. InvalidArgument for options that fail ValidateMinerOptions.
+/// class caps with FP-Growth, each once, in FP-Growth's (deterministic)
+/// enumeration order. InvalidArgument for options that fail
+/// ValidateMinerOptions.
 Result<std::vector<FrequentItemset>> MineFrequentItemsets(
     const TransactionDb& db, const MinerOptions& options);
-
-/// Sorts by length, then lexicographically by items (canonical order).
-void SortItemsets(std::vector<FrequentItemset>* sets);
 
 /// Validates options (min_support >= 1, max_length >= 1, item classes 0 or
 /// 1). The miner also checks that `item_class` covers the database.

@@ -295,6 +295,7 @@ TEST_P(EquivalenceSweep, FpGrowthMatchesOracle) {
         ASSERT_TRUE(expected.ok());
         auto actual = MineFrequentItemsets(db, opts);
         ASSERT_TRUE(actual.ok());
+        oracle::SortItemsets(&actual.value());
         ASSERT_EQ(actual.value(), expected.value())
             << "capped=" << capped << " caps=" << caps[0] << "," << caps[1]
             << " include_empty=" << include_empty;

@@ -76,6 +76,17 @@ std::vector<fpm::FrequentItemset> KeepUndropped(
 
 }  // namespace internal
 
+/// Sorts by length, then lexicographically by items (canonical order).
+inline void SortItemsets(std::vector<fpm::FrequentItemset>* sets) {
+  std::sort(sets->begin(), sets->end(),
+            [](const fpm::FrequentItemset& a, const fpm::FrequentItemset& b) {
+              if (a.items.size() != b.items.size()) {
+                return a.items.size() < b.items.size();
+              }
+              return a.items < b.items;
+            });
+}
+
 /// Every frequent itemset of at most `max_length` items, plus the empty
 /// one (support = |DB|) when `include_empty`.
 inline std::vector<fpm::FrequentItemset> MineFrequent(
@@ -138,7 +149,7 @@ inline Result<std::vector<fpm::FrequentItemset>> Mine(
   if (mode == fpm::MineMode::kClosed) sets = FilterClosed(sets);
   if (mode == fpm::MineMode::kMaximal) sets = FilterMaximal(sets);
   sets = ApplyCaps(std::move(sets), options);
-  fpm::SortItemsets(&sets);
+  SortItemsets(&sets);
   return sets;
 }
 
