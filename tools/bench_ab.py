@@ -90,20 +90,14 @@ class Side:
 
     def build(self):
         """Builds perfbench with the tree's own run.py build step."""
+        sys.dont_write_bytecode = True  # leave no __pycache__ in the tree
         path = os.path.join(self.root, "perfbench", "run.py")
         spec = importlib.util.spec_from_file_location("perfbench_run", path)
         run = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run)
-        saved = os.environ.get("CARGO_TARGET_DIR")
-        os.environ["CARGO_TARGET_DIR"] = ".bench_build"
-        try:
-            run.build(os.path.join(self.root, "perfbench"),
-                      os.path.join(self.root, ".bench_build", "perfbench"))
-        finally:
-            if saved is None:
-                del os.environ["CARGO_TARGET_DIR"]
-            else:
-                os.environ["CARGO_TARGET_DIR"] = saved
+        # The build dir run() uses under self.env's CARGO_TARGET_DIR.
+        run.build(os.path.join(self.root, "perfbench"),
+                  os.path.join(self.root, ".bench_build", "perfbench"))
 
     def run(self, workload, seed, seconds, trace):
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
