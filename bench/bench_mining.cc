@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "common/random.h"
@@ -113,9 +114,11 @@ relational::Table MakeFinalTable(size_t rows, uint64_t seed = 7) {
       hq_regions += sep + std::string("r") + std::to_string(hq_region);
       hq_provinces += sep + std::string("p") + std::to_string(hq_province);
     }
+    const std::string birthplace =
+        rng.NextBool(0.85) ? "domestic"
+                           : "b" + std::to_string(rng.NextZipf(8, 1.1));
     auto status = table.AppendRowFromStrings(
-        {female ? "F" : "M", kAges[rng.NextBounded(4)],
-         rng.NextBool(0.85) ? "domestic" : "b" + std::to_string(rng.NextZipf(8, 1.1)),
+        {female ? "F" : "M", kAges[rng.NextBounded(4)], birthplace,
          "r" + std::to_string(region), "p" + std::to_string(province),
          sectors + "}", hq_regions + "}", hq_provinces + "}",
          "c" + std::to_string(rng.NextBounded(400))});
