@@ -114,11 +114,12 @@ relational::Table MakeFinalTable(size_t rows, uint64_t seed = 7) {
       hq_regions += sep + std::string("r") + std::to_string(hq_region);
       hq_provinces += sep + std::string("p") + std::to_string(hq_province);
     }
+    const char* age = kAges[rng.NextBounded(4)];
     const std::string birthplace =
         rng.NextBool(0.85) ? "domestic"
                            : "b" + std::to_string(rng.NextZipf(8, 1.1));
     auto status = table.AppendRowFromStrings(
-        {female ? "F" : "M", kAges[rng.NextBounded(4)], birthplace,
+        {female ? "F" : "M", age, birthplace,
          "r" + std::to_string(region), "p" + std::to_string(province),
          sectors + "}", hq_regions + "}", hq_provinces + "}",
          "c" + std::to_string(rng.NextBounded(400))});
