@@ -36,7 +36,6 @@
 //   --shard-index I   with --demo: publish only shard I of the partitioned
 //   --shard-count N   demo cubes (context-hash partitioning, ghost cells
 //                     included); requires 0 <= I < N
-//   --partition P     partitioning strategy: hash (default) or range
 //   --shards SPEC     router mode: no local cubes; scatter every query to
 //                     the listed shard backends. SPEC is host:port pairs,
 //                     comma-separated between shards, '|'-separated
@@ -105,7 +104,6 @@ void WaitForSignal() {
 struct ShardConfig {
   size_t index = 0;
   size_t count = 1;  ///< 1 = unsharded (publish the whole cube)
-  cluster::PartitionStrategy strategy = cluster::PartitionStrategy::kHash;
 };
 
 /// Publishes `cube` — whole, or just this process's partition of it.
@@ -121,7 +119,6 @@ void PublishMaybeSharded(query::QueryService* service, const char* name,
   cube::CubeView view = std::move(cube).Seal(build_threads);
   cluster::PartitionOptions options;
   options.num_shards = shard.count;
-  options.strategy = shard.strategy;
   cluster::PartitionStats stats;
   std::vector<cube::SegregationCube> shards =
       cluster::PartitionCube(view, options, &stats);
@@ -238,17 +235,6 @@ int main(int argc, char** argv) {
       shard.index = static_cast<size_t>(std::atol(next("--shard-index")));
     } else if (std::strcmp(argv[i], "--shard-count") == 0) {
       shard.count = static_cast<size_t>(std::atol(next("--shard-count")));
-    } else if (std::strcmp(argv[i], "--partition") == 0) {
-      const char* strategy = next("--partition");
-      if (std::strcmp(strategy, "hash") == 0) {
-        shard.strategy = cluster::PartitionStrategy::kHash;
-      } else if (std::strcmp(strategy, "range") == 0) {
-        shard.strategy = cluster::PartitionStrategy::kRange;
-      } else {
-        std::fprintf(stderr, "--partition must be hash or range, got %s\n",
-                     strategy);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       shards_spec = next("--shards");
     } else {
@@ -322,11 +308,7 @@ int main(int argc, char** argv) {
               server.port(), service.options().max_pending,
               service.options().default_deadline_ms);
   if (shard.count > 1) {
-    std::printf("  serving shard %zu of %zu (%s partitioning)\n", shard.index,
-                shard.count,
-                shard.strategy == cluster::PartitionStrategy::kHash
-                    ? "hash"
-                    : "range");
+    std::printf("  serving shard %zu of %zu\n", shard.index, shard.count);
   }
   std::printf("  curl localhost:%u/healthz\n", server.port());
   std::printf("  curl -X POST localhost:%u/query --data 'TOPK 5 BY "

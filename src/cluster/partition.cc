@@ -19,30 +19,16 @@ uint64_t ContextFingerprint(const fpm::Itemset& ca) {
   return h;
 }
 
-size_t ShardOfContext(const fpm::Itemset& ca, const PartitionOptions& options,
-                      size_t universe) {
+size_t ShardOfContext(const fpm::Itemset& ca,
+                      const PartitionOptions& options) {
   const size_t n = std::max<size_t>(1, options.num_shards);
-  if (n == 1) return 0;
-  switch (options.strategy) {
-    case PartitionStrategy::kHash:
-      return static_cast<size_t>(ContextFingerprint(ca) % n);
-    case PartitionStrategy::kRange: {
-      // Contiguous buckets of the first (smallest) CA item id. The empty
-      // context — the cube apex and every pure-SA cell — goes to shard 0.
-      if (ca.empty()) return 0;
-      const size_t u = std::max<size_t>(1, universe);
-      size_t first = std::min<size_t>(static_cast<size_t>(ca[0]), u - 1);
-      return first * n / u;
-    }
-  }
-  return 0;
+  return static_cast<size_t>(ContextFingerprint(ca) % n);
 }
 
 std::vector<cube::SegregationCube> PartitionCube(
     const cube::CubeView& view, const PartitionOptions& options,
     PartitionStats* stats) {
   const size_t n = std::max<size_t>(1, options.num_shards);
-  const size_t universe = view.catalog().size();
 
   std::vector<cube::SegregationCube> shards;
   shards.reserve(n);
@@ -59,7 +45,7 @@ std::vector<cube::SegregationCube> PartitionCube(
   std::vector<uint32_t> owner(cells.size());
   for (size_t id = 0; id < cells.size(); ++id) {
     owner[id] = static_cast<uint32_t>(
-        ShardOfContext(cells[id].coords.ca, options, universe));
+        ShardOfContext(cells[id].coords.ca, options));
   }
 
   // Pass 1: every cell goes to its owner, ghost flag cleared.

@@ -33,26 +33,18 @@
 namespace scube {
 namespace cluster {
 
-/// \brief How context coordinates map to shards.
-enum class PartitionStrategy {
-  kHash,   ///< FNV-1a of the CA item ids, mod num_shards (the default)
-  kRange,  ///< contiguous ranges of the first CA item id (empty CA -> 0)
-};
-
 /// \brief Partitioning knobs.
 struct PartitionOptions {
   size_t num_shards = 1;
-  PartitionStrategy strategy = PartitionStrategy::kHash;
 };
 
 /// Stable FNV-1a over the CA item ids (4 bytes little-endian per item).
 /// Deterministic across processes and builds — the whole point.
 uint64_t ContextFingerprint(const fpm::Itemset& ca);
 
-/// The shard owning context coordinate `ca`. `universe` is the item-id
-/// universe size (catalog size), used only by kRange to size its buckets.
-size_t ShardOfContext(const fpm::Itemset& ca, const PartitionOptions& options,
-                      size_t universe);
+/// The shard owning context coordinate `ca`: its ContextFingerprint mod
+/// options.num_shards.
+size_t ShardOfContext(const fpm::Itemset& ca, const PartitionOptions& options);
 
 /// \brief Per-shard accounting from one PartitionCube call.
 struct PartitionStats {

@@ -1,6 +1,7 @@
 #include "cluster/scatter.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -12,19 +13,12 @@
 #include "common/timer.h"
 #include "query/ast.h"
 #include "query/executor.h"
-#include "query/parser.h"
 #include "query/wire_format.h"
 
 namespace scube {
 namespace cluster {
 
 namespace {
-
-// Composite cursor layout (before base64url): the consumed counts join
-// with ';' so '|' stays free as the field separator, and the cube name
-// goes last because it alone may contain '|'.
-constexpr char kScatterCursorMagic[] = "scx1";
-constexpr char kScatterCursorSep = '|';
 
 /// Span names must be string literals (TraceContext stores the pointer);
 /// shards beyond the table share one generic label.
@@ -111,8 +105,19 @@ Status ReadBody(ShardClient::Call* call, net::HttpResponseHead* head,
   return read;
 }
 
-/// "error" field of a shard's buffered JSON error body; falls back to the
-/// raw (trimmed) body for anything unexpected.
+/// Decimal digits at (*pos) as a uint64, advancing past them; false when
+/// there are none or they do not fit in 64 bits.
+bool ParseJsonUint(const std::string& body, size_t* pos, uint64_t* out) {
+  const char* begin = body.data() + *pos;
+  auto [end, error] =
+      std::from_chars(begin, body.data() + body.size(), *out);
+  if (error != std::errc()) return false;
+  *pos += static_cast<size_t>(end - begin);
+  return true;
+}
+
+}  // namespace
+
 std::string ParseErrorBody(const std::string& body) {
   size_t pos = body.find("\"error\":");
   if (pos != std::string::npos) {
@@ -124,26 +129,8 @@ std::string ParseErrorBody(const std::string& body) {
   return fallback.empty() ? "(empty error body)" : fallback;
 }
 
-/// Decimal digits at (*pos) as a uint64, advancing past them.
-bool ParseJsonUint(const std::string& body, size_t* pos, uint64_t* out) {
-  size_t i = *pos;
-  uint64_t v = 0;
-  bool any = false;
-  while (i < body.size() && body[i] >= '0' && body[i] <= '9') {
-    v = v * 10 + static_cast<uint64_t>(body[i] - '0');
-    any = true;
-    ++i;
-  }
-  if (!any) return false;
-  *pos = i;
-  *out = v;
-  return true;
-}
-
-/// Parses GET /cubes output. Fixed-shape: this JSON is produced by this
-/// repo's own HandleCubes, so a key scan (not a general JSON parser) is
-/// exact — every object carries name/version/retained/cells/defined_cells
-/// in that order.
+// Fixed-shape: this JSON is produced by this repo's own HandleCubes, so a
+// key scan (not a general JSON parser) is exact.
 Result<std::vector<query::CubeInfo>> ParseCubesJson(const std::string& body) {
   std::vector<query::CubeInfo> cubes;
   constexpr char kNameKey[] = "\"name\":";
@@ -163,7 +150,7 @@ Result<std::vector<query::CubeInfo>> ParseCubesJson(const std::string& body) {
       return true;
     };
     if (!number_after("\"version\":", &info.version)) {
-      return Status::ParseError("malformed /cubes body: missing version");
+      return Status::ParseError("malformed /cubes body: bad version");
     }
     size_t ret = body.find("\"retained\":[", pos);
     if (ret == std::string::npos) {
@@ -183,84 +170,12 @@ Result<std::vector<query::CubeInfo>> ParseCubesJson(const std::string& body) {
     }
     if (!number_after("\"cells\":", &info.cells) ||
         !number_after("\"defined_cells\":", &info.defined_cells)) {
-      return Status::ParseError("malformed /cubes body: missing cell counts");
+      return Status::ParseError("malformed /cubes body: bad cell counts");
     }
     cubes.push_back(std::move(info));
     pos = body.find(kNameKey, pos);
   }
   return cubes;
-}
-
-}  // namespace
-
-std::string EncodeScatterCursor(const ScatterCursor& cursor) {
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(cursor.query_hash));
-  std::string consumed;
-  for (uint64_t c : cursor.consumed) {
-    if (!consumed.empty()) consumed += ';';
-    consumed += std::to_string(c);
-  }
-  std::string plain = std::string(kScatterCursorMagic) + kScatterCursorSep +
-                      std::to_string(cursor.version) + kScatterCursorSep +
-                      hash_hex + kScatterCursorSep + consumed +
-                      kScatterCursorSep + cursor.cube;
-  std::string token = Base64Encode(plain);
-  for (char& c : token) {
-    if (c == '+') c = '-';
-    if (c == '/') c = '_';
-  }
-  return token;
-}
-
-Result<ScatterCursor> DecodeScatterCursor(std::string_view token) {
-  std::string standard(token);
-  for (char& c : standard) {
-    if (c == '-') c = '+';
-    if (c == '_') c = '/';
-  }
-  auto plain = Base64Decode(standard);
-  if (!plain.ok()) {
-    return Status::InvalidArgument("malformed cursor: not base64");
-  }
-  std::vector<std::string> parts = Split(*plain, kScatterCursorSep);
-  if (parts.size() < 5 || parts[0] != kScatterCursorMagic) {
-    return Status::InvalidArgument("malformed cursor: not a scatter cursor");
-  }
-  ScatterCursor cursor;
-  cursor.cube = parts[4];
-  for (size_t i = 5; i < parts.size(); ++i) {
-    cursor.cube += kScatterCursorSep;
-    cursor.cube += parts[i];
-  }
-  if (cursor.cube.empty()) {
-    return Status::InvalidArgument("malformed cursor: empty cube name");
-  }
-  auto version = ParseInt64(parts[1]);
-  if (!version.ok() || *version <= 0) {
-    return Status::InvalidArgument("malformed cursor: bad version");
-  }
-  cursor.version = static_cast<uint64_t>(*version);
-  if (parts[2].size() != 16) {
-    return Status::InvalidArgument("malformed cursor: bad query hash");
-  }
-  auto hash = ParseHexU64(parts[2]);
-  if (!hash.ok()) {
-    return Status::InvalidArgument("malformed cursor: bad query hash");
-  }
-  cursor.query_hash = *hash;
-  for (const std::string& c : Split(parts[3], ';')) {
-    auto v = ParseInt64(c);
-    if (!v.ok() || *v < 0) {
-      return Status::InvalidArgument("malformed cursor: bad consumed count");
-    }
-    cursor.consumed.push_back(static_cast<uint64_t>(*v));
-  }
-  if (cursor.consumed.empty()) {
-    return Status::InvalidArgument("malformed cursor: no consumed counts");
-  }
-  return cursor;
 }
 
 // ---------------------------------------------------------------------------
@@ -500,21 +415,13 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
   if (clients_.empty()) {
     return finish(Status::Internal("scatter executor has no shards"));
   }
-
-  query::QueryContext context = ctx;
-  if (!context.deadline && options_.default_deadline_ms > 0) {
-    context.deadline =
-        query::QueryContext::WithTimeout(options_.default_deadline_ms).deadline;
-  }
-
-  auto parsed = query::Parse(text);
-  if (!parsed.ok()) return finish(parsed.status());
-  query::Query q = std::move(parsed).value();
-  outcome.canonical = query::Canonical(q);
-  outcome.cube = q.cube.empty() ? options_.default_cube : q.cube;
-  outcome.verb = query::VerbToString(q.verb);
-  const uint64_t query_hash = query::CursorQueryHash(q);
   const size_t n = clients_.size();
+  const query::QueryContext context =
+      ctx.WithDefaultDeadline(options_.default_deadline_ms);
+
+  auto statement = query::PrepareStatement(text, cursor, n, &outcome);
+  if (!statement.ok()) return finish(statement.status());
+  const query::Query& q = statement->query;
 
   // Degrading to a shard subset only ever applies to analytic verbs: an
   // incomplete TOPK/SURPRISES/REVERSALS answer is still a meaningful
@@ -576,60 +483,31 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
 
   // --- the pin: a cursor or FROM name@version names the version the
   // shards must answer at; a fresh statement goes out unpinned, and the
-  // shards' stream heads must agree on one version.
+  // shards' stream heads must agree on one version. `consumed` counts the
+  // rows of each shard's stream the client has taken, and `skip` is the
+  // pager's offset: a fresh statement's OFFSET (a resumed one consumed it
+  // on its first page).
   std::optional<uint64_t> pin = q.cube_version;
   std::vector<uint64_t> consumed(n, 0);
-  uint64_t router_skip = 0;
-
-  if (!cursor.empty()) {
-    auto decoded = DecodeScatterCursor(cursor);
-    if (!decoded.ok()) return finish(decoded.status());
-    if (decoded->cube != outcome.cube) {
-      return finish(Status::InvalidArgument(
-          "cursor belongs to cube '" + decoded->cube +
-          "', but the query addresses '" + outcome.cube + "'"));
-    }
-    if (decoded->query_hash != query_hash) {
-      return finish(Status::InvalidArgument(
-          "cursor was issued for a different query; resend the original "
-          "statement (the page size may change, the rest may not)"));
-    }
-    if (decoded->consumed.size() != n) {
-      return finish(Status::InvalidArgument(
-          "cursor was issued for a " +
-          std::to_string(decoded->consumed.size()) +
-          "-shard topology, but this router has " + std::to_string(n) +
-          " shards; restart the scan"));
-    }
-    if (q.cube_version && *q.cube_version != decoded->version) {
-      return finish(Status::InvalidArgument(
-          "cursor pins version " + std::to_string(decoded->version) +
-          ", but the query pins @" + std::to_string(*q.cube_version)));
-    }
-    pin = decoded->version;
-    consumed = std::move(decoded->consumed);
-    // The original OFFSET was consumed while producing the first page (it
-    // is part of the consumed counts); resumption never re-skips.
-    router_skip = 0;
+  uint64_t skip = 0;
+  if (statement->cursor) {
+    pin = statement->cursor->version;
+    consumed = std::move(statement->cursor->positions);
   } else {
     if (context.Expired()) {
       return finish(
           Status::DeadlineExceeded("deadline expired before fan-out"));
     }
-    router_skip = q.offset.value_or(0);
+    skip = q.offset.value_or(0);
   }
-
   // ranked_reorder pagination is positional in the *sorted* stream: the
-  // global selection must be recomputed every page, so per-shard resume
-  // offsets are meaningless. The cursor's consumed[] instead carries the
-  // post-sort resume position (its sum; encoded in slot 0) — unambiguous
-  // because the query hash pins the statement shape.
-  uint64_t sort_start = 0;
+  // global selection is recomputed every page, so per-shard resume
+  // positions are meaningless, and the cursor keeps the sorted position in
+  // slot 0 instead — unambiguous because the query hash pins the
+  // statement shape.
   if (ranked_reorder) {
-    for (uint64_t c : consumed) sort_start += c;
+    skip += consumed[0];
     consumed.assign(n, 0);
-    sort_start += router_skip;  // a fresh request's OFFSET
-    router_skip = 0;
   }
 
   // --- per-shard statements. Each shard is asked for the page-relevant
@@ -669,7 +547,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
         shard_q.offset.reset();
       }
       if (q.limit && !ranked_reorder) {
-        shard_q.limit = router_skip + *q.limit + 1;
+        shard_q.limit = skip + *q.limit + 1;
       } else {
         shard_q.limit.reset();
       }
@@ -794,17 +672,19 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     return finish(Status::OK());
   }
 
+
   // --- the merge: pop the globally-smallest key until the page fills,
-  // the global TOPK budget is spent, or every stream runs dry.
+  // the global TOPK budget is spent, or every stream runs dry. A row the
+  // pager takes, skipped or delivered, counts in its shard's position and
+  // toward the TOPK cap; the row offered past the page stays with its
+  // shard, so the next page starts there.
   KWayMerger merger;
   for (const ShardStream& s : streams) {
     if (!s.dropped && s.have_row) merger.Push(s.index, s.row.skey);
   }
 
+  query::Pager pager(skip, q.limit, sink);
   uint64_t pops = 0;
-  uint64_t emitted = 0;
-  bool more = false;
-  bool aborted = false;
   bool cap_break = false;
   Status merge_error;
   std::vector<query::ResultRow> ranked_rows;  // ranked_reorder selection
@@ -825,29 +705,16 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
       }
       size_t si = merger.Pop();
       ShardStream& s = streams[si];
-      if (!ranked_reorder && q.limit && router_skip == 0 &&
-          emitted >= *q.limit) {
-        // Offered a row beyond the page: the stream is provably not
-        // exhausted. The row stays unconsumed (not counted in consumed[]),
-        // exactly like the single-node Pager.
-        more = true;
-        break;
+      auto take = [&s]() -> query::ResultRow&& { return std::move(s.row); };
+      if (ranked_reorder) {
+        // Selection only: the page is cut after the re-sort below.
+        ranked_rows.push_back(take());
+      } else if (!pager.Offer(take)) {
+        break;  // past the page, or the client is gone
       }
-      query::ResultRow row = std::move(s.row);
       s.have_row = false;
       ++consumed[si];
       ++pops;
-      if (ranked_reorder) {
-        // Selection only: the page is cut after the re-sort below.
-        ranked_rows.push_back(std::move(row));
-      } else if (router_skip > 0) {
-        --router_skip;
-      } else if (!sink.Row(std::move(row))) {
-        aborted = true;
-        break;
-      } else {
-        ++emitted;
-      }
       Status advanced = s.Advance(/*stop_at_row=*/true);
       if (!advanced.ok()) {
         Status err = shard_error(si, advanced);
@@ -861,30 +728,21 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     }
   }
 
-  if (ranked_reorder && merge_error.ok() && !aborted) {
+  if (ranked_reorder && merge_error.ok()) {
     // The merged pops are the global top-k in ranked order — exactly the
     // single node's pre-sort sequence. SortRows is stable, so ties keep
     // that order, and the sorted stream is byte-identical.
     query::SortRows(*q.order, &ranked_rows);
-    size_t at = sort_start < ranked_rows.size()
-                    ? static_cast<size_t>(sort_start)
-                    : ranked_rows.size();
-    while (at < ranked_rows.size()) {
-      if (q.limit && emitted >= *q.limit) {
-        more = true;
-        break;
-      }
+    for (query::ResultRow& row : ranked_rows) {
       if (ticker.Tick()) {
         merge_error =
             Status::DeadlineExceeded("deadline expired during scatter merge");
         break;
       }
-      if (!sink.Row(std::move(ranked_rows[at]))) {
-        aborted = true;
+      if (!pager.Offer(
+              [&row]() -> query::ResultRow&& { return std::move(row); })) {
         break;
       }
-      ++emitted;
-      ++at;
     }
   }
 
@@ -896,13 +754,13 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     query::ResultTrailer trailer;
     trailer.cells_scanned = sum_scanned();
     sink.Finish(trailer);
-    outcome.rows = emitted;
+    outcome.rows = pager.emitted();
     outcome.cells_scanned = trailer.cells_scanned;
     outcome.exec_ms = timer.Millis();
     return finish(std::move(merge_error));
   }
 
-  if (aborted) {
+  if (pager.aborted()) {
     // Client gone: leftover shard bodies may be unbounded, tear down.
     abandon_all();
   } else {
@@ -917,7 +775,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
   }
 
   bool exhausted;
-  if (aborted || more) {
+  if (pager.aborted() || pager.more()) {
     exhausted = false;
   } else if (cap_break) {
     exhausted = true;
@@ -935,15 +793,14 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
   trailer.cells_scanned = sum_scanned();
   // A partial answer gets no cursor: resuming it could reach the failed
   // shard again and stitch rows the first page never saw.
-  if (!aborted && !exhausted && !used_partial) {
-    std::vector<uint64_t> resume = consumed;
+  if (!pager.aborted() && !exhausted && !used_partial) {
     if (ranked_reorder) {
-      // Positional resume in the sorted stream (see sort_start above).
-      resume.assign(n, 0);
-      resume[0] = sort_start + emitted;
+      // Positional resume in the sorted stream (see `skip` above).
+      consumed.assign(n, 0);
+      consumed[0] = skip + pager.emitted();
     }
-    trailer.next_cursor = EncodeScatterCursor(
-        ScatterCursor{outcome.cube, version, query_hash, std::move(resume)});
+    trailer.next_cursor = query::EncodeCursor(query::Cursor{
+        outcome.cube, version, statement->query_hash, std::move(consumed)});
   }
   outcome.next_cursor = trailer.next_cursor;
   sink.Finish(trailer);
@@ -954,7 +811,7 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     if (!s.have_status || !s.cache_hit) cache_hit = false;
   }
   outcome.cache_hit = cache_hit;
-  outcome.rows = emitted;
+  outcome.rows = pager.emitted();
   outcome.cells_scanned = trailer.cells_scanned;
   outcome.exec_ms = timer.Millis();
   if (used_partial) partial_.fetch_add(1, std::memory_order_relaxed);

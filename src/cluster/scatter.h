@@ -17,13 +17,15 @@
 //      stream — and pushes rows into the caller's RowSink, where the very
 //      same JsonWriter/CsvWriter as a single node renders them.
 //
-// Pagination: LIMIT/OFFSET is executed at the router. Shards are asked
-// for OFFSET <consumed_i> LIMIT <page + 1> of their own streams (LIMIT
-// pushdown still applies shard-side), and the resume token is a
-// *composite* cursor recording how many rows of each shard's stream the
-// client has consumed. Stitched pages equal the unpaginated answer for
-// the same reason single-node pages do: every shard stream is
-// deterministic.
+// Pagination: LIMIT/OFFSET is executed at the router, by the same
+// query::Pager a node pages its walks with. Shards are asked for
+// OFFSET <consumed_i> LIMIT <page + 1> of their own streams (LIMIT
+// pushdown still applies shard-side), and the resume token is the node's
+// query::Cursor with one position per shard: how many rows of each shard's
+// stream the client has consumed. Stitched pages equal the unpaginated
+// answer for the same reason single-node pages do: every shard stream is
+// deterministic. Statements open through query::PrepareStatement, which
+// parses them and checks a resume cursor exactly as a node does.
 //
 // Versions: one round trip per shard. Every shard names the sealed
 // version it answers in its stream head (the wire H line), and the router
@@ -72,11 +74,7 @@ namespace cluster {
 
 /// \brief Router tuning knobs.
 struct ScatterOptions {
-  /// Cube name used when a statement has no FROM clause (must match the
-  /// shards' default for unqualified queries to resolve).
-  std::string default_cube = "default";
-
-  /// Connect/read timeouts for every shard connection.
+  /// Read timeout for every shard connection.
   net::ClientOptions client;
 
   /// Deadline applied to requests that carry none (milliseconds, 0 =
@@ -84,22 +82,15 @@ struct ScatterOptions {
   double default_deadline_ms = 0;
 };
 
-/// \brief The composite resume token of a scattered stream: the pinned
-/// cube/version, the statement fingerprint, and how many rows of each
-/// shard's stream the client has consumed (skipped offsets included).
-struct ScatterCursor {
-  std::string cube;
-  uint64_t version = 0;
-  uint64_t query_hash = 0;          ///< query::CursorQueryHash
-  std::vector<uint64_t> consumed;   ///< one entry per shard, shard order
-};
+/// The cubes of a shard's GET /cubes body, whose shape the front-end's
+/// HandleCubes fixes (every object carries name, version, retained, cells
+/// and defined_cells in that order). ParseError when the body is malformed
+/// or a number does not fit a uint64.
+Result<std::vector<query::CubeInfo>> ParseCubesJson(const std::string& body);
 
-/// Renders a composite cursor as an opaque URL-safe token.
-std::string EncodeScatterCursor(const ScatterCursor& cursor);
-
-/// Parses a token; InvalidArgument when malformed or not a scatter
-/// cursor (single-node tokens are a different format).
-Result<ScatterCursor> DecodeScatterCursor(std::string_view token);
+/// The "error" field of a shard's buffered JSON error body; the trimmed
+/// body itself when it has none, and a placeholder when it is empty.
+std::string ParseErrorBody(const std::string& body);
 
 /// \brief Scatter-gather query backend over a shard topology. Thread-safe:
 /// concurrent ExecuteStreaming calls share only the shard clients and

@@ -15,8 +15,9 @@ int CsvDocument::ColumnIndex(const std::string& name) const {
 namespace {
 
 // State machine over the raw characters; handles CRLF and quoted fields.
-Status ParseRecords(const std::string& content, char sep,
+Status ParseRecords(const std::string& content,
                     std::vector<std::vector<std::string>>* records) {
+  constexpr char sep = ',';
   std::vector<std::string> current;
   std::string field;
   bool in_quotes = false;
@@ -85,28 +86,18 @@ Status ParseRecords(const std::string& content, char sep,
 
 Result<CsvDocument> CsvReader::ParseString(const std::string& content) const {
   std::vector<std::vector<std::string>> records;
-  SCUBE_RETURN_IF_ERROR(ParseRecords(content, options_.separator, &records));
-  CsvDocument doc;
-  size_t start = 0;
-  if (options_.has_header) {
-    if (records.empty()) {
-      return Status::ParseError("CSV document is empty but a header expected");
-    }
-    doc.header = records[0];
-    start = 1;
+  SCUBE_RETURN_IF_ERROR(ParseRecords(content, &records));
+  if (records.empty()) {
+    return Status::ParseError("CSV document is empty but a header expected");
   }
-  size_t width = options_.has_header
-                     ? doc.header.size()
-                     : (records.empty() ? 0 : records[0].size());
-  for (size_t r = start; r < records.size(); ++r) {
+  CsvDocument doc;
+  doc.header = std::move(records[0]);
+  for (size_t r = 1; r < records.size(); ++r) {
     auto& row = records[r];
-    if (row.size() != width) {
-      if (options_.strict_field_count) {
-        return Status::ParseError(
-            "row " + std::to_string(r) + " has " + std::to_string(row.size()) +
-            " fields, expected " + std::to_string(width));
-      }
-      row.resize(width);
+    if (row.size() != doc.header.size()) {
+      return Status::ParseError(
+          "row " + std::to_string(r) + " has " + std::to_string(row.size()) +
+          " fields, expected " + std::to_string(doc.header.size()));
     }
     doc.rows.push_back(std::move(row));
   }

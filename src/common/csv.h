@@ -28,29 +28,15 @@ struct CsvDocument {
   int ColumnIndex(const std::string& name) const;
 };
 
-/// \brief CSV parser with configurable separator.
+/// \brief Comma-separated parser: the first record is the header, and a
+/// row whose field count differs from the header's is a ParseError.
 class CsvReader {
  public:
-  struct Options {
-    char separator = ',';
-    /// When true, the first record is treated as the header.
-    bool has_header = true;
-    /// When true, rows whose field count differs from the header are errors;
-    /// otherwise they are padded / truncated.
-    bool strict_field_count = true;
-  };
-
-  CsvReader() : options_(Options{}) {}
-  explicit CsvReader(Options options) : options_(options) {}
-
   /// Parses a whole document held in memory.
   Result<CsvDocument> ParseString(const std::string& content) const;
 
   /// Reads and parses a file.
   Result<CsvDocument> ParseFile(const std::string& path) const;
-
- private:
-  Options options_;
 };
 
 /// \brief Streaming CSV writer with correct quoting.

@@ -39,21 +39,19 @@ Result<Table> BuildFinalTable(const ScubeInputs& inputs,
     ind_cols.push_back(a);
   }
   std::vector<size_t> grp_cols;
-  if (options.include_group_attributes) {
-    for (size_t a = 0; a < grp_schema.NumAttributes(); ++a) {
-      const AttributeSpec& spec = grp_schema.attribute(a);
-      if (spec.kind != AttributeKind::kContext) continue;
-      if (spec.type != ColumnType::kCategorical &&
-          spec.type != ColumnType::kCategoricalSet) {
-        return Status::FailedPrecondition(
-            "group attribute '" + spec.name +
-            "' is numeric; bin it before joining");
-      }
-      AttributeSpec set_spec = spec;
-      set_spec.type = ColumnType::kCategoricalSet;
-      SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(set_spec));
-      grp_cols.push_back(a);
+  for (size_t a = 0; a < grp_schema.NumAttributes(); ++a) {
+    const AttributeSpec& spec = grp_schema.attribute(a);
+    if (spec.kind != AttributeKind::kContext) continue;
+    if (spec.type != ColumnType::kCategorical &&
+        spec.type != ColumnType::kCategoricalSet) {
+      return Status::FailedPrecondition(
+          "group attribute '" + spec.name +
+          "' is numeric; bin it before joining");
     }
+    AttributeSpec set_spec = spec;
+    set_spec.type = ColumnType::kCategoricalSet;
+    SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(set_spec));
+    grp_cols.push_back(a);
   }
   SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(
       {"unitID", ColumnType::kCategorical, AttributeKind::kUnit}));

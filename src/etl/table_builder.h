@@ -23,11 +23,6 @@ namespace etl {
 struct TableBuilderOptions {
   /// Snapshot date: only memberships active at this date join.
   graph::Date date = 0;
-
-  /// When true, group CA values are unioned over the individual's groups
-  /// *within the unit* (set-valued columns). When false, group attributes
-  /// are dropped and only individual attributes survive.
-  bool include_group_attributes = true;
 };
 
 /// Builds the finalTable.

@@ -11,6 +11,10 @@ namespace graph {
 
 namespace {
 
+/// Aggregation levels per run, and local-move sweeps per level.
+constexpr uint32_t kMaxLevels = 10;
+constexpr uint32_t kMaxSweeps = 20;
+
 // Internal multigraph with self-loops (the public Graph rejects them, but
 // Louvain aggregation folds intra-community weight into loops, which must
 // count toward node degrees for the modularity arithmetic to be right).
@@ -46,8 +50,7 @@ struct LevelResult {
   bool moved = false;
 };
 
-LevelResult LocalMoving(const LGraph& g, const LouvainOptions& options,
-                        Rng* rng) {
+LevelResult LocalMoving(const LGraph& g, Rng* rng) {
   const uint32_t n = g.NumNodes();
   const double w2 = 2.0 * g.total_weight;
   LevelResult result;
@@ -63,7 +66,7 @@ LevelResult LocalMoving(const LGraph& g, const LouvainOptions& options,
   rng->Shuffle(&order);
 
   std::unordered_map<uint32_t, double> weight_to_comm;
-  for (uint32_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (uint32_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool sweep_moved = false;
     for (uint32_t u : order) {
       uint32_t current = result.labels[u];
@@ -141,9 +144,6 @@ LGraph Aggregate(const LGraph& g, const Clustering& clustering) {
 
 Result<Clustering> LouvainClustering(const Graph& graph,
                                      const LouvainOptions& options) {
-  if (options.max_levels == 0 || options.max_sweeps == 0) {
-    return Status::InvalidArgument("max_levels and max_sweeps must be >= 1");
-  }
   Rng rng(options.rng_seed);
 
   // flat[u] = community of u in the original graph.
@@ -151,8 +151,8 @@ Result<Clustering> LouvainClustering(const Graph& graph,
   std::iota(flat.begin(), flat.end(), 0);
 
   LGraph current = FromGraph(graph);
-  for (uint32_t level = 0; level < options.max_levels; ++level) {
-    LevelResult moved = LocalMoving(current, options, &rng);
+  for (uint32_t level = 0; level < kMaxLevels; ++level) {
+    LevelResult moved = LocalMoving(current, &rng);
     if (!moved.moved) break;
     Clustering normalized = NormalizeLabels(std::move(moved.labels));
     for (uint32_t& c : flat) c = normalized.labels[c];

@@ -12,17 +12,9 @@
 namespace scube {
 namespace graph {
 
-/// \brief Louvain parameters.
+/// \brief Louvain parameters. A run aggregates at most 10 levels and
+/// sweeps each level at most 20 times.
 struct LouvainOptions {
-  /// Maximum number of aggregation levels.
-  uint32_t max_levels = 10;
-
-  /// Maximum local-move sweeps per level.
-  uint32_t max_sweeps = 20;
-
-  /// Stop a level when the modularity gain of a full sweep drops below this.
-  double min_gain = 1e-7;
-
   /// Node-visit order seed (deterministic given this).
   uint64_t rng_seed = 0x10074172ULL;
 };

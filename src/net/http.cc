@@ -13,6 +13,8 @@ namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
 constexpr size_t kMaxHeaderLines = 128;
+/// Bound on establishing a client TCP connection (ConnectWithTimeout).
+constexpr double kConnectTimeoutSeconds = 5.0;
 
 bool IsToken(std::string_view s) {
   if (s.empty()) return false;
@@ -547,7 +549,7 @@ Status OpenClientConnection(const std::string& host, uint16_t port,
                             const ClientOptions& options,
                             ClientConnection* conn) {
   conn->Reset();
-  auto socket = ConnectWithTimeout(host, port, options.connect_timeout_s);
+  auto socket = ConnectWithTimeout(host, port, kConnectTimeoutSeconds);
   if (!socket.ok()) return socket.status();
   conn->socket = std::move(socket).value();
   if (options.read_timeout_s > 0) {

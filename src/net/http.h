@@ -275,12 +275,10 @@ Result<HttpClientResponse> RoundTrip(Socket* socket, BufferedReader* reader,
                                      const std::string& content_type =
                                          "text/plain");
 
-/// \brief Client-side timeouts (shard client pool). Retrying is the
-/// caller's choice; cluster/shard_client.h has the router's one rule.
+/// \brief Client-side timeouts (shard client pool). Connecting is bounded
+/// by 5 s. Retrying is the caller's choice; cluster/shard_client.h has the
+/// router's one rule.
 struct ClientOptions {
-  /// Bound on establishing a TCP connection (ConnectWithTimeout).
-  double connect_timeout_s = 5.0;
-
   /// Receive timeout applied to the connection (SetRecvTimeout); bounds
   /// every read of the response. 0 = unbounded.
   double read_timeout_s = 10.0;

@@ -14,15 +14,23 @@
 // streaming them (ExecuteStreaming). Buffered answers (ExecuteOne,
 // ExecuteBatch) are that stream captured by a VectorSink, defined once in
 // backend.cc, so streamed and buffered answers cannot drift.
+//
+// One statement prologue: every implementation opens a statement with
+// PrepareStatement (parse, resolve the cube name, check the resume cursor)
+// and pages its rows with query::Pager, so a node and a router agree on
+// what a cursor means and which statements it may resume.
 
 #ifndef SCUBE_QUERY_BACKEND_H_
 #define SCUBE_QUERY_BACKEND_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
+#include "query/ast.h"
 #include "query/context.h"
 #include "query/query_result.h"
 #include "query/row_sink.h"
@@ -80,6 +88,26 @@ struct StreamOutcome {
 
   double exec_ms = 0.0;
 };
+
+/// The cube a statement without FROM addresses.
+inline constexpr char kDefaultCube[] = "default";
+
+/// \brief A statement opened by PrepareStatement.
+struct Statement {
+  Query query;
+  uint64_t query_hash = 0;       ///< CursorQueryHash(query)
+  std::optional<Cursor> cursor;  ///< the checked resume token, if one came
+};
+
+/// The front half of every backend's ExecuteStreaming: parses `text`,
+/// fills `outcome`'s canonical text, cube and verb, and decodes a
+/// non-empty `cursor`, which must name the statement's cube and statement
+/// (CursorQueryHash), agree with its FROM name@v pin, and hold one position
+/// per row stream the backend merges: `streams` is 1 on a node and the
+/// shard count on a router. ParseError or InvalidArgument otherwise.
+Result<Statement> PrepareStatement(const std::string& text,
+                                   const std::string& cursor, size_t streams,
+                                   StreamOutcome* outcome);
 
 /// \brief One published cube as reported by GET /cubes and /healthz.
 struct CubeInfo {

@@ -1,5 +1,5 @@
 // QueryContext: per-request execution constraints carried alongside a
-// SCubeQL statement. Chiefly a deadline: the service applies its
+// SCubeQL statement. Chiefly a deadline: each backend applies its
 // configured default to each statement of a request that carries none; the
 // executor checks the deadline before it walks and periodically inside
 // every walk (including the analytic cell pass), so an expired query
@@ -62,6 +62,15 @@ struct QueryContext {
     } else {
       ctx.deadline = now + std::chrono::duration_cast<Clock::duration>(Millis(ms));
     }
+    return ctx;
+  }
+
+  /// This context with a backend's default deadline, `ms` milliseconds
+  /// from now, when it carries none; unchanged when `ms` is not positive.
+  /// A copy, so the trace pointer and the flags survive defaulting.
+  QueryContext WithDefaultDeadline(double ms) const {
+    QueryContext ctx = *this;
+    if (!deadline && ms > 0) ctx.deadline = WithTimeout(ms).deadline;
     return ctx;
   }
 

@@ -137,7 +137,6 @@ enum class Mode {
   kPoint,      ///< fully addressed SLICE: one map lookup
   kSliceSa,    ///< exact-SA slice group
   kSliceCa,    ///< exact-CA slice group
-  kSliceAll,   ///< degenerate SLICE with no coordinates: every cell
   kDice,       ///< posting-list intersection
   kTopK,       ///< ranked-order walk
   kRollup,     ///< parent adjacency / probes
@@ -154,8 +153,6 @@ const char* SpanNameFor(Mode mode) {
     case Mode::kSliceSa:
     case Mode::kSliceCa:
       return "walk.slice";
-    case Mode::kSliceAll:
-      return "walk.all";
     case Mode::kDice:
       return "walk.dice";
     case Mode::kTopK:
@@ -185,7 +182,10 @@ Mode ClassifyQuery(const Query& q) {
       if (!q.sa.empty() && !q.ca.empty()) return Mode::kPoint;
       if (!q.sa.empty()) return Mode::kSliceSa;
       if (!q.ca.empty()) return Mode::kSliceCa;
-      return Mode::kSliceAll;
+      // A SLICE with no coordinates (only a hand-built Query; the parser
+      // rejects it): the unconstrained dice walk visits every cell in id
+      // order.
+      return Mode::kDice;
     case Verb::kDice:
       return Mode::kDice;
     case Verb::kTopK:
@@ -200,50 +200,6 @@ Mode ClassifyQuery(const Query& q) {
   }
   return Mode::kPoint;
 }
-
-/// Pages the unpaginated row stream into a sink: skips `offset` rows,
-/// delivers up to `limit`, and learns that more rows remain when the
-/// producer offers one past the page. Rows arrive as factories so that
-/// skipped and beyond-page rows never pay row construction (label copies)
-/// — a cursor page at offset k walks but does not materialise the first k
-/// rows.
-class Pager {
- public:
-  Pager(uint64_t offset, std::optional<uint64_t> limit, RowSink& sink)
-      : offset_(offset), limit_(limit), sink_(sink) {}
-
-  /// Offers the next stream row. False = the producer should stop.
-  template <typename RowFactory>
-  bool Offer(RowFactory&& make) {
-    if (skipped_ < offset_) {
-      ++skipped_;
-      return true;
-    }
-    if (limit_ && emitted_ >= *limit_) {
-      more_ = true;  // a row exists beyond the page: not exhausted
-      return false;
-    }
-    if (!sink_.Row(make())) {
-      aborted_ = true;
-      return false;
-    }
-    ++emitted_;
-    return true;
-  }
-
-  bool aborted() const { return aborted_; }
-  bool more() const { return more_; }
-  uint64_t emitted() const { return emitted_; }
-
- private:
-  uint64_t offset_;
-  std::optional<uint64_t> limit_;
-  RowSink& sink_;
-  uint64_t skipped_ = 0;
-  uint64_t emitted_ = 0;
-  bool more_ = false;
-  bool aborted_ = false;
-};
 
 /// Produces the unpaginated row stream of a prepared query, calling
 /// feed(row_factory) per row in stream order until feed returns false —
@@ -290,24 +246,6 @@ Status WalkRows(const cube::CubeView& view, const Prepared& p,
         const cube::CubeCell& cell = view.cell(id);
         if (cell.ghost) continue;
         if (PassesWhere(cell, q) && !feed([&] {
-              ResultRow row = MakeRow(view, cell);
-              if (keys) AppendCoordKey(cell.coords, &row.skey);
-              return row;
-            })) {
-          break;
-        }
-      }
-      return Status::OK();
-    }
-
-    case Mode::kSliceAll: {
-      // Hand-constructed SLICE with no coordinates: every cell
-      // (unreachable through the parser).
-      for (const cube::CubeCell& cell : view.Cells()) {
-        ++*scanned;
-        if (ticker.Tick()) return expired();
-        if (cell.ghost) continue;
-        if (!feed([&] {
               ResultRow row = MakeRow(view, cell);
               if (keys) AppendCoordKey(cell.coords, &row.skey);
               return row;

@@ -226,6 +226,7 @@ uint64_t ReplayResult(const QueryResult& result, RowSink& sink,
 namespace {
 constexpr char kCursorMagic[] = "scq1";
 constexpr char kCursorSep = '|';
+constexpr char kPositionSep = ';';
 
 /// FNV-1a: stable across processes and library versions (std::hash is
 /// not), so a cursor survives a server restart against the same cubes.
@@ -252,15 +253,23 @@ uint64_t CursorQueryHash(const Query& query) {
 }
 
 std::string EncodeCursor(const Cursor& cursor) {
-  // The cube name goes LAST: it is the only field that may itself contain
-  // the separator, so the decoder re-joins the tail instead of rejecting.
+  // The positions join with ';' so '|' stays the field separator, and the
+  // cube name goes LAST: it is the only field that may itself contain the
+  // separator, so the decoder re-joins the tail instead of rejecting. With
+  // one position this is the original single-node layout, byte for byte.
   char hash_hex[17];
   std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
                 static_cast<unsigned long long>(cursor.query_hash));
   std::string plain = std::string(kCursorMagic) + kCursorSep +
-                      std::to_string(cursor.version) + kCursorSep +
-                      std::to_string(cursor.position) + kCursorSep +
-                      hash_hex + kCursorSep + cursor.cube;
+                      std::to_string(cursor.version) + kCursorSep;
+  for (size_t i = 0; i < cursor.positions.size(); ++i) {
+    if (i > 0) plain += kPositionSep;
+    plain += std::to_string(cursor.positions[i]);
+  }
+  plain += kCursorSep;
+  plain += hash_hex;
+  plain += kCursorSep;
+  plain += cursor.cube;
   std::string token = Base64Encode(plain);
   // URL-safe alphabet (RFC 4648 base64url): tokens travel as ?cursor=
   // query parameters, where '+' would decode to a space and '/' can
@@ -297,9 +306,16 @@ Result<Cursor> DecodeCursor(std::string_view token) {
     return Status::InvalidArgument("malformed cursor: empty cube name");
   }
   auto version = ParseInt64(parts[1]);
-  auto position = ParseInt64(parts[2]);
-  if (!version.ok() || !position.ok() || *version <= 0 || *position < 0) {
-    return Status::InvalidArgument("malformed cursor: bad version/position");
+  if (!version.ok() || *version <= 0) {
+    return Status::InvalidArgument("malformed cursor: bad version");
+  }
+  cursor.version = static_cast<uint64_t>(*version);
+  for (const std::string& field : Split(parts[2], kPositionSep)) {
+    auto position = ParseInt64(field);
+    if (!position.ok() || *position < 0) {
+      return Status::InvalidArgument("malformed cursor: bad position");
+    }
+    cursor.positions.push_back(static_cast<uint64_t>(*position));
   }
   // The hash field is 16 hex digits (full uint64 range).
   if (parts[3].size() != 16) {
@@ -309,8 +325,6 @@ Result<Cursor> DecodeCursor(std::string_view token) {
   if (!hash.ok()) {
     return Status::InvalidArgument("malformed cursor: bad query hash");
   }
-  cursor.version = static_cast<uint64_t>(*version);
-  cursor.position = static_cast<uint64_t>(*position);
   cursor.query_hash = *hash;
   return cursor;
 }

@@ -25,18 +25,21 @@
 //
 // Cursors: an answer page (LIMIT n OFFSET k) that stops before the row
 // stream is exhausted yields an opaque resume token encoding
-// (cube name, sealed version, absolute row position). Resuming against the
-// same name@version snapshot continues the deterministic row stream exactly
-// where the page ended, so stitched pages equal the unpaginated answer.
+// (cube name, sealed version, statement hash, resume positions). Resuming
+// against the same name@version snapshot continues the deterministic row
+// stream exactly where the page ended, so stitched pages equal the
+// unpaginated answer. Nodes and scatter routers share the one token layout.
 
 #ifndef SCUBE_QUERY_ROW_SINK_H_
 #define SCUBE_QUERY_ROW_SINK_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "query/query_result.h"
@@ -167,15 +170,69 @@ uint64_t ReplayResult(const QueryResult& result, RowSink& sink,
                       const ResultTrailer* trailer_override = nullptr,
                       bool* aborted = nullptr);
 
-/// \brief Decoded resume token: which snapshot the stream was walking,
-/// the absolute row position (into the unpaginated stream) to resume
-/// from, and a fingerprint of the statement that produced the stream so a
-/// cursor cannot be replayed against a different query.
+/// \brief Pages an unpaginated row stream into a sink: skips `offset`
+/// rows, delivers up to `limit`, and learns that more rows remain when the
+/// producer offers one past the page. Rows arrive as factories, so skipped
+/// and beyond-page rows never pay row construction (label copies): a cursor
+/// page at offset k walks but does not materialise the first k rows. The
+/// executor pages its walks with it and the scatter router its merge, so a
+/// node and a router agree on where a page ends:
+///   - a row offered past the page is not taken (the factory never runs);
+///   - a skipped row is taken, so it counts toward the resume position;
+///   - an aborted page (the sink refused a row) has no resume point.
+class Pager {
+ public:
+  Pager(uint64_t offset, std::optional<uint64_t> limit, RowSink& sink)
+      : offset_(offset), limit_(limit), sink_(sink) {}
+
+  /// Offers the next stream row. False = the producer should stop.
+  template <typename RowFactory>
+  bool Offer(RowFactory&& make) {
+    if (skipped_ < offset_) {
+      ++skipped_;
+      return true;
+    }
+    if (limit_ && emitted_ >= *limit_) {
+      more_ = true;  // a row exists beyond the page: not exhausted
+      return false;
+    }
+    if (!sink_.Row(make())) {
+      aborted_ = true;
+      return false;
+    }
+    ++emitted_;
+    return true;
+  }
+
+  bool aborted() const { return aborted_; }
+  bool more() const { return more_; }
+  uint64_t emitted() const { return emitted_; }
+
+ private:
+  uint64_t offset_;
+  std::optional<uint64_t> limit_;
+  RowSink& sink_;
+  uint64_t skipped_ = 0;
+  uint64_t emitted_ = 0;
+  bool more_ = false;
+  bool aborted_ = false;
+};
+
+/// \brief Decoded resume token: which snapshot the stream was walking, a
+/// fingerprint of the statement that produced it (so a cursor cannot be
+/// replayed against a different query), and where each row stream resumes.
+/// A node reads one stream, so its cursor holds one position: the absolute
+/// row offset into the unpaginated answer. A scatter router holds one per
+/// shard: how many rows of that shard's stream the client has consumed,
+/// skipped offsets included; TOPK with ORDER BY pages the re-sorted
+/// selection instead and keeps its sorted position in slot 0. A one-shard
+/// partition holds every cell and no ghost, so a node and a one-shard
+/// router resume each other's cursors.
 struct Cursor {
-  std::string cube;        ///< cube name
-  uint64_t version = 0;    ///< sealed version the stream is pinned to
-  uint64_t position = 0;   ///< absolute row offset of the next page
-  uint64_t query_hash = 0; ///< CursorQueryHash of the originating query
+  std::string cube;                ///< cube name
+  uint64_t version = 0;            ///< sealed version the stream is pinned to
+  uint64_t query_hash = 0;         ///< CursorQueryHash of the originating query
+  std::vector<uint64_t> positions; ///< resume position per row stream
 };
 
 /// Fingerprint of the parts of a query that define its row stream: the
@@ -185,7 +242,8 @@ struct Cursor {
 /// processes (FNV-1a, not std::hash).
 uint64_t CursorQueryHash(const Query& query);
 
-/// Renders a cursor as an opaque URL-safe token (base64url).
+/// Renders a cursor as an opaque URL-safe token: the base64url of
+/// `scq1|version|p0;p1;...|hash|cube`.
 std::string EncodeCursor(const Cursor& cursor);
 
 /// Parses a token; InvalidArgument when malformed or not one of ours.

@@ -115,16 +115,6 @@ void QueryService::ReleaseSlot() {
   --in_flight_;
 }
 
-QueryContext QueryService::WithDefaultDeadline(const QueryContext& ctx) const {
-  if (ctx.has_deadline() || options_.default_deadline_ms <= 0) return ctx;
-  // Copy, don't rebuild: the context carries more than the deadline now
-  // (the trace pointer), and all of it must survive defaulting.
-  QueryContext with_deadline = ctx;
-  with_deadline.deadline =
-      QueryContext::WithTimeout(options_.default_deadline_ms).deadline;
-  return with_deadline;
-}
-
 QueryService::StreamOutcome QueryService::ExecuteStreaming(
     const std::string& text, RowSink& sink, const QueryContext& ctx,
     const std::string& cursor) {
@@ -146,7 +136,8 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
 
-  QueryContext context = WithDefaultDeadline(ctx);
+  const QueryContext context =
+      ctx.WithDefaultDeadline(options_.default_deadline_ms);
 
   // Every post-admission exit funnels through here: the admission slot is
   // released exactly once, when the stream is done.
@@ -160,48 +151,24 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
     return outcome;
   };
 
-  // --- parse and resolve the snapshot -------------------------------------
+  // --- parse, check the cursor and resolve the snapshot --------------------
   trace::Span prepare_span(context.trace, "prepare");
-  auto parsed = Parse(text);
-  if (!parsed.ok()) return finish(parsed.status());
-  Query query = std::move(parsed).value();
-  outcome.canonical = Canonical(query);
-  outcome.cube = query.cube.empty() ? options_.default_cube : query.cube;
-  outcome.verb = VerbToString(query.verb);
-  const uint64_t query_hash = CursorQueryHash(query);
+  auto statement = PrepareStatement(text, cursor, 1, &outcome);
+  if (!statement.ok()) return finish(statement.status());
+  Query& query = statement->query;
+  const uint64_t query_hash = statement->query_hash;
 
   CubeStore::Snapshot snapshot;
   uint64_t version = 0;
-  if (!cursor.empty()) {
-    // Resume: the token pins the snapshot the previous page walked, so the
-    // stitched stream is deterministic even across publishes.
-    auto decoded = DecodeCursor(cursor);
-    if (!decoded.ok()) return finish(decoded.status());
-    if (decoded->cube != outcome.cube) {
-      return finish(Status::InvalidArgument(
-          "cursor belongs to cube '" + decoded->cube +
-          "', but the query addresses '" + outcome.cube + "'"));
-    }
-    if (decoded->query_hash != query_hash) {
-      // A cursor resumes the stream that issued it; offsetting into a
-      // different statement's stream would silently return wrong rows.
-      return finish(Status::InvalidArgument(
-          "cursor was issued for a different query; resend the original "
-          "statement (the page size may change, the rest may not)"));
-    }
-    if (query.cube_version && *query.cube_version != decoded->version) {
-      return finish(Status::InvalidArgument(
-          "cursor pins version " + std::to_string(decoded->version) +
-          ", but the query pins @" + std::to_string(*query.cube_version)));
-    }
-    version = decoded->version;
+  if (statement->cursor) {
+    version = statement->cursor->version;
     snapshot = store_->GetVersion(outcome.cube, version);
     if (snapshot == nullptr) {
       return finish(Status::NotFound(
           "cursor version " + std::to_string(version) + " of cube '" +
           outcome.cube + "' is gone (evicted); restart the scan"));
     }
-    query.offset = decoded->position;
+    query.offset = statement->cursor->positions[0];
   } else if (query.cube_version) {
     version = *query.cube_version;
     snapshot = store_->GetVersion(outcome.cube, version);
@@ -230,8 +197,8 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
       ResultTrailer trailer;
       trailer.cells_scanned = cached->cells_scanned;
       if (!cached->exhausted) {
-        trailer.next_cursor = EncodeCursor(Cursor{
-            outcome.cube, version, cached->next_offset, query_hash});
+        trailer.next_cursor = EncodeCursor(
+            Cursor{outcome.cube, version, query_hash, {cached->next_offset}});
       }
       WallTimer timer;
       // ReplayResult suppresses the cursor when the sink aborts
@@ -287,7 +254,7 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
   trailer.cells_scanned = stats.cells_scanned;
   if (!stats.exhausted && !stats.aborted) {
     trailer.next_cursor = EncodeCursor(
-        Cursor{outcome.cube, version, stats.next_offset, query_hash});
+        Cursor{outcome.cube, version, query_hash, {stats.next_offset}});
   }
   outcome.next_cursor = trailer.next_cursor;
   target.Finish(trailer);

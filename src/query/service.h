@@ -47,9 +47,6 @@ struct ServiceOptions {
   /// Result-cache entries across all cubes (0 disables caching).
   size_t cache_capacity = 256;
 
-  /// Cube name used when a query has no FROM clause.
-  std::string default_cube = "default";
-
   /// Admission bound: a statement arriving while this many statements
   /// are executing is shed with Unavailable. Each execution pins a cube
   /// snapshot and burns CPU on its caller's thread. 0 sheds everything
@@ -150,9 +147,6 @@ class QueryService : public QueryBackend {
   /// shed status.
   Status AdmitOrShed();
   void ReleaseSlot();
-
-  /// Applies the configured default deadline to contexts carrying none.
-  QueryContext WithDefaultDeadline(const QueryContext& ctx) const;
 
   CubeStore* store_;
   ServiceOptions options_;

@@ -103,84 +103,62 @@ TEST(PartitionTest, ShardOfContextStaysInRange) {
   for (size_t n : {1u, 2u, 3u, 4u, 7u}) {
     PartitionOptions options;
     options.num_shards = n;
-    for (PartitionStrategy strategy :
-         {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
-      options.strategy = strategy;
-      for (fpm::ItemId c = 0; c < 32; ++c) {
-        EXPECT_LT(ShardOfContext(fpm::Itemset({c}), options, 32), n);
-      }
-      EXPECT_LT(ShardOfContext(fpm::Itemset(), options, 32), n);
+    for (fpm::ItemId c = 0; c < 32; ++c) {
+      EXPECT_LT(ShardOfContext(fpm::Itemset({c}), options), n);
     }
+    EXPECT_LT(ShardOfContext(fpm::Itemset(), options), n);
   }
-}
-
-TEST(PartitionTest, RangeStrategyIsMonotoneInFirstItemId) {
-  PartitionOptions options;
-  options.num_shards = 4;
-  options.strategy = PartitionStrategy::kRange;
-  size_t prev = 0;
-  for (fpm::ItemId c = 0; c < 16; ++c) {
-    size_t shard = ShardOfContext(fpm::Itemset({c}), options, 16);
-    EXPECT_GE(shard, prev) << "range buckets must be contiguous";
-    prev = shard;
-  }
-  EXPECT_EQ(prev, 3u) << "the last id must land on the last shard";
-  EXPECT_EQ(ShardOfContext(fpm::Itemset(), options, 16), 0u);
 }
 
 TEST(PartitionTest, OwnedCellsAreADisjointPartitionOfTheGlobalCube) {
   cube::CubeView view = MakeGlobalCube().Seal(1);
-  for (PartitionStrategy strategy :
-       {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
-    for (size_t n : {1u, 2u, 4u}) {
-      PartitionOptions options;
-      options.num_shards = n;
-      options.strategy = strategy;
-      PartitionStats stats;
-      std::vector<SegregationCube> shards =
-          PartitionCube(view, options, &stats);
-      ASSERT_EQ(shards.size(), n);
-      ASSERT_EQ(stats.owned.size(), n);
-      ASSERT_EQ(stats.ghosts.size(), n);
+  for (size_t n : {1u, 2u, 4u}) {
+    PartitionOptions options;
+    options.num_shards = n;
+    PartitionStats stats;
+    std::vector<SegregationCube> shards =
+        PartitionCube(view, options, &stats);
+    ASSERT_EQ(shards.size(), n);
+    ASSERT_EQ(stats.owned.size(), n);
+    ASSERT_EQ(stats.ghosts.size(), n);
 
-      // Every global cell is owned (non-ghost) by exactly one shard, and
-      // its payload travels verbatim.
-      std::map<std::string, size_t> owners;
-      size_t total_owned = 0;
-      size_t total_ghosts = 0;
-      for (size_t i = 0; i < n; ++i) {
-        size_t owned = 0;
-        size_t ghosts = 0;
-        cube::CubeView shard_view = std::move(shards[i]).Seal(1);
-        for (const CubeCell& cell : shard_view.Cells()) {
-          const CubeCell* global = view.Find(cell.coords);
-          ASSERT_NE(global, nullptr)
-              << "shard " << i << " invented cell " << CoordKey(cell.coords);
-          EXPECT_TRUE(SamePayload(cell, *global))
-              << "payload mutated for " << CoordKey(cell.coords);
-          if (cell.ghost) {
-            ++ghosts;
-          } else {
-            ++owned;
-            auto [it, inserted] =
-                owners.emplace(CoordKey(cell.coords), i);
-            EXPECT_TRUE(inserted)
-                << CoordKey(cell.coords) << " owned by shards " << it->second
-                << " and " << i;
-          }
+    // Every global cell is owned (non-ghost) by exactly one shard, and
+    // its payload travels verbatim.
+    std::map<std::string, size_t> owners;
+    size_t total_owned = 0;
+    size_t total_ghosts = 0;
+    for (size_t i = 0; i < n; ++i) {
+      size_t owned = 0;
+      size_t ghosts = 0;
+      cube::CubeView shard_view = std::move(shards[i]).Seal(1);
+      for (const CubeCell& cell : shard_view.Cells()) {
+        const CubeCell* global = view.Find(cell.coords);
+        ASSERT_NE(global, nullptr)
+            << "shard " << i << " invented cell " << CoordKey(cell.coords);
+        EXPECT_TRUE(SamePayload(cell, *global))
+            << "payload mutated for " << CoordKey(cell.coords);
+        if (cell.ghost) {
+          ++ghosts;
+        } else {
+          ++owned;
+          auto [it, inserted] =
+              owners.emplace(CoordKey(cell.coords), i);
+          EXPECT_TRUE(inserted)
+              << CoordKey(cell.coords) << " owned by shards " << it->second
+              << " and " << i;
         }
-        EXPECT_EQ(owned, stats.owned[i]);
-        EXPECT_EQ(ghosts, stats.ghosts[i]);
-        total_owned += owned;
-        total_ghosts += ghosts;
       }
-      EXPECT_EQ(total_owned, view.NumCells())
-          << "owned cells must partition the global cube (n=" << n << ")";
-      EXPECT_EQ(owners.size(), view.NumCells());
-      if (n == 1) {
-        EXPECT_EQ(total_ghosts, 0u)
-            << "a single shard owns everything; ghosts would be waste";
-      }
+      EXPECT_EQ(owned, stats.owned[i]);
+      EXPECT_EQ(ghosts, stats.ghosts[i]);
+      total_owned += owned;
+      total_ghosts += ghosts;
+    }
+    EXPECT_EQ(total_owned, view.NumCells())
+        << "owned cells must partition the global cube (n=" << n << ")";
+    EXPECT_EQ(owners.size(), view.NumCells());
+    if (n == 1) {
+      EXPECT_EQ(total_ghosts, 0u)
+          << "a single shard owns everything; ghosts would be waste";
     }
   }
 }
@@ -189,7 +167,6 @@ TEST(PartitionTest, GhostClosureCoversCrossShardCaAdjacency) {
   cube::CubeView view = MakeGlobalCube().Seal(1);
   PartitionOptions options;
   options.num_shards = 4;
-  options.strategy = PartitionStrategy::kHash;
   std::vector<SegregationCube> shards = PartitionCube(view, options);
 
   // For every global pair (child, parent) along the CA axis — same SA,
@@ -207,10 +184,8 @@ TEST(PartitionTest, GhostClosureCoversCrossShardCaAdjacency) {
       const CubeCell* parent = view.Find(parent_coords);
       if (parent == nullptr) continue;
 
-      size_t child_shard = ShardOfContext(child.coords.ca, options,
-                                          view.catalog().size());
-      size_t parent_shard = ShardOfContext(parent_coords.ca, options,
-                                           view.catalog().size());
+      size_t child_shard = ShardOfContext(child.coords.ca, options);
+      size_t parent_shard = ShardOfContext(parent_coords.ca, options);
       if (child_shard == parent_shard) continue;
       ++cross_shard_pairs;
       // The child's owner needs the parent as a comparison baseline...

@@ -4,7 +4,7 @@
 // output to a single-node QueryService over the unsharded cube — for all
 // seven verbs, JSON and CSV, buffered and streamed — with only the scan
 // accounting (cells_scanned, ghosts are scanned twice) and cursor tokens
-// masked. Plus the composite-cursor lifecycle and the failure policy.
+// masked. Plus the cursor lifecycle and the failure policy.
 
 #include "cluster/scatter.h"
 
@@ -278,13 +278,13 @@ TEST_F(ScatterTest, CursorStitchingMatchesTheUnpaginatedAnswer) {
       }
       cursor = outcome.next_cursor;
       if (!cursor.empty()) {
-        // Pages that continue hand out *scatter* cursors, and they must
-        // round-trip through the public codec.
-        auto decoded = DecodeScatterCursor(cursor);
+        // Pages that continue hand out one position per shard, and they
+        // must round-trip through the public codec.
+        auto decoded = query::DecodeCursor(cursor);
         ASSERT_TRUE(decoded.ok()) << decoded.status();
         EXPECT_EQ(decoded->cube, "default");
-        EXPECT_EQ(decoded->consumed.size(), 4u);
-        EXPECT_EQ(EncodeScatterCursor(*decoded), cursor);
+        EXPECT_EQ(decoded->positions.size(), 4u);
+        EXPECT_EQ(query::EncodeCursor(*decoded), cursor);
       }
       ASSERT_LT(++pages, 64u) << "cursor loop did not terminate: " << base;
     } while (!cursor.empty());
@@ -300,23 +300,23 @@ TEST_F(ScatterTest, CursorStitchingMatchesTheUnpaginatedAnswer) {
   }
 }
 
-TEST_F(ScatterTest, ScatterCursorCodecRejectsForeignTokens) {
-  ScatterCursor cursor;
+TEST_F(ScatterTest, CursorCodecRejectsForeignTokens) {
+  query::Cursor cursor;
   cursor.cube = "cube|with|pipes";  // the separator char, worst case
   cursor.version = 12;
   cursor.query_hash = 0xdeadbeefcafef00dULL;
-  cursor.consumed = {0, 17, 3};
-  auto decoded = DecodeScatterCursor(EncodeScatterCursor(cursor));
+  cursor.positions = {0, 17, 3};
+  auto decoded = query::DecodeCursor(query::EncodeCursor(cursor));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cube, cursor.cube);
   EXPECT_EQ(decoded->version, cursor.version);
   EXPECT_EQ(decoded->query_hash, cursor.query_hash);
-  EXPECT_EQ(decoded->consumed, cursor.consumed);
+  EXPECT_EQ(decoded->positions, cursor.positions);
 
-  EXPECT_FALSE(DecodeScatterCursor("garbage!").ok());
-  EXPECT_FALSE(DecodeScatterCursor("").ok());
-  // A single-node cursor is a different magic — must not half-parse.
-  EXPECT_FALSE(DecodeScatterCursor("c2NxMXw0fDB8ZGVmYXVsdA").ok());
+  EXPECT_FALSE(query::DecodeCursor("garbage!").ok());
+  EXPECT_FALSE(query::DecodeCursor("").ok());
+  // A four-field token (an old single-node layout) must not half-parse.
+  EXPECT_FALSE(query::DecodeCursor("c2NxMXw0fDB8ZGVmYXVsdA").ok());
 }
 
 TEST_F(ScatterTest, CursorFromAnotherTopologyIsRejected) {
@@ -344,6 +344,71 @@ TEST_F(ScatterTest, CursorFromAnotherTopologyIsRejected) {
   auto foreign = two.scatter->ExecuteStreaming(
       "DICE sa=sex=F LIMIT 2", sink3, {}, page1.result.next_cursor);
   EXPECT_FALSE(foreign.status.ok());
+}
+
+TEST_F(ScatterTest, ANodeRejectsARouterCursorNamingTheTopology) {
+  Topology two(2);
+  query::VectorSink sink;
+  auto page1 =
+      two.scatter->ExecuteStreaming("DICE sa=sex=F LIMIT 2", sink, {}, "");
+  ASSERT_TRUE(page1.status.ok()) << page1.status;
+  ASSERT_FALSE(page1.next_cursor.empty());
+
+  query::VectorSink sink2;
+  auto resumed = single_->ExecuteStreaming("DICE sa=sex=F LIMIT 2", sink2, {},
+                                           page1.next_cursor);
+  EXPECT_EQ(resumed.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status.message().find("2-shard topology"),
+            std::string::npos)
+      << resumed.status;
+  EXPECT_FALSE(resumed.begun);
+}
+
+// A one-shard partition holds every cell and no ghost, so a position names
+// the same row on a node and on a one-shard router: both mint the same
+// token for a page, and pages resumed across the two stitch into the
+// unpaginated answer.
+TEST_F(ScatterTest, ANodeAndAOneShardRouterResumeEachOthersCursors) {
+  Topology one(1);
+  for (const std::string& base :
+       {std::string("DICE sa=sex=F"),
+        std::string("TOPK 9 BY gini WHERE T >= 1 AND M >= 1"),
+        std::string(
+            "TOPK 9 BY atkinson WHERE T >= 1 AND M >= 1 ORDER BY T DESC")}) {
+    auto unpaginated = single_->ExecuteOne(base);
+    ASSERT_TRUE(unpaginated.status.ok()) << base;
+    ASSERT_GT(unpaginated.result.rows.size(), 4u) << base;
+
+    const std::string paged = base + " LIMIT 2";
+    std::vector<query::ResultRow> stitched;
+    std::string cursor;
+    size_t pages = 0;
+    do {
+      query::VectorSink node_sink;
+      auto node = single_->ExecuteStreaming(paged, node_sink, {}, cursor);
+      ASSERT_TRUE(node.status.ok()) << paged << " -> " << node.status;
+      query::VectorSink router_sink;
+      auto router =
+          one.scatter->ExecuteStreaming(paged, router_sink, {}, cursor);
+      ASSERT_TRUE(router.status.ok()) << paged << " -> " << router.status;
+      EXPECT_EQ(router.next_cursor, node.next_cursor) << paged;
+      EXPECT_EQ(Mask(ToJson(router_sink.result())),
+                Mask(ToJson(node_sink.result())))
+          << paged;
+      // Alternate which backend's token resumes the next page.
+      const auto& rows = pages % 2 == 0 ? node_sink.result().rows
+                                        : router_sink.result().rows;
+      stitched.insert(stitched.end(), rows.begin(), rows.end());
+      cursor = pages % 2 == 0 ? node.next_cursor : router.next_cursor;
+      ASSERT_LT(++pages, 64u) << "cursor loop did not terminate: " << base;
+    } while (!cursor.empty());
+
+    ASSERT_EQ(stitched.size(), unpaginated.result.rows.size()) << base;
+    for (size_t i = 0; i < stitched.size(); ++i) {
+      EXPECT_EQ(stitched[i].sa, unpaginated.result.rows[i].sa) << base;
+      EXPECT_EQ(stitched[i].ca, unpaginated.result.rows[i].ca) << base;
+    }
+  }
 }
 
 TEST_F(ScatterTest, FailedShardErrorNamesTheShard) {
@@ -1041,8 +1106,8 @@ TEST(ScatterFailureTest, HeadsAtAnotherVersionAreRefused) {
   const std::string paged = "SLICE sa=sex=F LIMIT 2";
   auto parsed = query::Parse(paged);
   ASSERT_TRUE(parsed.ok());
-  const std::string cursor = EncodeScatterCursor(
-      ScatterCursor{"default", 1, query::CursorQueryHash(*parsed), {1, 1}});
+  const std::string cursor = query::EncodeCursor(
+      query::Cursor{"default", 1, query::CursorQueryHash(*parsed), {1, 1}});
   auto resumed = topo.Run(paged, &rows, false, cursor);
   EXPECT_EQ(resumed.status.code(), StatusCode::kInternal);
   EXPECT_EQ(resumed.status.message(), pin_error);

@@ -7,9 +7,8 @@
 namespace scube {
 namespace {
 
-CsvDocument MustParse(const std::string& content,
-                      CsvReader::Options opts = CsvReader::Options()) {
-  CsvReader reader(opts);
+CsvDocument MustParse(const std::string& content) {
+  CsvReader reader;
   auto doc = reader.ParseString(content);
   EXPECT_TRUE(doc.ok()) << doc.status();
   return doc.value();
@@ -62,29 +61,6 @@ TEST(CsvReaderTest, StrictFieldCountMismatchIsError) {
   auto doc = reader.ParseString("a,b\n1,2,3\n");
   EXPECT_FALSE(doc.ok());
   EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
-}
-
-TEST(CsvReaderTest, LenientFieldCountPads) {
-  CsvReader::Options opts;
-  opts.strict_field_count = false;
-  auto doc = MustParse("a,b,c\n1,2\n", opts);
-  ASSERT_EQ(doc.rows.size(), 1u);
-  EXPECT_EQ(doc.rows[0], (std::vector<std::string>{"1", "2", ""}));
-}
-
-TEST(CsvReaderTest, NoHeaderMode) {
-  CsvReader::Options opts;
-  opts.has_header = false;
-  auto doc = MustParse("1,2\n3,4\n", opts);
-  EXPECT_TRUE(doc.header.empty());
-  EXPECT_EQ(doc.rows.size(), 2u);
-}
-
-TEST(CsvReaderTest, SemicolonSeparator) {
-  CsvReader::Options opts;
-  opts.separator = ';';
-  auto doc = MustParse("a;b\n1;2\n", opts);
-  EXPECT_EQ(doc.rows[0], (std::vector<std::string>{"1", "2"}));
 }
 
 TEST(CsvReaderTest, UnterminatedQuoteIsError) {

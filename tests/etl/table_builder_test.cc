@@ -90,15 +90,6 @@ TEST(TableBuilderTest, DirectorSpanningUnitsGetsTwoRows) {
   EXPECT_EQ(table->NumRows(), 4u);
 }
 
-TEST(TableBuilderTest, ExcludeGroupAttributes) {
-  TableBuilderOptions opts;
-  opts.include_group_attributes = false;
-  auto table = BuildFinalTable(BoardInputs(), TwoUnits(), opts);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().IndexOf("sector"), -1);
-  EXPECT_GE(table->schema().IndexOf("unitID"), 0);
-}
-
 TEST(TableBuilderTest, SnapshotDateFiltersRows) {
   Schema ind_schema({
       {"id", ColumnType::kInt64, AttributeKind::kId},

@@ -89,13 +89,6 @@ TEST(LouvainTest, WeightsMatter) {
   EXPECT_NE(c->labels[0], c->labels[2]);
 }
 
-TEST(LouvainTest, ValidatesOptions) {
-  Graph g = MustBuild(2, {{0, 1, 1}});
-  LouvainOptions opts;
-  opts.max_levels = 0;
-  EXPECT_FALSE(LouvainClustering(g, opts).ok());
-}
-
 TEST(LouvainTest, BeatsTrivialPartitionOnModularity) {
   Graph g = RingOfCliques(5, 6);
   auto c = LouvainClustering(g);

@@ -84,6 +84,28 @@ TEST(ExecutorTest, SliceBothAxesIsPointLookup) {
   EXPECT_TRUE(missing.rows.empty());
 }
 
+TEST(ExecutorTest, SliceWithoutCoordinatesWalksEveryCellLikeDice) {
+  // Only a hand-built Query has this shape (the parser rejects a SLICE
+  // with no coordinates): it answers as the unconstrained DICE walk does,
+  // every cell in id order.
+  cube::CubeView view = MakeView();
+  Executor executor(view);
+  Query slice;
+  slice.verb = Verb::kSlice;
+  Query dice;
+  dice.verb = Verb::kDice;
+  auto all = executor.Execute(slice);
+  auto diced = executor.Execute(dice);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_TRUE(diced.ok()) << diced.status();
+  ASSERT_EQ(all->rows.size(), view.NumCells());
+  ASSERT_EQ(all->rows.size(), diced->rows.size());
+  for (size_t i = 0; i < all->rows.size(); ++i) {
+    EXPECT_EQ(all->rows[i].sa, diced->rows[i].sa);
+    EXPECT_EQ(all->rows[i].ca, diced->rows[i].ca);
+  }
+}
+
 TEST(ExecutorTest, DiceSelectsSubcube) {
   cube::CubeView view = MakeView();
   Executor executor(view);

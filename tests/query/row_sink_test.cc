@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -356,16 +358,21 @@ TEST(RenderGoldenTest, EachRowIsOneWrite) {
 
 // --- hostile peer input -------------------------------------------------------
 //
-// The scatter router decodes two things a peer controls: every line of a
-// shard's wire stream (ParseWireLine) and a client's composite cursor
-// (cluster::DecodeScatterCursor). Seeds 1-2000 each mutate one input from
-// a corpus of the golden rows' wire lines and real scatter cursors, and
-// every input goes through both decoders. Each must come back OK,
-// ParseError or InvalidArgument, and a decoded cursor must re-encode to a
-// token that decodes to the same value. A failure names its seed.
+// Peers control four inputs the serving layer decodes: every line of a
+// shard's wire stream (ParseWireLine), a client's resume cursor
+// (DecodeCursor, on a node and on a router), and a shard's GET /cubes and
+// error bodies (cluster::ParseCubesJson, cluster::ParseErrorBody). Seeds
+// 1-2000 each mutate one input from a corpus of the golden rows' wire
+// lines, real node and router cursors, and /cubes and error bodies as
+// scubed serves them, and every input goes through every decoder. Each
+// must come back OK, ParseError or InvalidArgument; a decoded cursor must
+// re-encode to a token that decodes to the same value, and an accepted
+// /cubes body must render back to one that parses to the same cubes. A
+// failure names its seed, and the printed tally must show every error path
+// of the cursor decoder and of the /cubes parser firing.
 
-/// A cursor plaintext as the URL-safe token EncodeScatterCursor makes.
-std::string ScatterToken(const std::string& plain) {
+/// A cursor plaintext as the URL-safe token EncodeCursor makes.
+std::string CursorToken(const std::string& plain) {
   std::string token = Base64Encode(plain);
   for (char& c : token) {
     if (c == '+') c = '-';
@@ -374,14 +381,32 @@ std::string ScatterToken(const std::string& plain) {
   return token;
 }
 
-/// The plaintext of a scatter cursor token.
-std::string ScatterPlain(const std::string& token) {
+/// The plaintext of a cursor token.
+std::string CursorPlain(const std::string& token) {
   std::string standard = token;
   for (char& c : standard) {
     if (c == '-') c = '+';
     if (c == '_') c = '/';
   }
   return Base64Decode(standard).value();
+}
+
+/// A GET /cubes body in the front-end's HandleCubes layout.
+std::string RenderCubesJson(const std::vector<CubeInfo>& cubes) {
+  std::string body = "{\"cubes\":[";
+  for (size_t i = 0; i < cubes.size(); ++i) {
+    const CubeInfo& info = cubes[i];
+    if (i > 0) body += ',';
+    body += "{\"name\":" + JsonQuote(info.name) +
+            ",\"version\":" + std::to_string(info.version) + ",\"retained\":[";
+    for (size_t j = 0; j < info.retained.size(); ++j) {
+      if (j > 0) body += ',';
+      body += std::to_string(info.retained[j]);
+    }
+    body += "],\"cells\":" + std::to_string(info.cells) +
+            ",\"defined_cells\":" + std::to_string(info.defined_cells) + "}";
+  }
+  return body + "]}\n";
 }
 
 /// One to three mutations of `text`, whose fields are split by `sep`.
@@ -395,7 +420,7 @@ std::string MutateFields(std::string text, char sep, Rng* rng) {
   const int mutations = 1 + static_cast<int>(rng->NextBounded(3));
   for (int m = 0; m < mutations; ++m) {
     std::vector<std::string> fields = Split(text, sep);
-    switch (rng->NextBounded(7)) {
+    switch (rng->NextBounded(8)) {
       case 0:  // byte flip
         if (!text.empty()) {
           text[rng->NextBounded(text.size())] ^=
@@ -435,12 +460,44 @@ std::string MutateFields(std::string text, char sep, Rng* rng) {
       case 6:  // a cube name full of '|'
         text += std::string(1 + rng->NextBounded(4), '|') + "x|";
         break;
+      case 7: {  // a run of digits replaced by a hostile number
+        std::vector<std::pair<size_t, size_t>> runs;
+        for (size_t i = 0; i < text.size();) {
+          size_t j = i;
+          while (j < text.size() && text[j] >= '0' && text[j] <= '9') ++j;
+          if (j > i) runs.emplace_back(i, j - i);
+          i = j > i ? j : i + 1;
+        }
+        if (runs.empty()) break;
+        const auto [at, length] = runs[rng->NextBounded(runs.size())];
+        text.replace(at, length, kHostile[rng->NextBounded(5)]);
+        break;
+      }
     }
   }
   return text;
 }
 
-TEST(PeerDecoderFuzzTest, MutatedWireLinesAndCursorsAlwaysEndInAStatus) {
+/// Message fragment -> error path, for the cursor decoder and for the
+/// /cubes parser.
+const std::vector<std::pair<std::string, std::string>>& PeerErrorPaths() {
+  static const std::vector<std::pair<std::string, std::string>> paths = {
+      {"malformed cursor: not base64", "cursor: not base64"},
+      {"malformed cursor: bad layout", "cursor: bad layout"},
+      {"malformed cursor: empty cube name", "cursor: empty cube name"},
+      {"malformed cursor: bad version", "cursor: bad version"},
+      {"malformed cursor: bad position", "cursor: bad position"},
+      {"malformed cursor: bad query hash", "cursor: bad query hash"},
+      {"malformed /cubes body: bad cube name", "/cubes: bad cube name"},
+      {"malformed /cubes body: bad version", "/cubes: bad version"},
+      {"malformed /cubes body: missing retained", "/cubes: missing retained"},
+      {"malformed /cubes body: bad retained list", "/cubes: bad retained"},
+      {"malformed /cubes body: bad cell counts", "/cubes: bad cell counts"},
+  };
+  return paths;
+}
+
+TEST(PeerDecoderFuzzTest, MutatedPeerInputsAlwaysEndInAStatus) {
   std::vector<std::string> lines;
   for (const ResultHeader& header : {TopKHeader(), ReversalsHeader()}) {
     ResultHeader versioned = header;
@@ -452,64 +509,167 @@ TEST(PeerDecoderFuzzTest, MutatedWireLinesAndCursorsAlwaysEndInAStatus) {
       if (!line.empty()) lines.push_back(line);
     }
   }
+  // Node cursors hold one position, router cursors one per shard; the
+  // first is the token GoldenTranscriptTest pins.
   std::vector<std::string> cursors;
-  for (const cluster::ScatterCursor& cursor :
-       {cluster::ScatterCursor{"default", 1, 0, {0}},
-        cluster::ScatterCursor{"cube|with|pipes", 12, 0xdeadbeefcafef00dULL,
-                               {0, 17, 3}},
-        cluster::ScatterCursor{"italy_2012", 9223372036854775807ULL,
-                               0xffffffffffffffffULL, {5, 0, 0, 1}}}) {
-    cursors.push_back(ScatterPlain(cluster::EncodeScatterCursor(cursor)));
+  for (const Cursor& cursor :
+       {Cursor{"default", 1, 0x8c8f5f7ab4fcbba6ULL, {1}},
+        Cursor{"sectors", 2, 0, {9223372036854775807ULL}},
+        Cursor{"default", 1, 0, {0}},
+        Cursor{"cube|with|pipes", 12, 0xdeadbeefcafef00dULL, {0, 17, 3}},
+        Cursor{"italy_2012", 9223372036854775807ULL, 0xffffffffffffffffULL,
+               {5, 0, 0, 1}}}) {
+    cursors.push_back(CursorPlain(EncodeCursor(cursor)));
   }
-  // Unmutated, every line parses: the reader takes all the writer writes,
+  // What scubed --demo answers: GET /cubes on a node, on shard 0 of three,
+  // on their router and on a node with no cubes; and the error bodies of a
+  // shard refusing a statement before it streams.
+  const std::vector<std::string> cubes_bodies = {
+      "{\"cubes\":[{\"name\":\"default\",\"version\":1,\"retained\":[1],"
+      "\"cells\":1556,\"defined_cells\":1531},{\"name\":\"sectors\","
+      "\"version\":1,\"retained\":[1],\"cells\":1555,"
+      "\"defined_cells\":1530}]}\n",
+      "{\"cubes\":[{\"name\":\"default\",\"version\":1,\"retained\":[1],"
+      "\"cells\":506,\"defined_cells\":496},{\"name\":\"sectors\","
+      "\"version\":1,\"retained\":[1],\"cells\":513,"
+      "\"defined_cells\":503}]}\n",
+      "{\"cubes\":[{\"name\":\"default\",\"version\":1,\"retained\":[1],"
+      "\"cells\":2623,\"defined_cells\":2578},{\"name\":\"sectors\","
+      "\"version\":1,\"retained\":[1],\"cells\":2634,"
+      "\"defined_cells\":2590}]}\n",
+      "{\"cubes\":[]}\n",
+  };
+  const std::vector<std::string> error_bodies = {
+      "{\"error\":\"no cube published under 'nope'\"}\n",
+      "{\"error\":\"no version 7 of cube 'default' (evicted or never "
+      "published)\"}\n",
+      "{\"error\":\"unknown value 'a\\\"b\\\\\\\\c' for attribute "
+      "'gender'\"}\n",
+      "{\"error\":\"unknown value 'tab\\there' for attribute 'gender'\"}\n",
+      "{\"error\":\"col 6: expected an integer for TOPK count\"}\n",
+      "{\"error\":\"malformed cursor: not base64\"}\n",
+  };
+  // Unmutated, every input decodes: the readers take all the writers write,
   // the golden trailer's UINT64_MAX scan count included.
   for (const std::string& line : lines) {
     EXPECT_TRUE(ParseWireLine(line).ok()) << line;
   }
-  auto expected = [](const Status& status) {
-    return status.ok() || status.code() == StatusCode::kParseError ||
+  for (const std::string& plain : cursors) {
+    EXPECT_TRUE(DecodeCursor(CursorToken(plain)).ok()) << plain;
+  }
+  for (const std::string& body : cubes_bodies) {
+    auto cubes = cluster::ParseCubesJson(body);
+    ASSERT_TRUE(cubes.ok()) << cubes.status();
+    EXPECT_EQ(RenderCubesJson(*cubes), body);
+  }
+  EXPECT_EQ(cluster::ParseErrorBody(error_bodies[2]),
+            "unknown value 'a\"b\\\\c' for attribute 'gender'");
+
+  std::map<std::string, size_t> tally;
+  for (const auto& [fragment, path] : PeerErrorPaths()) tally[path] = 0;
+  auto expected = [&tally](const Status& status) {
+    if (status.ok()) return true;
+    for (const auto& [fragment, path] : PeerErrorPaths()) {
+      if (status.message().find(fragment) != std::string::npos) {
+        ++tally[path];
+        break;
+      }
+    }
+    return status.code() == StatusCode::kParseError ||
            status.code() == StatusCode::kInvalidArgument;
   };
   for (uint64_t seed = 1; seed <= 2000; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     Rng rng(seed);
-    std::string input;
-    std::string token;
-    if (rng.NextBool(0.5)) {
-      input = MutateFields(lines[rng.NextBounded(lines.size())], '\t', &rng);
-      token = input;
-    } else {
-      input = MutateFields(cursors[rng.NextBounded(cursors.size())], '|',
-                           &rng);
-      token = ScatterToken(input);
-      // Some tokens are mangled after encoding: base64 itself is hostile.
-      if (rng.NextBool(0.25)) token = MutateFields(token, '_', &rng);
+    std::vector<std::string> inputs;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        inputs.push_back(
+            MutateFields(lines[rng.NextBounded(lines.size())], '\t', &rng));
+        break;
+      case 1: {
+        const std::string plain = MutateFields(
+            cursors[rng.NextBounded(cursors.size())], '|', &rng);
+        std::string token = CursorToken(plain);
+        // Some tokens are mangled after encoding: base64 itself is hostile.
+        if (rng.NextBool(0.25)) token = MutateFields(token, '_', &rng);
+        inputs = {plain, token};
+        break;
+      }
+      case 2:
+        inputs.push_back(MutateFields(
+            cubes_bodies[rng.NextBounded(cubes_bodies.size())], ',', &rng));
+        break;
+      case 3:
+        inputs.push_back(MutateFields(
+            error_bodies[rng.NextBounded(error_bodies.size())], '\\', &rng));
+        break;
     }
-    for (const std::string& bytes : {input, token}) {
+    for (const std::string& bytes : inputs) {
       auto event = ParseWireLine(bytes);
       EXPECT_TRUE(expected(event.status())) << event.status();
-      auto cursor = cluster::DecodeScatterCursor(bytes);
+      EXPECT_FALSE(cluster::ParseErrorBody(bytes).empty());
+
+      auto cubes = cluster::ParseCubesJson(bytes);
+      EXPECT_TRUE(expected(cubes.status())) << cubes.status();
+      if (cubes.ok()) {
+        auto again = cluster::ParseCubesJson(RenderCubesJson(*cubes));
+        ASSERT_TRUE(again.ok()) << again.status();
+        EXPECT_EQ(RenderCubesJson(*again), RenderCubesJson(*cubes));
+      }
+
+      auto cursor = DecodeCursor(bytes);
       EXPECT_TRUE(expected(cursor.status())) << cursor.status();
       if (!cursor.ok()) continue;
-      auto again =
-          cluster::DecodeScatterCursor(cluster::EncodeScatterCursor(*cursor));
+      auto again = DecodeCursor(EncodeCursor(*cursor));
       ASSERT_TRUE(again.ok()) << again.status();
       EXPECT_EQ(again->cube, cursor->cube);
       EXPECT_EQ(again->version, cursor->version);
       EXPECT_EQ(again->query_hash, cursor->query_hash);
-      EXPECT_EQ(again->consumed, cursor->consumed);
+      EXPECT_EQ(again->positions, cursor->positions);
     }
+  }
+  for (const auto& [path, count] : tally) {
+    std::cout << "  " << path << ": " << count << "\n";
+    EXPECT_GT(count, 0u) << "error path never fired: " << path;
+  }
+}
+
+// A shard's /cubes numbers must fit in 64 bits: the parser used to wrap
+// past UINT64_MAX, so "version":18446744073709551616 read as version 0.
+TEST(PeerDecoderFuzzTest, CubesNumbersPastUint64MaxAreRejected) {
+  const std::string kMax = "18446744073709551615";
+  const std::string kPastMax = "18446744073709551616";
+  auto body = [](const std::string& version, const std::string& retained,
+                 const std::string& cells) {
+    return "{\"cubes\":[{\"name\":\"default\",\"version\":" + version +
+           ",\"retained\":[1," + retained + "],\"cells\":" + cells +
+           ",\"defined_cells\":1}]}\n";
+  };
+  auto at_max = cluster::ParseCubesJson(body(kMax, kMax, kMax));
+  ASSERT_TRUE(at_max.ok()) << at_max.status();
+  ASSERT_EQ(at_max->size(), 1u);
+  EXPECT_EQ((*at_max)[0].version, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ((*at_max)[0].retained.back(),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ((*at_max)[0].cells, std::numeric_limits<uint64_t>::max());
+
+  for (const std::string& past :
+       {body(kPastMax, "1", "1"), body("1", kPastMax, "1"),
+        body("1", "1", kPastMax)}) {
+    auto cubes = cluster::ParseCubesJson(past);
+    EXPECT_EQ(cubes.status().code(), StatusCode::kParseError) << past;
   }
 }
 
 TEST(CursorTest, RoundTripsAndRejectsGarbage) {
-  Cursor cursor{"italy_2012", 42, 12345, 0xdeadbeefcafef00dull};
+  Cursor cursor{"italy_2012", 42, 0xdeadbeefcafef00dull, {12345}};
   std::string token = EncodeCursor(cursor);
   auto decoded = DecodeCursor(token);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cube, "italy_2012");
   EXPECT_EQ(decoded->version, 42u);
-  EXPECT_EQ(decoded->position, 12345u);
+  EXPECT_EQ(decoded->positions, std::vector<uint64_t>{12345u});
   EXPECT_EQ(decoded->query_hash, 0xdeadbeefcafef00dull);
 
   EXPECT_FALSE(DecodeCursor("not base64!").ok());
@@ -523,12 +683,12 @@ TEST(CursorTest, RoundTripsAndRejectsGarbage) {
 TEST(CursorTest, CubeNamesMayContainTheSeparator) {
   // The cube name rides last in the token, so an embedded '|' (the field
   // separator) must survive the round trip.
-  Cursor cursor{"a|b|c", 7, 99, 1};
+  Cursor cursor{"a|b|c", 7, 1, {99}};
   auto decoded = DecodeCursor(EncodeCursor(cursor));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cube, "a|b|c");
   EXPECT_EQ(decoded->version, 7u);
-  EXPECT_EQ(decoded->position, 99u);
+  EXPECT_EQ(decoded->positions, std::vector<uint64_t>{99u});
 }
 
 TEST(CursorTest, QueryHashBindsTheStatementNotThePage) {
