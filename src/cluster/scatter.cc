@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -546,7 +547,9 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
       } else {
         shard_q.offset.reset();
       }
-      if (q.limit && !ranked_reorder) {
+      // skip + page + 1 past UINT64_MAX would wrap: ask for every row then.
+      if (q.limit && !ranked_reorder &&
+          *q.limit < std::numeric_limits<uint64_t>::max() - skip) {
         shard_q.limit = skip + *q.limit + 1;
       } else {
         shard_q.limit.reset();

@@ -7,6 +7,13 @@
 namespace scube {
 namespace query {
 
+namespace {
+
+/// The cube a statement without FROM addresses.
+constexpr char kDefaultCube[] = "default";
+
+}  // namespace
+
 Result<Statement> PrepareStatement(const std::string& text,
                                    const std::string& cursor, size_t streams,
                                    StreamOutcome* outcome) {

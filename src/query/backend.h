@@ -89,9 +89,6 @@ struct StreamOutcome {
   double exec_ms = 0.0;
 };
 
-/// The cube a statement without FROM addresses.
-inline constexpr char kDefaultCube[] = "default";
-
 /// \brief A statement opened by PrepareStatement.
 struct Statement {
   Query query;
@@ -100,11 +97,12 @@ struct Statement {
 };
 
 /// The front half of every backend's ExecuteStreaming: parses `text`,
-/// fills `outcome`'s canonical text, cube and verb, and decodes a
-/// non-empty `cursor`, which must name the statement's cube and statement
-/// (CursorQueryHash), agree with its FROM name@v pin, and hold one position
-/// per row stream the backend merges: `streams` is 1 on a node and the
-/// shard count on a router. ParseError or InvalidArgument otherwise.
+/// fills `outcome`'s canonical text, cube ("default" for a statement
+/// without FROM) and verb, and decodes a non-empty `cursor`, which must
+/// name the statement's cube and statement (CursorQueryHash), agree with
+/// its FROM name@v pin, and hold one position per row stream the backend
+/// merges: `streams` is 1 on a node and the shard count on a router.
+/// ParseError or InvalidArgument otherwise.
 Result<Statement> PrepareStatement(const std::string& text,
                                    const std::string& cursor, size_t streams,
                                    StreamOutcome* outcome);

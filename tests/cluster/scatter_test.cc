@@ -411,6 +411,20 @@ TEST_F(ScatterTest, ANodeAndAOneShardRouterResumeEachOthersCursors) {
   }
 }
 
+// The per-shard limit is skip + page + 1: a page near UINT64_MAX must not
+// wrap it into a LIMIT 0 the shards refuse.
+TEST_F(ScatterTest, PagesNearUint64MaxMatchTheSingleNode) {
+  Topology topo(2);
+  for (const std::string& text :
+       {std::string("DICE sa=sex=F LIMIT 18446744073709551615"),
+        std::string("DICE sa=sex=F LIMIT 18446744073709551614 OFFSET 1"),
+        std::string("DICE sa=sex=F LIMIT 2 OFFSET 18446744073709551615")}) {
+    EXPECT_EQ(Mask(StreamJson(topo.scatter.get(), text)),
+              Mask(StreamJson(single_.get(), text)))
+        << text;
+  }
+}
+
 TEST_F(ScatterTest, FailedShardErrorNamesTheShard) {
   Topology topo(2);
   topo.shards[1]->server->Stop();
