@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "indexes/counts.h"
 
 namespace scube {
 namespace cube {
@@ -154,9 +153,10 @@ struct WorkerScratch {
   std::vector<std::vector<CoverWord>> cover_by_length;
   std::vector<uint32_t> units;            // the context's units, ascending
   std::vector<uint32_t> unit_totals;      // t_i, parallel to `units`
+  uint64_t context_total = 0;             // T, the sum of unit_totals
+  std::vector<uint32_t> unit_minorities;  // the cell's m_i, parallel too
   std::vector<uint32_t> unit_counts;      // dense t_i scratch
   std::vector<uint32_t> minority_counts;  // dense m_i scratch
-  indexes::GroupDistribution dist;
   indexes::IndexScratch index_scratch;
 };
 
@@ -214,27 +214,34 @@ Status FillContextGroup(const relational::EncodedRelation& encoded,
       }
       std::sort(ws.units.begin(), ws.units.end());
       ws.unit_totals.clear();
+      ws.context_total = 0;
       for (uint32_t unit : ws.units) {
         ws.unit_totals.push_back(ws.unit_counts[unit]);
+        ws.context_total += ws.unit_counts[unit];
         ws.unit_counts[unit] = 0;
       }
+      ws.unit_minorities.resize(ws.units.size());
     }
+    // m_i per unit, and M = |cover(A ∪ B)|.
+    uint64_t minority = 0;
     for (const CoverWord& word : cell_cover) {
+      minority += static_cast<uint64_t>(std::popcount(word.bits));
       ForEachRow(word,
                  [&](size_t row) { ++ws.minority_counts[row_unit[row]]; });
     }
-    ws.dist.Clear();
     for (size_t j = 0; j < ws.units.size(); ++j) {
-      ws.dist.AddUnit(ws.unit_totals[j], ws.minority_counts[ws.units[j]]);
+      ws.unit_minorities[j] = ws.minority_counts[ws.units[j]];
       ws.minority_counts[ws.units[j]] = 0;
     }
 
     CubeCell cell;
     cell.coords = CellCoordinates{cand.sa, grp.ca};
-    cell.context_size = ws.dist.Total();
-    cell.minority_size = ws.dist.Minority();
-    cell.num_units = static_cast<uint32_t>(ws.dist.NumUnits());
-    auto idx = indexes::ComputeAllIndexes(ws.dist, terms, &ws.index_scratch);
+    cell.context_size = ws.context_total;
+    cell.minority_size = minority;
+    cell.num_units = static_cast<uint32_t>(ws.units.size());
+    auto idx = indexes::ComputeAllIndexes(ws.unit_totals, ws.unit_minorities,
+                                          ws.context_total, minority, terms,
+                                          &ws.index_scratch);
     if (!idx.ok()) return idx.status();
     cell.indexes = idx.value();
     out_cells->push_back(std::move(cell));

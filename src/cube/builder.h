@@ -24,11 +24,14 @@
 //      per-unit counts;
 //   4. fills the cell with all six segregation indexes (undefined cells —
 //      M = 0 or M = T — stay in the cube and render as "-", Fig. 1) in
-//      one pass over its units (indexes::ComputeAllIndexes); each unit's
+//      one pass over its units (indexes::ComputeAllIndexes), which reads
+//      the worker's own t_i and m_i arrays: T is summed once per context
+//      and M is the popcount of the cell's cover words. Each unit's
 //      (m_i, t_i) terms come from a UnitTermTable built once per fill for
 //      units of up to min(largest unit, UnitTermTable::kMaxTotalBound)
 //      members and shared read-only by the workers, larger units compute
-//      theirs directly, and the cell's bits are the same either way.
+//      theirs directly, and the cell's bits are the same either way. Gini
+//      counts each worker's units per table rank instead of sorting them.
 
 #ifndef SCUBE_CUBE_BUILDER_H_
 #define SCUBE_CUBE_BUILDER_H_

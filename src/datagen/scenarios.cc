@@ -99,6 +99,24 @@ ScenarioConfig EstonianConfig(double scale, uint64_t seed) {
 
 namespace {
 
+// The shape every scenario shares. Age profile (years), clipped to
+// [18, 90].
+constexpr double kAgeMean = 48.0;
+constexpr double kAgeStddev = 10.0;
+
+// Birthplace mix {north, south, foreign}, normalised by its sum.
+constexpr double kBirthplaceNorth = 0.5;
+constexpr double kBirthplaceSouth = 0.38;
+constexpr double kBirthplaceForeign = 0.12;
+
+// Probability that a reused director comes from the company's province
+// (makes clusters geographically meaningful).
+constexpr double kSameProvinceReuse = 0.8;
+
+// Board size = Zipf(kMaxBoardSize, kBoardSizeSkew).
+constexpr uint32_t kMaxBoardSize = 9;
+constexpr double kBoardSizeSkew = 1.8;
+
 struct DirectorDraft {
   bool female;
   int64_t age;
@@ -180,7 +198,7 @@ Result<GeneratedScenario> GenerateScenario(const ScenarioConfig& config) {
       company.dissolved = graph::kDateMax;
     }
     company.board_size = static_cast<uint32_t>(
-        rng.NextZipf(config.max_board_size, config.board_size_skew));
+        rng.NextZipf(kMaxBoardSize, kBoardSizeSkew));
     companies.push_back(company);
   }
 
@@ -226,7 +244,7 @@ Result<GeneratedScenario> GenerateScenario(const ScenarioConfig& config) {
       bool reuse = !directors.empty() && rng.NextBool(config.multi_board_prob);
       if (reuse) {
         const auto& pool = by_province[company.province];
-        if (!pool.empty() && rng.NextBool(config.same_province_reuse)) {
+        if (!pool.empty() && rng.NextBool(kSameProvinceReuse)) {
           director = pool[rng.NextBounded(pool.size())];
         } else {
           director =
@@ -234,21 +252,17 @@ Result<GeneratedScenario> GenerateScenario(const ScenarioConfig& config) {
         }
       } else {
         DirectorDraft draft;
-        int64_t birth_year_ref =
-            config.temporal ? seat_start : config.start_year;
-        (void)birth_year_ref;
         draft.female = rng.NextBool(
             female_probability(company.sector, company.province,
                                config.temporal ? seat_start
                                                : config.start_year));
-        double age = config.age_mean + config.age_stddev * rng.NextGaussian();
+        double age = kAgeMean + kAgeStddev * rng.NextGaussian();
         draft.age = std::clamp<int64_t>(static_cast<int64_t>(age), 18, 90);
         double r = rng.NextDouble() *
-                   (config.birthplace_north + config.birthplace_south +
-                    config.birthplace_foreign);
-        if (r < config.birthplace_north) {
+                   (kBirthplaceNorth + kBirthplaceSouth + kBirthplaceForeign);
+        if (r < kBirthplaceNorth) {
           draft.birthplace = "north";
-        } else if (r < config.birthplace_north + config.birthplace_south) {
+        } else if (r < kBirthplaceNorth + kBirthplaceSouth) {
           draft.birthplace = "south";
         } else {
           draft.birthplace = "foreign";

@@ -49,26 +49,11 @@ struct ScenarioConfig {
   std::vector<SectorSpec> sectors;
   std::vector<ProvinceSpec> provinces;
 
-  /// Age profile (years), clipped to [18, 90].
-  double age_mean = 48.0;
-  double age_stddev = 10.0;
-
-  /// Birthplace mix: {north, south, foreign} (normalised internally).
-  double birthplace_north = 0.5;
-  double birthplace_south = 0.38;
-  double birthplace_foreign = 0.12;
-
   /// Probability that a board seat is filled by an existing director
   /// (creates interlocks — the edges of the projected company graph).
+  /// Every scenario shares the age profile, the birthplace mix, the
+  /// same-province reuse rate and the board-size law (scenarios.cc).
   double multi_board_prob = 0.25;
-
-  /// Probability that the reused director comes from the same province
-  /// (makes clusters geographically meaningful).
-  double same_province_reuse = 0.8;
-
-  /// Board size = 1 + (Zipf(max_board_size, board_size_skew) - 1).
-  uint32_t max_board_size = 9;
-  double board_size_skew = 1.8;
 
   /// Temporal registries (Estonian style): memberships get validity years
   /// in [start_year, end_year); company founding years are uniform.

@@ -1,11 +1,26 @@
 #include "indexes/counts.h"
 
+#include <string>
+
 namespace scube {
 namespace indexes {
 
+Status ValidateUnitCounts(std::span<const uint32_t> totals,
+                          std::span<const uint32_t> minorities) {
+  for (size_t i = 0; i < totals.size(); ++i) {
+    if (minorities[i] > totals[i]) {
+      return Status::InvalidArgument(
+          "unit " + std::to_string(i) + " has minority " +
+          std::to_string(minorities[i]) + " > total " +
+          std::to_string(totals[i]));
+    }
+  }
+  return Status::OK();
+}
+
 GroupDistribution GroupDistribution::FromVectors(
-    const std::vector<uint64_t>& totals,
-    const std::vector<uint64_t>& minorities) {
+    const std::vector<uint32_t>& totals,
+    const std::vector<uint32_t>& minorities) {
   GroupDistribution d;
   size_t n = totals.size() < minorities.size() ? totals.size()
                                                : minorities.size();
@@ -19,19 +34,7 @@ double GroupDistribution::MinorityProportion() const {
 }
 
 Status GroupDistribution::Validate() const {
-  for (size_t i = 0; i < totals_.size(); ++i) {
-    if (minorities_[i] > totals_[i]) {
-      return Status::InvalidArgument(
-          "unit " + std::to_string(i) + " has minority " +
-          std::to_string(minorities_[i]) + " > total " +
-          std::to_string(totals_[i]));
-    }
-  }
-  return Status::OK();
-}
-
-bool GroupDistribution::IsDegenerate() const {
-  return total_ == 0 || minority_ == 0 || minority_ == total_;
+  return ValidateUnitCounts(totals_, minorities_);
 }
 
 }  // namespace indexes

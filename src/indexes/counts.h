@@ -5,19 +5,33 @@
 // minority size, n organisational units, t_i the unit-i population and m_i
 // the unit-i minority count, P = M/T.
 //
-// The cube fill refills one GroupDistribution per worker for every cell
-// (Clear, then AddUnit per unit), so both are inline and keep capacity.
+// The index kernel reads the units as two parallel 32-bit spans plus T and
+// M (indexes::ComputeAllIndexes). The cube fill passes its own per-worker
+// arrays; GroupDistribution builds the same spans for callers that hold
+// one distribution at a time (significance tests, examples, tests).
 
 #ifndef SCUBE_INDEXES_COUNTS_H_
 #define SCUBE_INDEXES_COUNTS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 
 namespace scube {
 namespace indexes {
+
+/// Checks m_i <= t_i for every unit of two parallel spans; the error names
+/// the first unit that breaks it.
+Status ValidateUnitCounts(std::span<const uint32_t> totals,
+                          std::span<const uint32_t> minorities);
+
+/// True iff a segregation index is undefined for totals T and M: T = 0,
+/// M = 0 or M = T.
+inline bool IsDegenerate(uint64_t total, uint64_t minority) {
+  return total == 0 || minority == 0 || minority == total;
+}
 
 /// \brief Per-unit (t_i, m_i) counts for one cube cell.
 class GroupDistribution {
@@ -26,28 +40,24 @@ class GroupDistribution {
 
   /// Appends a unit with `total` members of which `minority` are minority.
   /// Units with total == 0 may be added; they are ignored by all indexes.
-  void AddUnit(uint64_t total, uint64_t minority) {
+  void AddUnit(uint32_t total, uint32_t minority) {
     totals_.push_back(total);
     minorities_.push_back(minority);
     total_ += total;
     minority_ += minority;
   }
 
-  /// Removes every unit; keeps the allocated capacity for reuse.
-  void Clear() {
-    totals_.clear();
-    minorities_.clear();
-    total_ = 0;
-    minority_ = 0;
-  }
-
   /// Convenience: builds from parallel vectors.
-  static GroupDistribution FromVectors(const std::vector<uint64_t>& totals,
-                                       const std::vector<uint64_t>& minorities);
+  static GroupDistribution FromVectors(const std::vector<uint32_t>& totals,
+                                       const std::vector<uint32_t>& minorities);
 
   size_t NumUnits() const { return totals_.size(); }
-  uint64_t UnitTotal(size_t i) const { return totals_[i]; }
-  uint64_t UnitMinority(size_t i) const { return minorities_[i]; }
+  uint32_t UnitTotal(size_t i) const { return totals_[i]; }
+  uint32_t UnitMinority(size_t i) const { return minorities_[i]; }
+
+  /// t_i and m_i of every unit, in unit order.
+  std::span<const uint32_t> UnitTotals() const { return totals_; }
+  std::span<const uint32_t> UnitMinorities() const { return minorities_; }
 
   /// T: total population over all units.
   uint64_t Total() const { return total_; }
@@ -59,17 +69,17 @@ class GroupDistribution {
   double MinorityProportion() const;
 
   /// Checks structural invariants: m_i <= t_i for every unit; the error
-  /// names the first unit that breaks them. (ComputeAllIndexes makes the
-  /// same check inside its one pass and calls this only to report.)
+  /// names the first unit that breaks them (ValidateUnitCounts, which
+  /// ComputeAllIndexes also reports).
   Status Validate() const;
 
   /// True iff a segregation index is well defined: T > 0, 0 < M < T, and at
   /// least one non-empty unit.
-  bool IsDegenerate() const;
+  bool IsDegenerate() const { return indexes::IsDegenerate(total_, minority_); }
 
  private:
-  std::vector<uint64_t> totals_;
-  std::vector<uint64_t> minorities_;
+  std::vector<uint32_t> totals_;
+  std::vector<uint32_t> minorities_;
   uint64_t total_ = 0;
   uint64_t minority_ = 0;
 };

@@ -107,20 +107,22 @@ Result<UnitTermTable> UnitTermTable::Build(uint64_t max_total,
   return table;
 }
 
-Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
+Result<IndexVector> ComputeAllIndexes(std::span<const uint32_t> unit_totals,
+                                      std::span<const uint32_t> unit_minorities,
+                                      uint64_t total, uint64_t minority,
                                       const UnitTermTable& terms,
                                       IndexScratch* scratch) {
   IndexVector out;
-  if (dist.IsDegenerate()) {
-    SCUBE_RETURN_IF_ERROR(dist.Validate());
+  if (IsDegenerate(total, minority)) {
+    SCUBE_RETURN_IF_ERROR(ValidateUnitCounts(unit_totals, unit_minorities));
     out.defined = false;
     return out;
   }
   const double b = terms.atkinson_b();
-  const double total = static_cast<double>(dist.Total());
-  const double m_total = static_cast<double>(dist.Minority());
-  const double maj_total = static_cast<double>(dist.Total() - dist.Minority());
-  const double prop = dist.MinorityProportion();
+  const double total_d = static_cast<double>(total);
+  const double m_total = static_cast<double>(minority);
+  const double maj_total = static_cast<double>(total - minority);
+  const double prop = m_total / total_d;
   const double entropy = EntropyOf(prop);
 
   // One accumulator per index; each adds its terms in unit order except
@@ -132,11 +134,13 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
   double dis_sum = 0.0, inf_sum = 0.0, iso_sum = 0.0, int_sum = 0.0,
          atk_sum = 0.0;
   uint64_t zero_block_t = 0;
+  std::vector<uint32_t>& counts = scratch->rank_counts;
+  if (counts.size() < terms.size()) counts.resize(terms.size(), 0);
   scratch->ranks.clear();
   scratch->direct.clear();
-  for (size_t i = 0; i < dist.NumUnits(); ++i) {
-    const uint64_t t = dist.UnitTotal(i);
-    const uint64_t m = dist.UnitMinority(i);
+  for (size_t i = 0; i < unit_totals.size(); ++i) {
+    const uint32_t t = unit_totals[i];
+    const uint32_t m = unit_minorities[i];
     const double ti = static_cast<double>(t);
     if (m == 0) {
       dis_sum += ti / maj_total;
@@ -144,7 +148,10 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
       zero_block_t += t;
       continue;
     }
-    if (m > t) return dist.Validate();  // names the first broken unit
+    if (m > t) {
+      for (uint32_t rank : scratch->ranks) counts[rank] = 0;
+      return ValidateUnitCounts(unit_totals, unit_minorities);
+    }
     const double mi = static_cast<double>(m);
     const double share = mi / m_total;
     dis_sum += std::fabs(share - static_cast<double>(t - m) / maj_total);
@@ -156,7 +163,7 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
     };
     if (t <= terms.max_total()) {
       const UnitTermTable::Terms& u = terms.At(t, m);
-      scratch->ranks.push_back(u.rank);
+      if (counts[u.rank]++ == 0) scratch->ranks.push_back(u.rank);
       add_terms(u);
     } else {
       const UnitTermTable::Terms u = DirectTerms(t, m, b);
@@ -168,7 +175,8 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
   // Gini in O(n log n): over the units in ascending (p_i, t_i) order,
   //   sum_{i,j} t_i t_j |p_i - p_j| = 2 * sum_j t_j * (p_j * S_t - S_tp)
   // with S_t, S_tp the sums over the units before j. The table's units
-  // sort as ranks; the others sort as (p, t) and merge in.
+  // come as distinct ranks, each added once per unit of that rank (and
+  // its count zeroed); the others sort as (p, t) and merge in.
   std::sort(scratch->ranks.begin(), scratch->ranks.end());
   std::sort(scratch->direct.begin(), scratch->direct.end());
   double prefix_t = static_cast<double>(zero_block_t), prefix_tp = 0.0,
@@ -186,7 +194,7 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
          ++direct_it) {
       add(*direct_it);
     }
-    add(unit);
+    for (; counts[rank] > 0; --counts[rank]) add(unit);
   }
   for (; direct_it != scratch->direct.end(); ++direct_it) add(*direct_it);
   pair_sum *= 2.0;
@@ -194,15 +202,22 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
   // IndexKind order.
   out.values = {
       0.5 * dis_sum,
-      pair_sum / (2.0 * total * total * prop * (1.0 - prop)),
-      inf_sum / (total * entropy),
+      pair_sum / (2.0 * total_d * total_d * prop * (1.0 - prop)),
+      inf_sum / (total_d * entropy),
       iso_sum,
       int_sum,
       1.0 - (prop / (1.0 - prop)) *
-                std::pow(atk_sum / (prop * total), 1.0 / (1.0 - b)),
+                std::pow(atk_sum / (prop * total_d), 1.0 / (1.0 - b)),
   };
   out.defined = true;
   return out;
+}
+
+Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
+                                      const UnitTermTable& terms,
+                                      IndexScratch* scratch) {
+  return ComputeAllIndexes(dist.UnitTotals(), dist.UnitMinorities(),
+                           dist.Total(), dist.Minority(), terms, scratch);
 }
 
 Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,

@@ -20,18 +20,28 @@
 //
 // One kernel computes all six in a single pass over the units, in unit
 // order, checking m_i <= t_i as it goes; every entry point returns its
-// value for one kind. The per-unit terms that depend only on (m_i, t_i)
-// (p_i, (t_i-m_i)/t_i, E_i, the Atkinson product and p_i's rank in Gini's
-// order) come from a UnitTermTable when t_i is within it, else they are
-// computed directly. Both give the same bits: the table memoises the very
-// expressions the direct path evaluates, and every sum adds the same terms
-// in the same order.
+// value for one kind. It reads t_i and m_i as two parallel 32-bit spans
+// plus T and M: the cube fill passes its per-worker arrays, and
+// GroupDistribution is the adapter for everyone else. The per-unit terms
+// that depend only on (m_i, t_i) (p_i, (t_i-m_i)/t_i, E_i, the Atkinson
+// product and p_i's rank in Gini's order) come from a UnitTermTable when
+// t_i is within it, else they are computed directly. Both give the same
+// bits: the table memoises the very expressions the direct path
+// evaluates, and every sum adds the same terms in the same order.
+//
+// Gini adds its terms in ascending (p_i, t_i) order. A unit within the
+// table adds one to its rank's count instead of being sorted, so only the
+// distinct ranks of a cell are sorted (a perfbench cell has ~452 minority
+// units over ~19 ranks); each rank is then added once per unit, which is
+// the sequence a sort of every unit would give, since equal ranks are
+// equal (p, t). Units above the table sort as (p, t) pairs and merge in.
 
 #ifndef SCUBE_INDEXES_SEGREGATION_INDEX_H_
 #define SCUBE_INDEXES_SEGREGATION_INDEX_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +130,10 @@ class UnitTermTable {
   double atkinson_b() const { return b_; }
   uint64_t max_total() const { return max_total_; }
 
+  /// The number of entries: max_total() * (max_total() + 1) / 2, one per
+  /// (m, t) and one per rank.
+  size_t size() const { return terms_.size(); }
+
   /// The entry of a unit with 0 < m <= t <= max_total().
   const Terms& At(uint64_t t, uint64_t m) const {
     return terms_[t * (t - 1) / 2 + (m - 1)];
@@ -141,9 +155,12 @@ class UnitTermTable {
 
 /// \brief Reusable buffers of ComputeAllIndexes (Gini's ordering). A fill
 /// worker keeps one, so the kernel allocates nothing once they have grown.
+/// `rank_counts` grows to the largest table it has served and is all zero
+/// between calls, so one scratch serves tables of any size.
 struct IndexScratch {
-  std::vector<uint32_t> ranks;                     // units inside the table
-  std::vector<std::pair<double, double>> direct;   // (p, t) of the others
+  std::vector<uint32_t> rank_counts;  // units per table rank
+  std::vector<uint32_t> ranks;        // the distinct ranks counted
+  std::vector<std::pair<double, double>> direct;  // (p, t) above the table
 };
 
 /// Computes all six. `defined` is false when the distribution is
@@ -152,9 +169,18 @@ Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
                                       const IndexParams& params =
                                           IndexParams());
 
-/// The kernel behind every entry point: one pass over the units, with the
-/// per-unit terms from `terms` where t_i <= terms.max_total(). Same values,
-/// bit for bit, for every table of the same b.
+/// The kernel behind every entry point: one pass over the units t_i =
+/// unit_totals[i], m_i = unit_minorities[i] (same length), whose sums are
+/// `total` (T) and `minority` (M), with the per-unit terms from `terms`
+/// where t_i <= terms.max_total(). Same values, bit for bit, for every
+/// table of the same b.
+Result<IndexVector> ComputeAllIndexes(std::span<const uint32_t> unit_totals,
+                                      std::span<const uint32_t> unit_minorities,
+                                      uint64_t total, uint64_t minority,
+                                      const UnitTermTable& terms,
+                                      IndexScratch* scratch);
+
+/// The kernel on a GroupDistribution's units.
 Result<IndexVector> ComputeAllIndexes(const GroupDistribution& dist,
                                       const UnitTermTable& terms,
                                       IndexScratch* scratch);

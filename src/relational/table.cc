@@ -27,11 +27,22 @@ std::vector<std::string> Table::ParseSetLiteral(const std::string& raw) {
   return out;
 }
 
+Status Table::CellCountMismatch(size_t cells) const {
+  return Status::InvalidArgument("row has " + std::to_string(cells) +
+                                 " cells, schema has " +
+                                 std::to_string(schema_.NumAttributes()));
+}
+
+Status Table::CellTypeMismatch(size_t col) const {
+  return Status::InvalidArgument(
+      "cell " + std::to_string(col) + " type mismatch for attribute '" +
+      schema_.attribute(col).name + "' (" +
+      ColumnTypeToString(schema_.attribute(col).type) + ")");
+}
+
 Status Table::AppendRow(const std::vector<CellValue>& cells) {
   if (cells.size() != schema_.NumAttributes()) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(cells.size()) + " cells, schema has " +
-        std::to_string(schema_.NumAttributes()));
+    return CellCountMismatch(cells.size());
   }
   // Validate first so a failed append leaves the table unchanged.
   for (size_t c = 0; c < cells.size(); ++c) {
@@ -54,12 +65,7 @@ Status Table::AppendRow(const std::vector<CellValue>& cells) {
              std::holds_alternative<std::string>(cell);
         break;
     }
-    if (!ok) {
-      return Status::InvalidArgument(
-          "cell " + std::to_string(c) + " type mismatch for attribute '" +
-          schema_.attribute(c).name + "' (" +
-          ColumnTypeToString(type) + ")");
-    }
+    if (!ok) return CellTypeMismatch(c);
   }
   for (size_t c = 0; c < cells.size(); ++c) {
     Column& col = columns_[c];
@@ -88,6 +94,77 @@ Status Table::AppendRow(const std::vector<CellValue>& cells) {
         for (const std::string& v : values) codes.push_back(col.dict.GetOrAdd(v));
         std::sort(codes.begin(), codes.end());
         codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+        col.set_codes.insert(col.set_codes.end(), codes.begin(), codes.end());
+        col.set_offsets.push_back(static_cast<uint32_t>(col.set_codes.size()));
+        break;
+      }
+    }
+  }
+  ++num_rows_;
+  return Status::OK();
+}
+
+Code Table::AddDictionaryValue(size_t col, const std::string& value) {
+  SCUBE_CHECK(schema_.attribute(col).type == ColumnType::kCategorical ||
+              schema_.attribute(col).type == ColumnType::kCategoricalSet);
+  return columns_[col].dict.GetOrAdd(value);
+}
+
+Status Table::AppendCodedRow(std::span<const CodedCell> cells) {
+  if (cells.size() != schema_.NumAttributes()) {
+    return CellCountMismatch(cells.size());
+  }
+  // Validate first so a failed append leaves the table unchanged.
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const CodedCell& cell = cells[c];
+    const size_t dict_size = columns_[c].dict.size();
+    bool type_ok = false, codes_ok = true;
+    switch (schema_.attribute(c).type) {
+      case ColumnType::kCategorical:
+        type_ok = std::holds_alternative<Code>(cell);
+        codes_ok = type_ok && std::get<Code>(cell) < dict_size;
+        break;
+      case ColumnType::kInt64:
+        type_ok = std::holds_alternative<int64_t>(cell);
+        break;
+      case ColumnType::kDouble:
+        type_ok = std::holds_alternative<double>(cell);
+        break;
+      case ColumnType::kCategoricalSet: {
+        type_ok = std::holds_alternative<std::span<const Code>>(cell);
+        if (!type_ok) break;
+        std::span<const Code> codes = std::get<std::span<const Code>>(cell);
+        for (size_t i = 0; i < codes.size(); ++i) {
+          if (codes[i] >= dict_size || (i > 0 && codes[i - 1] >= codes[i])) {
+            codes_ok = false;
+          }
+        }
+        break;
+      }
+    }
+    if (!type_ok) return CellTypeMismatch(c);
+    if (!codes_ok) {
+      return Status::InvalidArgument(
+          "cell " + std::to_string(c) + " for attribute '" +
+          schema_.attribute(c).name +
+          "' holds a code outside its dictionary or an unsorted set");
+    }
+  }
+  for (size_t c = 0; c < cells.size(); ++c) {
+    Column& col = columns_[c];
+    const CodedCell& cell = cells[c];
+    switch (schema_.attribute(c).type) {
+      case ColumnType::kCategorical:
+        col.codes.push_back(std::get<Code>(cell));
+        break;
+      case ColumnType::kInt64:
+        col.ints.push_back(std::get<int64_t>(cell));
+        break;
+      case ColumnType::kDouble:
+        col.doubles.push_back(std::get<double>(cell));
+        break;
+      case ColumnType::kCategoricalSet: {
+        std::span<const Code> codes = std::get<std::span<const Code>>(cell);
         col.set_codes.insert(col.set_codes.end(), codes.begin(), codes.end());
         col.set_offsets.push_back(static_cast<uint32_t>(col.set_codes.size()));
         break;

@@ -26,6 +26,11 @@ namespace relational {
 using CellValue =
     std::variant<int64_t, double, std::string, std::vector<std::string>>;
 
+/// A typed cell in code space, for rows whose values are already codes of
+/// the table's own dictionaries: a categorical code, an int64, a double,
+/// or a set's codes (ascending, no duplicates).
+using CodedCell = std::variant<Code, int64_t, double, std::span<const Code>>;
+
 /// \brief Columnar table bound to a Schema.
 class Table {
  public:
@@ -41,6 +46,15 @@ class Table {
   /// Set-valued cells use brace syntax: "{electricity, transports}"; a bare
   /// string is treated as a singleton set.
   Status AppendRowFromStrings(const std::vector<std::string>& fields);
+
+  /// Returns the code of `value` in the dictionary of categorical or set
+  /// column `col`, adding it if new.
+  Code AddDictionaryValue(size_t col, const std::string& value);
+
+  /// Appends a row in code space. As for AppendRow, the cell count and
+  /// types must match the schema (a kDouble column takes a double); codes
+  /// must be in the column's dictionary and a set's strictly ascending.
+  Status AppendCodedRow(std::span<const CodedCell> cells);
 
   // Accessors (row < NumRows(), col bound to the matching column type).
   Code CategoricalCode(size_t row, size_t col) const;
@@ -83,6 +97,9 @@ class Table {
     std::vector<Code> set_codes;
     Dictionary dict;
   };
+
+  Status CellCountMismatch(size_t cells) const;
+  Status CellTypeMismatch(size_t col) const;
 
   Schema schema_;
   std::vector<Column> columns_;

@@ -113,21 +113,38 @@ Result<EncodedRelation> EncodeForAnalysis(const Table& final_table) {
   out.row_unit.reserve(final_table.NumRows());
   std::unordered_map<int64_t, uint32_t> int_units;
 
+  // Per mined column, the item of each dictionary code: the catalog is
+  // asked only at a code's first sight, in row order (a set's values in
+  // code order), so item ids come out in first-seen order.
+  std::vector<std::vector<fpm::ItemId>> items_of(mined_attrs.size());
+  for (size_t j = 0; j < mined_attrs.size(); ++j) {
+    items_of[j].assign(final_table.dictionary(mined_attrs[j]).size(),
+                       fpm::kInvalidItem);
+  }
+  std::vector<fpm::ItemId> items;  // one row's, reused
   for (size_t r = 0; r < final_table.NumRows(); ++r) {
     // Items.
-    std::vector<fpm::ItemId> items;
-    for (size_t a : mined_attrs) {
+    items.clear();
+    for (size_t j = 0; j < mined_attrs.size(); ++j) {
+      const size_t a = mined_attrs[j];
       const AttributeSpec& spec = schema.attribute(a);
+      auto item_of = [&](Code code) {
+        fpm::ItemId& item = items_of[j][code];
+        if (item == fpm::kInvalidItem) {
+          item = out.catalog.GetOrAdd(
+              a, spec.name, final_table.dictionary(a).ValueOf(code), spec.kind);
+        }
+        return item;
+      };
       if (spec.type == ColumnType::kCategorical) {
-        items.push_back(out.catalog.GetOrAdd(
-            a, spec.name, final_table.CategoricalValue(r, a), spec.kind));
+        items.push_back(item_of(final_table.CategoricalCode(r, a)));
       } else {
-        for (const std::string& v : final_table.SetValues(r, a)) {
-          items.push_back(out.catalog.GetOrAdd(a, spec.name, v, spec.kind));
+        for (Code code : final_table.SetCodes(r, a)) {
+          items.push_back(item_of(code));
         }
       }
     }
-    out.db.AddTransaction(std::move(items));
+    out.db.AddTransaction(std::vector<fpm::ItemId>(items.begin(), items.end()));
 
     // Unit assignment.
     uint32_t unit;

@@ -5,7 +5,9 @@
 // catalog records the meaning of every item so mined itemsets can be decoded
 // back into cube coordinates, and renders each item's "attr=value" label
 // once, when the item is added: every row, CSV line and sheet cell that
-// names a cell reuses those strings.
+// names a cell reuses those strings. The encoder maps each column's
+// dictionary codes to items through one vector per column and asks the
+// catalog only at a code's first sight.
 
 #ifndef SCUBE_RELATIONAL_TRANSACTIONS_H_
 #define SCUBE_RELATIONAL_TRANSACTIONS_H_
@@ -71,7 +73,9 @@ struct EncodedRelation {
   std::vector<std::string> unit_labels;  ///< unit index -> label
 };
 
-/// Encodes a finalTable for cube analysis. Requirements (checked):
+/// Encodes a finalTable for cube analysis. Item ids come in first-seen
+/// order: rows in table order, a set's values in code order. Requirements
+/// (checked):
 ///   - schema passes Schema::ValidateForAnalysis();
 ///   - every SA/CA attribute is kCategorical or kCategoricalSet (numeric
 ///     attributes must be binned first, see relational/binning.h);

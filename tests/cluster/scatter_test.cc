@@ -583,6 +583,24 @@ class FakeShard {
   /// them.
   int requests_after_stall() const { return requests_after_stall_.load(); }
 
+  /// Connections accepted whose Serve loop has not returned yet: the
+  /// connections a router holds open.
+  int open_connections() const { return open_connections_.load(); }
+
+  /// Waits up to `seconds` for open_connections() to reach 0; true if it
+  /// did.
+  bool WaitForNoOpenConnections(double seconds) const {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration_cast<
+                           std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double>(seconds));
+    while (open_connections_.load() != 0) {
+      if (std::chrono::steady_clock::now() >= until) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  }
+
   /// Ends every stall now.
   void Unstall() { unstalled_ = true; }
 
@@ -611,7 +629,11 @@ class FakeShard {
       // shuts down a reused descriptor.
       conns_.push_back(std::move(conn).value());
       net::Socket* socket = &conns_.back();
-      threads_.emplace_back([this, socket] { Serve(socket); });
+      ++open_connections_;
+      threads_.emplace_back([this, socket] {
+        Serve(socket);
+        --open_connections_;
+      });
     }
   }
 
@@ -662,6 +684,7 @@ class FakeShard {
   net::ListenSocket listener_;
   std::atomic<int> requests_{0};
   std::atomic<int> requests_after_stall_{0};
+  std::atomic<int> open_connections_{0};
   std::atomic<bool> unstalled_{false};
   std::mutex mu_;
   std::list<net::Socket> conns_;      // guarded by mu_
@@ -1028,9 +1051,10 @@ TEST(ScatterConcurrencyTest, StalledStreamDoesNotHoldUpAnotherRequest) {
 // Four ways a shard stream breaks. A navigation verb fails with an error
 // that names the shard and the cause; TOPK under allow_partial degrades to
 // the healthy shard and hands out no cursor. Afterwards a clean statement
-// through the same router succeeds, and no statement ever reaches a
-// connection that had stalled: a broken connection never went back to the
-// idle list.
+// through the same router succeeds, no statement ever reaches a
+// connection that had stalled (a broken connection never went back to the
+// idle list), and once the router is gone neither shard holds a
+// connection open: the router leaked none.
 TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
   struct Injection {
     const char* name;
@@ -1099,6 +1123,12 @@ TEST(ScatterFailureTest, BrokenShardStreamsNameTheShard) {
     EXPECT_TRUE(topk.next_cursor.empty());
 
     topo.ExpectHealthy();
+    EXPECT_GT(topo.good.open_connections(), 0);  // the router's idle one
+    topo.scatter.reset();
+    EXPECT_TRUE(topo.good.WaitForNoOpenConnections(5.0))
+        << topo.good.open_connections() << " open on the healthy shard";
+    EXPECT_TRUE(topo.bad.WaitForNoOpenConnections(5.0))
+        << topo.bad.open_connections() << " open on the broken shard";
     topo.bad.Stop();
     EXPECT_EQ(topo.bad.requests_after_stall(), 0);
   }

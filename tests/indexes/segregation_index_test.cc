@@ -165,6 +165,24 @@ TEST(ComputeAllTest, BrokenCountsNameTheFirstBadUnit) {
             degenerate.Validate());
 }
 
+TEST(ComputeAllTest, BrokenCountsLeaveTheScratchClean) {
+  // The broken unit comes after a counted one (1 of 5); a count left
+  // behind would add that rank again in the next call.
+  auto table = UnitTermTable::Build(16, IndexParams());
+  ASSERT_TRUE(table.ok());
+  IndexScratch reused;
+  GroupDistribution broken =
+      GroupDistribution::FromVectors({5, 4, 3}, {1, 0, 4});
+  ASSERT_FALSE(ComputeAllIndexes(broken, table.value(), &reused).ok());
+  GroupDistribution d = GroupDistribution::FromVectors({5, 6, 2}, {1, 3, 0});
+  IndexScratch fresh;
+  auto want = ComputeAllIndexes(d, table.value(), &fresh);
+  auto got = ComputeAllIndexes(d, table.value(), &reused);
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(got->values, want->values);
+  EXPECT_EQ(reused.rank_counts, fresh.rank_counts);
+}
+
 TEST(ComputeAllTest, DegenerateYieldsUndefined) {
   auto all = ComputeAllIndexes(GroupDistribution::FromVectors({10}, {0}));
   ASSERT_TRUE(all.ok());
@@ -342,6 +360,26 @@ GroupDistribution MixedSizeDistribution(Rng* rng, size_t num_units) {
   return d;
 }
 
+// A cube cell's units: at most 4 members each, 77% without a minority
+// member, plus three units above the table bound.
+GroupDistribution CubeCellDistribution(Rng* rng, size_t num_units) {
+  constexpr uint64_t kBound = UnitTermTable::kMaxTotalBound;
+  GroupDistribution d;
+  for (size_t i = 0; i < num_units; ++i) {
+    const uint32_t t = static_cast<uint32_t>(1 + rng->NextBounded(4));
+    const uint32_t m = rng->NextBounded(100) < 77
+                           ? 0
+                           : static_cast<uint32_t>(1 + rng->NextBounded(t));
+    d.AddUnit(t, m);
+    if (i % (num_units / 3) == num_units / 6) {
+      const uint32_t big =
+          static_cast<uint32_t>(kBound + 1 + rng->NextBounded(64));
+      d.AddUnit(big, static_cast<uint32_t>(rng->NextBounded(big + 1)));
+    }
+  }
+  return d;
+}
+
 TEST(UnitTermTableTest, TableAndDirectPathsAreBitEqual) {
   constexpr uint64_t kBound = UnitTermTable::kMaxTotalBound;
   Rng rng(20261018);
@@ -374,6 +412,34 @@ TEST(UnitTermTableTest, TableAndDirectPathsAreBitEqual) {
               << table->max_total() << " " << IndexKindToString(kind);
           ASSERT_EQ(HexFloat((*public_path)[kind]), HexFloat((*want)[kind]))
               << IndexKindToString(kind);
+        }
+      }
+    }
+
+    // Cube-cell shape: several hundred units of at most 4 members, 77%
+    // without a minority member, so each (m, t) rank repeats many times,
+    // and a few units above the table bound. The empty table sorts every
+    // unit; the fill's tables count each rank's units and must add the
+    // rank once per unit, through the adapter and the span entry point.
+    for (int trial = 0; trial < 20; ++trial) {
+      GroupDistribution d =
+          CubeCellDistribution(&rng, 400 + rng.NextBounded(500));
+      auto want = ComputeAllIndexes(d, none.value(), &scratch);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(want->defined);
+      for (const UnitTermTable* table : {&full.value(), &small.value()}) {
+        auto adapter = ComputeAllIndexes(d, *table, &scratch);
+        auto span = ComputeAllIndexes(d.UnitTotals(), d.UnitMinorities(),
+                                      d.Total(), d.Minority(), *table,
+                                      &scratch);
+        ASSERT_TRUE(adapter.ok() && span.ok());
+        for (IndexKind kind : AllIndexKinds()) {
+          ASSERT_EQ(HexFloat((*adapter)[kind]), HexFloat((*want)[kind]))
+              << "b " << b << " cube-cell trial " << trial << " max_total "
+              << table->max_total() << " " << IndexKindToString(kind);
+          ASSERT_EQ(HexFloat((*span)[kind]), HexFloat((*want)[kind]))
+              << "b " << b << " cube-cell trial " << trial << " max_total "
+              << table->max_total() << " " << IndexKindToString(kind);
         }
       }
     }
