@@ -31,7 +31,8 @@
 //      units of up to min(largest unit, UnitTermTable::kMaxTotalBound)
 //      members and shared read-only by the workers, larger units compute
 //      theirs directly, and the cell's bits are the same either way. Gini
-//      counts each worker's units per table rank instead of sorting them.
+//      counts a cell's units per table rank, so it sorts only the
+//      distinct ranks.
 
 #ifndef SCUBE_CUBE_BUILDER_H_
 #define SCUBE_CUBE_BUILDER_H_

@@ -30,11 +30,11 @@
 // evaluates, and every sum adds the same terms in the same order.
 //
 // Gini adds its terms in ascending (p_i, t_i) order. A unit within the
-// table adds one to its rank's count instead of being sorted, so only the
-// distinct ranks of a cell are sorted (a perfbench cell has ~452 minority
-// units over ~19 ranks); each rank is then added once per unit, which is
-// the sequence a sort of every unit would give, since equal ranks are
-// equal (p, t). Units above the table sort as (p, t) pairs and merge in.
+// table adds one to its rank's count, so only the distinct ranks of a
+// cell are sorted (a perfbench cell has ~452 minority units over ~19
+// ranks); each rank is then added once per unit, which is the sequence a
+// sort of every unit would give, since equal ranks are equal (p, t).
+// Units above the table sort as (p, t) pairs and merge in.
 
 #ifndef SCUBE_INDEXES_SEGREGATION_INDEX_H_
 #define SCUBE_INDEXES_SEGREGATION_INDEX_H_

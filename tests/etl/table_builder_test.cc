@@ -134,6 +134,16 @@ TEST(TableBuilderTest, ClusteringSizeMismatchRejected) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(TableBuilderTest, UnitLabelOutsideTheClusteringRejected) {
+  graph::Clustering labels = graph::NormalizeLabels({0, 0, 1});
+  labels.labels[2] = 2;  // num_clusters is 2
+  auto bad = BuildFinalTable(BoardInputs(), labels, TableBuilderOptions{});
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("group 2 has unit 2"),
+            std::string::npos)
+      << bad.status();
+}
+
 TEST(InputsTest, GroupsWithSaRejected) {
   Schema ind_schema({{"id", ColumnType::kInt64, AttributeKind::kId}});
   Schema grp_schema({

@@ -65,6 +65,44 @@ TEST(TableTest, WrongArityRejected) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(TableTest, AppendCodedRowReadsBackAndChecksItsCells) {
+  Table t(TestSchema());
+  const Code f = t.AddDictionaryValue(1, "F");
+  const Code agri = t.AddDictionaryValue(3, "agri");
+  const Code edu = t.AddDictionaryValue(3, "edu");
+  EXPECT_EQ(t.AddDictionaryValue(1, "F"), f);
+  const std::vector<Code> sectors = {agri, edu};
+  const std::vector<CodedCell> row = {int64_t{7}, f, 0.5,
+                                      std::span<const Code>(sectors)};
+  ASSERT_TRUE(t.AppendCodedRow(row).ok());
+  EXPECT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.Int64Value(0, 0), 7);
+  EXPECT_EQ(t.CategoricalValue(0, 1), "F");
+  EXPECT_DOUBLE_EQ(t.DoubleValue(0, 2), 0.5);
+  EXPECT_EQ(t.SetValues(0, 3), (std::vector<std::string>{"agri", "edu"}));
+
+  // Each broken row is refused whole: wrong arity, a wrong type (a double
+  // column takes no int here), a code outside the dictionary, and set
+  // codes out of order or repeated.
+  const std::vector<Code> unsorted = {edu, agri};
+  const std::vector<Code> repeated = {agri, agri};
+  const std::vector<Code> unknown = {edu + 1};
+  const std::vector<std::vector<CodedCell>> broken = {
+      {int64_t{8}, f, 0.5},
+      {int64_t{8}, f, int64_t{1}, std::span<const Code>(sectors)},
+      {int64_t{8}, f + 1, 0.5, std::span<const Code>(sectors)},
+      {int64_t{8}, f, 0.5, std::span<const Code>(unknown)},
+      {int64_t{8}, f, 0.5, std::span<const Code>(unsorted)},
+      {int64_t{8}, f, 0.5, std::span<const Code>(repeated)},
+  };
+  for (const std::vector<CodedCell>& cells : broken) {
+    EXPECT_EQ(t.AppendCodedRow(cells).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.ToCsvString(),
+            "id,gender,score,sector\n7,F,0.500000,\"{agri,edu}\"\n");
+}
+
 TEST(TableTest, AppendFromStringsParsesTypes) {
   Table t(TestSchema());
   ASSERT_TRUE(
