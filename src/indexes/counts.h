@@ -73,9 +73,10 @@ class GroupDistribution {
   /// ComputeAllIndexes also reports).
   Status Validate() const;
 
-  /// True iff a segregation index is well defined: T > 0, 0 < M < T, and at
-  /// least one non-empty unit.
-  bool IsDegenerate() const { return indexes::IsDegenerate(total_, minority_); }
+  /// True iff no segregation index is defined: T = 0, M = 0 or M = T.
+  bool IsDegenerate() const {
+    return indexes::IsDegenerate(total_, minority_);
+  }
 
  private:
   std::vector<uint32_t> totals_;
