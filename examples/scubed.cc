@@ -1,6 +1,5 @@
-// scubed: the SCube serving daemon — SCubeQL over HTTP/1.1 and a
-// newline-delimited line protocol, with admission control, per-query
-// deadlines and publish-time cache warming.
+// scubed: the SCube serving daemon — SCubeQL over HTTP/1.1, with
+// admission control, per-query deadlines and publish-time cache warming.
 //
 // Run:  ./scubed --demo                      serve the demo cubes on :8080
 //       ./scubed --demo --port 0             kernel-assigned port (printed)
@@ -58,7 +57,9 @@
 //   curl -X POST 'localhost:8080/query?debug=trace' --data 'TOPK 5 BY gini'
 //   curl -X POST 'localhost:8080/query?format=csv' --data 'SLICE sa=gender=F'
 //   curl localhost:8080/metrics
-//   printf 'TOPK 3 BY gini\nQUIT\n' | nc localhost 8080     (line protocol)
+//   curl -X POST localhost:8080/query --data-binary @statements
+//                     (a batch: one statement per line of the file, each
+//                     answered in its own "results" slot)
 //
 // Streaming (chunked transfer encoding, O(1) response buffering; one
 // statement per request; ?cursor= resumes the next LIMIT'ed page):

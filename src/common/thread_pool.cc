@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
 namespace scube {
-
-namespace {
-
-// Worker-thread marker: set while a thread runs this pool's RunWorker, so
-// Submit() can detect nested submission and run inline.
-thread_local const ThreadPool* current_pool = nullptr;
-
-}  // namespace
 
 // Shared between a ParallelFor call and its helper tasks. Helpers hold a
 // shared_ptr, so a helper scheduled after the caller returned still finds
@@ -67,37 +60,19 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::RunWorker() {
-  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
       sync::MutexLock lock(&mu_);
       while (!stopping_ && queue_.empty()) cv_.Wait(&mu_);
-      // Drain before exiting, so ~ThreadPool never abandons a future.
+      // Drain before exiting: a late helper finds its range exhausted and
+      // returns at once.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
     }
     task();
   }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  if (current_pool == this) {
-    task();  // nested submit: run inline, never wait behind ourselves
-    return future;
-  }
-  {
-    sync::MutexLock lock(&mu_);
-    queue_.emplace_back(
-        [t = std::make_shared<std::packaged_task<void()>>(std::move(task))] {
-          (*t)();
-        });
-  }
-  cv_.Signal();
-  return future;
 }
 
 void ThreadPool::ParallelFor(
@@ -146,12 +121,6 @@ void ThreadPool::ParallelFor(
     while (state->in_flight != 0) state->cv.Wait(&state->mu);
     if (state->error) std::rethrow_exception(state->error);
   }
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t index)>& fn) {
-  ParallelFor(n, num_threads() + 1,
-              [&fn](size_t /*worker*/, size_t i) { fn(i); });
 }
 
 ThreadPool& ThreadPool::Shared() {

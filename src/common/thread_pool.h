@@ -1,26 +1,18 @@
 // Fixed-size thread pool shared by every subsystem that fans work out
-// (parallel cube fill, parallel Seal(), future batch jobs).
+// (parallel cube fill, parallel Seal(), the findings build).
 //
 // Deliberately small and work-stealing-free: a mutex-guarded FIFO queue,
-// N worker threads, and two entry points:
+// N worker threads, and one entry point, ParallelFor(n, w, fn), which
+// blocks until fn ran for every index in [0, n), with at most `w`
+// concurrent participants (the caller is one of them).
 //
-//   - Submit(fn)            -> std::future<void> for fire-and-wait tasks;
-//   - ParallelFor(n, w, fn) -> blocks until fn ran for every index in
-//                              [0, n), with at most `w` concurrent
-//                              participants (the caller is one of them).
-//
-// Deadlock avoidance is by construction, not by stealing:
-//
-//   - ParallelFor claims indices from a shared atomic counter and the
-//     *calling thread participates*: even when every pool worker is busy
-//     (or the pool is the caller's own pool, nested arbitrarily deep),
-//     the caller alone drains the range and returns. Helper tasks that
-//     only get scheduled after the range is exhausted find nothing to
-//     claim and return immediately — the call never blocks on a task
-//     that has not started.
-//   - Submit() from inside a pool worker runs the task inline (a queued
-//     task could otherwise wait forever behind the very worker that
-//     submitted it).
+// Deadlock avoidance is by construction, not by stealing: ParallelFor
+// claims indices from a shared atomic counter and the *calling thread
+// participates*. Even when every pool worker is busy (or the pool is the
+// caller's own pool, nested arbitrarily deep), the caller alone drains
+// the range and returns. Helper tasks that only get scheduled after the
+// range is exhausted find nothing to claim and return immediately — the
+// call never blocks on a task that has not started.
 //
 // Exceptions thrown by ParallelFor bodies cancel the remaining indices
 // and the first one is rethrown on the calling thread. Determinism is the
@@ -34,7 +26,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -42,24 +33,19 @@
 
 namespace scube {
 
-/// \brief Fixed pool of worker threads with a ParallelFor/futures API.
+/// \brief Fixed pool of worker threads behind one ParallelFor.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains the queue (every submitted task still runs) and joins.
+  /// Drains the queue (every queued helper task still runs) and joins.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return threads_.size(); }
-
-  /// Enqueues `fn`; the future becomes ready when it ran (or holds its
-  /// exception). Called from one of this pool's own workers, `fn` runs
-  /// inline instead — see the deadlock note above.
-  std::future<void> Submit(std::function<void()> fn);
 
   /// Runs fn(worker, index) for every index in [0, n), claiming indices
   /// dynamically. At most `max_workers` participants run concurrently
@@ -69,9 +55,6 @@ class ThreadPool {
   /// cancelling unclaimed indices.
   void ParallelFor(size_t n, size_t max_workers,
                    const std::function<void(size_t worker, size_t index)>& fn);
-
-  /// ParallelFor over all pool threads plus the caller.
-  void ParallelFor(size_t n, const std::function<void(size_t index)>& fn);
 
   /// Process-wide shared pool, lazily created with
   /// hardware_concurrency() threads. Use ParallelFor's `max_workers` to

@@ -28,13 +28,6 @@ size_t SegregationCube::NumDefinedCells() const {
   return count;
 }
 
-CubeView SegregationCube::Seal(size_t num_threads) const& {
-  std::vector<CubeCell> cells;
-  cells.reserve(cells_.size());
-  for (const auto& [coords, cell] : cells_) cells.push_back(cell);
-  return CubeView(catalog_, unit_labels_, std::move(cells), num_threads);
-}
-
 CubeView SegregationCube::Seal(size_t num_threads) && {
   std::vector<CubeCell> cells;
   cells.reserve(cells_.size());

@@ -5,10 +5,10 @@
 // sealed view takes over to label cells.
 //
 // This is the *mutable build-side* container: builders Insert() cells into
-// it, then Seal() freezes the result into an immutable, indexed CubeView
-// (cube/cube_view.h) — the structure every read path (explorer, SCubeQL
-// executor, serving layer, viz, the cube.csv export) consumes. Here a cell
-// can only be inserted or found by its coordinates.
+// it, then an rvalue Seal() moves the result into an immutable, indexed
+// CubeView (cube/cube_view.h) — the structure every read path (explorer,
+// SCubeQL executor, serving layer, viz, the cube.csv export) consumes. Here
+// a cell can only be inserted or found by its coordinates.
 
 #ifndef SCUBE_CUBE_CUBE_H_
 #define SCUBE_CUBE_CUBE_H_
@@ -50,15 +50,13 @@ class SegregationCube {
   size_t NumCells() const { return cells_.size(); }
   size_t NumDefinedCells() const;
 
-  /// Freezes the cube into an immutable, indexed CubeView. The const
-  /// overload copies the cells (the cube stays usable for further builds);
-  /// the rvalue overload moves cells, catalog and labels into the view.
+  /// Freezes the cube into an immutable, indexed CubeView, moving cells,
+  /// catalog and labels into the view (seal a copy to keep the cube).
   /// `num_threads` parallelises the view's index construction (posting
   /// lists, slice groups, adjacency, ranked orders, findings) on the
   /// shared pool:
   /// 1 = sequential, 0 = all hardware threads, N = at most N threads.
   /// The sealed view is identical for every setting.
-  CubeView Seal(size_t num_threads = 1) const&;
   CubeView Seal(size_t num_threads = 1) &&;
 
  private:

@@ -16,17 +16,6 @@ constexpr size_t kMaxHeaderLines = 128;
 /// Bound on establishing a client TCP connection (ConnectWithTimeout).
 constexpr double kConnectTimeoutSeconds = 5.0;
 
-bool IsToken(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
-          c == '_')) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 Status BufferedReader::Fill() {
@@ -55,15 +44,6 @@ Status BufferedReader::Fill() {
 }
 
 Result<std::string> BufferedReader::ReadLine(size_t max_len) {
-  return NextLine(max_len, /*terminated=*/false);
-}
-
-Result<std::string> BufferedReader::ReadTerminatedLine(size_t max_len) {
-  return NextLine(max_len, /*terminated=*/true);
-}
-
-Result<std::string> BufferedReader::NextLine(size_t max_len,
-                                             bool terminated) {
   // Bytes of the line already searched for '\n'; relative to pos_, which
   // Fill may move, so a line arriving a byte at a time is scanned once.
   size_t scanned = 0;
@@ -83,15 +63,7 @@ Result<std::string> BufferedReader::NextLine(size_t max_len,
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    if (eof_) {
-      if (pos_ < buf_.size() && !terminated) {
-        // Final unterminated line.
-        std::string line = buf_.substr(pos_);
-        pos_ = buf_.size();
-        return line;
-      }
-      return Status::IoError("connection closed");
-    }
+    if (eof_) return Status::IoError("connection closed");
     SCUBE_RETURN_IF_ERROR(Fill());
   }
 }
@@ -147,17 +119,6 @@ const char* StatusReason(int status) {
     case 504: return "Gateway Timeout";
     default: return "Unknown";
   }
-}
-
-bool SniffsAsHttp(std::string_view first_line) {
-  // METHOD SP target SP HTTP/1.x — enough to separate curl from a client
-  // typing SCubeQL directly.
-  size_t sp1 = first_line.find(' ');
-  if (sp1 == std::string_view::npos) return false;
-  size_t sp2 = first_line.rfind(' ');
-  if (sp2 == sp1) return false;
-  return IsToken(first_line.substr(0, sp1)) &&
-         first_line.substr(sp2 + 1).rfind("HTTP/1.", 0) == 0;
 }
 
 std::string UrlDecode(std::string_view s) {
@@ -216,7 +177,7 @@ namespace {
 Status ReadHeaderSection(BufferedReader* reader,
                          std::map<std::string, std::string>* headers) {
   for (size_t count = 0;; ++count) {
-    auto line = reader->ReadTerminatedLine();
+    auto line = reader->ReadLine();
     if (!line.ok()) return line.status();
     if (line->empty()) return Status::OK();
     if (count == kMaxHeaderLines) {
@@ -433,7 +394,7 @@ Status ParseResponseHead(BufferedReader* reader,
 
 Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
   if (done_) return Result<bool>(false);
-  auto size_line = reader_->ReadTerminatedLine();
+  auto size_line = reader_->ReadLine();
   if (!size_line.ok()) return size_line.status();
   // Chunk extensions ("1a;name=value") are tolerated and ignored.
   std::string_view digits(*size_line);
@@ -462,7 +423,7 @@ Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
   }
   SCUBE_RETURN_IF_ERROR(reader_->ReadExact(size, out));
   // The CRLF that terminates the chunk payload.
-  auto crlf = reader_->ReadTerminatedLine();
+  auto crlf = reader_->ReadLine();
   if (!crlf.ok()) return crlf.status();
   if (!crlf->empty()) {
     return Status::ParseError("chunk payload not followed by CRLF");
@@ -471,7 +432,7 @@ Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
 }
 
 Result<HttpResponseHead> ReadHttpResponseHead(BufferedReader* reader) {
-  auto status_line = reader->ReadTerminatedLine();
+  auto status_line = reader->ReadLine();
   if (!status_line.ok()) return status_line.status();
   HttpResponseHead head;
   SCUBE_RETURN_IF_ERROR(ParseResponseHead(reader, *status_line, &head));
@@ -517,7 +478,7 @@ Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
 }
 
 Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader) {
-  auto status_line = reader->ReadTerminatedLine();
+  auto status_line = reader->ReadLine();
   if (!status_line.ok()) return status_line.status();
   return ReadHttpResponseAfterStatusLine(reader, *status_line);
 }

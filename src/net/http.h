@@ -11,9 +11,6 @@
 // no chunked request bodies (411 when a request body has no
 // Content-Length), no TLS, no multipart — scubed speaks plain HTTP to load
 // balancers, curl and the bench/test clients in this repo.
-//
-// The same BufferedReader drives the newline-delimited line protocol:
-// SniffsAsHttp() looks at the first line to pick the dialect.
 
 #ifndef SCUBE_NET_HTTP_H_
 #define SCUBE_NET_HTTP_H_
@@ -47,14 +44,9 @@ class BufferedReader {
   /// Reads one line up to and including '\n', stripping "\r\n" / "\n".
   /// The bound is exact however the bytes arrive: the bytes before the
   /// '\n', a CR included, may not exceed `max_len` (IoError "line exceeds
-  /// N bytes"). Bytes after the last '\n' come back as a final line at EOF
-  /// (the line protocol's last statement). IoError on EOF before any byte
-  /// and on socket error/timeout.
+  /// N bytes"). A line that EOF cuts off, or EOF before any byte, is
+  /// IoError "connection closed"; so is a socket error or timeout.
   Result<std::string> ReadLine(size_t max_len = kMaxLineBytes);
-
-  /// ReadLine for HTTP message lines, the same but at EOF: a line that EOF
-  /// cuts off is IoError "connection closed", not a final line.
-  Result<std::string> ReadTerminatedLine(size_t max_len = kMaxLineBytes);
 
   /// Reads exactly `n` bytes, appending them to `out`. IoError naming the
   /// bytes received when EOF comes first.
@@ -75,7 +67,6 @@ class BufferedReader {
 
  private:
   Status Fill();  ///< one recv into the buffer
-  Result<std::string> NextLine(size_t max_len, bool terminated);
 
   Socket* socket_;
   std::string buf_;
@@ -127,10 +118,6 @@ struct HttpResponse {
 
 /// The standard reason phrase for a status code ("OK", "Not Found", ...).
 const char* StatusReason(int status);
-
-/// True when `first_line` looks like an HTTP request line (METHOD SP ...
-/// SP HTTP/1.x) — the dialect sniff between HTTP and the line protocol.
-bool SniffsAsHttp(std::string_view first_line);
 
 /// Reads the request whose request line was already consumed: the header
 /// section, then a Content-Length body of at most `max_body` bytes

@@ -131,8 +131,8 @@ class QueryBackend {
                                          const QueryContext& ctx,
                                          const std::string& cursor) = 0;
 
-  /// One statement's buffered answer (line protocol): its stream captured
-  /// by a VectorSink.
+  /// One statement's buffered answer: its stream captured by a
+  /// VectorSink (ExecuteBatch runs it for each statement of a batch).
   QueryResponse ExecuteOne(const std::string& text,
                            const QueryContext& ctx = {});
 

@@ -25,8 +25,6 @@ const char* RouteLabel(Route route) {
       return "healthz";
     case Route::kMetrics:
       return "metrics";
-    case Route::kLine:
-      return "line";
     case Route::kOther:
       return "other";
   }
@@ -94,10 +92,6 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
       &out, "scubed_http_errors_total",
       metrics.http_errors.load(std::memory_order_relaxed),
       "HTTP responses with a 4xx/5xx status");
-  trace::AppendCounter(
-      &out, "scubed_line_requests_total",
-      metrics.line_requests.load(std::memory_order_relaxed),
-      "Line-protocol queries handled");
   trace::AppendCounter(
       &out, "scubed_streamed_requests_total",
       metrics.streamed_requests.load(std::memory_order_relaxed),

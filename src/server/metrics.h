@@ -32,10 +32,9 @@ enum class Route {
   kCubes,        ///< GET /cubes
   kHealthz,      ///< GET /healthz
   kMetrics,      ///< GET /metrics
-  kLine,         ///< line-protocol query lines
   kOther,        ///< unmatched paths (404s and friends)
 };
-constexpr size_t kNumRoutes = 7;
+constexpr size_t kNumRoutes = 6;
 
 /// The route's Prometheus label value ("query", "stream", …).
 const char* RouteLabel(Route route);
@@ -51,7 +50,6 @@ struct ServerMetrics {
   std::atomic<uint64_t> connections_closed{0};  ///< closed (any reason)
   std::atomic<uint64_t> http_requests{0};     ///< HTTP requests handled
   std::atomic<uint64_t> http_errors{0};       ///< 4xx/5xx responses
-  std::atomic<uint64_t> line_requests{0};     ///< line-protocol queries
 
   /// Currently open connections (accepted minus closed/shed): the ones
   /// held by a handler thread plus the ones queued for one.

@@ -542,42 +542,5 @@ net::HttpResponse HandleHttpRequest(const RouterContext& ctx,
   return JsonError(404, "no route for " + request.path);
 }
 
-std::string HandleProtocolLine(const RouterContext& ctx,
-                               const std::string& line) {
-  std::string_view text = Trim(line);
-  if (text.empty() || text.front() == '#') return "";
-
-  WallTimer timer;
-  // No ?debug= on the line protocol: tracing comes from --trace or the
-  // slow-query log needing span trees.
-  std::optional<trace::TraceContext> tc;
-  if (ctx.trace_all ||
-      (ctx.slow_log != nullptr && ctx.slow_log->enabled())) {
-    tc.emplace();
-  }
-  query::QueryContext qctx;
-  qctx.trace = tc ? &*tc : nullptr;
-
-  query::QueryResponse response =
-      ctx.backend->ExecuteOne(std::string(text), qctx);
-  if (ctx.metrics != nullptr && !response.verb.empty()) {
-    ctx.metrics->ObserveVerb(response.verb, response.exec_ms);
-  }
-  std::string answer = ResponseToJson(response);
-  if (ctx.slow_log != nullptr) {
-    SlowQueryRecord record;
-    record.route = RouteLabel(Route::kLine);
-    record.query = std::string(text);
-    record.code = StatusCodeToString(response.status.code());
-    record.total_ms = timer.Millis();
-    record.rows = response.status.ok() ? response.result.rows.size() : 0;
-    record.trace = tc ? &*tc : nullptr;
-    if (ctx.slow_log->MaybeLog(record) && ctx.metrics != nullptr) {
-      ctx.metrics->Inc(ctx.metrics->slow_queries);
-    }
-  }
-  return answer;
-}
-
 }  // namespace server
 }  // namespace scube

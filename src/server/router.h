@@ -22,8 +22,7 @@
 //   GET  /healthz   liveness: {"status":"ok",...}
 //   GET  /metrics   Prometheus text exposition (see metrics.h)
 //
-// Admission shedding surfaces as HTTP 503 with a Retry-After header; the
-// line protocol answers one JSON object per submitted query line.
+// Admission shedding surfaces as HTTP 503 with a Retry-After header.
 
 #ifndef SCUBE_SERVER_ROUTER_H_
 #define SCUBE_SERVER_ROUTER_H_
@@ -77,13 +76,8 @@ bool HandleQueryStream(const RouterContext& ctx,
                        const net::HttpRequest& request, bool keep_alive,
                        const net::ChunkedWriter::WriteFn& write);
 
-/// Executes one line-protocol query line; returns a single-line JSON
-/// answer (no trailing newline). Empty/comment lines return "".
-std::string HandleProtocolLine(const RouterContext& ctx,
-                               const std::string& line);
-
-/// One QueryResponse as a JSON object (shared by /query and the line
-/// protocol): {"query":...,"code":...,"cube":...,"version":...,
+/// One QueryResponse as a JSON object, one per statement of a buffered
+/// /query answer: {"query":...,"code":...,"cube":...,"version":...,
 /// "cache_hit":...,"exec_ms":...,"result":{...}|null,"message":...}.
 std::string ResponseToJson(const query::QueryResponse& response);
 

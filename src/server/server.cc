@@ -166,35 +166,31 @@ void ScubedServer::ServeConnection(net::Socket socket) {
   socket.SetNoDelay();
   socket.SetRecvTimeout(options_.idle_poll_seconds);
   net::BufferedReader reader(&socket);
-
-  auto first = NextLine(&reader);
-  if (!first) return;
-  if (net::SniffsAsHttp(*first)) {
-    ServeHttp(&socket, &reader, std::move(*first));
-  } else {
-    ServeLineProtocol(&socket, &reader, std::move(*first));
-  }
-}
-
-void ScubedServer::ServeHttp(net::Socket* socket,
-                             net::BufferedReader* reader,
-                             std::string first_line) {
-  std::string request_line = std::move(first_line);
-  while (true) {
+  // Only a later request line yields the handler to a waiting connection:
+  // the first one is what this connection was accepted for.
+  for (bool yield = false;; yield = true) {
+    auto request_line = NextLine(&reader, yield);
+    // RFC 9112 §2.2: one empty line before a request line is skipped. A
+    // second one reads as a malformed request line, so a peer trickling
+    // CRLFs cannot hold the handler.
+    if (request_line && request_line->empty()) {
+      request_line = NextLine(&reader, yield);
+    }
+    if (!request_line) return;
     // Mid-request reads (headers, body) get the longer request-read
     // bound; the short idle-poll timeout is only for the gap *between*
     // requests, where it doubles as the shutdown poll tick. The reader
     // deadline caps the request's TOTAL read time — the per-read timeout
     // alone is defeatable by a slow loris dripping a byte per tick.
     const auto read_start = std::chrono::steady_clock::now();
-    socket->SetRecvTimeout(options_.request_read_seconds);
-    reader->set_deadline(
+    socket.SetRecvTimeout(options_.request_read_seconds);
+    reader.set_deadline(
         read_start +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(options_.request_read_seconds)));
-    auto parsed = net::ReadHttpRequest(reader, request_line);
-    reader->clear_deadline();
-    socket->SetRecvTimeout(options_.idle_poll_seconds);
+    auto parsed = net::ReadHttpRequest(&reader, *request_line);
+    reader.clear_deadline();
+    socket.SetRecvTimeout(options_.idle_poll_seconds);
     net::HttpResponse response;
     bool keep_alive = false;
     bool head = false;
@@ -230,7 +226,7 @@ void ScubedServer::ServeHttp(net::Socket* socket,
       // must close.
       bool alive = HandleQueryStream(
           router_, *parsed, keep_alive,
-          [socket](std::string_view data) { return socket->WriteAll(data); });
+          [&socket](std::string_view data) { return socket.WriteAll(data); });
       if (!alive) return;
     } else {
       if (parsed.ok()) response = HandleHttpRequest(router_, *parsed);
@@ -242,42 +238,11 @@ void ScubedServer::ServeHttp(net::Socket* socket,
       // HEAD: same headers as GET (including the true Content-Length),
       // no body bytes.
       if (head) wire.resize(wire.size() - response.body.size());
-      const bool wrote = socket->WriteAll(wire).ok();
+      const bool wrote = socket.WriteAll(wire).ok();
       metrics_.ObserveRoute(route, route_timer.Millis());
       if (!wrote) return;
     }
     if (!keep_alive) return;
-
-    auto next = NextLine(reader, /*yield=*/true);
-    if (!next) return;
-    request_line = std::move(*next);
-    if (request_line.empty()) return;
-  }
-}
-
-void ScubedServer::ServeLineProtocol(net::Socket* socket,
-                                     net::BufferedReader* reader,
-                                     std::string first_line) {
-  std::string line = std::move(first_line);
-  while (true) {
-    std::string trimmed(Trim(line));
-    if (trimmed == "QUIT" || trimmed == ".quit") return;
-    if (!trimmed.empty()) {
-      metrics_.Inc(metrics_.line_requests);
-      WallTimer route_timer;
-      std::string answer = HandleProtocolLine(router_, trimmed);
-      if (!answer.empty()) {
-        answer += '\n';
-        const bool wrote = socket->WriteAll(answer).ok();
-        metrics_.ObserveRoute(Route::kLine, route_timer.Millis());
-        if (!wrote) return;
-      } else {
-        metrics_.ObserveRoute(Route::kLine, route_timer.Millis());
-      }
-    }
-    auto next = NextLine(reader);
-    if (!next) return;
-    line = std::move(*next);
   }
 }
 

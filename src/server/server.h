@@ -4,12 +4,9 @@
 // One acceptor thread pushes connections onto a bounded queue consumed by
 // a fixed pool of connection threads (thread count and queue bound are the
 // connection-level admission control; query-level admission lives in
-// QueryService). Each connection thread sniffs the first line to pick a
-// dialect:
-//
-//   HTTP/1.1       keep-alive request loop (router.h routes)
-//   line protocol  one SCubeQL statement per line in, one JSON object
-//                  per line out — for scripted clients and netcat
+// QueryService). Each connection thread runs one HTTP/1.1 keep-alive
+// request loop (router.h routes) from the connection's first byte: a
+// first line that is not a request line is answered 400 and closed.
 //
 // Two deadlines bound how long a peer can hold a handler thread: the
 // keep-alive idle timeout between requests, and a total read deadline
@@ -121,10 +118,6 @@ class ScubedServer {
   void AcceptLoop();
   void ConnectionLoop();
   void ServeConnection(net::Socket socket);
-  void ServeHttp(net::Socket* socket, net::BufferedReader* reader,
-                 std::string first_line);
-  void ServeLineProtocol(net::Socket* socket, net::BufferedReader* reader,
-                         std::string first_line);
 
   /// ReadLine that tolerates idle-poll timeouts while running; returns
   /// nullopt when the connection should close (EOF, error, shutdown,

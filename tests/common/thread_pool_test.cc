@@ -1,7 +1,7 @@
 // ThreadPool contract: ParallelFor covers exactly [0, n) with bounded
 // worker ids, empty ranges return immediately, body exceptions cancel and
-// rethrow on the caller, and nesting (ParallelFor inside ParallelFor,
-// Submit inside a pool task) cannot deadlock even on a single-thread pool.
+// rethrow on the caller, ParallelFor nested inside a body on the pool's
+// only worker cannot deadlock, and concurrent callers share the pool.
 
 #include "common/thread_pool.h"
 
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace scube {
@@ -19,7 +20,8 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](size_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(kN, pool.num_threads() + 1,
+                   [&](size_t /*worker*/, size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -53,14 +55,15 @@ TEST(ThreadPoolTest, WorkerIdsStayWithinBound) {
 TEST(ThreadPoolTest, EmptyRangeReturnsImmediately) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.ParallelFor(0, [&](size_t) { ran = true; });
+  pool.ParallelFor(0, pool.num_threads() + 1,
+                   [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPoolTest, BodyExceptionPropagatesToCaller) {
   ThreadPool pool(3);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [&](size_t i) {
+  EXPECT_THROW(pool.ParallelFor(100, pool.num_threads() + 1,
+                                [&](size_t /*worker*/, size_t i) {
                                   if (i == 17) {
                                     throw std::runtime_error("boom");
                                   }
@@ -80,59 +83,44 @@ TEST(ThreadPoolTest, ExceptionCancelsUnclaimedIndices) {
   EXPECT_EQ(ran.load(), 4u);  // indices 0..3, then cancelled
 }
 
-TEST(ThreadPoolTest, SubmitRunsAndSignalsFuture) {
-  ThreadPool pool(2);
-  std::atomic<int> value{0};
-  auto f = pool.Submit([&] { value = 42; });
-  f.get();
-  EXPECT_EQ(value.load(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(1);
-  auto f = pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // With one pool thread and the caller inside a pool task, a blocking
-  // fork-join would starve; the caller-participates design drains inline.
+  // A body on the only worker of a one-thread pool runs ParallelFor nested
+  // two deep: no worker is free to help, so a blocking fork-join would
+  // starve; the caller-participates design drains inline. The caller
+  // (participant 0) holds its index until the worker's body is done, so
+  // the worker must claim the other one.
   ThreadPool pool(1);
+  const size_t workers = pool.num_threads() + 1;
+  std::atomic<bool> worker_done{false};
   std::atomic<uint64_t> total{0};
-  auto f = pool.Submit([&] {
-    pool.ParallelFor(8, [&](size_t) {
-      pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
+  pool.ParallelFor(2, workers, [&](size_t worker, size_t /*i*/) {
+    if (worker == 0) {
+      while (!worker_done.load()) std::this_thread::yield();
+      return;
+    }
+    pool.ParallelFor(8, workers, [&](size_t, size_t) {
+      pool.ParallelFor(8, workers,
+                       [&](size_t, size_t) { total.fetch_add(1); });
     });
+    worker_done = true;
   });
-  f.get();
   EXPECT_EQ(total.load(), 64u);
 }
 
-TEST(ThreadPoolTest, NestedSubmitRunsInlineInsteadOfDeadlocking) {
-  ThreadPool pool(1);
-  std::atomic<int> inner{0};
-  auto f = pool.Submit([&] {
-    // Queued-and-waited, this would sit behind the very task waiting on
-    // it; the pool runs nested submissions inline instead.
-    auto g = pool.Submit([&] { inner = 7; });
-    g.get();
-  });
-  f.get();
-  EXPECT_EQ(inner.load(), 7);
-}
-
-TEST(ThreadPoolTest, ManyConcurrentParallelForsFromSubmittedTasks) {
+TEST(ThreadPoolTest, ManyConcurrentParallelForsFromThreads) {
   ThreadPool pool(4);
-  constexpr size_t kTasks = 16;
+  constexpr size_t kCallers = 16;
   std::atomic<uint64_t> total{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (size_t t = 0; t < kTasks; ++t) {
-    futures.push_back(pool.Submit(
-        [&] { pool.ParallelFor(100, [&](size_t) { total.fetch_add(1); }); }));
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      pool.ParallelFor(100, pool.num_threads() + 1,
+                       [&](size_t, size_t) { total.fetch_add(1); });
+    });
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(total.load(), kTasks * 100u);
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(total.load(), kCallers * 100u);
 }
 
 TEST(ThreadPoolTest, EffectiveThreadsResolvesAutoAndLiteral) {
@@ -147,7 +135,8 @@ TEST(ThreadPoolTest, SharedPoolIsUsableAndStable) {
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.num_threads(), 1u);
   std::atomic<int> n{0};
-  a.ParallelFor(32, [&](size_t) { n.fetch_add(1); });
+  a.ParallelFor(32, a.num_threads() + 1,
+                [&](size_t, size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 32);
 }
 

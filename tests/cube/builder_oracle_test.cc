@@ -29,7 +29,7 @@ constexpr uint32_t kNoCap = std::numeric_limits<uint32_t>::max();
 std::map<CellCoordinates, oracle::Cell> BuiltCells(
     const SegregationCube& cube) {
   std::map<CellCoordinates, oracle::Cell> cells;
-  CubeView view = cube.Seal();
+  CubeView view = SegregationCube(cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     cells[cell.coords] = oracle::Cell{cell.context_size, cell.minority_size};
   }

@@ -151,7 +151,7 @@ TEST_P(BuilderPropertyTest, CellsMatchNaiveInEveryMode) {
     ASSERT_TRUE(cube.ok()) << cube.status();
     EXPECT_GT(cube->NumCells(), 0u);
 
-    CubeView view = cube->Seal();
+    CubeView view = SegregationCube(*cube).Seal();
     for (const CubeCell& cell : view.Cells()) {
       NaiveCell naive = NaiveCompute(t, cube->catalog(), cube->unit_labels(),
                                      cell.coords);
@@ -194,7 +194,7 @@ TEST_P(BuilderPropertyTest, ClosedCellsSubsetOfAllCells) {
   ASSERT_TRUE(all_cube.ok());
   ASSERT_TRUE(closed_cube.ok());
   EXPECT_LE(closed_cube->NumCells(), all_cube->NumCells());
-  CubeView view = closed_cube->Seal();
+  CubeView view = std::move(*closed_cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     const CubeCell* twin = all_cube->Find(cell.coords);
     ASSERT_NE(twin, nullptr);

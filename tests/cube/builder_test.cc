@@ -165,7 +165,7 @@ TEST(CubeBuilderTest, EveryCellMatchesNaiveRecomputation) {
   ASSERT_TRUE(cube.ok());
   EXPECT_GT(cube->NumCells(), 20u);
 
-  CubeView view = cube->Seal();
+  CubeView view = SegregationCube(*cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     NaiveCell naive = NaiveCompute(t, cube.value(), cell.coords);
     EXPECT_EQ(cell.context_size, naive.context_size)
@@ -226,7 +226,7 @@ TEST(CubeBuilderTest, ClosedModeCellsAgreeWithAllMode) {
   EXPECT_EQ(closed_cube->Find(fpm::Itemset({female}), fpm::Itemset()),
             nullptr);
 
-  CubeView view = closed_cube->Seal();
+  CubeView view = std::move(*closed_cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     const CubeCell* same = all_cube->Find(cell.coords);
     ASSERT_NE(same, nullptr);
@@ -245,7 +245,7 @@ TEST(CubeBuilderTest, MinSupportPrunesRareCells) {
   opts.min_support = 4;
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  CubeView view = cube->Seal();
+  CubeView view = std::move(*cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     EXPECT_GE(cell.minority_size, 4u) << view.LabelOf(cell.coords);
   }
@@ -258,7 +258,7 @@ TEST(CubeBuilderTest, MinSupportFractionApplies) {
   opts.min_support_fraction = 0.5;  // 6 of 12 rows
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  CubeView view = cube->Seal();
+  CubeView view = std::move(*cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     EXPECT_GE(cell.minority_size, 6u);
   }
@@ -281,7 +281,7 @@ TEST(CubeBuilderTest, BadMinSupportFractionRejected) {
   opts.min_support_fraction = 1.0;  // every row: only the root survives
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok()) << cube.status();
-  CubeView view = cube->Seal();
+  CubeView view = std::move(*cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     EXPECT_EQ(cell.minority_size, 12u);
   }
@@ -306,7 +306,7 @@ TEST(CubeBuilderTest, CoordinateCapsRespected) {
   opts.max_ca_items = 1;
   auto cube = BuildSegregationCube(t, opts);
   ASSERT_TRUE(cube.ok());
-  CubeView view = cube->Seal();
+  CubeView view = std::move(*cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     EXPECT_LE(cell.coords.sa.size(), 1u);
     EXPECT_LE(cell.coords.ca.size(), 1u);
@@ -373,7 +373,7 @@ TEST(CubeBuilderTest, MultiValuedContextCountsInEveryValue) {
 uint64_t CellBitsFingerprint(const SegregationCube& cube) {
   std::string text;
   char buf[40];
-  CubeView view = cube.Seal();
+  CubeView view = SegregationCube(cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
     text += view.LabelOf(cell.coords);
     text += "|" + std::to_string(cell.context_size) + "|" +

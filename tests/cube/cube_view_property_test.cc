@@ -174,7 +174,7 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
   const CellMap cells = RandomCells(GetParam(), &rng);
   SegregationCube cube(SweepCatalog(), {"u0", "u1", "u2"});
   for (const auto& [coords, cell] : cells) cube.Insert(cell);
-  CubeView view = cube.Seal();
+  CubeView view = SegregationCube(cube).Seal();
 
   // --- dense array vs naive sorted pointer dump ---------------------------
   auto naive_cells = Cells(cells);

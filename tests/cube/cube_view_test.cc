@@ -190,8 +190,8 @@ TEST(CubeViewTest, SealPreservesCatalogAndLabels) {
   SegregationCube cube(std::move(catalog), {"a", "b"});
   cube.Insert(MakeCell({0}, {}, 10, 4, 0.5));
 
-  // Const-ref seal copies: the cube keeps its cells.
-  CubeView copied = cube.Seal();
+  // Sealing a copy keeps the cube's cells.
+  CubeView copied = SegregationCube(cube).Seal();
   EXPECT_EQ(cube.NumCells(), 1u);
   EXPECT_EQ(copied.NumCells(), 1u);
   EXPECT_EQ(copied.unit_labels().size(), 2u);

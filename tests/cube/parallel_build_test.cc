@@ -131,7 +131,7 @@ TEST(ParallelBuildTest, ParallelFillMatchesSequential) {
 
     // The cubes agree cell-for-cell (the sealed view's ToCsv walks
     // coordinate order and renders every count and index value).
-    EXPECT_EQ(seq->Seal().ToCsv(), par->Seal().ToCsv())
+    EXPECT_EQ(std::move(*seq).Seal().ToCsv(), std::move(*par).Seal().ToCsv())
         << threads << " threads";
   }
 }
@@ -140,13 +140,13 @@ TEST(ParallelBuildTest, ParallelSealMatchesSequential) {
   Table table = RandomTable(/*seed=*/23, /*rows=*/500, /*num_units=*/10);
   auto built = BuildSegregationCube(table, Options(1));
   ASSERT_TRUE(built.ok()) << built.status();
-  CubeView sequential = built->Seal(1);
+  CubeView sequential = SegregationCube(*built).Seal(1);
   for (size_t threads : {2, 4, 8}) {
-    CubeView parallel = built->Seal(threads);
+    CubeView parallel = SegregationCube(*built).Seal(threads);
     ExpectViewsIdentical(sequential, parallel);
   }
   // 0 = hardware concurrency, still identical.
-  CubeView hw = built->Seal(0);
+  CubeView hw = std::move(*built).Seal(0);
   ExpectViewsIdentical(sequential, hw);
 }
 
@@ -171,7 +171,7 @@ TEST(ParallelBuildTest, ThreadCountBeyondContextsIsSafe) {
   auto par = BuildSegregationCube(table, Options(64));
   ASSERT_TRUE(seq.ok()) << seq.status();
   ASSERT_TRUE(par.ok()) << par.status();
-  EXPECT_EQ(seq->Seal().ToCsv(), par->Seal().ToCsv());
+  EXPECT_EQ(std::move(*seq).Seal().ToCsv(), std::move(*par).Seal().ToCsv());
 }
 
 }  // namespace

@@ -288,7 +288,7 @@ TEST(CsvFuzzTest, MutatedInputsEndInAStatusAndBuildTheOracleCells) {
         auto encoded = relational::EncodeForAnalysis(result->final_table);
         ASSERT_TRUE(encoded.ok()) << encoded.status();
         const auto expected = oracle::CubeCells(*encoded, config.cube);
-        const cube::CubeView view = result->cube.Seal();
+        const cube::CubeView view = std::move(result->cube).Seal();
         ASSERT_EQ(view.NumCells(), expected.size());
         for (const cube::CubeCell& cell : view.Cells()) {
           auto it = expected.find(cell.coords);

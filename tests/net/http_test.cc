@@ -82,8 +82,9 @@ struct ReadOutcome {
 };
 
 /// Reads every request on `wire` the way the server's connection loop
-/// does: the request line by ReadLine, the rest by ReadHttpRequest, until
-/// EOF or the first error. Parsed requests render as Summary() joined by
+/// does, less its skip of one empty line before a request line: the
+/// request line by ReadLine, the rest by ReadHttpRequest, until EOF or the
+/// first error. Parsed requests render as Summary() joined by
 /// " | "; an error ends the outcome with its code and message.
 ReadOutcome ReadRequests(const std::string& wire, size_t chunk) {
   ReadOutcome outcome;
@@ -110,15 +111,6 @@ std::string HeaderLines(size_t n) {
     out += "X-Header-" + std::to_string(i) + ": v\r\n";
   }
   return out;
-}
-
-TEST(HttpSniffTest, SeparatesHttpFromLineProtocol) {
-  EXPECT_TRUE(SniffsAsHttp("GET / HTTP/1.1"));
-  EXPECT_TRUE(SniffsAsHttp("POST /query?format=csv HTTP/1.0"));
-  EXPECT_FALSE(SniffsAsHttp("TOPK 5 BY dissimilarity"));
-  EXPECT_FALSE(SniffsAsHttp("SLICE sa=gender=F"));
-  EXPECT_FALSE(SniffsAsHttp(""));
-  EXPECT_FALSE(SniffsAsHttp("hello"));
 }
 
 TEST(UrlDecodeTest, DecodesEscapesAndPlus) {
@@ -456,8 +448,12 @@ TEST(BufferedReaderTest, SplitsLinesAcrossReads) {
   BufferedReader reader(&pair.reader_socket);
   EXPECT_EQ(reader.ReadLine().value(), "line one");
   EXPECT_EQ(reader.ReadLine().value(), "line two");
-  EXPECT_EQ(reader.ReadLine().value(), "line three");  // unterminated tail
-  EXPECT_FALSE(reader.ReadLine().ok());                // EOF
+  // A line that EOF cuts off is not a line.
+  auto tail = reader.ReadLine();
+  ASSERT_FALSE(tail.ok());
+  EXPECT_EQ(tail.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(tail.status().message(), "connection closed");
+  EXPECT_FALSE(reader.ReadLine().ok());  // EOF
 }
 
 // The line bound is exact however the bytes arrive: a 65,536-byte line is

@@ -336,7 +336,7 @@ cube::SegregationCube RandomCube(uint64_t seed, size_t target_cells) {
 /// The full view, then the shard views of a 2- and a 3-way partition.
 std::vector<CubeView> ViewsOf(const cube::SegregationCube& cube) {
   std::vector<CubeView> views;
-  views.push_back(cube.Seal());
+  views.push_back(cube::SegregationCube(cube).Seal());
   for (size_t shards : {2, 3}) {
     cluster::PartitionOptions options;
     options.num_shards = shards;
@@ -494,8 +494,8 @@ TEST_P(FindingsPropertyTest, ExecutorPagesMatchTheScanAndSort) {
 TEST_P(FindingsPropertyTest, ListsAreTheSameForEveryThreadCount) {
   const cube::SegregationCube cube =
       RandomCube(GetParam().seed, GetParam().target_cells);
-  CubeView one = cube.Seal(1);
-  CubeView four = cube.Seal(4);
+  CubeView one = cube::SegregationCube(cube).Seal(1);
+  CubeView four = cube::SegregationCube(cube).Seal(4);
   for (IndexKind kind : indexes::AllIndexKinds()) {
     auto s1 = one.SurpriseOrder(kind), s4 = four.SurpriseOrder(kind);
     EXPECT_TRUE(std::equal(s1.begin(), s1.end(), s4.begin(), s4.end()));

@@ -143,7 +143,7 @@ TEST(IntegrationTest, CsvToDiscoveryEndToEnd) {
   EXPECT_FALSE(edu_cell->indexes.defined);
 
   // Seal and explore: the female cell ranks at the top globally.
-  cube::CubeView view = cube.Seal();
+  cube::CubeView view = std::move(result->cube).Seal();
   cube::ExplorerOptions explore;
   explore.min_context_size = 5;
   explore.min_minority_size = 2;

@@ -1,8 +1,8 @@
 // Connection tests for scubed's front-end (acceptor + handler pool):
 // golden wire transcripts for every route shape — buffered JSON and CSV,
 // 404/400 errors, HEAD, streamed and cursor-paged answers, pipelined
-// keep-alive and the line protocol — then a slow reader on a large
-// streamed answer, graceful Stop() with idle keep-alive connections, an
+// keep-alive, an empty line before a request line, and a first line that
+// is not HTTP — then a slow reader on a large streamed answer, graceful Stop() with idle keep-alive connections, an
 // idle keep-alive connection yielding its handler to a waiting one, and
 // the connection guards: the header-read deadline (slow-loris defence)
 // and the keep-alive idle timeout.
@@ -439,17 +439,68 @@ TEST(GoldenTranscriptTest, PipelinedKeepAliveAnswersInOrder) {
                 kSliceJsonBody);
 }
 
-TEST(GoldenTranscriptTest, LineProtocolAnswersAndQuits) {
+// RFC 9112 §2.2: one empty line before a request line is skipped. A
+// second one is a malformed request line: 400, then close.
+TEST(GoldenTranscriptTest, EmptyLineBeforeTheFirstRequestIsSkipped) {
   Served fx;
-  EXPECT_EQ(
-      fx.Transcript("TOPK 1 BY dissimilarity\nQUIT\n"),
-      R"({"query":"TOPK 1 BY dissimilarity","code":"OK",)"
-      R"("cube":"default","version":1,"cache_hit":X,"exec_ms":X,)"
-      R"("result":{"verb":"TOPK","by":"dissimilarity",)"
-      R"("rows":[{"sa":"sex=F","ca":"region=north","T":60,"M":25,)"
-      R"("units":2,"indexes":{"dissimilarity":0.5,"gini":0,)"
-      R"("information":0,"isolation":0,"interaction":0,)"
-      R"("atkinson":0},"value":0.5}],"cells_scanned":X}})" "\n");
+  EXPECT_EQ(fx.Transcript("\r\n" + Req("GET", "/healthz")),
+            std::string("HTTP/1.1 200 OK\r\n"
+                        "Content-Type: application/json\r\n"
+                        "Content-Length: X\r\n"
+                        "Connection: close\r\n"
+                        "\r\n") +
+                kHealthzBody);
+  EXPECT_EQ(fx.Transcript("\r\n\r\n" + Req("GET", "/healthz")),
+            "HTTP/1.1 400 Bad Request\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: X\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            R"({"error":"malformed request line: "})" "\n");
+}
+
+// The same between keep-alive requests: a stray CRLF after a request does
+// not end the connection, two of them do.
+TEST(GoldenTranscriptTest, EmptyLineBetweenKeepAliveRequestsIsSkipped) {
+  Served fx;
+  const std::string first = Req("GET", "/healthz", "", /*close=*/false);
+  const std::string keep_alive_head =
+      "HTTP/1.1 200 OK\r\n"
+      "Content-Type: application/json\r\n"
+      "Content-Length: X\r\n"
+      "Connection: keep-alive\r\n"
+      "\r\n";
+  EXPECT_EQ(fx.Transcript(first + "\r\n" + Req("GET", "/cubes")),
+            keep_alive_head + kHealthzBody +
+                "HTTP/1.1 200 OK\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: X\r\n"
+                "Connection: close\r\n"
+                "\r\n" +
+                kCubesBody);
+  EXPECT_EQ(fx.Transcript(first + "\r\n\r\n" + Req("GET", "/cubes")),
+            keep_alive_head + kHealthzBody +
+                "HTTP/1.1 400 Bad Request\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: X\r\n"
+                "Connection: close\r\n"
+                "\r\n"
+                R"({"error":"malformed request line: "})" "\n");
+}
+
+// Every connection is HTTP from its first byte: a SCubeQL statement as the
+// first line is a request line with an unknown protocol. It is answered
+// 400 and the connection closes; no statement runs.
+TEST(GoldenTranscriptTest, NonHttpFirstLineIsRefused) {
+  Served fx;
+  EXPECT_EQ(fx.Transcript("TOPK 1 BY dissimilarity\nQUIT\n"),
+            "HTTP/1.1 400 Bad Request\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: X\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            R"({"error":"unsupported protocol: dissimilarity"})" "\n");
+  EXPECT_EQ(fx.service.stats().accepted, 0u);
 }
 
 TEST(ConnectionTest, SlowReaderReceivesALargeStreamIntact) {

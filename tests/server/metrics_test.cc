@@ -72,8 +72,8 @@ TEST(MetricsTest, HistogramFamiliesRenderEverySeriesEvenWhenEmpty) {
   std::string out = fx.Render();
   // One series per route and per verb from the very first scrape, each
   // with 20 buckets (19 finite + +Inf), one _sum and one _count.
-  for (const char* route : {"query", "stream", "cubes", "healthz", "metrics",
-                            "line", "other"}) {
+  for (const char* route :
+       {"query", "stream", "cubes", "healthz", "metrics", "other"}) {
     std::string label = std::string("route=\"") + route + "\"";
     EXPECT_EQ(CountOf(out, "scubed_request_latency_seconds_bucket{" + label),
               20u)
@@ -231,8 +231,8 @@ TEST(MetricsTest, ExpositionBytesAreUnchanged) {
   fx.metrics.ObserveVerb("TOPK", 12.0);
   fx.metrics.stream_ttfb.Observe(0.02);
   const std::string out = fx.Render();
-  EXPECT_EQ(out.size(), 25116u) << out;
-  EXPECT_EQ(HashBytes(out), 0x4db7ac91ed26d8ebULL) << out;
+  EXPECT_EQ(out.size(), 23591u) << out;
+  EXPECT_EQ(HashBytes(out), 0xab59c6fccb99dcc2ULL) << out;
 }
 
 TEST(SlowQueryLogTest, FormatLineIsTheDocumentedJsonShape) {

@@ -1,7 +1,7 @@
 // Loopback integration tests for the scubed front-end: a real server on
 // an ephemeral port, driven over real sockets — request in, JSON out,
-// correct cells; plus the 503 shed path, per-request deadlines, the line
-// protocol, and graceful Stop().
+// correct cells; plus the 503 shed path, per-request deadlines, the exact
+// first-line bound, and graceful Stop().
 
 #include "server/server.h"
 
@@ -546,27 +546,6 @@ TEST(ScubedTest, KeepAliveServesMultipleRequestsOnOneConnection) {
   }
 }
 
-TEST(ScubedTest, LineProtocolAnswersOneJsonPerLine) {
-  Fixture fx;
-  auto connected = net::Connect("127.0.0.1", fx.server.port());
-  ASSERT_TRUE(connected.ok());
-  net::Socket socket = std::move(connected).value();
-  ASSERT_TRUE(socket
-                  .WriteAll("SLICE sa=sex=F | ca=region=north\n"
-                            "TOPK 1 BY\n")
-                  .ok());
-  net::BufferedReader reader(&socket);
-  auto first = reader.ReadLine();
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_NE(first->find("\"code\":\"OK\""), std::string::npos) << *first;
-  EXPECT_NE(first->find("\"T\":60"), std::string::npos) << *first;
-  auto second = reader.ReadLine();
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_NE(second->find("\"code\":\"ParseError\""), std::string::npos)
-      << *second;
-  ASSERT_TRUE(socket.WriteAll("QUIT\n").ok());
-}
-
 /// Writes `wire` to a new connection in `chunk`-byte writes, then returns
 /// the first line of the answer, or nullopt when the server closed the
 /// connection without one.
@@ -589,10 +568,11 @@ std::optional<std::string> FirstAnswerLine(uint16_t port,
   return std::move(line).value();
 }
 
-// A first line of 65,536 bytes before its '\n' is served, one of 65,537
+// A first line of 65,536 bytes before its '\n' is answered, one of 65,537
 // bytes is refused by closing the connection, and it makes no difference
 // whether the bytes arrive in one write or one byte per write: for an
-// HTTP request line (CR included) and for a line-protocol statement.
+// HTTP request line (CR included), served, and for a SCubeQL statement,
+// which is not a request line and is answered 400.
 TEST(ScubedTest, FirstLineBoundIsExactWhateverTheArrival) {
   Fixture fx;
   const size_t bound = net::BufferedReader::kMaxLineBytes;
@@ -617,9 +597,8 @@ TEST(ScubedTest, FirstLineBoundIsExactWhateverTheArrival) {
       }
       answer = FirstAnswerLine(fx.server.port(), line, chunk);
       if (len == bound) {
-        ASSERT_TRUE(answer.has_value()) << "chunk " << chunk;
-        EXPECT_NE(answer->find("\"code\":\"OK\""), std::string::npos)
-            << *answer;
+        EXPECT_EQ(answer.value_or("(closed)"), "HTTP/1.1 400 Bad Request")
+            << "chunk " << chunk;
       } else {
         EXPECT_FALSE(answer.has_value()) << "chunk " << chunk << ": "
                                          << *answer;
