@@ -34,9 +34,7 @@ bool RunCountry(const datagen::ScenarioConfig& gen_config, graph::Date date,
   auto result = pipeline::RunPipeline(scenario->inputs, config);
   if (!result.ok()) return false;
 
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  fpm::ItemId female = result->cube.catalog().Find(
-      static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = result->cube.catalog().Find("gender", "F");
   const cube::CubeCell* cell =
       female == fpm::kInvalidItem
           ? nullptr

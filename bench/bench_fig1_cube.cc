@@ -75,7 +75,7 @@ int main() {
   // One sex x region grid per age slab (matching Fig. 1's age dimension).
   const auto& catalog = cube.catalog();
   for (const char* age : {"young", "middle", "elder"}) {
-    fpm::ItemId item = catalog.Find(1, age);
+    fpm::ItemId item = catalog.Find("age", age);
     viz::PivotSpec spec;
     spec.sa_attribute = "sex";
     spec.ca_attribute = "region";

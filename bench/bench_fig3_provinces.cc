@@ -36,9 +36,7 @@ int main() {
   const cube::SegregationCube& cube = result->cube;
   const auto& catalog = cube.catalog();
 
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  int prov_col = result->final_table.schema().IndexOf("residence_province");
-  fpm::ItemId female = catalog.Find(static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = catalog.Find("gender", "F");
   if (female == fpm::kInvalidItem) {
     std::fprintf(stderr, "no female item\n");
     return 1;
@@ -53,7 +51,7 @@ int main() {
   };
   std::vector<ProvinceRow> report;
   for (const auto& p : datagen::ItalianProvinces()) {
-    fpm::ItemId item = catalog.Find(static_cast<size_t>(prov_col), p.name);
+    fpm::ItemId item = catalog.Find("residence_province", p.name);
     if (item == fpm::kInvalidItem) continue;
     const cube::CubeCell* cell =
         cube.Find(fpm::Itemset({female}), fpm::Itemset({item}));

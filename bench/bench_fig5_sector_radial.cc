@@ -34,9 +34,7 @@ int main() {
   const cube::SegregationCube& cube = result->cube;
   const auto& catalog = cube.catalog();
 
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  int sector_col = result->final_table.schema().IndexOf("sector");
-  fpm::ItemId female = catalog.Find(static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = catalog.Find("gender", "F");
 
   std::printf("FIG5-BOTTOM: six indexes per sector (units = provinces)\n\n");
   std::printf("%-16s %8s %8s %8s %8s %8s %8s\n", "sector", "D", "Gini", "H",
@@ -45,8 +43,7 @@ int main() {
   std::vector<std::string> axes;
   std::array<std::vector<double>, indexes::kNumIndexKinds> series_values;
   for (const auto& sector : datagen::ItalianSectors()) {
-    fpm::ItemId item =
-        catalog.Find(static_cast<size_t>(sector_col), sector.name);
+    fpm::ItemId item = catalog.Find("sector", sector.name);
     if (item == fpm::kInvalidItem) continue;
     const cube::CubeCell* cell =
         cube.Find(fpm::Itemset({female}), fpm::Itemset({item}));

@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       continue;
     }
-    int gender_col = result->final_table.schema().IndexOf("gender");
-    fpm::ItemId female = result->cube.catalog().Find(
-        static_cast<size_t>(gender_col), "F");
+    fpm::ItemId female = result->cube.catalog().Find("gender", "F");
     const cube::CubeCell* cell =
         female == fpm::kInvalidItem
             ? nullptr

@@ -1,6 +1,9 @@
 #include "cluster/partition.h"
 
 #include <algorithm>
+#include <string_view>
+
+#include "common/hashing.h"
 
 namespace scube {
 namespace cluster {
@@ -8,13 +11,13 @@ namespace cluster {
 uint64_t ContextFingerprint(const fpm::Itemset& ca) {
   // FNV-1a 64-bit, bytes fed as 4 little-endian bytes per item id. The
   // itemset is stored sorted, so equal sets always feed equal bytes.
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvTruncatedBasis;
   for (fpm::ItemId item : ca.items()) {
-    uint32_t v = static_cast<uint32_t>(item);
-    for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (v >> shift) & 0xFFu;
-      h *= 1099511628211ull;
-    }
+    const uint32_t v = static_cast<uint32_t>(item);
+    const char bytes[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                           static_cast<char>(v >> 16),
+                           static_cast<char>(v >> 24)};
+    h = HashBytes(std::string_view(bytes, 4), h);
   }
   return h;
 }

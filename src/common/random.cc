@@ -2,23 +2,22 @@
 
 #include <cmath>
 
+#include "common/hashing.h"
 #include "common/logging.h"
 
 namespace scube {
 
 namespace {
-inline uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
+  // The splitmix64 sequence from `seed`.
   uint64_t s = seed;
-  for (auto& word : state_) word = SplitMix64(&s);
+  for (auto& word : state_) {
+    word = Mix64(s);
+    s += kGoldenGamma;
+  }
 }
 
 uint64_t Rng::Next() {

@@ -128,6 +128,22 @@ ThreadPool& ThreadPool::Shared() {
   return pool;
 }
 
+size_t ThreadPool::ParallelForShared(
+    size_t n, size_t num_threads,
+    const std::function<void(size_t worker, size_t index)>& fn) {
+  size_t width = std::min(EffectiveThreads(num_threads),
+                          std::max<size_t>(1, n));
+  if (width == 1) {
+    for (size_t i = 0; i < n; ++i) fn(0, i);
+    return 1;
+  }
+  // The pool's workers plus the caller are all that can run at once.
+  ThreadPool& pool = Shared();
+  width = std::min(width, pool.num_threads() + 1);
+  pool.ParallelFor(n, width, fn);
+  return width;
+}
+
 size_t ThreadPool::EffectiveThreads(size_t num_threads) {
   if (num_threads != 0) return num_threads;
   return std::max(1u, std::thread::hardware_concurrency());

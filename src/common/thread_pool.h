@@ -4,7 +4,9 @@
 // Deliberately small and work-stealing-free: a mutex-guarded FIFO queue,
 // N worker threads, and one entry point, ParallelFor(n, w, fn), which
 // blocks until fn ran for every index in [0, n), with at most `w`
-// concurrent participants (the caller is one of them).
+// concurrent participants (the caller is one of them). Subsystems reach
+// the shared pool through ParallelForShared, which keeps sequential runs
+// off it.
 //
 // Deadlock avoidance is by construction, not by stealing: ParallelFor
 // claims indices from a shared atomic counter and the *calling thread
@@ -57,9 +59,18 @@ class ThreadPool {
                    const std::function<void(size_t worker, size_t index)>& fn);
 
   /// Process-wide shared pool, lazily created with
-  /// hardware_concurrency() threads. Use ParallelFor's `max_workers` to
-  /// bound a caller's parallelism instead of building private pools.
+  /// hardware_concurrency() threads. Use ParallelForShared's `num_threads`
+  /// to bound a caller's parallelism instead of building private pools.
   static ThreadPool& Shared();
+
+  /// ParallelFor on the shared pool, at most `num_threads` wide (0 =
+  /// hardware concurrency). Returns the width that ran: min(num_threads,
+  /// n, Shared()'s workers + 1), at least 1; worker ids are below it. A
+  /// width-1 range runs inline on the caller without creating Shared(),
+  /// which spawns hardware_concurrency() workers on first touch.
+  static size_t ParallelForShared(
+      size_t n, size_t num_threads,
+      const std::function<void(size_t worker, size_t index)>& fn);
 
   /// Resolves a `num_threads` option: 0 = hardware concurrency (>= 1),
   /// anything else is taken literally.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hashing.h"
 #include "common/string_util.h"
 
 namespace scube {
@@ -19,15 +20,8 @@ struct ThreadCursor {
 };
 thread_local ThreadCursor t_cursor;
 
-// splitmix64 finalizer: turns a weak sequential seed into a well-mixed
-// 64-bit id. Good enough for trace ids (uniqueness, not security).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+// Mix64 turns a weak sequential seed into a well-mixed 64-bit id. Good
+// enough for trace ids (uniqueness, not security).
 uint64_t NextTraceId() {
   static std::atomic<uint64_t> counter{0};
   const uint64_t seq = counter.fetch_add(1, std::memory_order_relaxed);

@@ -334,16 +334,6 @@ Result<SegregationCube> BuildSegregationCube(
   timer.Reset();
   trace::Span fill_span(options.trace, "build.fill");
   SegregationCube cube(encoded.catalog, encoded.unit_labels);
-  size_t threads =
-      std::min(ThreadPool::EffectiveThreads(options.num_threads),
-               std::max<size_t>(1, groups.size()));
-  if (threads > 1) {
-    // The shared pool caps achievable parallelism at its worker count
-    // plus the calling thread; report what can actually run, not what
-    // was asked for.
-    threads = std::min(threads, ThreadPool::Shared().num_threads() + 1);
-  }
-  st->threads_used = static_cast<uint32_t>(threads);
 
   const DenseItemCovers covers(encoded.db);
   const CellTest test(encoded.db, covers, options.mode, min_support,
@@ -361,28 +351,19 @@ Result<SegregationCube> BuildSegregationCube(
   if (!terms.ok()) return terms.status();
   std::vector<std::vector<CubeCell>> group_cells(groups.size());
   std::vector<Status> group_status(groups.size());
-  // The explicit sequential branch keeps single-threaded builds from
-  // instantiating the process-wide pool (ParallelFor would work, but
-  // Shared() spawns hardware_concurrency workers on first touch).
-  if (threads <= 1) {
-    WorkerScratch scratch(num_units);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      group_status[g] =
-          FillContextGroup(encoded, covers, terms.value(), test, groups[g],
-                           scratch, &group_cells[g]);
-    }
-  } else {
-    std::vector<std::unique_ptr<WorkerScratch>> scratch(threads);
-    ThreadPool::Shared().ParallelFor(
-        groups.size(), threads, [&](size_t worker, size_t g) {
-          if (scratch[worker] == nullptr) {
-            scratch[worker] = std::make_unique<WorkerScratch>(num_units);
-          }
-          group_status[g] =
-              FillContextGroup(encoded, covers, terms.value(), test,
-                               groups[g], *scratch[worker], &group_cells[g]);
-        });
-  }
+  // One scratch per worker; worker ids stay below the width that runs.
+  std::vector<std::unique_ptr<WorkerScratch>> scratch(
+      std::min(ThreadPool::EffectiveThreads(options.num_threads),
+               std::max<size_t>(1, groups.size())));
+  st->threads_used = static_cast<uint32_t>(ThreadPool::ParallelForShared(
+      groups.size(), options.num_threads, [&](size_t worker, size_t g) {
+        if (scratch[worker] == nullptr) {
+          scratch[worker] = std::make_unique<WorkerScratch>(num_units);
+        }
+        group_status[g] =
+            FillContextGroup(encoded, covers, terms.value(), test, groups[g],
+                             *scratch[worker], &group_cells[g]);
+      }));
 
   // Deterministic merge: group order, then A's order within the group —
   // the same cells, values and stats as the sequential fill, bit for bit.

@@ -48,28 +48,21 @@ CubeView::CubeView(relational::ItemCatalog catalog,
   // writes its own member, so the builds are independent tasks. Adjacency
   // (the heavy one: a hash probe per cell per coordinate item) additionally
   // parallelises its per-cell probes on the same pool.
-  const size_t threads = ThreadPool::EffectiveThreads(num_threads);
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([this] { BuildPostings(true, &sa_postings_); });
   tasks.emplace_back([this] { BuildPostings(false, &ca_postings_); });
   tasks.emplace_back([this] { BuildSliceGroups(true, &sa_groups_); });
   tasks.emplace_back([this] { BuildSliceGroups(false, &ca_groups_); });
-  tasks.emplace_back([this, threads] { BuildAdjacency(threads); });
+  tasks.emplace_back([this, num_threads] { BuildAdjacency(num_threads); });
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     tasks.emplace_back(
         [this, kind, &defined] { BuildRankedOrder(kind, defined); });
   }
-  // Sequential seals stay off the shared pool entirely (Shared() spawns
-  // hardware_concurrency workers on first touch).
-  if (threads <= 1) {
-    for (const auto& task : tasks) task();
-  } else {
-    ThreadPool::Shared().ParallelFor(
-        tasks.size(), threads,
-        [&tasks](size_t /*worker*/, size_t t) { tasks[t](); });
-  }
+  ThreadPool::ParallelForShared(
+      tasks.size(), num_threads,
+      [&tasks](size_t /*worker*/, size_t t) { tasks[t](); });
   // The findings walk the adjacency, so they come last.
-  findings_ = BuildFindings(*this, threads);
+  findings_ = BuildFindings(*this, num_threads);
 }
 
 void CubeView::BuildPostings(bool sa_axis, Csr* csr) {
@@ -108,14 +101,10 @@ void CubeView::BuildAdjacency(size_t num_threads) {
   // Each cell's probe is independent, writes only slot c, and reads the
   // frozen id map — so the probes fan out across the pool.
   std::vector<std::vector<CellId>> parents(cells_.size());
-  auto probe = [&](size_t c) { parents[c] = ProbeParents(cells_[c].coords); };
-  if (num_threads <= 1 || cells_.size() < 2) {
-    for (size_t c = 0; c < cells_.size(); ++c) probe(c);
-  } else {
-    ThreadPool::Shared().ParallelFor(
-        cells_.size(), num_threads,
-        [&probe](size_t /*worker*/, size_t c) { probe(c); });
-  }
+  ThreadPool::ParallelForShared(
+      cells_.size(), num_threads, [&](size_t /*worker*/, size_t c) {
+        parents[c] = ProbeParents(cells_[c].coords);
+      });
 
   // Children are the parent relation transposed. `c` ascends, so every
   // children list comes out in ascending id order, which is coordinate

@@ -248,17 +248,11 @@ CubeView::Findings BuildFindings(const CubeView& view, size_t num_threads) {
   }
 
   CubeView::Findings findings;
-  auto sort_kind = [&](size_t k) {
-    findings.surprises[k] = SortedByKey(&surprises[k]);
-    findings.reversals[k] = SortedByKey(&reversals[k]);
-  };
-  if (num_threads <= 1) {
-    for (size_t k = 0; k < kKinds; ++k) sort_kind(k);
-  } else {
-    ThreadPool::Shared().ParallelFor(
-        kKinds, num_threads,
-        [&sort_kind](size_t /*worker*/, size_t k) { sort_kind(k); });
-  }
+  ThreadPool::ParallelForShared(
+      kKinds, num_threads, [&](size_t /*worker*/, size_t k) {
+        findings.surprises[k] = SortedByKey(&surprises[k]);
+        findings.reversals[k] = SortedByKey(&reversals[k]);
+      });
   return findings;
 }
 

@@ -13,8 +13,6 @@ namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
 constexpr size_t kMaxHeaderLines = 128;
-/// Bound on establishing a client TCP connection (ConnectWithTimeout).
-constexpr double kConnectTimeoutSeconds = 5.0;
 
 }  // namespace
 
@@ -510,7 +508,7 @@ Status OpenClientConnection(const std::string& host, uint16_t port,
                             const ClientOptions& options,
                             ClientConnection* conn) {
   conn->Reset();
-  auto socket = ConnectWithTimeout(host, port, kConnectTimeoutSeconds);
+  auto socket = Connect(host, port);
   if (!socket.ok()) return socket.status();
   conn->socket = std::move(socket).value();
   if (options.read_timeout_s > 0) {

@@ -10,7 +10,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -178,43 +177,15 @@ void ListenSocket::Close() {
   }
 }
 
-Result<Socket> Connect(const std::string& host, uint16_t port) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                         &res);
-  if (rc != 0) {
-    return Status::IoError("getaddrinfo(" + host + "): " + gai_strerror(rc));
-  }
-
-  Status last = Status::IoError("no addresses for " + host);
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) {
-      last = Status::IoError(Errno("socket"));
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      ::freeaddrinfo(res);
-      return Socket(fd);
-    }
-    last = Status::IoError(Errno("connect to " + host + ":" +
-                                 std::to_string(port)));
-    ::close(fd);
-  }
-  ::freeaddrinfo(res);
-  return last;
-}
-
 namespace {
 
+/// Bound on establishing a client TCP connection.
+constexpr double kConnectTimeoutSeconds = 5.0;
+
 /// One non-blocking connect attempt to a resolved address, polled up to
-/// `timeout_ms`. Returns the connected fd, or -1 with `*error` set.
-int ConnectOneWithTimeout(struct addrinfo* ai, int timeout_ms,
-                          Status* error) {
+/// kConnectTimeoutSeconds. Returns the connected fd, or -1 with `*error`
+/// set.
+int ConnectOne(struct addrinfo* ai, Status* error) {
   int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
   if (fd < 0) {
     *error = Status::IoError(Errno("socket"));
@@ -238,7 +209,7 @@ int ConnectOneWithTimeout(struct addrinfo* ai, int timeout_ms,
     pfd.events = POLLOUT;
     pfd.revents = 0;
     do {
-      rc = ::poll(&pfd, 1, timeout_ms);
+      rc = ::poll(&pfd, 1, static_cast<int>(kConnectTimeoutSeconds * 1000));
     } while (rc < 0 && errno == EINTR);
     if (rc == 0) {
       *error = Status::DeadlineExceeded("connect timed out");
@@ -272,9 +243,7 @@ int ConnectOneWithTimeout(struct addrinfo* ai, int timeout_ms,
 
 }  // namespace
 
-Result<Socket> ConnectWithTimeout(const std::string& host, uint16_t port,
-                                  double timeout_s) {
-  if (timeout_s <= 0) return Connect(host, port);
+Result<Socket> Connect(const std::string& host, uint16_t port) {
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
   hints.ai_family = AF_INET;
@@ -285,11 +254,9 @@ Result<Socket> ConnectWithTimeout(const std::string& host, uint16_t port,
   if (rc != 0) {
     return Status::IoError("getaddrinfo(" + host + "): " + gai_strerror(rc));
   }
-  const int timeout_ms =
-      static_cast<int>(std::lround(std::max(1.0, timeout_s * 1000.0)));
   Status last = Status::IoError("no addresses for " + host);
   for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    int fd = ConnectOneWithTimeout(ai, timeout_ms, &last);
+    int fd = ConnectOne(ai, &last);
     if (fd >= 0) {
       ::freeaddrinfo(res);
       return Socket(fd);

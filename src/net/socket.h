@@ -2,10 +2,10 @@
 //
 // Thin RAII wrappers over POSIX sockets: a connected Socket (read/write),
 // a ListenSocket (bind/listen/accept, port 0 = kernel-assigned), and a
-// loopback Connect() for clients, benches and tests. All calls are
-// blocking — the server's concurrency lives in its handler thread pool —
-// with optional receive timeouts so a stuck peer cannot pin a connection
-// thread forever.
+// Connect() bounded by 5 s for clients, benches and tests. All other calls
+// are blocking — the server's concurrency lives in its handler thread
+// pool — with optional receive timeouts so a stuck peer cannot pin a
+// connection thread forever.
 
 #ifndef SCUBE_NET_SOCKET_H_
 #define SCUBE_NET_SOCKET_H_
@@ -97,17 +97,12 @@ class ListenSocket {
   uint16_t port_ = 0;
 };
 
-/// Connects to `host:port` (numeric IPv4 or a resolvable name).
+/// Connects to `host:port` (numeric IPv4 or a resolvable name) within
+/// 5 s: a non-blocking connect and poll, the socket handed back in
+/// blocking mode. DeadlineExceeded when 5 s pass before the connection
+/// establishes, so one dead backend cannot stall a whole scatter fan-out
+/// for the kernel's multi-minute SYN retry budget.
 Result<Socket> Connect(const std::string& host, uint16_t port);
-
-/// Connect bounded by a wall-clock timeout: non-blocking connect + poll,
-/// the socket handed back in blocking mode. DeadlineExceeded when the
-/// timeout passes before the connection establishes; `timeout_s <= 0`
-/// degrades to the blocking Connect. The shard client pool uses this so
-/// one dead backend cannot stall a whole scatter fan-out for the kernel's
-/// multi-minute SYN retry budget.
-Result<Socket> ConnectWithTimeout(const std::string& host, uint16_t port,
-                                  double timeout_s);
 
 }  // namespace net
 }  // namespace scube

@@ -19,18 +19,7 @@ uint64_t CubeStore::Publish(const std::string& name,
   sync::MutexLock lock(&mu_);
   Entry& entry = entries_[name];
   uint64_t version = ++entry.latest;
-  // One Executor per sealed version, built here so the serving paths stop
-  // rebuilding the O(catalog) item index per request/chunk/page. It stamps
-  // every answer with its version, which is assigned under the lock, so
-  // the index is built under it too. The deleter captures the snapshot:
-  // handing the executor out alone keeps the view it references alive.
-  trace::Span index_span(trace, "build.executor_index");
-  std::shared_ptr<const Executor> executor(
-      new Executor(*snapshot, version),
-      [snapshot](const Executor* e) { delete e; });
-  index_span.End();
-  entry.versions.push_back(
-      SealedVersion{version, std::move(snapshot), std::move(executor)});
+  entry.versions.push_back(SealedVersion{version, std::move(snapshot)});
   while (entry.versions.size() > max_versions_) {
     entry.versions.pop_front();
   }
@@ -61,13 +50,13 @@ CubeStore::Snapshot CubeStore::GetVersion(const std::string& name,
 
 std::shared_ptr<const Executor> CubeStore::GetExecutor(
     const std::string& name, uint64_t version) const {
-  sync::MutexLock lock(&mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return nullptr;
-  for (const SealedVersion& sealed : it->second.versions) {
-    if (sealed.version == version) return sealed.executor;
-  }
-  return nullptr;
+  Snapshot snapshot = GetVersion(name, version);
+  if (snapshot == nullptr) return nullptr;
+  // The deleter captures the snapshot: the executor alone keeps the view
+  // it references alive.
+  return std::shared_ptr<const Executor>(
+      new Executor(*snapshot, version),
+      [snapshot](const Executor* e) { delete e; });
 }
 
 uint64_t CubeStore::Version(const std::string& name) const {

@@ -73,14 +73,10 @@ class CubeStore {
   /// is unknown or the version was evicted / never published.
   Snapshot GetVersion(const std::string& name, uint64_t version) const;
 
-  /// The shared Executor for one retained sealed version — built once at
-  /// publish time (the executor's attribute/value item index is O(catalog)
-  /// to construct, and was previously rebuilt per request/chunk/page). It
-  /// stamps `version` into every answer's ResultHeader.
-  /// The returned pointer keeps the underlying snapshot alive on its own,
-  /// so it stays valid after the version is evicted. Nullptr when the
-  /// name/version is unknown or already evicted (callers fall back to
-  /// constructing an executor from their snapshot).
+  /// An Executor over one retained sealed version, stamping `version`
+  /// into every answer's ResultHeader. The returned pointer keeps the
+  /// snapshot alive on its own, so it stays valid after the version is
+  /// evicted. Nullptr when the name/version is unknown or already evicted.
   std::shared_ptr<const Executor> GetExecutor(const std::string& name,
                                               uint64_t version) const;
 
@@ -97,8 +93,6 @@ class CubeStore {
   struct SealedVersion {
     uint64_t version = 0;
     Snapshot view;
-    /// Built at publish; its control block co-owns the snapshot.
-    std::shared_ptr<const Executor> executor;
   };
   struct Entry {
     uint64_t latest = 0;

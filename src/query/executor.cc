@@ -10,15 +10,9 @@ namespace query {
 
 namespace {
 
-constexpr char kKeySep = '\x1F';
-
 /// Deadline probes inside index walks are amortised: one clock read per
 /// kDeadlineStride candidates, not per candidate.
 constexpr uint64_t kDeadlineStride = 4096;
-
-std::string ItemKey(const std::string& attr, const std::string& value) {
-  return attr + kKeySep + value;
-}
 
 ResultRow MakeRow(const cube::CubeView& view, const cube::CubeCell& cell) {
   ResultRow row;
@@ -450,34 +444,22 @@ Status EmitPrepared(const cube::CubeView& view, uint64_t version,
 
 }  // namespace
 
-Executor::Executor(const cube::CubeView& view, uint64_t version)
-    : view_(view), version_(version) {
-  const relational::ItemCatalog& catalog = view.catalog();
-  item_by_key_.reserve(catalog.size());
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    fpm::ItemId id = static_cast<fpm::ItemId>(i);
-    const relational::ItemInfo& info = catalog.info(id);
-    item_by_key_.emplace(ItemKey(info.attr_name, info.value), id);
-    kind_by_attr_.emplace(info.attr_name, info.kind);
-  }
-}
-
 Result<fpm::Itemset> Executor::ResolveItems(
     const std::vector<AttrValue>& constraints,
     relational::AttributeKind kind) const {
+  const relational::ItemCatalog& catalog = view_.catalog();
   std::vector<fpm::ItemId> items;
   items.reserve(constraints.size());
   for (const AttrValue& av : constraints) {
-    auto it = item_by_key_.find(ItemKey(av.attr, av.value));
-    if (it == item_by_key_.end()) {
-      auto attr = kind_by_attr_.find(av.attr);
-      if (attr == kind_by_attr_.end()) {
+    const fpm::ItemId item = catalog.Find(av.attr, av.value);
+    if (item == fpm::kInvalidItem) {
+      if (!catalog.HasAttribute(av.attr)) {
         return Status::NotFound("unknown attribute '" + av.attr + "'");
       }
       return Status::NotFound("unknown value '" + av.value +
                               "' for attribute '" + av.attr + "'");
     }
-    const relational::ItemInfo& info = view_.catalog().info(it->second);
+    const relational::ItemInfo& info = catalog.info(item);
     if (info.kind != kind) {
       const char* axis =
           info.kind == relational::AttributeKind::kSegregation ? "sa" : "ca";
@@ -488,7 +470,7 @@ Result<fpm::Itemset> Executor::ResolveItems(
                : "context") +
           " attribute; it belongs in " + axis + "=");
     }
-    items.push_back(it->second);
+    items.push_back(item);
   }
   return fpm::Itemset(std::move(items));
 }

@@ -22,7 +22,6 @@
 #define SCUBE_QUERY_EXECUTOR_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -70,12 +69,14 @@ void SortRows(const OrderBy& order, std::vector<ResultRow>* rows);
 
 /// \brief Executes queries against one sealed cube snapshot.
 ///
-/// Construction indexes the catalog (attribute/value -> item id); the
-/// executor itself is immutable and safe to share across threads. Every
-/// answer's ResultHeader carries `version`, the store version of `view`.
+/// Construction costs nothing (coordinates resolve through the view's
+/// ItemCatalog), so callers build one per statement. Immutable and safe to
+/// share across threads. Every answer's ResultHeader carries `version`,
+/// the store version of `view`.
 class Executor {
  public:
-  explicit Executor(const cube::CubeView& view, uint64_t version = 0);
+  explicit Executor(const cube::CubeView& view, uint64_t version = 0)
+      : view_(view), version_(version) {}
 
   /// Executes one query: the ExecuteToSink stream captured by a
   /// VectorSink, pagination included.
@@ -109,8 +110,6 @@ class Executor {
  private:
   const cube::CubeView& view_;
   const uint64_t version_;
-  std::unordered_map<std::string, fpm::ItemId> item_by_key_;  // attr \x1F value
-  std::unordered_map<std::string, relational::AttributeKind> kind_by_attr_;
 };
 
 }  // namespace query

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/csv.h"
+#include "common/hashing.h"
 #include "common/string_util.h"
 
 namespace scube {
@@ -228,17 +229,6 @@ constexpr char kCursorMagic[] = "scq1";
 constexpr char kCursorSep = '|';
 constexpr char kPositionSep = ';';
 
-/// FNV-1a: stable across processes and library versions (std::hash is
-/// not), so a cursor survives a server restart against the same cubes.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : s) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 }  // namespace
 
 uint64_t CursorQueryHash(const Query& query) {
@@ -249,7 +239,9 @@ uint64_t CursorQueryHash(const Query& query) {
   stripped.cube_version.reset();
   stripped.limit.reset();
   stripped.offset.reset();
-  return Fnv1a(Canonical(stripped));
+  // FNV-1a is stable across processes and library versions (std::hash
+  // is not), so a cursor survives a server restart against the same cubes.
+  return HashBytes(Canonical(stripped), kFnvTruncatedBasis);
 }
 
 std::string EncodeCursor(const Cursor& cursor) {

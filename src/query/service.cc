@@ -1,7 +1,5 @@
 #include "query/service.h"
 
-#include <memory>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -222,16 +220,10 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
   RowSink& target = try_cache ? static_cast<RowSink&>(tee) : sink;
 
   WallTimer timer;
-  std::shared_ptr<const Executor> executor =
-      store_->GetExecutor(outcome.cube, version);
-  if (executor == nullptr) {
-    // The version was evicted between snapshot resolution and here (or the
-    // snapshot came from a cursor pin that outlived retention).
-    executor = std::make_shared<const Executor>(*snapshot, version);
-  }
+  const Executor executor(*snapshot, version);
   StreamStats stats;
   trace::Span execute_span(context.trace, "execute");
-  Status status = executor->ExecuteToSink(query, context, target, &stats);
+  Status status = executor.ExecuteToSink(query, context, target, &stats);
   execute_span.End();
   outcome.exec_ms = timer.Millis();
   outcome.begun = stats.begun;
@@ -298,17 +290,13 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
   // Warming runs on the publisher's thread, outside admission control: it
   // cannot be shed by the very overload it exists to soften.
   trace::Span warm_span(&tc, "warm");
-  std::shared_ptr<const Executor> executor =
-      store_->GetExecutor(name, info.version);
-  if (executor == nullptr) {
-    executor = std::make_shared<const Executor>(*snapshot, info.version);
-  }
+  const Executor executor(*snapshot, info.version);
   for (const std::string& text : hottest) {
     auto parsed = Parse(text);
     if (!parsed.ok()) continue;
     // Version-pinned texts target their old snapshot, not the new one.
     if (parsed->cube_version) continue;
-    auto result = executor->Execute(*parsed);
+    auto result = executor.Execute(*parsed);
     if (!result.ok() || result->rows.size() > options_.cache_max_rows) {
       continue;
     }

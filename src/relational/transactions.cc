@@ -7,30 +7,25 @@
 namespace scube {
 namespace relational {
 
-namespace {
-std::string CatalogKey(size_t attr_index, const std::string& value) {
-  return std::to_string(attr_index) + "\x1F" + value;
-}
-}  // namespace
-
 fpm::ItemId ItemCatalog::GetOrAdd(size_t attr_index,
                                   const std::string& attr_name,
                                   const std::string& value,
                                   AttributeKind kind) {
-  std::string key = CatalogKey(attr_index, value);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  fpm::ItemId item = static_cast<fpm::ItemId>(infos_.size());
-  infos_.push_back(ItemInfo{attr_index, attr_name, value, kind});
-  labels_.push_back(attr_name + "=" + value);
-  index_.emplace(std::move(key), item);
-  return item;
+  auto [it, inserted] = index_[attr_name].try_emplace(
+      value, static_cast<fpm::ItemId>(infos_.size()));
+  if (inserted) {
+    infos_.push_back(ItemInfo{attr_index, attr_name, value, kind});
+    labels_.push_back(attr_name + "=" + value);
+  }
+  return it->second;
 }
 
-fpm::ItemId ItemCatalog::Find(size_t attr_index,
+fpm::ItemId ItemCatalog::Find(const std::string& attr_name,
                               const std::string& value) const {
-  auto it = index_.find(CatalogKey(attr_index, value));
-  return it == index_.end() ? fpm::kInvalidItem : it->second;
+  auto attr = index_.find(attr_name);
+  if (attr == index_.end()) return fpm::kInvalidItem;
+  auto it = attr->second.find(value);
+  return it == attr->second.end() ? fpm::kInvalidItem : it->second;
 }
 
 const std::string& ItemCatalog::Label(fpm::ItemId item) const {

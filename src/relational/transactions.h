@@ -33,15 +33,25 @@ struct ItemInfo {
   AttributeKind kind = AttributeKind::kIgnore;
 };
 
-/// \brief Registry of (attribute, value) items.
+/// \brief Registry of (attribute, value) items, and the one index from an
+/// attribute name and value to its item: SCubeQL's `attr=value`
+/// coordinates resolve through Find.
 class ItemCatalog {
  public:
   /// Returns the item for the pair, creating it if new.
   fpm::ItemId GetOrAdd(size_t attr_index, const std::string& attr_name,
                        const std::string& value, AttributeKind kind);
 
-  /// Looks up an existing item; kInvalidItem when absent.
-  fpm::ItemId Find(size_t attr_index, const std::string& value) const;
+  /// The item `attr_name=value`; kInvalidItem when absent. A schema's
+  /// attribute names are unique, so the name alone names the attribute.
+  fpm::ItemId Find(const std::string& attr_name,
+                   const std::string& value) const;
+
+  /// Whether any item has attribute `attr_name`: tells an unknown
+  /// attribute from an unknown value when Find misses.
+  bool HasAttribute(const std::string& attr_name) const {
+    return index_.count(attr_name) != 0;
+  }
 
   size_t size() const { return infos_.size(); }
   const ItemInfo& info(fpm::ItemId item) const { return infos_[item]; }
@@ -62,7 +72,10 @@ class ItemCatalog {
  private:
   std::vector<ItemInfo> infos_;
   std::vector<std::string> labels_;  ///< "attr=value", parallel to infos_
-  std::unordered_map<std::string, fpm::ItemId> index_;  // "attr\x1Fvalue"
+  /// attribute name -> value -> item
+  std::unordered_map<std::string,
+                     std::unordered_map<std::string, fpm::ItemId>>
+      index_;
 };
 
 /// \brief A finalTable encoded for mining.

@@ -8,14 +8,12 @@ namespace {
 // Resolves a tracked coordinate against a run's catalog; false when any
 // (attribute, value) pair has no item in this snapshot.
 bool ResolveItems(
-    const relational::ItemCatalog& catalog, const relational::Schema& schema,
+    const relational::ItemCatalog& catalog,
     const std::vector<std::pair<std::string, std::string>>& pairs,
     fpm::Itemset* out) {
   std::vector<fpm::ItemId> items;
   for (const auto& [attr, value] : pairs) {
-    int col = schema.IndexOf(attr);
-    if (col < 0) return false;
-    fpm::ItemId item = catalog.Find(static_cast<size_t>(col), value);
+    fpm::ItemId item = catalog.Find(attr, value);
     if (item == fpm::kInvalidItem) return false;
     items.push_back(item);
   }
@@ -51,14 +49,13 @@ Result<TemporalResult> RunTemporalAnalysis(
     // Tracked-cell extraction is a handful of point lookups per date, so
     // it reads the build-side cube directly; no snapshot is sealed.
     const auto& cube = result->cube;
-    const auto& schema = result->final_table.schema();
 
     for (size_t i = 0; i < tracked.size(); ++i) {
       TemporalPoint point;
       point.date = date;
       fpm::Itemset sa, ca;
-      if (ResolveItems(cube.catalog(), schema, tracked[i].sa, &sa) &&
-          ResolveItems(cube.catalog(), schema, tracked[i].ca, &ca)) {
+      if (ResolveItems(cube.catalog(), tracked[i].sa, &sa) &&
+          ResolveItems(cube.catalog(), tracked[i].ca, &ca)) {
         const cube::CubeCell* cell = cube.Find(sa, ca);
         if (cell != nullptr) {
           point.defined = cell->indexes.defined;

@@ -99,6 +99,17 @@ TEST(PartitionTest, ContextFingerprintIsDeterministicAndDiscriminates) {
   EXPECT_NE(ContextFingerprint(a), ContextFingerprint(empty));
 }
 
+// A cell's shard is its fingerprint modulo the shard count, so shard
+// processes built apart must agree on these bits. The empty context's
+// value is the hash's start value (common/hashing.h, kFnvTruncatedBasis).
+TEST(PartitionTest, ContextFingerprintValuesArePinned) {
+  EXPECT_EQ(ContextFingerprint(fpm::Itemset()), 0x14650fb0739d0383ull);
+  EXPECT_EQ(ContextFingerprint(fpm::Itemset({3})), 0x516442878400fb80ull);
+  EXPECT_EQ(ContextFingerprint(fpm::Itemset({4})), 0xb13ef6c1df792377ull);
+  EXPECT_EQ(ContextFingerprint(fpm::Itemset({1, 7, 300})),
+            0xa2c06e507cf51cbeull);
+}
+
 TEST(PartitionTest, ShardOfContextStaysInRange) {
   for (size_t n : {1u, 2u, 3u, 4u, 7u}) {
     PartitionOptions options;

@@ -181,9 +181,9 @@ TEST(BuilderOracleTrapTest, OnlyWitnessIsASecondValueOfAFixedSetAttribute) {
                                       {"M", "{s1}", "u0"}});
   auto encoded = relational::EncodeForAnalysis(table);
   ASSERT_TRUE(encoded.ok());
-  const fpm::ItemId f = encoded->catalog.Find(0, "F");
-  const fpm::ItemId s0 = encoded->catalog.Find(1, "s0");
-  const fpm::ItemId s1 = encoded->catalog.Find(1, "s1");
+  const fpm::ItemId f = encoded->catalog.Find("g", "F");
+  const fpm::ItemId s0 = encoded->catalog.Find("s", "s0");
+  const fpm::ItemId s1 = encoded->catalog.Find("s", "s1");
 
   for (uint32_t ca_cap : {1u, 2u}) {
     CubeBuilderOptions options;
@@ -228,8 +228,8 @@ TEST(BuilderOracleTrapTest, FullLengthCandidateIsClosedDespiteAnExtension) {
   }
   auto encoded = relational::EncodeForAnalysis(table);
   ASSERT_TRUE(encoded.ok());
-  const fpm::ItemId f = encoded->catalog.Find(0, "F");
-  const fpm::ItemId n = encoded->catalog.Find(2, "n");
+  const fpm::ItemId f = encoded->catalog.Find("g", "F");
+  const fpm::ItemId n = encoded->catalog.Find("r", "n");
 
   for (fpm::MineMode mode : {fpm::MineMode::kClosed, fpm::MineMode::kMaximal}) {
     CubeBuilderOptions options;

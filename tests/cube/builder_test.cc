@@ -63,7 +63,7 @@ TEST(CubeBuilderTest, GlobalFemaleCellAnchor) {
   ASSERT_TRUE(cube.ok()) << cube.status();
 
   const auto& cat = cube->catalog();
-  fpm::ItemId female = cat.Find(0, "F");
+  fpm::ItemId female = cat.Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
 
   // (sex=F | ⋆): 4 units of 3, minority (2,1,1,2) -> D = 1/3.
@@ -81,9 +81,9 @@ TEST(CubeBuilderTest, ContextRestrictedCellAnchor) {
   auto cube = BuildSegregationCube(SmallFinalTable(), AllCellsOptions());
   ASSERT_TRUE(cube.ok());
   const auto& cat = cube->catalog();
-  fpm::ItemId female = cat.Find(0, "F");
-  fpm::ItemId young = cat.Find(1, "young");
-  fpm::ItemId north = cat.Find(2, "north");
+  fpm::ItemId female = cat.Find("gender", "F");
+  fpm::ItemId young = cat.Find("age", "young");
+  fpm::ItemId north = cat.Find("region", "north");
   ASSERT_NE(young, fpm::kInvalidItem);
   ASSERT_NE(north, fpm::kInvalidItem);
 
@@ -117,7 +117,7 @@ TEST(CubeBuilderTest, RootAndPureSaCellsAreUndefined) {
 
   // Pure-context cell (⋆ | region=north): M = T = 6 -> undefined.
   const auto& cat = cube->catalog();
-  fpm::ItemId north = cat.Find(2, "north");
+  fpm::ItemId north = cat.Find("region", "north");
   const CubeCell* ctx = cube->Find(fpm::Itemset(), fpm::Itemset({north}));
   ASSERT_NE(ctx, nullptr);
   EXPECT_FALSE(ctx->indexes.defined);
@@ -221,7 +221,7 @@ TEST(CubeBuilderTest, ClosedModeCellsAgreeWithAllMode) {
   EXPECT_GT(closed_cube->NumCells(), 0u);
   // {gender=F} alone is not closed: absent in closed mode, present in all.
   const auto& cat = all_cube->catalog();
-  fpm::ItemId female = cat.Find(0, "F");
+  fpm::ItemId female = cat.Find("gender", "F");
   EXPECT_NE(all_cube->Find(fpm::Itemset({female}), fpm::Itemset()), nullptr);
   EXPECT_EQ(closed_cube->Find(fpm::Itemset({female}), fpm::Itemset()),
             nullptr);
@@ -353,8 +353,8 @@ TEST(CubeBuilderTest, MultiValuedContextCountsInEveryValue) {
   auto cube = BuildSegregationCube(t, AllCellsOptions());
   ASSERT_TRUE(cube.ok());
   const auto& cat = cube->catalog();
-  fpm::ItemId female = cat.Find(0, "F");
-  fpm::ItemId agri = cat.Find(1, "agri");
+  fpm::ItemId female = cat.Find("gender", "F");
+  fpm::ItemId agri = cat.Find("sector", "agri");
   ASSERT_NE(agri, fpm::kInvalidItem);
 
   // Context sector=agri covers rows 0, 2, 3 (row 0 via the set value).

@@ -61,8 +61,8 @@ ExplorerOptions LooseFilters() {
 TEST(ExplorerTest, FixtureAnchors) {
   CubeView cube = BuildFixture();
   const auto& cat = cube.catalog();
-  fpm::ItemId female = cat.Find(0, "F");
-  fpm::ItemId north = cat.Find(1, "north");
+  fpm::ItemId female = cat.Find("gender", "F");
+  fpm::ItemId north = cat.Find("region", "north");
 
   const CubeCell* global = cube.Find(fpm::Itemset({female}), fpm::Itemset());
   ASSERT_NE(global, nullptr);

@@ -277,11 +277,11 @@ std::string EncodedText(const relational::EncodedRelation& encoded) {
   return out;
 }
 
-// Every item is found again under its own (column, value).
+// Every item is found again under its own (attribute, value).
 void ExpectCatalogFindsEveryItem(const relational::ItemCatalog& catalog) {
   for (fpm::ItemId item = 0; item < catalog.size(); ++item) {
     const relational::ItemInfo& info = catalog.info(item);
-    EXPECT_EQ(catalog.Find(info.attr_index, info.value), item)
+    EXPECT_EQ(catalog.Find(info.attr_name, info.value), item)
         << catalog.Label(item);
   }
 }

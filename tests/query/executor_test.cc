@@ -225,6 +225,27 @@ TEST(ExecutorTest, ResolutionErrors) {
             std::string::npos);
 }
 
+// The full texts: they reach clients verbatim in every error envelope. A
+// value is looked up before its axis is checked.
+TEST(ExecutorTest, ResolutionErrorTextsAreExact) {
+  cube::CubeView view = MakeView();
+  Executor executor(view);
+  auto message = [&executor](const std::string& text) {
+    auto result = executor.Execute(*Parse(text));
+    return result.ok() ? std::string("OK") : result.status().message();
+  };
+  EXPECT_EQ(message("SLICE sa=hair=red"), "unknown attribute 'hair'");
+  EXPECT_EQ(message("SLICE ca=hair=red"), "unknown attribute 'hair'");
+  EXPECT_EQ(message("SLICE sa=sex=X"),
+            "unknown value 'X' for attribute 'sex'");
+  EXPECT_EQ(message("SLICE sa=region=west"),
+            "unknown value 'west' for attribute 'region'");
+  EXPECT_EQ(message("SLICE sa=region=north"),
+            "attribute 'region' is a context attribute; it belongs in ca=");
+  EXPECT_EQ(message("SLICE ca=sex=F"),
+            "attribute 'sex' is a segregation attribute; it belongs in sa=");
+}
+
 TEST(ExecutorTest, SerialisationShapes) {
   cube::CubeView view = MakeView();
   Executor executor(view);

@@ -43,26 +43,26 @@ TEST(EncodeTest, CatalogLabelsAndKinds) {
   auto enc = EncodeForAnalysis(FinalTableFixture());
   ASSERT_TRUE(enc.ok());
   const ItemCatalog& cat = enc->catalog;
-  fpm::ItemId female = cat.Find(0, "F");
+  fpm::ItemId female = cat.Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
   EXPECT_EQ(cat.Label(female), "gender=F");
   EXPECT_EQ(cat.info(female).kind, AttributeKind::kSegregation);
 
-  fpm::ItemId transports = cat.Find(4, "transports");
+  fpm::ItemId transports = cat.Find("sector", "transports");
   ASSERT_NE(transports, fpm::kInvalidItem);
   EXPECT_EQ(cat.info(transports).kind, AttributeKind::kContext);
   EXPECT_EQ(cat.Label(transports), "sector=transports");
 
-  EXPECT_EQ(cat.Find(0, "X"), fpm::kInvalidItem);
+  EXPECT_EQ(cat.Find("gender", "X"), fpm::kInvalidItem);
 }
 
 TEST(EncodeTest, SplitSeparatesSaFromCa) {
   auto enc = EncodeForAnalysis(FinalTableFixture());
   ASSERT_TRUE(enc.ok());
   const ItemCatalog& cat = enc->catalog;
-  fpm::ItemId female = cat.Find(0, "F");
-  fpm::ItemId north = cat.Find(3, "north");
-  fpm::ItemId edu = cat.Find(4, "education");
+  fpm::ItemId female = cat.Find("gender", "F");
+  fpm::ItemId north = cat.Find("residence", "north");
+  fpm::ItemId edu = cat.Find("sector", "education");
   ASSERT_NE(north, fpm::kInvalidItem);
   fpm::Itemset mixed({female, north, edu});
   fpm::Itemset sa, ca;
@@ -75,8 +75,8 @@ TEST(EncodeTest, LabelSetRendering) {
   auto enc = EncodeForAnalysis(FinalTableFixture());
   ASSERT_TRUE(enc.ok());
   const ItemCatalog& cat = enc->catalog;
-  fpm::ItemId female = cat.Find(0, "F");
-  fpm::ItemId north = cat.Find(3, "north");
+  fpm::ItemId female = cat.Find("gender", "F");
+  fpm::ItemId north = cat.Find("residence", "north");
   EXPECT_EQ(cat.LabelSet(fpm::Itemset({female, north})),
             "gender=F & residence=north");
   EXPECT_EQ(cat.LabelSet(fpm::Itemset()), "*");
@@ -136,7 +136,13 @@ TEST(EncodeTest, SharedValuesAcrossAttributesGetDistinctItems) {
   ASSERT_TRUE(enc.ok());
   // "north" as birthplace and "north" as residence are different items.
   EXPECT_EQ(enc->catalog.size(), 2u);
-  EXPECT_NE(enc->catalog.Find(0, "north"), enc->catalog.Find(1, "north"));
+  const fpm::ItemId birthplace = enc->catalog.Find("birthplace", "north");
+  const fpm::ItemId residence = enc->catalog.Find("residence", "north");
+  ASSERT_NE(birthplace, fpm::kInvalidItem);
+  ASSERT_NE(residence, fpm::kInvalidItem);
+  EXPECT_NE(birthplace, residence);
+  EXPECT_EQ(enc->catalog.info(birthplace).kind, AttributeKind::kSegregation);
+  EXPECT_EQ(enc->catalog.info(residence).kind, AttributeKind::kContext);
 }
 
 }  // namespace

@@ -114,9 +114,7 @@ TEST(IntegrationTest, CsvToDiscoveryEndToEnd) {
   // T=10, M=5, per-unit m=(0,4,1), t=(4,4,2).
   // D = 1/2(|0-4/5| + |4/5-0| + |1/5-1/5|) = 0.8.
   const auto& cube = result->cube;
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  fpm::ItemId female =
-      cube.catalog().Find(static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = cube.catalog().Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
   const cube::CubeCell* cell = cube.Find(fpm::Itemset({female}),
                                          fpm::Itemset());
@@ -131,10 +129,7 @@ TEST(IntegrationTest, CsvToDiscoveryEndToEnd) {
 
   // Context sector=education selects the all-female community (and the
   // education companies only): every member is female -> degenerate cell.
-  int sector_col = result->final_table.schema().IndexOf("sector");
-  ASSERT_GE(sector_col, 0);
-  fpm::ItemId education =
-      cube.catalog().Find(static_cast<size_t>(sector_col), "education");
+  fpm::ItemId education = cube.catalog().Find("sector", "education");
   ASSERT_NE(education, fpm::kInvalidItem);
   const cube::CubeCell* edu_cell =
       cube.Find(fpm::Itemset({female}), fpm::Itemset({education}));
@@ -191,9 +186,7 @@ TEST(IntegrationTest, TabularShortcutMatchesPipelineSemantics) {
   // each (10 directors + 4 extra pairs).
   EXPECT_EQ(result->final_table.NumRows(), 14u);
 
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  fpm::ItemId female = result->cube.catalog().Find(
-      static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = result->cube.catalog().Find("gender", "F");
   const cube::CubeCell* cell =
       result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
   ASSERT_NE(cell, nullptr);

@@ -45,10 +45,7 @@ TEST(PipelineTest, Scenario1TabularSectorUnits) {
 
   // The female cell must exist and carry sensible indexes.
   const auto& cat = result->cube.catalog();
-  int gender_col = result->final_table.schema().IndexOf("gender");
-  ASSERT_GE(gender_col, 0);
-  fpm::ItemId female =
-      cat.Find(static_cast<size_t>(gender_col), "F");
+  fpm::ItemId female = cat.Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
   const cube::CubeCell* cell =
       result->cube.Find(fpm::Itemset({female}), fpm::Itemset());

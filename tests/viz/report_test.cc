@@ -68,7 +68,7 @@ TEST(PivotTableTest, Fig1StyleGrid) {
 TEST(PivotTableTest, FixedCoordinateSlab) {
   cube::CubeView cube = Fig1StyleCube();
   const auto& cat = cube.catalog();
-  fpm::ItemId young = cat.Find(1, "young");
+  fpm::ItemId young = cat.Find("age", "young");
   ASSERT_NE(young, fpm::kInvalidItem);
   PivotSpec spec;
   spec.sa_attribute = "sex";
@@ -110,7 +110,7 @@ TEST(TopContextsTest, RendersRankedRows) {
 TEST(CellSummaryTest, RendersAllSixIndexes) {
   cube::CubeView cube = Fig1StyleCube();
   const auto& cat = cube.catalog();
-  fpm::ItemId female = cat.Find(0, "female");
+  fpm::ItemId female = cat.Find("sex", "female");
   const cube::CubeCell* cell = cube.Find(fpm::Itemset({female}),
                                          fpm::Itemset());
   ASSERT_NE(cell, nullptr);
