@@ -351,19 +351,22 @@ Result<SegregationCube> BuildSegregationCube(
   if (!terms.ok()) return terms.status();
   std::vector<std::vector<CubeCell>> group_cells(groups.size());
   std::vector<Status> group_status(groups.size());
-  // One scratch per worker; worker ids stay below the width that runs.
-  std::vector<std::unique_ptr<WorkerScratch>> scratch(
-      std::min(ThreadPool::EffectiveThreads(options.num_threads),
-               std::max<size_t>(1, groups.size())));
-  st->threads_used = static_cast<uint32_t>(ThreadPool::ParallelForShared(
-      groups.size(), options.num_threads, [&](size_t worker, size_t g) {
-        if (scratch[worker] == nullptr) {
-          scratch[worker] = std::make_unique<WorkerScratch>(num_units);
-        }
-        group_status[g] =
-            FillContextGroup(encoded, covers, terms.value(), test, groups[g],
-                             *scratch[worker], &group_cells[g]);
-      }));
+  {
+    // One scratch per worker (worker ids stay below the width that runs),
+    // freed before the merge below builds the cube.
+    std::vector<std::unique_ptr<WorkerScratch>> scratch(
+        std::min(ThreadPool::EffectiveThreads(options.num_threads),
+                 std::max<size_t>(1, groups.size())));
+    st->threads_used = static_cast<uint32_t>(ThreadPool::ParallelForShared(
+        groups.size(), options.num_threads, [&](size_t worker, size_t g) {
+          if (scratch[worker] == nullptr) {
+            scratch[worker] = std::make_unique<WorkerScratch>(num_units);
+          }
+          group_status[g] =
+              FillContextGroup(encoded, covers, terms.value(), test,
+                               groups[g], *scratch[worker], &group_cells[g]);
+        }));
+  }
 
   // Deterministic merge: group order, then A's order within the group —
   // the same cells, values and stats as the sequential fill, bit for bit.
