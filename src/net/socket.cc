@@ -184,7 +184,8 @@ constexpr double kConnectTimeoutSeconds = 5.0;
 
 /// One non-blocking connect attempt to a resolved address, polled up to
 /// kConnectTimeoutSeconds. Returns the connected fd, or -1 with `*error`
-/// set.
+/// set; a failed connect carries the errno text alone, which Connect
+/// prefixes with the address.
 int ConnectOne(struct addrinfo* ai, Status* error) {
   int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
   if (fd < 0) {
@@ -199,7 +200,7 @@ int ConnectOne(struct addrinfo* ai, Status* error) {
   }
   int rc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
   if (rc != 0 && errno != EINPROGRESS) {
-    *error = Status::IoError(Errno("connect"));
+    *error = Status::IoError(std::strerror(errno));
     ::close(fd);
     return -1;
   }
@@ -226,7 +227,7 @@ int ConnectOne(struct addrinfo* ai, Status* error) {
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len) < 0 ||
         soerr != 0) {
       errno = soerr != 0 ? soerr : errno;
-      *error = Status::IoError(Errno("connect"));
+      *error = Status::IoError(std::strerror(errno));
       ::close(fd);
       return -1;
     }
