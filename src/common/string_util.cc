@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/logging.h"
+
 namespace scube {
 
 std::vector<std::string> Split(std::string_view input, char sep) {
@@ -90,11 +92,15 @@ std::string FormatDouble(double v, int digits) {
 }
 
 void AppendDouble6g(double v, std::string* out) {
-  char buf[32];  // "%.6g" needs at most 13: "-1.79769e+308"
-  char* end =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6)
-          .ptr;
-  out->append(buf, end);
+  char buf[kMaxDouble6gSize];
+  out->append(buf, WriteDouble6g(v, buf));
+}
+
+char* WriteDouble6g(double v, char* first) {
+  auto [end, ec] = std::to_chars(first, first + kMaxDouble6gSize, v,
+                                 std::chars_format::general, 6);
+  SCUBE_CHECK(ec == std::errc());
+  return end;
 }
 
 std::string ExactDoubleText(double v) {

@@ -3,6 +3,7 @@
 #ifndef SCUBE_COMMON_STRING_UTIL_H_
 #define SCUBE_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -42,6 +43,13 @@ std::string FormatDouble(double v, int digits);
 /// precision 6, which the standard defines as %.6g: no locale, no
 /// allocation beyond `out`'s growth. The result rows' number format.
 void AppendDouble6g(double v, std::string* out);
+
+/// The longest AppendDouble6g text: "-1.79769e+308".
+inline constexpr size_t kMaxDouble6gSize = 13;
+
+/// Writes AppendDouble6g's text of `v` to [first, first + kMaxDouble6gSize)
+/// and returns one past its last byte.
+char* WriteDouble6g(double v, char* first);
 
 /// Renders `v` so that it parses back to the same double: its "%.6g" text
 /// when that already reads back exactly ("0.05", "2.5", "1e-05"), else the

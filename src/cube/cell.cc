@@ -11,5 +11,13 @@ bool CellCoordinates::operator<(const CellCoordinates& other) const {
   return ca < other.ca;
 }
 
+IndexTexts::IndexTexts(const indexes::IndexVector& values) {
+  for (size_t k = 0; k < values.values.size(); ++k) {
+    char* first = bytes_[k].data();
+    sizes_[k] =
+        static_cast<uint8_t>(WriteDouble6g(values.values[k], first) - first);
+  }
+}
+
 }  // namespace cube
 }  // namespace scube

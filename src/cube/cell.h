@@ -3,10 +3,13 @@
 #ifndef SCUBE_CUBE_CELL_H_
 #define SCUBE_CUBE_CELL_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/hashing.h"
+#include "common/string_util.h"
 #include "fpm/itemset.h"
 #include "indexes/segregation_index.h"
 
@@ -62,6 +65,25 @@ struct CubeCell {
   /// query results — each global cell is emitted by exactly one shard.
   /// Always false outside sharded deployments.
   bool ghost = false;
+};
+
+/// \brief A cell's six index values as the result writers print them
+/// (AppendDouble6g, "%.6g"), rendered once when the view is sealed so a
+/// streamed row copies bytes instead of formatting doubles.
+class IndexTexts {
+ public:
+  IndexTexts() = default;
+  explicit IndexTexts(const indexes::IndexVector& values);
+
+  std::string_view operator[](indexes::IndexKind kind) const {
+    const size_t k = static_cast<size_t>(kind);
+    return {bytes_[k].data(), sizes_[k]};
+  }
+
+ private:
+  std::array<std::array<char, kMaxDouble6gSize>, indexes::kNumIndexKinds>
+      bytes_{};
+  std::array<uint8_t, indexes::kNumIndexKinds> sizes_{};
 };
 
 }  // namespace cube

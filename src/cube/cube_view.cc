@@ -46,14 +46,16 @@ CubeView::CubeView(relational::ItemCatalog catalog,
 
   // From here every structure reads only the sorted cells_ / id map and
   // writes its own member, so the builds are independent tasks. Adjacency
-  // (the heavy one: a hash probe per cell per coordinate item) additionally
-  // parallelises its per-cell probes on the same pool.
+  // (the heavy one: a hash probe per cell per coordinate item) and the
+  // index texts additionally parallelise their per-cell work on the same
+  // pool.
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([this] { BuildPostings(true, &sa_postings_); });
   tasks.emplace_back([this] { BuildPostings(false, &ca_postings_); });
-  tasks.emplace_back([this] { BuildSliceGroups(true, &sa_groups_); });
-  tasks.emplace_back([this] { BuildSliceGroups(false, &ca_groups_); });
+  tasks.emplace_back([this] { BuildAxis(true, &sa_); });
+  tasks.emplace_back([this] { BuildAxis(false, &ca_); });
   tasks.emplace_back([this, num_threads] { BuildAdjacency(num_threads); });
+  tasks.emplace_back([this, num_threads] { RenderTexts(num_threads); });
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     tasks.emplace_back(
         [this, kind, &defined] { BuildRankedOrder(kind, defined); });
@@ -86,12 +88,32 @@ void CubeView::BuildPostings(bool sa_axis, Csr* csr) {
   }
 }
 
-void CubeView::BuildSliceGroups(bool sa_axis, SliceGroups* groups) {
+void CubeView::BuildAxis(bool sa_axis, Axis* axis) {
+  axis->label_of.resize(cells_.size());
   for (size_t i = 0; i < cells_.size(); ++i) {
-    const fpm::Itemset& axis =
+    const fpm::Itemset& items =
         sa_axis ? cells_[i].coords.sa : cells_[i].coords.ca;
-    (*groups)[axis].push_back(static_cast<CellId>(i));
+    auto [it, added] = axis->groups.try_emplace(items);
+    SliceGroup& group = it->second;
+    if (added) {
+      group.label = static_cast<uint32_t>(axis->labels.size());
+      // Items beyond the catalog (hand-built cubes) have no label.
+      const bool catalogued = std::all_of(
+          items.items().begin(), items.items().end(),
+          [this](fpm::ItemId item) { return item < catalog_.size(); });
+      axis->labels.push_back(catalogued ? catalog_.LabelSet(items) : "");
+    }
+    group.ids.push_back(static_cast<CellId>(i));
+    axis->label_of[i] = group.label;
   }
+}
+
+void CubeView::RenderTexts(size_t num_threads) {
+  texts_.resize(cells_.size());
+  ThreadPool::ParallelForShared(
+      cells_.size(), num_threads, [this](size_t /*worker*/, size_t c) {
+        texts_[c] = IndexTexts(cells_[c].indexes);
+      });
 }
 
 void CubeView::BuildAdjacency(size_t num_threads) {
@@ -170,16 +192,16 @@ std::span<const CubeView::CellId> CubeView::CaPostings(
 
 std::span<const CubeView::CellId> CubeView::SliceBySa(
     const fpm::Itemset& sa) const {
-  auto it = sa_groups_.find(sa);
-  return it == sa_groups_.end() ? std::span<const CellId>{}
-                                : std::span<const CellId>(it->second);
+  auto it = sa_.groups.find(sa);
+  return it == sa_.groups.end() ? std::span<const CellId>{}
+                                : std::span<const CellId>(it->second.ids);
 }
 
 std::span<const CubeView::CellId> CubeView::SliceByCa(
     const fpm::Itemset& ca) const {
-  auto it = ca_groups_.find(ca);
-  return it == ca_groups_.end() ? std::span<const CellId>{}
-                                : std::span<const CellId>(it->second);
+  auto it = ca_.groups.find(ca);
+  return it == ca_.groups.end() ? std::span<const CellId>{}
+                                : std::span<const CellId>(it->second.ids);
 }
 
 std::span<const CubeView::CellId> CubeView::Parents(CellId id) const {
@@ -279,10 +301,11 @@ std::string CubeView::ToCsv() const {
     header.emplace_back(indexes::IndexKindToString(kind));
   }
   writer.WriteRow(header);
-  for (const CubeCell& cell : cells_) {
+  for (CellId id = 0; id < cells_.size(); ++id) {
+    const CubeCell& cell = cells_[id];
     std::vector<std::string> row{
-        catalog_.LabelSet(cell.coords.sa),
-        catalog_.LabelSet(cell.coords.ca),
+        SaLabel(id),
+        CaLabel(id),
         std::to_string(cell.context_size),
         std::to_string(cell.minority_size),
         std::to_string(cell.num_units),

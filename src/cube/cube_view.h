@@ -18,7 +18,10 @@
 //     SURPRISES candidate by delta descending and every REVERSALS
 //     candidate under the default floors by gap descending, so SURPRISES
 //     reads a prefix of a list and REVERSALS filters a short one instead
-//     of evaluating every cell and sorting per call.
+//     of evaluating every cell and sorting per call,
+//   - each cell's six index texts (IndexTexts) and one label per distinct
+//     SA and CA itemset, so result rows copy their numbers and labels
+//     instead of formatting and sorting them per row.
 //
 // A CubeView is immutable after construction and therefore safe to share
 // across threads without locks; the serving layer publishes
@@ -59,9 +62,9 @@ class CubeView {
   /// `num_threads` parallelises index construction on the shared pool
   /// (1 = sequential, 0 = hardware concurrency); the finished view is
   /// identical for every value — the SA/CA posting builds, slice-group
-  /// builds, per-cell parent probes, the six ranked sorts and the findings
-  /// sorts run as independent tasks whose outputs depend only on the
-  /// sorted cells.
+  /// and label builds, per-cell parent probes and index texts, the six
+  /// ranked sorts and the findings sorts run as independent tasks whose
+  /// outputs depend only on the sorted cells.
   CubeView(relational::ItemCatalog catalog,
            std::vector<std::string> unit_labels,
            std::vector<CubeCell> cells, size_t num_threads = 1);
@@ -79,6 +82,25 @@ class CubeView {
   /// Cell payload by id. Ids are ordinals into Cells(), so ascending id
   /// order is ascending coordinate order.
   const CubeCell& cell(CellId id) const { return cells_[id]; }
+
+  /// The id of a cell of this view (a reference into Cells()).
+  CellId IdOf(const CubeCell& cell) const {
+    return static_cast<CellId>(&cell - cells_.data());
+  }
+
+  /// The cell's SA (resp. CA) label, as ItemCatalog::LabelSet renders its
+  /// itemset; rendered once per distinct itemset at construction. Empty
+  /// for an itemset with an item beyond the catalog (hand-built cubes).
+  const std::string& SaLabel(CellId id) const {
+    return sa_.labels[sa_.label_of[id]];
+  }
+  const std::string& CaLabel(CellId id) const {
+    return ca_.labels[ca_.label_of[id]];
+  }
+
+  /// The cell's six index values as the result writers print them,
+  /// rendered at construction. Lives as long as the view.
+  const IndexTexts& Texts(CellId id) const { return texts_[id]; }
 
   /// Point lookups.
   CellId FindId(const CellCoordinates& coords) const;
@@ -184,12 +206,25 @@ class CubeView {
     }
   };
 
-  using SliceGroups =
-      std::unordered_map<fpm::Itemset, std::vector<CellId>, fpm::ItemsetHash>;
+  /// The cells whose SA (resp. CA) itemset equals one itemset, and that
+  /// itemset's label.
+  struct SliceGroup {
+    uint32_t label = 0;  ///< index into Axis::labels
+    std::vector<CellId> ids;
+  };
+
+  /// One coordinate axis: its exact-itemset slice groups and the label of
+  /// each distinct itemset.
+  struct Axis {
+    std::unordered_map<fpm::Itemset, SliceGroup, fpm::ItemsetHash> groups;
+    std::vector<std::string> labels;  ///< by first appearance in id order
+    std::vector<uint32_t> label_of;   ///< per cell: its itemset's label
+  };
 
   void BuildPostings(bool sa_axis, Csr* csr);
-  void BuildSliceGroups(bool sa_axis, SliceGroups* groups);
+  void BuildAxis(bool sa_axis, Axis* axis);
   void BuildAdjacency(size_t num_threads);
+  void RenderTexts(size_t num_threads);
   void BuildRankedOrder(indexes::IndexKind kind,
                         const std::vector<CellId>& defined);
 
@@ -208,8 +243,9 @@ class CubeView {
 
   Csr sa_postings_;
   Csr ca_postings_;
-  SliceGroups sa_groups_;
-  SliceGroups ca_groups_;
+  Axis sa_;
+  Axis ca_;
+  std::vector<IndexTexts> texts_;  ///< per cell
   Csr parents_;
   Csr children_;
   std::array<std::vector<CellId>, indexes::kNumIndexKinds> ranked_;

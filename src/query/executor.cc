@@ -14,15 +14,19 @@ namespace {
 /// kDeadlineStride candidates, not per candidate.
 constexpr uint64_t kDeadlineStride = 4096;
 
+/// A cell's row: the sealed labels copied, the sealed index texts pointed
+/// at (ResultRow::texts).
 ResultRow MakeRow(const cube::CubeView& view, const cube::CubeCell& cell) {
+  const cube::CubeView::CellId id = view.IdOf(cell);
   ResultRow row;
-  row.sa = view.catalog().LabelSet(cell.coords.sa);
-  row.ca = view.catalog().LabelSet(cell.coords.ca);
+  row.sa = view.SaLabel(id);
+  row.ca = view.CaLabel(id);
   row.t = cell.context_size;
   row.m = cell.minority_size;
   row.units = cell.num_units;
   row.defined = cell.indexes.defined;
   row.indexes = cell.indexes.values;
+  row.texts = &view.Texts(id);
   return row;
 }
 

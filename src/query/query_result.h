@@ -1,7 +1,9 @@
 // QueryResult: the self-contained, serialisable answer to one SCubeQL
 // query. Rows copy cell payloads (labels + counts + the six indexes) out of
 // the cube snapshot so results outlive it — they can sit in the LRU cache
-// while newer cube versions are published.
+// while newer cube versions are published. A streamed row also points at
+// its cell's index texts in the snapshot; the VectorSink that materialises
+// a result drops that pointer.
 //
 // The streaming read path (query/row_sink.h) decomposes an answer into
 // ResultHeader -> ResultRow* -> ResultTrailer; QueryResult is exactly that
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cube/cell.h"
 #include "indexes/segregation_index.h"
 #include "query/ast.h"
 
@@ -36,6 +39,13 @@ struct ResultRow {
   /// Whether the six indexes are defined for this cell.
   bool defined = false;
   std::array<double, indexes::kNumIndexKinds> indexes{};
+
+  /// The cell's index texts in the sealed view the executor walked
+  /// (CubeView::Texts): the JSON/CSV writers copy them instead of
+  /// formatting `indexes`, and `value`, which is always indexes[by] when
+  /// the header has it. Null for rows decoded from the wire; valid only
+  /// while that view lives, so VectorSink clears it in the rows it keeps.
+  const cube::IndexTexts* texts = nullptr;
 
   /// Verb-specific columns (meaning recorded in the header):
   ///   TOPK              value = ranked index value

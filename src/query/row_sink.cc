@@ -27,6 +27,26 @@ const std::array<std::string, indexes::kNumIndexKinds>& QuotedIndexKeys() {
   return keys;
 }
 
+/// Appends a defined row's index: its sealed text when it carries one.
+void AppendIndex(const ResultRow& row, indexes::IndexKind kind,
+                 std::string* out) {
+  if (row.texts != nullptr) {
+    out->append((*row.texts)[kind]);
+  } else {
+    AppendDouble6g(row.indexes[static_cast<size_t>(kind)], out);
+  }
+}
+
+/// Appends the value column, which is the row cell's own index `by`.
+void AppendValue(const ResultRow& row, indexes::IndexKind by,
+                 std::string* out) {
+  if (row.texts != nullptr) {
+    out->append((*row.texts)[by]);
+  } else {
+    AppendDouble6g(row.value, out);
+  }
+}
+
 }  // namespace
 
 // --- VectorSink -------------------------------------------------------------
@@ -38,11 +58,13 @@ bool VectorSink::Begin(const ResultHeader& header) {
 
 bool VectorSink::Row(const ResultRow& row) {
   result_.rows.push_back(row);
+  result_.rows.back().texts = nullptr;  // the rows outlive the view
   return true;
 }
 
 bool VectorSink::Row(ResultRow&& row) {
   result_.rows.push_back(std::move(row));
+  result_.rows.back().texts = nullptr;
   return true;
 }
 
@@ -86,7 +108,7 @@ bool JsonWriter::Row(const ResultRow& row) {
     first = false;
     out += keys[static_cast<size_t>(kind)];
     if (row.defined) {
-      AppendDouble6g(row.indexes[static_cast<size_t>(kind)], &out);
+      AppendIndex(row, kind, &out);
     } else {
       out += "null";
     }
@@ -94,7 +116,7 @@ bool JsonWriter::Row(const ResultRow& row) {
   out += '}';
   if (header_.has_value) {
     out += ",\"value\":";
-    AppendDouble6g(row.value, &out);
+    AppendValue(row, header_.by, &out);
   }
   if (header_.has_aux) {
     out += ',';
@@ -163,13 +185,11 @@ bool CsvWriter::Row(const ResultRow& row) {
   AppendUint(row.units, &out);
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     out += ",";
-    if (row.defined) {
-      AppendDouble6g(row.indexes[static_cast<size_t>(kind)], &out);
-    }
+    if (row.defined) AppendIndex(row, kind, &out);
   }
   if (header_.has_value) {
     out += ',';
-    AppendDouble6g(row.value, &out);
+    AppendValue(row, header_.by, &out);
   }
   if (header_.has_aux) {
     out += ',';

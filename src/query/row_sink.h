@@ -72,7 +72,9 @@ class RowSink {
 };
 
 /// \brief Materialises the stream into a QueryResult — the streaming
-/// path's answer is exactly the pre-streaming materialised answer.
+/// path's answer is exactly the pre-streaming materialised answer. The
+/// kept rows drop their ResultRow::texts, because cached and buffered
+/// answers outlive the snapshot those point into.
 class VectorSink : public RowSink {
  public:
   bool Begin(const ResultHeader& header) override;
@@ -99,10 +101,11 @@ class VectorSink : public RowSink {
 /// Row starts returning false and further output is suppressed.
 ///
 /// Rows render into `line_`, one buffer per writer: Row clears it, appends
-/// the whole row (numbers through std::to_chars, labels escaped in place)
-/// and calls Write once. After the first rows the buffer has grown to the
-/// longest row and rendering allocates nothing. A writer renders one
-/// answer; the buffer carries no state from one row to the next.
+/// the whole row (a row's sealed index texts copied, other numbers through
+/// std::to_chars, labels escaped in place) and calls Write once. After the
+/// first rows the buffer has grown to the longest row and rendering
+/// allocates nothing. A writer renders one answer; the buffer carries no
+/// state from one row to the next.
 class ResultWriter : public RowSink {
  public:
   /// Sinks bytes; false = stop producing.
@@ -129,7 +132,8 @@ class ResultWriter : public RowSink {
 
 /// \brief Streams the ToJson rendering:
 /// {"verb":...,"by":...,"rows":[R,...],"cells_scanned":N[,"next_cursor":C]}.
-/// Doubles carry 6 significant digits (printf "%.6g").
+/// Doubles carry 6 significant digits (printf "%.6g"); the indexes and the
+/// value column copy the row's sealed texts when it carries them.
 class JsonWriter : public ResultWriter {
  public:
   using ResultWriter::ResultWriter;

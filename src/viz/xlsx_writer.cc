@@ -189,10 +189,11 @@ Status WriteCubeXlsx(const cube::CubeView& view,
   }
   cube_sheet.value()->AddRow(header);
 
-  for (const cube::CubeCell& cell : view.Cells()) {
+  for (cube::CubeView::CellId id = 0; id < view.NumCells(); ++id) {
+    const cube::CubeCell& cell = view.cell(id);
     std::vector<XlsxValue> row{
-        view.catalog().LabelSet(cell.coords.sa),
-        view.catalog().LabelSet(cell.coords.ca),
+        view.SaLabel(id),
+        view.CaLabel(id),
         static_cast<int64_t>(cell.context_size),
         static_cast<int64_t>(cell.minority_size),
         static_cast<int64_t>(cell.num_units),

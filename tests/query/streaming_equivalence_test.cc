@@ -1,16 +1,24 @@
 // Streaming-vs-materialised equivalence: for every verb, the bytes a
 // JsonWriter/CsvWriter produce over the streaming path must equal
 // ToJson/ToCsv of the materialised answer — across all four combinations
-// of {cold execution, cache replay} x {streamed, batch}. Cursor-resumed
-// pages must stitch back into exactly the unpaginated answer.
+// of {cold execution, cache replay} x {streamed, batch}. A cold stream
+// copies the sealed view's index texts; a materialised answer formats its
+// doubles, so the two renderings meet here. Cursor-resumed pages must
+// stitch back into exactly the unpaginated answer.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "query/cube_store.h"
+#include "query/executor.h"
+#include "query/parser.h"
 #include "query/row_sink.h"
 #include "query/service.h"
 
@@ -38,7 +46,21 @@ cube::CubeCell MakeCell(std::vector<fpm::ItemId> sa,
   return cell;
 }
 
-cube::SegregationCube MakeCube() {
+std::vector<cube::CubeCell> FixtureCells() {
+  return {
+      MakeCell({}, {}, 100, 0, 0.0, /*defined=*/false),  // root
+      MakeCell({0}, {}, 100, 40, 0.10),                  // F | *
+      MakeCell({1}, {}, 100, 30, 0.05),                  // young | *
+      MakeCell({0, 1}, {}, 100, 12, 0.30),               // F & young | *
+      MakeCell({}, {2}, 60, 0, 0.0, false),              // * | north
+      MakeCell({0}, {2}, 60, 25, 0.50),                  // F | north
+      MakeCell({0}, {3}, 40, 15, 0.20),                  // F | south
+      MakeCell({1}, {2}, 60, 18, 0.15),                  // young | north
+      MakeCell({0, 1}, {2}, 60, 8, 0.70),                // F & young | north
+  };
+}
+
+cube::SegregationCube CubeOf(std::vector<cube::CubeCell> cells) {
   relational::ItemCatalog catalog;
   using relational::AttributeKind;
   catalog.GetOrAdd(0, "sex", "F", AttributeKind::kSegregation);      // id 0
@@ -47,16 +69,27 @@ cube::SegregationCube MakeCube() {
   catalog.GetOrAdd(3, "region", "south", AttributeKind::kContext);   // id 3
 
   cube::SegregationCube cube(std::move(catalog), {"u0", "u1"});
-  cube.Insert(MakeCell({}, {}, 100, 0, 0.0, /*defined=*/false));  // root
-  cube.Insert(MakeCell({0}, {}, 100, 40, 0.10));       // F | *
-  cube.Insert(MakeCell({1}, {}, 100, 30, 0.05));       // young | *
-  cube.Insert(MakeCell({0, 1}, {}, 100, 12, 0.30));    // F & young | *
-  cube.Insert(MakeCell({}, {2}, 60, 0, 0.0, false));   // * | north
-  cube.Insert(MakeCell({0}, {2}, 60, 25, 0.50));       // F | north
-  cube.Insert(MakeCell({0}, {3}, 40, 15, 0.20));       // F | south
-  cube.Insert(MakeCell({1}, {2}, 60, 18, 0.15));       // young | north
-  cube.Insert(MakeCell({0, 1}, {2}, 60, 8, 0.70));     // F & young | north
+  for (cube::CubeCell& cell : cells) cube.Insert(std::move(cell));
   return cube;
+}
+
+cube::SegregationCube MakeCube() { return CubeOf(FixtureCells()); }
+
+/// The fixture's cells carrying RenderGoldenTest's edge doubles in all six
+/// indexes: each cell starts at its own place in the list, so every index
+/// sees most values.
+cube::SegregationCube MakeEdgeCube() {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::vector<double> edges = {
+      -0.0, 1e-05, 0.0001, 1.0 / 3, 123456.5, kMax,
+      -kMax, 5e-324, 0.0, -1e-05, -1.0 / 3, 999999.5};
+  std::vector<cube::CubeCell> cells = FixtureCells();
+  for (size_t c = 0; c < cells.size(); ++c) {
+    for (size_t k = 0; k < indexes::kNumIndexKinds; ++k) {
+      cells[c].indexes.values[k] = edges[(c * 5 + k) % edges.size()];
+    }
+  }
+  return CubeOf(std::move(cells));
 }
 
 /// Every verb, plus ORDER BY / WHERE / LIMIT / OFFSET shapes.
@@ -120,31 +153,92 @@ class StreamingEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(StreamingEquivalenceTest, EveryVerbStreamsByteIdentical) {
-  for (const std::string& text : AllVerbTexts()) {
-    // Cold streamed execution (fills the cache through the tee)...
-    std::string streamed_json = StreamJson(service_.get(), text);
-    // ...then the batch path answers from the cache: same bytes.
-    auto cached = service_->ExecuteOne(text);
-    ASSERT_TRUE(cached.status.ok()) << text << " -> " << cached.status;
-    EXPECT_TRUE(cached.cache_hit) << text;
-    EXPECT_EQ(ToJson(cached.result), streamed_json) << text;
+  // The fixture's cube, then the same cells carrying edge doubles.
+  CubeStore edge_store;
+  edge_store.Publish("default", MakeEdgeCube());
+  QueryService edge_service(&edge_store, ServiceOptions{});
+  for (QueryService* service : {service_.get(), &edge_service}) {
+    const bool edge = service == &edge_service;
+    std::map<Verb, size_t> valued_rows;
+    for (const std::string& text : AllVerbTexts()) {
+      // Cold streamed execution (fills the cache through the tee)...
+      std::string streamed_json = StreamJson(service, text);
+      // ...then the batch path answers from the cache: same bytes.
+      auto cached = service->ExecuteOne(text);
+      ASSERT_TRUE(cached.status.ok()) << text << " -> " << cached.status;
+      EXPECT_TRUE(cached.cache_hit) << text;
+      EXPECT_EQ(ToJson(cached.result), streamed_json) << text;
 
-    // Cold batch execution (no cache)...
-    service_->ClearCache();
-    auto cold = service_->ExecuteOne(text);
-    ASSERT_TRUE(cold.status.ok()) << text;
-    EXPECT_FALSE(cold.cache_hit) << text;
-    EXPECT_EQ(ToJson(cold.result), streamed_json) << text;
+      // Cold batch execution (no cache)...
+      service->ClearCache();
+      auto cold = service->ExecuteOne(text);
+      ASSERT_TRUE(cold.status.ok()) << text;
+      EXPECT_FALSE(cold.cache_hit) << text;
+      EXPECT_EQ(ToJson(cold.result), streamed_json) << text;
 
-    // ...and a streamed cache replay of the batch-path entry: same bytes.
-    std::string replayed_json = StreamJson(service_.get(), text);
-    EXPECT_EQ(replayed_json, streamed_json) << text;
+      // ...and a streamed cache replay of the batch-path entry: same bytes.
+      std::string replayed_json = StreamJson(service, text);
+      EXPECT_EQ(replayed_json, streamed_json) << text;
 
-    // CSV: streamed vs materialised.
-    std::string streamed_csv = StreamCsv(service_.get(), text);
-    EXPECT_EQ(streamed_csv, ToCsv(cold.result)) << text;
-    service_->ClearCache();
+      // CSV: streamed vs materialised.
+      std::string streamed_csv = StreamCsv(service, text);
+      EXPECT_EQ(streamed_csv, ToCsv(cold.result)) << text;
+      service->ClearCache();
+
+      // A streamed row prints its value column from the sealed text of
+      // index `by`, so the value must be that index, bit for bit.
+      if (!cold.result.has_value) continue;
+      for (const ResultRow& row : cold.result.rows) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(row.value),
+                  std::bit_cast<uint64_t>(
+                      row.indexes[static_cast<size_t>(cold.result.by)]))
+            << text << (edge ? " (edge cube)" : "");
+        ++valued_rows[cold.result.verb];
+      }
+    }
+    for (Verb verb : {Verb::kTopK, Verb::kSurprises, Verb::kReversals}) {
+      EXPECT_GT(valued_rows[verb], 0u)
+          << VerbToString(verb) << (edge ? " (edge cube)" : "");
+    }
   }
+}
+
+TEST_F(StreamingEquivalenceTest, RowsOutliveTheirSnapshot) {
+  // A buffered answer and an executor's answer keep their rows after the
+  // version they came from is evicted: they render the same bytes, and no
+  // row reads the evicted view (ASan reports a heap-use-after-free).
+  const std::string text = "TOPK 5 BY gini WHERE T >= 1 AND M >= 1";
+  auto buffered = service_->ExecuteOne(text);
+  ASSERT_TRUE(buffered.status.ok()) << buffered.status;
+  ASSERT_FALSE(buffered.result.rows.empty());
+  auto query = Parse(text);
+  ASSERT_TRUE(query.ok()) << query.status();
+  Result<QueryResult> executed = [&] {
+    uint64_t version = 0;
+    CubeStore::Snapshot snapshot = store_.Get("default", &version);
+    return Executor(*snapshot, version).Execute(*query);
+  }();
+  ASSERT_TRUE(executed.ok()) << executed.status();
+  const std::string json = ToJson(buffered.result);
+  const std::string csv = ToCsv(buffered.result);
+  EXPECT_EQ(ToJson(*executed), json);
+  EXPECT_EQ(ToCsv(*executed), csv);
+
+  // Evict the version with cubes whose texts all differ from it.
+  for (size_t i = 0; i < CubeStore::kDefaultMaxVersions; ++i) {
+    std::vector<cube::CubeCell> cells = FixtureCells();
+    for (cube::CubeCell& cell : cells) {
+      for (double& v : cell.indexes.values) v = v * 3 + 0.125;
+    }
+    store_.Publish("default", CubeOf(std::move(cells)));
+  }
+  service_->ClearCache();
+  ASSERT_EQ(store_.GetVersion("default", buffered.cube_version), nullptr);
+
+  EXPECT_EQ(ToJson(buffered.result), json);
+  EXPECT_EQ(ToCsv(buffered.result), csv);
+  EXPECT_EQ(ToJson(*executed), json);
+  EXPECT_EQ(ToCsv(*executed), csv);
 }
 
 TEST_F(StreamingEquivalenceTest, CursorPaginationStitchesToUnpaginated) {

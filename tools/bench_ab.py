@@ -16,8 +16,9 @@ The tool exits 1 when any run fails: a non-zero exit, "correct": false, a
 failed operation, or two sides that print different `# cube hash` lines
 for a seed. Otherwise it prints, for each gate metric of BENCHMARK.json
 (and with --trace each per-layer metric), both medians, each side's IQR
-over median, the change/parent ratio, in how many pairs the change is
-lower, and the worst CPU steal share of any run. --record appends the
+over median, the change/parent ratio of the medians, the median of the
+per-pair change/parent ratios (one noisy seed cannot swing it), in how
+many pairs the change is lower, and the worst CPU steal share of any run. --record appends the
 result to BENCH_<workload>.json at the repository root.
 """
 
@@ -134,7 +135,8 @@ def quartiles(values):
 
 
 def compare(names, parent_runs, change_runs):
-    """Per metric: medians, IQR over median and pairs lower, in name order."""
+    """Per metric: medians, IQR over median, the ratio of the medians, the
+    median of the per-pair ratios and pairs lower, in name order."""
     rows = {}
     for name in names:
         pairs = [(p["metrics"][name], c["metrics"][name])
@@ -146,10 +148,13 @@ def compare(names, parent_runs, change_runs):
         change = [c for _, c in pairs]
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
+        pair_ratios = [c / p for p, c in pairs if p]
         rows[name] = {
             "parent": {"median": pm, "q1": p1, "q3": p3},
             "change": {"median": cm, "q1": c1, "q3": c3},
             "ratio": cm / pm if pm else None,
+            "pair_ratio": (statistics.median(pair_ratios) if pair_ratios
+                           else None),
             "lower": sum(1 for p, c in pairs if c < p),
             "pairs": len(pairs),
         }
@@ -166,12 +171,16 @@ def spread(side):
 def print_table(title, rows, steal):
     print(f"\n{title} (worst steal {steal:.3f})")
     print(f"{'metric':34} {'parent':>12} {'change':>12} {'p iqr/m':>8} "
-          f"{'c iqr/m':>8} {'ratio':>7} {'lower':>7}")
+          f"{'c iqr/m':>8} {'ratio':>7} {'pair':>7} {'lower':>7}")
+
+    def fmt(ratio):
+        return f"{ratio:.3f}" if ratio is not None else "-"
+
     for name, row in rows.items():
         p, c = row["parent"], row["change"]
-        ratio = f"{row['ratio']:.3f}" if row["ratio"] is not None else "-"
         print(f"{name:34} {p['median']:12.6g} {c['median']:12.6g} "
-              f"{spread(p):8.3f} {spread(c):8.3f} {ratio:>7} "
+              f"{spread(p):8.3f} {spread(c):8.3f} {fmt(row['ratio']):>7} "
+              f"{fmt(row['pair_ratio']):>7} "
               f"{row['lower']:>3}/{row['pairs']:<3}")
 
 
@@ -252,7 +261,8 @@ def main():
             "seconds": args.seconds,
             "gates": gate_rows,
             "layers": {name: {"parent": row["parent"]["median"],
-                              "change": row["change"]["median"]}
+                              "change": row["change"]["median"],
+                              "pair_ratio": row["pair_ratio"]}
                        for name, row in layer_rows.items()},
         }
         path = os.path.join(REPO, f"BENCH_{args.workload}.json")
