@@ -206,18 +206,14 @@ class CubeView {
     }
   };
 
-  /// The cells whose SA (resp. CA) itemset equals one itemset, and that
-  /// itemset's label.
-  struct SliceGroup {
-    uint32_t label = 0;  ///< index into Axis::labels
-    std::vector<CellId> ids;
-  };
+  using SliceGroups =
+      std::unordered_map<fpm::Itemset, std::vector<CellId>, fpm::ItemsetHash>;
 
   /// One coordinate axis: its exact-itemset slice groups and the label of
   /// each distinct itemset.
   struct Axis {
-    std::unordered_map<fpm::Itemset, SliceGroup, fpm::ItemsetHash> groups;
-    std::vector<std::string> labels;  ///< by first appearance in id order
+    SliceGroups groups;
+    std::vector<std::string> labels;  ///< one per group
     std::vector<uint32_t> label_of;   ///< per cell: its itemset's label
   };
 
