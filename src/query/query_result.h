@@ -20,11 +20,14 @@
 #include <string>
 #include <vector>
 
-#include "cube/cell.h"
 #include "indexes/segregation_index.h"
 #include "query/ast.h"
 
 namespace scube {
+namespace cube {
+class IndexTexts;
+}  // namespace cube
+
 namespace query {
 
 /// \brief One result row: a cube cell plus verb-specific extras.

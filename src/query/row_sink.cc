@@ -6,6 +6,7 @@
 #include "common/csv.h"
 #include "common/hashing.h"
 #include "common/string_util.h"
+#include "cube/cell.h"
 
 namespace scube {
 namespace query {
@@ -27,23 +28,14 @@ const std::array<std::string, indexes::kNumIndexKinds>& QuotedIndexKeys() {
   return keys;
 }
 
-/// Appends a defined row's index: its sealed text when it carries one.
-void AppendIndex(const ResultRow& row, indexes::IndexKind kind,
-                 std::string* out) {
+/// Appends `value`, which is the row cell's index `kind`: its sealed text
+/// when the row carries one.
+void AppendIndexValue(const ResultRow& row, indexes::IndexKind kind,
+                      double value, std::string* out) {
   if (row.texts != nullptr) {
     out->append((*row.texts)[kind]);
   } else {
-    AppendDouble6g(row.indexes[static_cast<size_t>(kind)], out);
-  }
-}
-
-/// Appends the value column, which is the row cell's own index `by`.
-void AppendValue(const ResultRow& row, indexes::IndexKind by,
-                 std::string* out) {
-  if (row.texts != nullptr) {
-    out->append((*row.texts)[by]);
-  } else {
-    AppendDouble6g(row.value, out);
+    AppendDouble6g(value, out);
   }
 }
 
@@ -108,7 +100,8 @@ bool JsonWriter::Row(const ResultRow& row) {
     first = false;
     out += keys[static_cast<size_t>(kind)];
     if (row.defined) {
-      AppendIndex(row, kind, &out);
+      AppendIndexValue(row, kind, row.indexes[static_cast<size_t>(kind)],
+                       &out);
     } else {
       out += "null";
     }
@@ -116,7 +109,7 @@ bool JsonWriter::Row(const ResultRow& row) {
   out += '}';
   if (header_.has_value) {
     out += ",\"value\":";
-    AppendValue(row, header_.by, &out);
+    AppendIndexValue(row, header_.by, row.value, &out);
   }
   if (header_.has_aux) {
     out += ',';
@@ -185,11 +178,14 @@ bool CsvWriter::Row(const ResultRow& row) {
   AppendUint(row.units, &out);
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     out += ",";
-    if (row.defined) AppendIndex(row, kind, &out);
+    if (row.defined) {
+      AppendIndexValue(row, kind, row.indexes[static_cast<size_t>(kind)],
+                       &out);
+    }
   }
   if (header_.has_value) {
     out += ',';
-    AppendValue(row, header_.by, &out);
+    AppendIndexValue(row, header_.by, row.value, &out);
   }
   if (header_.has_aux) {
     out += ',';
