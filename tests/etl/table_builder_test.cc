@@ -430,6 +430,33 @@ TEST(FinalTableGoldenTest, DatagenScenarioTableAndEncodingArePinned) {
   ExpectCatalogFindsEveryItem(encoded->catalog);
 }
 
+TEST(FinalTableGoldenTest, DirectorCommunitiesTableAndEncodingArePinned) {
+  // Scenario 2 on the same inputs: the units are communities of directors
+  // linked by a shared board, and each director is one row.
+  auto scenario =
+      datagen::GenerateScenario(datagen::ItalianConfig(0.002, 11));
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  pipeline::PipelineConfig config;
+  config.unit_source = pipeline::UnitSource::kIndividualClusters;
+  config.method = pipeline::ClusterMethod::kConnectedComponents;
+  config.cube.mode = fpm::MineMode::kClosed;
+  config.cube.max_sa_items = 1;
+  config.cube.max_ca_items = 1;
+  config.cube.min_support = 10;
+  auto result = pipeline::RunPipeline(scenario->inputs, config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const Table& table = result->final_table;
+  EXPECT_EQ(table.NumRows(), 9820u);
+  EXPECT_EQ(HashBytes(table.ToCsvString()), 0x6d5a6d5650d9b622ULL);
+  EXPECT_EQ(HashBytes(DictionaryText(table)), 0xc34ab135c2766200ULL);
+  auto encoded = relational::EncodeForAnalysis(table);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  EXPECT_EQ(encoded->catalog.size(), 31u);
+  EXPECT_EQ(encoded->unit_labels.size(), 1658u);
+  EXPECT_EQ(HashBytes(EncodedText(encoded.value())), 0x4c5a84b9a84fa709ULL);
+  ExpectCatalogFindsEveryItem(encoded->catalog);
+}
+
 }  // namespace
 }  // namespace etl
 }  // namespace scube

@@ -120,6 +120,33 @@ TEST(TableTest, AppendFromStringsBadIntReported) {
   EXPECT_NE(s.message().find("id"), std::string::npos);
 }
 
+TEST(TableTest, FailedParseLeavesTableAndDictionariesUnchanged) {
+  Table t(Schema({
+      {"gender", ColumnType::kCategorical, AttributeKind::kSegregation},
+      {"sector", ColumnType::kCategoricalSet, AttributeKind::kContext},
+      {"year", ColumnType::kInt64, AttributeKind::kIgnore},
+  }));
+  ASSERT_TRUE(t.AppendRowFromStrings({"F", "{edu}", "2001"}).ok());
+  // New categorical and set values ahead of an int that does not parse.
+  Status s = t.AppendRowFromStrings({"M", "{agri, edu}", "20x1"});
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.dictionary(0).size(), 1u);
+  EXPECT_EQ(t.dictionary(1).size(), 1u);
+}
+
+TEST(TableTest, SetLiteralInternsInOrderAndStoresEachCodeOnce) {
+  Table t(TestSchema());
+  ASSERT_TRUE(t.AppendRowFromStrings({"1", "F", "0", "{b, a, b}"}).ok());
+  const Dictionary& dict = t.dictionary(3);
+  ASSERT_EQ(dict.size(), 2u);
+  EXPECT_EQ(dict.ValueOf(0), "b");
+  EXPECT_EQ(dict.ValueOf(1), "a");
+  std::span<const Code> codes = t.SetCodes(0, 3);
+  EXPECT_EQ(std::vector<Code>(codes.begin(), codes.end()),
+            (std::vector<Code>{0, 1}));
+}
+
 TEST(TableTest, ParseSetLiteralVariants) {
   EXPECT_EQ(Table::ParseSetLiteral("{a,b}"),
             (std::vector<std::string>{"a", "b"}));
