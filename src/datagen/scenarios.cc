@@ -10,7 +10,7 @@ namespace scube {
 namespace datagen {
 
 using relational::AttributeKind;
-using relational::CellValue;
+using relational::CodedCell;
 using relational::ColumnType;
 using relational::Schema;
 using relational::Table;
@@ -290,32 +290,35 @@ Result<GeneratedScenario> GenerateScenario(const ScenarioConfig& config) {
   auto age_binner = relational::Binner::FromEdges({18, 39, 47, 55, 91});
   if (!age_binner.ok()) return age_binner.status();
 
+  // Rows are appended as codes, in the columns of IndividualSchema() and
+  // GroupSchema(). A braced list evaluates its elements in order, so each
+  // row interns its values in column order.
   Table individuals(IndividualSchema());
   for (uint32_t d = 0; d < directors.size(); ++d) {
     const DirectorDraft& draft = directors[d];
     const ProvinceSpec& province = config.provinces[draft.province];
-    Status s = individuals.AppendRow({
-        static_cast<int64_t>(d),
-        std::string(draft.female ? "F" : "M"),
+    const CodedCell row[] = {
+        int64_t{d},
+        individuals.AddDictionaryValue(1, draft.female ? "F" : "M"),
         draft.age,
-        age_binner->LabelOf(draft.age),
-        draft.birthplace,
-        province.name,
-        province.region,
-    });
-    if (!s.ok()) return s;
+        individuals.AddDictionaryValue(3, age_binner->LabelOf(draft.age)),
+        individuals.AddDictionaryValue(4, draft.birthplace),
+        individuals.AddDictionaryValue(5, province.name),
+        individuals.AddDictionaryValue(6, province.region),
+    };
+    SCUBE_RETURN_IF_ERROR(individuals.AppendCodedRow(row));
   }
 
   Table groups(GroupSchema());
   for (uint32_t c = 0; c < config.num_companies; ++c) {
-    const Company& company = companies[c];
-    Status s = groups.AppendRow({
-        static_cast<int64_t>(c),
-        config.sectors[company.sector].name,
-        config.provinces[company.province].name,
-        config.provinces[company.province].region,
-    });
-    if (!s.ok()) return s;
+    const ProvinceSpec& province = config.provinces[companies[c].province];
+    const CodedCell row[] = {
+        int64_t{c},
+        groups.AddDictionaryValue(1, config.sectors[companies[c].sector].name),
+        groups.AddDictionaryValue(2, province.name),
+        groups.AddDictionaryValue(3, province.region),
+    };
+    SCUBE_RETURN_IF_ERROR(groups.AppendCodedRow(row));
   }
 
   graph::BipartiteGraph membership(

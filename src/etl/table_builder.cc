@@ -62,23 +62,22 @@ std::vector<uint32_t> StringRanks(const Dictionary& dict) {
   return rank;
 }
 
-}  // namespace
-
-Result<Table> BuildFinalTable(const ScubeInputs& inputs,
-                              const graph::Clustering& group_unit,
-                              const TableBuilderOptions& options) {
-  SCUBE_RETURN_IF_ERROR(inputs.Validate());
-  if (group_unit.NumNodes() != inputs.groups.NumRows()) {
-    return Status::InvalidArgument(
-        "clustering covers " + std::to_string(group_unit.NumNodes()) +
-        " groups, table has " + std::to_string(inputs.groups.NumRows()));
-  }
-
+// Appends one row per run of equal (individual, unit) in the sorted
+// `triples`: the individual's non-id attributes (kinds preserved), the
+// union over the run's groups of each of `grp_cols` as a set, and a
+// categorical unitID (unit N is labelled "cN", N < num_units).
+//
+// Rows are appended in code space. Output codes must come out in the
+// order appending the values as strings gave them: rows in (individual,
+// unit) order, an individual set's values in input code order, and a
+// group union's values in string order (std::set<std::string> order);
+// item ids, unit ids and so the cube's cell order follow these codes.
+Result<Table> JoinRows(const ScubeInputs& inputs,
+                       const std::vector<size_t>& grp_cols,
+                       const std::vector<Triple>& triples,
+                       uint32_t num_units) {
   const Schema& ind_schema = inputs.individuals.schema();
   const Schema& grp_schema = inputs.groups.schema();
-
-  // Output schema: individual non-id attributes, group CA attributes as
-  // sets, then unitID.
   Schema out_schema;
   std::vector<size_t> ind_cols;
   for (size_t a = 0; a < ind_schema.NumAttributes(); ++a) {
@@ -87,47 +86,14 @@ Result<Table> BuildFinalTable(const ScubeInputs& inputs,
     SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(spec));
     ind_cols.push_back(a);
   }
-  std::vector<size_t> grp_cols;
-  for (size_t a = 0; a < grp_schema.NumAttributes(); ++a) {
-    const AttributeSpec& spec = grp_schema.attribute(a);
-    if (spec.kind != AttributeKind::kContext) continue;
-    if (spec.type != ColumnType::kCategorical &&
-        spec.type != ColumnType::kCategoricalSet) {
-      return Status::FailedPrecondition(
-          "group attribute '" + spec.name +
-          "' is numeric; bin it before joining");
-    }
-    AttributeSpec set_spec = spec;
+  for (size_t a : grp_cols) {
+    AttributeSpec set_spec = grp_schema.attribute(a);
     set_spec.type = ColumnType::kCategoricalSet;
     SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(set_spec));
-    grp_cols.push_back(a);
   }
   SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(
       {"unitID", ColumnType::kCategorical, AttributeKind::kUnit}));
 
-  // The active memberships as (individual, unit, group), sorted and
-  // deduplicated: one run of equal (individual, unit) per output row.
-  std::vector<Triple> triples;
-  triples.reserve(inputs.membership.NumMemberships());
-  for (const graph::Membership& m : inputs.membership.memberships()) {
-    if (!m.ActiveAt(options.date)) continue;
-    const uint32_t unit = group_unit.labels[m.group];
-    if (unit >= group_unit.num_clusters) {
-      return Status::InvalidArgument(
-          "group " + std::to_string(m.group) + " has unit " +
-          std::to_string(unit) + ", clustering has " +
-          std::to_string(group_unit.num_clusters));
-    }
-    triples.push_back({m.individual, unit, m.group});
-  }
-  std::sort(triples.begin(), triples.end());
-  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-
-  // Rows are appended in code space. Output codes must come out in the
-  // order appending the values as strings gave them: rows in (individual,
-  // unit) order, an individual set's values in input code order, and a
-  // group union's values in string order (std::set<std::string> order);
-  // item ids, unit ids and so the cube's cell order follow these codes.
   Table out(out_schema);
   const size_t unit_col = out_schema.NumAttributes() - 1;
   std::vector<CodeMap> ind_maps, grp_maps;
@@ -140,7 +106,7 @@ Result<Table> BuildFinalTable(const ScubeInputs& inputs,
     grp_maps.emplace_back(dict, &out, ind_cols.size() + k);
     grp_ranks.push_back(StringRanks(dict));
   }
-  std::vector<Code> unit_codes(group_unit.num_clusters, kNullCode);
+  std::vector<Code> unit_codes(num_units, kNullCode);
 
   std::vector<CodedCell> cells(out_schema.NumAttributes());
   std::vector<std::vector<Code>> sets(out_schema.NumAttributes());
@@ -211,6 +177,78 @@ Result<Table> BuildFinalTable(const ScubeInputs& inputs,
     SCUBE_RETURN_IF_ERROR(out.AppendCodedRow(cells));
   }
   return out;
+}
+
+}  // namespace
+
+Result<Table> BuildFinalTable(const ScubeInputs& inputs,
+                              const graph::Clustering& group_unit,
+                              const TableBuilderOptions& options) {
+  SCUBE_RETURN_IF_ERROR(inputs.Validate());
+  if (group_unit.NumNodes() != inputs.groups.NumRows()) {
+    return Status::InvalidArgument(
+        "clustering covers " + std::to_string(group_unit.NumNodes()) +
+        " groups, table has " + std::to_string(inputs.groups.NumRows()));
+  }
+
+  // The group CA attributes join as sets.
+  const Schema& grp_schema = inputs.groups.schema();
+  std::vector<size_t> grp_cols;
+  for (size_t a = 0; a < grp_schema.NumAttributes(); ++a) {
+    const AttributeSpec& spec = grp_schema.attribute(a);
+    if (spec.kind != AttributeKind::kContext) continue;
+    if (spec.type != ColumnType::kCategorical &&
+        spec.type != ColumnType::kCategoricalSet) {
+      return Status::FailedPrecondition(
+          "group attribute '" + spec.name +
+          "' is numeric; bin it before joining");
+    }
+    grp_cols.push_back(a);
+  }
+
+  // The active memberships as (individual, unit, group), sorted and
+  // deduplicated: one run of equal (individual, unit) per output row.
+  std::vector<Triple> triples;
+  triples.reserve(inputs.membership.NumMemberships());
+  for (const graph::Membership& m : inputs.membership.memberships()) {
+    if (!m.ActiveAt(options.date)) continue;
+    const uint32_t unit = group_unit.labels[m.group];
+    if (unit >= group_unit.num_clusters) {
+      return Status::InvalidArgument(
+          "group " + std::to_string(m.group) + " has unit " +
+          std::to_string(unit) + ", clustering has " +
+          std::to_string(group_unit.num_clusters));
+    }
+    triples.push_back({m.individual, unit, m.group});
+  }
+  std::sort(triples.begin(), triples.end());
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+  return JoinRows(inputs, grp_cols, triples, group_unit.num_clusters);
+}
+
+Result<Table> BuildIndividualFinalTable(const ScubeInputs& inputs,
+                                        const graph::Clustering& units) {
+  SCUBE_RETURN_IF_ERROR(inputs.Validate());
+  if (units.NumNodes() != inputs.individuals.NumRows()) {
+    return Status::InvalidArgument(
+        "clustering covers " + std::to_string(units.NumNodes()) +
+        " individuals, table has " +
+        std::to_string(inputs.individuals.NumRows()));
+  }
+  // One run per individual, in its own unit; no group attribute joins, so
+  // the triples name no group.
+  std::vector<Triple> triples;
+  triples.reserve(units.NumNodes());
+  for (uint32_t r = 0; r < units.NumNodes(); ++r) {
+    if (units.labels[r] >= units.num_clusters) {
+      return Status::InvalidArgument(
+          "individual " + std::to_string(r) + " has unit " +
+          std::to_string(units.labels[r]) + ", clustering has " +
+          std::to_string(units.num_clusters));
+    }
+    triples.push_back({r, units.labels[r], 0});
+  }
+  return JoinRows(inputs, {}, triples, units.num_clusters);
 }
 
 }  // namespace etl

@@ -1,18 +1,21 @@
-// TableBuilder (paper §3): joins individual features with the features of
-// the groups in an organisational unit, yielding the finalTable — one row
-// per (individual, organisational unit) pair.
+// TableBuilder (paper §3): builds the finalTable that the cube is mined
+// from, in both of its shapes.
 //
+// BuildFinalTable joins individual features with the features of the
+// groups in an organisational unit: one row per (individual, unit) pair.
 // Group CA attributes are unioned into set-valued attributes: a director
 // whose unit contains an electricity company and a transport company gets
 // sector = {electricity, transports}, exactly the finalTable of Fig. 3.
+// BuildIndividualFinalTable serves units that cluster the individuals
+// themselves (scenario 2, communities of directors): one row per
+// individual, with no group attributes.
 //
-// The join works on dictionary codes: the active memberships become
-// sorted (individual, unit, group) triples, each input code is mapped to
-// its output code once per column, and rows are appended as codes
+// Both work on dictionary codes: each input code is mapped to its output
+// code once per column, and rows are appended as codes
 // (Table::AppendCodedRow). Output codes come out in the order the rows
 // first use them, with a group union's new values in string order; item
 // ids, unit ids and so the cube's cell order follow from them
-// (FinalTableGoldenTest pins both).
+// (FinalTableGoldenTest pins both tables).
 
 #ifndef SCUBE_ETL_TABLE_BUILDER_H_
 #define SCUBE_ETL_TABLE_BUILDER_H_
@@ -45,6 +48,15 @@ struct TableBuilderOptions {
 Result<relational::Table> BuildFinalTable(const ScubeInputs& inputs,
                                           const graph::Clustering& group_unit,
                                           const TableBuilderOptions& options);
+
+/// Builds scenario 2's finalTable, one row per individual: `units` assigns
+/// every individual (row of inputs.individuals) to a unit, typically a
+/// community of the projected director graph. The schema is
+/// BuildFinalTable's without the group attributes: the individuals' non-id
+/// attributes, then `unitID`. A label outside [0, num_clusters) is
+/// InvalidArgument.
+Result<relational::Table> BuildIndividualFinalTable(
+    const ScubeInputs& inputs, const graph::Clustering& units);
 
 }  // namespace etl
 }  // namespace scube

@@ -38,26 +38,5 @@ std::string Binner::LabelOf(int64_t value) const {
   return out;
 }
 
-Status Binner::DiscretizeColumn(Table* table, const std::string& source_attr,
-                                const AttributeSpec& target_spec,
-                                const Binner& binner) {
-  int col = table->schema().IndexOf(source_attr);
-  if (col < 0) {
-    return Status::NotFound("no such attribute: " + source_attr);
-  }
-  if (table->schema().attribute(static_cast<size_t>(col)).type !=
-      ColumnType::kInt64) {
-    return Status::InvalidArgument("attribute '" + source_attr +
-                                   "' is not int64; cannot bin");
-  }
-  std::vector<std::string> labels;
-  labels.reserve(table->NumRows());
-  for (size_t r = 0; r < table->NumRows(); ++r) {
-    labels.push_back(
-        binner.LabelOf(table->Int64Value(r, static_cast<size_t>(col))));
-  }
-  return table->AddCategoricalColumn(target_spec, labels);
-}
-
 }  // namespace relational
 }  // namespace scube

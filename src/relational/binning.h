@@ -2,7 +2,9 @@
 //
 // Segregation attributes like age arrive as integers; the cube needs
 // categorical values ("15-38", "39-46", ...). Mirrors the age bins visible
-// in the paper's finalTable example (Fig. 3).
+// in the paper's finalTable example (Fig. 3). A table's schema is fixed
+// when it is built, so a producer bins each value with LabelOf before it
+// appends the row (datagen's age_bin column).
 
 #ifndef SCUBE_RELATIONAL_BINNING_H_
 #define SCUBE_RELATIONAL_BINNING_H_
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "relational/table.h"
 
 namespace scube {
 namespace relational {
@@ -29,12 +30,6 @@ class Binner {
   std::string LabelOf(int64_t value) const;
 
   size_t NumBins() const { return edges_.size() - 1; }
-
-  /// Discretises `table`'s Int64 column `source_attr` into a new categorical
-  /// attribute `target_spec` appended to the table.
-  static Status DiscretizeColumn(Table* table, const std::string& source_attr,
-                                 const AttributeSpec& target_spec,
-                                 const Binner& binner);
 
  private:
   explicit Binner(std::vector<int64_t> edges);

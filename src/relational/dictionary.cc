@@ -3,18 +3,13 @@
 namespace scube {
 namespace relational {
 
-Code Dictionary::GetOrAdd(const std::string& value) {
+Code Dictionary::GetOrAdd(std::string_view value) {
   auto it = index_.find(value);
   if (it != index_.end()) return it->second;
   Code code = static_cast<Code>(values_.size());
-  values_.push_back(value);
-  index_.emplace(value, code);
+  values_.emplace_back(value);
+  index_.emplace(values_.back(), code);
   return code;
-}
-
-Code Dictionary::Find(const std::string& value) const {
-  auto it = index_.find(value);
-  return it == index_.end() ? kNullCode : it->second;
 }
 
 }  // namespace relational

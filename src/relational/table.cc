@@ -8,103 +8,37 @@
 namespace scube {
 namespace relational {
 
+namespace {
+
+// The values of a brace-syntax set literal, as views into `raw`.
+std::vector<std::string_view> SetLiteralValues(std::string_view raw) {
+  std::string_view s = Trim(raw);
+  if (s.empty()) return {};
+  // A bare value is a singleton; so is a malformed literal, verbatim.
+  if (s.front() != '{' || s.back() != '}') return {s};
+  s = s.substr(1, s.size() - 2);
+  std::vector<std::string_view> out;
+  while (true) {
+    const size_t comma = s.find(',');
+    std::string_view part = Trim(s.substr(0, comma));
+    if (!part.empty()) out.push_back(part);
+    if (comma == std::string_view::npos) return out;
+    s.remove_prefix(comma + 1);
+  }
+}
+
+}  // namespace
+
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.NumAttributes());
 }
 
-std::vector<std::string> Table::ParseSetLiteral(const std::string& raw) {
-  std::string_view s = Trim(raw);
-  if (s.empty()) return {};
-  if (s.front() != '{') return {std::string(s)};
-  if (s.back() != '}') return {std::string(s)};  // malformed: keep verbatim
-  s = s.substr(1, s.size() - 2);
-  if (Trim(s).empty()) return {};
-  std::vector<std::string> out;
-  for (const std::string& part : Split(s, ',')) {
-    std::string trimmed(Trim(part));
-    if (!trimmed.empty()) out.push_back(std::move(trimmed));
-  }
-  return out;
+std::vector<std::string> Table::ParseSetLiteral(std::string_view raw) {
+  std::vector<std::string_view> values = SetLiteralValues(raw);
+  return std::vector<std::string>(values.begin(), values.end());
 }
 
-Status Table::CellCountMismatch(size_t cells) const {
-  return Status::InvalidArgument("row has " + std::to_string(cells) +
-                                 " cells, schema has " +
-                                 std::to_string(schema_.NumAttributes()));
-}
-
-Status Table::CellTypeMismatch(size_t col) const {
-  return Status::InvalidArgument(
-      "cell " + std::to_string(col) + " type mismatch for attribute '" +
-      schema_.attribute(col).name + "' (" +
-      ColumnTypeToString(schema_.attribute(col).type) + ")");
-}
-
-Status Table::AppendRow(const std::vector<CellValue>& cells) {
-  if (cells.size() != schema_.NumAttributes()) {
-    return CellCountMismatch(cells.size());
-  }
-  // Validate first so a failed append leaves the table unchanged.
-  for (size_t c = 0; c < cells.size(); ++c) {
-    ColumnType type = schema_.attribute(c).type;
-    const CellValue& cell = cells[c];
-    bool ok = false;
-    switch (type) {
-      case ColumnType::kCategorical:
-        ok = std::holds_alternative<std::string>(cell);
-        break;
-      case ColumnType::kInt64:
-        ok = std::holds_alternative<int64_t>(cell);
-        break;
-      case ColumnType::kDouble:
-        ok = std::holds_alternative<double>(cell) ||
-             std::holds_alternative<int64_t>(cell);
-        break;
-      case ColumnType::kCategoricalSet:
-        ok = std::holds_alternative<std::vector<std::string>>(cell) ||
-             std::holds_alternative<std::string>(cell);
-        break;
-    }
-    if (!ok) return CellTypeMismatch(c);
-  }
-  for (size_t c = 0; c < cells.size(); ++c) {
-    Column& col = columns_[c];
-    const CellValue& cell = cells[c];
-    switch (schema_.attribute(c).type) {
-      case ColumnType::kCategorical:
-        col.codes.push_back(col.dict.GetOrAdd(std::get<std::string>(cell)));
-        break;
-      case ColumnType::kInt64:
-        col.ints.push_back(std::get<int64_t>(cell));
-        break;
-      case ColumnType::kDouble:
-        col.doubles.push_back(std::holds_alternative<double>(cell)
-                                  ? std::get<double>(cell)
-                                  : static_cast<double>(std::get<int64_t>(cell)));
-        break;
-      case ColumnType::kCategoricalSet: {
-        std::vector<std::string> values;
-        if (std::holds_alternative<std::string>(cell)) {
-          values = ParseSetLiteral(std::get<std::string>(cell));
-        } else {
-          values = std::get<std::vector<std::string>>(cell);
-        }
-        std::vector<Code> codes;
-        codes.reserve(values.size());
-        for (const std::string& v : values) codes.push_back(col.dict.GetOrAdd(v));
-        std::sort(codes.begin(), codes.end());
-        codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-        col.set_codes.insert(col.set_codes.end(), codes.begin(), codes.end());
-        col.set_offsets.push_back(static_cast<uint32_t>(col.set_codes.size()));
-        break;
-      }
-    }
-  }
-  ++num_rows_;
-  return Status::OK();
-}
-
-Code Table::AddDictionaryValue(size_t col, const std::string& value) {
+Code Table::AddDictionaryValue(size_t col, std::string_view value) {
   SCUBE_CHECK(schema_.attribute(col).type == ColumnType::kCategorical ||
               schema_.attribute(col).type == ColumnType::kCategoricalSet);
   return columns_[col].dict.GetOrAdd(value);
@@ -112,7 +46,9 @@ Code Table::AddDictionaryValue(size_t col, const std::string& value) {
 
 Status Table::AppendCodedRow(std::span<const CodedCell> cells) {
   if (cells.size() != schema_.NumAttributes()) {
-    return CellCountMismatch(cells.size());
+    return Status::InvalidArgument("row has " + std::to_string(cells.size()) +
+                                   " cells, schema has " +
+                                   std::to_string(schema_.NumAttributes()));
   }
   // Validate first so a failed append leaves the table unchanged.
   for (size_t c = 0; c < cells.size(); ++c) {
@@ -142,7 +78,12 @@ Status Table::AppendCodedRow(std::span<const CodedCell> cells) {
         break;
       }
     }
-    if (!type_ok) return CellTypeMismatch(c);
+    if (!type_ok) {
+      return Status::InvalidArgument(
+          "cell " + std::to_string(c) + " type mismatch for attribute '" +
+          schema_.attribute(c).name + "' (" +
+          ColumnTypeToString(schema_.attribute(c).type) + ")");
+    }
     if (!codes_ok) {
       return Status::InvalidArgument(
           "cell " + std::to_string(c) + " for attribute '" +
@@ -175,43 +116,55 @@ Status Table::AppendCodedRow(std::span<const CodedCell> cells) {
   return Status::OK();
 }
 
-Status Table::AppendRowFromStrings(const std::vector<std::string>& fields) {
+Status Table::AppendRowFromStrings(std::span<const std::string_view> fields) {
   if (fields.size() != schema_.NumAttributes()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(fields.size()) + " fields, schema has " +
         std::to_string(schema_.NumAttributes()));
   }
-  std::vector<CellValue> cells;
-  cells.reserve(fields.size());
+  // Numbers first: a field that does not parse must find every dictionary
+  // as it was.
+  std::vector<CodedCell> cells(fields.size());
   for (size_t c = 0; c < fields.size(); ++c) {
-    switch (schema_.attribute(c).type) {
-      case ColumnType::kCategorical:
-        cells.emplace_back(fields[c]);
-        break;
-      case ColumnType::kInt64: {
-        auto v = ParseInt64(fields[c]);
-        if (!v.ok()) {
-          return v.status().WithContext("attribute '" +
-                                        schema_.attribute(c).name + "'");
-        }
-        cells.emplace_back(v.value());
-        break;
+    const ColumnType type = schema_.attribute(c).type;
+    if (type == ColumnType::kInt64) {
+      auto v = ParseInt64(fields[c]);
+      if (!v.ok()) {
+        return v.status().WithContext("attribute '" +
+                                      schema_.attribute(c).name + "'");
       }
-      case ColumnType::kDouble: {
-        auto v = ParseDouble(fields[c]);
-        if (!v.ok()) {
-          return v.status().WithContext("attribute '" +
-                                        schema_.attribute(c).name + "'");
-        }
-        cells.emplace_back(v.value());
-        break;
+      cells[c] = v.value();
+    } else if (type == ColumnType::kDouble) {
+      auto v = ParseDouble(fields[c]);
+      if (!v.ok()) {
+        return v.status().WithContext("attribute '" +
+                                      schema_.attribute(c).name + "'");
       }
-      case ColumnType::kCategoricalSet:
-        cells.emplace_back(ParseSetLiteral(fields[c]));
-        break;
+      cells[c] = v.value();
     }
   }
-  return AppendRow(cells);
+  // Then intern, column by column.
+  std::vector<std::vector<Code>> sets(fields.size());
+  for (size_t c = 0; c < fields.size(); ++c) {
+    Dictionary& dict = columns_[c].dict;
+    if (schema_.attribute(c).type == ColumnType::kCategorical) {
+      cells[c] = dict.GetOrAdd(fields[c]);
+    } else if (schema_.attribute(c).type == ColumnType::kCategoricalSet) {
+      std::vector<Code>& codes = sets[c];
+      for (std::string_view v : SetLiteralValues(fields[c])) {
+        codes.push_back(dict.GetOrAdd(v));
+      }
+      std::sort(codes.begin(), codes.end());
+      codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+      cells[c] = std::span<const Code>(codes);
+    }
+  }
+  return AppendCodedRow(cells);
+}
+
+Status Table::AppendRowFromStrings(const std::vector<std::string>& fields) {
+  const std::vector<std::string_view> views(fields.begin(), fields.end());
+  return AppendRowFromStrings(views);
 }
 
 Code Table::CategoricalCode(size_t row, size_t col) const {
@@ -276,24 +229,6 @@ std::string Table::CellToString(size_t row, size_t col) const {
   return "";
 }
 
-Status Table::AddCategoricalColumn(const AttributeSpec& spec,
-                                   const std::vector<std::string>& values) {
-  if (spec.type != ColumnType::kCategorical) {
-    return Status::InvalidArgument("derived column must be categorical");
-  }
-  if (values.size() != num_rows_) {
-    return Status::InvalidArgument(
-        "derived column has " + std::to_string(values.size()) +
-        " values, table has " + std::to_string(num_rows_) + " rows");
-  }
-  SCUBE_RETURN_IF_ERROR(schema_.AddAttribute(spec));
-  Column col;
-  col.codes.reserve(values.size());
-  for (const std::string& v : values) col.codes.push_back(col.dict.GetOrAdd(v));
-  columns_.push_back(std::move(col));
-  return Status::OK();
-}
-
 Result<Table> Table::FromCsv(const CsvDocument& doc, const Schema& schema) {
   // Map each schema attribute to its CSV column.
   std::vector<int> csv_col(schema.NumAttributes(), -1);
@@ -305,7 +240,7 @@ Result<Table> Table::FromCsv(const CsvDocument& doc, const Schema& schema) {
     }
   }
   Table table(schema);
-  std::vector<std::string> fields(schema.NumAttributes());
+  std::vector<std::string_view> fields(schema.NumAttributes());
   for (size_t r = 0; r < doc.rows.size(); ++r) {
     for (size_t a = 0; a < schema.NumAttributes(); ++a) {
       fields[a] = doc.rows[r][static_cast<size_t>(csv_col[a])];

@@ -4,6 +4,13 @@
 // joined `finalTable`. Categorical data is dictionary-encoded per column;
 // multi-valued attributes (e.g. a company active in several sectors, Fig. 3
 // of the paper) are stored as flattened code lists with offsets.
+//
+// Rows enter one way. Text rows (AppendRowFromStrings: CSV loading, small
+// in-code tables) are parsed, their values interned into the column
+// dictionaries, and the codes appended by AppendCodedRow, which checks
+// and pushes every row. Builders that already hold codes (the ETL join,
+// the scenario generator) intern with AddDictionaryValue and call
+// AppendCodedRow directly. A table's schema is fixed when it is built.
 
 #ifndef SCUBE_RELATIONAL_TABLE_H_
 #define SCUBE_RELATIONAL_TABLE_H_
@@ -11,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -21,10 +29,6 @@
 
 namespace scube {
 namespace relational {
-
-/// A typed cell for programmatic row construction.
-using CellValue =
-    std::variant<int64_t, double, std::string, std::vector<std::string>>;
 
 /// A typed cell in code space, for rows whose values are already codes of
 /// the table's own dictionaries: a categorical code, an int64, a double,
@@ -39,21 +43,24 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t NumRows() const { return num_rows_; }
 
-  /// Appends a row of typed cells; cell count and types must match schema.
-  Status AppendRow(const std::vector<CellValue>& cells);
-
-  /// Appends a row of raw strings, parsing each per the column type.
+  /// Appends a row of raw strings, one per attribute. The numeric fields
+  /// are parsed first; then the categorical and set values are interned
+  /// into their column dictionaries, column by column (a set's values in
+  /// literal order), and the codes appended by AppendCodedRow. A row that
+  /// fails to parse leaves the table and every dictionary unchanged.
   /// Set-valued cells use brace syntax: "{electricity, transports}"; a bare
   /// string is treated as a singleton set.
+  Status AppendRowFromStrings(std::span<const std::string_view> fields);
   Status AppendRowFromStrings(const std::vector<std::string>& fields);
 
   /// Returns the code of `value` in the dictionary of categorical or set
   /// column `col`, adding it if new.
-  Code AddDictionaryValue(size_t col, const std::string& value);
+  Code AddDictionaryValue(size_t col, std::string_view value);
 
-  /// Appends a row in code space. As for AppendRow, the cell count and
-  /// types must match the schema (a kDouble column takes a double); codes
-  /// must be in the column's dictionary and a set's strictly ascending.
+  /// Appends a row in code space: the cell count and types must match the
+  /// schema (a kDouble column takes a double), codes must be in the
+  /// column's dictionary and a set's strictly ascending. A refused row
+  /// leaves the table unchanged.
   Status AppendCodedRow(std::span<const CodedCell> cells);
 
   // Accessors (row < NumRows(), col bound to the matching column type).
@@ -72,11 +79,6 @@ class Table {
   /// Renders any cell as a string (sets as "{a,b}").
   std::string CellToString(size_t row, size_t col) const;
 
-  /// Appends a derived categorical column (used by binning); `values` must
-  /// have NumRows() entries.
-  Status AddCategoricalColumn(const AttributeSpec& spec,
-                              const std::vector<std::string>& values);
-
   /// Builds a table from a parsed CSV document; the document header must
   /// contain every schema attribute (extra columns are ignored).
   static Result<Table> FromCsv(const CsvDocument& doc, const Schema& schema);
@@ -86,7 +88,7 @@ class Table {
 
   /// Parses brace-syntax set literals: "{a, b}" -> {"a","b"}; "x" -> {"x"};
   /// "{}" -> {}.
-  static std::vector<std::string> ParseSetLiteral(const std::string& raw);
+  static std::vector<std::string> ParseSetLiteral(std::string_view raw);
 
  private:
   struct Column {
@@ -97,9 +99,6 @@ class Table {
     std::vector<Code> set_codes;
     Dictionary dict;
   };
-
-  Status CellCountMismatch(size_t cells) const;
-  Status CellTypeMismatch(size_t col) const;
 
   Schema schema_;
   std::vector<Column> columns_;

@@ -1,7 +1,5 @@
 #include "scube/pipeline.h"
 
-#include <algorithm>
-
 namespace scube {
 namespace pipeline {
 
@@ -78,48 +76,6 @@ Result<graph::Clustering> RunClustering(const graph::Graph& projected,
   return Status::Internal("unreachable cluster method");
 }
 
-// Scenario 2: finalTable = individual attributes + unitID from the
-// individual's own community (one row per individual).
-Result<Table> BuildIndividualFinalTable(const Table& individuals,
-                                        const graph::Clustering& clustering) {
-  relational::Schema out_schema;
-  std::vector<size_t> cols;
-  for (size_t a = 0; a < individuals.schema().NumAttributes(); ++a) {
-    const auto& spec = individuals.schema().attribute(a);
-    if (spec.kind == AttributeKind::kId) continue;
-    SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(spec));
-    cols.push_back(a);
-  }
-  SCUBE_RETURN_IF_ERROR(out_schema.AddAttribute(
-      {"unitID", ColumnType::kCategorical, AttributeKind::kUnit}));
-
-  Table out(out_schema);
-  for (size_t r = 0; r < individuals.NumRows(); ++r) {
-    std::vector<relational::CellValue> cells;
-    for (size_t a : cols) {
-      switch (individuals.schema().attribute(a).type) {
-        case ColumnType::kCategorical:
-          cells.emplace_back(individuals.CategoricalValue(r, a));
-          break;
-        case ColumnType::kInt64:
-          cells.emplace_back(individuals.Int64Value(r, a));
-          break;
-        case ColumnType::kDouble:
-          cells.emplace_back(individuals.DoubleValue(r, a));
-          break;
-        case ColumnType::kCategoricalSet:
-          cells.emplace_back(individuals.SetValues(r, a));
-          break;
-      }
-    }
-    std::string unit_label = "c";
-    unit_label += std::to_string(clustering.labels[r]);
-    cells.emplace_back(std::move(unit_label));
-    SCUBE_RETURN_IF_ERROR(out.AppendRow(cells));
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<PipelineResult> RunPipeline(const etl::ScubeInputs& inputs,
@@ -178,18 +134,14 @@ Result<PipelineResult> RunPipeline(const etl::ScubeInputs& inputs,
   stage.Reset();
 
   // --- TableBuilder ---------------------------------------------------------
-  if (config.unit_source == UnitSource::kIndividualClusters) {
-    auto table = BuildIndividualFinalTable(inputs.individuals,
-                                           result.clustering);
-    if (!table.ok()) return table.status();
-    result.final_table = std::move(table).value();
-  } else {
-    etl::TableBuilderOptions tb = config.table_builder;
-    tb.date = config.date;
-    auto table = etl::BuildFinalTable(inputs, result.clustering, tb);
-    if (!table.ok()) return table.status();
-    result.final_table = std::move(table).value();
-  }
+  etl::TableBuilderOptions tb = config.table_builder;
+  tb.date = config.date;
+  auto table =
+      config.unit_source == UnitSource::kIndividualClusters
+          ? etl::BuildIndividualFinalTable(inputs, result.clustering)
+          : etl::BuildFinalTable(inputs, result.clustering, tb);
+  if (!table.ok()) return table.status();
+  result.final_table = std::move(table).value();
   result.timings.Record("table-builder", stage.Seconds());
   stage.Reset();
 

@@ -1,7 +1,9 @@
 // ScubePipeline: the end-to-end process of Fig. 2/3 — GraphBuilder ->
 // GraphClustering -> TableBuilder -> SegregationDataCubeBuilder — behind one
 // configuration struct. The three demo scenarios (§4) map to the three
-// UnitSource values.
+// UnitSource values. Both finalTable shapes come from etl/table_builder:
+// BuildIndividualFinalTable for scenario 2, BuildFinalTable's group join
+// for the other two.
 
 #ifndef SCUBE_SCUBE_PIPELINE_H_
 #define SCUBE_SCUBE_PIPELINE_H_

@@ -17,12 +17,8 @@ Schema TestSchema() {
 
 TEST(TableTest, AppendTypedRows) {
   Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{1}, std::string("F"), 0.5,
-                           std::vector<std::string>{"edu", "agri"}})
-                  .ok());
-  ASSERT_TRUE(t.AppendRow({int64_t{2}, std::string("M"), 1.25,
-                           std::vector<std::string>{}})
-                  .ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"1", "F", "0.5", "{edu, agri}"}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"2", "M", "1.25", "{}"}).ok());
   EXPECT_EQ(t.NumRows(), 2u);
   EXPECT_EQ(t.Int64Value(0, 0), 1);
   EXPECT_EQ(t.CategoricalValue(0, 1), "F");
@@ -33,12 +29,9 @@ TEST(TableTest, AppendTypedRows) {
 
 TEST(TableTest, DictionaryCodesShared) {
   Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{1}, std::string("F"), 0.0,
-                           std::vector<std::string>{}}).ok());
-  ASSERT_TRUE(t.AppendRow({int64_t{2}, std::string("M"), 0.0,
-                           std::vector<std::string>{}}).ok());
-  ASSERT_TRUE(t.AppendRow({int64_t{3}, std::string("F"), 0.0,
-                           std::vector<std::string>{}}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"1", "F", "0", "{}"}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"2", "M", "0", "{}"}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"3", "F", "0", "{}"}).ok());
   EXPECT_EQ(t.CategoricalCode(0, 1), t.CategoricalCode(2, 1));
   EXPECT_NE(t.CategoricalCode(0, 1), t.CategoricalCode(1, 1));
   EXPECT_EQ(t.dictionary(1).size(), 2u);
@@ -46,22 +39,20 @@ TEST(TableTest, DictionaryCodesShared) {
 
 TEST(TableTest, IntAcceptedForDoubleColumn) {
   Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{1}, std::string("F"), int64_t{3},
-                           std::vector<std::string>{}}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"1", "F", "3", "{}"}).ok());
   EXPECT_DOUBLE_EQ(t.DoubleValue(0, 2), 3.0);
 }
 
 TEST(TableTest, TypeMismatchRejectedAtomically) {
   Table t(TestSchema());
-  Status s = t.AppendRow({std::string("oops"), std::string("F"), 0.5,
-                          std::vector<std::string>{}});
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  Status s = t.AppendRowFromStrings({"oops", "F", "0.5", "{}"});
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
   EXPECT_EQ(t.NumRows(), 0u);
 }
 
 TEST(TableTest, WrongArityRejected) {
   Table t(TestSchema());
-  Status s = t.AppendRow({int64_t{1}});
+  Status s = t.AppendRowFromStrings({"1"});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
@@ -161,40 +152,16 @@ TEST(TableTest, ParseSetLiteralVariants) {
 
 TEST(TableTest, SetCellsDeduplicated) {
   Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{1}, std::string("F"), 0.0,
-                           std::vector<std::string>{"a", "b", "a"}}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"1", "F", "0", "{a, b, a}"}).ok());
   EXPECT_EQ(t.SetCodes(0, 3).size(), 2u);
 }
 
 TEST(TableTest, CellToStringRendering) {
   Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{9}, std::string("M"), 0.5,
-                           std::vector<std::string>{"a", "b"}}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"9", "M", "0.5", "{a, b}"}).ok());
   EXPECT_EQ(t.CellToString(0, 0), "9");
   EXPECT_EQ(t.CellToString(0, 1), "M");
   EXPECT_EQ(t.CellToString(0, 3), "{a,b}");
-}
-
-TEST(TableTest, AddCategoricalColumn) {
-  Table t(TestSchema());
-  ASSERT_TRUE(t.AppendRow({int64_t{1}, std::string("F"), 0.0,
-                           std::vector<std::string>{}}).ok());
-  ASSERT_TRUE(t.AppendRow({int64_t{2}, std::string("M"), 0.0,
-                           std::vector<std::string>{}}).ok());
-  ASSERT_TRUE(t.AddCategoricalColumn(
-                   {"age_bin", ColumnType::kCategorical,
-                    AttributeKind::kSegregation},
-                   {"young", "elder"})
-                  .ok());
-  EXPECT_EQ(t.schema().NumAttributes(), 5u);
-  EXPECT_EQ(t.CategoricalValue(0, 4), "young");
-  EXPECT_EQ(t.CategoricalValue(1, 4), "elder");
-
-  // Wrong length rejected.
-  EXPECT_FALSE(t.AddCategoricalColumn({"x", ColumnType::kCategorical,
-                                       AttributeKind::kContext},
-                                      {"only-one"})
-                   .ok());
 }
 
 TEST(TableTest, CsvRoundTrip) {

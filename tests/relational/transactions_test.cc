@@ -111,7 +111,7 @@ TEST(EncodeTest, NumericSaRequiresBinning) {
       {"unitID", ColumnType::kInt64, AttributeKind::kUnit},
   });
   Table t(schema);
-  ASSERT_TRUE(t.AppendRow({int64_t{30}, int64_t{1}}).ok());
+  ASSERT_TRUE(t.AppendRowFromStrings({"30", "1"}).ok());
   auto enc = EncodeForAnalysis(t);
   EXPECT_EQ(enc.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(enc.status().message().find("bin"), std::string::npos);
