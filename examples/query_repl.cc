@@ -92,7 +92,7 @@ void StreamToStdout(query::QueryService* service, const std::string& text,
     std::fwrite(chunk.data(), 1, chunk.size(), stdout);
     return true;
   };
-  query::QueryService::StreamOutcome outcome;
+  query::StreamOutcome outcome;
   if (csv) {
     query::CsvWriter writer(emit);
     outcome = service->ExecuteStreaming(text, writer, {}, cursor);
@@ -304,15 +304,7 @@ int main(int argc, char** argv) {
         std::printf("error: %s\n", outcome.status.ToString().c_str());
         continue;
       }
-      query::QueryResponse resp;
-      resp.text = page.text;
-      resp.cube = outcome.cube;
-      resp.cube_version = outcome.cube_version;
-      resp.status = outcome.status;
-      resp.cache_hit = outcome.cache_hit;
-      resp.exec_ms = outcome.exec_ms;
-      resp.result = sink.TakeResult();
-      PrintResponse(resp, &page);
+      PrintResponse({std::move(outcome), sink.TakeResult()}, &page);
       continue;
     }
     if (text.rfind(".csv ", 0) == 0 || text.rfind(".json ", 0) == 0) {

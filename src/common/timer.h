@@ -43,13 +43,6 @@ class StageTimings {
     return stages_;
   }
 
-  /// Sum over all recorded stages, in seconds.
-  double TotalSeconds() const {
-    double total = 0;
-    for (const auto& [name, secs] : stages_) total += secs;
-    return total;
-  }
-
  private:
   std::vector<std::pair<std::string, double>> stages_;
 };

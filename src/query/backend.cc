@@ -63,16 +63,7 @@ Result<Statement> PrepareStatement(const std::string& text,
 QueryResponse QueryBackend::ExecuteOne(const std::string& text,
                                        const QueryContext& ctx) {
   VectorSink sink;
-  StreamOutcome outcome = ExecuteStreaming(text, sink, ctx, "");
-  QueryResponse response;
-  response.text = std::move(outcome.text);
-  response.canonical = std::move(outcome.canonical);
-  response.cube = std::move(outcome.cube);
-  response.verb = std::move(outcome.verb);
-  response.cube_version = outcome.cube_version;
-  response.status = std::move(outcome.status);
-  response.cache_hit = outcome.cache_hit;
-  response.exec_ms = outcome.exec_ms;
+  QueryResponse response{ExecuteStreaming(text, sink, ctx, ""), {}};
   if (response.status.ok()) {
     response.result = sink.TakeResult();
     // The captured trailer carries the resume token; no token means the

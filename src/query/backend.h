@@ -46,29 +46,13 @@ struct ServiceStats {
   uint64_t completed = 0;         ///< admitted queries answered (any status)
 };
 
-/// \brief The answer to one query text.
-struct QueryResponse {
-  std::string text;       ///< the query as submitted
-  std::string canonical;  ///< normalised form (empty on parse errors)
-  std::string cube;       ///< resolved cube name
-  std::string verb;       ///< SCubeQL verb ("slice", "topk", …; empty on
-                          ///< parse errors) — the per-verb histogram label
-  uint64_t cube_version = 0;
-
-  Status status;       ///< parse / resolution / execution outcome
-  QueryResult result;  ///< valid iff status.ok()
-
-  bool cache_hit = false;
-  /// Execution wall time; cache hits report the (short) replay.
-  double exec_ms = 0.0;
-};
-
 /// \brief Outcome of one streamed execution (ExecuteStreaming).
 struct StreamOutcome {
   std::string text;       ///< the query as submitted
   std::string canonical;  ///< normalised form (empty on parse errors)
   std::string cube;       ///< resolved cube name
-  std::string verb;       ///< SCubeQL verb (empty on parse errors)
+  std::string verb;       ///< SCubeQL verb ("slice", "topk", …; empty on
+                          ///< parse errors) — the per-verb histogram label
   uint64_t cube_version = 0;
 
   Status status;  ///< parse / resolution / execution outcome
@@ -86,7 +70,14 @@ struct StreamOutcome {
   /// exhausted (or the client aborted mid-stream).
   std::string next_cursor;
 
+  /// Execution wall time; cache hits report the (short) replay.
   double exec_ms = 0.0;
+};
+
+/// \brief The buffered answer to one query text: its stream's outcome and
+/// the rows a VectorSink captured from it.
+struct QueryResponse : StreamOutcome {
+  QueryResult result;  ///< valid iff status.ok()
 };
 
 /// \brief A statement opened by PrepareStatement.

@@ -113,7 +113,7 @@ void QueryService::ReleaseSlot() {
   --in_flight_;
 }
 
-QueryService::StreamOutcome QueryService::ExecuteStreaming(
+StreamOutcome QueryService::ExecuteStreaming(
     const std::string& text, RowSink& sink, const QueryContext& ctx,
     const std::string& cursor) {
   StreamOutcome outcome;

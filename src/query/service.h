@@ -72,10 +72,6 @@ struct ServiceOptions {
   size_t cache_max_rows = 10000;
 };
 
-// ServiceStats, QueryResponse and StreamOutcome live in query/backend.h
-// (shared with every QueryBackend implementation); this header keeps the
-// names reachable for existing includers.
-
 /// \brief Concurrent query server over a CubeStore. Thread-safe.
 class QueryService : public QueryBackend {
  public:
@@ -83,10 +79,6 @@ class QueryService : public QueryBackend {
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
-
-  /// Streamed-execution outcome (kept as a nested alias for existing
-  /// callers; the struct itself lives in query/backend.h).
-  using StreamOutcome = query::StreamOutcome;
 
   /// Streams one query's answer into `sink` on the caller's thread
   /// (header -> rows -> trailer; the service calls sink.Finish), under

@@ -48,8 +48,6 @@ class XlsxWriter {
   /// Adds a sheet (names must be unique, 1-31 chars, no []\/*?: characters).
   Result<Sheet*> AddSheet(const std::string& name);
 
-  size_t NumSheets() const { return sheets_.size(); }
-
   /// Serialises the workbook to .xlsx bytes.
   Result<std::string> Serialize() const;
 

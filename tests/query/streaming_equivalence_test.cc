@@ -117,7 +117,7 @@ const std::vector<std::string>& AllVerbTexts() {
 }
 
 std::string StreamJson(QueryService* service, const std::string& text,
-                       QueryService::StreamOutcome* outcome = nullptr,
+                       StreamOutcome* outcome = nullptr,
                        const std::string& cursor = "") {
   std::string out;
   JsonWriter writer([&out](std::string_view chunk) {
