@@ -5,6 +5,7 @@
 // cluster structure and discovered segregation.
 //
 // Run:  ./director_network [scale]   (default 0.001)
+// Exits 1 if any method's pipeline fails.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-22s %-9s %-9s %-10s %-10s\n", "method", "units", "giant",
               "femaleD", "femaleIso");
+  bool failed = false;
   for (const MethodRun& m : methods) {
     pipeline::PipelineConfig config;
     config.unit_source = pipeline::UnitSource::kIndividualClusters;
@@ -54,6 +56,7 @@ int main(int argc, char** argv) {
     if (!result.ok()) {
       std::printf("%-22s FAILED: %s\n", m.label,
                   result.status().ToString().c_str());
+      failed = true;
       continue;
     }
     fpm::ItemId female = result->cube.catalog().Find("gender", "F");
@@ -85,19 +88,21 @@ int main(int argc, char** argv) {
   config.cube.max_ca_items = 1;
   config.cube.mode = fpm::MineMode::kAll;
   auto result = pipeline::RunPipeline(scenario->inputs, config);
-  if (result.ok()) {
-    cube::ExplorerOptions explore;
-    explore.min_context_size = 50;
-    explore.min_minority_size = 10;
-    cube::CubeView view = std::move(result->cube).Seal();
-    auto top = cube::TopSegregatedContexts(
-        view, indexes::IndexKind::kDissimilarity, 5, explore);
-    for (const auto& rc : top) {
-      std::printf("  D=%.3f  %s (T=%llu, M=%llu)\n", rc.value,
-                  view.LabelOf(rc.cell->coords).c_str(),
-                  static_cast<unsigned long long>(rc.cell->context_size),
-                  static_cast<unsigned long long>(rc.cell->minority_size));
-    }
+  if (!result.ok()) {
+    std::printf("  FAILED: %s\n", result.status().ToString().c_str());
+    return 1;
   }
-  return 0;
+  cube::ExplorerOptions explore;
+  explore.min_context_size = 50;
+  explore.min_minority_size = 10;
+  cube::CubeView view = std::move(result->cube).Seal();
+  auto top = cube::TopSegregatedContexts(
+      view, indexes::IndexKind::kDissimilarity, 5, explore);
+  for (const auto& rc : top) {
+    std::printf("  D=%.3f  %s (T=%llu, M=%llu)\n", rc.value,
+                view.LabelOf(rc.cell->coords).c_str(),
+                static_cast<unsigned long long>(rc.cell->context_size),
+                static_cast<unsigned long long>(rc.cell->minority_size));
+  }
+  return failed ? 1 : 0;
 }
