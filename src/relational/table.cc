@@ -8,34 +8,23 @@
 namespace scube {
 namespace relational {
 
-namespace {
-
-// The values of a brace-syntax set literal, as views into `raw`.
-std::vector<std::string_view> SetLiteralValues(std::string_view raw) {
-  std::string_view s = Trim(raw);
-  if (s.empty()) return {};
-  // A bare value is a singleton; so is a malformed literal, verbatim.
-  if (s.front() != '{' || s.back() != '}') return {s};
-  s = s.substr(1, s.size() - 2);
-  std::vector<std::string_view> out;
-  while (true) {
-    const size_t comma = s.find(',');
-    std::string_view part = Trim(s.substr(0, comma));
-    if (!part.empty()) out.push_back(part);
-    if (comma == std::string_view::npos) return out;
-    s.remove_prefix(comma + 1);
-  }
-}
-
-}  // namespace
-
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.NumAttributes());
 }
 
 std::vector<std::string> Table::ParseSetLiteral(std::string_view raw) {
-  std::vector<std::string_view> values = SetLiteralValues(raw);
-  return std::vector<std::string>(values.begin(), values.end());
+  std::string_view s = Trim(raw);
+  if (s.empty()) return {};
+  if (s.front() != '{') return {std::string(s)};
+  if (s.back() != '}') return {std::string(s)};  // malformed: keep verbatim
+  s = s.substr(1, s.size() - 2);
+  if (Trim(s).empty()) return {};
+  std::vector<std::string> out;
+  for (const std::string& part : Split(s, ',')) {
+    std::string trimmed(Trim(part));
+    if (!trimmed.empty()) out.push_back(std::move(trimmed));
+  }
+  return out;
 }
 
 Code Table::AddDictionaryValue(size_t col, std::string_view value) {
@@ -151,7 +140,7 @@ Status Table::AppendRowFromStrings(std::span<const std::string_view> fields) {
       cells[c] = dict.GetOrAdd(fields[c]);
     } else if (schema_.attribute(c).type == ColumnType::kCategoricalSet) {
       std::vector<Code>& codes = sets[c];
-      for (std::string_view v : SetLiteralValues(fields[c])) {
+      for (const std::string& v : ParseSetLiteral(fields[c])) {
         codes.push_back(dict.GetOrAdd(v));
       }
       std::sort(codes.begin(), codes.end());

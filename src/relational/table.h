@@ -51,6 +51,7 @@ class Table {
   /// Set-valued cells use brace syntax: "{electricity, transports}"; a bare
   /// string is treated as a singleton set.
   Status AppendRowFromStrings(std::span<const std::string_view> fields);
+  /// The same, for a row held as strings.
   Status AppendRowFromStrings(const std::vector<std::string>& fields);
 
   /// Returns the code of `value` in the dictionary of categorical or set
