@@ -11,24 +11,21 @@
 // the way that every thread count produces the identical cube.
 //
 // Run:  ./bench_cube_builder [--quick] [--threads 1,2,4] [--scale S]
-//                            [--min-support N] [--reps R] [--no-json]
+//                            [--min-support N] [--reps R]
 //
 //   --quick          small workload, single rep (the CI smoke mode)
 //   --threads LIST   comma-separated thread counts (default 1,2,4)
 //   --scale S        synthetic scenario scale (default 0.004)
 //   --min-support N  builder minimum support (default 20)
 //   --reps R         repetitions per configuration, best-of (default 3)
-//   --no-json        skip writing BENCH_cube_build.json
 //
-// Emits a BENCH_cube_build.json scaling record in the working directory:
-// thread counts, per-phase best wall seconds, and speedups vs the
-// sequential run.
+// Prints the table and writes no file; exits 1 when a build fails or a
+// thread count builds a different cube.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -83,31 +80,10 @@ std::vector<size_t> ParseThreadList(const char* arg) {
   return out;
 }
 
-std::string JoinDoubles(const std::vector<double>& values) {
-  std::string out;
-  char buf[64];
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.6f", values[i]);
-    if (i > 0) out += ", ";
-    out += buf;
-  }
-  return out;
-}
-
-std::string JoinSizes(const std::vector<size_t>& values) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(values[i]);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool write_json = true;
   double scale = 0.004;
   uint64_t min_support = 20;
   int reps = 3;
@@ -131,8 +107,6 @@ int main(int argc, char** argv) {
       min_support = std::strtoull(next(&i, "--min-support"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--reps") == 0) {
       reps = std::atoi(next(&i, "--reps"));
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      write_json = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;
@@ -223,7 +197,6 @@ int main(int argc, char** argv) {
               base.mining * 1e3);
   std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "fill(ms)",
               "seal(ms)", "fill+seal(ms)", "fill(x)", "seal(x)", "both(x)");
-  std::vector<double> fill_s, seal_s, fill_x, seal_x, both_x;
   for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
     const PhaseTimes& bt = best[ti];
     double fx = bt.fill > 0 ? base.fill / bt.fill : 1.0;
@@ -232,35 +205,10 @@ int main(int argc, char** argv) {
     std::printf("%8zu %12.2f %12.2f %14.2f %9.2fx %9.2fx %9.2fx\n",
                 thread_counts[ti], bt.fill * 1e3, bt.seal * 1e3,
                 bt.combined() * 1e3, fx, sx, cx);
-    fill_s.push_back(bt.fill);
-    seal_s.push_back(bt.seal);
-    fill_x.push_back(fx);
-    seal_x.push_back(sx);
-    both_x.push_back(cx);
   }
   std::printf("\ndeterminism: all thread counts produced the identical "
               "cube (%zu cells)\n", cells);
   std::printf("phase trace (sequential rep): %s\n",
               phase_trace.Summary().c_str());
-
-  if (write_json) {
-    std::ofstream out("BENCH_cube_build.json");
-    out << "{\n"
-        << "  \"bench\": \"cube_build\",\n"
-        << "  \"workload\": {\"scale\": " << scale
-        << ", \"rows\": " << table.NumRows() << ", \"cells\": " << cells
-        << ", \"min_support\": " << min_support << ", \"mode\": \"all\"},\n"
-        << "  \"reps\": " << reps << ",\n"
-        << "  \"threads\": [" << JoinSizes(thread_counts) << "],\n"
-        << "  \"mining_seconds\": " << base.mining << ",\n"
-        << "  \"fill_seconds\": [" << JoinDoubles(fill_s) << "],\n"
-        << "  \"seal_seconds\": [" << JoinDoubles(seal_s) << "],\n"
-        << "  \"fill_speedup\": [" << JoinDoubles(fill_x) << "],\n"
-        << "  \"seal_speedup\": [" << JoinDoubles(seal_x) << "],\n"
-        << "  \"combined_speedup\": [" << JoinDoubles(both_x) << "],\n"
-        << "  \"deterministic\": true\n"
-        << "}\n";
-    std::printf("wrote BENCH_cube_build.json\n");
-  }
   return 0;
 }

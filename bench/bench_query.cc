@@ -1,40 +1,30 @@
-// EFF-QUERY: SCubeQL serving cost. Measures queries/sec through the
-// QueryService, every statement executing on the caller's thread, under
-// two regimes:
-//   - cold cache: every query misses and executes against the cube,
-//   - hot cache: repeats answered straight from the LRU result cache.
-// Hot vs cold shows the cache-hit speedup.
-//
-// The Indexed-vs-scan section pits each CubeView secondary index against
-// the naive full-scan it replaced, side by side on the same sealed cube:
-// slice groups vs coordinate scans, posting-list dice vs subset scans,
-// ranked-order top-k vs filter+sort, and for SURPRISES and REVERSALS the
-// seal-time findings walk vs the per-cell scan that is still their
-// fallback.
+// EFF-QUERY: indexed vs full-scan ablations. Each CubeView secondary
+// index is pitted against the naive full-scan it replaced, side by side on
+// the same sealed cube: slice groups vs coordinate scans, posting-list
+// dice vs subset scans, ranked-order top-k vs filter+sort, and for
+// SURPRISES and REVERSALS the seal-time findings walk vs the per-cell scan
+// that is still their fallback. Serving cost end to end (the result cache
+// on and off, over HTTP) is perfbench's `explore` workload.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cube/cube_view.h"
 #include "cube/explorer.h"
 #include "datagen/scenarios.h"
-#include "query/cube_store.h"
-#include "query/service.h"
 #include "scube/pipeline.h"
 
 namespace {
 
 using namespace scube;
 
-query::CubeStore& Store() {
-  static query::CubeStore* store = [] {
+// The demo cube: sector units, every itemset, up to 2 SA and 1 CA items.
+const cube::CubeView& View() {
+  static const cube::CubeView* view = [] {
     auto s = datagen::GenerateScenario(datagen::ItalianConfig(0.002));
     if (!s.ok()) {
       std::fprintf(stderr, "scenario: %s\n", s.status().ToString().c_str());
@@ -53,82 +43,9 @@ query::CubeStore& Store() {
                    result.status().ToString().c_str());
       std::abort();
     }
-    auto* st = new query::CubeStore();
-    query::PublishPipelineResult(st, "default", std::move(*result));
-    return st;
+    return new cube::CubeView(std::move(result->cube).Seal(1));
   }();
-  return *store;
-}
-
-// A mixed workload: scan-shaped analytics, navigation and explorer verbs.
-std::vector<std::string> Workload(size_t n) {
-  const std::vector<std::string> pool = {
-      "TOPK 5 BY dissimilarity WHERE T >= 30",
-      "TOPK 10 BY gini WHERE T >= 50 AND M >= 10",
-      "TOPK 3 BY isolation",
-      "DICE sa=gender=F",
-      "DICE ca=residence_region=north WHERE T >= 30",
-      "SLICE sa=gender=F",
-      "SLICE sa=gender=F | ca=residence_region=north",
-      "DRILLDOWN sa=gender=F",
-      "ROLLUP sa=gender=F & age_bin=young",
-      "SURPRISES BY dissimilarity MINDELTA 0.05 LIMIT 10",
-      "REVERSALS MINGAP 0.05 LIMIT 10",
-      "TOPK 8 BY atkinson ORDER BY T DESC",
-  };
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(pool[i % pool.size()]);
-  return out;
-}
-
-// Cold cache: capacity 0, so every query parses, plans and executes.
-void BM_QueryCold(benchmark::State& state) {
-  query::ServiceOptions options;
-  options.cache_capacity = 0;
-  query::QueryService service(&Store(), options);
-  auto workload = Workload(64);
-  for (auto _ : state) {
-    auto responses = service.ExecuteBatch(workload);
-    benchmark::DoNotOptimize(responses);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.size()));
-}
-BENCHMARK(BM_QueryCold)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Hot cache: one warmup batch, then every query is an LRU hit.
-void BM_QueryHot(benchmark::State& state) {
-  query::ServiceOptions options;
-  options.cache_capacity = 256;
-  query::QueryService service(&Store(), options);
-  auto workload = Workload(64);
-  auto warmup = service.ExecuteBatch(workload);
-  benchmark::DoNotOptimize(warmup);
-  for (auto _ : state) {
-    auto responses = service.ExecuteBatch(workload);
-    benchmark::DoNotOptimize(responses);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.size()));
-  state.counters["hit_rate"] = [&] {
-    auto stats = service.cache_stats();
-    return stats.hits + stats.misses == 0
-               ? 0.0
-               : static_cast<double>(stats.hits) /
-                     static_cast<double>(stats.hits + stats.misses);
-  }();
-}
-BENCHMARK(BM_QueryHot)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Indexed vs full-scan: the same questions answered through the CubeView's
-// secondary indexes and through the pre-index naive scans.
-// ---------------------------------------------------------------------------
-
-const cube::CubeView& View() {
-  static const query::CubeStore::Snapshot snapshot = Store().Get("default");
-  return *snapshot;
+  return *view;
 }
 
 // First item of the given attribute name (the bench cube always has it).
@@ -348,29 +265,4 @@ BENCHMARK(BM_Reversals)
 
 }  // namespace
 
-// Not BENCHMARK_MAIN(): the trajectory record (BENCH_query.json) is
-// written by default so CI can archive it, while --benchmark_out=...
-// still overrides.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    // Exact flag only: --benchmark_out_format alone must not suppress the
-    // default output file.
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0 ||
-        std::strcmp(argv[i], "--benchmark_out") == 0) {
-      has_out = true;
-    }
-  }
-  std::string out_flag = "--benchmark_out=BENCH_query.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

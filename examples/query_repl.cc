@@ -140,7 +140,7 @@ bool BuildAndPublish(query::CubeStore* store, double scale) {
   std::printf("cube 'default': %zu cells (%zu defined) from %zu rows\n",
               result->cube.NumCells(), result->cube.NumDefinedCells(),
               result->final_table.NumRows());
-  query::PublishPipelineResult(store, "default", std::move(*result));
+  store->Publish("default", std::move(result->cube));
 
   // Cube 2 ("sectors"): scenario-1 style, industry sector as the unit.
   pipeline::PipelineConfig sectors;
@@ -159,7 +159,7 @@ bool BuildAndPublish(query::CubeStore* store, double scale) {
   std::printf("cube 'sectors': %zu cells (%zu defined)\n",
               sector_result->cube.NumCells(),
               sector_result->cube.NumDefinedCells());
-  query::PublishPipelineResult(store, "sectors", std::move(*sector_result));
+  store->Publish("sectors", std::move(sector_result->cube));
   return true;
 }
 

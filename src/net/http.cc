@@ -362,32 +362,6 @@ Status BodyTooLarge() {
                             std::to_string(kMaxBodyBytes) + " bytes");
 }
 
-/// Parses the status line, then the header section and the framing it
-/// declares; the reader ends up at the first body byte.
-Status ParseResponseHead(BufferedReader* reader,
-                         const std::string& status_line,
-                         HttpResponseHead* head) {
-  // "HTTP/1.1 200 OK"
-  size_t sp1 = status_line.find(' ');
-  if (sp1 == std::string::npos || status_line.rfind("HTTP/", 0) != 0) {
-    return Status::ParseError("malformed status line: " + status_line);
-  }
-  auto code = ParseInt64(std::string_view(status_line).substr(sp1 + 1, 3));
-  if (!code.ok()) {
-    return Status::ParseError("malformed status line: " + status_line);
-  }
-  head->status = static_cast<int>(*code);
-  SCUBE_RETURN_IF_ERROR(ReadHeaderSection(reader, &head->headers));
-  auto length = ContentLength(head->headers);
-  if (!length.ok()) return length.status();
-  head->length = *length;
-  auto encoding = head->headers.find("transfer-encoding");
-  head->chunked = encoding != head->headers.end() &&
-                  ToLower(encoding->second).find("chunked") !=
-                      std::string::npos;
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
@@ -432,8 +406,25 @@ Result<bool> ChunkedBodyReader::ReadSome(std::string* out) {
 Result<HttpResponseHead> ReadHttpResponseHead(BufferedReader* reader) {
   auto status_line = reader->ReadLine();
   if (!status_line.ok()) return status_line.status();
+  // "HTTP/1.1 200 OK"
+  size_t sp1 = status_line->find(' ');
+  if (sp1 == std::string::npos || status_line->rfind("HTTP/", 0) != 0) {
+    return Status::ParseError("malformed status line: " + *status_line);
+  }
+  auto code = ParseInt64(std::string_view(*status_line).substr(sp1 + 1, 3));
+  if (!code.ok()) {
+    return Status::ParseError("malformed status line: " + *status_line);
+  }
   HttpResponseHead head;
-  SCUBE_RETURN_IF_ERROR(ParseResponseHead(reader, *status_line, &head));
+  head.status = static_cast<int>(*code);
+  SCUBE_RETURN_IF_ERROR(ReadHeaderSection(reader, &head.headers));
+  auto length = ContentLength(head.headers);
+  if (!length.ok()) return length.status();
+  head.length = *length;
+  auto encoding = head.headers.find("transfer-encoding");
+  head.chunked = encoding != head.headers.end() &&
+                 ToLower(encoding->second).find("chunked") !=
+                     std::string::npos;
   return head;
 }
 
@@ -464,21 +455,14 @@ Status ReadHttpBody(BufferedReader* reader, HttpResponseHead* head,
   return body->size() > kMaxBodyBytes ? BodyTooLarge() : Status::OK();
 }
 
-Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
-    BufferedReader* reader, const std::string& status_line) {
-  HttpResponseHead head;
-  SCUBE_RETURN_IF_ERROR(ParseResponseHead(reader, status_line, &head));
-  HttpClientResponse resp;
-  SCUBE_RETURN_IF_ERROR(ReadHttpBody(reader, &head, &resp.body));
-  resp.status = head.status;
-  resp.headers = std::move(head.headers);
-  return resp;
-}
-
 Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader) {
-  auto status_line = reader->ReadLine();
-  if (!status_line.ok()) return status_line.status();
-  return ReadHttpResponseAfterStatusLine(reader, *status_line);
+  auto head = ReadHttpResponseHead(reader);
+  if (!head.ok()) return head.status();
+  HttpClientResponse resp;
+  SCUBE_RETURN_IF_ERROR(ReadHttpBody(reader, &*head, &resp.body));
+  resp.status = head->status;
+  resp.headers = std::move(head->headers);
+  return resp;
 }
 
 std::string SerializeRequest(const std::string& method,

@@ -182,8 +182,7 @@ class ChunkedWriter {
   const Status& status() const { return status_; }
 
   /// Largest number of payload bytes ever buffered — the peak response
-  /// buffer, reported by /metrics and the serving bench to demonstrate
-  /// O(1) buffering.
+  /// buffer, reported by /metrics to demonstrate O(1) buffering.
   size_t peak_buffer_bytes() const { return peak_buffer_; }
 
   /// Wire bytes written so far (head + chunk framing + payload).
@@ -240,11 +239,6 @@ struct HttpClientResponse {
 /// Reads one full response from `reader`: ReadHttpResponseHead, then
 /// ReadHttpBody.
 Result<HttpClientResponse> ReadHttpResponse(BufferedReader* reader);
-
-/// Same, when the status line was already consumed (clients measuring
-/// time-to-first-byte read the status line themselves first).
-Result<HttpClientResponse> ReadHttpResponseAfterStatusLine(
-    BufferedReader* reader, const std::string& status_line);
 
 /// The bytes of a client request: `method target` with Host, Content-Type,
 /// Content-Length and keep-alive headers, then `body`.

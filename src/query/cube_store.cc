@@ -89,12 +89,6 @@ std::vector<std::string> CubeStore::Names() const {
   return names;
 }
 
-uint64_t PublishPipelineResult(CubeStore* store, const std::string& name,
-                               pipeline::PipelineResult&& result,
-                               size_t num_threads) {
-  return store->Publish(name, std::move(result.cube), num_threads);
-}
-
 std::string ResultCache::MakeKey(const std::string& cube, uint64_t version,
                                  const std::string& canonical_query) {
   return cube + '\x1F' + std::to_string(version) + '\x1F' + canonical_query;

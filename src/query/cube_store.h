@@ -29,7 +29,6 @@
 #include "cube/cube.h"
 #include "cube/cube_view.h"
 #include "query/query_result.h"
-#include "scube/pipeline.h"
 
 namespace scube {
 namespace query {
@@ -103,15 +102,6 @@ class CubeStore {
   mutable sync::Mutex mu_;
   std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
 };
-
-/// Publishes the cube a pipeline run produced. The rest of the
-/// PipelineResult (final table, clustering, timings) stays with the
-/// caller; only the cube enters the serving layer. `num_threads`
-/// parallelises the seal (typically forwarded from the pipeline's
-/// cube.num_threads option).
-uint64_t PublishPipelineResult(CubeStore* store, const std::string& name,
-                               pipeline::PipelineResult&& result,
-                               size_t num_threads = 1);
 
 /// \brief LRU cache of query results, keyed by (cube, version, canonical
 /// query text). Thread-safe. A new cube version changes the key, so stale

@@ -268,7 +268,7 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
   trace::TraceContext tc;
   // The warming set is decided by traffic up to now: the hottest cached
   // texts for this cube, across the versions currently in cache.
-  std::vector<std::string> hottest = cache_.Hottest(name, options_.warm_top_n);
+  std::vector<std::string> hottest = cache_.Hottest(name, kWarmTopN);
   info.version =
       store_->Publish(name, std::move(cube), options_.seal_threads, &tc);
   auto log_summary = [&] {

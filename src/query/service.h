@@ -57,9 +57,6 @@ struct ServiceOptions {
   /// (milliseconds); 0 = unbounded.
   double default_deadline_ms = 0;
 
-  /// Hottest cached query texts re-executed by PublishAndWarm().
-  size_t warm_top_n = 8;
-
   /// Threads sealing a cube at publish time (PublishAndWarm runs the seal
   /// inline on the serving path, so this bounds publish latency):
   /// 1 = sequential, 0 = all hardware threads, N = at most N threads from
@@ -75,6 +72,9 @@ struct ServiceOptions {
 /// \brief Concurrent query server over a CubeStore. Thread-safe.
 class QueryService : public QueryBackend {
  public:
+  /// Hottest cached query texts re-executed by PublishAndWarm().
+  static constexpr size_t kWarmTopN = 8;
+
   explicit QueryService(CubeStore* store, ServiceOptions options = {});
 
   QueryService(const QueryService&) = delete;
@@ -103,12 +103,12 @@ class QueryService : public QueryBackend {
   };
 
   /// Publishes `cube` under `name` and immediately re-executes the
-  /// hottest cached query texts for that cube (options().warm_top_n)
-  /// against the fresh snapshot, pre-filling the result cache. Warming
-  /// runs on the caller's thread and bypasses admission control — the
-  /// publisher pays for it, traffic is not displaced. Version-pinned
-  /// texts (`FROM name@v`) are skipped: they do not target the new
-  /// version. Answers above options().cache_max_rows rows are not cached.
+  /// kWarmTopN hottest cached query texts for that cube against the
+  /// fresh snapshot, pre-filling the result cache. Warming runs on the
+  /// caller's thread and bypasses admission control — the publisher pays
+  /// for it, traffic is not displaced. Version-pinned texts
+  /// (`FROM name@v`) are skipped: they do not target the new version.
+  /// Answers above options().cache_max_rows rows are not cached.
   PublishInfo PublishAndWarm(const std::string& name,
                              cube::SegregationCube cube);
 

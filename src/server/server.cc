@@ -89,7 +89,7 @@ void ScubedServer::AcceptLoop() {
     bool shed = false;
     {
       sync::MutexLock lock(&conn_mu_);
-      if (pending_.size() >= options_.max_queued_connections) {
+      if (pending_.size() >= kMaxQueuedConnections) {
         shed = true;
       } else {
         pending_.push_back(std::move(socket));

@@ -56,10 +56,6 @@ struct ServerOptions {
   /// with keep-alive this is the concurrent-connection capacity.
   size_t num_connection_threads = 8;
 
-  /// Accepted connections waiting for a handler beyond which new ones are
-  /// shed with an immediate 503 + close.
-  size_t max_queued_connections = 64;
-
   /// Seconds a connection may sit idle between requests before the
   /// handler polls for shutdown (and, when stopping, closes it). Also the
   /// bound on Stop() latency for idle keep-alive connections, and on how
@@ -94,6 +90,10 @@ struct ServerOptions {
 /// (or the destructor) shuts down gracefully.
 class ScubedServer {
  public:
+  /// Accepted connections waiting for a handler beyond which new ones are
+  /// shed with an immediate 503 + close.
+  static constexpr size_t kMaxQueuedConnections = 64;
+
   ScubedServer(query::QueryBackend* backend, ServerOptions options = {});
   ~ScubedServer();
 

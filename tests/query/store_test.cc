@@ -102,15 +102,6 @@ TEST(CubeStoreTest, SnapshotsSurvivePublishes) {
   EXPECT_EQ(store.Version("c"), 2u);
 }
 
-TEST(CubeStoreTest, PublishPipelineResultMovesCubeIn) {
-  CubeStore store;
-  pipeline::PipelineResult result;
-  result.cube = CubeWithCells(6);
-  EXPECT_EQ(PublishPipelineResult(&store, "run", std::move(result)), 1u);
-  ASSERT_NE(store.Get("run"), nullptr);
-  EXPECT_EQ(store.Get("run")->NumCells(), 6u);
-}
-
 QueryResult ResultWithRows(size_t n) {
   QueryResult result;
   result.rows.resize(n);

@@ -2,10 +2,12 @@
 // golden wire transcripts for every route shape — buffered JSON and CSV,
 // 404/400 errors, HEAD, streamed and cursor-paged answers, pipelined
 // keep-alive, an empty line before a request line, and a first line that
-// is not HTTP — then a slow reader on a large streamed answer, graceful Stop() with idle keep-alive connections, an
-// idle keep-alive connection yielding its handler to a waiting one, and
-// the connection guards: the header-read deadline (slow-loris defence)
-// and the keep-alive idle timeout.
+// is not HTTP — then a slow reader on a large streamed answer (whose
+// server-side buffer stays within the chunk flush bound), graceful Stop()
+// with idle keep-alive connections, an idle keep-alive connection
+// yielding its handler to a waiting one, and the connection guards: the
+// header-read deadline (slow-loris defence) and the keep-alive idle
+// timeout.
 //
 // Transcripts are compared after masking the fields that legitimately
 // differ run to run (timings, cache state, cursor tokens, and the
@@ -530,6 +532,11 @@ TEST(ConnectionTest, SlowReaderReceivesALargeStreamIntact) {
   EXPECT_NE(body.find("\"rows\":6000"), std::string::npos);
   EXPECT_NE(body.find("\"code\":\"OK\""), std::string::npos);
   EXPECT_NE(body.find("\"ca\":\"region=r5999\""), std::string::npos);
+  // The server held at most one flush threshold plus one coalesced write,
+  // for a body many times that size.
+  const uint64_t flush_bound = 2 * net::ChunkedWriter::kDefaultFlushBytes;
+  EXPECT_LE(fx.server.metrics().streamed_buffer_peak.load(), flush_bound);
+  EXPECT_GT(body.size(), 8 * flush_bound);
   fx.server.Stop();
   EXPECT_EQ(fx.server.metrics().open_connections.load(), 0);
 }
