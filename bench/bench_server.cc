@@ -415,12 +415,12 @@ int main(int argc, char** argv) {
   window.hits = after_stats.hits - before_stats.hits;
   window.misses = after_stats.misses - before_stats.misses;
   std::printf("  published v%llu, warmed %zu entries | load: %llu ok, "
-              "%llu errors | window hit rate %.0f%%\n",
+              "%llu errors, p99 %.2f ms | window hit rate %.0f%%\n",
               static_cast<unsigned long long>(publish_info.version),
               publish_info.warmed,
               static_cast<unsigned long long>(publish_load.ok),
               static_cast<unsigned long long>(publish_load.errors),
-              100 * HitRate(window));
+              publish_hist.Quantile(0.99), 100 * HitRate(window));
   bool warmed_ok = publish_info.version == 2 && publish_info.warmed > 0;
   std::printf("  cache warming %s: the hottest texts were re-executed "
               "against v2 at publish time\n\n",
