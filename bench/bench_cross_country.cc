@@ -34,18 +34,18 @@ bool RunCountry(const datagen::ScenarioConfig& gen_config, graph::Date date,
   auto result = pipeline::RunPipeline(scenario->inputs, config);
   if (!result.ok()) return false;
 
-  fpm::ItemId female = result->cube.catalog().Find("gender", "F");
+  cube::CubeView view = std::move(result->cube).Seal();
+  fpm::ItemId female = view.catalog().Find("gender", "F");
   const cube::CubeCell* cell =
       female == fpm::kInvalidItem
           ? nullptr
-          : result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
+          : view.Find(fpm::Itemset({female}), fpm::Itemset());
   if (cell == nullptr || !cell->indexes.defined) return false;
   out->female_global = cell->indexes;
 
   cube::ExplorerOptions explore;
   explore.min_context_size = 100;
   explore.min_minority_size = 10;
-  cube::CubeView view = std::move(result->cube).Seal();
   auto top = cube::TopSegregatedContexts(
       view, indexes::IndexKind::kDissimilarity, 3, explore);
   for (const auto& rc : top) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "cube/cube_view.h"
 #include "datagen/scenarios.h"
 #include "scube/pipeline.h"
 #include "viz/svg.h"
@@ -31,7 +32,7 @@ int main() {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  const cube::SegregationCube& cube = result->cube;
+  const cube::CubeView cube = std::move(result->cube).Seal();
   const auto& catalog = cube.catalog();
 
   fpm::ItemId female = catalog.Find("gender", "F");

@@ -8,8 +8,9 @@
 //   1. capacity probe  closed-loop clients on a cache-busting mix ->
 //                      sustained qps, p50/p99 latency; it sizes phase 2
 //   2. open loop 2x    requests offered at twice the measured capacity ->
-//                      shed rate (503s), p99 of *accepted* requests, which
-//                      stays bounded by the deadline instead of queueing
+//                      shed rate (503s), p99 of *accepted* requests timed
+//                      from when each was due, and the rate the senders
+//                      achieved with how far they fell behind schedule
 //   3. publish         a new cube version is published mid-load with
 //                      cache warming -> cache hit rate over the window, and
 //                      every response stays well-formed
@@ -22,6 +23,7 @@
 //
 // Run:  ./bench_server [--quick] [--scale S] [--seconds T]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +55,8 @@ struct LoadResult {
   uint64_t shed = 0;      ///< HTTP 503
   uint64_t expired = 0;   ///< body contained a DeadlineExceeded code
   uint64_t errors = 0;    ///< transport or unexpected status
+  uint64_t sent = 0;      ///< requests written, retries included
+  std::vector<double> lag_ms;  ///< open loop: each send behind its due time
   double seconds = 0;
 
   double Qps() const {
@@ -63,6 +67,8 @@ struct LoadResult {
     shed += other.shed;
     expired += other.expired;
     errors += other.errors;
+    sent += other.sent;
+    lag_ms.insert(lag_ms.end(), other.lag_ms.begin(), other.lag_ms.end());
   }
 };
 
@@ -94,10 +100,13 @@ std::string CacheBustQuery(size_t n) {
 }
 
 /// One client worker: issues requests until the deadline; `pace_s` > 0
-/// turns the closed loop into an open loop with that inter-send gap.
-/// HTTP-200 latencies land in `hist` — the same atomic-bucket histogram
-/// the server exports, shared across all clients of a phase (LoadResult
-/// is merged by value; an atomic histogram cannot ride in it).
+/// turns the closed loop into an open loop with that inter-send gap. An
+/// open-loop request is timed from when it was due, not from when a
+/// sender that fell behind got to send it, and each send's lag behind
+/// schedule is kept. HTTP-200 latencies land in `hist` — the same
+/// atomic-bucket histogram the server exports, shared across all clients
+/// of a phase (LoadResult is merged by value; an atomic histogram cannot
+/// ride in it).
 LoadResult RunClient(uint16_t port, double seconds, double pace_s,
                      size_t offset, bool cache_bust,
                      trace::LatencyHistogram* hist) {
@@ -114,18 +123,23 @@ LoadResult RunClient(uint16_t port, double seconds, double pace_s,
   const auto& mix = QueryMix();
   WallTimer total;
   size_t i = offset;
-  auto next_send = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  using Millis = std::chrono::duration<double, std::milli>;
+  const auto pace = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(pace_s));
+  auto next_send = Clock::now();
   while (total.Seconds() < seconds) {
-    if (pace_s > 0) {
-      std::this_thread::sleep_until(next_send);
-      next_send += std::chrono::duration_cast<
-          std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(pace_s));
-    }
+    if (pace_s > 0) std::this_thread::sleep_until(next_send);
     const std::string query =
         cache_bust ? CacheBustQuery(i++ * 131 + offset)
                    : mix[i++ % mix.size()];
-    WallTimer latency;
+    const Clock::time_point sent_at = Clock::now();
+    const Clock::time_point due = pace_s > 0 ? next_send : sent_at;
+    if (pace_s > 0) {
+      out.lag_ms.push_back(Millis(sent_at - due).count());
+      next_send += pace;
+    }
+    ++out.sent;
     auto resp = net::RoundTrip(&socket, &reader, "POST", "/query", query);
     if (!resp.ok()) {
       // The server may close a kept-alive connection during shutdown or
@@ -142,7 +156,7 @@ LoadResult RunClient(uint16_t port, double seconds, double pace_s,
     }
     if (resp->status == 200) {
       ++out.ok;
-      hist->Observe(latency.Millis());
+      hist->Observe(Millis(Clock::now() - due).count());
       if (resp->body.find("\"DeadlineExceeded\"") != std::string::npos) {
         ++out.expired;
       }
@@ -391,8 +405,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(open.shed), 100 * shed_rate,
               static_cast<unsigned long long>(open.expired),
               static_cast<unsigned long long>(open.errors));
-  std::printf("  accepted p99 %.2f ms (deadline %.0f ms): overload sheds "
-              "with 503 instead of queueing unboundedly\n\n",
+  std::sort(open.lag_ms.begin(), open.lag_ms.end());
+  const double lag_median =
+      open.lag_ms.empty() ? 0.0 : open.lag_ms[open.lag_ms.size() / 2];
+  const double lag_max = open.lag_ms.empty() ? 0.0 : open.lag_ms.back();
+  std::printf("  offered %.0f qps, sent %.0f/s | send lag behind schedule: "
+              "median %.2f ms, max %.2f ms\n",
+              offered,
+              open.seconds > 0 ? static_cast<double>(open.sent) / open.seconds
+                               : 0.0,
+              lag_median, lag_max);
+  std::printf("  accepted p99 %.2f ms from each request's due time "
+              "(deadline %.0f ms)\n\n",
               open_hist.Quantile(0.99), deadline_ms);
 
   // --- phase 3: publish + warm during load --------------------------------

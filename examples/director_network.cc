@@ -59,11 +59,12 @@ int main(int argc, char** argv) {
       failed = true;
       continue;
     }
-    fpm::ItemId female = result->cube.catalog().Find("gender", "F");
+    const cube::CubeView view = std::move(result->cube).Seal();
+    fpm::ItemId female = view.catalog().Find("gender", "F");
     const cube::CubeCell* cell =
         female == fpm::kInvalidItem
             ? nullptr
-            : result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
+            : view.Find(fpm::Itemset({female}), fpm::Itemset());
     if (cell != nullptr && cell->indexes.defined) {
       std::printf("%-22s %-9u %-9u %-10.3f %-10.3f\n", m.label,
                   result->clustering.num_clusters,

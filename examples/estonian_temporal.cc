@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "datagen/scenarios.h"
-#include "scube/pipeline.h"
+#include "scube/temporal.h"
 
 int main(int argc, char** argv) {
   using namespace scube;
@@ -39,35 +39,30 @@ int main(int argc, char** argv) {
   config.cube.max_sa_items = 1;
   config.cube.max_ca_items = 0;  // the global context only
 
+  pipeline::TrackedCell female;
+  female.sa = {{"gender", "F"}};
+  auto result = pipeline::RunTemporalAnalysis(
+      scenario->inputs, config, scenario->snapshot_years, {female});
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
+
   std::printf("%-6s %-8s %-10s %-8s %-8s %-8s\n", "year", "seats",
               "femShare", "D", "Gini", "Isolation");
-  for (graph::Date year : scenario->snapshot_years) {
-    config.date = year;
-    auto result = pipeline::RunPipeline(scenario->inputs, config);
-    if (!result.ok()) {
-      std::fprintf(stderr, "year %lld: %s\n",
-                   static_cast<long long>(year),
-                   result.status().ToString().c_str());
-      continue;
-    }
-    fpm::ItemId female = result->cube.catalog().Find("gender", "F");
-    const cube::CubeCell* cell =
-        female == fpm::kInvalidItem
-            ? nullptr
-            : result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
-    if (cell == nullptr || !cell->indexes.defined) {
+  for (const pipeline::TemporalPoint& p : result->series[0]) {
+    if (!p.defined) {
       std::printf("%-6lld (no defined female cell)\n",
-                  static_cast<long long>(year));
+                  static_cast<long long>(p.date));
       continue;
     }
-    double share = static_cast<double>(cell->minority_size) /
-                   static_cast<double>(cell->context_size);
     std::printf("%-6lld %-8llu %-10.3f %-8.3f %-8.3f %-8.3f\n",
-                static_cast<long long>(year),
-                static_cast<unsigned long long>(cell->context_size), share,
-                cell->Value(indexes::IndexKind::kDissimilarity),
-                cell->Value(indexes::IndexKind::kGini),
-                cell->Value(indexes::IndexKind::kIsolation));
+                static_cast<long long>(p.date),
+                static_cast<unsigned long long>(p.context_size),
+                p.MinorityShare(),
+                p.indexes[indexes::IndexKind::kDissimilarity],
+                p.indexes[indexes::IndexKind::kGini],
+                p.indexes[indexes::IndexKind::kIsolation]);
   }
   std::printf("\nExpected shape: female share rises across the years "
               "(planted drift of +%.2f).\n", 0.15);

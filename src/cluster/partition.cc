@@ -51,34 +51,38 @@ std::vector<cube::SegregationCube> PartitionCube(
         ShardOfContext(cells[id].coords.ca, options));
   }
 
+  // Which view cells each shard holds, so no cell enters a shard twice.
+  std::vector<std::vector<bool>> held(n, std::vector<bool>(cells.size()));
+
   // Pass 1: every cell goes to its owner, ghost flag cleared.
   for (size_t id = 0; id < cells.size(); ++id) {
     cube::CubeCell copy = cells[id];
     copy.ghost = false;
     if (stats != nullptr) ++stats->owned[owner[id]];
+    held[owner[id]][id] = true;
     shards[owner[id]].Insert(std::move(copy));
   }
 
   // Pass 2: one-hop ghost closure across the CA axis. SA-axis neighbours
   // share the cell's CA and are therefore already shard-local; only
   // CA-removal parents and CA-extension children can live elsewhere.
-  auto replicate = [&](size_t into, const cube::CubeCell& cell) {
-    // Insert replaces, so never overwrite the shard's own copy; a ghost
-    // inserted twice is harmless (identical payload).
-    if (shards[into].Find(cell.coords) != nullptr) return;
-    cube::CubeCell copy = cell;
+  auto replicate = [&](size_t into, cube::CubeView::CellId id) {
+    // Never a second copy: not of the shard's own cell, nor of a ghost
+    // that another of its cells already brought in.
+    if (held[into][id]) return;
+    held[into][id] = true;
+    cube::CubeCell copy = cells[id];
     copy.ghost = true;
     if (stats != nullptr) ++stats->ghosts[into];
     shards[into].Insert(std::move(copy));
   };
   for (cube::CubeView::CellId id = 0; id < cells.size(); ++id) {
-    const cube::CubeCell& cell = cells[id];
     const size_t home = owner[id];
     for (cube::CubeView::CellId pid : view.Parents(id)) {
-      if (owner[pid] != home) replicate(home, view.cell(pid));
+      if (owner[pid] != home) replicate(home, pid);
       // The parent's shard also needs this cell: it is the parent's
       // CA-extension child (ROLLUP anchors there, REVERSALS compares it).
-      if (owner[pid] != home) replicate(owner[pid], cell);
+      if (owner[pid] != home) replicate(owner[pid], id);
     }
     // Children: the child edge is the parent edge seen from the other
     // end, so the loop above already replicated both directions — every

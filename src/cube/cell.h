@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/hashing.h"
 #include "common/string_util.h"
 #include "fpm/itemset.h"
 #include "indexes/segregation_index.h"
@@ -27,14 +26,6 @@ struct CellCoordinates {
   }
   /// Deterministic ordering: by (|sa|+|ca|, sa, ca).
   bool operator<(const CellCoordinates& other) const;
-
-  uint64_t Hash() const { return HashCombine(sa.Hash(), ca.Hash()); }
-};
-
-struct CellCoordinatesHash {
-  size_t operator()(const CellCoordinates& c) const {
-    return static_cast<size_t>(c.Hash());
-  }
 };
 
 /// \brief One materialised cube cell.

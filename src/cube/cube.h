@@ -4,20 +4,18 @@
 // are the six segregation indexes. The cube owns the item catalog, which the
 // sealed view takes over to label cells.
 //
-// This is the *mutable build-side* container: builders Insert() cells into
-// it, then an rvalue Seal() moves the result into an immutable, indexed
-// CubeView (cube/cube_view.h) — the structure every read path (explorer,
-// SCubeQL executor, serving layer, viz, the cube.csv export) consumes. Here
-// a cell can only be inserted or found by its coordinates.
+// This is the *build-side* container: builders Insert() cells into a plain
+// list, then an rvalue Seal() moves the list into an immutable, indexed
+// CubeView (cube/cube_view.h), which sorts it and holds the one coordinate
+// index. Every read path (explorer, SCubeQL executor, serving layer, viz,
+// the cube.csv export, temporal analysis) reads the sealed view.
 
 #ifndef SCUBE_CUBE_CUBE_H_
 #define SCUBE_CUBE_CUBE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/result.h"
 #include "cube/cell.h"
 #include "relational/transactions.h"
 
@@ -26,7 +24,7 @@ namespace cube {
 
 class CubeView;
 
-/// \brief Materialised segregation data cube (mutable build side).
+/// \brief Materialised segregation data cube (build side).
 class SegregationCube {
  public:
   SegregationCube() = default;
@@ -40,12 +38,8 @@ class SegregationCube {
   /// Labels of the organisational units the indexes were computed over.
   const std::vector<std::string>& unit_labels() const { return unit_labels_; }
 
-  /// Inserts or replaces a cell.
-  void Insert(CubeCell cell);
-
-  /// Cell at the given coordinates, or nullptr.
-  const CubeCell* Find(const CellCoordinates& coords) const;
-  const CubeCell* Find(const fpm::Itemset& sa, const fpm::Itemset& ca) const;
+  /// Appends a cell. Coordinates must be distinct; Seal() checks it.
+  void Insert(CubeCell cell) { cells_.push_back(std::move(cell)); }
 
   size_t NumCells() const { return cells_.size(); }
   size_t NumDefinedCells() const;
@@ -62,7 +56,7 @@ class SegregationCube {
  private:
   relational::ItemCatalog catalog_;
   std::vector<std::string> unit_labels_;
-  std::unordered_map<CellCoordinates, CubeCell, CellCoordinatesHash> cells_;
+  std::vector<CubeCell> cells_;  ///< in insertion order
 };
 
 }  // namespace cube

@@ -3,12 +3,24 @@
 #include <algorithm>
 
 #include "common/csv.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "cube/explorer.h"
 
 namespace scube {
 namespace cube {
+
+namespace {
+
+// The order of the CA itemsets within one SA slice group. Cells sort by
+// (|SA| + |CA|, SA, CA), so where SA is fixed they sort by (|CA|, CA).
+bool CaBefore(const fpm::Itemset& a, const fpm::Itemset& b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return a < b;
+}
+
+}  // namespace
 
 CubeView::CubeView(relational::ItemCatalog catalog,
                    std::vector<std::string> unit_labels,
@@ -21,11 +33,10 @@ CubeView::CubeView(relational::ItemCatalog catalog,
               return a.coords < b.coords;
             });
 
-  id_by_coords_.reserve(cells_.size());
   size_t max_item = 0;
   for (size_t i = 0; i < cells_.size(); ++i) {
     const CubeCell& cell = cells_[i];
-    id_by_coords_.emplace(cell.coords, static_cast<CellId>(i));
+    SCUBE_CHECK(i == 0 || !(cell.coords == cells_[i - 1].coords));
     if (cell.indexes.defined) ++num_defined_;
     for (fpm::ItemId item : cell.coords.sa.items()) {
       max_item = std::max<size_t>(max_item, item + 1);
@@ -51,15 +62,17 @@ CubeView::CubeView(relational::ItemCatalog catalog,
   sa_.label_of.resize(cells_.size());
   ca_.label_of.resize(cells_.size());
 
-  // From here every structure reads only the sorted cells_ / id map and
+  // The SA slice groups answer every point lookup, the adjacency's parent
+  // probes included, so they are complete before the tasks start.
+  BuildAxis(true, &sa_);
+
+  // From here every structure reads only the sorted cells_ / SA groups and
   // writes its own member, so the builds are independent tasks. Adjacency
-  // (the heavy one: a hash probe per cell per coordinate item) and the
-  // index texts additionally parallelise their per-cell work on the same
-  // pool.
+  // (the heavy one: a lookup per cell per coordinate item) and the index
+  // texts additionally parallelise their per-cell work on the same pool.
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([this] { BuildPostings(true, &sa_postings_); });
   tasks.emplace_back([this] { BuildPostings(false, &ca_postings_); });
-  tasks.emplace_back([this] { BuildAxis(true, &sa_); });
   tasks.emplace_back([this] { BuildAxis(false, &ca_); });
   tasks.emplace_back([this, num_threads] { BuildAdjacency(num_threads); });
   tasks.emplace_back([this, num_threads] { RenderTexts(num_threads); });
@@ -125,7 +138,8 @@ void CubeView::BuildAdjacency(size_t num_threads) {
   // from CA; keep the coordinates present in the cube. The removal order is
   // part of the contract (ROLLUP row order), so it is preserved as built.
   // Each cell's probe is independent, writes only slot c, and reads the
-  // frozen id map — so the probes fan out across the pool.
+  // SA slice groups built before the tasks — so the probes fan out across
+  // the pool.
   std::vector<std::vector<CellId>> parents(cells_.size());
   ThreadPool::ParallelForShared(
       cells_.size(), num_threads, [&](size_t /*worker*/, size_t c) {
@@ -167,19 +181,20 @@ void CubeView::BuildRankedOrder(indexes::IndexKind kind,
   });
 }
 
-CubeView::CellId CubeView::FindId(const CellCoordinates& coords) const {
-  auto it = id_by_coords_.find(coords);
-  return it == id_by_coords_.end() ? kNoCell : it->second;
-}
-
-const CubeCell* CubeView::Find(const CellCoordinates& coords) const {
-  CellId id = FindId(coords);
-  return id == kNoCell ? nullptr : &cells_[id];
+CubeView::CellId CubeView::FindId(const fpm::Itemset& sa,
+                                  const fpm::Itemset& ca) const {
+  const std::span<const CellId> group = SliceBySa(sa);
+  auto it = std::lower_bound(group.begin(), group.end(), ca,
+                             [this](CellId id, const fpm::Itemset& key) {
+                               return CaBefore(cells_[id].coords.ca, key);
+                             });
+  return it != group.end() && cells_[*it].coords.ca == ca ? *it : kNoCell;
 }
 
 const CubeCell* CubeView::Find(const fpm::Itemset& sa,
                                const fpm::Itemset& ca) const {
-  return Find(CellCoordinates{sa, ca});
+  CellId id = FindId(sa, ca);
+  return id == kNoCell ? nullptr : &cells_[id];
 }
 
 std::span<const CubeView::CellId> CubeView::SaPostings(
@@ -220,13 +235,11 @@ std::vector<CubeView::CellId> CubeView::ProbeParents(
     const CellCoordinates& coords) const {
   std::vector<CellId> out;
   for (fpm::ItemId item : coords.sa.items()) {
-    CellId p = FindId(
-        CellCoordinates{coords.sa.Minus(fpm::Itemset({item})), coords.ca});
+    CellId p = FindId(coords.sa.Minus(fpm::Itemset({item})), coords.ca);
     if (p != kNoCell) out.push_back(p);
   }
   for (fpm::ItemId item : coords.ca.items()) {
-    CellId p = FindId(
-        CellCoordinates{coords.sa, coords.ca.Minus(fpm::Itemset({item}))});
+    CellId p = FindId(coords.sa, coords.ca.Minus(fpm::Itemset({item})));
     if (p != kNoCell) out.push_back(p);
   }
   return out;
@@ -255,11 +268,11 @@ std::vector<CubeView::CellId> CubeView::ChildrenOf(
   for (size_t item = 0; item < num_items_; ++item) {
     fpm::ItemId id32 = static_cast<fpm::ItemId>(item);
     if (!coords.sa.Contains(id32)) {
-      CellId c = FindId(CellCoordinates{coords.sa.With(id32), coords.ca});
+      CellId c = FindId(coords.sa.With(id32), coords.ca);
       if (c != kNoCell) out.push_back(c);
     }
     if (!coords.ca.Contains(id32)) {
-      CellId c = FindId(CellCoordinates{coords.sa, coords.ca.With(id32)});
+      CellId c = FindId(coords.sa, coords.ca.With(id32));
       if (c != kNoCell) out.push_back(c);
     }
   }

@@ -1,15 +1,17 @@
 // CubeView: the sealed, immutable, indexed read side of the segregation
 // cube (build -> seal -> publish -> query lifecycle).
 //
-// A SegregationCube is the mutable build-side container; Seal() freezes it
-// into a CubeView that owns a dense, coordinate-sorted cell array plus the
+// A SegregationCube is the build-side cell list; Seal() freezes it into a
+// CubeView that owns a dense, coordinate-sorted cell array plus the
 // secondary structures every read path needs:
 //
-//   - a coordinate -> cell-id map for point lookups,
+//   - exact-coordinate slice groups (all cells sharing one SA or CA
+//     itemset), so SLICE is a hash lookup returning a span. The SA groups
+//     are also the one coordinate index: a group lists its cells in
+//     ascending id order, which within one SA itemset is (|CA|, CA)
+//     order, so a point lookup is a binary search in the cell's SA group,
 //   - per-item SA/CA inverted lists (posting lists), so DICE-style
 //     containment queries intersect sorted id lists instead of scanning,
-//   - exact-coordinate slice groups (all cells sharing one SA or CA
-//     itemset), so SLICE is a hash lookup returning a span,
 //   - roll-up / drill-down adjacency lists in CSR form, so parent/child
 //     navigation walks arrays with no per-call hashing,
 //   - per-index ranked orders (defined cells by value descending), so
@@ -58,13 +60,15 @@ class CubeView {
 
   /// Builds the view from raw parts. `SegregationCube::Seal()` is the
   /// intended entry point; this constructor exists for it and for tests.
-  /// Cells must have distinct coordinates (any order; they are sorted).
+  /// Cells must have distinct coordinates (any order; they are sorted);
+  /// two cells with equal coordinates fail a CHECK.
   /// `num_threads` parallelises index construction on the shared pool
   /// (1 = sequential, 0 = hardware concurrency); the finished view is
-  /// identical for every value — the SA/CA posting builds, slice-group
-  /// and label builds, per-cell parent probes and index texts, the six
-  /// ranked sorts and the findings sorts run as independent tasks whose
-  /// outputs depend only on the sorted cells.
+  /// identical for every value — after the SA slice groups, which the
+  /// parent probes search, the SA/CA posting builds, CA slice-group and
+  /// label builds, per-cell parent probes and index texts, the six ranked
+  /// sorts and the findings sorts run as independent tasks whose outputs
+  /// depend only on the sorted cells.
   CubeView(relational::ItemCatalog catalog,
            std::vector<std::string> unit_labels,
            std::vector<CubeCell> cells, size_t num_threads = 1);
@@ -102,10 +106,15 @@ class CubeView {
   /// rendered at construction. Lives as long as the view.
   const IndexTexts& Texts(CellId id) const { return texts_[id]; }
 
-  /// Point lookups.
-  CellId FindId(const CellCoordinates& coords) const;
-  const CubeCell* Find(const CellCoordinates& coords) const;
+  /// Point lookups: a binary search of the SA slice group by (|CA|, CA).
+  CellId FindId(const fpm::Itemset& sa, const fpm::Itemset& ca) const;
+  CellId FindId(const CellCoordinates& coords) const {
+    return FindId(coords.sa, coords.ca);
+  }
   const CubeCell* Find(const fpm::Itemset& sa, const fpm::Itemset& ca) const;
+  const CubeCell* Find(const CellCoordinates& coords) const {
+    return Find(coords.sa, coords.ca);
+  }
 
   /// Posting lists: ids of cells whose SA (resp. CA) coordinate *contains*
   /// the item, ascending. Empty span for items absent from every cell.
@@ -127,7 +136,8 @@ class CubeView {
 
   /// Parents/children of arbitrary coordinates (present in the cube or
   /// not). Present cells use the precomputed adjacency; absent ones fall
-  /// back to coordinate probes against the id map. Same orders as above.
+  /// back to point lookups of each one-item removal or extension. Same
+  /// orders as above.
   std::vector<CellId> ParentsOf(const CellCoordinates& coords) const;
   std::vector<CellId> ChildrenOf(const CellCoordinates& coords) const;
 
@@ -233,9 +243,6 @@ class CubeView {
   std::vector<CubeCell> cells_;  ///< sorted by coordinate
   size_t num_defined_ = 0;
   size_t num_items_ = 0;  ///< posting-list universe: max item id + 1
-
-  std::unordered_map<CellCoordinates, CellId, CellCoordinatesHash>
-      id_by_coords_;
 
   Csr sa_postings_;
   Csr ca_postings_;

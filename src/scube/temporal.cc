@@ -1,5 +1,7 @@
 #include "scube/temporal.h"
 
+#include "cube/cube_view.h"
+
 namespace scube {
 namespace pipeline {
 
@@ -46,17 +48,16 @@ Result<TemporalResult> RunTemporalAnalysis(
     if (!result.ok()) {
       return result.status().WithContext("snapshot " + std::to_string(date));
     }
-    // Tracked-cell extraction is a handful of point lookups per date, so
-    // it reads the build-side cube directly; no snapshot is sealed.
-    const auto& cube = result->cube;
+    // A handful of point lookups per date: seal on the calling thread.
+    const cube::CubeView view = std::move(result->cube).Seal(1);
 
     for (size_t i = 0; i < tracked.size(); ++i) {
       TemporalPoint point;
       point.date = date;
       fpm::Itemset sa, ca;
-      if (ResolveItems(cube.catalog(), tracked[i].sa, &sa) &&
-          ResolveItems(cube.catalog(), tracked[i].ca, &ca)) {
-        const cube::CubeCell* cell = cube.Find(sa, ca);
+      if (ResolveItems(view.catalog(), tracked[i].sa, &sa) &&
+          ResolveItems(view.catalog(), tracked[i].ca, &ca)) {
+        const cube::CubeCell* cell = view.Find(sa, ca);
         if (cell != nullptr) {
           point.defined = cell->indexes.defined;
           point.context_size = cell->context_size;

@@ -178,7 +178,10 @@ TEST(PartitionTest, GhostClosureCoversCrossShardCaAdjacency) {
   cube::CubeView view = MakeGlobalCube().Seal(1);
   PartitionOptions options;
   options.num_shards = 4;
-  std::vector<SegregationCube> shards = PartitionCube(view, options);
+  std::vector<cube::CubeView> shards;
+  for (SegregationCube& part : PartitionCube(view, options)) {
+    shards.push_back(std::move(part).Seal(1));
+  }
 
   // For every global pair (child, parent) along the CA axis — same SA,
   // parent's CA is the child's CA with one item removed — both endpoints

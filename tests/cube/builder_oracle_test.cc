@@ -193,15 +193,16 @@ TEST(BuilderOracleTrapTest, OnlyWitnessIsASecondValueOfAFixedSetAttribute) {
     ExpectOracleCells(table, options);
     auto cube = BuildSegregationCube(table, options);
     ASSERT_TRUE(cube.ok());
+    const CubeView view = std::move(*cube).Seal();
     // With one CA item allowed, s1 still witnesses against {s=s0}: the
     // reference collection is bounded by length (here 2), not by the
     // caps. {g=F, s=s0} is then full length, hence closed. With two, the
     // closures {s=s0, s=s1} and {g=F | s=s0, s=s1} are the cells.
-    EXPECT_EQ(cube->Find(fpm::Itemset(), fpm::Itemset({s0})), nullptr);
-    EXPECT_EQ(cube->Find(fpm::Itemset({f}), fpm::Itemset({s0})) != nullptr,
+    EXPECT_EQ(view.Find(fpm::Itemset(), fpm::Itemset({s0})), nullptr);
+    EXPECT_EQ(view.Find(fpm::Itemset({f}), fpm::Itemset({s0})) != nullptr,
               ca_cap == 1)
         << "ca_cap=" << ca_cap;
-    EXPECT_EQ(cube->Find(fpm::Itemset(), fpm::Itemset({s0, s1})) != nullptr,
+    EXPECT_EQ(view.Find(fpm::Itemset(), fpm::Itemset({s0, s1})) != nullptr,
               ca_cap == 2)
         << "ca_cap=" << ca_cap;
   }
@@ -239,7 +240,8 @@ TEST(BuilderOracleTrapTest, FullLengthCandidateIsClosedDespiteAnExtension) {
     ExpectOracleCells(table, options);
     auto cube = BuildSegregationCube(table, options);
     ASSERT_TRUE(cube.ok());
-    const CubeCell* cell = cube->Find(fpm::Itemset({f}), fpm::Itemset({n}));
+    const CubeView view = std::move(*cube).Seal();
+    const CubeCell* cell = view.Find(fpm::Itemset({f}), fpm::Itemset({n}));
     ASSERT_NE(cell, nullptr) << "mode=" << static_cast<int>(mode);
     EXPECT_EQ(cell->context_size, 4u);
     EXPECT_EQ(cell->minority_size, 2u);
@@ -261,7 +263,8 @@ TEST(BuilderOracleTrapTest, MinSupportAboveTheRowCountKeepsTheRoot) {
     auto cube = BuildSegregationCube(table, options);
     ASSERT_TRUE(cube.ok());
     EXPECT_EQ(cube->NumCells(), 1u);
-    EXPECT_NE(cube->Find(fpm::Itemset(), fpm::Itemset()), nullptr);
+    const CubeView view = std::move(*cube).Seal();
+    EXPECT_NE(view.Find(fpm::Itemset(), fpm::Itemset()), nullptr);
   }
 }
 

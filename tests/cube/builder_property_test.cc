@@ -195,8 +195,9 @@ TEST_P(BuilderPropertyTest, ClosedCellsSubsetOfAllCells) {
   ASSERT_TRUE(closed_cube.ok());
   EXPECT_LE(closed_cube->NumCells(), all_cube->NumCells());
   CubeView view = std::move(*closed_cube).Seal();
+  const CubeView all_view = std::move(*all_cube).Seal();
   for (const CubeCell& cell : view.Cells()) {
-    const CubeCell* twin = all_cube->Find(cell.coords);
+    const CubeCell* twin = all_view.Find(cell.coords);
     ASSERT_NE(twin, nullptr);
     EXPECT_EQ(cell.context_size, twin->context_size);
     EXPECT_EQ(cell.minority_size, twin->minority_size);

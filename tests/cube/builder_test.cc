@@ -61,13 +61,14 @@ CubeBuilderOptions AllCellsOptions() {
 TEST(CubeBuilderTest, GlobalFemaleCellAnchor) {
   auto cube = BuildSegregationCube(SmallFinalTable(), AllCellsOptions());
   ASSERT_TRUE(cube.ok()) << cube.status();
+  const CubeView view = std::move(*cube).Seal();
 
-  const auto& cat = cube->catalog();
+  const auto& cat = view.catalog();
   fpm::ItemId female = cat.Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
 
   // (sex=F | ⋆): 4 units of 3, minority (2,1,1,2) -> D = 1/3.
-  const CubeCell* cell = cube->Find(fpm::Itemset({female}), fpm::Itemset());
+  const CubeCell* cell = view.Find(fpm::Itemset({female}), fpm::Itemset());
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 12u);
   EXPECT_EQ(cell->minority_size, 6u);
@@ -80,7 +81,8 @@ TEST(CubeBuilderTest, GlobalFemaleCellAnchor) {
 TEST(CubeBuilderTest, ContextRestrictedCellAnchor) {
   auto cube = BuildSegregationCube(SmallFinalTable(), AllCellsOptions());
   ASSERT_TRUE(cube.ok());
-  const auto& cat = cube->catalog();
+  const CubeView view = std::move(*cube).Seal();
+  const auto& cat = view.catalog();
   fpm::ItemId female = cat.Find("gender", "F");
   fpm::ItemId young = cat.Find("age", "young");
   fpm::ItemId north = cat.Find("region", "north");
@@ -89,7 +91,7 @@ TEST(CubeBuilderTest, ContextRestrictedCellAnchor) {
 
   // (sex=F | region=north): T=6 over units u0,u1; m=(2,1) -> D = 1/3.
   const CubeCell* cell =
-      cube->Find(fpm::Itemset({female}), fpm::Itemset({north}));
+      view.Find(fpm::Itemset({female}), fpm::Itemset({north}));
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 6u);
   EXPECT_EQ(cell->minority_size, 3u);
@@ -99,7 +101,7 @@ TEST(CubeBuilderTest, ContextRestrictedCellAnchor) {
 
   // (sex=F & age=young | region=north): m=(2,0), majority=(1,3) -> D = 0.75.
   const CubeCell* fine =
-      cube->Find(fpm::Itemset({female, young}), fpm::Itemset({north}));
+      view.Find(fpm::Itemset({female, young}), fpm::Itemset({north}));
   ASSERT_NE(fine, nullptr);
   EXPECT_EQ(fine->minority_size, 2u);
   EXPECT_NEAR(fine->Value(indexes::IndexKind::kDissimilarity), 0.75, 1e-9);
@@ -108,17 +110,18 @@ TEST(CubeBuilderTest, ContextRestrictedCellAnchor) {
 TEST(CubeBuilderTest, RootAndPureSaCellsAreUndefined) {
   auto cube = BuildSegregationCube(SmallFinalTable(), AllCellsOptions());
   ASSERT_TRUE(cube.ok());
+  const CubeView view = std::move(*cube).Seal();
   // Root (⋆|⋆): M = T -> undefined ("-" in Fig. 1).
-  const CubeCell* root = cube->Find(fpm::Itemset(), fpm::Itemset());
+  const CubeCell* root = view.Find(fpm::Itemset(), fpm::Itemset());
   ASSERT_NE(root, nullptr);
   EXPECT_FALSE(root->indexes.defined);
   EXPECT_EQ(root->context_size, 12u);
   EXPECT_EQ(root->minority_size, 12u);
 
   // Pure-context cell (⋆ | region=north): M = T = 6 -> undefined.
-  const auto& cat = cube->catalog();
+  const auto& cat = view.catalog();
   fpm::ItemId north = cat.Find("region", "north");
-  const CubeCell* ctx = cube->Find(fpm::Itemset(), fpm::Itemset({north}));
+  const CubeCell* ctx = view.Find(fpm::Itemset(), fpm::Itemset({north}));
   ASSERT_NE(ctx, nullptr);
   EXPECT_FALSE(ctx->indexes.defined);
 }
@@ -219,16 +222,16 @@ TEST(CubeBuilderTest, ClosedModeCellsAgreeWithAllMode) {
   ASSERT_TRUE(closed_cube.ok());
   EXPECT_LT(closed_cube->NumCells(), all_cube->NumCells());
   EXPECT_GT(closed_cube->NumCells(), 0u);
-  // {gender=F} alone is not closed: absent in closed mode, present in all.
-  const auto& cat = all_cube->catalog();
-  fpm::ItemId female = cat.Find("gender", "F");
-  EXPECT_NE(all_cube->Find(fpm::Itemset({female}), fpm::Itemset()), nullptr);
-  EXPECT_EQ(closed_cube->Find(fpm::Itemset({female}), fpm::Itemset()),
-            nullptr);
-
+  const CubeView all_view = std::move(*all_cube).Seal();
   CubeView view = std::move(*closed_cube).Seal();
+  // {gender=F} alone is not closed: absent in closed mode, present in all.
+  const auto& cat = all_view.catalog();
+  fpm::ItemId female = cat.Find("gender", "F");
+  EXPECT_NE(all_view.Find(fpm::Itemset({female}), fpm::Itemset()), nullptr);
+  EXPECT_EQ(view.Find(fpm::Itemset({female}), fpm::Itemset()), nullptr);
+
   for (const CubeCell& cell : view.Cells()) {
-    const CubeCell* same = all_cube->Find(cell.coords);
+    const CubeCell* same = all_view.Find(cell.coords);
     ASSERT_NE(same, nullptr);
     EXPECT_EQ(cell.context_size, same->context_size);
     EXPECT_EQ(cell.minority_size, same->minority_size);
@@ -352,14 +355,15 @@ TEST(CubeBuilderTest, MultiValuedContextCountsInEveryValue) {
 
   auto cube = BuildSegregationCube(t, AllCellsOptions());
   ASSERT_TRUE(cube.ok());
-  const auto& cat = cube->catalog();
+  const CubeView view = std::move(*cube).Seal();
+  const auto& cat = view.catalog();
   fpm::ItemId female = cat.Find("gender", "F");
   fpm::ItemId agri = cat.Find("sector", "agri");
   ASSERT_NE(agri, fpm::kInvalidItem);
 
   // Context sector=agri covers rows 0, 2, 3 (row 0 via the set value).
   const CubeCell* cell =
-      cube->Find(fpm::Itemset({female}), fpm::Itemset({agri}));
+      view.Find(fpm::Itemset({female}), fpm::Itemset({agri}));
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 3u);
   EXPECT_EQ(cell->minority_size, 2u);

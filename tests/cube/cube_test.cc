@@ -32,21 +32,31 @@ TEST(CellCoordinatesTest, OrderingByTotalLengthThenLex) {
   EXPECT_EQ(a, (CellCoordinates{fpm::Itemset({0}), fpm::Itemset()}));
 }
 
-TEST(SegregationCubeTest, InsertFindReplace) {
+TEST(SegregationCubeTest, InsertAppendsAndSealIndexes) {
   SegregationCube cube;
   cube.Insert(MakeCell({1}, {2}, 100, 30, 0.4));
-  EXPECT_EQ(cube.NumCells(), 1u);
-  const CubeCell* cell = cube.Find(fpm::Itemset({1}), fpm::Itemset({2}));
+  cube.Insert(MakeCell({1}, {}, 200, 60, 0.5));
+  EXPECT_EQ(cube.NumCells(), 2u);
+
+  CubeView view = std::move(cube).Seal();
+  ASSERT_EQ(view.NumCells(), 2u);
+  const CubeCell* cell = view.Find(fpm::Itemset({1}), fpm::Itemset({2}));
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 100u);
-
-  // Replacement, not duplication.
-  cube.Insert(MakeCell({1}, {2}, 200, 60, 0.5));
-  EXPECT_EQ(cube.NumCells(), 1u);
-  EXPECT_EQ(cube.Find(fpm::Itemset({1}), fpm::Itemset({2}))->context_size,
+  EXPECT_EQ(view.Find(fpm::Itemset({1}), fpm::Itemset())->context_size,
             200u);
 
-  EXPECT_EQ(cube.Find(fpm::Itemset({9}), fpm::Itemset()), nullptr);
+  EXPECT_EQ(view.Find(fpm::Itemset({9}), fpm::Itemset()), nullptr);
+}
+
+// A cell's coordinates are its address, so a second cell at the same
+// coordinates is a caller bug that sealing refuses.
+TEST(SegregationCubeDeathTest, SealingEqualCoordinatesAborts) {
+  SegregationCube cube;
+  cube.Insert(MakeCell({1}, {2}, 100, 30, 0.4));
+  cube.Insert(MakeCell({}, {}, 100, 0, 0.0));
+  cube.Insert(MakeCell({1}, {2}, 200, 60, 0.5));
+  EXPECT_DEATH(std::move(cube).Seal(), "CHECK FAILED");
 }
 
 TEST(SegregationCubeTest, CellsDeterministicOrder) {

@@ -15,6 +15,7 @@
 #include "cube/cube.h"
 #include "cube/cube_view.h"
 #include "cube/explorer.h"
+#include "oracles/cell_coordinates_hash.h"
 
 namespace scube {
 namespace cube {

@@ -150,6 +150,82 @@ TEST(CubeViewTest, ParentsChildrenOfAbsentCoordinates) {
   EXPECT_EQ(root_children.size(), 3u);  // F|*, young|*, *|north
 }
 
+// One SA group whose CA itemsets sort one way by size and another by
+// items. The group lists them in (|CA|, CA) order, {}, {3}, {4}, {1,2},
+// {1,5}, where item order alone would put {1,2} and {1,5} before {3};
+// point lookups binary-search the group in that order, and the parent and
+// child probes go through them.
+TEST(CubeViewTest, LookupsSearchTheSaGroupBySizeThenItems) {
+  SegregationCube cube;
+  cube.Insert(MakeCell({}, {}, 100, 0, 0.0, /*defined=*/false));
+  for (std::vector<fpm::ItemId> ca : {std::vector<fpm::ItemId>{1, 5},
+                                      {4}, {}, {1, 2}, {3}}) {
+    cube.Insert(MakeCell({0}, std::move(ca), 50, 10, 0.1));
+  }
+  CubeView view = std::move(cube).Seal();
+
+  const fpm::Itemset sa({0});
+  auto key = [&view](CubeView::CellId id) {
+    const CellCoordinates& c = view.cell(id).coords;
+    return c.sa.DebugString() + "|" + c.ca.DebugString();
+  };
+  auto keys = [&key](const std::vector<CubeView::CellId>& ids) {
+    std::vector<std::string> out;
+    for (CubeView::CellId id : ids) out.push_back(key(id));
+    return out;
+  };
+  using Keys = std::vector<std::string>;
+
+  auto group = view.SliceBySa(sa);
+  EXPECT_EQ(keys({group.begin(), group.end()}),
+            (Keys{"[0]|[]", "[0]|[3]", "[0]|[4]", "[0]|[1 2]", "[0]|[1 5]"}));
+
+  struct Expected {
+    std::vector<fpm::ItemId> ca;
+    Keys parents;
+    Keys children;
+  };
+  const std::vector<Expected> present = {
+      {{}, {"[]|[]"}, {"[0]|[3]", "[0]|[4]"}},
+      {{3}, {"[0]|[]"}, {}},
+      {{4}, {"[0]|[]"}, {}},
+      {{1, 2}, {}, {}},
+      {{1, 5}, {}, {}},
+  };
+  for (const Expected& e : present) {
+    const CellCoordinates coords{sa, fpm::Itemset(e.ca)};
+    const CubeView::CellId id = view.FindId(coords);
+    ASSERT_NE(id, CubeView::kNoCell) << coords.ca.DebugString();
+    EXPECT_EQ(view.cell(id).coords, coords);
+    EXPECT_EQ(view.Find(coords.sa, coords.ca), &view.cell(id));
+    EXPECT_EQ(keys(view.ParentsOf(coords)), e.parents)
+        << coords.ca.DebugString();
+    EXPECT_EQ(keys(view.ChildrenOf(coords)), e.children)
+        << coords.ca.DebugString();
+  }
+
+  const std::vector<Expected> absent = {
+      {{2}, {"[0]|[]"}, {"[0]|[1 2]"}},
+      {{1, 3}, {"[0]|[3]"}, {}},
+      {{1}, {"[0]|[]"}, {"[0]|[1 2]", "[0]|[1 5]"}},
+      {{5}, {"[0]|[]"}, {"[0]|[1 5]"}},
+      {{1, 2, 5}, {"[0]|[1 5]", "[0]|[1 2]"}, {}},
+  };
+  for (const Expected& e : absent) {
+    const CellCoordinates coords{sa, fpm::Itemset(e.ca)};
+    EXPECT_EQ(view.FindId(coords), CubeView::kNoCell)
+        << coords.ca.DebugString();
+    EXPECT_EQ(view.Find(coords.sa, coords.ca), nullptr);
+    EXPECT_EQ(keys(view.ParentsOf(coords)), e.parents)
+        << coords.ca.DebugString();
+    EXPECT_EQ(keys(view.ChildrenOf(coords)), e.children)
+        << coords.ca.DebugString();
+  }
+  // An SA itemset with no group finds nothing.
+  EXPECT_EQ(view.FindId(CellCoordinates{fpm::Itemset({9}), fpm::Itemset()}),
+            CubeView::kNoCell);
+}
+
 TEST(CubeViewTest, DiceIntersectsPostingLists) {
   CubeView view = MakeView();
   uint64_t examined = 0;

@@ -21,6 +21,7 @@
 #include "cube/cube.h"
 #include "cube/cube_view.h"
 #include "cube/explorer.h"
+#include "oracles/cell_coordinates_hash.h"
 #include "query/executor.h"
 #include "query/merge_key.h"
 

@@ -113,10 +113,11 @@ TEST(IntegrationTest, CsvToDiscoveryEndToEnd) {
   // The global female cell: units hold (4M,0F), (0M,4F), (1M,1F):
   // T=10, M=5, per-unit m=(0,4,1), t=(4,4,2).
   // D = 1/2(|0-4/5| + |4/5-0| + |1/5-1/5|) = 0.8.
-  const auto& cube = result->cube;
-  fpm::ItemId female = cube.catalog().Find("gender", "F");
+  // Seal: lookups and exploration read the view.
+  cube::CubeView view = std::move(result->cube).Seal();
+  fpm::ItemId female = view.catalog().Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
-  const cube::CubeCell* cell = cube.Find(fpm::Itemset({female}),
+  const cube::CubeCell* cell = view.Find(fpm::Itemset({female}),
                                          fpm::Itemset());
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->context_size, 10u);
@@ -129,16 +130,15 @@ TEST(IntegrationTest, CsvToDiscoveryEndToEnd) {
 
   // Context sector=education selects the all-female community (and the
   // education companies only): every member is female -> degenerate cell.
-  fpm::ItemId education = cube.catalog().Find("sector", "education");
+  fpm::ItemId education = view.catalog().Find("sector", "education");
   ASSERT_NE(education, fpm::kInvalidItem);
   const cube::CubeCell* edu_cell =
-      cube.Find(fpm::Itemset({female}), fpm::Itemset({education}));
+      view.Find(fpm::Itemset({female}), fpm::Itemset({education}));
   ASSERT_NE(edu_cell, nullptr);
   EXPECT_EQ(edu_cell->context_size, edu_cell->minority_size);
   EXPECT_FALSE(edu_cell->indexes.defined);
 
-  // Seal and explore: the female cell ranks at the top globally.
-  cube::CubeView view = std::move(result->cube).Seal();
+  // Explore: the female cell ranks at the top globally.
   cube::ExplorerOptions explore;
   explore.min_context_size = 5;
   explore.min_minority_size = 2;
@@ -186,9 +186,10 @@ TEST(IntegrationTest, TabularShortcutMatchesPipelineSemantics) {
   // each (10 directors + 4 extra pairs).
   EXPECT_EQ(result->final_table.NumRows(), 14u);
 
-  fpm::ItemId female = result->cube.catalog().Find("gender", "F");
+  const cube::CubeView view = std::move(result->cube).Seal();
+  fpm::ItemId female = view.catalog().Find("gender", "F");
   const cube::CubeCell* cell =
-      result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
+      view.Find(fpm::Itemset({female}), fpm::Itemset());
   ASSERT_NE(cell, nullptr);
   // Per-sector counts: elec(3M,0F) trans(3M,0F) edu(0M,3F) health(0M,3F)
   // trade(1M,1F): t=(3,3,3,3,2), m=(0,0,3,3,1), T=14, M=7, majority=7.

@@ -44,11 +44,12 @@ TEST(PipelineTest, Scenario1TabularSectorUnits) {
   EXPECT_EQ(result->projected_edges, 0u);
 
   // The female cell must exist and carry sensible indexes.
-  const auto& cat = result->cube.catalog();
+  const cube::CubeView view = std::move(result->cube).Seal();
+  const auto& cat = view.catalog();
   fpm::ItemId female = cat.Find("gender", "F");
   ASSERT_NE(female, fpm::kInvalidItem);
   const cube::CubeCell* cell =
-      result->cube.Find(fpm::Itemset({female}), fpm::Itemset());
+      view.Find(fpm::Itemset({female}), fpm::Itemset());
   ASSERT_NE(cell, nullptr);
   ASSERT_TRUE(cell->indexes.defined);
   double d = cell->Value(indexes::IndexKind::kDissimilarity);
